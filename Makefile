@@ -1,6 +1,6 @@
 # Convenience targets mirroring .github/workflows/ci.yml for offline use.
 
-.PHONY: check fmt build test clippy doc quickstart bench-smoke bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench
+.PHONY: check fmt build test clippy doc quickstart bench-smoke bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench-e2e bench
 
 check: fmt build test clippy doc quickstart
 
@@ -79,6 +79,13 @@ bench-measures:
 # warns below the 3x wall-clock bar. Writes results/bench_rank.json.
 bench-rank:
 	cargo bench --bench rank_topk -p shapdb_bench
+
+# End-to-end benchmark selftest: builds benchmark/ and the `shapdb` binary,
+# then runs every BENCHMARK.json workload at smoke scale with and without
+# tracing; fails when a run or an output check fails (among them decomposed
+# top-k = rank_topk = the full ranking's prefix) or a metric is missing.
+bench-e2e:
+	python3 benchmark/run.py --selftest
 
 bench:
 	cargo bench -p shapdb_bench

@@ -9,8 +9,10 @@
 //!    *upper bound* on any of its facts' Shapley values
 //!    ([`shapley_bounds`]): per fact, a union bound over its conjuncts,
 //!    each conjunct's term an exact inclusion–exclusion over at most
-//!    three competing conjuncts, in exact rational arithmetic. No
-//!    compilation, no sampling — `O(vars · conjuncts²)` set algebra.
+//!    three competing conjuncts. No compilation, no sampling: conjuncts
+//!    are bitsets, and every term is an integer numerator over the one
+//!    denominator `lcm(1..=vars)`, added in the narrowest fixed-limb
+//!    [`Coeff`] tier that holds it.
 //! 2. **Admission loop** — structures are solved in decreasing bound
 //!    order. A min-heap of the exact scores solved so far tracks the
 //!    `k`-th best; the moment the best remaining bound falls *strictly*
@@ -34,10 +36,14 @@ use shapdb_kc::Budget;
 use shapdb_metrics::counters::{
     CacheRunStats, DedupStats, TOPK_BOUND_PASSES, TOPK_PRUNED, TOPK_SOLVED,
 };
-use shapdb_num::Rational;
+use shapdb_num::{BigInt, BigUint, Coeff, Rational, Vli};
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
+
+/// The set-algebra oracle the integer kernel is tested against.
+#[cfg(test)]
+mod reference;
 
 /// Cheap a-priori bracket on a canonical structure's best Shapley value.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -61,7 +67,22 @@ pub struct ScoreBounds {
 /// set gives its probability: `Σ_{S ⊆ chosen} (−1)^{|S|} / |C ∪ ⋃S|`
 /// (every listed element must precede `f` within the union). Summing over
 /// `C ∋ f` (a union bound), capping at 1, and maximizing over `f` yields
-/// a sound `upper` in exact rationals.
+/// a sound `upper`.
+///
+/// The arithmetic is exact and integer. Every term is `±1/u` with
+/// `1 ≤ u ≤ vars`, so over the one denominator `L = lcm(1..=vars)` it is
+/// the integer numerator `±L/u`: the kernel adds numerators, caps at `L`,
+/// and reduces a single `Rational` at the end. A per-fact sum stops once
+/// it reaches `L`, so it stays below `2L`; a term's even-mask part is at
+/// most four numerators of at most `L`, below `4L`. The numerators thus
+/// run in the narrowest [`Coeff`] tier holding `bits(L) + 3` bits —
+/// `Vli<1>` up to 42 variables, `Vli<2/4/8>` next, `BigUint` from 353.
+///
+/// Facts are visited in decreasing order of the cheap cap
+/// `min(Σ_{C∋f} L/|C|, L)`, and the scan stops at the first cap that is
+/// ≤ the best value so far. This skip is sound: every conjunct's term is
+/// at most its empty-mask summand `1/|C|` (it is the probability of a
+/// sub-event), so no skipped fact can raise the maximum.
 ///
 /// Constant structures (empty key, or an empty conjunct — `⊥`/`⊤`) have
 /// no players: both bounds are 0.
@@ -78,72 +99,191 @@ pub fn shapley_bounds(key: &[Vec<u32>]) -> ScoreBounds {
         .copied()
         .max()
         .map_or(0, |m| m as usize + 1);
-    let mut by_var: Vec<Vec<usize>> = vec![Vec::new(); num_vars];
-    for (ci, c) in key.iter().enumerate() {
-        for &v in c {
-            by_var[v as usize].push(ci);
-        }
+    let lcm = lcm_upto(num_vars);
+    let bits = lcm.bits() + 3;
+    let upper = if bits <= 64 {
+        bound_numerator::<Vli<1>>(key, num_vars, &lcm)
+    } else if bits <= 128 {
+        bound_numerator::<Vli<2>>(key, num_vars, &lcm)
+    } else if bits <= 256 {
+        bound_numerator::<Vli<4>>(key, num_vars, &lcm)
+    } else if bits <= 512 {
+        bound_numerator::<Vli<8>>(key, num_vars, &lcm)
+    } else {
+        bound_numerator::<BigUint>(key, num_vars, &lcm)
+    };
+    ScoreBounds {
+        lower: Rational::from_ratio(1, num_vars as u64),
+        upper: Rational::new(BigInt::from_biguint(upper), lcm),
     }
-    let one = Rational::one();
-    let mut best = Rational::zero();
-    for (v, conjs) in by_var.iter().enumerate() {
-        let mut sum = Rational::zero();
-        for &ci in conjs {
-            sum += &conjunct_term(key, ci, v as u32);
+}
+
+/// `lcm(1..=n)`: the product, over primes `p ≤ n`, of the largest power
+/// of `p` not above `n`.
+fn lcm_upto(n: usize) -> BigUint {
+    let mut lcm = BigUint::one();
+    let mut composite = vec![false; n + 1];
+    for p in 2..=n {
+        if composite[p] {
+            continue;
+        }
+        for multiple in (p * p..=n).step_by(p) {
+            composite[multiple] = true;
+        }
+        let mut power = p;
+        while power <= n / p {
+            power *= p;
+        }
+        lcm.mul_small(power as u64);
+    }
+    lcm
+}
+
+/// The numerator over `lcm` of `upper` (see [`shapley_bounds`]), in the
+/// coefficient tier `T`.
+fn bound_numerator<T: Coeff>(key: &[Vec<u32>], num_vars: usize, lcm: &BigUint) -> BigUint {
+    let one = T::from_biguint(lcm);
+    // inv[u] = L/u, the numerator of 1/u.
+    let inv: Vec<T> = (0..=num_vars)
+        .map(|u| {
+            if u == 0 {
+                return T::zero();
+            }
+            let mut q = lcm.clone();
+            q.div_small(u as u64);
+            T::from_biguint(&q)
+        })
+        .collect();
+    let sets = BitRows::new(key, num_vars);
+    let sizes: Vec<usize> = (0..key.len())
+        .map(|ci| sets.union_len(ci, std::iter::empty()))
+        .collect();
+
+    // Cheap caps, largest first.
+    let mut caps: Vec<(T, usize)> = (0..num_vars)
+        .map(|v| {
+            let mut cap = T::zero();
+            for ci in sets.containing(v) {
+                cap.add_assign_ref(&inv[sizes[ci]]);
+                if cap >= one {
+                    return (one.clone(), v);
+                }
+            }
+            (cap, v)
+        })
+        .collect();
+    caps.sort_unstable_by(|a, b| b.cmp(a));
+
+    // Each conjunct's competitors in (|C ∪ D|, index) order, built on
+    // first use.
+    let mut competitors: Vec<Option<Vec<usize>>> = vec![None; key.len()];
+    let mut best = T::zero();
+    for (cap, v) in caps {
+        if cap <= best {
+            break;
+        }
+        let mut sum = T::zero();
+        for ci in sets.containing(v) {
+            let order = competitors[ci].get_or_insert_with(|| sets.closest_first(ci));
+            // The first three competitors avoiding v: exactly the
+            // filter → sort → truncate(3) of the set-algebra definition.
+            let mut chosen = [0usize; 3];
+            let mut count = 0;
+            for &j in order.iter() {
+                if !sets.contains(j, v) {
+                    chosen[count] = j;
+                    count += 1;
+                    if count == 3 {
+                        break;
+                    }
+                }
+            }
+            let (mut even, mut odd) = (T::zero(), T::zero());
+            for mask in 0u32..(1 << count) {
+                let picked = (0..count).filter(|b| mask & (1 << b) != 0);
+                let u = sets.union_len(ci, picked.map(|b| chosen[b]));
+                if mask.count_ones() % 2 == 0 {
+                    even.add_assign_ref(&inv[u]);
+                } else {
+                    odd.add_assign_ref(&inv[u]);
+                }
+            }
+            sum.add_assign_ref(&even.sub_ref(&odd));
             if sum >= one {
                 break;
             }
         }
-        let ub = if sum > one { one.clone() } else { sum };
+        let ub = sum.min(one.clone());
         if ub > best {
             best = ub;
-        }
-        if best == one {
-            break;
-        }
-    }
-    ScoreBounds {
-        lower: Rational::from_ratio(1, num_vars as u64),
-        upper: best,
-    }
-}
-
-/// One conjunct's contribution to the bound of `v ∈ key[ci]`: the exact
-/// probability that `key[ci] \ {v}` precedes `v` while none of up to
-/// three greedily chosen competitor conjuncts fully precedes `v`.
-fn conjunct_term(key: &[Vec<u32>], ci: usize, v: u32) -> Rational {
-    let c = &key[ci];
-    // Competitors: conjuncts not containing v, closest-union first.
-    let mut competitors: Vec<(usize, usize)> = key
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| !d.contains(&v))
-        .map(|(j, d)| (union_size(c, d), j))
-        .collect();
-    competitors.sort_unstable();
-    competitors.truncate(3);
-    let mut term = Rational::zero();
-    for mask in 0u32..(1 << competitors.len()) {
-        let mut union: HashSet<u32> = c.iter().copied().collect();
-        for (bit, &(_, j)) in competitors.iter().enumerate() {
-            if mask & (1 << bit) != 0 {
-                union.extend(key[j].iter().copied());
+            if best == one {
+                break;
             }
         }
-        let frac = Rational::from_ratio(1, union.len() as u64);
-        term = if mask.count_ones() % 2 == 0 {
-            term + frac
-        } else {
-            term - frac
-        };
     }
-    term
+    best.into_biguint()
 }
 
-/// `|a ∪ b|` for two conjuncts.
-fn union_size(a: &[u32], b: &[u32]) -> usize {
-    let set: HashSet<u32> = a.iter().chain(b).copied().collect();
-    set.len()
+/// A structure's conjuncts as fixed-width bitsets over its variables,
+/// one row of `words` limbs each. Flat rather than one
+/// [`shapdb_num::Bitset`] per conjunct: one allocation per structure, and
+/// a mask's union is popcounted without writing a scratch set (the
+/// per-conjunct `Bitset` form made the `job-topk` bound pass ~1.5–2×
+/// slower).
+struct BitRows {
+    words: usize,
+    rows: usize,
+    bits: Vec<u64>,
+}
+
+impl BitRows {
+    fn new(key: &[Vec<u32>], num_vars: usize) -> BitRows {
+        let words = num_vars.div_ceil(64);
+        let mut bits = vec![0u64; key.len() * words];
+        for (ci, c) in key.iter().enumerate() {
+            for &v in c {
+                bits[ci * words + v as usize / 64] |= 1 << (v % 64);
+            }
+        }
+        BitRows {
+            words,
+            rows: key.len(),
+            bits,
+        }
+    }
+
+    fn contains(&self, row: usize, v: usize) -> bool {
+        self.bits[row * self.words + v / 64] >> (v % 64) & 1 != 0
+    }
+
+    /// The rows containing `v`, in index order.
+    fn containing(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..self.rows).filter(move |&ci| self.contains(ci, v))
+    }
+
+    /// `|row ∪ ⋃ others|`.
+    fn union_len(&self, row: usize, others: impl Iterator<Item = usize> + Clone) -> usize {
+        (0..self.words)
+            .map(|w| {
+                let word = others
+                    .clone()
+                    .fold(self.bits[row * self.words + w], |acc, j| {
+                        acc | self.bits[j * self.words + w]
+                    });
+                word.count_ones() as usize
+            })
+            .sum()
+    }
+
+    /// Every other row, closest first: sorted by `(|row ∪ other|, other)`.
+    fn closest_first(&self, row: usize) -> Vec<usize> {
+        let mut order: Vec<(usize, usize)> = (0..self.rows)
+            .filter(|&j| j != row)
+            .map(|j| (self.union_len(row, std::iter::once(j)), j))
+            .collect();
+        order.sort_unstable();
+        order.into_iter().map(|(_, j)| j).collect()
+    }
 }
 
 /// A structure awaiting admission, ordered for the max-heap: highest
@@ -391,10 +531,68 @@ impl TopKExecutor {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::reference_bounds;
     use super::*;
     use crate::engine::{BatchExecutor, EngineKind, LineageTask, PlannerConfig};
     use proptest::prelude::*;
     use shapdb_circuit::VarId;
+
+    /// The canonical key of the DNF with these conjuncts.
+    fn canonical_key(conjs: &[Vec<u32>]) -> Vec<Vec<u32>> {
+        let mut d = Dnf::new();
+        for c in conjs {
+            d.add_conjunct(c.iter().map(|&v| VarId(v)).collect());
+        }
+        fingerprint(&d).key().clone()
+    }
+
+    fn num_vars(key: &[Vec<u32>]) -> usize {
+        key.iter().flatten().max().map_or(0, |&m| m as usize + 1)
+    }
+
+    /// `bits(lcm(1..=n)) + 3`: the width the kernel's tier must hold.
+    fn kernel_bits(n: usize) -> u64 {
+        lcm_upto(n).bits() + 3
+    }
+
+    #[test]
+    fn lcm_matches_the_iterated_definition() {
+        let mut lcm = BigUint::one();
+        for n in 1..=120usize {
+            let g = lcm.gcd(&BigUint::from_u64(n as u64));
+            lcm.mul_small(n as u64);
+            lcm.div_small(g.to_u64().unwrap());
+            assert_eq!(lcm_upto(n), lcm, "n={n}");
+        }
+        assert_eq!(lcm_upto(0), BigUint::one());
+    }
+
+    #[test]
+    fn tier_boundaries_match_the_docs() {
+        // Vli<1> up to 42 variables; BigUint from 353.
+        assert!(kernel_bits(42) <= 64 && kernel_bits(43) > 64);
+        assert!(kernel_bits(352) <= 512 && kernel_bits(353) > 512);
+    }
+
+    #[test]
+    fn every_tier_matches_the_reference() {
+        // Width-6 windows overlapping by two variables: contested
+        // competitors, with the variable count picking each tier in turn.
+        for n in [30usize, 70, 150, 300, 450] {
+            let conjs: Vec<Vec<u32>> = (0..n as u32 - 5)
+                .step_by(4)
+                .map(|i| (i..i + 6).collect())
+                .collect();
+            let key = canonical_key(&conjs);
+            assert_eq!(shapley_bounds(&key), reference_bounds(&key), "n={n}");
+        }
+    }
+
+    #[test]
+    fn constant_keys_match_the_reference() {
+        assert_eq!(shapley_bounds(&[]), reference_bounds(&[]));
+        assert_eq!(shapley_bounds(&[vec![]]), reference_bounds(&[vec![]]));
+    }
 
     fn dnf(conjs: &[&[u32]]) -> Dnf {
         let mut d = Dnf::new();
@@ -492,6 +690,65 @@ mod tests {
             let best = max_exact(&planner, &d, 6);
             prop_assert!(b.lower <= best, "lower {:?} > exact {:?}", b.lower, best);
             prop_assert!(best <= b.upper, "exact {:?} > upper {:?}", best, b.upper);
+        }
+
+        /// The integer kernel equals the set-algebra definition, bit for
+        /// bit, on narrow structures (the `Vli<1>` tier).
+        #[test]
+        fn prop_kernel_matches_reference_narrow(
+            conjs in proptest::collection::vec(
+                proptest::collection::vec(0u32..40, 1..6), 1..14),
+        ) {
+            let key = canonical_key(&conjs);
+            prop_assert!(kernel_bits(num_vars(&key)) <= 64);
+            prop_assert_eq!(shapley_bounds(&key), reference_bounds(&key));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// … on ~50–300-variable structures (`Vli<2/4/8>`).
+        #[test]
+        fn prop_kernel_matches_reference_mid(
+            conjs in proptest::collection::vec(
+                proptest::collection::vec(0u32..5_000, 2..7), 16..80),
+        ) {
+            let key = canonical_key(&conjs);
+            let n = num_vars(&key);
+            prop_assume!(kernel_bits(n) > 64);
+            prop_assert_eq!(shapley_bounds(&key), reference_bounds(&key));
+        }
+
+        /// … with a few shared hub variables, so most facts sit in several
+        /// conjuncts and competitor choice is contested.
+        #[test]
+        fn prop_kernel_matches_reference_overlapping(
+            conjs in proptest::collection::vec(
+                (proptest::collection::vec(0u32..6, 1..3),
+                 proptest::collection::vec(6u32..120, 1..5)), 8..30),
+        ) {
+            let conjs: Vec<Vec<u32>> = conjs
+                .into_iter()
+                .map(|(hubs, rest)| hubs.into_iter().chain(rest).collect())
+                .collect();
+            let key = canonical_key(&conjs);
+            prop_assert_eq!(shapley_bounds(&key), reference_bounds(&key));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        /// … on ≥ 400-variable structures (`BigUint`).
+        #[test]
+        fn prop_kernel_matches_reference_wide(
+            conjs in proptest::collection::vec(
+                proptest::collection::vec(0u32..100_000, 6..10), 70..90),
+        ) {
+            let key = canonical_key(&conjs);
+            let n = num_vars(&key);
+            prop_assume!(n >= 400);
+            prop_assert!(kernel_bits(n) > 512);
+            prop_assert_eq!(shapley_bounds(&key), reference_bounds(&key));
         }
     }
 

@@ -1,0 +1,71 @@
+//! The top-k bound kernel on the JOB smoke corpus.
+//!
+//! Every answer of `JobConfig::smoke()` is fingerprinted. For each distinct
+//! structure, [`shapley_bounds`] must equal the set-algebra definition
+//! (`reference_bounds`) bit for bit and bracket the structure's exact best
+//! Shapley value; bound-driven `rank_topk` must still return the full
+//! ranking's prefix.
+
+use shapdb::ShapleyAnalyzer;
+use shapdb_circuit::{fingerprint, FingerprintKey};
+use shapdb_core::engine::{shapley_bounds, ScoreBounds};
+use shapdb_num::Rational;
+use shapdb_query::evaluate;
+use shapdb_workloads::{job_database, job_ranking_query, JobConfig};
+use std::collections::HashMap;
+
+#[path = "../crates/core/src/engine/topk/reference.rs"]
+mod reference;
+
+#[test]
+fn job_smoke_bounds_match_the_reference_and_keep_the_topk_prefix() {
+    let db = job_database(&JobConfig::smoke());
+    let q = job_ranking_query();
+    let analyzer = ShapleyAnalyzer::new(&db).with_threads(1);
+
+    // Solve-everything baseline: each answer scored by its best fact.
+    let batch = analyzer.explain_batch(&q).unwrap();
+    let scores: Vec<Rational> = batch
+        .explanations
+        .iter()
+        .map(|e| {
+            e.attributions
+                .first()
+                .map(|(_, v)| v.clone())
+                .unwrap_or_else(Rational::zero)
+        })
+        .collect();
+
+    // Distinct structures, each with the exact best score of its answers
+    // (isomorphic answers share it).
+    let answers = evaluate(&q, &db);
+    assert_eq!(answers.outputs.len(), scores.len());
+    let mut structures: HashMap<FingerprintKey, Rational> = HashMap::new();
+    for (i, out) in answers.outputs.iter().enumerate() {
+        assert_eq!(out.tuple, batch.explanations[i].tuple, "answer order");
+        let fp = fingerprint(&out.endo_lineage(&db));
+        let best = structures
+            .entry(fp.key().clone())
+            .or_insert_with(|| scores[i].clone());
+        assert_eq!(*best, scores[i], "isomorphic answers score alike");
+    }
+    assert!(structures.len() > 10, "the corpus has many structures");
+    for (key, best) in &structures {
+        let b: ScoreBounds = shapley_bounds(key);
+        assert_eq!(b, reference::reference_bounds(key), "key {key:?}");
+        assert!(b.lower <= *best && *best <= b.upper, "key {key:?}");
+    }
+
+    let mut baseline: Vec<(usize, Rational)> = scores.into_iter().enumerate().collect();
+    baseline.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    let n = baseline.len();
+    for k in [1, 3, n] {
+        let ranking = analyzer.rank_topk(&q, k).unwrap();
+        let got: Vec<(usize, Rational)> = ranking
+            .top
+            .iter()
+            .map(|r| (r.index, r.score.clone()))
+            .collect();
+        assert_eq!(got, baseline[..k].to_vec(), "k={k}");
+    }
+}
