@@ -1,8 +1,8 @@
 # Convenience targets mirroring .github/workflows/ci.yml for offline use.
 
-.PHONY: check fmt build test clippy doc quickstart bench-smoke bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench-e2e bench
+.PHONY: check fmt build test clippy doc quickstart examples bench-smoke bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench-e2e bench
 
-check: fmt build test clippy doc quickstart
+check: fmt build test clippy doc examples
 
 fmt:
 	cargo fmt --check
@@ -22,6 +22,15 @@ doc:
 quickstart:
 	cargo run --release --example quickstart
 
+# Every examples/*.rs in release mode, failing on the first that fails
+# (quickstart included; readonce_fastpath drives the read-once DP).
+examples:
+	@for e in examples/*.rs; do \
+		name=$$(basename $$e .rs); \
+		echo "== example $$name"; \
+		cargo run --release --quiet --example $$name || exit 1; \
+	done
+
 # The fastest criterion bench; its numbers are the perf trajectory recorded
 # in CHANGES.md.
 bench-smoke:
@@ -31,8 +40,10 @@ bench-smoke:
 bench-cache:
 	cargo bench --bench cache -p shapdb_bench
 
-# Cold exact path (cache off), compiler-only and Alg1-only phases split out;
-# writes a machine-readable summary to results/bench_exact.json.
+# Cold exact path (cache off), with the compiler-only, Alg1-only and
+# read-once-only phases split out (read-once is the route the planner gives
+# every structure of this corpus); writes a machine-readable summary to
+# results/bench_exact.json.
 bench-exact:
 	cargo bench --bench exact_cold -p shapdb_bench
 

@@ -2,7 +2,7 @@
 //! (Figure 4) measures, with the cross-query cache off, split into its two
 //! phases — the d-DNNF compiler and Algorithm 1.
 //!
-//! Three series over the 521-lineage TPC-H-lite + IMDB-lite answer corpus
+//! Four series over the 521-lineage TPC-H-lite + IMDB-lite answer corpus
 //! (the same one the `batch`/`cache` benches replay, so numbers compare
 //! directly):
 //!
@@ -12,16 +12,21 @@
 //!   canonical structure (Figure 3's middle row, no Algorithm 1). This is
 //!   the paper's own cold path: it always compiles, whereas our planner
 //!   routes the factorizable/tiny structures around the compiler;
-//! * `alg1_only` — Algorithm 1 over the pre-compiled d-DNNFs (no compiler).
+//! * `alg1_only` — Algorithm 1 over the pre-compiled d-DNNFs (no compiler);
+//! * `readonce_only` — `power_read_once` over the read-once factorization
+//!   of every distinct structure: the route the planner actually gives
+//!   each of them.
 //!
 //! Besides the criterion console lines, the run writes a machine-readable
 //! summary to `results/bench_exact.json` so the perf trajectory is recorded
 //! per commit (`make bench-exact`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use shapdb_circuit::{Circuit, Dnf};
+use shapdb_circuit::{Circuit, Dnf, Fingerprint, ReadOnce};
 use shapdb_core::engine::{BatchExecutor, EngineKind, Planner, PlannerConfig};
 use shapdb_core::exact::{shapley_all_facts, ExactConfig};
+use shapdb_core::readonce::power_read_once;
+use shapdb_core::Measure;
 use shapdb_kc::{compile_circuit, compile_circuit_topdown, Budget, ComponentCache, Ddnnf};
 use std::time::{Duration, Instant};
 
@@ -45,16 +50,29 @@ fn cold_planner() -> Planner {
 /// of them read-once, which is why the planner's shortcut routes them
 /// around the compiler; the phase benches below force them *through* it,
 /// measuring the paper's always-compile cold path).
-fn distinct_structures(lineages: &[Dnf]) -> Vec<Dnf> {
+fn distinct_structures(lineages: &[Dnf]) -> Vec<Fingerprint> {
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::new();
     for l in lineages {
         let fp = shapdb_circuit::fingerprint(l);
         if seen.insert(fp.key().clone()) {
-            out.push(fp.canonical_dnf());
+            out.push(fp);
         }
     }
     out
+}
+
+/// Every read-once value of every tree, as the read-once engine computes
+/// them (Shapley, no deadline).
+fn solve_read_once(trees: &[ReadOnce], n_endo: usize) -> usize {
+    trees
+        .iter()
+        .map(|t| {
+            power_read_once(t, n_endo, None, Measure::Shapley)
+                .unwrap()
+                .len()
+        })
+        .sum()
 }
 
 /// Variable cap for the *compiler* phase series. The bottom-up compiler
@@ -163,7 +181,15 @@ fn alg1_by_vars(all_structures: &[Dnf], n_endo: usize) -> (String, usize) {
 
 fn bench_exact_cold(c: &mut Criterion) {
     let (lineages, n_endo) = workload_lineages();
-    let all_structures = distinct_structures(&lineages);
+    let fingerprints = distinct_structures(&lineages);
+    let all_structures: Vec<Dnf> = fingerprints
+        .iter()
+        .map(Fingerprint::canonical_dnf)
+        .collect();
+    let trees: Vec<ReadOnce> = fingerprints
+        .iter()
+        .filter_map(|fp| fp.tree().cloned())
+        .collect();
     let structures: Vec<Dnf> = all_structures
         .iter()
         .filter(|d| d.vars().len() <= PHASE_MAX_VARS)
@@ -239,6 +265,9 @@ fn bench_exact_cold(c: &mut Criterion) {
                 .sum::<usize>()
         })
     });
+    group.bench_with_input(BenchmarkId::from_parameter("readonce_only"), &(), |b, _| {
+        b.iter(|| solve_read_once(&trees, n_endo))
+    });
     group.finish();
 
     // Machine-readable summary for the perf trajectory (results/). Measured
@@ -274,6 +303,9 @@ fn bench_exact_cold(c: &mut Criterion) {
             );
         }
     });
+    let readonce_ns = median_ns(SAMPLES, || {
+        std::hint::black_box(solve_read_once(&trees, n_endo));
+    });
     let (bucket_entries, bucket_dropped) = alg1_by_vars(&all_structures, n_endo);
     let skipped_json = skipped_vars
         .iter()
@@ -293,13 +325,15 @@ fn bench_exact_cold(c: &mut Criterion) {
             "    \"phase_skipped_vars\": [{}],\n",
             "    \"alg1_phase_max_vars\": {},\n",
             "    \"alg1_phase_structures\": {},\n",
-            "    \"phase_circuit_vars\": {}\n",
+            "    \"phase_circuit_vars\": {},\n",
+            "    \"readonce_structures\": {}\n",
             "  }},\n",
             "  \"median_ms\": {{\n",
             "    \"cold_replay\": {:.3},\n",
             "    \"fingerprint_only\": {:.3},\n",
             "    \"compiler_only\": {:.3},\n",
-            "    \"alg1_only\": {:.3}\n",
+            "    \"alg1_only\": {:.3},\n",
+            "    \"readonce_only\": {:.3}\n",
             "  }},\n",
             "  \"alg1_by_vars\": {{\n",
             "{},\n",
@@ -316,10 +350,12 @@ fn bench_exact_cold(c: &mut Criterion) {
         ALG1_PHASE_MAX_VARS,
         alg1_structures.len(),
         circuit_vars,
+        trees.len(),
         cold_ns as f64 / 1e6,
         fingerprint_ns as f64 / 1e6,
         compile_ns as f64 / 1e6,
         alg1_ns as f64 / 1e6,
+        readonce_ns as f64 / 1e6,
         bucket_entries,
         bucket_dropped,
     );

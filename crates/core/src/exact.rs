@@ -122,20 +122,20 @@ impl Ticker {
 
 /// Binomial rows converted to the pass's coefficient type, cached per DP
 /// (conversion is sound: `C(gap, d) ≤ C(m, ⌊m/2⌋)`, the tier's cap).
-struct BinomRows<C> {
+pub(crate) struct BinomRows<C> {
     table: BinomialTable,
     rows: Vec<Option<Vec<C>>>,
 }
 
 impl<C: Coeff> BinomRows<C> {
-    fn new() -> BinomRows<C> {
+    pub(crate) fn new() -> BinomRows<C> {
         BinomRows {
             table: BinomialTable::new(),
             rows: Vec::new(),
         }
     }
 
-    fn row(&mut self, n: usize) -> &[C] {
+    pub(crate) fn row(&mut self, n: usize) -> &[C] {
         if self.rows.len() <= n {
             self.rows.resize_with(n + 1, || None);
         }
@@ -423,7 +423,7 @@ impl<'a, C: Coeff> Dp<'a, C> {
 /// `base[j] = δ[j] + γ[j−1]` and `γ[j] = base[j+1] − δ[j+1]` (with
 /// `δ[m] = 0`). Exact non-negative integer arithmetic, so the result is
 /// bit-identical to a second conditioned pass at half the DP work.
-fn derive_gamma<C: Coeff>(base_root: &[C], delta: &[C], gamma: &mut Vec<C>) {
+pub(crate) fn derive_gamma<C: Coeff>(base_root: &[C], delta: &[C], gamma: &mut Vec<C>) {
     let m = delta.len();
     debug_assert_eq!(base_root.len(), m + 1);
     gamma.clear();

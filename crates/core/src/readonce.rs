@@ -18,21 +18,43 @@
 //! `(⋁xᵢ) ∧ (⋁yⱼ)` and is handled here in linear time, while its Tseytin
 //! CNF is exponential for the DPLL compiler.
 //!
-//! Conditioning a fact `f → b` only changes the counts of `f`'s ancestors —
-//! a root-to-leaf *path* in a tree — so computing all facts costs
-//! `O(Σ_f depth(f) · fanin · m)` big-integer operations, usually far below
-//! Algorithm 1's `O(|C|·m²)` per fact.
+//! # Cost
+//!
+//! Conditioning a fact `f → 0` only changes the counts of `f`'s ancestors
+//! — a root-to-leaf *path* in a tree. At an ancestor `p` with on-path child
+//! `c`, the conditioned array is `cur ⊛ others`, where `others` is the
+//! product of `c`'s siblings: their `#SAT` arrays at `∧`, their `#UNSAT`
+//! arrays at `∨`. `others` is never rebuilt from the siblings; it is the
+//! exact polynomial quotient of `p`'s base array by `c`'s. Constants are
+//! folded when the tree is flattened, so every non-root node is a monotone
+//! non-constant function: `#SAT_c[n_c] = 1` and `#UNSAT_c[0] = 1`. The
+//! divisor is therefore monic — at the top for `∧`, at the bottom for `∨` —
+//! and each quotient term is `total[j] − Σ`, where `Σ` is a partial sum of
+//! the non-negative terms making up `total[j]`: an unsigned subtraction.
+//! A path step costs `O(n_p · n_c) ⊆ O(m · n_c)` coefficient operations
+//! (quotient plus one convolution). The `f → 1` array follows from the base
+//! root by subtraction (`exact::derive_gamma`), so each fact takes one
+//! conditioned pass.
+//!
+//! The arithmetic runs on Algorithm 1's [`Coeff`] tiers. Every count,
+//! complement `C(n, ℓ) − #SAT_ℓ`, convolution partial sum and quotient
+//! partial sum is at most `C(m, ⌊m/2⌋)` for the root's `m` variables, so
+//! [`alpha_cap_bits`]`(m)` picks `Vli<1/2/4/8>` or, past 512 bits,
+//! [`BigUint`]. A fixed tier that overflows is a cap bug and panics.
 
-use crate::exact::ShapleyTimeout;
+use crate::exact::{derive_gamma, BinomRows, ShapleyTimeout};
 use crate::measure::Measure;
 use crate::weights::{completion_weights, power_weights, weighted_difference};
 use shapdb_circuit::{factor, Dnf, ReadOnce, VarId};
 use shapdb_num::{
-    combinatorics::{BinomialTable, FactorialTable},
-    BigUint, Rational,
+    combinatorics::{alpha_cap_bits, BinomialTable, FactorialTable},
+    BigUint, Coeff, Rational, Vli,
 };
 use std::collections::HashMap;
 use std::time::Instant;
+
+#[cfg(test)]
+mod reference;
 
 /// Arena node for the flattened read-once tree.
 enum RNode {
@@ -44,6 +66,13 @@ enum RNode {
 }
 
 /// Flattened tree with parent pointers (children precede parents).
+///
+/// Constants are folded while flattening: a gate holding its absorbing
+/// constant (`⊥` under `∧`, `⊤` under `∨`) becomes that constant, neutral
+/// constants are dropped, and a gate left with one child is that child. So
+/// `True`/`False` only ever appear as the root, and every other node is a
+/// monotone non-constant function. The variables of a folded-away subtree
+/// are null players; they have no leaf.
 struct Arena {
     nodes: Vec<RNode>,
     parent: Vec<Option<usize>>,
@@ -52,6 +81,8 @@ struct Arena {
     /// Leaf index of each variable.
     leaf_of: HashMap<VarId, usize>,
     root: usize,
+    /// Variables of the subtrees folded into a constant.
+    dropped: usize,
 }
 
 impl Arena {
@@ -62,154 +93,218 @@ impl Arena {
             nvars: Vec::new(),
             leaf_of: HashMap::new(),
             root: 0,
+            dropped: 0,
         };
-        let root = a.add(tree);
-        a.root = root;
+        a.root = match a.add(tree) {
+            Ok(root) => root,
+            Err(b) => a.push(if b { RNode::True } else { RNode::False }, 0),
+        };
         a
     }
 
-    fn add(&mut self, t: &ReadOnce) -> usize {
-        let (node, nv) = match t {
-            ReadOnce::True => (RNode::True, 0),
-            ReadOnce::False => (RNode::False, 0),
-            ReadOnce::Var(v) => (RNode::Var(*v), 1),
-            ReadOnce::And(cs) => {
-                let kids: Vec<usize> = cs.iter().map(|c| self.add(c)).collect();
-                let nv = kids.iter().map(|&k| self.nvars[k]).sum();
-                (RNode::And(kids), nv)
+    /// Flattens `t`, returning its node or, if it folds, its constant.
+    fn add(&mut self, t: &ReadOnce) -> Result<usize, bool> {
+        let (cs, is_and) = match t {
+            ReadOnce::True => return Err(true),
+            ReadOnce::False => return Err(false),
+            ReadOnce::Var(v) => {
+                let leaf = self.push(RNode::Var(*v), 1);
+                self.leaf_of.insert(*v, leaf);
+                return Ok(leaf);
             }
-            ReadOnce::Or(cs) => {
-                let kids: Vec<usize> = cs.iter().map(|c| self.add(c)).collect();
-                let nv = kids.iter().map(|&k| self.nvars[k]).sum();
-                (RNode::Or(kids), nv)
-            }
+            ReadOnce::And(cs) => (cs, true),
+            ReadOnce::Or(cs) => (cs, false),
         };
-        let idx = self.nodes.len();
-        if let RNode::And(kids) | RNode::Or(kids) = &node {
-            for &k in kids {
-                self.parent[k] = Some(idx);
+        let start = self.nodes.len();
+        let mut kids = Vec::with_capacity(cs.len());
+        let mut absorbed = false;
+        for c in cs {
+            match self.add(c) {
+                Ok(k) => kids.push(k),
+                // `⊥` absorbs an `∧`, `⊤` an `∨`.
+                Err(b) => absorbed |= b != is_and,
             }
         }
-        if let RNode::Var(v) = &node {
-            self.leaf_of.insert(*v, idx);
+        if absorbed {
+            for n in self.nodes.drain(start..) {
+                if let RNode::Var(v) = n {
+                    self.leaf_of.remove(&v);
+                    self.dropped += 1;
+                }
+            }
+            self.parent.truncate(start);
+            self.nvars.truncate(start);
+            return Err(!is_and);
         }
+        match kids[..] {
+            [] => Err(is_and),
+            [only] => Ok(only),
+            _ => {
+                let nv = kids.iter().map(|&k| self.nvars[k]).sum();
+                let idx = self.nodes.len();
+                for &k in &kids {
+                    self.parent[k] = Some(idx);
+                }
+                Ok(self.push(
+                    if is_and {
+                        RNode::And(kids)
+                    } else {
+                        RNode::Or(kids)
+                    },
+                    nv,
+                ))
+            }
+        }
+    }
+
+    fn push(&mut self, node: RNode, nvars: usize) -> usize {
         self.nodes.push(node);
         self.parent.push(None);
-        self.nvars.push(nv);
-        idx
+        self.nvars.push(nvars);
+        self.nodes.len() - 1
     }
 }
 
-/// `#SAT_ℓ` arrays (`ℓ = 0..=nvars`) for every node, bottom-up.
-fn base_counts(a: &Arena, binomials: &mut BinomialTable) -> Vec<Vec<BigUint>> {
-    let mut sat: Vec<Vec<BigUint>> = Vec::with_capacity(a.nodes.len());
-    for (i, n) in a.nodes.iter().enumerate() {
-        let counts = match n {
-            RNode::True => vec![BigUint::one()],
-            RNode::False => vec![BigUint::zero()],
-            RNode::Var(_) => vec![BigUint::zero(), BigUint::one()],
-            RNode::And(kids) => {
-                let arrays: Vec<&[BigUint]> = kids.iter().map(|&k| sat[k].as_slice()).collect();
-                convolve(&arrays)
-            }
-            RNode::Or(kids) => {
-                let unsats: Vec<Vec<BigUint>> = kids
-                    .iter()
-                    .map(|&k| complement(&sat[k], a.nvars[k], binomials))
-                    .collect();
-                let refs: Vec<&[BigUint]> = unsats.iter().map(Vec::as_slice).collect();
-                complement(&convolve(&refs), a.nvars[i], binomials)
-            }
-        };
-        debug_assert_eq!(counts.len(), a.nvars[i] + 1);
-        sat.push(counts);
-    }
-    sat
-}
-
-/// `#UNSAT_ℓ = C(n, ℓ) − #SAT_ℓ` (and vice versa; complement is an
-/// involution).
-fn complement(counts: &[BigUint], nvars: usize, binomials: &mut BinomialTable) -> Vec<BigUint> {
-    let row = binomials.row(nvars).to_vec();
-    counts
-        .iter()
-        .zip(row)
-        .map(|(c, total)| &total - c)
-        .collect()
-}
-
-/// Level-wise product of variable-disjoint functions.
-fn convolve(arrays: &[&[BigUint]]) -> Vec<BigUint> {
-    let mut acc = vec![BigUint::one()];
-    for arr in arrays {
-        let mut next = vec![BigUint::zero(); acc.len() + arr.len() - 1];
-        for (i, ai) in acc.iter().enumerate() {
-            if ai.is_zero() {
-                continue;
-            }
-            for (j, bj) in arr.iter().enumerate() {
-                if bj.is_zero() {
-                    continue;
-                }
-                next[i + j] += &(ai * bj);
-            }
+/// `out = a ⊛ b`: the level-wise product of two variable-disjoint
+/// functions' count arrays.
+fn convolve_into<C: Coeff>(a: &[C], b: &[C], out: &mut Vec<C>) {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    out.clear();
+    out.resize(a.len() + b.len() - 1, C::zero());
+    for (i, s) in short.iter().enumerate() {
+        if !s.is_zero() {
+            C::fold_add_mul(&mut out[i..i + long.len()], long, s);
         }
-        acc = next;
     }
-    acc
 }
 
-/// Recomputes the counts along the path from `leaf` to the root with the
-/// leaf's variable conditioned to `value`, reusing the base arrays for every
-/// off-path child. Returns the root's conditioned `#SAT` array (over `m − 1`
-/// variables).
-fn conditioned_root(
-    a: &Arena,
-    base: &[Vec<BigUint>],
-    leaf: usize,
-    value: bool,
-    binomials: &mut BinomialTable,
-) -> Vec<BigUint> {
-    // Conditioned leaf: a constant over zero variables.
-    let mut cur = if value {
-        vec![BigUint::one()]
+/// `counts[ℓ] ← C(n, ℓ) − counts[ℓ]` over `n = counts.len() − 1`
+/// variables: `#SAT` ↔ `#UNSAT` (an involution).
+fn complement<C: Coeff>(counts: &mut [C], rows: &mut BinomRows<C>) {
+    let row = rows.row(counts.len() - 1);
+    for (c, total) in counts.iter_mut().zip(row) {
+        *c = total.sub_ref(c);
+    }
+}
+
+/// The exact quotient `q` of `total = div ⊛ q`. `div` is monic at the top
+/// (`from_top`, an `∧` child's `#SAT`) or at the bottom (an `∨` child's
+/// `#UNSAT`), so each `q` term is `total[j]` minus the already-known terms
+/// — never negative, since all terms of `total[j]` are.
+fn quotient<C: Coeff>(total: &[C], div: &[C], from_top: bool, q: &mut Vec<C>) {
+    let nd = div.len() - 1;
+    let nq = total.len() - nd;
+    q.clear();
+    q.resize(nq, C::zero());
+    if from_top {
+        debug_assert!(div[nd] == C::one());
+        for k in (0..nq).rev() {
+            let mut sum = C::zero();
+            for i in (k + nd + 1).saturating_sub(nq)..nd {
+                sum.add_mul_assign(&div[i], &q[k + nd - i]);
+            }
+            q[k] = total[k + nd].sub_ref(&sum);
+        }
     } else {
-        vec![BigUint::zero()]
-    };
-    let mut child = leaf;
-    while let Some(p) = a.parent[child] {
-        let kids = match &a.nodes[p] {
-            RNode::And(kids) | RNode::Or(kids) => kids,
-            _ => unreachable!("leaf parents are gates"),
-        };
-        let is_and = matches!(&a.nodes[p], RNode::And(_));
-        let cond_len = a.nvars[p]; // one variable removed → array length nvars[p]
-        if is_and {
-            let mut arrays: Vec<&[BigUint]> = Vec::with_capacity(kids.len());
-            for &k in kids {
-                arrays.push(if k == child {
-                    cur.as_slice()
-                } else {
-                    base[k].as_slice()
-                });
+        debug_assert!(div[0] == C::one());
+        for k in 0..nq {
+            let mut sum = C::zero();
+            for i in 1..=k.min(nd) {
+                sum.add_mul_assign(&div[i], &q[k - i]);
             }
-            cur = convolve(&arrays);
-        } else {
-            let mut unsats: Vec<Vec<BigUint>> = Vec::with_capacity(kids.len());
-            for &k in kids {
-                if k == child {
-                    unsats.push(complement(&cur, a.nvars[k] - 1, binomials));
-                } else {
-                    unsats.push(complement(&base[k], a.nvars[k], binomials));
-                }
-            }
-            let refs: Vec<&[BigUint]> = unsats.iter().map(Vec::as_slice).collect();
-            cur = complement(&convolve(&refs), a.nvars[p] - 1, binomials);
+            q[k] = total[k].sub_ref(&sum);
         }
-        debug_assert_eq!(cur.len(), cond_len);
-        child = p;
     }
-    cur
+}
+
+/// The counting DP on one coefficient tier: base `#SAT_ℓ`/`#UNSAT_ℓ`
+/// arrays (`ℓ = 0..=nvars`) of every node, and the scratch the per-fact
+/// conditioned passes reuse.
+struct CountDp<C> {
+    sat: Vec<Vec<C>>,
+    unsat: Vec<Vec<C>>,
+    /// Binomial rows in the tier, converted only for the widths used.
+    rows: BinomRows<C>,
+    cur: Vec<C>,
+    next: Vec<C>,
+    quot: Vec<C>,
+}
+
+impl<C: Coeff> CountDp<C> {
+    /// The base pass, bottom-up: `∧` convolves its children's `#SAT`,
+    /// `∨` their `#UNSAT`.
+    fn new(a: &Arena) -> CountDp<C> {
+        let mut dp = CountDp {
+            sat: Vec::with_capacity(a.nodes.len()),
+            unsat: Vec::with_capacity(a.nodes.len()),
+            rows: BinomRows::new(),
+            cur: Vec::new(),
+            next: Vec::new(),
+            quot: Vec::new(),
+        };
+        for n in &a.nodes {
+            let (sat, unsat) = match n {
+                RNode::True => (vec![C::one()], vec![C::zero()]),
+                RNode::False => (vec![C::zero()], vec![C::one()]),
+                RNode::Var(_) => (vec![C::zero(), C::one()], vec![C::one(), C::zero()]),
+                RNode::And(kids) | RNode::Or(kids) => {
+                    let is_and = matches!(n, RNode::And(_));
+                    let arrays = if is_and { &dp.sat } else { &dp.unsat };
+                    let mut prod = vec![C::one()];
+                    for &k in kids {
+                        convolve_into(&prod, &arrays[k], &mut dp.next);
+                        std::mem::swap(&mut prod, &mut dp.next);
+                    }
+                    let mut other = prod.clone();
+                    complement(&mut other, &mut dp.rows);
+                    if is_and {
+                        (prod, other)
+                    } else {
+                        (other, prod)
+                    }
+                }
+            };
+            dp.sat.push(sat);
+            dp.unsat.push(unsat);
+        }
+        dp
+    }
+
+    /// `δ`: the root's `#SAT` array with `leaf`'s variable fixed to 0
+    /// (over the other `m − 1` variables), into `delta`.
+    fn delta_root(&mut self, a: &Arena, leaf: usize, delta: &mut Vec<C>) {
+        let CountDp {
+            sat,
+            unsat,
+            rows,
+            cur,
+            next,
+            quot,
+        } = self;
+        // `cur` is the conditioned child in its parent's product form
+        // (`#SAT` under `∧`, `#UNSAT` under `∨`); the leaf starts as `⊥`
+        // over no variables.
+        cur.clear();
+        cur.push(C::zero());
+        let mut sat_form = true;
+        let mut child = leaf;
+        while let Some(p) = a.parent[child] {
+            let at_and = matches!(a.nodes[p], RNode::And(_));
+            if sat_form != at_and {
+                complement(cur, rows);
+                sat_form = at_and;
+            }
+            let base = if at_and { &*sat } else { &*unsat };
+            quotient(&base[p], &base[child], at_and, quot);
+            convolve_into(cur, quot, next);
+            std::mem::swap(cur, next);
+            child = p;
+        }
+        if !sat_form {
+            complement(cur, rows);
+        }
+        std::mem::swap(delta, cur);
+    }
 }
 
 /// Exact Shapley value of every variable of a read-once lineage.
@@ -227,7 +322,7 @@ pub fn shapley_read_once(
 }
 
 /// Exact power index (Shapley or Banzhaf) of every variable of a read-once
-/// lineage: the same conditioned path passes, folded with the measure's
+/// lineage: one conditioned path pass per fact, folded with the measure's
 /// `(weights, denominator)` pair from `weights::power_weights`.
 ///
 /// # Panics
@@ -249,17 +344,39 @@ pub fn power_read_once(
         "|D_n| = {n_endo} smaller than the {} tree variables",
         vars.len()
     );
-    if vars.is_empty() {
-        return Ok(Vec::new());
-    }
     let a = Arena::build(tree);
     let m = a.nvars[a.root];
-    let mut binomials = BinomialTable::new();
-    let base = base_counts(&a, &mut binomials);
+    if m == 0 {
+        // Constant lineage: every variable is a null player.
+        return Ok(vars.into_iter().map(|v| (v, Rational::zero())).collect());
+    }
+    let (weights, denom) = power_weights(measure, m, &mut FactorialTable::new());
+    let bits = alpha_cap_bits(m);
+    let run = if bits <= 64 {
+        power_facts::<Vli<1>>
+    } else if bits <= 128 {
+        power_facts::<Vli<2>>
+    } else if bits <= 256 {
+        power_facts::<Vli<4>>
+    } else if bits <= 512 {
+        power_facts::<Vli<8>>
+    } else {
+        power_facts::<BigUint>
+    };
+    run(&a, vars, deadline, &weights, &denom)
+}
 
-    let mut facts_table = FactorialTable::new();
-    let (weights, denom) = power_weights(measure, m, &mut facts_table);
-
+/// The per-fact loop of [`power_read_once`] on one coefficient tier.
+fn power_facts<C: Coeff>(
+    a: &Arena,
+    vars: Vec<VarId>,
+    deadline: Option<Instant>,
+    weights: &[BigUint],
+    denom: &BigUint,
+) -> Result<Vec<(VarId, Rational)>, ShapleyTimeout> {
+    let mut dp = CountDp::<C>::new(a);
+    let base_root = dp.sat[a.root].clone();
+    let (mut gamma, mut delta) = (Vec::new(), Vec::new());
     let mut out = Vec::with_capacity(vars.len());
     for v in vars {
         if let Some(d) = deadline {
@@ -267,10 +384,13 @@ pub fn power_read_once(
                 return Err(ShapleyTimeout);
             }
         }
-        let leaf = a.leaf_of[&v];
-        let gamma = conditioned_root(&a, &base, leaf, true, &mut binomials);
-        let delta = conditioned_root(&a, &base, leaf, false, &mut binomials);
-        out.push((v, weighted_difference(&gamma, &delta, &weights, &denom)));
+        let Some(&leaf) = a.leaf_of.get(&v) else {
+            out.push((v, Rational::zero()));
+            continue;
+        };
+        dp.delta_root(a, leaf, &mut delta);
+        derive_gamma(&base_root, &delta, &mut gamma);
+        out.push((v, weighted_difference(&gamma, &delta, weights, denom)));
     }
     Ok(out)
 }
@@ -293,14 +413,22 @@ pub fn try_shapley_read_once(
 /// and building block for probability computation on factorized lineages).
 pub fn sat_k_read_once(tree: &ReadOnce) -> Vec<BigUint> {
     let a = Arena::build(tree);
-    let mut binomials = BinomialTable::new();
-    let base = base_counts(&a, &mut binomials);
-    base[a.root].clone()
+    let dp = CountDp::<BigUint>::new(&a);
+    // Variables folded under a constant are free: each level spreads by
+    // `C(dropped, ·)`.
+    let mut out = Vec::new();
+    convolve_into(
+        &dp.sat[a.root],
+        BinomialTable::new().row(a.dropped),
+        &mut out,
+    );
+    out
 }
 
 // ---------------------------------------------------------------------------
-// SHAP-scores on read-once trees: the same leaf→root conditioned passes as
-// the counting DP above, with probability-weighted rational entries
+// SHAP-scores on read-once trees: leaf→root conditioned passes like the
+// counting DP above (re-convolving the siblings, not dividing them out),
+// with probability-weighted rational entries
 // `β_g[ℓ] = Σ_{S ⊆ Vars(g), |S| = ℓ} Pr[g | S fixed to 1]` (the read-once
 // analogue of `crate::shap_score::ShapDp`). The complement trick survives
 // the probabilistic lift: `Σ_{|S|=ℓ} Pr[g | S] + Σ_{|S|=ℓ} Pr[¬g | S] =
@@ -462,7 +590,11 @@ pub fn shap_read_once(
                 return Err(ShapleyTimeout);
             }
         }
-        let leaf = a.leaf_of[&v];
+        // A variable folded under a constant is a dummy feature.
+        let Some(&leaf) = a.leaf_of.get(&v) else {
+            out.push((v, Rational::zero()));
+            continue;
+        };
         let beta1 = shap_conditioned_root(&a, &base, leaf, true, &mut binomials);
         let beta0 = shap_conditioned_root(&a, &base, leaf, false, &mut binomials);
         debug_assert_eq!(beta1.len(), m);
@@ -483,6 +615,7 @@ pub fn shap_read_once(
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{reference_power, reference_sat_k};
     use super::*;
     use crate::naive::{sat_k_bruteforce, shapley_naive};
     use proptest::prelude::*;
@@ -618,39 +751,219 @@ mod tests {
 
     /// Strategy: a random read-once tree over a permutation of `0..n` vars.
     fn arb_read_once(vars: Vec<u32>) -> ReadOnce {
-        fn build(vars: &[u32], or_level: bool, salt: u64) -> ReadOnce {
-            match vars {
-                [] => ReadOnce::True,
-                [v] => ReadOnce::Var(VarId(*v)),
-                _ => {
-                    // Deterministic pseudo-random split driven by `salt`.
-                    let cut = 1 + (salt as usize % (vars.len() - 1));
-                    let (l, r) = vars.split_at(cut);
-                    let kids = vec![
-                        build(
-                            l,
-                            !or_level,
-                            salt.wrapping_mul(6364136223846793005).wrapping_add(1),
-                        ),
-                        build(
-                            r,
-                            !or_level,
-                            salt.wrapping_mul(1442695040888963407).wrapping_add(3),
-                        ),
-                    ];
-                    if or_level {
-                        ReadOnce::Or(kids)
-                    } else {
-                        ReadOnce::And(kids)
-                    }
+        let salt = vars
+            .iter()
+            .fold(1u64, |acc, &v| acc.wrapping_mul(v as u64 + 1));
+        random_tree(&vars, true, salt)
+    }
+
+    /// A random binary read-once tree over `vars`, alternating gate kinds
+    /// from `or_level` down; `salt` drives the (deterministic) split points.
+    fn random_tree(vars: &[u32], or_level: bool, salt: u64) -> ReadOnce {
+        match vars {
+            [] => ReadOnce::True,
+            [v] => ReadOnce::Var(VarId(*v)),
+            _ => {
+                let cut = 1 + (salt as usize % (vars.len() - 1));
+                let (l, r) = vars.split_at(cut);
+                let kids = vec![
+                    random_tree(
+                        l,
+                        !or_level,
+                        salt.wrapping_mul(6364136223846793005).wrapping_add(1),
+                    ),
+                    random_tree(
+                        r,
+                        !or_level,
+                        salt.wrapping_mul(1442695040888963407).wrapping_add(3),
+                    ),
+                ];
+                if or_level {
+                    ReadOnce::Or(kids)
+                } else {
+                    ReadOnce::And(kids)
                 }
             }
         }
-        build(
-            &vars,
-            true,
-            vars.iter().map(|&v| v as u64 + 1).product::<u64>(),
-        )
+    }
+
+    /// A random wide tree over `0..n`: one `∨` (or `∧`) root over random
+    /// binary subtrees of 1–12 variables each, whose top gates take either
+    /// kind (so `∨` under `∨` occurs too). Paths stay short, which keeps
+    /// the debug-build oracle affordable at hundreds of variables.
+    fn random_wide_tree(n: usize, seed: u64, or_root: bool) -> ReadOnce {
+        let vars = permutation(n, seed);
+        let mut state = seed | 1;
+        let mut kids = Vec::new();
+        let mut rest = &vars[..];
+        while !rest.is_empty() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let size = (1 + (state >> 33) as usize % 12).min(rest.len());
+            let (chunk, tail) = rest.split_at(size);
+            kids.push(random_tree(chunk, (state >> 20) & 1 == 1, state));
+            rest = tail;
+        }
+        if or_root {
+            ReadOnce::Or(kids)
+        } else {
+            ReadOnce::And(kids)
+        }
+    }
+
+    /// Asserts the tiered DP ≡ the `BigUint` oracle on `tree`: Shapley and
+    /// Banzhaf at up to `sample` evenly spaced variables, and the base
+    /// root's `#SAT` array. Every Shapley value enters an efficiency check
+    /// (Σφ = 1 for a non-constant monotone lineage).
+    fn assert_matches_reference(tree: &ReadOnce, sample: usize) {
+        let vars = tree.vars();
+        let picked: Vec<VarId> = vars
+            .iter()
+            .copied()
+            .step_by(vars.len().div_ceil(sample).max(1))
+            .collect();
+        for measure in [Measure::Shapley, Measure::Banzhaf] {
+            let got = power_read_once(tree, vars.len(), None, measure).unwrap();
+            assert_eq!(got.iter().map(|(v, _)| *v).collect::<Vec<_>>(), vars);
+            let got: HashMap<VarId, Rational> = got.into_iter().collect();
+            let expect = reference_power(tree, &picked, measure);
+            for (v, e) in picked.iter().zip(&expect) {
+                assert_eq!(&got[v], e, "{measure}: var {} of {}", v.0, vars.len());
+            }
+            if measure == Measure::Shapley {
+                let mut total = Rational::zero();
+                for r in got.values() {
+                    total += r;
+                }
+                assert_eq!(total, Rational::one(), "efficiency at m = {}", vars.len());
+            }
+        }
+        assert_eq!(sat_k_read_once(tree), reference_sat_k(tree));
+    }
+
+    #[test]
+    fn tier_boundaries_are_where_the_tests_expect() {
+        for (m, bits) in [(67, 64), (68, 65), (131, 128), (132, 129)] {
+            assert_eq!(alpha_cap_bits(m), bits, "m = {m}");
+        }
+        assert!(alpha_cap_bits(260) <= 256 && alpha_cap_bits(261) > 256);
+        assert!(alpha_cap_bits(516) <= 512 && alpha_cap_bits(517) > 512);
+    }
+
+    #[test]
+    fn flat_shapes_match_reference_at_every_tier() {
+        for m in [1, 2, 67, 68, 131, 132, 260, 261, 516, 517] {
+            let leaves = || (0..m as u32).map(|v| ReadOnce::Var(VarId(v))).collect();
+            assert_matches_reference(&ReadOnce::Or(leaves()), 2);
+            assert_matches_reference(&ReadOnce::And(leaves()), 2);
+        }
+    }
+
+    #[test]
+    fn star_shapes_match_reference_at_every_tier() {
+        // ⋁ᵢ (hᵢ ∧ ⋁ⱼ yᵢⱼ): the lineage of a hierarchical star query.
+        for (hubs, spokes) in [(2, 1), (4, 16), (11, 11), (29, 8)] {
+            let mut next = 0u32;
+            let mut var = || {
+                next += 1;
+                ReadOnce::Var(VarId(next - 1))
+            };
+            let tree = ReadOnce::Or(
+                (0..hubs)
+                    .map(|_| {
+                        let hub = var();
+                        ReadOnce::And(vec![
+                            hub,
+                            ReadOnce::Or((0..spokes).map(|_| var()).collect()),
+                        ])
+                    })
+                    .collect(),
+            );
+            assert_matches_reference(&tree, 8);
+        }
+    }
+
+    #[test]
+    fn deep_alternating_chains_match_reference() {
+        // x₀ ∨ (x₁ ∧ (x₂ ∨ (x₃ ∧ …))): every fact's path is long.
+        for m in [2u32, 3, 40, 68, 132] {
+            let mut tree = ReadOnce::Var(VarId(m - 1));
+            for v in (0..m - 1).rev() {
+                let kids = vec![ReadOnce::Var(VarId(v)), tree];
+                tree = if v % 2 == 0 {
+                    ReadOnce::Or(kids)
+                } else {
+                    ReadOnce::And(kids)
+                };
+            }
+            assert_matches_reference(&tree, 12);
+        }
+    }
+
+    /// Evaluates a tree on the set of true variables.
+    fn eval(t: &ReadOnce, s: &Bitset) -> bool {
+        match t {
+            ReadOnce::True => true,
+            ReadOnce::False => false,
+            ReadOnce::Var(v) => s.contains(v.index()),
+            ReadOnce::And(cs) => cs.iter().all(|c| eval(c, s)),
+            ReadOnce::Or(cs) => cs.iter().any(|c| eval(c, s)),
+        }
+    }
+
+    #[test]
+    fn constant_children_match_naive() {
+        use ReadOnce::{And, False, Or, True};
+        let x = |v: u32| ReadOnce::Var(VarId(v));
+        let trees = [
+            Or(vec![True, x(0)]),
+            And(vec![False, x(0)]),
+            And(vec![True, x(0), x(1)]),
+            Or(vec![False, And(vec![x(0), x(1)]), x(2)]),
+            Or(vec![
+                And(vec![False, x(0), x(1)]),
+                x(2),
+                And(vec![x(3), Or(vec![True, x(4)])]),
+            ]),
+            And(vec![Or(vec![]), x(0)]),
+            Or(vec![And(vec![]), x(0), x(1)]),
+            And(vec![Or(vec![x(0), And(vec![x(1), False])]), x(2)]),
+        ];
+        let half = Rational::from_ratio(1, 2);
+        for tree in &trees {
+            let vars = tree.vars();
+            let n = vars.iter().map(|v| v.index() + 1).max().unwrap();
+            let f = |s: &Bitset| eval(tree, s);
+            let shapley = shapley_naive(&f, n);
+            let banzhaf = crate::banzhaf::banzhaf_naive(&f, n);
+            let shap = crate::shap_score::shap_naive(&f, &vec![half.clone(); n]);
+            for (measure, expect) in [(Measure::Shapley, &shapley), (Measure::Banzhaf, &banzhaf)] {
+                let got = power_read_once(tree, n, None, measure).unwrap();
+                assert_eq!(got.iter().map(|(v, _)| *v).collect::<Vec<_>>(), vars);
+                for (v, r) in got {
+                    assert_eq!(r, expect[v.index()], "{measure} var {} of {tree:?}", v.0);
+                }
+            }
+            for (v, r) in shap_read_once(tree, n, None, &half).unwrap() {
+                assert_eq!(r, shap[v.index()], "shap var {} of {tree:?}", v.0);
+            }
+            // Over the tree's own variables, renumbered densely.
+            let dense = |s: &Bitset| {
+                let mut sub = Bitset::new(n);
+                for (i, v) in vars.iter().enumerate() {
+                    if s.contains(i) {
+                        sub.insert(v.index());
+                    }
+                }
+                eval(tree, &sub)
+            };
+            assert_eq!(
+                sat_k_read_once(tree),
+                sat_k_bruteforce(&dense, vars.len()),
+                "{tree:?}"
+            );
+        }
     }
 
     /// Expands a read-once tree to its prime-implicant DNF.
@@ -699,6 +1012,49 @@ mod tests {
             v.swap(i, j);
         }
         v
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+        #[test]
+        fn prop_vli1_vli2_boundary_matches_reference(m in 67usize..=68, seed in any::<u64>()) {
+            assert_matches_reference(&arb_read_once(permutation(m, seed)), 16);
+        }
+
+        #[test]
+        fn prop_vli2_vli4_boundary_matches_reference(
+            m in 131usize..=132,
+            seed in any::<u64>(),
+            or_root in any::<bool>(),
+        ) {
+            assert_matches_reference(&random_wide_tree(m, seed, or_root), 12);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+        #[test]
+        fn prop_vli4_vli8_boundary_matches_reference(
+            m in 260usize..=261,
+            seed in any::<u64>(),
+            or_root in any::<bool>(),
+        ) {
+            assert_matches_reference(&random_wide_tree(m, seed, or_root), 8);
+        }
+    }
+
+    proptest! {
+        // The `BigUint` tier: the exact Shapley fold over `m!` dominates a
+        // debug build, so few cases.
+        #![proptest_config(ProptestConfig::with_cases(2))]
+        #[test]
+        fn prop_vli8_biguint_boundary_matches_reference(
+            m in 516usize..=517,
+            seed in any::<u64>(),
+            or_root in any::<bool>(),
+        ) {
+            assert_matches_reference(&random_wide_tree(m, seed, or_root), 3);
+        }
     }
 
     proptest! {
