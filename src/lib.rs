@@ -674,6 +674,97 @@ mod tests {
     }
 
     #[test]
+    fn explain_negated_matches_the_naive_definition() {
+        use shapdb_query::{Atom, CqBuilder, Term};
+        // q() :- Contract(v), ¬Violation(v) over four endogenous facts.
+        let facts = [
+            ("Contract", "acme"),
+            ("Contract", "bolt"),
+            ("Contract", "cryo"),
+            ("Violation", "acme"),
+        ];
+        let database_of = |keep: &dyn Fn(usize) -> bool| {
+            let mut db = Database::new();
+            db.create_relation("Contract", &["vendor"]);
+            db.create_relation("Violation", &["vendor"]);
+            for (i, (rel, vendor)) in facts.iter().enumerate() {
+                if keep(i) {
+                    db.insert_endo(rel, vec![Value::str(vendor)]);
+                }
+            }
+            db
+        };
+        let mut b = CqBuilder::new();
+        let v = b.var("v");
+        b.atom("Contract", [v.into()]);
+        let q = NegatedQuery::new(
+            b.build(),
+            vec![Atom {
+                relation: "Violation".into(),
+                terms: vec![Term::Var(v)],
+            }],
+        );
+        let db = database_of(&|_| true);
+        let got = ShapleyAnalyzer::new(&db).explain_negated(&q).unwrap();
+        assert_eq!(got.len(), 1);
+        // The game v(E) = q(E): re-evaluate the query on every sub-database,
+        // with each derivation's lineage read under "every fact present".
+        let game = |s: &shapdb_num::Bitset| {
+            let sub = database_of(&|i| s.contains(i));
+            let mut present = shapdb_num::Bitset::new(sub.num_facts());
+            for i in 0..sub.num_facts() {
+                present.insert(i);
+            }
+            evaluate_negated(&q, &sub)
+                .iter()
+                .any(|t| t.lineage.eval_set(&present))
+        };
+        let naive = shapdb_core::naive::shapley_naive(&game, facts.len());
+        let mut expected: Vec<(FactId, Rational)> = naive
+            .into_iter()
+            .enumerate()
+            .filter(|(_, x)| !x.is_zero())
+            .map(|(i, x)| (FactId(i as u32), x))
+            .collect();
+        expected.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        assert_eq!(got[0].attributions, expected);
+        // The violation suppresses acme's compliance: a negative value.
+        let violation = got[0].attributions.iter().find(|(f, _)| f.0 == 3).unwrap();
+        assert!(violation.1.is_negative());
+        assert_eq!(violation.1, Rational::from_ratio(-1, 12));
+    }
+
+    #[test]
+    fn rank_is_exact_within_a_generous_timeout_and_proxy_at_zero() {
+        let (db, _) = flights_example();
+        let q = flights_query();
+        let analyzer = ShapleyAnalyzer::new(&db);
+        let explained = analyzer.explain(&q).unwrap();
+        let generous = HybridConfig {
+            timeout: Duration::from_secs(60),
+            ..Default::default()
+        };
+        let report = analyzer.rank(&q, &generous);
+        let HybridOutcome::Exact(pairs) = &report.rankings[0].outcome else {
+            panic!("exact within a generous timeout");
+        };
+        let got: Vec<(FactId, Rational)> = pairs
+            .iter()
+            .map(|(v, r)| (FactId(v.0), r.clone()))
+            .collect();
+        assert_eq!(got, explained[0].attributions);
+        let zero = HybridConfig {
+            timeout: Duration::ZERO,
+            ..Default::default()
+        };
+        let report = analyzer.rank(&q, &zero);
+        let HybridOutcome::Proxy(scores) = &report.rankings[0].outcome else {
+            panic!("proxy ranking at a zero timeout");
+        };
+        assert_eq!(scores.len(), 7);
+    }
+
+    #[test]
     fn explain_batch_dedups_isomorphic_answers() {
         // q(b) :- R(a), S(a, b): hierarchical + sjf. Two b-groups with the
         // same star shape (two S-edges each) and one with a single edge:
