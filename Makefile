@@ -1,8 +1,8 @@
 # Convenience targets mirroring .github/workflows/ci.yml for offline use.
 
-.PHONY: check fmt build test clippy doc quickstart examples bench-smoke bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench-e2e bench
+.PHONY: check fmt build test clippy doc quickstart examples bench-build bench-smoke bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench-e2e bench
 
-check: fmt build test clippy doc examples
+check: fmt build test clippy doc examples bench-build
 
 fmt:
 	cargo fmt --check
@@ -30,6 +30,12 @@ examples:
 		echo "== example $$name"; \
 		cargo run --release --quiet --example $$name || exit 1; \
 	done
+
+# Builds the end-to-end benchmark (`benchmark/`, a workspace of its own)
+# the way benchmark/run.py does, so a public item it needs cannot be
+# removed unnoticed by `cargo build`/`clippy` on the main workspace.
+bench-build:
+	CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 # The fastest criterion bench; its numbers are the perf trajectory recorded
 # in CHANGES.md.

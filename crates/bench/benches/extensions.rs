@@ -5,11 +5,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use shapdb_circuit::{factor, tseytin, Circuit, Dnf, VarId};
 use shapdb_core::aggregate::count_shapley;
+use shapdb_core::engine::{KcEngine, LineageTask, Planner, PlannerConfig};
 use shapdb_core::exact::ExactConfig;
-use shapdb_core::pipeline::{analyze_lineage, analyze_lineage_auto};
 use shapdb_core::readonce::shapley_read_once;
 use shapdb_core::shap_score::shap_scores;
-use shapdb_kc::{compile, compile_circuit, compile_with, smooth, BranchHeuristic, Budget};
+use shapdb_kc::{compile_circuit, compile_with, BranchHeuristic, Budget};
 use shapdb_num::Rational;
 
 /// `⋁_{i<a, j<b} (xᵢ ∧ yⱼ)` — read-once as `(⋁xᵢ) ∧ (⋁yⱼ)`, but hard for
@@ -38,25 +38,19 @@ fn running_example() -> Dnf {
 fn bench_readonce_vs_kc(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_readonce_vs_kc");
     group.sample_size(10);
+    let planner = Planner::new(PlannerConfig::default());
     for (name, dnf) in [("flights", running_example()), ("grid8x8", grid(8, 8))] {
         group.bench_with_input(BenchmarkId::new("readonce", name), &dnf, |b, dnf| {
             b.iter(|| {
-                analyze_lineage_auto(
-                    dnf,
-                    dnf.vars().len(),
-                    &Budget::unlimited(),
-                    &ExactConfig::default(),
-                )
-                .unwrap()
-                .attributions
-                .len()
+                let task = LineageTask::new(dnf, dnf.vars().len());
+                planner.solve(&task).unwrap().values.len()
             })
         });
         group.bench_with_input(BenchmarkId::new("kc", name), &dnf, |b, dnf| {
             b.iter(|| {
                 let mut circuit = Circuit::new();
                 let root = dnf.to_circuit(&mut circuit);
-                analyze_lineage(
+                KcEngine::analyze_circuit(
                     &circuit,
                     root,
                     dnf.vars().len(),
@@ -64,7 +58,7 @@ fn bench_readonce_vs_kc(c: &mut Criterion) {
                     &ExactConfig::default(),
                 )
                 .unwrap()
-                .attributions
+                .values
                 .len()
             })
         });
@@ -157,32 +151,12 @@ fn bench_branch_heuristics(c: &mut Criterion) {
     group.finish();
 }
 
-/// Smoothing cost: the structural transformation this repo's arithmetic
-/// gap-completion avoids.
-fn bench_smoothing(c: &mut Criterion) {
-    let dnf = running_example();
-    let mut circuit = Circuit::new();
-    let root = dnf.to_circuit(&mut circuit);
-    let t = tseytin(&circuit, root);
-    let (d, _) = compile(&t.cnf, &Budget::unlimited()).unwrap();
-    let mut group = c.benchmark_group("ablation_smoothing");
-    group.sample_size(10);
-    group.bench_function("smooth_transform", |b| b.iter(|| smooth(&d).len()));
-    group.bench_function("arithmetic_count", |b| b.iter(|| d.count_models()));
-    let s = smooth(&d);
-    group.bench_function("smooth_count", |b| {
-        b.iter(|| shapdb_kc::count_models_smooth(&s))
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_readonce_vs_kc,
     bench_readonce_scaling,
     bench_shap_scores,
     bench_aggregate_count,
-    bench_branch_heuristics,
-    bench_smoothing
+    bench_branch_heuristics
 );
 criterion_main!(benches);

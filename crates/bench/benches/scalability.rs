@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use shapdb_bench::runner::dense_lineage;
 use shapdb_circuit::Circuit;
+use shapdb_core::engine::KcEngine;
 use shapdb_core::exact::ExactConfig;
-use shapdb_core::pipeline::analyze_lineage;
 use shapdb_kc::Budget;
 use shapdb_query::evaluate;
 use shapdb_workloads::{
@@ -38,14 +38,14 @@ fn bench_fig5_scale_sweep(c: &mut Criterion) {
                 b.iter(|| {
                     let mut circuit = Circuit::new();
                     let root = dense.to_circuit(&mut circuit);
-                    analyze_lineage(
+                    KcEngine::analyze_circuit(
                         &circuit,
                         root,
                         n_endo,
                         &Budget::unlimited(),
                         &ExactConfig::default(),
                     )
-                    .map(|a| a.attributions.len())
+                    .map(|r| r.values.len())
                     .unwrap_or(0)
                 })
             },
@@ -72,14 +72,14 @@ fn bench_table1_imdb_sample(c: &mut Criterion) {
         b.iter(|| {
             let mut circuit = Circuit::new();
             let root = dense.to_circuit(&mut circuit);
-            analyze_lineage(
+            KcEngine::analyze_circuit(
                 &circuit,
                 root,
                 n_endo,
                 &Budget::unlimited(),
                 &ExactConfig::default(),
             )
-            .map(|a| a.attributions.len())
+            .map(|r| r.values.len())
             .unwrap_or(0)
         })
     });

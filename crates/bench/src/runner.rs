@@ -1,8 +1,8 @@
 //! Workload runner: per-output exact-pipeline records.
 
 use shapdb_circuit::{Circuit, Dnf, VarId};
+use shapdb_core::engine::{AnalysisError, EngineValues, KcEngine};
 use shapdb_core::exact::ExactConfig;
-use shapdb_core::pipeline::{analyze_lineage, AnalysisError};
 use shapdb_data::Database;
 use shapdb_kc::{Budget, CompileError};
 use shapdb_query::evaluate;
@@ -98,20 +98,22 @@ pub fn run_output(
     };
 
     let kc_probe = Instant::now();
-    match analyze_lineage(&circuit, root, n_endo, &budget, &cfg) {
-        Ok(analysis) => {
+    match KcEngine::analyze_circuit(&circuit, root, n_endo, &budget, &cfg) {
+        Ok(result) => {
             // Re-sort attributions back to dense order for metric alignment.
             let mut values = vec![0.0f64; vars.len()];
-            for a in &analysis.attributions {
-                values[a.fact.0 as usize] = a.shapley.to_f64();
+            if let EngineValues::Exact(pairs) = &result.values {
+                for (fact, shapley) in pairs {
+                    values[fact.0 as usize] = shapley.to_f64();
+                }
             }
             OutputRecord {
                 tuple: tuple_label,
-                num_facts: analysis.num_facts.max(vars.len()),
-                cnf_clauses: analysis.cnf_clauses,
-                ddnnf_size: analysis.ddnnf_size,
-                kc_time: analysis.kc_time,
-                alg1_time: analysis.alg1_time,
+                num_facts: result.num_facts.max(vars.len()),
+                cnf_clauses: result.cnf_clauses,
+                ddnnf_size: result.ddnnf_size,
+                kc_time: result.prep_time,
+                alg1_time: result.solve_time,
                 status: RunStatus::Success,
                 exact_values: Some(values),
                 dense_lineage: dense,

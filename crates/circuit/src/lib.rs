@@ -27,7 +27,6 @@
 
 pub mod circuit;
 pub mod cnf;
-pub mod dimacs;
 pub mod dnf;
 pub mod fingerprint;
 pub mod literal_dnf;
@@ -36,7 +35,6 @@ pub mod tseytin;
 
 pub use circuit::{Circuit, Gate, NodeId, VarId};
 pub use cnf::{Clause, Cnf, Lit};
-pub use dimacs::{from_dimacs, to_dimacs, DimacsError};
 pub use dnf::Dnf;
 pub use fingerprint::{fingerprint, Fingerprint, FingerprintKey};
 pub use literal_dnf::LiteralDnf;

@@ -22,8 +22,10 @@
 //! AVG, MIN and MAX are *not* linear in the memberships; they remain open
 //! here, as in the paper.
 
+use crate::engine::{
+    AnalysisError, EngineError, EngineValues, LineageTask, Planner, PlannerConfig,
+};
 use crate::exact::ExactConfig;
-use crate::pipeline::{analyze_lineage_auto, AnalysisError};
 use shapdb_circuit::{Dnf, VarId};
 use shapdb_kc::Budget;
 use shapdb_num::Rational;
@@ -62,15 +64,25 @@ pub fn sum_shapley(
     budget: &Budget,
     cfg: &ExactConfig,
 ) -> Result<AggregateAttributions, AnalysisError> {
+    let planner = Planner::new(PlannerConfig::default());
     let mut acc: HashMap<VarId, Rational> = HashMap::new();
     for (lineage, weight) in weighted {
         if weight.is_zero() {
             continue;
         }
-        let analysis = analyze_lineage_auto(lineage, n_endo, budget, cfg)?;
-        for attr in analysis.attributions {
-            let entry = acc.entry(attr.fact).or_insert_with(Rational::zero);
-            *entry += &(&attr.shapley * weight);
+        let task = LineageTask::new(lineage, n_endo)
+            .with_budget(*budget)
+            .with_exact(*cfg);
+        let result = planner.solve(&task).map_err(|e| match e {
+            EngineError::Analysis(a) => a,
+            other => unreachable!("the exact-mode planner fails only on budgets: {other}"),
+        })?;
+        let EngineValues::Exact(pairs) = result.values else {
+            unreachable!("exact-mode planner yields exact values");
+        };
+        for (fact, shapley) in pairs {
+            let entry = acc.entry(fact).or_insert_with(Rational::zero);
+            *entry += &(&shapley * weight);
         }
     }
     let mut out: Vec<(VarId, Rational)> = acc.into_iter().filter(|(_, v)| !v.is_zero()).collect();

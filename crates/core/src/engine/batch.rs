@@ -294,91 +294,6 @@ impl BatchExecutor {
         }
     }
 
-    /// Runs the batch over a lineage **iterator** in bounded chunks: at most
-    /// `chunk` raw lineages (plus their per-chunk results) are materialized
-    /// at once, so peak provenance memory is governed by the chunk size
-    /// while the report still covers every task in submission order.
-    /// Pairs with [`shapdb_query`]'s streaming extraction, whose bounded
-    /// channel feeds lineages one answer at a time.
-    ///
-    /// Structural dedup is per-chunk (the reported `dedup.distinct` sums
-    /// chunk-local counts); **cross-chunk** reuse flows through the
-    /// planner's cross-query result cache when one is attached, and
-    /// through the component cache either way — one shared run planner
-    /// serves every chunk. With `fail_fast`, the first failed chunk aborts
-    /// the rest: unconsumed lineages are drained into error items (each
-    /// counted as its own structure) without being solved.
-    pub fn run_streamed(
-        &self,
-        lineages: impl IntoIterator<Item = Dnf>,
-        chunk: usize,
-        n_endo: usize,
-        budget: &Budget,
-        exact: &ExactConfig,
-    ) -> BatchReport {
-        let start = Instant::now();
-        let num_before = CounterSnapshot::take();
-        let chunk = chunk.max(1);
-        let shared = BatchExecutor {
-            planner: self.run_planner(),
-            cfg: self.cfg,
-        };
-        let mut items: Vec<BatchItem> = Vec::new();
-        let mut dedup = DedupStats::default();
-        let mut engine_runs = 0usize;
-        let mut cache = CacheRunStats::default();
-        let mut threads = 1usize;
-        let mut it = lineages.into_iter();
-        let mut buf: Vec<Dnf> = Vec::with_capacity(chunk);
-        loop {
-            buf.clear();
-            buf.extend(it.by_ref().take(chunk));
-            if buf.is_empty() {
-                break;
-            }
-            let offset = items.len();
-            let rep = shared.run(&buf, n_endo, budget, exact);
-            for mut item in rep.items {
-                item.index += offset;
-                items.push(item);
-            }
-            dedup.tasks += rep.dedup.tasks;
-            dedup.distinct += rep.dedup.distinct;
-            dedup.reused += rep.dedup.reused;
-            engine_runs += rep.engine_runs;
-            cache.hits += rep.cache.hits;
-            cache.misses += rep.cache.misses;
-            cache.bypasses += rep.cache.bypasses;
-            threads = threads.max(rep.threads);
-            if self.cfg.fail_fast {
-                if let Some(e) = items.iter().find_map(|i| i.result.clone().err()) {
-                    for _ in it.by_ref() {
-                        let index = items.len();
-                        items.push(BatchItem {
-                            index,
-                            result: Err(e.clone()),
-                            dedup_hit: false,
-                        });
-                        dedup.tasks += 1;
-                        dedup.distinct += 1;
-                    }
-                    break;
-                }
-            }
-        }
-        let after = CounterSnapshot::take();
-        BatchReport {
-            items,
-            dedup,
-            engine_runs,
-            cache,
-            threads,
-            num: NumRunStats::delta(&after, &num_before),
-            kc_cache: KcCacheRunStats::delta(&after, &num_before),
-            total_time: start.elapsed(),
-        }
-    }
-
     /// Runs the batch for **several measures in one pass**: each lineage is
     /// fingerprinted once, each distinct structure is compiled (or
     /// factorized) at most once, and every requested measure is evaluated
@@ -1031,61 +946,6 @@ mod tests {
                 exact_pairs(cold.results[0][j].as_ref().unwrap())
             );
         }
-    }
-
-    #[test]
-    fn streamed_chunks_match_the_one_shot_batch() {
-        use crate::engine::ShapleyCache;
-        use std::sync::Arc;
-        // Duplicate structures straddle chunk boundaries: chunked runs
-        // must produce the same per-task values, and with a result cache
-        // attached cross-chunk structural reuse still solves each distinct
-        // structure exactly once.
-        let lineages = vec![
-            dnf(&[&[0, 10], &[1, 11]]),
-            dnf(&[&[4, 5], &[5, 6], &[4, 6]]),
-            dnf(&[&[2, 20], &[3, 21]]), // iso to task 0, next chunk
-            dnf(&[&[7]]),
-            dnf(&[&[8, 9], &[9, 10], &[8, 10]]), // iso to task 1, third chunk
-        ];
-        let one_shot = BatchExecutor::new(
-            Planner::new(PlannerConfig::default()).with_cache(Arc::new(ShapleyCache::new())),
-        )
-        .with_threads(1)
-        .run(&lineages, 30, &Budget::unlimited(), &ExactConfig::default());
-        let exec = BatchExecutor::new(
-            Planner::new(PlannerConfig::default()).with_cache(Arc::new(ShapleyCache::new())),
-        )
-        .with_threads(1);
-        let streamed = exec.run_streamed(
-            lineages.iter().cloned(),
-            2,
-            30,
-            &Budget::unlimited(),
-            &ExactConfig::default(),
-        );
-        assert_eq!(streamed.items.len(), lineages.len());
-        for (a, b) in one_shot.items.iter().zip(&streamed.items) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(
-                exact_pairs(a.result.as_ref().unwrap()),
-                exact_pairs(b.result.as_ref().unwrap()),
-                "task {}",
-                a.index
-            );
-        }
-        // 3 distinct structures overall: the chunked run still invokes an
-        // engine only 3 times — the repeats across chunks hit the cache.
-        assert_eq!(streamed.engine_runs, 3);
-        assert_eq!(
-            streamed.cache.hits, 2,
-            "tasks 2 and 4 reuse earlier chunks' structures via the cache"
-        );
-        assert_eq!(streamed.dedup.tasks, 5);
-        // Chunk-local dedup: task 2 deduped against task 3's chunk? No —
-        // chunks are [0,1], [2,3], [4]: no intra-chunk repeats, so every
-        // chunk-local count is its own structure.
-        assert_eq!(streamed.dedup.distinct, 5);
     }
 
     #[test]

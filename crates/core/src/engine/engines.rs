@@ -3,22 +3,20 @@
 //! Each engine is the *routing shell* around one algorithm kernel — the
 //! kernels themselves live where they always did ([`crate::exact`],
 //! [`crate::readonce`], [`crate::proxy`], [`crate::montecarlo`],
-//! [`crate::kernelshap`], [`crate::naive`]); this module owns the glue that
-//! used to be smeared across `analyze_lineage*` and the hybrid free
-//! functions. [`KcEngine::analyze_circuit`] is the one circuit-level entry
-//! (Figure 3's middle row), kept public because signed (negation) lineages
-//! enter as circuits rather than monotone DNFs.
+//! [`crate::kernelshap`], [`crate::naive`]); this module owns the routing
+//! glue. [`KcEngine::analyze_circuit`] is the one circuit-level entry
+//! (Figure 3's middle row), public because signed (negation) lineages enter
+//! as circuits rather than monotone DNFs.
 
 use super::{
-    sort_approx, sort_exact, EngineError, EngineKind, EngineResult, EngineValues, LineageTask,
-    Measure, ShapleyEngine,
+    sort_approx, sort_exact, AnalysisError, EngineError, EngineKind, EngineResult, EngineValues,
+    LineageTask, Measure, ShapleyEngine,
 };
 use crate::banzhaf::banzhaf_naive;
 use crate::exact::power_index_all_facts;
 use crate::kernelshap::{kernel_shap, KernelShapConfig};
 use crate::montecarlo::{monte_carlo_shapley, monte_carlo_shapley_monotone, MonteCarloConfig};
 use crate::naive::shapley_naive_deadline;
-use crate::pipeline::{AnalysisError, LineageAnalysis};
 use crate::proxy::cnf_proxy;
 use crate::readonce::{power_read_once, shap_read_once};
 use crate::responsibility::{responsibility_all, responsibility_read_once};
@@ -202,24 +200,22 @@ pub(crate) struct CompiledLineage {
 }
 
 impl KcEngine {
-    /// Figure 3's middle row on an endogenous-lineage *circuit* — the
-    /// implementation behind both [`ShapleyEngine::solve`] and the classic
-    /// `pipeline::analyze_lineage`, and the entry signed negation lineages
-    /// use directly.
+    /// Figure 3's middle row on an endogenous-lineage *circuit*: exact
+    /// Shapley values of the circuit's input variables (bottom-up
+    /// compilation, no minimization). The entry signed negation lineages
+    /// use, since they are circuits rather than monotone DNFs.
     pub fn analyze_circuit(
         circuit: &Circuit,
         root: NodeId,
         n_endo: usize,
         budget: &Budget,
         cfg: &crate::exact::ExactConfig,
-    ) -> Result<LineageAnalysis, AnalysisError> {
+    ) -> Result<EngineResult, AnalysisError> {
         let compiled = KcEngine::compile_circuit_root(circuit, root, budget)?;
-        let result = KcEngine::evaluate_compiled(&compiled, n_endo, cfg, Measure::Shapley)
-            .map_err(|e| match e {
-                EngineError::Analysis(a) => a,
-                _ => unreachable!("Shapley evaluation fails only with analysis errors"),
-            })?;
-        Ok(result.into_analysis().expect("KC results always convert"))
+        KcEngine::evaluate_compiled(&compiled, n_endo, cfg, Measure::Shapley).map_err(|e| match e {
+            EngineError::Analysis(a) => a,
+            _ => unreachable!("Shapley evaluation fails only with analysis errors"),
+        })
     }
 
     /// Tseytin → compile → project of a circuit root, timed — bottom-up.
@@ -457,25 +453,6 @@ impl ShapleyEngine for NaiveEngine {
 /// exact one. Never fails, never exact.
 pub struct ProxyEngine;
 
-impl ProxyEngine {
-    /// Algorithm 2 on an endogenous-lineage *circuit* (the hybrid fallback
-    /// arm for signed lineages): Tseytin, then per-clause closed-form
-    /// scores for the circuit's input variables, sorted.
-    pub fn score_circuit(circuit: &Circuit, root: NodeId) -> Vec<(VarId, f64)> {
-        let t = tseytin(circuit, root);
-        let k = t.num_inputs();
-        let scores = cnf_proxy(&t.cnf, &|v| v < k);
-        let mut pairs: Vec<(VarId, f64)> = t
-            .input_vars
-            .iter()
-            .enumerate()
-            .map(|(i, &f)| (f, scores[i]))
-            .collect();
-        sort_approx(&mut pairs);
-        pairs
-    }
-}
-
 impl ShapleyEngine for ProxyEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::Proxy
@@ -644,6 +621,46 @@ mod tests {
             assert_eq!(by_fact[&0], Rational::from_ratio(43, 105), "{kind}");
             assert_eq!(by_fact[&5], Rational::from_ratio(8, 105), "{kind}");
         }
+    }
+
+    #[test]
+    fn running_example_end_to_end() {
+        // Figure 3's middle row on the running example's circuit.
+        let d = running_example();
+        let mut c = Circuit::new();
+        let root = d.to_circuit(&mut c);
+        let r = KcEngine::analyze_circuit(&c, root, 8, &Budget::unlimited(), &Default::default())
+            .unwrap();
+        assert_eq!(r.engine, EngineKind::Kc);
+        assert_eq!(r.num_facts, 7);
+        let EngineValues::Exact(pairs) = &r.values else {
+            panic!("expected exact values");
+        };
+        // Top fact is a1 with 43/105; sorted non-increasing.
+        assert_eq!(pairs[0], (VarId(0), Rational::from_ratio(43, 105)));
+        for w in pairs.windows(2) {
+            assert!(w[0].1 >= w[1].1);
+        }
+        assert!(r.ddnnf_size > 0);
+        assert!(r.cnf_clauses > 0);
+        // The circuit entry and the DNF engine agree bit for bit.
+        assert_eq!(
+            r.values,
+            KcEngine.solve(&LineageTask::new(&d, 8)).unwrap().values
+        );
+    }
+
+    #[test]
+    fn compile_budget_respected() {
+        let d = running_example();
+        let mut c = Circuit::new();
+        let root = d.to_circuit(&mut c);
+        let budget = Budget::with_max_nodes(1);
+        let err = KcEngine::analyze_circuit(&c, root, 8, &budget, &Default::default()).unwrap_err();
+        assert_eq!(
+            err,
+            AnalysisError::Compile(shapdb_kc::CompileError::NodeLimit)
+        );
     }
 
     #[test]

@@ -32,9 +32,8 @@
 //! code, so batch ≡ sequential ≡ service holds bit-identically on the
 //! exact paths by construction.
 //!
-//! The classic entry points (`pipeline::analyze_lineage_auto`,
-//! `hybrid_shapley_dnf`, the `shapdb` facade, the CLI) are thin policies
-//! over this layer.
+//! The paper's §6.3 hybrid is [`PlannerConfig::hybrid`]; the `shapdb`
+//! facade and the CLI are thin policies over this layer.
 
 mod batch;
 mod cache;
@@ -59,10 +58,9 @@ pub use topk::{shapley_bounds, ScoreBounds, TopKExecutor, TopKItem, TopKReport};
 
 pub use crate::measure::Measure;
 
-use crate::exact::ExactConfig;
-use crate::pipeline::{AnalysisError, AnalysisMethod, FactAttribution, LineageAnalysis};
+use crate::exact::{ExactConfig, ShapleyTimeout};
 use shapdb_circuit::{Dnf, Fingerprint, VarId};
-use shapdb_kc::{Budget, CompileStats};
+use shapdb_kc::{Budget, CompileError, CompileStats};
 use shapdb_num::Rational;
 use std::time::Duration;
 
@@ -314,38 +312,24 @@ pub struct EngineResult {
     pub compile_stats: CompileStats,
 }
 
-impl EngineResult {
-    /// Converts an exact read-once/KC/naive result into the classic
-    /// [`LineageAnalysis`]; `None` for the inexact engines and for
-    /// non-Shapley measures (the classic report is Shapley-specific).
-    pub fn into_analysis(self) -> Option<LineageAnalysis> {
-        if self.measure != Measure::Shapley {
-            return None;
+/// Why an exact computation exceeded its budget: knowledge compilation
+/// (deadline or node cap) or Algorithm 1 (deadline).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum AnalysisError {
+    Compile(CompileError),
+    Shapley(ShapleyTimeout),
+}
+
+impl std::fmt::Display for AnalysisError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AnalysisError::Compile(e) => write!(f, "{e}"),
+            AnalysisError::Shapley(e) => write!(f, "{e}"),
         }
-        let method = match self.engine {
-            EngineKind::ReadOnce => AnalysisMethod::ReadOnce,
-            EngineKind::Kc => AnalysisMethod::KnowledgeCompilation,
-            EngineKind::Naive => AnalysisMethod::Naive,
-            _ => return None,
-        };
-        let EngineValues::Exact(pairs) = self.values else {
-            return None;
-        };
-        Some(LineageAnalysis {
-            attributions: pairs
-                .into_iter()
-                .map(|(fact, shapley)| FactAttribution { fact, shapley })
-                .collect(),
-            kc_time: self.prep_time,
-            alg1_time: self.solve_time,
-            num_facts: self.num_facts,
-            cnf_clauses: self.cnf_clauses,
-            ddnnf_size: self.ddnnf_size,
-            compile_stats: self.compile_stats,
-            method,
-        })
     }
 }
+
+impl std::error::Error for AnalysisError {}
 
 /// Why an engine did not produce a result.
 #[derive(Clone, PartialEq, Eq, Debug)]

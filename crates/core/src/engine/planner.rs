@@ -1,8 +1,7 @@
 //! The cost-based planner: which engine should solve which lineage?
 //!
-//! The routing decision the paper leaves implicit (and PR 1 left smeared
-//! across `analyze_lineage_auto`, `hybrid_shapley_dnf` and the facade) is a
-//! first-class, testable component here. The cost model, cheapest first:
+//! The routing decision the paper leaves implicit is a first-class,
+//! testable component here. The cost model, cheapest first:
 //!
 //! 1. **constant lineages** are free — route to the read-once engine, which
 //!    answers `⊤`/`⊥` without work;
@@ -734,8 +733,10 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{EngineValues, ShapleyEngine};
     use proptest::prelude::*;
     use shapdb_circuit::VarId;
+    use shapdb_num::Rational;
     use shapdb_query::parse_ucq;
 
     fn dnf(conjs: &[&[u32]]) -> Dnf {
@@ -808,6 +809,92 @@ mod tests {
         let naive = planner.solve(&LineageTask::new(&majority, 3)).unwrap();
         let kc = kc_only.solve(&LineageTask::new(&majority, 3)).unwrap();
         assert_eq!(naive.values, kc.values, "bit-identical rationals");
+    }
+
+    fn exact_values(r: &EngineResult) -> Vec<(VarId, Rational)> {
+        match &r.values {
+            EngineValues::Exact(pairs) => pairs.clone(),
+            EngineValues::Approx(_) => panic!("expected exact values"),
+        }
+    }
+
+    #[test]
+    fn auto_takes_read_once_path_on_running_example() {
+        let running = dnf(&[&[0], &[1, 3], &[1, 4], &[2, 3], &[2, 4], &[5, 6]]);
+        let task = LineageTask::new(&running, 8);
+        let auto = Planner::new(PlannerConfig::default()).solve(&task).unwrap();
+        assert_eq!(auto.engine, EngineKind::ReadOnce);
+        assert_eq!(auto.cnf_clauses, 0);
+        let kc = KcEngineImpl.solve(&task).unwrap();
+        assert_eq!(exact_values(&auto), exact_values(&kc));
+    }
+
+    #[test]
+    fn auto_routes_tiny_majority_to_naive_enumeration() {
+        // Majority of three: every fact gets 1/3 by symmetry + efficiency.
+        let majority = dnf(&[&[0, 1], &[1, 2], &[0, 2]]);
+        let r = Planner::new(PlannerConfig::default())
+            .solve(&LineageTask::new(&majority, 3))
+            .unwrap();
+        assert_eq!(r.engine, EngineKind::Naive);
+        assert_eq!(r.cnf_clauses, 0);
+        let values = exact_values(&r);
+        assert_eq!(values.len(), 3);
+        assert!(values.iter().all(|(_, x)| *x == Rational::from_ratio(1, 3)));
+    }
+
+    #[test]
+    fn auto_falls_back_to_kc_beyond_the_naive_cutoff() {
+        // Four disjoint majorities (12 vars > max_naive_vars): not
+        // read-once, so the compiler runs; every fact gets 1/12.
+        let mut wide = Dnf::new();
+        for base in [0u32, 3, 6, 9] {
+            for pair in [[base, base + 1], [base + 1, base + 2], [base, base + 2]] {
+                wide.add_conjunct(pair.iter().map(|&v| VarId(v)).collect());
+            }
+        }
+        let r = Planner::new(PlannerConfig::default())
+            .solve(&LineageTask::new(&wide, 12))
+            .unwrap();
+        assert_eq!(r.engine, EngineKind::Kc);
+        let values = exact_values(&r);
+        assert_eq!(values.len(), 12);
+        assert!(values
+            .iter()
+            .all(|(_, x)| *x == Rational::from_ratio(1, 12)));
+    }
+
+    #[test]
+    fn fast_path_falls_through_on_non_read_once() {
+        // The hybrid tries read-once first; majority does not factor, so
+        // it is answered exactly by a later route within the timeout.
+        let planner = Planner::new(PlannerConfig::hybrid(Duration::from_secs(60)));
+        let majority = dnf(&[&[0, 1], &[1, 2], &[0, 2]]);
+        let r = planner.solve(&LineageTask::new(&majority, 3)).unwrap();
+        assert!(exact_values(&r)
+            .iter()
+            .all(|(_, x)| *x == Rational::from_ratio(1, 3)));
+    }
+
+    #[test]
+    fn proxy_ranking_matches_exact_order_on_pairs() {
+        // Drop a1 (whose raw-mode proxy pathology Example 5.4 discusses);
+        // for the pure 2-way-pairs lineage the proxy order matches exact.
+        let pairs = dnf(&[&[1, 3], &[1, 4], &[2, 3], &[2, 4], &[5, 6]]);
+        let task = LineageTask::new(&pairs, 6);
+        let exact = Planner::new(PlannerConfig::hybrid(Duration::from_secs(60)))
+            .solve(&task)
+            .unwrap();
+        let proxy = Planner::new(PlannerConfig::hybrid(Duration::ZERO))
+            .solve(&task)
+            .unwrap();
+        assert!(exact.values.is_exact());
+        assert_eq!(proxy.engine, EngineKind::Proxy);
+        // a2..a5 (ids 1..4) must rank above a6,a7 (ids 5,6) in both.
+        for r in [exact.values.ranking(), proxy.values.ranking()] {
+            let pos = |id: u32| r.iter().position(|v| v.0 == id).unwrap();
+            assert!(pos(1) < pos(5) && pos(2) < pos(6));
+        }
     }
 
     #[test]
@@ -909,7 +996,7 @@ mod tests {
         let err = exact.solve(&LineageTask::new(&big, 22)).unwrap_err();
         assert!(matches!(
             err,
-            EngineError::Analysis(crate::pipeline::AnalysisError::Shapley(_))
+            EngineError::Analysis(crate::engine::AnalysisError::Shapley(_))
         ));
         // The read-once route is also bounded now: a zero timeout kills
         // even the fast path (so `hybrid(0)` degrades everything to the

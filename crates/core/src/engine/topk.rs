@@ -31,7 +31,7 @@ use super::{
     translate_result, EngineError, EngineResult, EngineValues, Measure, PlanReason, Planner,
 };
 use crate::exact::ExactConfig;
-use shapdb_circuit::{fingerprint, Dnf, Fingerprint};
+use shapdb_circuit::Fingerprint;
 use shapdb_kc::Budget;
 use shapdb_metrics::counters::{
     CacheRunStats, DedupStats, TOPK_BOUND_PASSES, TOPK_PRUNED, TOPK_SOLVED,
@@ -386,19 +386,6 @@ impl TopKExecutor {
         &self.planner
     }
 
-    /// [`TopKExecutor::run`] over raw lineages, fingerprinting each one
-    /// first.
-    pub fn run_lineages(
-        &self,
-        lineages: &[Dnf],
-        k: usize,
-        n_endo: usize,
-        budget: &Budget,
-        exact: &ExactConfig,
-    ) -> Result<TopKReport, EngineError> {
-        self.run(lineages.iter().map(fingerprint), k, n_endo, budget, exact)
-    }
-
     /// Ranks the fingerprinted answers, returning the top `k`. Answers
     /// stream in by fingerprint — the caller can drop each raw lineage as
     /// soon as it is fingerprinted (the streaming extraction path does),
@@ -535,7 +522,7 @@ mod tests {
     use super::*;
     use crate::engine::{BatchExecutor, EngineKind, LineageTask, PlannerConfig};
     use proptest::prelude::*;
-    use shapdb_circuit::VarId;
+    use shapdb_circuit::{fingerprint, Dnf, VarId};
 
     /// The canonical key of the DNF with these conjuncts.
     fn canonical_key(conjs: &[Vec<u32>]) -> Vec<Vec<u32>> {
@@ -544,6 +531,18 @@ mod tests {
             d.add_conjunct(c.iter().map(|&v| VarId(v)).collect());
         }
         fingerprint(&d).key().clone()
+    }
+
+    /// [`TopKExecutor::run`] over raw lineages, fingerprinting each one
+    /// first, under unlimited budgets.
+    fn run_lineages(
+        exec: &TopKExecutor,
+        lineages: &[Dnf],
+        k: usize,
+        n_endo: usize,
+    ) -> Result<TopKReport, EngineError> {
+        let (budget, exact) = (Budget::unlimited(), ExactConfig::default());
+        exec.run(lineages.iter().map(fingerprint), k, n_endo, &budget, &exact)
     }
 
     fn num_vars(key: &[Vec<u32>]) -> usize {
@@ -802,15 +801,7 @@ mod tests {
         let baseline = full_ranking(&Planner::new(PlannerConfig::default()), &lineages, 70);
         for k in [1, 2, 3, 5, n, n + 3] {
             let exec = TopKExecutor::new(Planner::new(PlannerConfig::default()));
-            let report = exec
-                .run_lineages(
-                    &lineages,
-                    k,
-                    70,
-                    &Budget::unlimited(),
-                    &ExactConfig::default(),
-                )
-                .unwrap();
+            let report = run_lineages(&exec, &lineages, k, 70).unwrap();
             let got: Vec<(usize, Rational)> = report
                 .top
                 .iter()
@@ -853,15 +844,7 @@ mod tests {
             lineages.push(disjoint_pairs(5, 200 + 12 * i));
         }
         let exec = TopKExecutor::new(Planner::new(PlannerConfig::default()));
-        let report = exec
-            .run_lineages(
-                &lineages,
-                3,
-                64,
-                &Budget::unlimited(),
-                &ExactConfig::default(),
-            )
-            .unwrap();
+        let report = run_lineages(&exec, &lineages, 3, 64).unwrap();
         assert_eq!(report.solved_structures, 1, "only the strong structure");
         assert_eq!(report.pruned_structures, 2);
         assert_eq!(report.solved_answers, 5);
@@ -889,15 +872,7 @@ mod tests {
         let lineages = corpus();
         let n = lineages.len();
         let exec = TopKExecutor::new(Planner::new(PlannerConfig::default()));
-        let report = exec
-            .run_lineages(
-                &lineages,
-                0,
-                70,
-                &Budget::unlimited(),
-                &ExactConfig::default(),
-            )
-            .unwrap();
+        let report = run_lineages(&exec, &lineages, 0, 70).unwrap();
         assert!(report.top.is_empty());
         assert_eq!(report.pruned_answers, n);
         assert_eq!(report.engine_runs, 0);
@@ -907,9 +882,7 @@ mod tests {
     #[test]
     fn empty_input_is_fine() {
         let exec = TopKExecutor::new(Planner::new(PlannerConfig::default()));
-        let report = exec
-            .run_lineages(&[], 5, 0, &Budget::unlimited(), &ExactConfig::default())
-            .unwrap();
+        let report = run_lineages(&exec, &[], 5, 0).unwrap();
         assert!(report.top.is_empty());
         assert_eq!((report.answers, report.bound_passes), (0, 0));
     }
@@ -924,15 +897,7 @@ mod tests {
             ..Default::default()
         }));
         let lineages = vec![dnf(&[&[0, 1], &[1, 2], &[0, 2]])];
-        let err = exec
-            .run_lineages(
-                &lineages,
-                1,
-                3,
-                &Budget::unlimited(),
-                &ExactConfig::default(),
-            )
-            .unwrap_err();
+        let err = run_lineages(&exec, &lineages, 1, 3).unwrap_err();
         assert!(matches!(err, EngineError::Unsupported(_)));
     }
 
@@ -944,25 +909,9 @@ mod tests {
         let planner = Planner::new(PlannerConfig::default()).with_cache(cache.clone());
         let exec = TopKExecutor::new(planner);
         let lineages = corpus();
-        let cold = exec
-            .run_lineages(
-                &lineages,
-                3,
-                70,
-                &Budget::unlimited(),
-                &ExactConfig::default(),
-            )
-            .unwrap();
+        let cold = run_lineages(&exec, &lineages, 3, 70).unwrap();
         assert!(cold.cache.misses > 0);
-        let warm = exec
-            .run_lineages(
-                &lineages,
-                3,
-                70,
-                &Budget::unlimited(),
-                &ExactConfig::default(),
-            )
-            .unwrap();
+        let warm = run_lineages(&exec, &lineages, 3, 70).unwrap();
         assert_eq!(warm.engine_runs, 0, "all solved structures cached");
         assert_eq!(warm.cache.hits, cold.cache.misses);
         for (a, b) in cold.top.iter().zip(&warm.top) {

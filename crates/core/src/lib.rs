@@ -18,17 +18,16 @@
 //!   background = `0⃗`);
 //! * [`naive`] — `O(2ⁿ)` ground truth directly from Equations (1)/(2), used
 //!   to validate everything else;
-//! * [`hybrid`] — the §6.3 engine: exact pipeline under a deadline, CNF-Proxy
-//!   ranking as the fallback;
 //! * [`readonce`] — the read-once fast path: Shapley values straight from a
 //!   factorized lineage with no knowledge compilation (the tractable class
 //!   of Livshits et al. — hierarchical queries — and beyond);
-//! * [`pipeline`] — the classic per-tuple entry points, now thin
-//!   delegations into the engine layer;
 //! * [`engine`] — the unified engine layer: the [`ShapleyEngine`] trait all
 //!   six algorithms implement, the cost-based [`Planner`] (read-once
-//!   detection, hierarchical-query guarantee, KC admission budgets), and
-//!   the parallel, lineage-deduplicating [`BatchExecutor`].
+//!   detection, hierarchical-query guarantee, KC admission budgets, and the
+//!   §6.3 hybrid — exact under a deadline, CNF-Proxy ranking as the
+//!   fallback — as [`PlannerConfig::hybrid`]), and the parallel,
+//!   lineage-deduplicating [`BatchExecutor`]. [`KcEngine::analyze_circuit`]
+//!   runs Figure 3's exact pipeline on one lineage circuit.
 //!
 //! Values are exact [`Rational`](shapdb_num::Rational)s wherever the paper's
 //! algorithm is exact; baselines return `f64` like their originals.
@@ -37,12 +36,10 @@ pub mod aggregate;
 pub mod banzhaf;
 pub mod engine;
 pub mod exact;
-pub mod hybrid;
 pub mod kernelshap;
 pub mod measure;
 pub mod montecarlo;
 pub mod naive;
-pub mod pipeline;
 pub mod proxy;
 pub mod readonce;
 pub mod responsibility;
@@ -52,20 +49,16 @@ mod weights;
 pub use aggregate::{count_shapley, sum_shapley, AggregateAttributions};
 pub use banzhaf::{banzhaf_all_facts, banzhaf_from_lineage, banzhaf_naive, critical_coalitions};
 pub use engine::{
-    shapley_bounds, BatchConfig, BatchExecutor, BatchItem, BatchReport, EngineError, EngineKind,
-    EngineResult, EngineValues, KcEngine, KernelShapEngine, LineageTask, MonteCarloEngine,
-    NaiveEngine, Plan, PlanReason, Planner, PlannerConfig, ProxyEngine, QueryClass, ReadOnceEngine,
-    ScoreBounds, ShapleyEngine, TopKExecutor, TopKItem, TopKReport,
+    shapley_bounds, AnalysisError, BatchConfig, BatchExecutor, BatchItem, BatchReport, EngineError,
+    EngineKind, EngineResult, EngineValues, KcEngine, KernelShapEngine, LineageTask,
+    MonteCarloEngine, NaiveEngine, Plan, PlanReason, Planner, PlannerConfig, ProxyEngine,
+    QueryClass, ReadOnceEngine, ScoreBounds, ShapleyEngine, TopKExecutor, TopKItem, TopKReport,
 };
 pub use exact::{power_index_all_facts, shapley_all_facts, shapley_single_fact, ExactConfig};
-pub use hybrid::{hybrid_shapley, hybrid_shapley_dnf, HybridConfig, HybridOutcome, HybridReport};
 pub use kernelshap::{kernel_shap, KernelShapConfig};
 pub use measure::Measure;
 pub use montecarlo::{monte_carlo_shapley, monte_carlo_shapley_monotone, MonteCarloConfig};
 pub use naive::{shapley_naive, shapley_naive_by_slices};
-pub use pipeline::{
-    analyze_lineage, analyze_lineage_auto, AnalysisMethod, FactAttribution, LineageAnalysis,
-};
 pub use proxy::{cnf_proxy, cnf_proxy_exact, proxy_from_lineage};
 pub use readonce::{
     power_read_once, sat_k_read_once, shap_read_once, shapley_read_once, try_shapley_read_once,

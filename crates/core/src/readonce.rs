@@ -12,8 +12,8 @@
 //! Hierarchical self-join-free CQs always have read-once lineages, so this
 //! module *is* the polynomial-time algorithm of Livshits et al. that the
 //! paper cites as the known tractable case — implemented here as a fast path
-//! that [`crate::pipeline::analyze_lineage_auto`] tries before paying for
-//! Tseytin + compilation. It also covers many non-hierarchical outputs: the
+//! that the [`crate::engine::Planner`] tries before paying for Tseytin +
+//! compilation. It also covers many non-hierarchical outputs: the
 //! complete-bipartite `q2` pattern of the running example factors as
 //! `(⋁xᵢ) ∧ (⋁yⱼ)` and is handled here in linear time, while its Tseytin
 //! CNF is exponential for the DPLL compiler.

@@ -28,10 +28,8 @@
 pub mod compile;
 pub mod compile_topdown;
 pub mod ddnnf;
-pub mod nnf_format;
 pub mod project;
 mod scratch;
-pub mod smooth;
 
 pub use compile::{
     compile, compile_circuit, compile_with, BranchHeuristic, Budget, CircuitCompilation,
@@ -42,6 +40,4 @@ pub use compile_topdown::{
     ComponentCacheStats,
 };
 pub use ddnnf::{DNode, Ddnnf, DdnnfBuilder, NodeIdx};
-pub use nnf_format::{from_nnf, to_nnf, NnfError};
 pub use project::project;
-pub use smooth::{count_models_smooth, is_smooth, smooth};

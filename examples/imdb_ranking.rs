@@ -10,7 +10,6 @@
 //! cargo run --release --example imdb_ranking
 //! ```
 
-use shapdb::core::hybrid::HybridConfig;
 use shapdb::workloads::{imdb_database, imdb_queries, ImdbConfig};
 use shapdb::ShapleyAnalyzer;
 use std::time::Duration;
@@ -36,11 +35,7 @@ fn main() {
         ("tiny (0 ms)", Duration::ZERO),
     ] {
         println!("\n=== hybrid with {label} timeout ===");
-        let cfg = HybridConfig {
-            timeout,
-            ..Default::default()
-        };
-        let report = analyzer.rank(&q.ucq, &cfg);
+        let report = analyzer.rank(&q.ucq, timeout);
         let rankings = report.rankings;
         let exact = rankings.iter().filter(|r| r.outcome.is_exact()).count();
         println!(

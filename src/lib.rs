@@ -47,12 +47,10 @@ use shapdb_circuit::{fingerprint, Circuit, Dnf};
 use shapdb_core::aggregate::{count_shapley, sum_shapley};
 pub use shapdb_core::engine::Measure;
 use shapdb_core::engine::{
-    BatchExecutor, CacheStats, EngineError, EngineKind, EngineValues, Planner, PlannerConfig,
-    ServiceConfig, ShapleyCache, ShapleyService, TopKExecutor,
+    AnalysisError, BatchExecutor, CacheStats, EngineError, EngineKind, EngineValues, KcEngine,
+    Planner, PlannerConfig, ServiceConfig, ShapleyCache, ShapleyService, TopKExecutor,
 };
 use shapdb_core::exact::ExactConfig;
-use shapdb_core::hybrid::{HybridConfig, HybridOutcome};
-use shapdb_core::pipeline::{analyze_lineage, AnalysisError};
 use shapdb_data::{Database, FactId, Value};
 use shapdb_kc::Budget;
 use shapdb_metrics::counters::{CacheRunStats, DedupStats, NumRunStats};
@@ -89,7 +87,9 @@ pub type TupleResponsibilities = (Vec<Value>, Vec<(FactId, Rational)>);
 #[derive(Clone, Debug)]
 pub struct TupleRanking {
     pub tuple: Vec<Value>,
-    pub outcome: HybridOutcome,
+    /// Sorted by decreasing value; `Exact` Shapley values or `Approx`
+    /// CNF-Proxy scores.
+    pub outcome: EngineValues,
 }
 
 /// A [`ShapleyAnalyzer::rank`] result: the per-answer hybrid outcomes plus
@@ -320,21 +320,7 @@ impl<'a> ShapleyAnalyzer<'a> {
             (report.engine_runs, report.threads, report.total_time);
         let mut explanations = Vec::with_capacity(res.len());
         for (tuple, item) in res.outputs.into_iter().zip(report.items) {
-            let result = item.result.map_err(|e| match e {
-                EngineError::Analysis(a) => a,
-                EngineError::Unsupported(why) => {
-                    unreachable!("exact-mode planner only plans supported engines: {why}")
-                }
-                EngineError::Panicked(msg) => {
-                    unreachable!("one-shot solves run outside the service's catch_unwind: {msg}")
-                }
-                EngineError::UnsupportedMeasure { engine, measure } => {
-                    unreachable!(
-                        "the default planner only routes measures to exact engines, \
-                         which support all of them: {engine} / {measure}"
-                    )
-                }
-            })?;
+            let result = item.result.map_err(exact_mode_error)?;
             let EngineValues::Exact(pairs) = result.values else {
                 unreachable!("exact-mode planner yields exact values");
             };
@@ -369,41 +355,40 @@ impl<'a> ShapleyAnalyzer<'a> {
             let elin = tuple.endo_lineage(self.db);
             let mut circuit = Circuit::new();
             let root = elin.to_circuit(&mut circuit);
-            let analysis = analyze_lineage(&circuit, root, n_endo, &self.budget, &self.exact)?;
+            let result =
+                KcEngine::analyze_circuit(&circuit, root, n_endo, &self.budget, &self.exact)?;
+            let EngineValues::Exact(pairs) = result.values else {
+                unreachable!("the KC engine yields exact values");
+            };
             out.push(TupleExplanation {
                 tuple: tuple.tuple,
-                attributions: analysis
-                    .attributions
-                    .into_iter()
-                    .map(|a| (FactId(a.fact.0), a.shapley))
-                    .collect(),
+                attributions: pairs.into_iter().map(|(v, r)| (FactId(v.0), r)).collect(),
             });
         }
         Ok(out)
     }
 
-    /// Hybrid explanation (§6.3): exact under the timeout, CNF-Proxy ranking
-    /// otherwise. Never fails. With [`HybridConfig::try_read_once`] the
-    /// factorization fast path runs first, so read-once lineages come back
-    /// exact under any realistic timeout (the fast path is microseconds —
-    /// but the per-lineage deadline now bounds *every* exact engine, so a
-    /// zero timeout degrades everything to the ranking fallback).
+    /// Hybrid explanation (§6.3): knowledge compilation + Algorithm 1 under
+    /// a per-answer `timeout` (the paper's sweet spot is 2.5 s), CNF-Proxy
+    /// ranking otherwise. Never fails. Exact options come from
+    /// [`ShapleyAnalyzer::with_exact_config`]. The planner-routed variant,
+    /// which tries the read-once fast path first, is
+    /// [`PlannerConfig::hybrid`].
     ///
     /// Returns the rankings wrapped in a [`RankReport`] carrying the batch
     /// bookkeeping (dedup hit rate, cache traffic, engine runs).
-    pub fn rank(&self, q: &Ucq, cfg: &HybridConfig) -> RankReport {
+    pub fn rank(&self, q: &Ucq, timeout: Duration) -> RankReport {
         let planner_cfg = PlannerConfig {
-            // Paper mode (no fast path): straight to knowledge compilation.
-            force: (!cfg.try_read_once).then_some(EngineKind::Kc),
-            timeout: Some(cfg.timeout),
+            // Paper mode: straight to knowledge compilation, and always
+            // *try* it under the timeout (no admission caps).
+            force: Some(EngineKind::Kc),
+            timeout: Some(timeout),
             fallback: Some(EngineKind::Proxy),
-            // §6.3 always *tries* compilation under the timeout — lift the
-            // planner's admission caps to match the classic hybrid.
             max_kc_vars: usize::MAX,
             max_kc_conjuncts: usize::MAX,
             ..Default::default()
         };
-        let (res, report) = self.run_batch(q, planner_cfg, &cfg.exact, Measure::Shapley);
+        let (res, report) = self.run_batch(q, planner_cfg, &self.exact, Measure::Shapley);
         let (dedup, cache, engine_runs, threads, total_time) = (
             report.dedup,
             report.cache,
@@ -419,7 +404,7 @@ impl<'a> ShapleyAnalyzer<'a> {
                 let result = item.result.expect("proxy fallback never fails");
                 TupleRanking {
                     tuple: tuple.tuple,
-                    outcome: result.into(),
+                    outcome: result.values,
                 }
             })
             .collect();
@@ -466,10 +451,7 @@ impl<'a> ShapleyAnalyzer<'a> {
         }
         let report = TopKExecutor::new(planner)
             .run(fps, k, self.db.num_endogenous(), &self.budget, &self.exact)
-            .map_err(|e| match e {
-                EngineError::Analysis(a) => a,
-                other => unreachable!("the default planner stays on exact engines: {other}"),
-            })?;
+            .map_err(exact_mode_error)?;
         let top = report
             .top
             .into_iter()
@@ -628,6 +610,16 @@ impl<'a> ShapleyAnalyzer<'a> {
     }
 }
 
+/// The error of an exact-mode solve: the default planner routes only to
+/// exact engines, which support every measure, and one-shot solves run
+/// outside the service's `catch_unwind` — so only budget errors remain.
+fn exact_mode_error(e: EngineError) -> AnalysisError {
+    match e {
+        EngineError::Analysis(a) => a,
+        other => unreachable!("exact-mode solves fail only on budgets: {other}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,11 +651,7 @@ mod tests {
     fn rank_is_timeout_tolerant() {
         let (db, _) = flights_example();
         let analyzer = ShapleyAnalyzer::new(&db);
-        let cfg = HybridConfig {
-            timeout: std::time::Duration::ZERO,
-            ..Default::default()
-        };
-        let report = analyzer.rank(&flights_query(), &cfg);
+        let report = analyzer.rank(&flights_query(), Duration::ZERO);
         assert_eq!(report.rankings.len(), 1);
         assert!(!report.rankings[0].outcome.is_exact());
         assert_eq!(report.rankings[0].outcome.ranking().len(), 7);
@@ -740,12 +728,8 @@ mod tests {
         let q = flights_query();
         let analyzer = ShapleyAnalyzer::new(&db);
         let explained = analyzer.explain(&q).unwrap();
-        let generous = HybridConfig {
-            timeout: Duration::from_secs(60),
-            ..Default::default()
-        };
-        let report = analyzer.rank(&q, &generous);
-        let HybridOutcome::Exact(pairs) = &report.rankings[0].outcome else {
+        let report = analyzer.rank(&q, Duration::from_secs(60));
+        let EngineValues::Exact(pairs) = &report.rankings[0].outcome else {
             panic!("exact within a generous timeout");
         };
         let got: Vec<(FactId, Rational)> = pairs
@@ -753,12 +737,8 @@ mod tests {
             .map(|(v, r)| (FactId(v.0), r.clone()))
             .collect();
         assert_eq!(got, explained[0].attributions);
-        let zero = HybridConfig {
-            timeout: Duration::ZERO,
-            ..Default::default()
-        };
-        let report = analyzer.rank(&q, &zero);
-        let HybridOutcome::Proxy(scores) = &report.rankings[0].outcome else {
+        let report = analyzer.rank(&q, Duration::ZERO);
+        let EngineValues::Approx(scores) = &report.rankings[0].outcome else {
             panic!("proxy ranking at a zero timeout");
         };
         assert_eq!(scores.len(), 7);
@@ -952,22 +932,6 @@ mod tests {
         let warm = analyzer.explain_responsibility(&q);
         assert_eq!(cold, warm);
         assert!(analyzer.cache_stats().unwrap().hits > after_cold.hits);
-    }
-
-    #[test]
-    fn rank_with_fast_path_is_exact_under_tiny_timeout() {
-        let (db, a) = flights_example();
-        let analyzer = ShapleyAnalyzer::new(&db);
-        let cfg = HybridConfig {
-            // Far below the 2.5 s default, far above the µs fast path.
-            timeout: std::time::Duration::from_millis(250),
-            try_read_once: true,
-            ..Default::default()
-        };
-        let report = analyzer.rank(&flights_query(), &cfg);
-        assert!(report.rankings[0].outcome.is_exact(), "read-once rescue");
-        assert_eq!(report.rankings[0].outcome.ranking()[0].0, a[0].0);
-        assert_eq!(report.engine_runs, 1);
     }
 
     #[test]

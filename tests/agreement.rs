@@ -10,10 +10,10 @@
 
 use rand::prelude::*;
 use shapdb::circuit::{Circuit, Dnf, VarId};
+use shapdb::core::engine::{EngineValues, KcEngine};
 use shapdb::core::exact::ExactConfig;
 use shapdb::core::montecarlo::{monte_carlo_shapley, MonteCarloConfig};
 use shapdb::core::naive::shapley_naive;
-use shapdb::core::pipeline::analyze_lineage;
 use shapdb::core::readonce::try_shapley_read_once;
 use shapdb::data::{Database, Value};
 use shapdb::kc::Budget;
@@ -39,7 +39,7 @@ fn random_dnf(rng: &mut StdRng, n: usize) -> Dnf {
 fn exact_dense(lineage: &Dnf, n: usize) -> Vec<Rational> {
     let mut circuit = Circuit::new();
     let root = lineage.to_circuit(&mut circuit);
-    let analysis = analyze_lineage(
+    let result = KcEngine::analyze_circuit(
         &circuit,
         root,
         n,
@@ -47,9 +47,12 @@ fn exact_dense(lineage: &Dnf, n: usize) -> Vec<Rational> {
         &ExactConfig::default(),
     )
     .expect("unlimited budget cannot time out");
+    let EngineValues::Exact(pairs) = result.values else {
+        panic!("the KC engine yields exact values");
+    };
     let mut out = vec![Rational::zero(); n];
-    for a in &analysis.attributions {
-        out[a.fact.0 as usize] = a.shapley.clone();
+    for (fact, shapley) in pairs {
+        out[fact.0 as usize] = shapley;
     }
     out
 }

@@ -1,9 +1,9 @@
 //! Batch-executor integration harness.
 //!
 //! * the parallel, deduplicating [`BatchExecutor`] must produce *identical*
-//!   exact rationals to the classic sequential per-tuple path
-//!   (`analyze_lineage_auto`) on the seeded agreement-harness databases, at
-//!   1 and at N worker threads;
+//!   exact rationals to the sequential per-tuple path (one
+//!   `Planner::solve` per answer) on the seeded agreement-harness
+//!   databases, at 1 and at N worker threads;
 //! * on a multi-answer workload with duplicated lineage structure, batch
 //!   mode must solve each distinct structure exactly once (the dedup
 //!   counters assert it);
@@ -14,14 +14,29 @@
 
 use rand::prelude::*;
 use shapdb::circuit::Dnf;
-use shapdb::core::engine::{BatchExecutor, Planner, PlannerConfig, QueryClass};
+use shapdb::core::engine::{
+    BatchExecutor, EngineValues, LineageTask, Planner, PlannerConfig, QueryClass,
+};
 use shapdb::core::exact::ExactConfig;
-use shapdb::core::pipeline::analyze_lineage_auto;
 use shapdb::data::{Database, Value};
 use shapdb::kc::Budget;
 use shapdb::num::Rational;
 use shapdb::query::{evaluate, parse_ucq};
 use shapdb::ShapleyAnalyzer;
+
+/// The sequential per-tuple path: one exact-mode planner solve per lineage,
+/// as `(fact, value)` pairs in the planner's order.
+fn solve_sequentially(lineage: &Dnf, n_endo: usize) -> Vec<(u32, Rational)> {
+    let task = LineageTask::new(lineage, n_endo);
+    match Planner::new(PlannerConfig::default())
+        .solve(&task)
+        .unwrap()
+        .values
+    {
+        EngineValues::Exact(pairs) => pairs.into_iter().map(|(v, r)| (v.0, r)).collect(),
+        EngineValues::Approx(_) => panic!("exact mode yields exact values"),
+    }
+}
 
 /// The agreement-harness random database: `R(a)`, `S(a, b)`, `T(b)` with
 /// endogenous facts only (fact ids map 1:1 onto lineage variables).
@@ -63,17 +78,10 @@ fn batch_executor_matches_sequential_path_at_1_and_n_threads() {
             let res = evaluate(q, &db);
             let lineages: Vec<Dnf> = res.outputs.iter().map(|t| t.endo_lineage(&db)).collect();
 
-            // The old sequential path: one analyze_lineage_auto per tuple.
+            // The sequential path: one planner solve per tuple.
             let sequential: Vec<Vec<(u32, Rational)>> = lineages
                 .iter()
-                .map(|l| {
-                    analyze_lineage_auto(l, n_endo, &Budget::unlimited(), &ExactConfig::default())
-                        .unwrap()
-                        .attributions
-                        .into_iter()
-                        .map(|a| (a.fact.0, a.shapley))
-                        .collect()
-                })
+                .map(|l| solve_sequentially(l, n_endo))
                 .collect();
 
             for threads in [1usize, 4] {
@@ -89,7 +97,7 @@ fn batch_executor_matches_sequential_path_at_1_and_n_threads() {
                 for (i, item) in report.items.iter().enumerate() {
                     let result = item.result.as_ref().unwrap();
                     let got: Vec<(u32, Rational)> = match &result.values {
-                        shapdb::core::engine::EngineValues::Exact(pairs) => {
+                        EngineValues::Exact(pairs) => {
                             pairs.iter().map(|(v, r)| (v.0, r.clone())).collect()
                         }
                         _ => panic!("exact mode yields exact values"),
@@ -117,19 +125,7 @@ fn facade_explain_equals_sequential_at_1_and_n_threads() {
         let baseline: Vec<Vec<(u32, Rational)>> = res
             .outputs
             .iter()
-            .map(|t| {
-                analyze_lineage_auto(
-                    &t.endo_lineage(&db),
-                    n_endo,
-                    &Budget::unlimited(),
-                    &ExactConfig::default(),
-                )
-                .unwrap()
-                .attributions
-                .into_iter()
-                .map(|a| (a.fact.0, a.shapley))
-                .collect()
-            })
+            .map(|t| solve_sequentially(&t.endo_lineage(&db), n_endo))
             .collect();
         for threads in [1usize, 4] {
             let explanations = ShapleyAnalyzer::new(&db)

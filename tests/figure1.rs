@@ -5,9 +5,9 @@
 //! Algorithm 1), and the naive `O(2ⁿ)` evaluation of Equation (2).
 
 use shapdb::circuit::Circuit;
+use shapdb::core::engine::{EngineValues, KcEngine};
 use shapdb::core::exact::ExactConfig;
 use shapdb::core::naive::shapley_naive;
-use shapdb::core::pipeline::analyze_lineage;
 use shapdb::data::flights_example;
 use shapdb::kc::Budget;
 use shapdb::num::{Bitset, Rational};
@@ -70,7 +70,7 @@ fn knowledge_compilation_path_agrees_with_fast_path() {
 
     let mut circuit = Circuit::new();
     let root = elin.to_circuit(&mut circuit);
-    let analysis = analyze_lineage(
+    let result = KcEngine::analyze_circuit(
         &circuit,
         root,
         db.num_endogenous(),
@@ -85,11 +85,10 @@ fn knowledge_compilation_path_agrees_with_fast_path() {
         .iter()
         .map(|(f, v)| (f.0, v.clone()))
         .collect();
-    let mut kc: Vec<_> = analysis
-        .attributions
-        .iter()
-        .map(|a| (a.fact.0, a.shapley.clone()))
-        .collect();
+    let EngineValues::Exact(pairs) = result.values else {
+        panic!("the KC engine yields exact values");
+    };
+    let mut kc: Vec<_> = pairs.into_iter().map(|(f, v)| (f.0, v)).collect();
     // Same ordering convention: decreasing value, ties by fact id.
     kc.sort_by(|(fa, va), (fb, vb)| vb.cmp(va).then(fa.cmp(fb)));
     assert_eq!(fast, kc);
