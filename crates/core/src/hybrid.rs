@@ -1,292 +1,59 @@
-//! The hybrid engine (§6.3 of the paper) — a thin policy over the
-//! [`crate::engine`] trait.
-//!
-//! Run the exact pipeline (knowledge compilation + Algorithm 1) under a
-//! configurable timeout `t`; if it completes, return exact Shapley values,
-//! otherwise fall back to CNF Proxy and return a *ranking* of the facts. The
-//! paper's experiments justify `t = 2.5 s` as the sweet spot (Figure 8); that
-//! is the default here. The two arms are [`KcEngine`] and [`ProxyEngine`];
-//! with [`HybridConfig::try_read_once`] the [`ReadOnceEngine`] runs first —
-//! the general form of this policy is the engine layer's
-//! [`PlannerConfig::hybrid`](crate::engine::PlannerConfig::hybrid).
-
-use crate::engine::{
-    EngineResult, EngineValues, KcEngine, LineageTask, ProxyEngine, ReadOnceEngine, ShapleyEngine,
-};
-use crate::exact::ExactConfig;
-use shapdb_circuit::{Circuit, NodeId, VarId};
-use shapdb_kc::Budget;
-use shapdb_num::Rational;
-use std::time::{Duration, Instant};
-
-/// Configuration for the hybrid engine.
-#[derive(Clone, Copy, Debug)]
-pub struct HybridConfig {
-    /// Timeout for the exact pipeline (paper default: 2.5 s).
-    pub timeout: Duration,
-    /// Exact-computation options (the deadline field is overwritten).
-    pub exact: ExactConfig,
-    /// Try the read-once fast path before compiling (extension; off by
-    /// default so the engine measures exactly what the paper's §6.3 does).
-    /// Only honored by [`hybrid_shapley_dnf`], which sees the DNF lineage.
-    pub try_read_once: bool,
-}
-
-impl Default for HybridConfig {
-    fn default() -> Self {
-        HybridConfig {
-            timeout: Duration::from_millis(2500),
-            exact: ExactConfig::default(),
-            try_read_once: false,
-        }
-    }
-}
-
-/// What the hybrid engine produced.
-#[derive(Clone, Debug)]
-pub enum HybridOutcome {
-    /// Exact Shapley values, sorted by decreasing value.
-    Exact(Vec<(VarId, Rational)>),
-    /// CNF-Proxy scores (a ranking, not Shapley values), sorted decreasing.
-    Proxy(Vec<(VarId, f64)>),
-}
-
-impl HybridOutcome {
-    /// The facts in ranked order (most influential first), either way.
-    pub fn ranking(&self) -> Vec<VarId> {
-        match self {
-            HybridOutcome::Exact(v) => v.iter().map(|(f, _)| *f).collect(),
-            HybridOutcome::Proxy(v) => v.iter().map(|(f, _)| *f).collect(),
-        }
-    }
-
-    /// True iff the exact pipeline finished within the timeout.
-    pub fn is_exact(&self) -> bool {
-        matches!(self, HybridOutcome::Exact(_))
-    }
-}
-
-impl From<EngineResult> for HybridOutcome {
-    fn from(r: EngineResult) -> HybridOutcome {
-        match r.values {
-            EngineValues::Exact(pairs) => HybridOutcome::Exact(pairs),
-            EngineValues::Approx(pairs) => HybridOutcome::Proxy(pairs),
-        }
-    }
-}
-
-/// Timings and outcome of one hybrid run.
-#[derive(Clone, Debug)]
-pub struct HybridReport {
-    pub outcome: HybridOutcome,
-    /// Wall time of the whole run (exact attempt + fallback if any).
-    pub total_time: Duration,
-    /// Time spent in the exact attempt.
-    pub exact_time: Duration,
-    /// Time spent in the proxy fallback (zero when exact succeeded).
-    pub proxy_time: Duration,
-}
-
-/// Runs the hybrid strategy on a monotone DNF lineage.
-///
-/// With [`HybridConfig::try_read_once`] the [`ReadOnceEngine`] runs first
-/// (microseconds, exact, no deadline needed); only lineages that do not
-/// factor pay for Tseytin + compilation under the timeout. With the flag off
-/// this is [`hybrid_shapley`] on the lineage's circuit — the paper's exact
-/// §6.3 behaviour.
-pub fn hybrid_shapley_dnf(
-    lineage: &shapdb_circuit::Dnf,
-    n_endo: usize,
-    cfg: &HybridConfig,
-) -> HybridReport {
-    if cfg.try_read_once {
-        let start = Instant::now();
-        let task = LineageTask::new(lineage, n_endo).with_exact(ExactConfig {
-            deadline: None,
-            ..cfg.exact
-        });
-        if let Ok(result) = ReadOnceEngine.solve(&task) {
-            let elapsed = start.elapsed();
-            return HybridReport {
-                outcome: result.into(),
-                total_time: elapsed,
-                exact_time: elapsed,
-                proxy_time: Duration::ZERO,
-            };
-        }
-    }
-    let mut circuit = Circuit::new();
-    let root = lineage.to_circuit(&mut circuit);
-    hybrid_shapley(&circuit, root, n_endo, cfg)
-}
-
-/// Runs the hybrid strategy on an endogenous-lineage circuit: the
-/// [`KcEngine`] under the deadline, the [`ProxyEngine`] on failure.
-pub fn hybrid_shapley(
-    circuit: &Circuit,
-    root: NodeId,
-    n_endo: usize,
-    cfg: &HybridConfig,
-) -> HybridReport {
-    let start = Instant::now();
-    let deadline = start + cfg.timeout;
-    let budget = Budget {
-        deadline: Some(deadline),
-        max_nodes: usize::MAX,
-    };
-    let exact_cfg = ExactConfig {
-        deadline: Some(deadline),
-        ..cfg.exact
-    };
-
-    match KcEngine::analyze_circuit(circuit, root, n_endo, &budget, &exact_cfg) {
-        Ok(analysis) => {
-            let exact_time = start.elapsed();
-            HybridReport {
-                outcome: analysis.into_engine_result().into(),
-                total_time: start.elapsed(),
-                exact_time,
-                proxy_time: Duration::ZERO,
-            }
-        }
-        Err(_) => {
-            let exact_time = start.elapsed();
-            let proxy_start = Instant::now();
-            // Re-runs Tseytin (analyze_circuit does not expose its CNF) —
-            // linear work, negligible next to the timeout just burned.
-            let pairs = ProxyEngine::score_circuit(circuit, root);
-            HybridReport {
-                outcome: HybridOutcome::Proxy(pairs),
-                total_time: start.elapsed(),
-                exact_time,
-                proxy_time: proxy_start.elapsed(),
-            }
-        }
-    }
-}
+//! Tests of the paper's §6.3 hybrid: knowledge compilation + Algorithm 1
+//! under a per-lineage timeout, CNF-Proxy ranking once it expires. The
+//! mode is a [`PlannerConfig`](crate::PlannerConfig) — forced KC, the
+//! admission caps lifted, Proxy as the fallback — as the facade's `rank`
+//! builds it.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use shapdb_circuit::Dnf;
+    use crate::engine::{EngineKind, EngineValues, LineageTask, Planner, PlannerConfig};
+    use shapdb_circuit::{Dnf, VarId};
+    use shapdb_num::Rational;
+    use std::time::Duration;
 
-    fn running_example_circuit() -> (Circuit, NodeId) {
+    fn paper_hybrid(timeout: Duration) -> Planner {
+        Planner::new(PlannerConfig {
+            force: Some(EngineKind::Kc),
+            timeout: Some(timeout),
+            fallback: Some(EngineKind::Proxy),
+            max_kc_vars: usize::MAX,
+            max_kc_conjuncts: usize::MAX,
+            ..Default::default()
+        })
+    }
+
+    fn running_example() -> Dnf {
         let mut d = Dnf::new();
         d.add_conjunct(vec![VarId(0)]);
         for pair in [[1u32, 3], [1, 4], [2, 3], [2, 4], [5, 6]] {
             d.add_conjunct(pair.iter().map(|&v| VarId(v)).collect());
         }
-        let mut c = Circuit::new();
-        let root = d.to_circuit(&mut c);
-        (c, root)
+        d
     }
 
     #[test]
     fn exact_within_generous_timeout() {
-        let (c, root) = running_example_circuit();
-        let report = hybrid_shapley(&c, root, 8, &HybridConfig::default());
-        assert!(report.outcome.is_exact());
-        match &report.outcome {
-            HybridOutcome::Exact(pairs) => {
-                assert_eq!(pairs[0].0, VarId(0));
-                assert_eq!(pairs[0].1, Rational::from_ratio(43, 105));
-            }
-            HybridOutcome::Proxy(_) => unreachable!(),
-        }
+        let d = running_example();
+        let r = paper_hybrid(Duration::from_millis(2500))
+            .solve(&LineageTask::new(&d, 8))
+            .unwrap();
+        assert_eq!(r.engine, EngineKind::Kc);
+        let EngineValues::Exact(pairs) = &r.values else {
+            panic!("exact within a generous timeout");
+        };
+        assert_eq!(pairs[0].0, VarId(0));
+        assert_eq!(pairs[0].1, Rational::from_ratio(43, 105));
     }
 
     #[test]
     fn falls_back_to_proxy_on_zero_timeout() {
-        let (c, root) = running_example_circuit();
-        let cfg = HybridConfig {
-            timeout: Duration::ZERO,
-            ..Default::default()
-        };
-        let report = hybrid_shapley(&c, root, 8, &cfg);
-        assert!(!report.outcome.is_exact());
-        // The proxy ranking still puts a1's pair facts above a6/a7... and
-        // critically, the ranking is non-empty and covers all 7 facts.
-        assert_eq!(report.outcome.ranking().len(), 7);
-        assert!(report.proxy_time.max(Duration::from_nanos(1)).as_nanos() > 0);
-    }
-
-    #[test]
-    fn fast_path_rescues_zero_timeout_when_enabled() {
-        // With try_read_once, even a zero timeout yields exact values on a
-        // factorizable lineage — the fast path runs before the clock
-        // matters. With it off, the same call degrades to a proxy ranking.
-        let mut d = Dnf::new();
-        d.add_conjunct(vec![VarId(0)]);
-        for pair in [[1u32, 3], [1, 4], [2, 3], [2, 4], [5, 6]] {
-            d.add_conjunct(pair.iter().map(|&v| VarId(v)).collect());
-        }
-        let on = HybridConfig {
-            timeout: Duration::ZERO,
-            try_read_once: true,
-            ..Default::default()
-        };
-        let report = hybrid_shapley_dnf(&d, 8, &on);
-        assert!(report.outcome.is_exact());
-        match &report.outcome {
-            HybridOutcome::Exact(pairs) => {
-                assert_eq!(pairs[0].0, VarId(0));
-                assert_eq!(pairs[0].1, Rational::from_ratio(43, 105));
-            }
-            HybridOutcome::Proxy(_) => unreachable!(),
-        }
-        let off = HybridConfig {
-            timeout: Duration::ZERO,
-            ..Default::default()
-        };
-        assert!(!hybrid_shapley_dnf(&d, 8, &off).outcome.is_exact());
-    }
-
-    #[test]
-    fn fast_path_falls_through_on_non_read_once() {
-        // Majority is not read-once: the flag must not change the outcome
-        // class (exact via KC under a generous timeout).
-        let mut d = Dnf::new();
-        for pair in [[0u32, 1], [1, 2], [0, 2]] {
-            d.add_conjunct(pair.iter().map(|&v| VarId(v)).collect());
-        }
-        let cfg = HybridConfig {
-            try_read_once: true,
-            ..Default::default()
-        };
-        let report = hybrid_shapley_dnf(&d, 3, &cfg);
-        assert!(report.outcome.is_exact());
-        match &report.outcome {
-            HybridOutcome::Exact(pairs) => {
-                for (_, v) in pairs {
-                    assert_eq!(*v, Rational::from_ratio(1, 3));
-                }
-            }
-            HybridOutcome::Proxy(_) => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn proxy_ranking_matches_exact_order_on_pairs() {
-        // Drop a1 (whose raw-mode proxy pathology Example 5.4 discusses);
-        // for the pure 2-way-pairs lineage the proxy order matches exact.
-        let mut d = Dnf::new();
-        for pair in [[1u32, 3], [1, 4], [2, 3], [2, 4], [5, 6]] {
-            d.add_conjunct(pair.iter().map(|&v| VarId(v)).collect());
-        }
-        let mut c = Circuit::new();
-        let root = d.to_circuit(&mut c);
-        let exact = hybrid_shapley(&c, root, 6, &HybridConfig::default());
-        let cfg = HybridConfig {
-            timeout: Duration::ZERO,
-            ..Default::default()
-        };
-        let proxy = hybrid_shapley(&c, root, 6, &cfg);
-        // a2..a5 (ids 1..4) must rank above a6,a7 (ids 5,6) in both.
-        let rank_exact = exact.outcome.ranking();
-        let rank_proxy = proxy.outcome.ranking();
-        for r in [&rank_exact, &rank_proxy] {
-            let pos = |id: u32| r.iter().position(|v| v.0 == id).unwrap();
-            assert!(pos(1) < pos(5) && pos(2) < pos(6));
-        }
+        let d = running_example();
+        let r = paper_hybrid(Duration::ZERO)
+            .solve(&LineageTask::new(&d, 8))
+            .unwrap();
+        assert_eq!(r.engine, EngineKind::Proxy);
+        assert!(!r.values.is_exact());
+        // The proxy ranking is non-empty and covers all 7 facts.
+        assert_eq!(r.values.ranking().len(), 7);
     }
 }

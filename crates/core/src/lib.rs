@@ -36,6 +36,8 @@ pub mod aggregate;
 pub mod banzhaf;
 pub mod engine;
 pub mod exact;
+#[cfg(test)]
+mod hybrid;
 pub mod kernelshap;
 pub mod measure;
 pub mod montecarlo;

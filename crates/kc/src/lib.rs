@@ -30,6 +30,8 @@ pub mod compile_topdown;
 pub mod ddnnf;
 pub mod project;
 mod scratch;
+#[cfg(test)]
+mod smooth;
 
 pub use compile::{
     compile, compile_circuit, compile_with, BranchHeuristic, Budget, CircuitCompilation,

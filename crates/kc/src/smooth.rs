@@ -1,4 +1,5 @@
-//! d-DNNF smoothing — the textbook alternative to arithmetic gap-completion.
+//! d-DNNF smoothing — the textbook alternative to arithmetic gap-completion,
+//! kept as a test-only oracle.
 //!
 //! A d-DNNF is *smooth* when every `∨` gate's children mention exactly the
 //! gate's variable set. Standard treatments (and the paper's Line 1 of
@@ -7,13 +8,9 @@
 //! sum-at-∨ / product-at-∧ with literal count 1. This repository's
 //! counting and Shapley DPs instead handle variable gaps *arithmetically*
 //! (binomial expansion at `∨`, closed-form completion weights), which keeps
-//! circuits small; this module provides the structural transformation anyway:
-//!
-//! * as an executable specification that the arithmetic shortcut is
-//!   equivalent (tested: `count_models` on the original = smooth-count on
-//!   the smoothed circuit), and
-//! * to quantify what smoothing costs in circuit size (ablation bench) —
-//!   the reason the shortcut is the default.
+//! circuits small; the structural transformation here is the executable
+//! specification that the arithmetic shortcut is equivalent (tested:
+//! `count_models` on the original = smooth-count on the smoothed circuit).
 //!
 //! Smoothing wraps each gap variable `v` in a decision gate `(v ∨ ¬v)`;
 //! those gates are shared across all gaps, so the blow-up is
@@ -26,7 +23,7 @@ use shapdb_num::BigUint;
 /// Structurally smooths a d-DNNF: every `∨` child is conjoined with
 /// `(v ∨ ¬v)` for each variable of the gate it lacks, and the root is
 /// completed to mention all `num_vars` variables.
-pub fn smooth(d: &Ddnnf) -> Ddnnf {
+fn smooth(d: &Ddnnf) -> Ddnnf {
     let sets = d.var_sets();
     let mut b = DdnnfBuilder::new();
     // Tautology gate per variable, created on demand and shared.
@@ -89,7 +86,7 @@ pub fn smooth(d: &Ddnnf) -> Ddnnf {
 /// True iff every `∨` gate's children all mention the gate's variable set
 /// and the root mentions every variable. The unsatisfiable circuit (root ⊥)
 /// is smooth by convention — ⊥ cannot structurally mention anything.
-pub fn is_smooth(d: &Ddnnf) -> bool {
+fn is_smooth(d: &Ddnnf) -> bool {
     if matches!(d.nodes()[d.root().index()], DNode::False) {
         return true;
     }
@@ -107,10 +104,10 @@ pub fn is_smooth(d: &Ddnnf) -> bool {
 }
 
 /// Model count valid **only on smooth circuits**: literal → 1, `∨` → sum,
-/// `∧` → product — no gap correction anywhere. Exposed to demonstrate that
+/// `∧` → product — no gap correction anywhere. The tests check that
 /// [`smooth`] + this simple recurrence equals
 /// [`Ddnnf::count_models`]'s arithmetic shortcut on the original circuit.
-pub fn count_models_smooth(d: &Ddnnf) -> BigUint {
+fn count_models_smooth(d: &Ddnnf) -> BigUint {
     debug_assert!(
         is_smooth(d),
         "count_models_smooth requires a smooth circuit"
