@@ -1,6 +1,6 @@
 # Convenience targets mirroring .github/workflows/ci.yml for offline use.
 
-.PHONY: check fmt build test clippy doc quickstart examples bench-build bench-smoke bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench-e2e bench
+.PHONY: check fmt build test clippy doc quickstart examples bench-build bench-smoke bench-batch bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench-e2e bench
 
 check: fmt build test clippy doc examples bench-build
 
@@ -41,6 +41,12 @@ bench-build:
 # in CHANGES.md.
 bench-smoke:
 	cargo bench --bench alg1 -p shapdb_bench
+
+# Batch executor on the 521-lineage workload: the deduplicating batch vs a
+# cache-less sequential `Planner::solve` loop over the same lineages, and
+# 1 vs N worker threads.
+bench-batch:
+	cargo bench --bench batch -p shapdb_bench
 
 # Cross-query result cache: cold vs warm replay of the 521-lineage workload.
 bench-cache:

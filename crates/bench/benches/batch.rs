@@ -4,7 +4,9 @@
 //! (every answer of every TPC-H-lite and IMDB-lite query, hundreds of
 //! lineages with heavily duplicated structure):
 //!
-//! * structural lineage dedup on vs off (the interning win), and
+//! * the deduplicating batch vs a cache-less sequential `Planner::solve`
+//!   loop over the same lineages (the interning win: the loop solves
+//!   every lineage, the batch every distinct structure once), and
 //! * 1 worker thread vs N (the fan-out win — only visible on multi-core
 //!   hosts; on a single-core container the N-thread numbers match the
 //!   1-thread ones).
@@ -13,7 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use shapdb_circuit::Dnf;
-use shapdb_core::engine::{BatchExecutor, EngineKind, Planner, PlannerConfig};
+use shapdb_core::engine::{BatchExecutor, EngineKind, LineageTask, Planner, PlannerConfig};
 use shapdb_core::exact::ExactConfig;
 use shapdb_kc::Budget;
 use std::time::Duration;
@@ -42,25 +44,27 @@ fn bench_batch_dedup(c: &mut Criterion) {
     let (lineages, n_endo) = workload_lineages();
     let mut group = c.benchmark_group("batch_dedup");
     group.sample_size(10);
-    let configs: [(&str, bool); 2] = [("dedup_off", false), ("dedup_on", true)];
-    for (label, dedup) in configs {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &dedup, |b, &dedup| {
-            let mut executor = BatchExecutor::new(planner()).with_threads(1);
-            if !dedup {
-                executor = executor.without_dedup();
+    group.bench_function(BenchmarkId::from_parameter("sequential"), |b| {
+        let planner = planner();
+        b.iter(|| {
+            for l in &lineages {
+                planner.solve(&LineageTask::new(l, n_endo)).expect("solves");
             }
-            b.iter(|| {
-                let report = executor.run(
-                    &lineages,
-                    n_endo,
-                    &Budget::unlimited(),
-                    &ExactConfig::default(),
-                );
-                assert!(report.items.iter().all(|i| i.result.is_ok()));
-                report.dedup.distinct
-            })
-        });
-    }
+        })
+    });
+    group.bench_function(BenchmarkId::from_parameter("dedup_on"), |b| {
+        let executor = BatchExecutor::new(planner()).with_threads(1);
+        b.iter(|| {
+            let report = executor.run(
+                &lineages,
+                n_endo,
+                &Budget::unlimited(),
+                &ExactConfig::default(),
+            );
+            assert!(report.items.iter().all(|i| i.result.is_ok()));
+            report.dedup.distinct
+        })
+    });
     group.finish();
 
     let report = BatchExecutor::new(planner()).with_threads(1).run(

@@ -86,10 +86,7 @@ fn bench_measures(c: &mut Criterion) {
             &ExactConfig::default(),
             &Measure::ALL,
         );
-        assert!(report
-            .results
-            .iter()
-            .all(|row| row.iter().all(|r| r.is_ok())));
+        assert!(report.items.iter().all(|i| i.result.is_ok()));
         report.engine_runs
     };
 

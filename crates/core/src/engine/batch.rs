@@ -12,11 +12,17 @@
 //! workers (large stacks — the compiler recursion is bounded by the CNF
 //! variable count).
 //!
-//! The pipeline itself — fingerprint → group → plan → solve → translate —
-//! lives in [`super::stages`] as pool-agnostic free functions; this module
-//! only owns the one-shot orchestration (scoped fan-out, fail-fast, the
-//! per-run report). The resident [`super::ShapleyService`] runs the same
-//! stage functions from its long-lived workers.
+//! One entry point, [`BatchExecutor::run_measures`], serves a whole
+//! measure set in one pass: each distinct structure is compiled (or
+//! factorized) at most once and every requested measure is evaluated from
+//! it.
+//! [`BatchExecutor::run`] is the one-measure case. The pipeline itself —
+//! fingerprint → group → solve (planning each structure inside its
+//! worker) → translate — lives in [`super::stages`] as pool-agnostic free
+//! functions; this module only owns the one-shot orchestration (scoped
+//! fan-out, fail-fast, the per-run report). The resident
+//! [`super::ShapleyService`] runs the same stage functions from its
+//! long-lived workers.
 //!
 //! Exact values translate *exactly*: batch output is identical, rational
 //! for rational, to solving every task separately. Two layers of reuse
@@ -24,8 +30,8 @@
 //!
 //! * **intra-batch dedup** — one solve per distinct structure per run;
 //! * **the cross-query [`super::ShapleyCache`]** (when the planner carries
-//!   one) — a distinct structure seen in *any* earlier run under the same
-//!   policy is served from the cache without running an engine at all.
+//!   one) — a (structure, measure) pair seen in *any* earlier run under the
+//!   same policy is served from the cache without running an engine at all.
 //!
 //! Sampling engines (Monte Carlo, Kernel SHAP) also solve once per distinct
 //! structure, but with the group's **total** sample budget
@@ -33,8 +39,9 @@
 //! is drawn from exactly as many samples as the per-member sequential
 //! solves would have spent, so dedup costs nothing in total draws and buys
 //! a `G×`-sample estimate for every member of a size-`G` group. Sampling
-//! results are never cached across runs (each batch draws its own
-//! deterministic stream, salted by the representative task's index).
+//! results are never cached across runs (each run draws its own
+//! deterministic stream, salted by the representative task's index). A
+//! sweep draws exactly like a single-measure run of the same measure.
 
 use super::{translate_result, EngineError, EngineResult, Measure, Planner};
 use crate::exact::ExactConfig;
@@ -48,51 +55,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use super::stages;
-
-/// Batch execution knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchConfig {
-    /// Worker threads (0 = all available cores).
-    pub threads: usize,
-    /// Intern structurally identical lineages (on by default; turn off to
-    /// measure the dedup win). Turning dedup off also bypasses the
-    /// cross-query result cache: without fingerprints there are no cache
-    /// keys.
-    pub dedup: bool,
-    /// Abort the batch on the first failed task: remaining tasks inherit
-    /// that error instead of burning their own per-lineage timeouts. Off by
-    /// default (every task gets its own verdict); callers that propagate
-    /// the first error anyway (the facade's exact `explain`) turn it on.
-    pub fail_fast: bool,
-    /// The attribution every task of the batch computes
-    /// ([`Measure::Shapley`] by default). For several measures in one pass
-    /// over the same lineages, use [`BatchExecutor::run_measures`] — it
-    /// shares one compiled structure across all of them.
-    pub measure: Measure,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            threads: 0,
-            dedup: true,
-            fail_fast: false,
-            measure: Measure::Shapley,
-        }
-    }
-}
-
-impl BatchConfig {
-    /// Resolved worker count.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            return self.threads;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-}
 
 /// One task's outcome within a batch.
 #[derive(Clone, Debug)]
@@ -110,15 +72,21 @@ pub struct BatchItem {
 /// What one batch run produced.
 #[derive(Clone, Debug)]
 pub struct BatchReport {
-    /// Per-task outcomes, in submission order.
+    /// Per-(lineage, measure) outcomes, lineage-major:
+    /// `items[i * measures.len() + j]` is lineage `i` under `measures[j]`.
+    /// A single-measure run has one item per lineage, in submission order.
     pub items: Vec<BatchItem>,
-    /// Dedup statistics (the lineage-dedup hit rate of this run).
+    /// The measures, in request order (the inner order of `items`).
+    pub measures: Vec<Measure>,
+    /// Dedup statistics over lineages (the lineage-dedup hit rate of this
+    /// run).
     pub dedup: DedupStats,
-    /// Actual engine invocations. At most one per distinct structure;
-    /// cache hits and fail-fast-aborted structures invoke none.
+    /// Distinct structures actually solved. At most one per distinct
+    /// structure, however many measures it serves; cache hits and
+    /// fail-fast-aborted structures invoke none.
     pub engine_runs: usize,
-    /// How this run used the cross-query result cache (all zeros when the
-    /// planner carries none).
+    /// How this run used the cross-query result cache, per (structure,
+    /// measure) pair (all zeros when the planner carries none).
     pub cache: CacheRunStats,
     /// Worker threads used.
     pub threads: usize,
@@ -133,69 +101,55 @@ pub struct BatchReport {
     pub total_time: Duration,
 }
 
-impl BatchReport {
-    /// Drops the bookkeeping, keeping per-task results in order.
-    pub fn into_results(self) -> Vec<Result<EngineResult, EngineError>> {
-        self.items.into_iter().map(|i| i.result).collect()
-    }
-}
-
 /// Executes batches of lineage tasks through a [`Planner`].
 #[derive(Clone, Debug, Default)]
 pub struct BatchExecutor {
     planner: Planner,
-    cfg: BatchConfig,
+    /// Worker threads (0 = all available cores).
+    threads: usize,
+    /// Abort the batch on the first failed task: remaining structures
+    /// inherit that error instead of burning their own per-lineage
+    /// timeouts.
+    fail_fast: bool,
+    /// The attribution [`BatchExecutor::run`] computes.
+    measure: Measure,
 }
 
 impl BatchExecutor {
-    /// An executor over the given planner, with default batch knobs.
+    /// An executor over the given planner: all cores, every task gets its
+    /// own verdict, Shapley values.
     pub fn new(planner: Planner) -> BatchExecutor {
         BatchExecutor {
             planner,
-            cfg: BatchConfig::default(),
+            ..Default::default()
         }
-    }
-
-    /// Sets the batch knobs.
-    pub fn with_config(mut self, cfg: BatchConfig) -> Self {
-        self.cfg = cfg;
-        self
     }
 
     /// Sets the worker-thread count (0 = all cores).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads;
+        self.threads = threads;
         self
     }
 
-    /// Disables structural dedup.
-    pub fn without_dedup(mut self) -> Self {
-        self.cfg.dedup = false;
-        self
-    }
-
-    /// Aborts the whole batch on the first failed task (see
-    /// [`BatchConfig::fail_fast`]).
+    /// Aborts the whole batch on the first failed task: the structures not
+    /// yet solved inherit that error. Off by default (every task gets its
+    /// own verdict); callers that propagate the first error anyway (the
+    /// facade's exact `explain`) turn it on.
     pub fn with_fail_fast(mut self) -> Self {
-        self.cfg.fail_fast = true;
+        self.fail_fast = true;
         self
     }
 
-    /// Sets the attribution measure every task of the batch computes.
+    /// Sets the attribution measure [`BatchExecutor::run`] computes
+    /// ([`Measure::Shapley`] by default).
     pub fn with_measure(mut self, measure: Measure) -> Self {
-        self.cfg.measure = measure;
+        self.measure = measure;
         self
     }
 
-    /// The planner driving per-lineage routing.
-    pub fn planner(&self) -> &Planner {
-        &self.planner
-    }
-
-    /// Runs the batch: one lineage per output tuple, shared `n_endo` and
-    /// budgets (per-lineage deadlines come from the planner's timeout).
-    /// Orchestrates the shared pipeline stages over a one-shot scoped
-    /// worker pool.
+    /// Runs the batch under the executor's measure: one lineage per output
+    /// tuple, shared `n_endo` and budgets (per-lineage deadlines come from
+    /// the planner's timeout). `items[i]` is lineage `i`'s outcome.
     pub fn run(
         &self,
         lineages: &[Dnf],
@@ -203,73 +157,89 @@ impl BatchExecutor {
         budget: &Budget,
         exact: &ExactConfig,
     ) -> BatchReport {
+        self.run_measures(lineages, n_endo, budget, exact, &[self.measure])
+    }
+
+    /// Runs the batch for **several measures in one pass**: each lineage is
+    /// fingerprinted once, each distinct structure is compiled (or
+    /// factorized) at most once, and every requested measure is evaluated
+    /// from that one canonical structure. With a cache attached, each
+    /// (structure, measure) pair is its own entry — a warm sweep answers
+    /// all of them with zero engine runs.
+    ///
+    /// `items[i * measures.len() + j]` is lineage `i`'s result for
+    /// `measures[j]`, values translated back onto the lineage's own facts.
+    /// `engine_runs` counts distinct structures actually solved — *not*
+    /// evaluator passes — so a cold four-measure sweep over one structure
+    /// reports exactly 1.
+    pub fn run_measures(
+        &self,
+        lineages: &[Dnf],
+        n_endo: usize,
+        budget: &Budget,
+        exact: &ExactConfig,
+        measures: &[Measure],
+    ) -> BatchReport {
         let start = Instant::now();
         let num_before = CounterSnapshot::take();
         let tasks = lineages.len();
-        let pool = self.cfg.effective_threads();
-        stages::record_measure_requests(self.cfg.measure, tasks as u64);
-        // A batch-lived component cache when the planner does not already
-        // carry a resident one: this run's top-down compiles share
-        // isomorphic residual components across lineages either way.
+        let pool = if self.threads > 0 {
+            self.threads
+        } else {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        };
+        for &m in measures {
+            stages::record_measure_requests(m, tasks as u64);
+        }
         let planner = self.run_planner();
 
-        // Stages 1–3: canonicalize (in parallel), group, plan.
-        let fingerprints = stages::fingerprint_lineages(pool, lineages, self.cfg.dedup);
+        // Stages 1–2: canonicalize (in parallel), group.
+        let fingerprints = stages::fingerprint_lineages(pool, lineages);
         let grouping = stages::group_by_structure(&fingerprints);
-        let plans = stages::plan_groups(&planner, &grouping, &fingerprints, self.cfg.measure);
         let distinct = grouping.distinct();
 
-        // Stage 4: fan the distinct structures out across scoped workers.
-        // Fail-fast short-circuits the remaining structures onto the first
-        // error instead of running them.
+        // Stage 3: fan the distinct structures out across scoped workers;
+        // each plans and solves its own. Fail-fast short-circuits the
+        // remaining structures onto the first error instead of running
+        // them.
         let counters = stages::SolveCounters::new();
-        let fail_fast = self.cfg.fail_fast;
         let threads = pool.min(distinct).max(1);
         let abort: Mutex<Option<EngineError>> = Mutex::new(None);
-        let group_result: Vec<Result<EngineResult, EngineError>> =
+        let group_results: Vec<Vec<Result<EngineResult, EngineError>>> =
             stages::parallel_map(threads, distinct, |g| {
-                let aborted = abort.lock().expect("abort flag").clone();
-                let result = match aborted {
-                    Some(e) => Err(e),
-                    None => {
-                        let i = grouping.first_of_group[g];
-                        stages::solve_group(
-                            &planner,
-                            fingerprints[i].as_ref(),
-                            plans[g],
-                            &lineages[i],
-                            n_endo,
-                            budget,
-                            exact,
-                            i as u64,
-                            grouping.members_of[g].len(),
-                            self.cfg.measure,
-                            &counters,
-                        )
-                    }
-                };
-                if fail_fast {
-                    if let Err(e) = &result {
+                if let Some(e) = abort.lock().expect("abort flag").clone() {
+                    return vec![Err(e); measures.len()];
+                }
+                let i = grouping.first_of_group[g];
+                let results = stages::solve_group(
+                    &planner,
+                    &fingerprints[i],
+                    n_endo,
+                    budget,
+                    exact,
+                    i as u64,
+                    grouping.members_of[g].len(),
+                    measures,
+                    &counters,
+                );
+                if self.fail_fast {
+                    if let Some(Err(e)) = results.iter().find(|r| r.is_err()) {
                         abort.lock().expect("abort flag").get_or_insert(e.clone());
                     }
                 }
-                result
+                results
             });
 
-        // Stage 5: assemble per-task outcomes — group results translate
-        // back through each member's renaming.
-        let mut items: Vec<BatchItem> = Vec::with_capacity(tasks);
+        // Stage 4: assemble per-(lineage, measure) outcomes — group results
+        // translate back through each member's renaming.
+        let mut items: Vec<BatchItem> = Vec::with_capacity(tasks * measures.len());
         for (i, (&g, fp)) in grouping.group_of.iter().zip(&fingerprints).enumerate() {
-            let result = group_result[g].clone();
-            let result = match fp {
-                Some(fp) => result.map(|r| translate_result(r, fp)),
-                None => result,
-            };
-            items.push(BatchItem {
+            let dedup_hit = grouping.first_of_group[g] != i;
+            items.extend(group_results[g].iter().map(|result| BatchItem {
                 index: i,
-                result,
-                dedup_hit: grouping.first_of_group[g] != i,
-            });
+                result: result.clone().map(|r| translate_result(r, fp)),
+                dedup_hit,
+            }));
         }
 
         let dedup = DedupStats {
@@ -284,87 +254,6 @@ impl BatchExecutor {
         let after = CounterSnapshot::take();
         BatchReport {
             items,
-            dedup,
-            engine_runs: counters.engine_runs(),
-            cache: counters.cache_stats(),
-            threads,
-            num: NumRunStats::delta(&after, &num_before),
-            kc_cache: KcCacheRunStats::delta(&after, &num_before),
-            total_time: start.elapsed(),
-        }
-    }
-
-    /// Runs the batch for **several measures in one pass**: each lineage is
-    /// fingerprinted once, each distinct structure is compiled (or
-    /// factorized) at most once, and every requested measure is evaluated
-    /// from that one canonical structure. With a cache attached, each
-    /// (structure, measure) pair is its own entry — a warm sweep answers
-    /// all of them with zero engine runs.
-    ///
-    /// `results[i][j]` is lineage `i`'s result for `measures[j]`, values
-    /// translated back onto the lineage's own facts. `engine_runs` counts
-    /// distinct structures actually solved — *not* evaluator passes — so a
-    /// cold four-measure sweep over one structure reports exactly 1.
-    pub fn run_measures(
-        &self,
-        lineages: &[Dnf],
-        n_endo: usize,
-        budget: &Budget,
-        exact: &ExactConfig,
-        measures: &[Measure],
-    ) -> MeasureSweepReport {
-        let start = Instant::now();
-        let num_before = CounterSnapshot::take();
-        let tasks = lineages.len();
-        let pool = self.cfg.effective_threads();
-        let planner = self.run_planner();
-
-        let fingerprints = stages::fingerprint_lineages(pool, lineages, self.cfg.dedup);
-        let grouping = stages::group_by_structure(&fingerprints);
-        let distinct = grouping.distinct();
-
-        let counters = stages::SolveCounters::new();
-        let threads = pool.min(distinct).max(1);
-        let group_results: Vec<Vec<Result<EngineResult, EngineError>>> =
-            stages::parallel_map(threads, distinct, |g| {
-                let i = grouping.first_of_group[g];
-                stages::solve_group_multi(
-                    &planner,
-                    fingerprints[i].as_ref(),
-                    &lineages[i],
-                    n_endo,
-                    budget,
-                    exact,
-                    measures,
-                    &counters,
-                )
-            });
-
-        let mut results: Vec<Vec<Result<EngineResult, EngineError>>> = Vec::with_capacity(tasks);
-        for (&g, fp) in grouping.group_of.iter().zip(&fingerprints) {
-            results.push(
-                group_results[g]
-                    .iter()
-                    .map(|r| match (r.clone(), fp) {
-                        (Ok(v), Some(fp)) => Ok(translate_result(v, fp)),
-                        (r, _) => r,
-                    })
-                    .collect(),
-            );
-        }
-
-        let dedup = DedupStats {
-            tasks,
-            distinct,
-            reused: tasks - distinct,
-        };
-        BATCH_TASKS.add((tasks * measures.len()) as u64);
-        BATCH_DISTINCT.add(distinct as u64);
-        BATCH_DEDUP_HITS.add(dedup.hits() as u64);
-
-        let after = CounterSnapshot::take();
-        MeasureSweepReport {
-            results,
             measures: measures.to_vec(),
             dedup,
             engine_runs: counters.engine_runs(),
@@ -391,33 +280,6 @@ impl BatchExecutor {
                 .with_component_cache(Arc::new(ComponentCache::new())),
         }
     }
-}
-
-/// What one multi-measure sweep ([`BatchExecutor::run_measures`]) produced.
-#[derive(Clone, Debug)]
-pub struct MeasureSweepReport {
-    /// `results[i][j]` = lineage `i`'s result for `measures[j]`, values on
-    /// the lineage's own facts.
-    pub results: Vec<Vec<Result<EngineResult, EngineError>>>,
-    /// The measures, in request order (the column order of `results`).
-    pub measures: Vec<Measure>,
-    /// Lineage-dedup statistics (measured over lineages, not
-    /// lineage×measure pairs).
-    pub dedup: DedupStats,
-    /// Distinct structures actually solved (one shared compile serves every
-    /// measure of a structure; cache-warm structures solve none).
-    pub engine_runs: usize,
-    /// Per-(structure, measure) cache involvement.
-    pub cache: CacheRunStats,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Arithmetic-substrate routing of this sweep.
-    pub num: NumRunStats,
-    /// Cross-lineage component-cache traffic of this sweep's top-down
-    /// compiles.
-    pub kc_cache: KcCacheRunStats,
-    /// Wall time of the whole sweep.
-    pub total_time: Duration,
 }
 
 #[cfg(test)]
@@ -518,8 +380,8 @@ mod tests {
     fn unminimized_lineages_agree_between_batch_and_sequential() {
         // {0,1},{1,2},{0,2},{0,1,3}: the last conjunct is absorbed and var 3
         // is a null player. Every engine minimizes first, so the KC route
-        // reports the same fact set with and without dedup, and batch
-        // equals per-task solving even on non-minimized inputs.
+        // reports the same fact set whichever lineage solves the group, and
+        // batch equals per-task solving even on non-minimized inputs.
         let lineages = vec![
             dnf(&[&[0, 1], &[1, 2], &[0, 2], &[0, 1, 3]]),
             dnf(&[&[4, 5], &[5, 6], &[4, 6], &[4, 5, 7]]),
@@ -530,36 +392,12 @@ mod tests {
             .map(|l| exact_pairs(&planner.solve(&LineageTask::new(l, 8)).unwrap()))
             .collect();
         assert_eq!(sequential[0].len(), 3, "absorbed var 3 is omitted");
-        for (exec, label) in [
-            (BatchExecutor::new(planner.clone()), "dedup"),
-            (
-                BatchExecutor::new(planner.clone()).without_dedup(),
-                "no dedup",
-            ),
-        ] {
-            let report = exec.run(&lineages, 8, &Budget::unlimited(), &ExactConfig::default());
-            for (i, item) in report.items.iter().enumerate() {
-                let got = exact_pairs(item.result.as_ref().unwrap());
-                assert_eq!(got, sequential[i], "{label}, task {i}");
-            }
+        let exec = BatchExecutor::new(planner.clone());
+        let report = exec.run(&lineages, 8, &Budget::unlimited(), &ExactConfig::default());
+        for (i, item) in report.items.iter().enumerate() {
+            let got = exact_pairs(item.result.as_ref().unwrap());
+            assert_eq!(got, sequential[i], "task {i}");
         }
-    }
-
-    #[test]
-    fn dedup_can_be_disabled() {
-        let lineages = vec![dnf(&[&[0, 1]]), dnf(&[&[2, 3]])];
-        let exec = BatchExecutor::new(Planner::new(PlannerConfig::default())).without_dedup();
-        let report = exec.run(&lineages, 4, &Budget::unlimited(), &ExactConfig::default());
-        assert_eq!(
-            report.dedup,
-            DedupStats {
-                tasks: 2,
-                distinct: 2,
-                reused: 0
-            }
-        );
-        assert_eq!(report.dedup.hit_rate(), 0.0);
-        assert!(report.items.iter().all(|i| !i.dedup_hit));
     }
 
     #[test]
@@ -893,12 +731,14 @@ mod tests {
         assert_eq!(cache.stats().len, 4);
         // Every lineage × measure cell is exact, correctly tagged, and on
         // the lineage's own facts.
-        for (i, row) in cold.results.iter().enumerate() {
-            for (r, m) in row.iter().zip(Measure::ALL) {
-                let r = r.as_ref().unwrap();
-                assert_eq!(r.measure, m, "lineage {i}");
-                assert!(r.values.is_exact());
-            }
+        assert_eq!(cold.measures, Measure::ALL);
+        assert_eq!(cold.items.len(), lineages.len() * Measure::ALL.len());
+        for (cell, item) in cold.items.iter().enumerate() {
+            let (i, m) = (cell / 4, Measure::ALL[cell % 4]);
+            assert_eq!(item.index, i);
+            let r = item.result.as_ref().unwrap();
+            assert_eq!(r.measure, m, "lineage {i}");
+            assert!(r.values.is_exact());
         }
         // Majority-of-three ground truths: Shapley 1/3, Banzhaf 1/2,
         // responsibility 1/2, SHAP-score at uniform ½ background 1/6.
@@ -909,7 +749,7 @@ mod tests {
             Rational::from_ratio(1, 6),
         ];
         for (j, want) in expect.iter().enumerate() {
-            for (_, v) in exact_pairs(cold.results[1][j].as_ref().unwrap()) {
+            for (_, v) in exact_pairs(cold.items[4 + j].result.as_ref().unwrap()) {
                 assert_eq!(&v, want, "measure {}", Measure::ALL[j]);
             }
         }
@@ -923,15 +763,10 @@ mod tests {
         );
         assert_eq!(warm.engine_runs, 0, "all four measures served from cache");
         assert_eq!(warm.cache.hits, 4);
-        for (a, b) in cold
-            .results
-            .iter()
-            .flatten()
-            .zip(warm.results.iter().flatten())
-        {
+        for (a, b) in cold.items.iter().zip(&warm.items) {
             assert_eq!(
-                exact_pairs(a.as_ref().unwrap()),
-                exact_pairs(b.as_ref().unwrap()),
+                exact_pairs(a.result.as_ref().unwrap()),
+                exact_pairs(b.result.as_ref().unwrap()),
                 "bit-identical across cold and warm sweeps"
             );
         }
@@ -943,9 +778,66 @@ mod tests {
                 .unwrap();
             assert_eq!(
                 exact_pairs(&direct),
-                exact_pairs(cold.results[0][j].as_ref().unwrap())
+                exact_pairs(cold.items[j].result.as_ref().unwrap())
             );
         }
+    }
+
+    #[test]
+    fn run_equals_a_one_measure_sweep() {
+        // `run` is `run_measures(&[m])`: item for item the same engine,
+        // measure and values — under the exact planner for every measure,
+        // and under forced Monte Carlo with duplicated structures, where
+        // the representative's seed salt and the group-pooled sample
+        // budget must apply to the sweep too.
+        let lineages = vec![
+            dnf(&[&[0], &[1, 3], &[1, 4], &[2, 3], &[2, 4], &[5, 6]]),
+            dnf(&[&[8, 9], &[9, 10], &[8, 10]]),
+            dnf(&[&[11, 12], &[13, 14]]),
+            dnf(&[&[15, 16], &[16, 17], &[15, 17]]),
+            dnf(&[&[18, 19], &[20, 21]]),
+        ];
+        let same = |a: &BatchReport, b: &BatchReport, label: &str| {
+            assert_eq!(a.items.len(), b.items.len(), "{label}");
+            for (x, y) in a.items.iter().zip(&b.items) {
+                let (x, y) = (x.result.as_ref().unwrap(), y.result.as_ref().unwrap());
+                assert_eq!(
+                    (x.engine, x.measure, &x.values),
+                    (y.engine, y.measure, &y.values),
+                    "{label}"
+                );
+            }
+        };
+        let exact_planner = Planner::new(PlannerConfig::default());
+        for m in Measure::ALL {
+            let exec = BatchExecutor::new(exact_planner.clone())
+                .with_threads(1)
+                .with_measure(m);
+            let run = exec.run(&lineages, 22, &Budget::unlimited(), &ExactConfig::default());
+            let sweep = exec.run_measures(
+                &lineages,
+                22,
+                &Budget::unlimited(),
+                &ExactConfig::default(),
+                &[m],
+            );
+            same(&run, &sweep, m.name());
+        }
+        let sampling = BatchExecutor::new(Planner::new(PlannerConfig {
+            force: Some(EngineKind::MonteCarlo),
+            ..Default::default()
+        }))
+        .with_threads(1);
+        let run = sampling.run(&lineages, 22, &Budget::unlimited(), &ExactConfig::default());
+        assert_eq!(run.dedup.distinct, 3, "two duplicated structures");
+        let sweep = sampling.run_measures(
+            &lineages,
+            22,
+            &Budget::unlimited(),
+            &ExactConfig::default(),
+            &[Measure::Shapley],
+        );
+        same(&run, &sweep, "monte carlo");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::montecarlo::{monte_carlo_shapley, monte_carlo_shapley_monotone, Monte
 use crate::naive::shapley_naive_deadline;
 use crate::proxy::cnf_proxy;
 use crate::readonce::{power_read_once, shap_read_once};
-use crate::responsibility::{responsibility_all, responsibility_read_once};
+use crate::responsibility::{responsibility_all_minimized, responsibility_read_once};
 use crate::shap_score::{shap_naive, shap_scores};
 use shapdb_circuit::{factor, tseytin, Circuit, Dnf, NodeId, VarId};
 use shapdb_kc::{
@@ -184,7 +184,7 @@ impl ReadOnceEngine {
 pub struct KcEngine;
 
 /// The artifacts of one Tseytin → compile → project pass. Measure-agnostic:
-/// the multi-measure cache path compiles a structure once and evaluates
+/// a structure solved for several measures compiles once and evaluates
 /// every missed measure on the same projected d-DNNF.
 pub(crate) struct CompiledLineage {
     /// The projected d-DNNF over the lineage's input variables.
@@ -198,6 +198,10 @@ pub(crate) struct CompiledLineage {
     /// Tseytin + compile + project wall time.
     pub prep_time: Duration,
 }
+
+/// The compile a structure's KC-routed measures share: empty until the
+/// first one compiles (see [`KcEngine::solve_routed`]).
+pub(crate) type CompileSlot = Option<Result<CompiledLineage, EngineError>>;
 
 impl KcEngine {
     /// Figure 3's middle row on an endogenous-lineage *circuit*: exact
@@ -265,37 +269,28 @@ impl KcEngine {
         })
     }
 
-    /// Compiles a (minimized) monotone DNF lineage once — for any number
-    /// of subsequent [`KcEngine::evaluate_compiled`] calls — with the
-    /// plan's compiler choice and optional shared component cache (see
-    /// [`KcEngine::compile_circuit_root_routed`]).
-    pub(crate) fn compile_lineage_routed(
-        lineage: &Dnf,
-        budget: &Budget,
-        topdown: bool,
-        shared: Option<(&ComponentCache, u64)>,
-    ) -> Result<CompiledLineage, AnalysisError> {
-        let mut circuit = Circuit::new();
-        let root = lineage.to_circuit(&mut circuit);
-        KcEngine::compile_circuit_root_routed(&circuit, root, budget, topdown, shared)
-    }
-
     /// The full KC solve with the plan's compiler choice applied — the
     /// planner's KC arm calls this so wide lineages compile top-down and
     /// share component-cache fragments across lineages; the plain
     /// [`ShapleyEngine::solve`] is the `(false, None)` special case.
+    ///
+    /// `compiled` is the structure's one compile: the first call fills it,
+    /// later calls for other measures of the same lineage and budget
+    /// evaluate it again (or share its error). `engine.solves` counts the
+    /// compile, not the evaluations.
     pub(crate) fn solve_routed(
         task: &LineageTask,
         topdown: bool,
         shared: Option<(&ComponentCache, u64)>,
+        compiled: &mut CompileSlot,
     ) -> Result<EngineResult, EngineError> {
-        ENGINE_SOLVES.incr();
-        let lineage = minimized(task);
         if task.measure == Measure::Responsibility {
             // DNF-level measure: no compilation; the result still reports
             // the route that admitted the task.
+            ENGINE_SOLVES.incr();
+            let lineage = minimized(task);
             let solve_start = Instant::now();
-            let pairs = responsibility_all(&lineage);
+            let pairs = responsibility_all_minimized(&lineage);
             return Ok(exact_result(
                 EngineKind::Kc,
                 Measure::Responsibility,
@@ -307,9 +302,17 @@ impl KcEngine {
                 CompileStats::default(),
             ));
         }
-        let compiled = KcEngine::compile_lineage_routed(&lineage, &task.budget, topdown, shared)
-            .map_err(EngineError::Analysis)?;
-        KcEngine::evaluate_compiled(&compiled, task.n_endo, &task.exact, task.measure)
+        let compiled = compiled.get_or_insert_with(|| {
+            ENGINE_SOLVES.incr();
+            let mut circuit = Circuit::new();
+            let root = minimized(task).to_circuit(&mut circuit);
+            KcEngine::compile_circuit_root_routed(&circuit, root, &task.budget, topdown, shared)
+                .map_err(EngineError::Analysis)
+        });
+        match compiled {
+            Ok(c) => KcEngine::evaluate_compiled(c, task.n_endo, &task.exact, task.measure),
+            Err(e) => Err(e.clone()),
+        }
     }
 
     /// One measure's values from an already-compiled structure: the power
@@ -363,7 +366,7 @@ impl ShapleyEngine for KcEngine {
     }
 
     fn solve(&self, task: &LineageTask) -> Result<EngineResult, EngineError> {
-        KcEngine::solve_routed(task, false, None)
+        KcEngine::solve_routed(task, false, None, &mut None)
     }
 }
 
@@ -406,7 +409,7 @@ impl ShapleyEngine for NaiveEngine {
         if task.measure == Measure::Responsibility {
             // DNF-level: the branch-and-bound is exact at any size.
             let solve_start = Instant::now();
-            let pairs = responsibility_all(&lineage);
+            let pairs = responsibility_all_minimized(&lineage);
             return Ok(exact_result(
                 EngineKind::Naive,
                 Measure::Responsibility,

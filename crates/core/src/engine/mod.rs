@@ -25,12 +25,13 @@
 //!   per-request policy overrides, and graceful drain-on-shutdown. One
 //!   process, one planner, one cache, N clients.
 //!
-//! The dedup-then-fan-out pipeline itself (fingerprint → group → plan →
-//! solve → translate) lives in the private `stages` module as
-//! pool-agnostic free functions — the batch executor, sequential
-//! [`Planner::solve`], and the service workers all run the *same* stage
-//! code, so batch ≡ sequential ≡ service holds bit-identically on the
-//! exact paths by construction.
+//! The dedup-then-fan-out pipeline itself (fingerprint → group → solve →
+//! translate) lives in the private `stages` module as pool-agnostic free
+//! functions — the batch executor, sequential [`Planner::solve`], and the
+//! service workers all run the *same* stage code, and every distinct
+//! structure (for one measure or a set) is solved by one planner method,
+//! so batch ≡ sequential ≡ service holds bit-identically on the exact
+//! paths by construction.
 //!
 //! The paper's §6.3 hybrid is [`PlannerConfig::hybrid`]; the `shapdb`
 //! facade and the CLI are thin policies over this layer.
@@ -44,7 +45,7 @@ mod service;
 pub(crate) mod stages;
 mod topk;
 
-pub use batch::{BatchConfig, BatchExecutor, BatchItem, BatchReport, MeasureSweepReport};
+pub use batch::{BatchExecutor, BatchItem, BatchReport};
 pub use cache::{CacheKey, CacheStats, ShapleyCache};
 pub use engines::{
     KcEngine, KernelShapEngine, MonteCarloEngine, NaiveEngine, ProxyEngine, ReadOnceEngine,

@@ -24,7 +24,7 @@
 //!    milliseconds — takes over, iff the policy allows inexact answers.
 
 use super::cache::{CacheKey, ShapleyCache};
-use super::engines::{CompiledLineage, KcEngine as KcEngineImpl};
+use super::engines::{CompileSlot, KcEngine as KcEngineImpl};
 use super::{EngineError, EngineKind, EngineResult, LineageTask, Measure, ReadOnceEngine};
 use crate::exact::ExactConfig;
 use shapdb_circuit::{factor_minimized, Dnf, Fingerprint, ReadOnce};
@@ -405,202 +405,101 @@ impl Planner {
     /// error.
     ///
     /// With a [`Planner::with_cache`] cache attached, the lineage is
-    /// canonicalized first and exact results are served from / stored into
-    /// the cache (translated exactly through the renaming). Thin delegation
-    /// into the shared pipeline stage (`stages::solve_one`) — the
-    /// same code path batch groups and resident-service workers run.
+    /// fingerprinted, planned and solved through the same per-structure
+    /// path batch groups and resident-service workers run
+    /// (`stages::solve_one` → `Planner::solve_structure`): exact results
+    /// are served from / stored into the cache, translated exactly through
+    /// the renaming.
     pub fn solve(&self, task: &LineageTask) -> Result<EngineResult, EngineError> {
         super::stages::solve_one(self, task, &super::stages::SolveCounters::new())
     }
 
-    /// Solves the canonical structure behind `fp` under an already-made
-    /// `plan` (callers plan once — re-planning here would double the route
-    /// counters), consulting the cache when one is attached. The returned
-    /// result is in **canonical space** — callers translate it through
-    /// their own fingerprint. The batch executor and the service call this
-    /// once per distinct structure; `sample_scale` carries the dedup
-    /// group's size so a sampling solve spends the group's total budget.
+    /// Solves the canonical structure behind `fp` under already-made
+    /// `plans`, one per requested measure (callers plan once — re-planning
+    /// here would double the route counters). Returns one `(result, cache
+    /// outcome)` per plan, in order, in **canonical space**: callers
+    /// translate through their own fingerprint. Every surface funnels its
+    /// solves through here — batch groups, sweeps, top-k candidates,
+    /// sequential and service solves.
+    ///
+    /// Each plan probes its own measure-keyed cache entry; a hit runs no
+    /// engine. The missed plans share what the structure has in common:
+    /// the canonical DNF is rebuilt once, the fingerprint's read-once tree
+    /// is reused as is, and every KC-routed measure evaluates one shared
+    /// compile. Exact results are inserted into the cache; nothing else
+    /// is. `seed_salt` and `sample_scale` (the dedup group's size) let a
+    /// sampling solve spend the group's total budget.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve_structure(
         &self,
         fp: &Fingerprint,
-        plan: Plan,
+        plans: &[Plan],
         n_endo: usize,
         budget: &Budget,
         exact: &ExactConfig,
         seed_salt: u64,
         sample_scale: usize,
-    ) -> (Result<EngineResult, EngineError>, CacheOutcome) {
-        // Rebuilding the canonical DNF is deferred past the cache lookup:
-        // on the service/batch hot path most calls are hits, which need
-        // only the (shared) key — no per-call allocation at all.
-        let run = |outcome: CacheOutcome| {
-            let canonical = fp.canonical_dnf();
-            let ctask = LineageTask {
-                lineage: &canonical,
-                n_endo,
-                budget: *budget,
-                exact: *exact,
-                minimized: true,
-                seed_salt,
-                sample_scale: sample_scale.max(1),
-                measure: plan.measure,
-            };
-            (
-                self.solve_planned(&ctask, plan, fp.tree(), Duration::ZERO),
-                outcome,
-            )
-        };
-        let Some(cache) = self.cache.as_deref() else {
-            return run(CacheOutcome::Disabled);
-        };
-        if !plan.engine.is_exact() || cache.is_disabled() {
-            // Inexact plans are never cached; a zero-capacity cache can
-            // store nothing — either way this solve skips the cache, and
-            // must be reported as a bypass, not a miss.
-            cache.record_bypass();
-            return run(CacheOutcome::Bypass);
-        }
-        let key = CacheKey {
-            structure: fp.shared_key(),
-            n_endo,
-            config: self.cache_digest(budget, plan.measure),
-        };
-        if let Some(mut hit) = cache.get(&key) {
-            // The stored timings/compiler counters describe the *original*
-            // solve; serving them verbatim would charge phantom engine time
-            // to a microsecond lookup. Structural facts (sizes, fact count)
-            // stay.
-            hit.prep_time = Duration::ZERO;
-            hit.solve_time = Duration::ZERO;
-            hit.compile_stats = Default::default();
-            return (Ok(hit), CacheOutcome::Hit);
-        }
-        let (solved, _) = run(CacheOutcome::Miss);
-        if let Ok(r) = &solved {
-            // Only exact results are stored: they are a pure function of
-            // (structure, n_endo). A fallback may have produced an inexact
-            // ranking here — never cache those.
-            if r.values.is_exact() {
-                cache.insert(key, r.clone());
-            }
-        }
-        (solved, CacheOutcome::Miss)
-    }
-
-    /// Solves the canonical structure behind `fp` for **several measures at
-    /// once**, compiling (or reusing the fingerprint's factorization) at
-    /// most once: per-measure cache lookups first, then one shared
-    /// [`CompiledLineage`] answers every missed measure the KC route
-    /// admits, the fingerprint's read-once tree answers the rest without
-    /// re-factoring, and responsibility runs its DNF-level search. Returned
-    /// results are in canonical space, in `measures` order.
-    pub(crate) fn solve_structure_multi(
-        &self,
-        fp: &Fingerprint,
-        n_endo: usize,
-        budget: &Budget,
-        exact: &ExactConfig,
-        measures: &[Measure],
     ) -> Vec<(Result<EngineResult, EngineError>, CacheOutcome)> {
-        let mut slots: Vec<Option<(Result<EngineResult, EngineError>, CacheOutcome)>> =
-            (0..measures.len()).map(|_| None).collect();
-        let mut pending: Vec<(usize, Plan, CacheOutcome, Option<CacheKey>)> = Vec::new();
-        for (i, &measure) in measures.iter().enumerate() {
-            let plan = self.plan_fp(fp, measure);
-            let (outcome, key) = match self.cache.as_deref() {
-                None => (CacheOutcome::Disabled, None),
-                Some(cache) if !plan.engine.is_exact() || cache.is_disabled() => {
-                    cache.record_bypass();
-                    (CacheOutcome::Bypass, None)
-                }
-                Some(cache) => {
-                    let key = CacheKey {
-                        structure: fp.shared_key(),
-                        n_endo,
-                        config: self.cache_digest(budget, measure),
-                    };
-                    if let Some(mut hit) = cache.get(&key) {
-                        hit.prep_time = Duration::ZERO;
-                        hit.solve_time = Duration::ZERO;
-                        hit.compile_stats = Default::default();
-                        slots[i] = Some((Ok(hit), CacheOutcome::Hit));
-                        continue;
+        // The canonical DNF and the compile are built past the cache
+        // probes: on the service/batch hot path most calls are hits, which
+        // need only the (shared) key.
+        let mut canonical: Option<Dnf> = None;
+        let mut compiled: CompileSlot = None;
+        plans
+            .iter()
+            .map(|&plan| {
+                let (outcome, store) = match self.cache.as_deref() {
+                    None => (CacheOutcome::Disabled, None),
+                    Some(cache) if !plan.engine.is_exact() || cache.is_disabled() => {
+                        // Inexact plans are never cached; a zero-capacity
+                        // cache can store nothing — either way this solve
+                        // skips the cache, and must be reported as a
+                        // bypass, not a miss.
+                        cache.record_bypass();
+                        (CacheOutcome::Bypass, None)
                     }
-                    (CacheOutcome::Miss, Some(key))
-                }
-            };
-            pending.push((i, plan, outcome, key));
-        }
-        if !pending.is_empty() {
-            let canonical = fp.canonical_dnf();
-            // The one compile a whole group of measures shares.
-            let mut compiled: Option<Result<CompiledLineage, EngineError>> = None;
-            for (i, plan, outcome, key) in pending {
-                let measure = measures[i];
+                    Some(cache) => {
+                        let key = CacheKey {
+                            structure: fp.shared_key(),
+                            n_endo,
+                            config: self.cache_digest(budget, plan.measure),
+                        };
+                        if let Some(mut hit) = cache.get(&key) {
+                            // The stored timings/compiler counters describe
+                            // the *original* solve; serving them verbatim
+                            // would charge phantom engine time to a
+                            // microsecond lookup. Structural facts (sizes,
+                            // fact count) stay.
+                            hit.prep_time = Duration::ZERO;
+                            hit.solve_time = Duration::ZERO;
+                            hit.compile_stats = Default::default();
+                            return (Ok(hit), CacheOutcome::Hit);
+                        }
+                        (CacheOutcome::Miss, Some((cache, key)))
+                    }
+                };
                 let ctask = LineageTask {
-                    lineage: &canonical,
+                    lineage: canonical.get_or_insert_with(|| fp.canonical_dnf()),
                     n_endo,
                     budget: *budget,
                     exact: *exact,
                     minimized: true,
-                    seed_salt: 0,
-                    sample_scale: 1,
-                    measure,
+                    seed_salt,
+                    sample_scale: sample_scale.max(1),
+                    measure: plan.measure,
                 };
-                // Measures the KC route answers from the circuit share one
-                // compilation; everything else (read-once, naive,
-                // responsibility, fallbacks) runs its normal planned path —
-                // read-once reuses the fingerprint's tree, so nothing
-                // re-factors either way.
-                let solved = if plan.engine == EngineKind::Kc && measure != Measure::Responsibility
-                {
-                    let effective = self.apply_timeout(&ctask);
-                    let comp = compiled.get_or_insert_with(|| {
-                        let shared = self
-                            .component_cache
-                            .as_deref()
-                            .map(|c| (c, self.component_context(n_endo, &effective.budget)));
-                        KcEngineImpl::compile_lineage_routed(
-                            effective.lineage,
-                            &effective.budget,
-                            plan.reason == PlanReason::KcWideTopDown,
-                            shared,
-                        )
-                        .map_err(EngineError::Analysis)
-                    });
-                    let evaluated = match comp {
-                        Ok(c) => {
-                            KcEngineImpl::evaluate_compiled(c, n_endo, &effective.exact, measure)
-                        }
-                        Err(e) => Err(e.clone()),
-                    };
-                    match evaluated {
-                        Err(e) => match self.cfg.fallback {
-                            Some(fb) if fb != plan.engine && fb.supports_measure(measure) => {
-                                fb.engine().solve(&ctask)
-                            }
-                            _ => Err(e),
-                        },
-                        ok => ok,
-                    }
-                } else {
-                    self.solve_planned(&ctask, plan, fp.tree(), Duration::ZERO)
-                };
-                if let (Some(key), Ok(r)) = (key, &solved) {
+                let solved =
+                    self.solve_planned(&ctask, plan, fp.tree(), Duration::ZERO, &mut compiled);
+                if let (Some((cache, key)), Ok(r)) = (store, &solved) {
+                    // Only exact results are stored: they are a pure
+                    // function of (structure, n_endo). A fallback may have
+                    // produced an inexact ranking here — never cache those.
                     if r.values.is_exact() {
-                        self.cache
-                            .as_deref()
-                            .expect("key only built with a cache attached")
-                            .insert(key, r.clone());
+                        cache.insert(key, r.clone());
                     }
                 }
-                slots[i] = Some((solved, outcome));
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every slot filled"))
+                (solved, outcome)
+            })
             .collect()
     }
 
@@ -609,18 +508,20 @@ impl Planner {
         let plan_start = Instant::now();
         let (plan, tree) = self.plan_with_tree(task.lineage, task.measure);
         let plan_time = plan_start.elapsed();
-        self.solve_planned(task, plan, tree.as_ref(), plan_time)
+        self.solve_planned(task, plan, tree.as_ref(), plan_time, &mut None)
     }
 
     /// Runs an already-made plan: installs the exact-engine deadline, uses
-    /// a pre-built factorization when one is at hand, and applies the
-    /// fallback policy on failure.
-    pub(crate) fn solve_planned(
+    /// a pre-built factorization when one is at hand (and the structure's
+    /// shared KC compile, `compiled`), and applies the fallback policy on
+    /// failure.
+    fn solve_planned(
         &self,
         task: &LineageTask,
         plan: Plan,
         tree: Option<&ReadOnce>,
         prep_time: Duration,
+        compiled: &mut CompileSlot,
     ) -> Result<EngineResult, EngineError> {
         let effective = if plan.engine.is_exact() {
             self.apply_timeout(task)
@@ -649,6 +550,7 @@ impl Planner {
                     &effective,
                     plan.reason == PlanReason::KcWideTopDown,
                     shared,
+                    compiled,
                 )
             }
             (engine, _) => engine.engine().solve(&effective),
@@ -1290,12 +1192,15 @@ mod tests {
         })
         .with_cache(cache.clone());
         let fp = fingerprint(&wide);
-        let results = planner.solve_structure_multi(
+        let plans: Vec<Plan> = Measure::ALL.map(|m| planner.plan_fp(&fp, m)).to_vec();
+        let results = planner.solve_structure(
             &fp,
+            &plans,
             12,
             &Budget::unlimited(),
             &ExactConfig::default(),
-            &Measure::ALL,
+            0,
+            1,
         );
         assert_eq!(results.len(), 4);
         let mut compiles = 0;
@@ -1313,12 +1218,14 @@ mod tests {
         // The three circuit measures report the *same* compile (identical
         // CNF size from one Tseytin pass), and all four are now cached.
         assert_eq!(cache.stats().len, 4);
-        let again = planner.solve_structure_multi(
+        let again = planner.solve_structure(
             &fp,
+            &plans,
             12,
             &Budget::unlimited(),
             &ExactConfig::default(),
-            &Measure::ALL,
+            0,
+            1,
         );
         for (r, outcome) in &again {
             assert_eq!(*outcome, CacheOutcome::Hit);

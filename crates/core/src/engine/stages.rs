@@ -1,16 +1,17 @@
 //! Pool-agnostic pipeline stages shared by every execution surface.
 //!
 //! The dedup-then-fan-out pipeline — fingerprint, group by canonical
-//! structure, plan each distinct structure once, solve it (through the
-//! cross-query cache when one is attached), translate the canonical values
-//! back onto each task's facts — is the same whether it runs as a one-shot
-//! scoped-thread batch ([`super::BatchExecutor`]), as a single sequential
-//! solve ([`super::Planner::solve`]), or inside a resident
+//! structure, solve each distinct structure once for every requested
+//! measure (planning it inside the solve, through the cross-query cache
+//! when one is attached), translate the canonical values back onto each
+//! task's facts — is the same whether it runs as a one-shot scoped-thread
+//! batch or measure sweep ([`super::BatchExecutor`]), as a single
+//! sequential solve ([`super::Planner::solve`]), or inside a resident
 //! [`super::ShapleyService`] worker. This module holds that pipeline as
 //! free functions over a [`super::Planner`], so the surfaces differ only in
 //! *where the threads come from*, never in what they compute: batch ≡
 //! sequential ≡ service, bit-identical rational for rational on the exact
-//! paths.
+//! paths. Every group solve ends in [`super::Planner::solve_structure`].
 //!
 //! Nothing here owns a thread pool. [`parallel_map`] is the one scoped
 //! fan-out helper the one-shot surfaces use; the service brings its own
@@ -28,13 +29,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Bumps the process-wide per-measure request counter — the ops-style view
-/// of which attributions clients actually ask for. Every surface (planner
-/// solve, batch task, service request, measure sweep) funnels through here.
-pub(crate) fn record_measure_request(measure: Measure) {
-    record_measure_requests(measure, 1);
-}
-
-/// [`record_measure_request`], `n` at once (one batch = one atomic add).
+/// of which attributions clients actually ask for, once per lineage and
+/// measure on every surface (planner solve, batch or sweep, service
+/// request, top-k); a batch adds its lineage count in one atomic add.
 pub(crate) fn record_measure_requests(measure: Measure, n: u64) {
     match measure {
         Measure::Shapley => MEASURE_SHAPLEY.add(n),
@@ -96,21 +93,12 @@ pub(crate) fn parallel_map<T: Send>(
 /// Stage 1 — canonicalize every lineage (the one minimize + factor pass
 /// per task; the fingerprint carries both by-products so nothing
 /// downstream repeats them). Embarrassingly parallel, so it fans out over
-/// the same scoped workers the solves use. With `dedup` off no
-/// fingerprints are computed: every task solves its own lineage directly.
-pub(crate) fn fingerprint_lineages(
-    threads: usize,
-    lineages: &[Dnf],
-    dedup: bool,
-) -> Vec<Option<Fingerprint>> {
-    if !dedup {
-        return vec![None; lineages.len()];
-    }
-    parallel_map(threads, lineages.len(), |i| Some(fingerprint(&lineages[i])))
+/// the same scoped workers the solves use.
+pub(crate) fn fingerprint_lineages(threads: usize, lineages: &[Dnf]) -> Vec<Fingerprint> {
+    parallel_map(threads, lineages.len(), |i| fingerprint(&lineages[i]))
 }
 
-/// Stage 2's output: tasks grouped by canonical structure. Tasks without a
-/// fingerprint (dedup off) are singleton groups.
+/// Stage 2's output: tasks grouped by canonical structure.
 pub(crate) struct Grouping {
     /// `group_of[i]` = the group task `i` belongs to.
     pub group_of: Vec<usize>,
@@ -129,28 +117,18 @@ impl Grouping {
 }
 
 /// Stage 2 — intern tasks by canonical fingerprint key.
-pub(crate) fn group_by_structure(fingerprints: &[Option<Fingerprint>]) -> Grouping {
+pub(crate) fn group_by_structure(fingerprints: &[Fingerprint]) -> Grouping {
     let mut group_of: Vec<usize> = Vec::with_capacity(fingerprints.len());
     let mut first_of_group: Vec<usize> = Vec::new();
     let mut members_of: Vec<Vec<usize>> = Vec::new();
     let mut seen: HashMap<&FingerprintKey, usize> = HashMap::new();
     for (i, fp) in fingerprints.iter().enumerate() {
-        let g = match fp {
-            Some(fp) => {
-                let next = first_of_group.len();
-                let g = *seen.entry(fp.key()).or_insert(next);
-                if g == next {
-                    first_of_group.push(i);
-                    members_of.push(Vec::new());
-                }
-                g
-            }
-            None => {
-                first_of_group.push(i);
-                members_of.push(Vec::new());
-                first_of_group.len() - 1
-            }
-        };
+        let next = first_of_group.len();
+        let g = *seen.entry(fp.key()).or_insert(next);
+        if g == next {
+            first_of_group.push(i);
+            members_of.push(Vec::new());
+        }
         group_of.push(g);
         members_of[g].push(i);
     }
@@ -159,24 +137,6 @@ pub(crate) fn group_by_structure(fingerprints: &[Option<Fingerprint>]) -> Groupi
         first_of_group,
         members_of,
     }
-}
-
-/// Stage 3 — plan each distinct structure once (cheap: the fingerprint
-/// already knows the factorization). `None` for groups without a
-/// fingerprint — those are planned inside [`Planner::solve_direct`].
-pub(crate) fn plan_groups(
-    planner: &Planner,
-    grouping: &Grouping,
-    fingerprints: &[Option<Fingerprint>],
-    measure: Measure,
-) -> Vec<Option<Plan>> {
-    (0..grouping.distinct())
-        .map(|g| {
-            fingerprints[grouping.first_of_group[g]]
-                .as_ref()
-                .map(|fp| planner.plan_fp(fp, measure))
-        })
-        .collect()
 }
 
 /// Thread-safe per-run accounting shared by every surface: how many engine
@@ -196,33 +156,12 @@ impl SolveCounters {
         SolveCounters::default()
     }
 
-    /// Records one solve's cache outcome (and the engine run, when one
-    /// happened).
-    pub fn note(&self, outcome: CacheOutcome) {
-        match outcome {
-            CacheOutcome::Hit => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            CacheOutcome::Miss => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.engine_runs.fetch_add(1, Ordering::Relaxed);
-            }
-            CacheOutcome::Bypass => {
-                self.bypasses.fetch_add(1, Ordering::Relaxed);
-                self.engine_runs.fetch_add(1, Ordering::Relaxed);
-            }
-            CacheOutcome::Disabled => {
-                self.engine_runs.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Records a whole multi-measure group solve over **one** structure:
-    /// per-measure cache outcomes count individually, but the engine run
-    /// counts **once** if any measure actually solved — the group shares a
-    /// single compiled/factorized structure, and `engine_runs` counts
-    /// distinct structures solved, not evaluator passes over one.
-    pub fn note_group<I: IntoIterator<Item = CacheOutcome>>(&self, outcomes: I) {
+    /// Records one structure's solve: every measure's cache outcome counts
+    /// individually, but the engine run counts **once** if any measure
+    /// actually solved — the measures share one compiled/factorized
+    /// structure, and `engine_runs` counts distinct structures solved, not
+    /// evaluator passes over one.
+    pub fn note(&self, outcomes: impl IntoIterator<Item = CacheOutcome>) {
         let mut ran = false;
         for outcome in outcomes {
             match outcome {
@@ -247,8 +186,9 @@ impl SolveCounters {
         }
     }
 
-    /// Records a solve that never consulted the cache (no fingerprint):
-    /// a bypass when a cache is attached, plus the engine run.
+    /// Records a single-task solve that skipped fingerprinting (see
+    /// [`solve_one`]): a bypass when a cache is attached, plus the engine
+    /// run.
     pub fn note_uncached_run(&self, planner: &Planner) {
         if let Some(cache) = planner.cache() {
             cache.record_bypass();
@@ -272,91 +212,33 @@ impl SolveCounters {
     }
 }
 
-/// Stage 4 — solve one distinct structure. Fingerprinted groups solve in
-/// canonical space (through the cache when attached), salted with the
-/// representative task's index and scaled to the group's total sampling
-/// budget; the result translates back through each member's fingerprint.
-/// Unfingerprinted groups (dedup off) solve their own lineage directly.
+/// Stage 3 — plan and solve one distinct structure for every measure in
+/// `measures`, in canonical space and in `measures` order, recording the
+/// cache outcomes and the engine run in `counters`. `salt` is the
+/// representative task's seed salt and `group_size` the group's member
+/// count, so a sampling solve spends the group's total budget; the
+/// results translate back through each member's fingerprint.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_group(
     planner: &Planner,
-    fp: Option<&Fingerprint>,
-    plan: Option<Plan>,
-    lineage: &Dnf,
+    fp: &Fingerprint,
     n_endo: usize,
     budget: &Budget,
     exact: &ExactConfig,
     salt: u64,
     group_size: usize,
-    measure: Measure,
-    counters: &SolveCounters,
-) -> Result<EngineResult, EngineError> {
-    match fp {
-        Some(fp) => {
-            let plan = plan.expect("fingerprinted groups are planned");
-            let (result, outcome) =
-                planner.solve_structure(fp, plan, n_endo, budget, exact, salt, group_size);
-            counters.note(outcome);
-            result
-        }
-        None => {
-            counters.note_uncached_run(planner);
-            planner.solve_direct(
-                &LineageTask::new(lineage, n_endo)
-                    .with_budget(*budget)
-                    .with_exact(*exact)
-                    .with_seed_salt(salt)
-                    .with_measure(measure),
-            )
-        }
-    }
-}
-
-/// Stage 4, multi-measure variant — solve one distinct structure for
-/// several measures, compiling (or reusing the fingerprint's factorization)
-/// at most once. Per-measure cache outcomes are recorded individually but
-/// the engine run counts once per structure actually solved (see
-/// [`SolveCounters::note_group`]). Results come back in `measures` order,
-/// in canonical space. Unfingerprinted groups (dedup off) solve their own
-/// lineage directly, once per measure.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_group_multi(
-    planner: &Planner,
-    fp: Option<&Fingerprint>,
-    lineage: &Dnf,
-    n_endo: usize,
-    budget: &Budget,
-    exact: &ExactConfig,
     measures: &[Measure],
     counters: &SolveCounters,
 ) -> Vec<Result<EngineResult, EngineError>> {
-    for &m in measures {
-        record_measure_request(m);
-    }
-    match fp {
-        Some(fp) => {
-            let results = planner.solve_structure_multi(fp, n_endo, budget, exact, measures);
-            counters.note_group(results.iter().map(|(_, outcome)| *outcome));
-            results.into_iter().map(|(result, _)| result).collect()
-        }
-        None => measures
-            .iter()
-            .map(|&m| {
-                counters.note_uncached_run(planner);
-                planner.solve_direct(
-                    &LineageTask::new(lineage, n_endo)
-                        .with_budget(*budget)
-                        .with_exact(*exact)
-                        .with_measure(m),
-                )
-            })
-            .collect(),
-    }
+    let plans: Vec<Plan> = measures.iter().map(|&m| planner.plan_fp(fp, m)).collect();
+    let solved = planner.solve_structure(fp, &plans, n_endo, budget, exact, salt, group_size);
+    counters.note(solved.iter().map(|(_, outcome)| *outcome));
+    solved.into_iter().map(|(result, _)| result).collect()
 }
 
 /// The single-task path — the same stages as a batch of one, minus the
-/// grouping: fingerprint, plan from the fingerprint, solve the canonical
-/// structure through the cache, translate back. Used by sequential
+/// grouping: fingerprint, solve the canonical structure as a group of one
+/// ([`solve_group`]), translate back. Used by sequential
 /// [`Planner::solve`] calls and by every resident-service worker, so a
 /// lineage solved through *any* surface lands in (and is served from) the
 /// same cache with the same key.
@@ -369,26 +251,24 @@ pub(crate) fn solve_one(
     task: &LineageTask,
     counters: &SolveCounters,
 ) -> Result<EngineResult, EngineError> {
-    record_measure_request(task.measure);
-    if planner.cache().is_none() {
-        counters.note_uncached_run(planner);
-        return planner.solve_direct(task);
-    }
-    if planner.cfg.force.is_some_and(|k| !k.is_exact()) {
+    record_measure_requests(task.measure, 1);
+    if planner.cache().is_none() || planner.cfg.force.is_some_and(|k| !k.is_exact()) {
         counters.note_uncached_run(planner);
         return planner.solve_direct(task);
     }
     let fp = fingerprint(task.lineage);
-    let plan = planner.plan_fp(&fp, task.measure);
-    let (result, outcome) = planner.solve_structure(
+    let result = solve_group(
+        planner,
         &fp,
-        plan,
         task.n_endo,
         &task.budget,
         &task.exact,
         task.seed_salt,
         task.sample_scale,
-    );
-    counters.note(outcome);
+        &[task.measure],
+        counters,
+    )
+    .pop()
+    .expect("one measure, one result");
     result.map(|r| super::translate_result(r, &fp))
 }

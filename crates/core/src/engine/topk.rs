@@ -25,6 +25,11 @@
 //! returned list is bit-identical to the full ranking's length-`k`
 //! prefix, index tie-breaks included. With `k ≥ answers` the loop never
 //! prunes and degenerates to the ordinary solve-everything batch.
+//!
+//! Each admitted structure is planned and solved through the same
+//! [`Planner::solve_structure`] every other surface uses, with one Shapley
+//! plan, so its cache entry, its values and its [`PlanReason`] are exactly
+//! the batch's.
 
 use super::stages::{self, SolveCounters};
 use super::{
@@ -381,11 +386,6 @@ impl TopKExecutor {
         TopKExecutor { planner }
     }
 
-    /// The planner driving per-structure routing.
-    pub fn planner(&self) -> &Planner {
-        &self.planner
-    }
-
     /// Ranks the fingerprinted answers, returning the top `k`. Answers
     /// stream in by fingerprint — the caller can drop each raw lineage as
     /// soon as it is fingerprinted (the streaming extraction path does),
@@ -403,7 +403,7 @@ impl TopKExecutor {
         exact: &ExactConfig,
     ) -> Result<TopKReport, EngineError> {
         let start = Instant::now();
-        let fps: Vec<Option<Fingerprint>> = fingerprints.into_iter().map(Some).collect();
+        let fps: Vec<Fingerprint> = fingerprints.into_iter().collect();
         let answers = fps.len();
         stages::record_measure_requests(Measure::Shapley, answers as u64);
         let grouping = stages::group_by_structure(&fps);
@@ -412,10 +412,9 @@ impl TopKExecutor {
         // Bound pass: one cheap bracket per distinct structure.
         let mut heap: BinaryHeap<Candidate> = BinaryHeap::with_capacity(distinct);
         for (group, &first) in grouping.first_of_group.iter().enumerate() {
-            let fp = fps[first].as_ref().expect("every answer is fingerprinted");
             TOPK_BOUND_PASSES.incr();
             heap.push(Candidate {
-                ub: shapley_bounds(fp.key()).upper,
+                ub: shapley_bounds(fps[first].key()).upper,
                 first,
                 group,
             });
@@ -439,12 +438,14 @@ impl TopKExecutor {
                 }
                 break;
             }
-            let fp = fps[cand.first].as_ref().expect("fingerprinted");
+            let fp = &fps[cand.first];
             let plan = self.planner.plan_fp(fp, Measure::Shapley);
-            let (result, outcome) =
-                self.planner
-                    .solve_structure(fp, plan, n_endo, budget, exact, cand.first as u64, 1);
-            counters.note(outcome);
+            let (result, outcome) = self
+                .planner
+                .solve_structure(fp, &[plan], n_endo, budget, exact, cand.first as u64, 1)
+                .pop()
+                .expect("one plan, one result");
+            counters.note([outcome]);
             let result = result?;
             let score =
                 match &result.values {
@@ -487,10 +488,7 @@ impl TopKExecutor {
             .map(|(m, score, slot)| TopKItem {
                 index: m,
                 score,
-                result: translate_result(
-                    solved[slot].2.clone(),
-                    fps[m].as_ref().expect("fingerprinted"),
-                ),
+                result: translate_result(solved[slot].2.clone(), &fps[m]),
             })
             .collect();
 

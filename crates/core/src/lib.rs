@@ -51,10 +51,10 @@ mod weights;
 pub use aggregate::{count_shapley, sum_shapley, AggregateAttributions};
 pub use banzhaf::{banzhaf_all_facts, banzhaf_from_lineage, banzhaf_naive, critical_coalitions};
 pub use engine::{
-    shapley_bounds, AnalysisError, BatchConfig, BatchExecutor, BatchItem, BatchReport, EngineError,
-    EngineKind, EngineResult, EngineValues, KcEngine, KernelShapEngine, LineageTask,
-    MonteCarloEngine, NaiveEngine, Plan, PlanReason, Planner, PlannerConfig, ProxyEngine,
-    QueryClass, ReadOnceEngine, ScoreBounds, ShapleyEngine, TopKExecutor, TopKItem, TopKReport,
+    shapley_bounds, AnalysisError, BatchExecutor, BatchItem, BatchReport, EngineError, EngineKind,
+    EngineResult, EngineValues, KcEngine, KernelShapEngine, LineageTask, MonteCarloEngine,
+    NaiveEngine, Plan, PlanReason, Planner, PlannerConfig, ProxyEngine, QueryClass, ReadOnceEngine,
+    ScoreBounds, ShapleyEngine, TopKExecutor, TopKItem, TopKReport,
 };
 pub use exact::{power_index_all_facts, shapley_all_facts, shapley_single_fact, ExactConfig};
 pub use kernelshap::{kernel_shap, KernelShapConfig};

@@ -47,11 +47,22 @@ pub fn responsibility(lineage: &Dnf, fact: VarId) -> Rational {
 /// Exact responsibility of every fact of the lineage, sorted by decreasing
 /// value (ties by fact id). Null players get 0 and are omitted.
 pub fn responsibility_all(lineage: &Dnf) -> Vec<(VarId, Rational)> {
+    let mut d = lineage.clone();
+    d.minimize();
+    responsibility_all_minimized(&d)
+}
+
+/// [`responsibility_all`] of an already absorption-minimized lineage: the
+/// engines hand over the form they minimized (or the fingerprint's
+/// canonical one), so no fact pays a minimize pass of its own.
+pub(crate) fn responsibility_all_minimized(lineage: &Dnf) -> Vec<(VarId, Rational)> {
     let mut out: Vec<(VarId, Rational)> = lineage
         .vars()
         .into_iter()
-        .map(|v| (v, responsibility(lineage, v)))
-        .filter(|(_, r)| !r.is_zero())
+        .filter_map(|v| {
+            min_contingency_minimized(lineage, v)
+                .map(|k| (v, Rational::from_ratio(1, 1 + k as u64)))
+        })
         .collect();
     out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     out
@@ -170,6 +181,11 @@ fn descend(t: &ReadOnce, acc: u64, costs: &mut Vec<(VarId, u64)>) {
 pub fn min_contingency(lineage: &Dnf, fact: VarId) -> Option<usize> {
     let mut d = lineage.clone();
     d.minimize();
+    min_contingency_minimized(&d, fact)
+}
+
+/// [`min_contingency`] of an already absorption-minimized lineage.
+fn min_contingency_minimized(d: &Dnf, fact: VarId) -> Option<usize> {
     if d.conjuncts().iter().any(|c| c.is_empty()) {
         return None; // certain answer: no fact is ever counterfactual
     }

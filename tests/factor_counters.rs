@@ -13,7 +13,7 @@
 //! before/after subtraction.
 
 use shapdb::circuit::{Dnf, VarId};
-use shapdb::core::engine::{BatchExecutor, Planner, PlannerConfig, ShapleyCache};
+use shapdb::core::engine::{BatchExecutor, Measure, Planner, PlannerConfig, ShapleyCache};
 use shapdb::core::exact::ExactConfig;
 use shapdb::kc::Budget;
 use shapdb::metrics::CounterSnapshot;
@@ -83,6 +83,30 @@ fn batch_path_minimizes_and_factors_once_per_task() {
     assert_eq!(of("circuit.minimize_passes"), 10);
     assert_eq!(of("circuit.factor_passes"), 10);
     assert_eq!(of("cache.hits"), 4);
+
+    // A four-measure sweep over the same five lineages counts once per
+    // lineage like every other surface — five requests of each measure,
+    // five batch tasks — and still minimizes and factors each lineage once.
+    let sweep = executor.run_measures(
+        &lineages,
+        24,
+        &Budget::unlimited(),
+        &ExactConfig::default(),
+        &Measure::ALL,
+    );
+    assert!(sweep.items.iter().all(|i| i.result.is_ok()));
+    let after_sweep = CounterSnapshot::take();
+    for name in [
+        "measure.shapley",
+        "measure.banzhaf",
+        "measure.responsibility",
+        "measure.shap_score",
+        "batch.tasks",
+        "circuit.minimize_passes",
+        "circuit.factor_passes",
+    ] {
+        assert_eq!(after_sweep.delta_of(&after_warm, name), 5, "{name}");
+    }
 
     // And the values survived all that accounting: the unminimized matching
     // matches its minimized twin after translation.
