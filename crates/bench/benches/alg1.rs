@@ -1,12 +1,15 @@
 //! Algorithm 1 micro-benchmarks (Table 1's Alg. 1 columns, Figure 4's
-//! Alg1-vs-size panels) plus the incremental-conditioning ablation: the
-//! paper's Algorithm 1 recomputes the whole `#SAT_k` DP per fact; our
-//! optimized variant reuses the unconditioned pass for gates that do not
-//! contain the conditioned fact (`ExactConfig::reuse_unaffected`).
+//! Alg1-vs-size panels) plus the conditioning ablation: the paper's
+//! Algorithm 1 recomputes the whole `#SAT_k` DP per fact
+//! (`paper_full_recompute`); the per-fact variant that reuses the
+//! unconditioned pass for gates not containing the conditioned fact
+//! (`reuse_unaffected`); and the two-pass adjoint DP every all-facts solve
+//! runs (`adjoint`: one forward and one backward pass for every fact).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use shapdb_circuit::{Circuit, Dnf, VarId};
-use shapdb_core::exact::{shapley_all_facts, ExactConfig};
+use shapdb_core::exact::{power_index_per_fact, shapley_all_facts, ExactConfig, PerFactPasses};
+use shapdb_core::Measure;
 use shapdb_kc::{compile_circuit, Budget, Ddnnf};
 
 fn grid_ddnnf(a: usize, b: usize) -> Ddnnf {
@@ -48,18 +51,20 @@ fn bench_reuse_ablation(c: &mut Criterion) {
     let dd = grid_ddnnf(10, 10);
     let mut group = c.benchmark_group("ablation_alg1_reuse");
     group.sample_size(10);
-    group.bench_function("paper_full_recompute", |b| {
-        let cfg = ExactConfig {
-            reuse_unaffected: false,
-            ..Default::default()
-        };
-        b.iter(|| shapley_all_facts(&dd, 20, &cfg).unwrap().len())
-    });
-    group.bench_function("reuse_unaffected", |b| {
-        let cfg = ExactConfig {
-            reuse_unaffected: true,
-            ..Default::default()
-        };
+    let cfg = ExactConfig::default();
+    for (name, passes) in [
+        ("paper_full_recompute", PerFactPasses::FullRecompute),
+        ("reuse_unaffected", PerFactPasses::ReuseUnaffected),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                power_index_per_fact(&dd, 20, &cfg, Measure::Shapley, passes)
+                    .unwrap()
+                    .len()
+            })
+        });
+    }
+    group.bench_function("adjoint", |b| {
         b.iter(|| shapley_all_facts(&dd, 20, &cfg).unwrap().len())
     });
     group.finish();

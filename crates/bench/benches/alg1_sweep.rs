@@ -12,9 +12,11 @@
 //! wide as possible (`n/2 × n/2` coefficient arrays), the worst case the
 //! NTT path exists for.
 //!
-//! Sizes ≤ 256 solve **all facts** (the quadratic regime the paper's
-//! Figure 4 measures); 512–4096 solve a **single fact** (the per-fact cost
-//! users pay for top-k attributions on wide lineages). Each size records
+//! Sizes ≤ 256 solve **all facts** (the regime the paper's Figure 4
+//! measures) by the two-pass adjoint DP: one forward and one backward pass,
+//! whatever the fact count. 512–4096 solve a **single fact** by one
+//! conditioned pass (the per-fact cost users pay for top-k attributions on
+//! wide lineages). Each size records
 //! its arithmetic-substrate routing — fixed-limb vs bignum passes, NTT
 //! convolutions — via the `num.*` counters, and the run asserts the
 //! expected tier actually engaged: Vli up to 512 variables, the NTT path
@@ -70,8 +72,8 @@ fn median_ns(n: usize, mut f: impl FnMut()) -> u128 {
     samples[samples.len() / 2]
 }
 
-/// All-facts up to here; single-fact beyond (the all-facts solve is
-/// quadratic in `n` — at 1024+ variables it is minutes, not a smoke test).
+/// All-facts up to here; single-fact beyond, where the sweep pins the
+/// wide-tier and NTT routing of one conditioned pass.
 const ALL_FACTS_MAX_VARS: usize = 256;
 const SIZES: [usize; 7] = [64, 128, 256, 512, 1024, 2048, 4096];
 const SAMPLES: usize = 3;

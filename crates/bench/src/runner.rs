@@ -92,10 +92,7 @@ pub fn run_output(
         deadline,
         max_nodes: 4_000_000,
     };
-    let cfg = ExactConfig {
-        deadline,
-        ..Default::default()
-    };
+    let cfg = ExactConfig { deadline };
 
     let kc_probe = Instant::now();
     match KcEngine::analyze_circuit(&circuit, root, n_endo, &budget, &cfg) {

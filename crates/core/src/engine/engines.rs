@@ -931,7 +931,6 @@ mod tests {
         let past = Instant::now() - Duration::from_millis(1);
         let task = LineageTask::new(&d, 8).with_exact(ExactConfig {
             deadline: Some(past),
-            ..Default::default()
         });
         assert!(matches!(
             ReadOnceEngine.solve(&task),

@@ -8,47 +8,105 @@
 //! ```
 //!
 //! `#SAT_k` is computed by the bottom-up dynamic program of Lemma 4.5 over
-//! per-gate arrays `α_g[ℓ] = #SAT_ℓ(φ_g)`; n-ary gates are handled directly
-//! (sequential convolution at ∧, binomial gap-expansion at ∨) instead of the
-//! paper's fan-in-2 preprocessing — the result is identical and avoids
-//! materializing the rewritten circuit. Two deviations from the letter of the
-//! paper, both behaviour-preserving and noted in DESIGN.md:
+//! per-gate arrays `α_g[ℓ] = #SAT_ℓ(φ_g)`, counted over the gate's own
+//! variables `Vars(g)`. N-ary gates are handled directly (sequential
+//! convolution at ∧, binomial gap-expansion at ∨) instead of the paper's
+//! fan-in-2 preprocessing; the result is identical and the rewritten
+//! circuit is never built. Two more departures from the letter of the
+//! paper, both value-preserving:
 //!
-//! * the "complete the circuit so `Vars = D_n`" step (Line 1 of Algorithm 1)
-//!   is folded into the final weights instead of adding `(f' ∨ ¬f')` gates:
-//!   a variable absent from the circuit multiplies `#SAT_k` by `C(gap, ·)`,
-//!   which we absorb into `w_j = Σ_d (j+d)!(n-j-d-1)!·C(gap,d) / n!`;
-//! * conditioning `C[f→b]` happens inside the DP (the literal's array
-//!   becomes `[1]`/`[0]`) rather than by rebuilding the circuit.
+//! * Line 1 of Algorithm 1 completes the circuit so that `Vars = D_n` by
+//!   adding `(f' ∨ ¬f')` gates. Done arithmetically, a variable absent from
+//!   the circuit multiplies `#SAT_k` by `C(gap, ·)`, and the Shapley value's
+//!   null-player invariance collapses the completed sum to weights over the
+//!   root's own `m` variables (`weights::completion_weights`).
+//! * The `f → 1` array is never computed. A size-`j` satisfying subset of
+//!   the root either contains `f` or it does not, so
+//!   `α_root[j] = δ_f[j] + γ_f[j−1]`, where `δ_f = #SAT_·(C[f→0])` and
+//!   `γ_f = #SAT_·(C[f→1])`; `γ_f` follows from `α_root` and `δ_f` by
+//!   subtraction (`derive_gamma`).
 //!
-//! With [`ExactConfig::reuse_unaffected`] the per-fact passes recompute only
-//! gates whose variable set contains `f`, reusing a shared unconditioned
-//! pass for the rest — an optimization the paper leaves on the table; the
-//! ablation bench quantifies it. The same shared pass makes the `f → 1`
-//! pass redundant outright: every size-`j` satisfying subset of the root
-//! either contains `f` or it does not, so `α[j] = δ[j] + γ[j−1]` and the
-//! `γ` array falls out of the base and `f → 0` arrays by subtraction
-//! (`derive_gamma`) — one conditioned pass per fact instead of two.
+//! # Every `δ_f` from two passes
+//!
+//! The paper conditions the circuit once per fact. Here one forward pass
+//! (the DP above) and one backward pass of *adjoints* give every fact's
+//! `δ_f` at once — Darwiche's differential approach to arithmetic circuits
+//! ("A Differential Approach to Inference in Bayesian Networks", JACM
+//! 2003), lifted to exact `#SAT_k` polynomials.
+//!
+//! Read `α_g` as a polynomial in `z` and give each variable `v` two
+//! indicators: the leaf `v` evaluates to `z·λ_v`, the leaf `¬v` to `λ_¬v`,
+//! and each variable `v` an ∨ edge's gap expansion covers contributes the
+//! factor `(λ_¬v + z·λ_v)`. At `λ ≡ 1` that factor is `1 + z`, the gap
+//! expansion is `(1+z)^gap = C(gap, ·)`, and the circuit computes the
+//! forward DP. Decomposability and the gap expansion make every monomial of
+//! the root polynomial `P` hold exactly one of `λ_f`, `λ_¬f` for each root
+//! variable `f`. So `P = λ_f·A + λ_¬f·B`, and `δ_f = B = ∂P/∂λ_¬f` at
+//! `λ ≡ 1`. Reverse-mode differentiation over the circuit, in the ring of
+//! polynomials in `z`, gives all these partials. Start from `adj_root = 1`
+//! and visit the gates in reverse topological order:
+//!
+//! * at `p = ∧(c_1, …, c_k)`: `adj_{c_i} += adj_p ⊛ ∏_{j≠i} α_{c_j}`, from a
+//!   left running product and suffix products (no division, so unsigned
+//!   coefficient types suffice);
+//! * at `p = ∨(…)`: `adj_c += adj_p ⊛ C(gap_c, ·)`, with
+//!   `gap_c = |Vars(p)| − |Vars(c)|`.
+//!
+//! Then `δ_f` sums one term per occurrence of `λ_¬f`. A `¬f` leaf gives its
+//! adjoint. An ∨ edge `p → c` whose gap covers `f` gives
+//! `adj_p ⊛ C(gap−1, ·) ⊛ α_c`, the derivative of one factor of
+//! `(1+z)^gap`. On every path `adj_g` has `m − |Vars(g)| + 1` coefficients,
+//! so each `δ_f` has `m`.
+//!
+//! Two kinds of gate are skipped. A gate whose `α` is all zero computes the
+//! zero polynomial in the indicators too, since every coefficient is a
+//! non-negative count, so every partial derivative through it is zero: it
+//! neither sends nor receives adjoints. A child with no `¬f` leaf and no
+//! gapped ∨ edge below it would never have its adjoint read, so it gets
+//! none.
+//!
+//! **Coefficient bound.** With those skips, every adjoint, every
+//! intermediate array and every partial sum of the backward pass stays
+//! `≤ C(m, ⌊m/2⌋)`, the forward pass's cap. Take a gate `g` that receives
+//! an adjoint. It is satisfiable, so fix a satisfying assignment `ρ` of
+//! `Vars(g)`. `adj_g[k]` counts pairs (root-to-`g` path of ∨ choices,
+//! assignment `τ` with `k` true variables of the rest of the root that
+//! completes the path). Each pair gives the satisfying root assignment
+//! `τ ∪ ρ`. Determinism makes the proof tree of an assignment unique, and
+//! decomposability lets `g` occur in it at most once, so the pair is
+//! recovered from `τ ∪ ρ`. Hence `adj_g[k] ≤ α_root[k + |ρ|] ≤
+//! C(m, ⌊m/2⌋)`. The intermediates are the same objects for virtual gates:
+//! `adj_p ⊛ ∏_{c ∈ S} α_c`, for a subset `S` of an ∧ gate's children, is
+//! the adjoint of the ∧ of the others; a product of children's `α` is the
+//! `α` of their ∧; and `adj_p ⊛ C(gap−1, ·)` is the adjoint of `c`
+//! expanded by `gap − 1` variables. Every partial sum of non-negative
+//! terms is at most its final value. Without the zero-`α` skip the bound fails: the contexts of an
+//! unsatisfiable gate are not disjoint, and a chain of unsatisfiable ∨
+//! gates can double an adjoint per level.
+//!
+//! [`power_index_per_fact`] keeps the paper's per-fact conditioned passes,
+//! both the full recomputation and the variant that reuses a shared base
+//! pass for the gates not containing the fact. They are the test oracle
+//! and the `alg1` ablation bench's columns, and [`shapley_single_fact`]
+//! runs the reuse variant: for one fact, a conditioned pass over the
+//! affected gates is cheaper than a full backward pass.
 //!
 //! # Arithmetic substrate
 //!
-//! The DP is generic over [`Coeff`]: every α value (and every intermediate
-//! of the ∧/∨ loops — each is a partial sum of non-negative terms of an α
-//! value) is bounded by the central binomial over the widest gate's
-//! variable count ([`alpha_cap_bits`]), so when that cap fits 1/2/4/8
-//! 64-bit limbs the whole computation runs on stack [`Vli`] integers
-//! instead of heap bignums (`num.vli_hits` vs `num.bignum_fallbacks`
-//! count the routing). Wide ∧-gate convolutions additionally route through
-//! the exact NTT/CRT path ([`shapdb_num::ntt`]) past an autotuned
-//! crossover. The per-fact conditioned passes are independent, so
-//! [`ExactConfig::threads`] fans them across scoped workers. All three
-//! substrate choices are bit-exact: results are identical rationals at any
-//! setting.
+//! The DP is generic over [`Coeff`]. Every forward array and every
+//! intermediate of the ∧/∨ loops (each a partial sum of non-negative terms
+//! of an `α` value) is bounded by the central binomial over the widest
+//! gate's variable count ([`alpha_cap_bits`]), and the backward pass stays
+//! under the same cap (above). When that cap fits 1/2/4/8 64-bit limbs,
+//! both passes run on stack [`Vli`] integers instead of heap bignums;
+//! `num.vli_hits` and `num.bignum_fallbacks` count passes on each. Wide
+//! convolutions in either pass route through the exact NTT/CRT path
+//! ([`shapdb_num::ntt`]) past an autotuned crossover. Every substrate
+//! choice is bit-exact: results are identical rationals at any setting.
 
-use crate::engine::stages::parallel_map;
 use crate::measure::Measure;
-use crate::weights::{completion_weights, power_weights, weighted_difference};
-use shapdb_kc::{DNode, Ddnnf};
+use crate::weights::{power_weights, weighted_difference};
+use shapdb_kc::{DNode, Ddnnf, NodeIdx};
 use shapdb_metrics::counters::{Counter, NUM_BIGNUM_FALLBACKS, NUM_VLI_HITS};
 use shapdb_num::{
     combinatorics::{alpha_cap_bits, BinomialTable, FactorialTable},
@@ -59,28 +117,10 @@ use shapdb_num::{
 use std::time::Instant;
 
 /// Configuration for the exact computation.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ExactConfig {
-    /// Reuse the unconditioned DP for gates not containing the conditioned
-    /// fact (faster, same results). Disable to measure the paper's plain
-    /// `O(|C|·n²)`-per-fact behaviour.
-    pub reuse_unaffected: bool,
-    /// Cooperative deadline (checked between facts and gate batches).
+    /// Cooperative deadline (checked per gate child and between passes).
     pub deadline: Option<Instant>,
-    /// Worker threads for the per-fact conditioned passes (≤ 1 keeps the
-    /// fully sequential order). Results are bit-identical at any setting —
-    /// the passes are independent and exact.
-    pub threads: usize,
-}
-
-impl Default for ExactConfig {
-    fn default() -> Self {
-        ExactConfig {
-            reuse_unaffected: true,
-            deadline: None,
-            threads: 1,
-        }
-    }
 }
 
 /// The exact computation exceeded its deadline.
@@ -94,6 +134,28 @@ impl std::fmt::Display for ShapleyTimeout {
 }
 
 impl std::error::Error for ShapleyTimeout {}
+
+/// The paper's per-fact conditioned passes, as run by
+/// [`power_index_per_fact`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum PerFactPasses {
+    /// One shared unconditioned pass; each fact recomputes only the gates
+    /// whose variable set contains it, and derives its `f → 1` array from
+    /// the shared root (`derive_gamma`).
+    ReuseUnaffected,
+    /// Algorithm 1 as written: both conditioned passes over every gate, the
+    /// paper's `O(|C|·n²)` per fact.
+    FullRecompute,
+}
+
+/// How a solve obtains its `δ_f` arrays.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Solver {
+    /// One forward and one backward pass for every fact (module doc).
+    Adjoint,
+    /// The paper's per-fact passes.
+    PerFact(PerFactPasses),
+}
 
 /// Per-gate `α` arrays for one pass. `alphas[g][ℓ] = #SAT_ℓ(φ_g)`.
 type Alphas<C> = Vec<Vec<C>>;
@@ -110,13 +172,17 @@ impl Ticker {
     fn tick(&mut self) -> Result<(), ShapleyTimeout> {
         self.ticks = self.ticks.wrapping_add(1);
         if self.ticks.is_multiple_of(64) {
-            if let Some(d) = self.deadline {
-                if Instant::now() > d {
-                    return Err(ShapleyTimeout);
-                }
-            }
+            self.check()?;
         }
         Ok(())
+    }
+
+    /// Checks the deadline now (between passes and between facts).
+    fn check(&self) -> Result<(), ShapleyTimeout> {
+        match self.deadline {
+            Some(d) if Instant::now() > d => Err(ShapleyTimeout),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -145,6 +211,66 @@ impl<C: Coeff> BinomRows<C> {
         }
         self.rows[n].as_ref().unwrap()
     }
+}
+
+/// `out = a ⊛ b`. Wide products route through the exact NTT/CRT path when
+/// its calibrated cost model says it wins; otherwise a schoolbook loop
+/// multiplies the operands' nonzero spans, the shorter one outside.
+fn convolve<C: Coeff>(a: &[C], b: &[C], out: &mut Vec<C>) {
+    // Product length is `a.len() + b.len() - 1`.
+    if a.len() + b.len() > ntt::MIN_NTT_LEN {
+        if let Some(v) = ntt::convolve_if_faster(a, b) {
+            *out = v;
+            return;
+        }
+    }
+    out.clear();
+    out.resize(a.len() + b.len() - 1, C::zero());
+    // Leading and trailing zeros (a gate over positive literals has no
+    // small counts, an adjoint below them no large ones) cost nothing.
+    let ((a0, a), (b0, b)) = (nonzero_span(a), nonzero_span(b));
+    if a.is_empty() || b.is_empty() {
+        return;
+    }
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let out = &mut out[a0 + b0..];
+    if short.len() == 1 && short[0] == C::one() {
+        // A monomial `z^e` (a literal's α, a product of positive literals)
+        // only shifts.
+        out[..long.len()].clone_from_slice(long);
+        return;
+    }
+    for (i, si) in short.iter().enumerate() {
+        if si.is_zero() {
+            continue;
+        }
+        // Row-level fused multiply-accumulate — this is the DP's hottest
+        // loop.
+        C::fold_add_mul(&mut out[i..i + long.len()], long, si);
+    }
+}
+
+/// The offset and the slice of `a` from its first to its last nonzero
+/// coefficient (empty when `a` is all zero).
+fn nonzero_span<C: Coeff>(a: &[C]) -> (usize, &[C]) {
+    let lo = a.iter().position(|x| !x.is_zero()).unwrap_or(a.len());
+    let hi = a.iter().rposition(|x| !x.is_zero()).map_or(lo, |h| h + 1);
+    (lo, &a[lo..hi])
+}
+
+/// `acc += x` coefficient-wise.
+fn add_into<C: Coeff>(acc: &mut [C], x: &[C]) {
+    debug_assert_eq!(acc.len(), x.len());
+    for (a, b) in acc.iter_mut().zip(x) {
+        if !b.is_zero() {
+            a.add_assign_ref(b);
+        }
+    }
+}
+
+/// True iff every coefficient is zero (an unsatisfiable gate).
+fn is_zero_poly<C: Coeff>(a: &[C]) -> bool {
+    a.iter().all(C::is_zero)
 }
 
 /// Where a gate's children find their `α` arrays — a borrowing view instead
@@ -248,26 +374,7 @@ fn gate_alpha<C: Coeff>(
             out.push(C::one());
             for c in cs.iter() {
                 ticker.tick()?;
-                let ca = lookup.get(c.index());
-                // Wide convolutions route through the exact NTT/CRT path
-                // when the calibrated cost model says it wins.
-                // Product length is `out.len() + ca.len() - 1`.
-                if out.len() + ca.len() > ntt::MIN_NTT_LEN {
-                    if let Some(v) = ntt::convolve_if_faster(out, ca) {
-                        *out = v;
-                        continue;
-                    }
-                }
-                conv.clear();
-                conv.resize(out.len() + ca.len() - 1, C::zero());
-                for (i, ai) in out.iter().enumerate() {
-                    if ai.is_zero() {
-                        continue;
-                    }
-                    // Row-level fused multiply-accumulate — this is the
-                    // DP's hottest loop.
-                    C::fold_add_mul(&mut conv[i..i + ca.len()], ca, ai);
-                }
+                convolve(out, lookup.get(c.index()), conv);
                 std::mem::swap(out, conv);
             }
         }
@@ -295,6 +402,195 @@ fn gate_alpha<C: Coeff>(
     Ok(())
 }
 
+/// `consumes[g]` for every gate up to the root: whether an adjoint at `g`
+/// is ever read, i.e. `g` is a `¬f` leaf or has a `¬f` leaf or a gapped ∨
+/// edge at or below it.
+fn adjoint_consumers(nodes: &[DNode], sets: &[Bitset], root: usize) -> Vec<bool> {
+    let mut consumes = vec![false; root + 1];
+    for g in 0..=root {
+        consumes[g] = match &nodes[g] {
+            DNode::True | DNode::False => false,
+            DNode::Lit(l) => !l.is_positive(),
+            DNode::And(cs) => cs.iter().any(|c| consumes[c.index()]),
+            DNode::Or(cs, _) => cs.iter().any(|c| {
+                let c = c.index();
+                consumes[c] || sets[c].len() < sets[g].len()
+            }),
+        };
+    }
+    consumes
+}
+
+/// Where the backward pass accumulates: per-gate adjoints and per-fact `δ`.
+struct Adjoints<'n, C> {
+    nodes: &'n [DNode],
+    /// `adj[g]`, empty until a parent deposits.
+    adj: Vec<Vec<C>>,
+    /// `δ_f` by variable.
+    delta: Vec<Vec<C>>,
+    /// Buffers of consumed adjoints, recycled for new ones.
+    spare: Vec<Vec<C>>,
+    /// Product scratch for deposits into a non-empty adjoint.
+    prod: Vec<C>,
+}
+
+impl<C: Coeff> Adjoints<'_, C> {
+    /// Adds `x ⊛ y` (`x` when `y` is `None`) to child `c`'s adjoint —
+    /// straight into `δ_f` when `c` is a `¬f` leaf (positive leaves never
+    /// consume one), whose adjoint is read nowhere else. A first deposit
+    /// writes into a recycled buffer.
+    fn deposit(&mut self, c: usize, x: &[C], y: Option<&[C]>) {
+        let acc = match &self.nodes[c] {
+            DNode::Lit(l) => &mut self.delta[l.var()],
+            _ => &mut self.adj[c],
+        };
+        if acc.is_empty() {
+            *acc = self.spare.pop().unwrap_or_default();
+            match y {
+                Some(y) => convolve(x, y, acc),
+                None => {
+                    acc.clear();
+                    acc.extend_from_slice(x);
+                }
+            }
+            return;
+        }
+        match y {
+            Some(y) => {
+                convolve(x, y, &mut self.prod);
+                add_into(acc, &self.prod);
+            }
+            None => add_into(acc, x),
+        }
+    }
+}
+
+/// The backward pass over one forward pass (see the module doc).
+struct Backward<'n, C> {
+    sets: &'n [Bitset],
+    /// `consumes[g]` from [`adjoint_consumers`].
+    consumes: Vec<bool>,
+    acc: Adjoints<'n, C>,
+    /// Scratch: a running product, a product, an ∧ gate's consuming
+    /// children and their suffix products.
+    run: Vec<C>,
+    tmp: Vec<C>,
+    cons: Vec<usize>,
+    suffix: Vec<Vec<C>>,
+}
+
+impl<C: Coeff> Backward<'_, C> {
+    /// Sends the adjoint `a` of a satisfiable ∧ gate to its children. The
+    /// children that take no adjoint fold into it first:
+    /// `run = a ⊛ ∏ α_c` over them. Consumer `i` of `r` then gets
+    /// `run ⊛ (consumers before i) ⊛ suf_i`, where `suf_i` is the product
+    /// of the consumers after it.
+    fn and_gate(
+        &mut self,
+        a: &[C],
+        cs: &[NodeIdx],
+        alphas: &[Vec<C>],
+        ticker: &mut Ticker,
+    ) -> Result<(), ShapleyTimeout> {
+        self.cons.clear();
+        self.run.clear();
+        self.run.push(C::one());
+        for c in cs.iter() {
+            ticker.tick()?;
+            let c = c.index();
+            if self.consumes[c] {
+                self.cons.push(c);
+            } else {
+                convolve(&self.run, &alphas[c], &mut self.tmp);
+                std::mem::swap(&mut self.run, &mut self.tmp);
+            }
+        }
+        // A one-coefficient product is 1: every child is satisfiable.
+        if self.run.len() == 1 {
+            self.run.clear();
+            self.run.extend_from_slice(a);
+        } else {
+            convolve(a, &self.run, &mut self.tmp);
+            std::mem::swap(&mut self.run, &mut self.tmp);
+        }
+        // `suffix[i] = suf_i` for `i < r − 2`; `suf_{r−2}` is the last
+        // consumer's α and `suf_{r−1}` is 1.
+        let (cons, r) = (&self.cons, self.cons.len());
+        if self.suffix.len() + 2 < r {
+            self.suffix.resize_with(r - 2, Vec::new);
+        }
+        for i in (0..r.saturating_sub(2)).rev() {
+            ticker.tick()?;
+            let (here, after) = self.suffix.split_at_mut(i + 1);
+            let after: &[C] = if i + 3 == r {
+                &alphas[cons[r - 1]]
+            } else {
+                &after[0]
+            };
+            convolve(&alphas[cons[i + 1]], after, &mut here[i]);
+        }
+        for (i, &c) in cons.iter().enumerate() {
+            ticker.tick()?;
+            let suf: Option<&[C]> = match r - i {
+                1 => None,
+                2 => Some(&alphas[cons[r - 1]]),
+                _ => Some(&self.suffix[i]),
+            };
+            self.acc.deposit(c, &self.run, suf);
+            if i + 1 < r {
+                convolve(&self.run, &alphas[c], &mut self.tmp);
+                std::mem::swap(&mut self.run, &mut self.tmp);
+            }
+        }
+        Ok(())
+    }
+
+    /// Sends the adjoint `a` of ∨ gate `g` to its satisfiable children, and
+    /// each gap edge's occurrences to their `δ`: with
+    /// `t = a ⊛ C(gap−1, ·)`, every gap variable's `δ` gains `t ⊛ α_c`, and
+    /// the child's adjoint is `a ⊛ C(gap, ·) = t ⊛ (1 + z)`.
+    fn or_gate(
+        &mut self,
+        a: &[C],
+        g: usize,
+        cs: &[NodeIdx],
+        alphas: &[Vec<C>],
+        binomials: &mut BinomRows<C>,
+        ticker: &mut Ticker,
+    ) -> Result<(), ShapleyTimeout> {
+        let sets = self.sets;
+        let one_plus_z = [C::one(), C::one()];
+        for c in cs.iter() {
+            ticker.tick()?;
+            let c = c.index();
+            if is_zero_poly(&alphas[c]) {
+                continue;
+            }
+            let gap = sets[g].len() - sets[c].len();
+            if gap == 0 {
+                if self.consumes[c] {
+                    self.acc.deposit(c, a, None);
+                }
+                continue;
+            }
+            let t: &[C] = if gap == 1 {
+                a
+            } else {
+                convolve(a, binomials.row(gap - 1), &mut self.run);
+                &self.run
+            };
+            convolve(t, &alphas[c], &mut self.tmp);
+            for f in sets[g].iter().filter(|&f| !sets[c].contains(f)) {
+                add_into(&mut self.acc.delta[f], &self.tmp);
+            }
+            if self.consumes[c] {
+                self.acc.deposit(c, t, Some(&one_plus_z));
+            }
+        }
+        Ok(())
+    }
+}
+
 struct Dp<'a, C> {
     d: &'a Ddnnf,
     sets: &'a [Bitset],
@@ -313,13 +609,12 @@ struct Dp<'a, C> {
 
 impl<'a, C: Coeff> Dp<'a, C> {
     fn new(d: &'a Ddnnf, sets: &'a [Bitset], deadline: Option<Instant>) -> Dp<'a, C> {
-        let n = d.len();
         Dp {
             d,
             sets,
             binomials: BinomRows::new(),
             ticker: Ticker { deadline, ticks: 0 },
-            cond: vec![Vec::new(); n],
+            cond: Vec::new(),
             touched: Vec::new(),
             spare: Vec::new(),
             conv: Vec::new(),
@@ -347,6 +642,62 @@ impl<'a, C: Coeff> Dp<'a, C> {
         Ok(alphas)
     }
 
+    /// Every root variable's `δ_f = #SAT_·(C[f→0])` from one
+    /// reverse-topological pass of adjoints over the base pass `alphas`
+    /// (see the module doc). Each gate's array is released once its parents
+    /// are done, so only the root's survives. Returns `δ` indexed by
+    /// variable, empty for variables outside the root.
+    fn adjoint_deltas(&mut self, alphas: &mut Alphas<C>) -> Result<Vec<Vec<C>>, ShapleyTimeout> {
+        self.ticker.check()?;
+        let d = self.d;
+        let (nodes, sets) = (d.nodes(), self.sets);
+        let root = d.root().index();
+        let m = sets[root].len();
+        let mut delta: Vec<Vec<C>> = vec![Vec::new(); d.num_vars()];
+        for f in sets[root].iter() {
+            delta[f] = vec![C::zero(); m];
+        }
+        let mut bw = Backward {
+            sets,
+            consumes: adjoint_consumers(nodes, sets, root),
+            acc: Adjoints {
+                nodes,
+                adj: vec![Vec::new(); root + 1],
+                delta,
+                spare: Vec::new(),
+                prod: Vec::new(),
+            },
+            run: Vec::new(),
+            tmp: Vec::new(),
+            cons: Vec::new(),
+            suffix: Vec::new(),
+        };
+        if bw.consumes[root] && !is_zero_poly(&alphas[root]) {
+            bw.acc.adj[root].push(C::one());
+        }
+        for g in (0..=root).rev() {
+            if g < root {
+                // Every parent of `g` has a higher index and is done.
+                alphas[g] = Vec::new();
+            }
+            let a = std::mem::take(&mut bw.acc.adj[g]);
+            if a.is_empty() {
+                continue;
+            }
+            match &nodes[g] {
+                // Only a `¬f` root gets here: child leaves deposit into δ.
+                DNode::Lit(l) => add_into(&mut bw.acc.delta[l.var()], &a),
+                DNode::True | DNode::False => {}
+                DNode::And(cs) => bw.and_gate(&a, cs, alphas, &mut self.ticker)?,
+                DNode::Or(cs, _) => {
+                    bw.or_gate(&a, g, cs, alphas, &mut self.binomials, &mut self.ticker)?
+                }
+            }
+            bw.acc.spare.push(a);
+        }
+        Ok(bw.acc.delta)
+    }
+
     /// The gates a conditioning on `f` invalidates, in (topological) index
     /// order — computed once per fact and shared by both conditioned
     /// passes. `buf` is recycled across facts.
@@ -367,12 +718,15 @@ impl<'a, C: Coeff> Dp<'a, C> {
         affected: &[usize],
         out: &mut Vec<C>,
     ) -> Result<(), ShapleyTimeout> {
+        let n_nodes = self.d.len();
+        if self.cond.len() < n_nodes {
+            self.cond.resize_with(n_nodes, Vec::new);
+        }
         // Reset the previous pass (keeping each slot's capacity).
         while let Some(g) = self.touched.pop() {
             self.cond[g].clear();
         }
         let root = self.d.root().index();
-        let n_nodes = self.d.len();
         // Without a base pass to fall back on, every gate recomputes.
         let full: Vec<usize>;
         let recompute: &[usize] = if base.is_some() {
@@ -436,136 +790,182 @@ pub(crate) fn derive_gamma<C: Coeff>(base_root: &[C], delta: &[C], gamma: &mut V
     }));
 }
 
-/// Runs the per-fact passes on one coefficient type, sequentially or fanned
-/// across scoped workers (each worker owns its DP scratch; the base pass is
-/// shared by reference). Returns `(fact, value)` pairs.
-#[allow(clippy::too_many_arguments)] // one bundle of per-solve invariants
-fn run_facts<C: Coeff>(
-    d: &Ddnnf,
-    sets: &[Bitset],
-    facts: &[usize],
-    m: usize,
-    weights: &[BigUint],
-    denom: &BigUint,
-    cfg: &ExactConfig,
+/// One solve's invariants: the circuit, its variable sets, the facts to
+/// solve (root variables) and the measure's `(weights, denominator)` fold.
+struct Problem<'a> {
+    d: &'a Ddnnf,
+    sets: Vec<Bitset>,
+    facts: Vec<usize>,
+    weights: Vec<BigUint>,
+    denom: BigUint,
+    deadline: Option<Instant>,
+}
+
+impl<'a> Problem<'a> {
+    /// The solve for every root variable, or only `var`. `None` when every
+    /// requested fact is a null player (constant root, `var` not in it).
+    fn new(
+        d: &'a Ddnnf,
+        measure: Measure,
+        var: Option<usize>,
+        cfg: &ExactConfig,
+    ) -> Option<Problem<'a>> {
+        let sets = d.var_sets();
+        let root = &sets[d.root().index()];
+        let facts: Vec<usize> = match var {
+            Some(v) if root.contains(v) => vec![v],
+            Some(_) => return None,
+            None => root.iter().collect(),
+        };
+        if facts.is_empty() {
+            return None;
+        }
+        let (weights, denom) = power_weights(measure, root.len(), &mut FactorialTable::new());
+        Some(Problem {
+            d,
+            sets,
+            facts,
+            weights,
+            denom,
+            deadline: cfg.deadline,
+        })
+    }
+
+    fn root_size(&self) -> usize {
+        self.sets[self.d.root().index()].len()
+    }
+}
+
+/// Runs one solver on one coefficient type. Returns `(fact, value)` pairs
+/// in `p.facts` order.
+fn solve<C: Coeff>(
+    p: &Problem,
+    solver: Solver,
     passes: &'static Counter,
 ) -> Result<Vec<(usize, Rational)>, ShapleyTimeout> {
-    let root = d.root().index();
-    let mut dp: Dp<C> = Dp::new(d, sets, cfg.deadline);
-    let base = if cfg.reuse_unaffected {
-        passes.incr();
-        Some(dp.base_pass()?)
-    } else {
-        None
-    };
-    let threads = cfg.threads.clamp(1, facts.len().max(1));
-    if threads <= 1 {
-        let mut out = Vec::with_capacity(facts.len());
-        let mut gamma = Vec::new();
-        let mut delta = Vec::new();
-        let mut affected = Vec::new();
-        for &f in facts {
-            if let Some(deadline) = cfg.deadline {
-                if Instant::now() > deadline {
-                    return Err(ShapleyTimeout);
-                }
+    let root = p.d.root().index();
+    let m = p.root_size();
+    let mut dp: Dp<C> = Dp::new(p.d, &p.sets, p.deadline);
+    let mut gamma = Vec::new();
+    let mut out = Vec::with_capacity(p.facts.len());
+    match solver {
+        Solver::Adjoint => {
+            passes.add(2);
+            let mut alphas = dp.base_pass()?;
+            let delta = dp.adjoint_deltas(&mut alphas)?;
+            for &f in &p.facts {
+                debug_assert_eq!(delta[f].len(), m);
+                derive_gamma(&alphas[root], &delta[f], &mut gamma);
+                out.push((
+                    f,
+                    weighted_difference(&gamma, &delta[f], &p.weights, &p.denom),
+                ));
             }
-            dp.affected_gates(f, &mut affected);
-            dp.conditioned_root(f, false, base.as_ref(), &affected, &mut delta)?;
-            match &base {
-                Some(b) => {
-                    passes.incr();
-                    derive_gamma(&b[root], &delta, &mut gamma);
-                }
-                None => {
-                    passes.add(2);
-                    dp.conditioned_root(f, true, None, &affected, &mut gamma)?;
-                }
-            }
-            debug_assert_eq!(gamma.len(), m);
-            debug_assert_eq!(delta.len(), m);
-            out.push((f, weighted_difference(&gamma, &delta, weights, denom)));
         }
-        return Ok(out);
-    }
-    let base_ref = base.as_ref();
-    let chunks: Vec<&[usize]> = facts.chunks(facts.len().div_ceil(threads)).collect();
-    let results = parallel_map(threads, chunks.len(), |ci| {
-        let mut dp: Dp<C> = Dp::new(d, sets, cfg.deadline);
-        let mut out = Vec::with_capacity(chunks[ci].len());
-        let mut gamma = Vec::new();
-        let mut delta = Vec::new();
-        let mut affected = Vec::new();
-        for &f in chunks[ci] {
-            if let Some(deadline) = cfg.deadline {
-                if Instant::now() > deadline {
-                    return Err(ShapleyTimeout);
-                }
-            }
-            dp.affected_gates(f, &mut affected);
-            dp.conditioned_root(f, false, base_ref, &affected, &mut delta)?;
-            match base_ref {
-                Some(b) => {
+        Solver::PerFact(passes_kind) => {
+            let base = match passes_kind {
+                PerFactPasses::ReuseUnaffected => {
                     passes.incr();
-                    derive_gamma(&b[root], &delta, &mut gamma);
+                    Some(dp.base_pass()?)
                 }
-                None => {
-                    passes.add(2);
-                    dp.conditioned_root(f, true, None, &affected, &mut gamma)?;
+                PerFactPasses::FullRecompute => None,
+            };
+            let mut delta = Vec::new();
+            let mut affected = Vec::new();
+            for &f in &p.facts {
+                dp.ticker.check()?;
+                dp.affected_gates(f, &mut affected);
+                dp.conditioned_root(f, false, base.as_ref(), &affected, &mut delta)?;
+                match &base {
+                    Some(b) => {
+                        passes.incr();
+                        derive_gamma(&b[root], &delta, &mut gamma);
+                    }
+                    None => {
+                        passes.add(2);
+                        dp.conditioned_root(f, true, None, &affected, &mut gamma)?;
+                    }
                 }
+                debug_assert_eq!(gamma.len(), m);
+                debug_assert_eq!(delta.len(), m);
+                out.push((f, weighted_difference(&gamma, &delta, &p.weights, &p.denom)));
             }
-            debug_assert_eq!(gamma.len(), m);
-            out.push((f, weighted_difference(&gamma, &delta, weights, denom)));
         }
-        Ok(out)
-    });
-    let mut out = Vec::with_capacity(facts.len());
-    for r in results {
-        out.extend(r?);
     }
     Ok(out)
 }
 
-/// Selects the coefficient tier from the pass-wide cap and runs the facts.
-///
-/// The cap is the central binomial over the *widest gate's* variable count
-/// (not just the root's): the base pass evaluates every gate in the node
-/// vector, reachable or not. Conditioned passes only shrink gate sizes, so
-/// one cap covers every pass of the solve. An overflow in a fixed tier is
-/// therefore a cap bug and panics loudly (see `shapdb_num::vli`) instead
-/// of corrupting an exact result.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_facts(
-    d: &Ddnnf,
-    sets: &[Bitset],
-    facts: &[usize],
-    m: usize,
-    weights: &[BigUint],
-    denom: &BigUint,
-    cfg: &ExactConfig,
-) -> Result<Vec<(usize, Rational)>, ShapleyTimeout> {
-    let widest = sets.iter().map(|s| s.len()).max().unwrap_or(0);
-    let bits = alpha_cap_bits(widest);
-    if bits <= 64 {
-        run_facts::<Vli<1>>(d, sets, facts, m, weights, denom, cfg, &NUM_VLI_HITS)
-    } else if bits <= 128 {
-        run_facts::<Vli<2>>(d, sets, facts, m, weights, denom, cfg, &NUM_VLI_HITS)
-    } else if bits <= 256 {
-        run_facts::<Vli<4>>(d, sets, facts, m, weights, denom, cfg, &NUM_VLI_HITS)
-    } else if bits <= 512 {
-        run_facts::<Vli<8>>(d, sets, facts, m, weights, denom, cfg, &NUM_VLI_HITS)
-    } else {
-        run_facts::<BigUint>(
-            d,
-            sets,
-            facts,
-            m,
-            weights,
-            denom,
-            cfg,
-            &NUM_BIGNUM_FALLBACKS,
-        )
+/// The coefficient types a solve can run on, narrowest first.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Tier {
+    Vli1,
+    Vli2,
+    Vli4,
+    Vli8,
+    Big,
+}
+
+impl Tier {
+    /// The narrowest tier whose cap covers every array of a solve.
+    ///
+    /// The cap is the central binomial over the *widest gate's* variable
+    /// count (not just the root's): the base pass evaluates every gate in
+    /// the node vector, reachable or not. Conditioned passes only shrink
+    /// gate sizes and the backward pass stays under `C(m, ⌊m/2⌋)` (module
+    /// doc), so one cap covers every pass of the solve. An overflow in a
+    /// fixed tier is therefore a cap bug and panics loudly (see
+    /// `shapdb_num::vli`) instead of corrupting an exact result.
+    fn for_sets(sets: &[Bitset]) -> Tier {
+        let widest = sets.iter().map(|s| s.len()).max().unwrap_or(0);
+        match alpha_cap_bits(widest) {
+            0..=64 => Tier::Vli1,
+            65..=128 => Tier::Vli2,
+            129..=256 => Tier::Vli4,
+            257..=512 => Tier::Vli8,
+            _ => Tier::Big,
+        }
     }
+}
+
+/// Selects the coefficient tier from the solve-wide cap and runs `solver`.
+fn dispatch(p: &Problem, solver: Solver) -> Result<Vec<(usize, Rational)>, ShapleyTimeout> {
+    match Tier::for_sets(&p.sets) {
+        Tier::Vli1 => solve::<Vli<1>>(p, solver, &NUM_VLI_HITS),
+        Tier::Vli2 => solve::<Vli<2>>(p, solver, &NUM_VLI_HITS),
+        Tier::Vli4 => solve::<Vli<4>>(p, solver, &NUM_VLI_HITS),
+        Tier::Vli8 => solve::<Vli<8>>(p, solver, &NUM_VLI_HITS),
+        Tier::Big => solve::<BigUint>(p, solver, &NUM_BIGNUM_FALLBACKS),
+    }
+}
+
+/// The power index of every d-DNNF variable by `solver`.
+fn power_index(
+    d: &Ddnnf,
+    n_endo: usize,
+    cfg: &ExactConfig,
+    measure: Measure,
+    solver: Solver,
+) -> Result<Vec<Rational>, ShapleyTimeout> {
+    assert!(
+        measure.is_power_index(),
+        "{measure} is not a Γ/Δ power index"
+    );
+    let num_vars = d.num_vars();
+    assert!(
+        n_endo >= num_vars,
+        "|D_n| = {n_endo} smaller than the {num_vars} circuit variables"
+    );
+    let mut out = vec![Rational::zero(); num_vars];
+    if num_vars == 0 {
+        return Ok(out);
+    }
+    // A constant lineage makes every fact a null player.
+    if let Some(p) = Problem::new(d, measure, None, cfg) {
+        for (f, v) in dispatch(&p, solver)? {
+            out[f] = v;
+        }
+    }
+    Ok(out)
 }
 
 /// Exact Shapley value of every d-DNNF variable (Algorithm 1 for all facts).
@@ -582,10 +982,10 @@ pub fn shapley_all_facts(
     power_index_all_facts(d, n_endo, cfg, Measure::Shapley)
 }
 
-/// Exact power index (Shapley or Banzhaf) of every d-DNNF variable: the
-/// same Algorithm-1 dynamic program, folded with the measure's `(weights,
-/// denominator)` pair from `weights::power_weights`. The
-/// conditioned per-fact passes are computed once; only the final `O(m)`
+/// Exact power index (Shapley or Banzhaf) of every d-DNNF variable: one
+/// forward pass and one backward pass of adjoints give every fact's
+/// `f → 0` array (module doc), folded with the measure's `(weights,
+/// denominator)` pair from `weights::power_weights`. Only the final `O(m)`
 /// weighting differs between the two measures.
 ///
 /// # Panics
@@ -598,38 +998,32 @@ pub fn power_index_all_facts(
     cfg: &ExactConfig,
     measure: Measure,
 ) -> Result<Vec<Rational>, ShapleyTimeout> {
-    assert!(
-        measure.is_power_index(),
-        "{measure} is not a Γ/Δ power index"
-    );
-    let num_vars = d.num_vars();
-    assert!(
-        n_endo >= num_vars,
-        "|D_n| = {n_endo} smaller than the {num_vars} circuit variables"
-    );
-    if num_vars == 0 || n_endo == 0 {
-        return Ok(vec![Rational::zero(); num_vars]);
-    }
-    let sets = d.var_sets();
-    let root = d.root().index();
-    let m = sets[root].len();
-    let mut out = vec![Rational::zero(); num_vars];
-    if m == 0 {
-        // Constant lineage: every fact is a null player.
-        return Ok(out);
-    }
-    let mut facts_table = FactorialTable::new();
-    let (weights, denom) = power_weights(measure, m, &mut facts_table);
-    let facts: Vec<usize> = sets[root].iter().collect();
-    for (f, v) in dispatch_facts(d, &sets, &facts, m, &weights, &denom, cfg)? {
-        out[f] = v;
-    }
-    Ok(out)
+    power_index(d, n_endo, cfg, measure, Solver::Adjoint)
+}
+
+/// [`power_index_all_facts`] by the paper's per-fact conditioned passes:
+/// the oracle the two-pass path is tested against, and the `alg1`
+/// ablation bench's `paper_full_recompute` / `reuse_unaffected` columns.
+/// Values are bit-identical to [`power_index_all_facts`].
+///
+/// # Panics
+///
+/// As [`power_index_all_facts`].
+pub fn power_index_per_fact(
+    d: &Ddnnf,
+    n_endo: usize,
+    cfg: &ExactConfig,
+    measure: Measure,
+    passes: PerFactPasses,
+) -> Result<Vec<Rational>, ShapleyTimeout> {
+    power_index(d, n_endo, cfg, measure, Solver::PerFact(passes))
 }
 
 /// Exact Shapley value of a single variable (Algorithm 1: the
-/// `ComputeAll#SATk` passes and the Equation (3) sum; in reuse mode the
-/// `f → 1` array is derived from the base pass, see `derive_gamma`).
+/// `ComputeAll#SATk` passes and the Equation (3) sum). It runs one
+/// conditioned pass over the gates containing `var`, with the `f → 1`
+/// array derived from the base pass (see `derive_gamma`): for one fact
+/// that is cheaper than a full backward pass.
 pub fn shapley_single_fact(
     d: &Ddnnf,
     n_endo: usize,
@@ -645,16 +1039,10 @@ pub fn shapley_single_fact(
     if num_vars == 0 {
         return Ok(Rational::zero());
     }
-    let sets = d.var_sets();
-    let root = d.root().index();
-    if !sets[root].contains(var) {
+    let Some(p) = Problem::new(d, Measure::Shapley, Some(var), cfg) else {
         return Ok(Rational::zero());
-    }
-    let m = sets[root].len();
-    let mut facts_table = FactorialTable::new();
-    let weights = completion_weights(m, &mut facts_table);
-    let denom = facts_table.get(m).clone();
-    let result = dispatch_facts(d, &sets, &[var], m, &weights, &denom, cfg)?;
+    };
+    let result = dispatch(&p, Solver::PerFact(PerFactPasses::ReuseUnaffected))?;
     Ok(result.into_iter().next().expect("one fact solved").1)
 }
 
@@ -690,17 +1078,30 @@ mod tests {
     use proptest::prelude::*;
     use shapdb_circuit::{Circuit, Dnf, Lit, VarId};
     use shapdb_kc::ddnnf::{DdnnfBuilder, NodeIdx};
-    use shapdb_kc::{compile_circuit, Budget};
+    use shapdb_kc::{compile_circuit, compile_circuit_topdown, Budget};
 
-    /// Compiles a DNF over dense vars 0..n into a projected d-DNNF.
-    fn compile_dnf(d: &Dnf, n: usize) -> Ddnnf {
+    const PER_FACT: [PerFactPasses; 2] =
+        [PerFactPasses::ReuseUnaffected, PerFactPasses::FullRecompute];
+
+    /// Compiles a DNF over dense vars 0..n into a projected d-DNNF, with the
+    /// bottom-up compiler or the top-down one.
+    fn compile_dnf_with(d: &Dnf, n: usize, topdown: bool) -> Ddnnf {
         let mut c = Circuit::new();
         let root = d.to_circuit(&mut c);
-        let comp = compile_circuit(&c, root, &Budget::unlimited()).unwrap();
-        // Re-embed into the dense 0..n space: compile_circuit returns vars in
+        let comp = if topdown {
+            compile_circuit_topdown(&c, root, &Budget::unlimited(), None)
+        } else {
+            compile_circuit(&c, root, &Budget::unlimited())
+        }
+        .unwrap();
+        // Re-embed into the dense 0..n space: the compilers return vars in
         // sorted order of appearance; map them back.
         let mapping: Vec<usize> = comp.fact_vars.iter().map(|v| v.index()).collect();
         remap(&comp.ddnnf, &mapping, n)
+    }
+
+    fn compile_dnf(d: &Dnf, n: usize) -> Ddnnf {
+        compile_dnf_with(d, n, false)
     }
 
     /// Remaps d-DNNF variables through `mapping` into a space of `n` vars.
@@ -737,6 +1138,11 @@ mod tests {
     /// every Shapley value is exactly `1/(2·pairs)`.
     fn symmetric_tree(pairs: usize) -> Ddnnf {
         let mut b = DdnnfBuilder::new();
+        let root = symmetric_gadgets(&mut b, pairs);
+        b.finish(root, 2 * pairs)
+    }
+
+    fn symmetric_gadgets(b: &mut DdnnfBuilder, pairs: usize) -> NodeIdx {
         let mut layer: Vec<NodeIdx> = (0..pairs)
             .map(|i| {
                 let (x, y) = (2 * i, 2 * i + 1);
@@ -759,7 +1165,21 @@ mod tests {
                 })
                 .collect();
         }
-        b.finish(layer[0], 2 * pairs)
+        layer[0]
+    }
+
+    /// The symmetric tree over `n` variables; for odd `n`, the tree over
+    /// `n − 1` conjoined with a `(z ∨ ¬z)` null player `z = n − 1`.
+    fn symmetric_over(n: usize) -> Ddnnf {
+        let mut b = DdnnfBuilder::new();
+        let mut root = symmetric_gadgets(&mut b, n / 2);
+        if n % 2 == 1 {
+            let z = n - 1;
+            let (hi, lo) = (b.lit(Lit::pos(z)), b.lit(Lit::neg(z)));
+            let taut = b.decision(z, hi, lo);
+            root = b.and([root, taut]);
+        }
+        b.finish(root, n)
     }
 
     /// A tautology over `n` named variables: ∧ of `(xᵢ ∨ ¬xᵢ)` decisions.
@@ -776,6 +1196,46 @@ mod tests {
             .collect();
         let root = b.and(gates);
         b.finish(root, n)
+    }
+
+    /// Every root fact of `d` as a solve on exactly the tier `C`, by
+    /// `solver` (Shapley weights).
+    fn solve_on<C: Coeff>(d: &Ddnnf, solver: Solver) -> Vec<(usize, Rational)> {
+        solve_facts_on::<C>(d, solver, None)
+    }
+
+    /// As [`solve_on`], restricted to `facts` when given.
+    fn solve_facts_on<C: Coeff>(
+        d: &Ddnnf,
+        solver: Solver,
+        facts: Option<&[usize]>,
+    ) -> Vec<(usize, Rational)> {
+        let mut p = Problem::new(d, Measure::Shapley, None, &ExactConfig::default()).unwrap();
+        if let Some(facts) = facts {
+            p.facts = facts.to_vec();
+        }
+        solve::<C>(&p, solver, &NUM_VLI_HITS).unwrap()
+    }
+
+    /// Asserts the two-pass values equal both per-fact oracle forms and the
+    /// `2^n` enumeration of `d`'s own function, for both power indices.
+    fn assert_adjoint_matches_oracles(name: &str, d: &Ddnnf, n_endo: usize) {
+        let cfg = ExactConfig::default();
+        let f = |s: &Bitset| d.eval_set(s);
+        let naive = shapley_naive(&f, n_endo);
+        for measure in [Measure::Shapley, Measure::Banzhaf] {
+            let got = power_index_all_facts(d, n_endo, &cfg, measure).unwrap();
+            for passes in PER_FACT {
+                let oracle = power_index_per_fact(d, n_endo, &cfg, measure, passes).unwrap();
+                assert_eq!(
+                    got, oracle,
+                    "{name}, n_endo={n_endo}: {measure} vs {passes:?}"
+                );
+            }
+            if measure == Measure::Shapley {
+                assert_eq!(&got[..], &naive[..d.num_vars()], "{name}, n_endo={n_endo}");
+            }
+        }
     }
 
     #[test]
@@ -812,93 +1272,40 @@ mod tests {
 
     #[test]
     fn both_variants_agree_with_naive() {
+        // The two-pass path and both forms of the paper's per-fact passes.
         let dnf = running_example_dnf();
         let dd = compile_dnf(&dnf, 7);
         let f = |s: &Bitset| dnf.eval_set(s);
         let expect = shapley_naive(&f, 8);
-        for reuse in [false, true] {
-            let cfg = ExactConfig {
-                reuse_unaffected: reuse,
-                ..Default::default()
-            };
-            let got = shapley_all_facts(&dd, 8, &cfg).unwrap();
-            assert_eq!(&got[..], &expect[..7], "reuse={reuse}");
+        let cfg = ExactConfig::default();
+        let got = shapley_all_facts(&dd, 8, &cfg).unwrap();
+        assert_eq!(&got[..], &expect[..7], "adjoint");
+        for passes in PER_FACT {
+            let got = power_index_per_fact(&dd, 8, &cfg, Measure::Shapley, passes).unwrap();
+            assert_eq!(&got[..], &expect[..7], "{passes:?}");
         }
     }
 
     #[test]
     fn every_coefficient_tier_computes_identical_values() {
         // The running example dispatches to Vli<1> (7 vars); force each
-        // wider tier and the BigUint fallback through the same passes and
+        // wider tier and the BigUint fallback through every solver and
         // pin bit-identical rationals.
         let dnf = running_example_dnf();
         let dd = compile_dnf(&dnf, 7);
-        let sets = dd.var_sets();
-        let m = sets[dd.root().index()].len();
-        let mut facts_table = FactorialTable::new();
-        let weights = completion_weights(m, &mut facts_table);
-        let denom = facts_table.get(m).clone();
-        let facts: Vec<usize> = sets[dd.root().index()].iter().collect();
-        let cfg = ExactConfig::default();
-        let run = |tier: &str| -> Vec<(usize, Rational)> {
-            match tier {
-                "vli1" => run_facts::<Vli<1>>(
-                    &dd,
-                    &sets,
-                    &facts,
-                    m,
-                    &weights,
-                    &denom,
-                    &cfg,
-                    &NUM_VLI_HITS,
-                ),
-                "vli2" => run_facts::<Vli<2>>(
-                    &dd,
-                    &sets,
-                    &facts,
-                    m,
-                    &weights,
-                    &denom,
-                    &cfg,
-                    &NUM_VLI_HITS,
-                ),
-                "vli4" => run_facts::<Vli<4>>(
-                    &dd,
-                    &sets,
-                    &facts,
-                    m,
-                    &weights,
-                    &denom,
-                    &cfg,
-                    &NUM_VLI_HITS,
-                ),
-                "vli8" => run_facts::<Vli<8>>(
-                    &dd,
-                    &sets,
-                    &facts,
-                    m,
-                    &weights,
-                    &denom,
-                    &cfg,
-                    &NUM_VLI_HITS,
-                ),
-                _ => run_facts::<BigUint>(
-                    &dd,
-                    &sets,
-                    &facts,
-                    m,
-                    &weights,
-                    &denom,
-                    &cfg,
-                    &NUM_BIGNUM_FALLBACKS,
-                ),
-            }
-            .unwrap()
-        };
-        let reference = run("big");
+        let strategies = [
+            Solver::Adjoint,
+            Solver::PerFact(PerFactPasses::ReuseUnaffected),
+            Solver::PerFact(PerFactPasses::FullRecompute),
+        ];
+        let reference = solve_on::<BigUint>(&dd, Solver::Adjoint);
         assert_eq!(reference[0].1, Rational::from_ratio(43, 105));
-        for tier in ["vli1", "vli2", "vli4", "vli8"] {
-            assert_eq!(run(tier), reference, "{tier}");
+        for s in strategies {
+            assert_eq!(solve_on::<Vli<1>>(&dd, s), reference, "vli1 {s:?}");
+            assert_eq!(solve_on::<Vli<2>>(&dd, s), reference, "vli2 {s:?}");
+            assert_eq!(solve_on::<Vli<4>>(&dd, s), reference, "vli4 {s:?}");
+            assert_eq!(solve_on::<Vli<8>>(&dd, s), reference, "vli8 {s:?}");
+            assert_eq!(solve_on::<BigUint>(&dd, s), reference, "big {s:?}");
         }
     }
 
@@ -911,30 +1318,217 @@ mod tests {
         assert_eq!(alpha_cap_bits(67), 64);
         assert_eq!(alpha_cap_bits(68), 65);
         let dd = tautology_over(68);
+        assert_eq!(Tier::for_sets(&dd.var_sets()), Tier::Vli2);
         // The public path must route to Vli<2> and solve exactly: every
         // fact of a tautology is a null player.
         let values = shapley_all_facts(&dd, 68, &ExactConfig::default()).unwrap();
         assert!(values.iter().all(|v| v.is_zero()));
         // Mis-routing the same circuit to the 1-limb tier must panic
-        // (loud overflow, never silent corruption).
+        // (loud overflow, never silent corruption), on either path.
+        for s in [
+            Solver::Adjoint,
+            Solver::PerFact(PerFactPasses::ReuseUnaffected),
+        ] {
+            let err = std::panic::catch_unwind(|| solve_facts_on::<Vli<1>>(&dd, s, Some(&[0])));
+            assert!(err.is_err(), "64-bit tier must overflow at C(68,34): {s:?}");
+        }
+    }
+
+    #[test]
+    fn tier_boundaries_keep_both_passes_on_one_tier_and_bit_identical() {
+        // At every fixed-limb boundary, the widest circuit the narrower tier
+        // admits and the narrowest the wider tier needs. The forward pass
+        // picks the tier; the backward pass runs on that same type (one
+        // generic solve) and must neither overflow nor move a value.
+        let boundaries = [
+            (67, Tier::Vli1),
+            (68, Tier::Vli2),
+            (131, Tier::Vli2),
+            (132, Tier::Vli4),
+            (260, Tier::Vli4),
+            (261, Tier::Vli8),
+            (516, Tier::Vli8),
+            (517, Tier::Big),
+        ];
+        for (n, tier) in boundaries {
+            for (name, dd) in [
+                ("tautology", tautology_over(n)),
+                ("symmetric", symmetric_over(n)),
+            ] {
+                let sets = dd.var_sets();
+                assert_eq!(Tier::for_sets(&sets), tier, "{name} n={n}");
+                let values = shapley_all_facts(&dd, n, &ExactConfig::default()).unwrap();
+                let pairs = 2 * (n / 2);
+                for (v, x) in values.iter().enumerate() {
+                    let expect = if name == "symmetric" && v < pairs {
+                        Rational::from_ratio(1, pairs as u64)
+                    } else {
+                        Rational::zero()
+                    };
+                    assert_eq!(x, &expect, "{name} n={n} var {v}");
+                }
+                // Bit-identical to the per-fact oracle on the first, a
+                // middle and the last fact (the oracle is quadratic in the
+                // fact count on the flat tautology).
+                let facts = [0, n / 2, n - 1];
+                let oracle = solve_facts_on::<BigUint>(
+                    &dd,
+                    Solver::PerFact(PerFactPasses::ReuseUnaffected),
+                    Some(&facts),
+                );
+                for (f, x) in oracle {
+                    assert_eq!(values[f], x, "{name} n={n} fact {f}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn adjoint_deltas_of_a_tautology_are_pascal_rows() {
+        // A tautology's f → 0 array over the other n − 1 variables is
+        // C(n − 1, ·): the backward pass's largest adjoints meet that bound,
+        // here on the top of the 2-limb tier.
+        let n = 131;
+        let dd = tautology_over(n);
         let sets = dd.var_sets();
-        let m = sets[dd.root().index()].len();
-        let mut facts_table = FactorialTable::new();
-        let weights = completion_weights(m, &mut facts_table);
-        let denom = facts_table.get(m).clone();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_facts::<Vli<1>>(
-                &dd,
-                &sets,
-                &[0],
-                m,
-                &weights,
-                &denom,
-                &ExactConfig::default(),
-                &NUM_VLI_HITS,
-            )
-        }));
-        assert!(err.is_err(), "64-bit tier must overflow at C(68,34)");
+        assert_eq!(Tier::for_sets(&sets), Tier::Vli2);
+        let mut dp: Dp<Vli<2>> = Dp::new(&dd, &sets, None);
+        let mut alphas = dp.base_pass().unwrap();
+        let delta = dp.adjoint_deltas(&mut alphas).unwrap();
+        let row: Vec<Vli<2>> = BinomialTable::new()
+            .row(n - 1)
+            .iter()
+            .map(Vli::from_biguint)
+            .collect();
+        for f in 0..n {
+            assert_eq!(delta[f], row, "fact {f}");
+        }
+        // Only the root's forward array survives the backward pass.
+        let root = dd.root().index();
+        assert!(alphas[..root].iter().all(Vec::is_empty));
+    }
+
+    /// `d` from raw nodes (children before parents), bypassing the builder's
+    /// normalization so ⊥ children and unreachable gates survive.
+    fn raw(nodes: Vec<DNode>, root: u32, num_vars: usize) -> Ddnnf {
+        Ddnnf::new(nodes, NodeIdx(root), num_vars)
+    }
+
+    fn and(cs: &[u32]) -> DNode {
+        DNode::And(cs.iter().map(|&c| NodeIdx(c)).collect())
+    }
+
+    fn or(cs: &[u32]) -> DNode {
+        DNode::Or(cs.iter().map(|&c| NodeIdx(c)).collect(), None)
+    }
+
+    #[test]
+    fn hand_built_edge_cases_match_the_oracles() {
+        let (x0, nx0) = (DNode::Lit(Lit::pos(0)), DNode::Lit(Lit::neg(0)));
+        let (x1, nx1) = (DNode::Lit(Lit::pos(1)), DNode::Lit(Lit::neg(1)));
+        let nx2 = DNode::Lit(Lit::neg(2));
+        let cases: Vec<(&str, Ddnnf)> = vec![
+            // x0 ∨ (⊥ ∧ ¬x1): the ∧ with a ⊥ child is zero, so its ¬x1
+            // occurrence contributes nothing; x1 is a gap variable of x0.
+            (
+                "and with a false child",
+                raw(
+                    vec![
+                        x0.clone(),
+                        DNode::False,
+                        nx1.clone(),
+                        and(&[1, 2]),
+                        or(&[0, 3]),
+                    ],
+                    4,
+                    2,
+                ),
+            ),
+            // ¬x0 ∨ (unsat ∨ unsat) where both unsatisfiable children
+            // share a ¬x1 leaf.
+            (
+                "or of unsatisfiable children",
+                raw(
+                    vec![
+                        nx1.clone(),
+                        DNode::False,
+                        and(&[1, 0]),
+                        and(&[0, 1]),
+                        or(&[2, 3]),
+                        nx0.clone(),
+                        DNode::Lit(Lit::pos(1)),
+                        and(&[5, 6]),
+                        or(&[4, 7]),
+                    ],
+                    8,
+                    2,
+                ),
+            ),
+            // Gates below and above the root that no path reaches, one of
+            // them wider than the root.
+            (
+                "unreachable nodes",
+                raw(
+                    vec![
+                        nx0.clone(),
+                        x1.clone(),
+                        nx2.clone(),
+                        and(&[0, 1, 2]),
+                        x0.clone(),
+                        or(&[4, 0]),
+                        and(&[5, 1]),
+                        and(&[6, 2]),
+                    ],
+                    6,
+                    3,
+                ),
+            ),
+            ("single positive literal root", raw(vec![x0.clone()], 0, 1)),
+            ("single negated literal root", raw(vec![nx0.clone()], 0, 2)),
+            (
+                "negated-only lineage",
+                raw(vec![nx0.clone(), nx1.clone(), nx2, and(&[0, 1, 2])], 3, 3),
+            ),
+            (
+                "negated-only disjunction",
+                raw(vec![nx0.clone(), x0, nx1, and(&[1, 2]), or(&[0, 3])], 4, 2),
+            ),
+            (
+                "constant true root",
+                raw(vec![DNode::True, x1.clone()], 0, 2),
+            ),
+            ("constant false root", raw(vec![x1, DNode::False], 1, 2)),
+        ];
+        for (name, dd) in &cases {
+            dd.verify_decomposable().unwrap();
+            for extra in [0, 2] {
+                assert_adjoint_matches_oracles(name, dd, dd.num_vars() + extra);
+            }
+        }
+    }
+
+    #[test]
+    fn unsatisfiable_gates_never_carry_an_adjoint() {
+        // ⊥ ∧ ¬x0, then 70 levels of ∨(u, u) over it, all unsatisfiable and
+        // (vacuously) deterministic; the root is x0 ∨ u70. Without the
+        // zero-α skip the bottom gate's adjoint would be 2^70 and overflow
+        // the 64-bit tier this one-variable circuit runs on.
+        let mut nodes = vec![DNode::False, DNode::Lit(Lit::neg(0)), and(&[0, 1])];
+        for _ in 0..70 {
+            let u = nodes.len() as u32 - 1;
+            nodes.push(or(&[u, u]));
+        }
+        let u = nodes.len() as u32 - 1;
+        nodes.push(DNode::Lit(Lit::pos(0)));
+        nodes.push(or(&[u + 1, u]));
+        let root = nodes.len() as u32 - 1;
+        let dd = raw(nodes, root, 1);
+        assert_eq!(Tier::for_sets(&dd.var_sets()), Tier::Vli1);
+        assert_eq!(
+            solve_on::<Vli<1>>(&dd, Solver::Adjoint),
+            vec![(0, Rational::one())]
+        );
+        assert_adjoint_matches_oracles("unsatisfiable chain", &dd, 3);
     }
 
     #[test]
@@ -947,48 +1541,33 @@ mod tests {
         for v in &values {
             assert_eq!(v, &Rational::from_ratio(1, 64));
         }
-        assert!(NUM_VLI_HITS.get() > before, "u64 tier must have run");
+        assert!(NUM_VLI_HITS.get() >= before + 2, "u64 tier must have run");
     }
 
     #[test]
     fn forced_ntt_convolution_is_bit_identical() {
-        // Route every ∧-convolution through NTT/CRT and pin the paper's
-        // exact rationals; restore the cost model afterwards.
+        // Route every wide convolution of both passes through NTT/CRT and
+        // pin the paper's exact rationals and the oracle; restore the cost
+        // model afterwards.
         let dnf = running_example_dnf();
         let dd = compile_dnf(&dnf, 7);
+        let wide = symmetric_tree(24);
+        let cfg = ExactConfig::default();
         ntt::set_ntt_policy(ntt::NttPolicy::Force);
-        let forced = shapley_all_facts(&dd, 8, &ExactConfig::default());
+        let forced = shapley_all_facts(&dd, 8, &cfg);
+        let forced_wide = shapley_all_facts(&wide, 48, &cfg);
         ntt::set_ntt_policy(ntt::NttPolicy::Auto);
         let values = forced.unwrap();
         assert_eq!(values[0], Rational::from_ratio(43, 105));
         assert_eq!(values[5], Rational::from_ratio(8, 105));
-    }
-
-    #[test]
-    fn thread_fanout_is_bit_identical() {
-        let dnf = running_example_dnf();
-        let dd = compile_dnf(&dnf, 7);
-        let sequential = shapley_all_facts(&dd, 8, &ExactConfig::default()).unwrap();
-        for threads in [2, 4, 64] {
-            let cfg = ExactConfig {
-                threads,
-                ..Default::default()
-            };
-            assert_eq!(
-                shapley_all_facts(&dd, 8, &cfg).unwrap(),
-                sequential,
-                "threads={threads}"
-            );
-        }
-        // And on the symmetric circuit without base-pass reuse.
-        let dd = symmetric_tree(8);
-        let cfg = ExactConfig {
-            reuse_unaffected: false,
-            threads: 3,
-            ..Default::default()
-        };
-        let values = shapley_all_facts(&dd, 16, &cfg).unwrap();
-        assert!(values.iter().all(|v| v == &Rational::from_ratio(1, 16)));
+        let oracle = power_index_per_fact(
+            &wide,
+            48,
+            &cfg,
+            Measure::Shapley,
+            PerFactPasses::ReuseUnaffected,
+        );
+        assert_eq!(forced_wide.unwrap(), oracle.unwrap());
     }
 
     #[test]
@@ -1027,9 +1606,25 @@ mod tests {
         let dd = compile_dnf(&dnf, 7);
         let cfg = ExactConfig {
             deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
-            ..Default::default()
         };
         assert_eq!(shapley_all_facts(&dd, 8, &cfg), Err(ShapleyTimeout));
+        for passes in PER_FACT {
+            let r = power_index_per_fact(&dd, 8, &cfg, Measure::Shapley, passes);
+            assert_eq!(r, Err(ShapleyTimeout), "{passes:?}");
+        }
+        assert_eq!(shapley_single_fact(&dd, 8, 0, &cfg), Err(ShapleyTimeout));
+    }
+
+    #[test]
+    fn expired_deadline_stops_the_backward_pass() {
+        // The forward pass finishes before the deadline passes; the
+        // backward pass must then surface the timeout itself.
+        let dd = symmetric_tree(16);
+        let sets = dd.var_sets();
+        let mut dp: Dp<Vli<1>> = Dp::new(&dd, &sets, None);
+        let mut alphas = dp.base_pass().unwrap();
+        dp.ticker.deadline = Some(Instant::now() - std::time::Duration::from_millis(1));
+        assert_eq!(dp.adjoint_deltas(&mut alphas).err(), Some(ShapleyTimeout));
     }
 
     proptest! {
@@ -1056,6 +1651,31 @@ mod tests {
             // Facts beyond the circuit are null players in the ground truth.
             for v in n_vars..n_endo {
                 prop_assert!(expect[v].is_zero());
+            }
+        }
+
+        #[test]
+        fn prop_adjoint_matches_per_fact_oracle(
+            conjuncts in proptest::collection::vec(
+                proptest::collection::vec(0u32..10, 1..5), 1..9),
+            extra in 1usize..4,
+            topdown in any::<bool>(),
+        ) {
+            let mut dnf = Dnf::new();
+            for c in &conjuncts {
+                dnf.add_conjunct(c.iter().map(|&v| VarId(v)).collect());
+            }
+            let n_vars = 10;
+            let dd = compile_dnf_with(&dnf, n_vars, topdown);
+            // n_endo > m: null players outside the circuit.
+            let n_endo = n_vars + extra;
+            let cfg = ExactConfig::default();
+            for measure in [Measure::Shapley, Measure::Banzhaf] {
+                let got = power_index_all_facts(&dd, n_endo, &cfg, measure).unwrap();
+                for passes in PER_FACT {
+                    let oracle = power_index_per_fact(&dd, n_endo, &cfg, measure, passes).unwrap();
+                    prop_assert_eq!(&got, &oracle, "{} {:?}", measure, passes);
+                }
             }
         }
     }
