@@ -421,14 +421,49 @@ fn adjoint_consumers(nodes: &[DNode], sets: &[Bitset], root: usize) -> Vec<bool>
     consumes
 }
 
+/// For each variable `f`, the lowest gate up to the root that adds a term
+/// to `δ_f` in the backward pass, if any: a gate with a `¬f` leaf child,
+/// an ∨ gate whose gap covers `f`, or a `¬f` root.
+fn last_delta_terms(d: &Ddnnf, sets: &[Bitset]) -> Vec<Option<usize>> {
+    let (nodes, root) = (d.nodes(), d.root().index());
+    let mut last = vec![None; d.num_vars()];
+    // Gates go up from 0, so the first gate noted for `f` is the lowest.
+    let mut note = |f: usize, g: usize| {
+        last[f].get_or_insert(g);
+    };
+    for (g, node) in nodes[..=root].iter().enumerate() {
+        let cs = match node {
+            DNode::Lit(l) if !l.is_positive() && g == root => {
+                note(l.var(), g);
+                continue;
+            }
+            DNode::And(cs) | DNode::Or(cs, _) => cs,
+            _ => continue,
+        };
+        for c in cs.iter().map(|c| c.index()) {
+            if let DNode::Lit(l) = &nodes[c] {
+                if !l.is_positive() {
+                    note(l.var(), g);
+                }
+            }
+            if let DNode::Or(..) = node {
+                for f in sets[g].iter().filter(|&f| !sets[c].contains(f)) {
+                    note(f, g);
+                }
+            }
+        }
+    }
+    last
+}
+
 /// Where the backward pass accumulates: per-gate adjoints and per-fact `δ`.
 struct Adjoints<'n, C> {
     nodes: &'n [DNode],
     /// `adj[g]`, empty until a parent deposits.
     adj: Vec<Vec<C>>,
-    /// `δ_f` by variable.
+    /// `δ_f` by variable, empty until its first term.
     delta: Vec<Vec<C>>,
-    /// Buffers of consumed adjoints, recycled for new ones.
+    /// Buffers of consumed adjoints and finished `δ` arrays, for reuse.
     spare: Vec<Vec<C>>,
     /// Product scratch for deposits into a non-empty adjoint.
     prod: Vec<C>,
@@ -437,31 +472,47 @@ struct Adjoints<'n, C> {
 impl<C: Coeff> Adjoints<'_, C> {
     /// Adds `x ⊛ y` (`x` when `y` is `None`) to child `c`'s adjoint —
     /// straight into `δ_f` when `c` is a `¬f` leaf (positive leaves never
-    /// consume one), whose adjoint is read nowhere else. A first deposit
-    /// writes into a recycled buffer.
+    /// consume one), whose adjoint is read nowhere else.
     fn deposit(&mut self, c: usize, x: &[C], y: Option<&[C]>) {
         let acc = match &self.nodes[c] {
             DNode::Lit(l) => &mut self.delta[l.var()],
             _ => &mut self.adj[c],
         };
-        if acc.is_empty() {
-            *acc = self.spare.pop().unwrap_or_default();
-            match y {
-                Some(y) => convolve(x, y, acc),
-                None => {
-                    acc.clear();
-                    acc.extend_from_slice(x);
-                }
-            }
-            return;
-        }
+        accumulate(acc, &mut self.spare, &mut self.prod, x, y);
+    }
+
+    /// Adds `x` to `δ_f`.
+    fn add_to_delta(&mut self, f: usize, x: &[C]) {
+        accumulate(&mut self.delta[f], &mut self.spare, &mut self.prod, x, None);
+    }
+}
+
+/// `acc += x ⊛ y` (`x` when `y` is `None`); an empty `acc` takes a
+/// recycled buffer from `spare`. `prod` is scratch.
+fn accumulate<C: Coeff>(
+    acc: &mut Vec<C>,
+    spare: &mut Vec<Vec<C>>,
+    prod: &mut Vec<C>,
+    x: &[C],
+    y: Option<&[C]>,
+) {
+    if acc.is_empty() {
+        *acc = spare.pop().unwrap_or_default();
         match y {
-            Some(y) => {
-                convolve(x, y, &mut self.prod);
-                add_into(acc, &self.prod);
+            Some(y) => convolve(x, y, acc),
+            None => {
+                acc.clear();
+                acc.extend_from_slice(x);
             }
-            None => add_into(acc, x),
         }
+        return;
+    }
+    match y {
+        Some(y) => {
+            convolve(x, y, prod);
+            add_into(acc, prod);
+        }
+        None => add_into(acc, x),
     }
 }
 
@@ -480,6 +531,14 @@ struct Backward<'n, C> {
 }
 
 impl<C: Coeff> Backward<'_, C> {
+    /// Hands `δ_f` (zero if it never took a term) to `finish` and recycles
+    /// its buffer.
+    fn finish_delta(&mut self, f: usize, zeros: &[C], finish: &mut impl FnMut(usize, &[C])) {
+        let delta = std::mem::take(&mut self.acc.delta[f]);
+        finish(f, if delta.is_empty() { zeros } else { &delta });
+        self.acc.spare.push(delta);
+    }
+
     /// Sends the adjoint `a` of a satisfiable ∧ gate to its children. The
     /// children that take no adjoint fold into it first:
     /// `run = a ⊛ ∏ α_c` over them. Consumer `i` of `r` then gets
@@ -581,7 +640,7 @@ impl<C: Coeff> Backward<'_, C> {
             };
             convolve(t, &alphas[c], &mut self.tmp);
             for f in sets[g].iter().filter(|&f| !sets[c].contains(f)) {
-                add_into(&mut self.acc.delta[f], &self.tmp);
+                self.acc.add_to_delta(f, &self.tmp);
             }
             if self.consumes[c] {
                 self.acc.deposit(c, t, Some(&one_plus_z));
@@ -644,26 +703,38 @@ impl<'a, C: Coeff> Dp<'a, C> {
 
     /// Every root variable's `δ_f = #SAT_·(C[f→0])` from one
     /// reverse-topological pass of adjoints over the base pass `alphas`
-    /// (see the module doc). Each gate's array is released once its parents
-    /// are done, so only the root's survives. Returns `δ` indexed by
-    /// variable, empty for variables outside the root.
-    fn adjoint_deltas(&mut self, alphas: &mut Alphas<C>) -> Result<Vec<Vec<C>>, ShapleyTimeout> {
+    /// (see the module doc), handed to `finish(f, δ_f)` once no gate left
+    /// to visit can add to it. Each gate's array is released once its
+    /// parents are done and each `δ_f` once finished, so what is live
+    /// beyond the base pass is the adjoints and `δ` arrays in flight, not
+    /// all `m` arrays of `m` coefficients.
+    fn adjoint_deltas(
+        &mut self,
+        alphas: &mut Alphas<C>,
+        mut finish: impl FnMut(usize, &[C]),
+    ) -> Result<(), ShapleyTimeout> {
         self.ticker.check()?;
         let d = self.d;
         let (nodes, sets) = (d.nodes(), self.sets);
         let root = d.root().index();
         let m = sets[root].len();
-        let mut delta: Vec<Vec<C>> = vec![Vec::new(); d.num_vars()];
-        for f in sets[root].iter() {
-            delta[f] = vec![C::zero(); m];
-        }
+        let zeros = vec![C::zero(); m];
+        // `(last, f)`: `δ_f` takes its last term at gate `last`, the lowest
+        // gate with a `¬f` leaf child or an ∨ gap covering `f` (0 when none:
+        // `δ_f` stays zero). Sorted so the next variable to finish is last.
+        let last = last_delta_terms(d, sets);
+        let mut due: Vec<(usize, usize)> = sets[root]
+            .iter()
+            .map(|f| (last[f].unwrap_or(0), f))
+            .collect();
+        due.sort_unstable();
         let mut bw = Backward {
             sets,
             consumes: adjoint_consumers(nodes, sets, root),
             acc: Adjoints {
                 nodes,
                 adj: vec![Vec::new(); root + 1],
-                delta,
+                delta: vec![Vec::new(); d.num_vars()],
                 spare: Vec::new(),
                 prod: Vec::new(),
             },
@@ -676,6 +747,11 @@ impl<'a, C: Coeff> Dp<'a, C> {
             bw.acc.adj[root].push(C::one());
         }
         for g in (0..=root).rev() {
+            // Every gate above `g` is done: so is every `δ_f` due there.
+            while let Some(&(_, f)) = due.last().filter(|&&(last, _)| last > g) {
+                bw.finish_delta(f, &zeros, &mut finish);
+                due.pop();
+            }
             if g < root {
                 // Every parent of `g` has a higher index and is done.
                 alphas[g] = Vec::new();
@@ -686,7 +762,7 @@ impl<'a, C: Coeff> Dp<'a, C> {
             }
             match &nodes[g] {
                 // Only a `¬f` root gets here: child leaves deposit into δ.
-                DNode::Lit(l) => add_into(&mut bw.acc.delta[l.var()], &a),
+                DNode::Lit(_) => bw.acc.deposit(g, &a, None),
                 DNode::True | DNode::False => {}
                 DNode::And(cs) => bw.and_gate(&a, cs, alphas, &mut self.ticker)?,
                 DNode::Or(cs, _) => {
@@ -695,7 +771,10 @@ impl<'a, C: Coeff> Dp<'a, C> {
             }
             bw.acc.spare.push(a);
         }
-        Ok(bw.acc.delta)
+        for &(_, f) in due.iter().rev() {
+            bw.finish_delta(f, &zeros, &mut finish);
+        }
+        Ok(())
     }
 
     /// The gates a conditioning on `f` invalidates, in (topological) index
@@ -851,16 +930,16 @@ fn solve<C: Coeff>(
     match solver {
         Solver::Adjoint => {
             passes.add(2);
+            debug_assert_eq!(p.facts.len(), m, "the adjoint pass solves every fact");
             let mut alphas = dp.base_pass()?;
-            let delta = dp.adjoint_deltas(&mut alphas)?;
-            for &f in &p.facts {
-                debug_assert_eq!(delta[f].len(), m);
-                derive_gamma(&alphas[root], &delta[f], &mut gamma);
-                out.push((
-                    f,
-                    weighted_difference(&gamma, &delta[f], &p.weights, &p.denom),
-                ));
-            }
+            let base_root = alphas[root].clone();
+            dp.adjoint_deltas(&mut alphas, |f, delta| {
+                debug_assert_eq!(delta.len(), m);
+                derive_gamma(&base_root, delta, &mut gamma);
+                out.push((f, weighted_difference(&gamma, delta, &p.weights, &p.denom)));
+            })?;
+            out.sort_unstable_by_key(|&(f, _)| f);
+            debug_assert!(out.iter().map(|&(f, _)| f).eq(p.facts.iter().copied()));
         }
         Solver::PerFact(passes_kind) => {
             let base = match passes_kind {
@@ -1329,7 +1408,9 @@ mod tests {
             Solver::Adjoint,
             Solver::PerFact(PerFactPasses::ReuseUnaffected),
         ] {
-            let err = std::panic::catch_unwind(|| solve_facts_on::<Vli<1>>(&dd, s, Some(&[0])));
+            // The per-fact oracle on one fact; the adjoint pass solves all.
+            let facts = (s != Solver::Adjoint).then_some(&[0][..]);
+            let err = std::panic::catch_unwind(|| solve_facts_on::<Vli<1>>(&dd, s, facts));
             assert!(err.is_err(), "64-bit tier must overflow at C(68,34): {s:?}");
         }
     }
@@ -1394,15 +1475,19 @@ mod tests {
         assert_eq!(Tier::for_sets(&sets), Tier::Vli2);
         let mut dp: Dp<Vli<2>> = Dp::new(&dd, &sets, None);
         let mut alphas = dp.base_pass().unwrap();
-        let delta = dp.adjoint_deltas(&mut alphas).unwrap();
         let row: Vec<Vli<2>> = BinomialTable::new()
             .row(n - 1)
             .iter()
             .map(Vli::from_biguint)
             .collect();
-        for f in 0..n {
-            assert_eq!(delta[f], row, "fact {f}");
-        }
+        let mut finished = Vec::new();
+        dp.adjoint_deltas(&mut alphas, |f, delta| {
+            assert_eq!(delta, &row[..], "fact {f}");
+            finished.push(f);
+        })
+        .unwrap();
+        finished.sort_unstable();
+        assert_eq!(finished, (0..n).collect::<Vec<_>>(), "each fact once");
         // Only the root's forward array survives the backward pass.
         let root = dd.root().index();
         assert!(alphas[..root].iter().all(Vec::is_empty));
@@ -1624,7 +1709,8 @@ mod tests {
         let mut dp: Dp<Vli<1>> = Dp::new(&dd, &sets, None);
         let mut alphas = dp.base_pass().unwrap();
         dp.ticker.deadline = Some(Instant::now() - std::time::Duration::from_millis(1));
-        assert_eq!(dp.adjoint_deltas(&mut alphas).err(), Some(ShapleyTimeout));
+        let r = dp.adjoint_deltas(&mut alphas, |_, _| {});
+        assert_eq!(r, Err(ShapleyTimeout));
     }
 
     proptest! {
