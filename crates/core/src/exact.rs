@@ -909,10 +909,6 @@ impl<'a> Problem<'a> {
             deadline: cfg.deadline,
         })
     }
-
-    fn root_size(&self) -> usize {
-        self.sets[self.d.root().index()].len()
-    }
 }
 
 /// Runs one solver on one coefficient type. Returns `(fact, value)` pairs
@@ -923,7 +919,7 @@ fn solve<C: Coeff>(
     passes: &'static Counter,
 ) -> Result<Vec<(usize, Rational)>, ShapleyTimeout> {
     let root = p.d.root().index();
-    let m = p.root_size();
+    let m = p.sets[root].len();
     let mut dp: Dp<C> = Dp::new(p.d, &p.sets, p.deadline);
     let mut gamma = Vec::new();
     let mut out = Vec::with_capacity(p.facts.len());
@@ -1216,9 +1212,7 @@ mod tests {
     /// monotone game over `2·pairs` variables, so by symmetry + efficiency
     /// every Shapley value is exactly `1/(2·pairs)`.
     fn symmetric_tree(pairs: usize) -> Ddnnf {
-        let mut b = DdnnfBuilder::new();
-        let root = symmetric_gadgets(&mut b, pairs);
-        b.finish(root, 2 * pairs)
+        symmetric_over(2 * pairs)
     }
 
     fn symmetric_gadgets(b: &mut DdnnfBuilder, pairs: usize) -> NodeIdx {
