@@ -17,16 +17,18 @@
 //! value it is insensitive to `|D_n|` (null players change nothing), which
 //! the tests exercise.
 
-use crate::measure::Measure;
-use crate::readonce::power_read_once;
-use shapdb_circuit::{factor, Circuit, Dnf, VarId};
-use shapdb_kc::{compile_circuit, Budget, DNode, Ddnnf};
+use shapdb_kc::Ddnnf;
 use shapdb_num::{BigInt, BigUint, Bitset, Rational};
 
 /// Exact Banzhaf value of every d-DNNF variable.
 ///
 /// Variables absent from the circuit are null players with value 0 (entries
 /// are still returned for them, as zero).
+///
+/// The same numbers are the *causal effect* of Salimi et al. (TaPP 2016):
+/// `E[q | f present] − E[q | f absent]` under independent fact probability
+/// ½ is exactly `Pr(C | f→1) − Pr(C | f→0)` above, so for Boolean games
+/// causal effect and Banzhaf value coincide.
 pub fn banzhaf_all_facts(d: &Ddnnf) -> Vec<Rational> {
     let num_vars = d.num_vars();
     let mut out = vec![Rational::zero(); num_vars];
@@ -43,37 +45,6 @@ pub fn banzhaf_all_facts(d: &Ddnnf) -> Vec<Rational> {
         p0[f] = Rational::zero();
         out[f] = &d.probability_rational(&p1) - &d.probability_rational(&p0);
     }
-    out
-}
-
-/// Exact Banzhaf value of every fact of a monotone DNF lineage.
-///
-/// Absorption-minimizes the lineage first — the uniform null-player
-/// semantics every Shapley engine enforces (an absorbed conjunct can name a
-/// fact the function does not depend on, and unminimized inputs defeat the
-/// syntactic read-once factoring) — then evaluates through the read-once
-/// fast path when the minimized lineage factors, falling back to knowledge
-/// compilation otherwise. Returns `(fact, value)` pairs sorted by
-/// decreasing value (ties by fact id), one per variable of the minimized
-/// lineage.
-pub fn banzhaf_from_lineage(lineage: &Dnf) -> Vec<(VarId, Rational)> {
-    let mut min = lineage.clone();
-    min.minimize();
-    let n_vars = min.vars().len();
-    let mut out = if let Some(tree) = factor(&min) {
-        power_read_once(&tree, n_vars, None, Measure::Banzhaf).expect("no deadline set")
-    } else {
-        let mut c = Circuit::new();
-        let root = min.to_circuit(&mut c);
-        let comp = compile_circuit(&c, root, &Budget::unlimited()).expect("unlimited budget");
-        let values = banzhaf_all_facts(&comp.ddnnf);
-        comp.fact_vars
-            .iter()
-            .zip(values)
-            .map(|(&v, r)| (v, r))
-            .collect()
-    };
-    out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     out
 }
 
@@ -116,72 +87,15 @@ pub fn banzhaf_naive(f: &impl Fn(&Bitset) -> bool, n: usize) -> Vec<Rational> {
         .collect()
 }
 
-/// Total number of *critical coalitions* of a fact (the raw Banzhaf count,
-/// an integer): coalitions `E` where adding `f` flips the query. Computed
-/// from the circuit without enumeration via `#SAT(C[f→1]) − #SAT(C[f→0])`.
-pub fn critical_coalitions(d: &Ddnnf, var: usize) -> BigUint {
-    let num_vars = d.num_vars();
-    assert!(var < num_vars);
-    let sets = d.var_sets();
-    let root = d.root().index();
-    if !sets[root].contains(var) {
-        return BigUint::zero();
-    }
-    // Count models over Vars \ {var} with var conditioned.
-    let count_conditioned = |value: bool| -> BigUint {
-        let nodes = d.nodes();
-        let mut counts: Vec<BigUint> = Vec::with_capacity(nodes.len());
-        let size = |g: usize| sets[g].len() - usize::from(sets[g].contains(var));
-        for (i, n) in nodes.iter().enumerate() {
-            let c = match n {
-                DNode::True => BigUint::one(),
-                DNode::False => BigUint::zero(),
-                DNode::Lit(l) => {
-                    if l.var() == var {
-                        BigUint::from_u64(u64::from(l.satisfied_by(value)))
-                    } else {
-                        BigUint::one()
-                    }
-                }
-                DNode::And(cs) => {
-                    let mut acc = BigUint::one();
-                    for ch in cs.iter() {
-                        acc = &acc * &counts[ch.index()];
-                    }
-                    acc
-                }
-                DNode::Or(cs, _) => {
-                    let mut acc = BigUint::zero();
-                    for ch in cs.iter() {
-                        let gap = size(i) - size(ch.index());
-                        acc += &(counts[ch.index()].clone() << gap);
-                    }
-                    acc
-                }
-            };
-            counts.push(c);
-        }
-        // Complete over variables absent from the root's var set.
-        let gap = (num_vars - 1) - size(root);
-        counts[root].clone() << gap
-    };
-    let with = count_conditioned(true);
-    let without = count_conditioned(false);
-    // Monotone lineages have with ≥ without; support the general case too.
-    with.checked_sub(&without).unwrap_or_else(|| {
-        without
-            .checked_sub(&with)
-            .expect("one direction must subtract")
-    })
-}
-
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // parallel-array comparisons read better indexed
 mod tests {
     use super::*;
+    use crate::engine::{EngineKind, EngineValues, LineageTask, Planner, PlannerConfig};
+    use crate::measure::Measure;
     use proptest::prelude::*;
     use shapdb_circuit::{Circuit, Dnf, VarId};
-    use shapdb_kc::{compile_circuit, Budget};
+    use shapdb_kc::{compile_circuit, Budget, DNode};
 
     fn compile_dense(d: &Dnf, n: usize) -> Ddnnf {
         use shapdb_circuit::Lit;
@@ -229,17 +143,14 @@ mod tests {
         assert!(got[0] > got[1], "a1 dominates as with Shapley");
     }
 
-    #[test]
-    fn critical_coalitions_match_banzhaf() {
-        let dnf = running_example();
-        let dd = compile_dense(&dnf, 7);
-        let values = banzhaf_all_facts(&dd);
-        let denom = BigUint::one() << 6; // 2^(n-1)
-        for v in 0..7 {
-            let crit = critical_coalitions(&dd, v);
-            let expect = Rational::new(BigInt::from_biguint(crit), denom.clone());
-            assert_eq!(values[v], expect, "var {v}");
-        }
+    /// Banzhaf values of `lineage` through the planner's routing ladder.
+    fn planned(lineage: &Dnf, cfg: PlannerConfig) -> (EngineKind, Vec<(VarId, Rational)>) {
+        let task = LineageTask::new(lineage, 4).with_measure(Measure::Banzhaf);
+        let r = Planner::new(cfg).solve(&task).unwrap();
+        let EngineValues::Exact(values) = r.values else {
+            panic!("exact planner yields exact values");
+        };
+        (r.engine, values)
     }
 
     #[test]
@@ -253,8 +164,8 @@ mod tests {
         raw.add_conjunct(vec![VarId(1), VarId(2)]);
         let mut min = raw.clone();
         min.minimize();
-        let got_raw = banzhaf_from_lineage(&raw);
-        let got_min = banzhaf_from_lineage(&min);
+        let (_, got_raw) = planned(&raw, PlannerConfig::default());
+        let (_, got_min) = planned(&min, PlannerConfig::default());
         assert_eq!(got_raw, got_min);
         assert!(got_raw.iter().all(|(v, _)| *v != VarId(3)));
         // And both agree with the enumeration oracle on the same function.
@@ -266,12 +177,18 @@ mod tests {
 
     #[test]
     fn from_lineage_falls_back_to_compilation() {
-        // Non-read-once minimized lineage: (x0x1)∨(x1x2)∨(x0x2).
+        // Non-read-once minimized lineage: (x0x1)∨(x1x2)∨(x0x2). With the
+        // naive route off, the planner compiles it.
         let mut d = Dnf::new();
         d.add_conjunct(vec![VarId(0), VarId(1)]);
         d.add_conjunct(vec![VarId(1), VarId(2)]);
         d.add_conjunct(vec![VarId(0), VarId(2)]);
-        let got = banzhaf_from_lineage(&d);
+        let cfg = PlannerConfig {
+            max_naive_vars: 0,
+            ..Default::default()
+        };
+        let (engine, got) = planned(&d, cfg);
+        assert_eq!(engine, EngineKind::Kc);
         let expect = banzhaf_naive(&|s: &Bitset| d.eval_set(s), 3);
         assert_eq!(got.len(), 3);
         for (v, r) in &got {

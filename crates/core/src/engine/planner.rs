@@ -37,6 +37,13 @@ use shapdb_query::{is_hierarchical, is_self_join_free, Ucq};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Naive-enumeration admission: max (minimized) conjuncts — each of the
+/// `2ⁿ` evaluations scans the whole DNF, so wide lineages pay more per mask
+/// than the compiled circuit would. `Planner::cache_digest` hashes it
+/// between `max_naive_vars` and `topdown_min_vars`: dropping or moving it
+/// would change every cache key and orphan every persisted record.
+const MAX_NAIVE_CONJUNCTS: usize = 64;
+
 /// Planner policy knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct PlannerConfig {
@@ -65,10 +72,6 @@ pub struct PlannerConfig {
     /// Values beyond the naive engine's own enumeration cap (25) make the
     /// route fail rather than enumerate forever.
     pub max_naive_vars: usize,
-    /// Naive-enumeration admission: max (minimized) conjuncts — each of the
-    /// `2ⁿ` evaluations scans the whole DNF, so wide lineages pay more per
-    /// mask than the compiled circuit would.
-    pub max_naive_conjuncts: usize,
     /// Per-lineage deadline for the exact engines (KC + Algorithm 1).
     /// `None` = no deadline (callers' own budgets still apply).
     pub timeout: Option<Duration>,
@@ -86,7 +89,6 @@ impl Default for PlannerConfig {
             max_kc_vars: 1024,
             max_kc_conjuncts: 4096,
             max_naive_vars: 10,
-            max_naive_conjuncts: 64,
             topdown_min_vars: 48,
             timeout: None,
             fallback: None,
@@ -343,7 +345,7 @@ impl Planner {
                     // the safe engine.
                     PLANNER_HIERARCHICAL_DISAGREEMENTS.incr();
                 }
-                if vars <= self.cfg.max_naive_vars && conjuncts <= self.cfg.max_naive_conjuncts {
+                if vars <= self.cfg.max_naive_vars && conjuncts <= MAX_NAIVE_CONJUNCTS {
                     // Tiny non-factorizable lineage: 2ⁿ evaluations are
                     // cheaper than building + compiling a Tseytin CNF.
                     PLANNER_NAIVE_ROUTES.incr();
@@ -587,7 +589,7 @@ impl Planner {
         self.cfg.max_kc_vars.hash(&mut h);
         self.cfg.max_kc_conjuncts.hash(&mut h);
         self.cfg.max_naive_vars.hash(&mut h);
-        self.cfg.max_naive_conjuncts.hash(&mut h);
+        MAX_NAIVE_CONJUNCTS.hash(&mut h);
         self.cfg.topdown_min_vars.hash(&mut h);
         self.cfg.timeout.hash(&mut h);
         self.cfg.fallback.map(EngineKind::name).hash(&mut h);
@@ -669,15 +671,15 @@ mod tests {
     #[test]
     fn tiny_non_read_once_lineages_route_to_naive() {
         // Satellite (naive route): below the naive cutoff, enumeration
-        // beats factorization + compilation — no CNF is ever built — and
-        // the route is counted.
+        // beats factorization + compilation — no CNF is ever built. The
+        // route counter is checked in this crate's
+        // `tests/planner_route_counters.rs`, away from the tests that plan
+        // concurrently in this binary.
         let planner = Planner::new(PlannerConfig::default());
         let majority = dnf(&[&[0, 1], &[1, 2], &[0, 2]]);
-        let before = PLANNER_NAIVE_ROUTES.get();
         let plan = planner.plan(&majority);
         assert_eq!(plan.engine, EngineKind::Naive);
         assert_eq!(plan.reason, PlanReason::TinyNaive);
-        assert_eq!(PLANNER_NAIVE_ROUTES.get(), before + 1);
         let r = planner.solve(&LineageTask::new(&majority, 3)).unwrap();
         assert_eq!(r.engine, EngineKind::Naive);
         assert_eq!(r.cnf_clauses, 0);
@@ -1305,16 +1307,16 @@ mod tests {
     #[test]
     fn wide_lineages_take_the_topdown_route() {
         // Tentpole admission: past `topdown_min_vars` the KC route selects
-        // the top-down compiler (and counts the route); below it, the
-        // classic bottom-up reason stands. The raised `max_kc_vars`
-        // default admits the 51-var lineage at all.
+        // the top-down compiler; below it, the classic bottom-up reason
+        // stands. The raised `max_kc_vars` default admits the 51-var
+        // lineage at all. The route counter is checked in this crate's
+        // `tests/planner_route_counters.rs`, away from the tests that plan
+        // concurrently in this binary.
         let planner = Planner::new(PlannerConfig::default());
         let wide = majority_blocks(17); // 51 vars > topdown_min_vars (48)
-        let before = PLANNER_KC_TOPDOWN_ROUTES.get();
         let plan = planner.plan(&wide);
         assert_eq!(plan.engine, EngineKind::Kc);
         assert_eq!(plan.reason, PlanReason::KcWideTopDown);
-        assert_eq!(PLANNER_KC_TOPDOWN_ROUTES.get(), before + 1);
         assert_eq!(
             planner.plan(&majority_blocks(4)).reason,
             PlanReason::KcWithinBudget

@@ -5,9 +5,12 @@
 //!
 //! * [`exact`] — **Algorithm 1**: exact Shapley values from a deterministic
 //!   and decomposable circuit via the `#SAT_k` dynamic program
-//!   (Proposition 4.4), in `O(|C|·|D_n|²)` arithmetic operations per fact,
-//!   plus an optimized variant that recomputes only the gates whose variable
-//!   set contains the conditioned fact;
+//!   (Proposition 4.4). Production runs every fact at once in two passes,
+//!   one forward `#SAT_k` pass and one backward pass of adjoints; the
+//!   paper's per-fact conditioned passes (`O(|C|·|D_n|²)` arithmetic
+//!   operations per fact, in full or recomputing only the gates whose
+//!   variable set contains the fact) remain as the test oracle and the
+//!   ablation baseline ([`exact::power_index_per_fact`]);
 //! * [`proxy`] — **Algorithm 2 / CNF Proxy**: the fast inexact heuristic that
 //!   scores facts through the additive relaxation `φ̃ = Σᵢ ψᵢ/n` of the
 //!   Tseytin CNF (Lemma 5.2);
@@ -49,7 +52,7 @@ pub mod shap_score;
 mod weights;
 
 pub use aggregate::{count_shapley, sum_shapley, AggregateAttributions};
-pub use banzhaf::{banzhaf_all_facts, banzhaf_from_lineage, banzhaf_naive, critical_coalitions};
+pub use banzhaf::{banzhaf_all_facts, banzhaf_naive};
 pub use engine::{
     shapley_bounds, AnalysisError, BatchExecutor, BatchItem, BatchReport, EngineError, EngineKind,
     EngineResult, EngineValues, KcEngine, KernelShapEngine, LineageTask, MonteCarloEngine,
@@ -62,8 +65,6 @@ pub use measure::Measure;
 pub use montecarlo::{monte_carlo_shapley, monte_carlo_shapley_monotone, MonteCarloConfig};
 pub use naive::{shapley_naive, shapley_naive_by_slices};
 pub use proxy::{cnf_proxy, cnf_proxy_exact, proxy_from_lineage};
-pub use readonce::{
-    power_read_once, sat_k_read_once, shap_read_once, shapley_read_once, try_shapley_read_once,
-};
+pub use readonce::{power_read_once, sat_k_read_once, shap_read_once, shapley_read_once};
 pub use responsibility::{min_contingency, responsibility, responsibility_all};
-pub use shap_score::{shap_naive, shap_scores, shap_scores_from_lineage};
+pub use shap_score::{shap_naive, shap_scores};

@@ -45,7 +45,7 @@
 use crate::exact::{derive_gamma, BinomRows, ShapleyTimeout};
 use crate::measure::Measure;
 use crate::weights::{completion_weights, power_weights, weighted_difference};
-use shapdb_circuit::{factor, Dnf, ReadOnce, VarId};
+use shapdb_circuit::{ReadOnce, VarId};
 use shapdb_num::{
     combinatorics::{alpha_cap_bits, BinomialTable, FactorialTable},
     BigUint, Coeff, Rational, Vli,
@@ -395,20 +395,6 @@ fn power_facts<C: Coeff>(
     Ok(out)
 }
 
-/// One-shot fast path: factor a monotone DNF lineage and, if it is
-/// read-once, compute all Shapley values from the factorization.
-///
-/// Returns `None` when the lineage is not read-once (callers fall back to
-/// the knowledge-compilation pipeline).
-pub fn try_shapley_read_once(
-    lineage: &Dnf,
-    n_endo: usize,
-    deadline: Option<Instant>,
-) -> Option<Result<Vec<(VarId, Rational)>, ShapleyTimeout>> {
-    let tree = factor(lineage)?;
-    Some(shapley_read_once(&tree, n_endo, deadline))
-}
-
 /// `#SAT_ℓ` array of a read-once tree over its own variables (test oracle
 /// and building block for probability computation on factorized lineages).
 pub fn sat_k_read_once(tree: &ReadOnce) -> Vec<BigUint> {
@@ -619,6 +605,7 @@ mod tests {
     use super::*;
     use crate::naive::{sat_k_bruteforce, shapley_naive};
     use proptest::prelude::*;
+    use shapdb_circuit::{factor, Dnf};
     use shapdb_num::Bitset;
 
     fn dnf(conjs: &[&[u32]]) -> Dnf {
@@ -632,9 +619,8 @@ mod tests {
     #[test]
     fn running_example_values_match_example_2_1() {
         let d = dnf(&[&[0], &[1, 3], &[1, 4], &[2, 3], &[2, 4], &[5, 6]]);
-        let got = try_shapley_read_once(&d, 8, None)
-            .expect("read-once")
-            .unwrap();
+        let tree = factor(&d).expect("read-once");
+        let got = shapley_read_once(&tree, 8, None).unwrap();
         let by_var: HashMap<u32, Rational> = got.into_iter().map(|(v, r)| (v.0, r)).collect();
         assert_eq!(by_var[&0], Rational::from_ratio(43, 105));
         for v in [1, 2, 3, 4] {
@@ -649,7 +635,8 @@ mod tests {
     fn q2_values_match_example_5_3() {
         // (a2∧a4)∨(a2∧a5)∨(a3∧a4)∨(a3∧a5)∨(a6∧a7): 11/60 ×4, 2/15 ×2.
         let d = dnf(&[&[0, 2], &[0, 3], &[1, 2], &[1, 3], &[4, 5]]);
-        let got = try_shapley_read_once(&d, 6, None).unwrap().unwrap();
+        let tree = factor(&d).expect("read-once");
+        let got = shapley_read_once(&tree, 6, None).unwrap();
         let by_var: HashMap<u32, Rational> = got.into_iter().map(|(v, r)| (v.0, r)).collect();
         for v in 0..4 {
             assert_eq!(by_var[&v], Rational::from_ratio(11, 60));
@@ -661,7 +648,7 @@ mod tests {
     #[test]
     fn non_read_once_returns_none() {
         let d = dnf(&[&[0, 1], &[1, 2], &[0, 2]]);
-        assert!(try_shapley_read_once(&d, 3, None).is_none());
+        assert!(factor(&d).is_none());
     }
 
     #[test]
@@ -720,7 +707,8 @@ mod tests {
                 d.add_conjunct(vec![VarId(i), VarId(12 + j)]);
             }
         }
-        let got = try_shapley_read_once(&d, 24, None).unwrap().unwrap();
+        let tree = factor(&d).expect("read-once");
+        let got = shapley_read_once(&tree, 24, None).unwrap();
         assert_eq!(got.len(), 24);
         let first = got[0].1.clone();
         let mut total = Rational::zero();
@@ -736,7 +724,8 @@ mod tests {
     fn deadline_is_respected() {
         let d = dnf(&[&[0], &[1, 2]]);
         let past = Instant::now() - std::time::Duration::from_millis(1);
-        let r = try_shapley_read_once(&d, 3, Some(past)).unwrap();
+        let tree = factor(&d).expect("read-once");
+        let r = shapley_read_once(&tree, 3, Some(past));
         assert_eq!(r, Err(ShapleyTimeout));
     }
 

@@ -324,13 +324,6 @@ pub fn responsibility_naive(lineage: &Dnf, fact: VarId, n: usize) -> Rational {
     }
 }
 
-/// Causal effect (Salimi et al., TaPP 2016): the expected difference
-/// `E[q | f present] − E[q | f absent]` under independent fact probability
-/// ½. For Boolean games this *equals* the Banzhaf value, so the exact
-/// computation lives in [`crate::banzhaf`]; this alias documents the
-/// identity at the API level.
-pub use crate::banzhaf::banzhaf_all_facts as causal_effect_all_facts;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,10 +427,27 @@ mod tests {
 
     #[test]
     fn causal_effect_is_banzhaf() {
-        // The alias points at the Banzhaf computation; spot-check the
-        // running example's a1 via the naive Banzhaf oracle.
+        // Causal effect is computed as the Banzhaf value (see
+        // `banzhaf_all_facts`): the compiled running example must match the
+        // naive Banzhaf oracle, and a1 the hand computation below.
+        use shapdb_circuit::Circuit;
+        use shapdb_kc::{compile_circuit, Budget};
         let d = running_example();
-        let values = crate::banzhaf::banzhaf_naive(&|s: &Bitset| d.eval_set(s), 7);
+        let mut c = Circuit::new();
+        let root = d.to_circuit(&mut c);
+        let comp = compile_circuit(&c, root, &Budget::unlimited()).unwrap();
+        let mut values = vec![Rational::zero(); 7];
+        for (v, value) in comp
+            .fact_vars
+            .iter()
+            .zip(crate::banzhaf::banzhaf_all_facts(&comp.ddnnf))
+        {
+            values[v.index()] = value;
+        }
+        assert_eq!(
+            values,
+            crate::banzhaf::banzhaf_naive(&|s: &Bitset| d.eval_set(s), 7)
+        );
         // CE(a1) = Pr[q | a1] − Pr[q | ¬a1] = 1 − Pr[rest fires]. The rest
         // is ((a2∨a3)∧(a4∨a5)) ∨ (a6∧a7) at p = ½:
         // 1 − (1 − 9/16)(1 − 1/4) = 43/64, so CE(a1) = 21/64.

@@ -27,9 +27,7 @@
 //! the score is `(1 − p_x) · Σ_j (β¹[j] − β⁰[j]) · j!(m−1−j)!/m!` — the
 //! `Γ − Δ = (1−p_x)(β¹ − β⁰)` identity folding the "x unfixed" mixture.
 
-use crate::readonce::shap_read_once;
-use shapdb_circuit::{factor, Circuit, Dnf, VarId};
-use shapdb_kc::{compile_circuit, Budget, DNode, Ddnnf};
+use shapdb_kc::{DNode, Ddnnf};
 use shapdb_num::{
     combinatorics::{BinomialTable, FactorialTable},
     Bitset, Rational,
@@ -232,39 +230,6 @@ pub fn shap_scores(d: &Ddnnf, probs: &[Rational]) -> Vec<Rational> {
     out
 }
 
-/// Exact SHAP-score of every fact of a monotone DNF lineage under the
-/// uniform product background with marginal `p` per feature.
-///
-/// Absorption-minimizes the lineage first — the uniform null-player
-/// semantics every Shapley engine enforces (an absorbed conjunct can name a
-/// dummy feature, and unminimized inputs defeat the syntactic read-once
-/// factoring) — then evaluates through the read-once β-DP when the
-/// minimized lineage factors, falling back to knowledge compilation plus
-/// [`shap_scores`] otherwise. Returns `(fact, value)` pairs sorted by
-/// decreasing value (ties by fact id), one per variable of the minimized
-/// lineage.
-pub fn shap_scores_from_lineage(lineage: &Dnf, p: &Rational) -> Vec<(VarId, Rational)> {
-    let mut min = lineage.clone();
-    min.minimize();
-    let n_vars = min.vars().len();
-    let mut out = if let Some(tree) = factor(&min) {
-        shap_read_once(&tree, n_vars, None, p).expect("no deadline set")
-    } else {
-        let mut c = Circuit::new();
-        let root = min.to_circuit(&mut c);
-        let comp = compile_circuit(&c, root, &Budget::unlimited()).expect("unlimited budget");
-        let probs = vec![p.clone(); comp.ddnnf.num_vars()];
-        let values = shap_scores(&comp.ddnnf, &probs);
-        comp.fact_vars
-            .iter()
-            .zip(values)
-            .map(|(&v, r)| (v, r))
-            .collect()
-    };
-    out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    out
-}
-
 /// Brute-force SHAP-score oracle (`O(4ⁿ)`), for validation on small inputs.
 pub fn shap_naive(f: &impl Fn(&Bitset) -> bool, probs: &[Rational]) -> Vec<Rational> {
     let n = probs.len();
@@ -327,7 +292,9 @@ pub fn shap_naive(f: &impl Fn(&Bitset) -> bool, probs: &[Rational]) -> Vec<Ratio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{EngineKind, EngineValues, LineageTask, Planner, PlannerConfig};
     use crate::exact::{shapley_all_facts, ExactConfig};
+    use crate::measure::Measure;
     use proptest::prelude::*;
     use shapdb_circuit::{Circuit, Dnf, VarId};
     use shapdb_kc::{compile_circuit, Budget};
@@ -406,6 +373,17 @@ mod tests {
         assert_eq!(shap, expect);
     }
 
+    /// SHAP-scores (uniform `p = ½` background) of `lineage` through the
+    /// planner's routing ladder.
+    fn planned(lineage: &Dnf, cfg: PlannerConfig) -> (EngineKind, Vec<(VarId, Rational)>) {
+        let task = LineageTask::new(lineage, 4).with_measure(Measure::ShapScore);
+        let r = Planner::new(cfg).solve(&task).unwrap();
+        let EngineValues::Exact(values) = r.values else {
+            panic!("exact planner yields exact values");
+        };
+        (r.engine, values)
+    }
+
     #[test]
     fn from_lineage_minimizes_before_evaluating() {
         // Absorbed conjunct naming a dummy feature x3: unminimized input
@@ -417,8 +395,8 @@ mod tests {
         let mut min = raw.clone();
         min.minimize();
         let half = Rational::from_ratio(1, 2);
-        let got_raw = shap_scores_from_lineage(&raw, &half);
-        let got_min = shap_scores_from_lineage(&min, &half);
+        let (_, got_raw) = planned(&raw, PlannerConfig::default());
+        let (_, got_min) = planned(&min, PlannerConfig::default());
         assert_eq!(got_raw, got_min);
         assert!(got_raw.iter().all(|(v, _)| *v != VarId(3)));
         let expect = shap_naive(&|s: &Bitset| raw.eval_set(s), &vec![half.clone(); 3]);
@@ -429,13 +407,19 @@ mod tests {
 
     #[test]
     fn from_lineage_falls_back_to_compilation() {
-        // Non-read-once minimized lineage: (x0x1)∨(x1x2)∨(x0x2).
+        // Non-read-once minimized lineage: (x0x1)∨(x1x2)∨(x0x2). With the
+        // naive route off, the planner compiles it.
         let mut d = Dnf::new();
         d.add_conjunct(vec![VarId(0), VarId(1)]);
         d.add_conjunct(vec![VarId(1), VarId(2)]);
         d.add_conjunct(vec![VarId(0), VarId(2)]);
         let half = Rational::from_ratio(1, 2);
-        let got = shap_scores_from_lineage(&d, &half);
+        let cfg = PlannerConfig {
+            max_naive_vars: 0,
+            ..Default::default()
+        };
+        let (engine, got) = planned(&d, cfg);
+        assert_eq!(engine, EngineKind::Kc);
         let expect = shap_naive(&|s: &Bitset| d.eval_set(s), &vec![half.clone(); 3]);
         assert_eq!(got.len(), 3);
         for (v, r) in &got {

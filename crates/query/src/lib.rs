@@ -17,16 +17,12 @@
 //!   that class (§3);
 //! * [`negation`] — CQs with safe negated atoms (the paper's §7 extension):
 //!   evaluation producing *signed* lineages over fact literals;
-//! * [`algebra`] — the equivalent relational-algebra (SPJU) interface:
-//!   operator-at-a-time evaluation with per-operator provenance, the way
-//!   ProvSQL instruments PostgreSQL's plans;
 //! * [`stream`] — per-answer streaming extraction: [`LineageStream`] yields
 //!   one answer's canonical minimized lineage at a time (bit-identical to
 //!   [`evaluate`]'s), and [`with_streamed_lineages`] pushes it through a
 //!   bounded channel so peak provenance memory is governed by the chunk
 //!   size, not the answer count.
 
-pub mod algebra;
 pub mod ast;
 pub mod eval;
 pub mod hierarchical;
@@ -34,9 +30,6 @@ pub mod negation;
 pub mod parser;
 pub mod stream;
 
-pub use algebra::{
-    evaluate_algebra, for_each_algebra_output, AlgebraError, Operand, RaExpr, RaPredicate,
-};
 pub use ast::{Atom, CmpOp, ConjunctiveQuery, CqBuilder, Predicate, Term, Ucq, Variable};
 pub use eval::{evaluate, evaluate_cq, OutputTuple, QueryResult};
 pub use hierarchical::{is_hierarchical, is_self_join_free};

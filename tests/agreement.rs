@@ -5,20 +5,23 @@
 //! * `naive` vs `exact` (Algorithm 1 over a compiled d-DNNF) vs `readonce`
 //!   (the factorization fast path, when the lineage factors): identical
 //!   `Rational`s, on random monotone DNF lineages *and* on random databases
-//!   driven through the full public pipeline;
+//!   driven through the full public pipeline — for the Shapley value, and
+//!   on the same lineages for the Banzhaf value, the other power index;
 //! * Monte Carlo permutation sampling: converges within tolerance.
 
 use rand::prelude::*;
-use shapdb::circuit::{Circuit, Dnf, VarId};
+use shapdb::circuit::{factor, Circuit, Dnf, VarId};
+use shapdb::core::banzhaf::banzhaf_naive;
 use shapdb::core::engine::{EngineValues, KcEngine};
-use shapdb::core::exact::ExactConfig;
+use shapdb::core::exact::{power_index_all_facts, ExactConfig};
 use shapdb::core::montecarlo::{monte_carlo_shapley, MonteCarloConfig};
 use shapdb::core::naive::shapley_naive;
-use shapdb::core::readonce::try_shapley_read_once;
+use shapdb::core::readonce::{power_read_once, shapley_read_once};
 use shapdb::data::{Database, Value};
-use shapdb::kc::Budget;
+use shapdb::kc::{compile_circuit, Budget};
 use shapdb::num::{Bitset, Rational};
 use shapdb::query::{evaluate, parse_ucq};
+use shapdb::Measure;
 use shapdb::ShapleyAnalyzer;
 
 /// A random monotone DNF over `n` variables: 1–6 conjuncts of 1–3 variables.
@@ -69,10 +72,53 @@ fn naive_exact_and_readonce_agree_on_random_lineages() {
         let exact = exact_dense(&d, n);
         assert_eq!(naive, exact, "naive vs Algorithm 1, seed {seed}, dnf {d:?}");
 
-        if let Some(result) = try_shapley_read_once(&d, n, None) {
+        if let Some(tree) = factor(&d) {
             read_once_hits += 1;
             let mut ro = vec![Rational::zero(); n];
-            for (v, val) in result.expect("no deadline set") {
+            for (v, val) in shapley_read_once(&tree, n, None).expect("no deadline set") {
+                ro[v.0 as usize] = val;
+            }
+            assert_eq!(naive, ro, "naive vs read-once, seed {seed}, dnf {d:?}");
+        }
+    }
+    // The harness must actually exercise the fast path, not just skip it.
+    assert!(
+        read_once_hits >= 10,
+        "only {read_once_hits}/60 lineages factored"
+    );
+}
+
+#[test]
+fn banzhaf_naive_exact_and_readonce_agree_on_random_lineages() {
+    let mut read_once_hits = 0usize;
+    for seed in 0..60u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.random_range(3..=9usize);
+        let d = random_dnf(&mut rng, n);
+
+        let naive = banzhaf_naive(&|s: &Bitset| d.eval_set(s), n);
+
+        // Algorithm 1's DP with the Banzhaf weights over the compiled
+        // d-DNNF, densified through the compilation's fact map.
+        let mut circuit = Circuit::new();
+        let root = d.to_circuit(&mut circuit);
+        let comp = compile_circuit(&circuit, root, &Budget::unlimited())
+            .expect("unlimited budget cannot time out");
+        let values =
+            power_index_all_facts(&comp.ddnnf, n, &ExactConfig::default(), Measure::Banzhaf)
+                .expect("no deadline set");
+        let mut exact = vec![Rational::zero(); n];
+        for (fact, value) in comp.fact_vars.iter().zip(values) {
+            exact[fact.0 as usize] = value;
+        }
+        assert_eq!(naive, exact, "naive vs Algorithm 1, seed {seed}, dnf {d:?}");
+
+        if let Some(tree) = factor(&d) {
+            read_once_hits += 1;
+            let mut ro = vec![Rational::zero(); n];
+            for (v, val) in
+                power_read_once(&tree, n, None, Measure::Banzhaf).expect("no deadline set")
+            {
                 ro[v.0 as usize] = val;
             }
             assert_eq!(naive, ro, "naive vs read-once, seed {seed}, dnf {d:?}");
