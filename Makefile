@@ -1,8 +1,8 @@
 # Convenience targets mirroring .github/workflows/ci.yml for offline use.
 
-.PHONY: check fmt build test clippy doc quickstart examples bench-build bench-smoke bench-batch bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench-e2e bench
+.PHONY: check fmt build test test-repeat clippy doc quickstart examples bench-build bench-smoke bench-batch bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench-e2e bench
 
-check: fmt build test clippy doc examples bench-build
+check: fmt build test test-repeat clippy doc examples bench-build
 
 fmt:
 	cargo fmt --check
@@ -12,6 +12,14 @@ build:
 
 test:
 	cargo test -q
+
+# The crates whose tests assert exact engine-counter counts, three runs in
+# a row: each test reads its own run's profile, so a test that goes back
+# to racing the process-global counters fails here instead of flaking.
+test-repeat:
+	@for i in 1 2 3; do \
+		cargo test -q -p shapdb_metrics -p shapdb_core -p shapdb_num -p shapdb || exit 1; \
+	done
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings

@@ -23,13 +23,15 @@
 //! from 1024 up. Results land in `results/bench_alg1.json`
 //! (`make bench-alg1`); timings are recorded, not asserted.
 
+use shapdb_bench::{median_ns, write_result};
 use shapdb_circuit::Lit;
 use shapdb_core::exact::{shapley_all_facts, shapley_single_fact, ExactConfig};
 use shapdb_kc::ddnnf::{DdnnfBuilder, NodeIdx};
 use shapdb_kc::Ddnnf;
-use shapdb_metrics::counters::{CounterSnapshot, NumRunStats};
+use shapdb_metrics::counters::{NUM_BIGNUM_FALLBACKS, NUM_NTT_CONVOLUTIONS, NUM_VLI_HITS};
+use shapdb_metrics::Profile;
 use shapdb_num::Rational;
-use std::time::Instant;
+use std::sync::Arc;
 
 /// Balanced ∧-tree over `(xᵢ ∨ yᵢ)` decision gadgets: `2·pairs` variables,
 /// every Shapley value exactly `1/(2·pairs)`.
@@ -60,18 +62,6 @@ fn symmetric_tree(pairs: usize) -> Ddnnf {
     b.finish(layer[0], 2 * pairs)
 }
 
-fn median_ns(n: usize, mut f: impl FnMut()) -> u128 {
-    let mut samples: Vec<u128> = (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
 /// All-facts up to here; single-fact beyond, where the sweep pins the
 /// wide-tier and NTT routing of one conditioned pass.
 const ALL_FACTS_MAX_VARS: usize = 256;
@@ -87,7 +77,8 @@ fn main() {
         let all_facts = n <= ALL_FACTS_MAX_VARS;
         // One counted solve for the substrate-routing snapshot (and the
         // exactness check), then the timed medians.
-        let before = CounterSnapshot::take();
+        let profile = Arc::new(Profile::new());
+        let scope = profile.enter();
         if all_facts {
             let values = shapley_all_facts(&dd, n, &cfg).expect("no deadline");
             assert_eq!(values.len(), n);
@@ -98,19 +89,24 @@ fn main() {
             let v = shapley_single_fact(&dd, n, 0, &cfg).expect("no deadline");
             assert_eq!(v, expect, "symmetric game must give exactly 1/{n}");
         }
-        let num = NumRunStats::delta(&CounterSnapshot::take(), &before);
+        drop(scope);
+        let (vli, bignum, ntt) = (
+            profile.get(&NUM_VLI_HITS),
+            profile.get(&NUM_BIGNUM_FALLBACKS),
+            profile.get(&NUM_NTT_CONVOLUTIONS),
+        );
         // The routing the substrate must take on this family: fixed-limb
         // tiers while the cap fits 512 bits (n ≤ 512), the NTT path once
         // the top convolutions are wide (n ≥ 1024, which also exceeds
         // every Vli tier: C(n, n/2) needs ~n bits).
         if n <= 512 {
-            assert!(num.vli_hits > 0, "n={n} must run on a Vli tier");
-            assert_eq!(num.bignum_fallbacks, 0, "n={n} must not fall back");
+            assert!(vli > 0, "n={n} must run on a Vli tier");
+            assert_eq!(bignum, 0, "n={n} must not fall back");
         } else {
-            assert!(num.bignum_fallbacks > 0, "n={n} must use BigUint");
+            assert!(bignum > 0, "n={n} must use BigUint");
         }
         if n >= 1024 {
-            assert!(num.ntt_convolutions > 0, "n={n} must exercise the NTT path");
+            assert!(ntt > 0, "n={n} must exercise the NTT path");
         }
         let ns = median_ns(SAMPLES, || {
             if all_facts {
@@ -127,9 +123,9 @@ fn main() {
         println!(
             "alg1_sweep n={n:5} {mode:11} median {:9.3} ms  (vli {} / bignum {} passes, {} ntt conv)",
             ns as f64 / 1e6,
-            num.vli_hits,
-            num.bignum_fallbacks,
-            num.ntt_convolutions,
+            vli,
+            bignum,
+            ntt,
         );
         rows.push(format!(
             concat!(
@@ -139,9 +135,9 @@ fn main() {
             n,
             mode,
             ns as f64 / 1e6,
-            num.vli_hits,
-            num.bignum_fallbacks,
-            num.ntt_convolutions,
+            vli,
+            bignum,
+            ntt,
         ));
     }
     let json = format!(
@@ -158,10 +154,5 @@ fn main() {
         ALL_FACTS_MAX_VARS,
         rows.join(",\n"),
     );
-    let results_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    std::fs::create_dir_all(results_dir).expect("create results/");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/bench_alg1.json");
-    std::fs::write(path, &json).expect("write results/bench_alg1.json");
-    println!("alg1_sweep summary -> {path}");
-    print!("{json}");
+    write_result("bench_alg1.json", "alg1_sweep summary", &json);
 }

@@ -22,13 +22,14 @@
 //! per commit (`make bench-exact`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use shapdb_bench::{median_ns, write_result};
 use shapdb_circuit::{Circuit, Dnf, Fingerprint, ReadOnce};
 use shapdb_core::engine::{BatchExecutor, EngineKind, Planner, PlannerConfig};
 use shapdb_core::exact::{shapley_all_facts, ExactConfig};
 use shapdb_core::readonce::power_read_once;
 use shapdb_core::Measure;
 use shapdb_kc::{compile_circuit, compile_circuit_topdown, Budget, ComponentCache, Ddnnf};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Every answer lineage of every workload query (capped per query) — the
 /// same corpus as the `batch`/`cache` benches.
@@ -114,19 +115,6 @@ fn compile_one_routed(d: &Dnf, cache: &ComponentCache) -> Ddnnf {
     compile_circuit_topdown(&c, root, &Budget::unlimited(), Some((cache, 1)))
         .expect("workload structures compile")
         .ddnnf
-}
-
-/// Median of one measured closure over `n` samples, in nanoseconds.
-fn median_ns(n: usize, mut f: impl FnMut()) -> u128 {
-    let mut samples: Vec<u128> = (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 /// Variable-count buckets for the per-width Algorithm 1 breakdown: each
@@ -359,19 +347,12 @@ fn bench_exact_cold(c: &mut Criterion) {
         bucket_entries,
         bucket_dropped,
     );
-    let results_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    std::fs::create_dir_all(results_dir).expect("create results/");
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/bench_exact.json"
-    );
-    std::fs::write(path, &json).expect("write results/bench_exact.json");
-    println!(
-        "exact_cold summary ({} lineages, {} distinct structures) -> {path}",
+    let summary = format!(
+        "exact_cold summary ({} lineages, {} distinct structures)",
         lineages.len(),
         structures.len()
     );
-    print!("{json}");
+    write_result("bench_exact.json", &summary, &json);
 }
 
 criterion_group!(benches, bench_exact_cold);

@@ -30,9 +30,10 @@
 //! warm pass is not at least 2x faster than the cold pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use shapdb_bench::{median_ns, write_result};
 use shapdb_circuit::{Circuit, Dnf, VarId};
 use shapdb_kc::{compile_circuit, compile_circuit_topdown, Budget, ComponentCache, Ddnnf};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Samples for the top-down series in the JSON summary.
 const SAMPLES: usize = 5;
@@ -93,19 +94,6 @@ fn compile_top_down(d: &Dnf, cache: &ComponentCache) -> Ddnnf {
     compile_circuit_topdown(&c, root, &Budget::unlimited(), Some((cache, CONTEXT)))
         .expect("suite structures compile top-down")
         .ddnnf
-}
-
-/// Median of one measured closure over `n` samples, in nanoseconds.
-fn median_ns(n: usize, mut f: impl FnMut()) -> u128 {
-    let mut samples: Vec<u128> = (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 fn bench_kc_wide(c: &mut Criterion) {
@@ -253,12 +241,8 @@ fn bench_kc_wide(c: &mut Criterion) {
         all_warm_at_least_2x,
         entries.join(",\n"),
     );
-    let results_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    std::fs::create_dir_all(results_dir).expect("create results/");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/bench_kc.json");
-    std::fs::write(path, &json).expect("write results/bench_kc.json");
-    println!("kc_wide summary ({} sizes) -> {path}", suite.len());
-    print!("{json}");
+    let summary = format!("kc_wide summary ({} sizes)", suite.len());
+    write_result("bench_kc.json", &summary, &json);
 }
 
 criterion_group!(benches, bench_kc_wide);

@@ -31,6 +31,7 @@
 //! uploaded as a CI artifact).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use shapdb_bench::{median_ns, write_result};
 use shapdb_circuit::Dnf;
 use shapdb_core::engine::{
     BatchExecutor, EngineKind, Measure, Planner, PlannerConfig, ShapleyCache,
@@ -39,7 +40,7 @@ use shapdb_core::exact::ExactConfig;
 use shapdb_kc::Budget;
 use shapdb_metrics::counters::CIRCUIT_FACTOR_PASSES;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Every answer lineage of every workload query (capped per query) — the
 /// same corpus as the `batch` and `cache` benches.
@@ -60,19 +61,6 @@ fn planner_with(cache: Arc<ShapleyCache>) -> Planner {
     .with_cache(cache)
 }
 
-/// Median of one measured closure over `n` samples.
-fn median_ns(n: usize, mut f: impl FnMut()) -> u128 {
-    let mut samples: Vec<u128> = (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
 fn bench_measures(c: &mut Criterion) {
     let (lineages, n_endo) = workload_lineages();
 
@@ -87,16 +75,17 @@ fn bench_measures(c: &mut Criterion) {
             &Measure::ALL,
         );
         assert!(report.items.iter().all(|i| i.result.is_ok()));
-        report.engine_runs
+        (
+            report.engine_runs,
+            report.profile.get(&CIRCUIT_FACTOR_PASSES),
+        )
     };
 
     // The one-structure-serves-every-measure pin: a cold four-measure
     // sweep factors each lineage exactly once (at fingerprint time) — the
     // per-measure evaluations all reuse that factorization, and the KC
     // route shares one compiled circuit per structure.
-    let factor_before = CIRCUIT_FACTOR_PASSES.get();
-    let cold_engine_runs = cold_sweep();
-    let factor_passes = CIRCUIT_FACTOR_PASSES.get() - factor_before;
+    let (cold_engine_runs, factor_passes) = cold_sweep();
     assert_eq!(
         factor_passes as usize,
         lineages.len(),
@@ -195,19 +184,12 @@ fn bench_measures(c: &mut Criterion) {
         factor_passes,
         cold_engine_runs,
     );
-    let results_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    std::fs::create_dir_all(results_dir).expect("create results/");
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/bench_measures.json"
-    );
-    std::fs::write(path, &json).expect("write results/bench_measures.json");
-    println!(
-        "measures summary ({} lineages x 4 measures; {} factor passes cold) -> {path}",
+    let summary = format!(
+        "measures summary ({} lineages x 4 measures; {} factor passes cold)",
         lineages.len(),
         factor_passes
     );
-    print!("{json}");
+    write_result("bench_measures.json", &summary, &json);
 }
 
 criterion_group!(benches, bench_measures);

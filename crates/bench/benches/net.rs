@@ -18,11 +18,11 @@
 //! as a CI artifact).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use shapdb_bench::{median_ns, write_result};
 use shapdb_cli::{ServeOptions, SocketServer};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 fn socket_path() -> PathBuf {
     std::env::temp_dir().join(format!("shapdb-bench-net-{}.sock", std::process::id()))
@@ -78,19 +78,6 @@ fn replay_over_socket(sock: &Path, session: &str) -> u64 {
     writer.join().expect("writer thread");
     assert!(saw_stats, "session ended without a stats line");
     responses
-}
-
-/// Median of one measured closure over `n` samples.
-fn median_ns(n: usize, mut f: impl FnMut()) -> u128 {
-    let mut samples: Vec<u128> = (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 fn bench_net(c: &mut Criterion) {
@@ -186,16 +173,12 @@ fn bench_net(c: &mut Criterion) {
         net_restart_ns as f64 / 1e6,
         restart_engine_runs,
     );
-    let results_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    std::fs::create_dir_all(results_dir).expect("create results/");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/bench_net.json");
-    std::fs::write(path, &json).expect("write results/bench_net.json");
-    println!(
-        "net summary ({} lineages over a unix socket; restart engine runs = {}) -> {path}",
+    let summary = format!(
+        "net summary ({} lineages over a unix socket; restart engine runs = {})",
         lineages.len(),
         restart_engine_runs
     );
-    print!("{json}");
+    write_result("bench_net.json", &summary, &json);
 }
 
 criterion_group!(benches, bench_net);

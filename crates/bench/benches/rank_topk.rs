@@ -31,6 +31,7 @@
 //! Results land in `results/bench_rank.json` (`make bench-rank`, uploaded
 //! as a CI artifact).
 
+use shapdb_bench::{median_ns, write_result};
 use shapdb_circuit::{fingerprint, Fingerprint};
 use shapdb_core::engine::{
     EngineValues, Planner, PlannerConfig, ShapleyCache, TopKExecutor, TopKReport,
@@ -46,18 +47,6 @@ use std::time::Instant;
 const KS: [usize; 3] = [1, 10, 100];
 const SAMPLES: usize = 3;
 const STREAM_CHUNK: usize = 256;
-
-fn median_ns(n: usize, mut f: impl FnMut()) -> u128 {
-    let mut samples: Vec<u128> = (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
 
 /// One cold ranking pass: fresh planner, fresh result cache.
 fn rank(fps: &[Fingerprint], k: usize, n_endo: usize) -> TopKReport {
@@ -233,10 +222,5 @@ fn main() {
         baseline.engine_runs,
         rows.join(",\n"),
     );
-    let results_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    std::fs::create_dir_all(results_dir).expect("create results/");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/bench_rank.json");
-    std::fs::write(path, &json).expect("write results/bench_rank.json");
-    println!("rank_topk summary -> {path}");
-    print!("{json}");
+    write_result("bench_rank.json", "rank_topk summary", &json);
 }

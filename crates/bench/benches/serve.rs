@@ -21,6 +21,7 @@
 //! (`make bench-serve`, uploaded as a CI artifact).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use shapdb_bench::{median_ns, write_result};
 use shapdb_circuit::Dnf;
 use shapdb_cli::{run_serve, ServeOptions};
 use shapdb_core::engine::{BatchExecutor, EngineKind, Planner, PlannerConfig, ShapleyCache};
@@ -62,19 +63,6 @@ fn serve_once(input: &str) -> (Duration, u64) {
     let elapsed = start.elapsed();
     assert_eq!(summary.errors, 0, "workload requests all succeed");
     (elapsed, summary.responses)
-}
-
-/// Median of one measured closure over `n` samples.
-fn median_ns(n: usize, mut f: impl FnMut()) -> u128 {
-    let mut samples: Vec<u128> = (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 fn bench_serve(c: &mut Criterion) {
@@ -194,19 +182,12 @@ fn bench_serve(c: &mut Criterion) {
         serve_warm_ns as f64 / 1e6,
         ratio,
     );
-    let results_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    std::fs::create_dir_all(results_dir).expect("create results/");
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/bench_serve.json"
-    );
-    std::fs::write(path, &json).expect("write results/bench_serve.json");
-    println!(
-        "serve summary ({} lineages; warm serve / warm batch = {:.2}x) -> {path}",
+    let summary = format!(
+        "serve summary ({} lineages; warm serve / warm batch = {:.2}x)",
         lineages.len(),
         ratio
     );
-    print!("{json}");
+    write_result("bench_serve.json", &summary, &json);
     // The acceptance bar lives in the recorded JSON, not a hard assert: a
     // loaded shared CI runner comparing two ~3 ms medians would flake.
     if ratio > 2.0 {

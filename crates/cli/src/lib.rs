@@ -50,6 +50,7 @@ use shapdb_core::engine::{
 use shapdb_core::exact::ExactConfig;
 use shapdb_data::{Database, FactId, Value};
 use shapdb_kc::Budget;
+use shapdb_metrics::counters::{NUM_BIGNUM_FALLBACKS, NUM_NTT_CONVOLUTIONS, NUM_VLI_HITS};
 use shapdb_num::Rational;
 use shapdb_query::{evaluate, parse_ucq, with_streamed_lineages, Ucq};
 use std::fmt;
@@ -632,7 +633,9 @@ pub fn run(cfg: &Config) -> Result<String, CliError> {
     }
     out.push_str(&format!(
         "; arithmetic {} fixed-limb / {} bignum pass(es), {} NTT convolution(s)",
-        report.num.vli_hits, report.num.bignum_fallbacks, report.num.ntt_convolutions
+        report.profile.get(&NUM_VLI_HITS),
+        report.profile.get(&NUM_BIGNUM_FALLBACKS),
+        report.profile.get(&NUM_NTT_CONVOLUTIONS)
     ));
     out.push('\n');
 

@@ -59,6 +59,11 @@ use shapdb_core::engine::{
     EngineValues, LineageRequest, Measure, Planner, ServiceClient, ServiceConfig, ServiceStats,
     ShapleyCache, ShapleyService, Submission,
 };
+use shapdb_metrics::counters::{
+    KC_COMP_CACHE_EVICTIONS, KC_COMP_CACHE_HITS, KC_COMP_CACHE_MISSES, MEASURE_BANZHAF,
+    MEASURE_RESPONSIBILITY, MEASURE_SHAPLEY, MEASURE_SHAP_SCORE, NUM_BIGNUM_FALLBACKS,
+    NUM_NTT_CONVOLUTIONS, NUM_VLI_HITS,
+};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
@@ -273,13 +278,6 @@ pub(crate) fn render_err(id: &str, error: &str) -> String {
 
 pub(crate) fn render_stats(summary: &ServeSummary) -> String {
     let s = &summary.stats;
-    let since_start = |name: &str| -> u64 {
-        s.counters_since_start
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    };
     format!(
         concat!(
             "{{\"stats\":{{\"responses\":{},\"errors\":{},\"submitted\":{},",
@@ -306,16 +304,16 @@ pub(crate) fn render_stats(summary: &ServeSummary) -> String {
         s.cache.hits,
         s.cache.misses,
         s.cache.bypasses,
-        since_start("kc.comp_cache_hits"),
-        since_start("kc.comp_cache_misses"),
-        since_start("kc.comp_cache_evictions"),
-        since_start("measure.shapley"),
-        since_start("measure.banzhaf"),
-        since_start("measure.responsibility"),
-        since_start("measure.shap_score"),
-        since_start("num.vli_hits"),
-        since_start("num.bignum_fallbacks"),
-        since_start("num.ntt_convolutions"),
+        s.profile.get(&KC_COMP_CACHE_HITS),
+        s.profile.get(&KC_COMP_CACHE_MISSES),
+        s.profile.get(&KC_COMP_CACHE_EVICTIONS),
+        s.profile.get(&MEASURE_SHAPLEY),
+        s.profile.get(&MEASURE_BANZHAF),
+        s.profile.get(&MEASURE_RESPONSIBILITY),
+        s.profile.get(&MEASURE_SHAP_SCORE),
+        s.profile.get(&NUM_VLI_HITS),
+        s.profile.get(&NUM_BIGNUM_FALLBACKS),
+        s.profile.get(&NUM_NTT_CONVOLUTIONS),
         render_route_timings(),
         s.mean_wait().as_nanos() as f64 / 1e3,
     )

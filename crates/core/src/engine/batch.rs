@@ -48,9 +48,9 @@ use crate::exact::ExactConfig;
 use shapdb_circuit::Dnf;
 use shapdb_kc::{Budget, ComponentCache};
 use shapdb_metrics::counters::{
-    CacheRunStats, CounterSnapshot, DedupStats, KcCacheRunStats, NumRunStats, BATCH_DEDUP_HITS,
-    BATCH_DISTINCT, BATCH_TASKS,
+    CacheRunStats, DedupStats, BATCH_DEDUP_HITS, BATCH_DISTINCT, BATCH_TASKS,
 };
+use shapdb_metrics::Profile;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -81,22 +81,20 @@ pub struct BatchReport {
     /// Dedup statistics over lineages (the lineage-dedup hit rate of this
     /// run).
     pub dedup: DedupStats,
-    /// Distinct structures actually solved. At most one per distinct
-    /// structure, however many measures it serves; cache hits and
-    /// fail-fast-aborted structures invoke none.
+    /// Distinct structures actually solved (the profile's `engine.runs`).
+    /// At most one per distinct structure, however many measures it
+    /// serves; cache hits and fail-fast-aborted structures invoke none.
     pub engine_runs: usize,
     /// How this run used the cross-query result cache, per (structure,
-    /// measure) pair (all zeros when the planner carries none).
+    /// measure) pair (all zeros when the planner carries none), read from
+    /// the profile.
     pub cache: CacheRunStats,
     /// Worker threads used.
     pub threads: usize,
-    /// Arithmetic-substrate routing of this run: how many DP passes ran on
-    /// fixed-limb integers vs heap bignums, and how many ∧-convolutions
-    /// took the NTT path.
-    pub num: NumRunStats,
-    /// Cross-lineage component-cache traffic of this run's top-down
-    /// compiles (all zeros when no lineage took the top-down route).
-    pub kc_cache: KcCacheRunStats,
+    /// Every counter this run bumped, on its own thread and its workers —
+    /// routes, compiles, arithmetic tiers, cache traffic — and nothing any
+    /// concurrent run did.
+    pub profile: Profile,
     /// Wall time of the whole batch.
     pub total_time: Duration,
 }
@@ -181,7 +179,8 @@ impl BatchExecutor {
         measures: &[Measure],
     ) -> BatchReport {
         let start = Instant::now();
-        let num_before = CounterSnapshot::take();
+        let profile = Arc::new(Profile::new());
+        let _run = profile.enter();
         let tasks = lineages.len();
         let pool = if self.threads > 0 {
             self.threads
@@ -202,7 +201,6 @@ impl BatchExecutor {
         // each plans and solves its own. Fail-fast short-circuits the
         // remaining structures onto the first error instead of running
         // them.
-        let counters = stages::SolveCounters::new();
         let threads = pool.min(distinct).max(1);
         let abort: Mutex<Option<EngineError>> = Mutex::new(None);
         let group_results: Vec<Vec<Result<EngineResult, EngineError>>> =
@@ -220,7 +218,6 @@ impl BatchExecutor {
                     i as u64,
                     grouping.members_of[g].len(),
                     measures,
-                    &counters,
                 );
                 if self.fail_fast {
                     if let Some(Err(e)) = results.iter().find(|r| r.is_err()) {
@@ -242,25 +239,19 @@ impl BatchExecutor {
             }));
         }
 
-        let dedup = DedupStats {
-            tasks,
-            distinct,
-            reused: tasks - distinct,
-        };
+        let dedup = DedupStats { tasks, distinct };
         BATCH_TASKS.add(tasks as u64);
         BATCH_DISTINCT.add(distinct as u64);
         BATCH_DEDUP_HITS.add(dedup.hits() as u64);
 
-        let after = CounterSnapshot::take();
         BatchReport {
             items,
             measures: measures.to_vec(),
             dedup,
-            engine_runs: counters.engine_runs(),
-            cache: counters.cache_stats(),
+            engine_runs: profile.engine_runs(),
+            cache: CacheRunStats::of(&profile),
             threads,
-            num: NumRunStats::delta(&after, &num_before),
-            kc_cache: KcCacheRunStats::delta(&after, &num_before),
+            profile: (*profile).clone(),
             total_time: start.elapsed(),
         }
     }
@@ -323,7 +314,6 @@ mod tests {
             DedupStats {
                 tasks: 4,
                 distinct: 2,
-                reused: 2
             }
         );
         assert_eq!(report.engine_runs, 2);
@@ -850,7 +840,6 @@ mod tests {
             DedupStats {
                 tasks: 0,
                 distinct: 0,
-                reused: 0
             }
         );
     }

@@ -30,7 +30,7 @@ use crate::exact::ExactConfig;
 use shapdb_circuit::{factor_minimized, Dnf, Fingerprint, ReadOnce};
 use shapdb_kc::{Budget, ComponentCache};
 use shapdb_metrics::counters::{
-    PLANNER_HIERARCHICAL_DISAGREEMENTS, PLANNER_KC_ROUTES, PLANNER_KC_TOPDOWN_ROUTES,
+    ENGINE_RUNS, PLANNER_HIERARCHICAL_DISAGREEMENTS, PLANNER_KC_ROUTES, PLANNER_KC_TOPDOWN_ROUTES,
     PLANNER_NAIVE_ROUTES, PLANNER_READ_ONCE_ROUTES,
 };
 use shapdb_query::{is_hierarchical, is_self_join_free, Ucq};
@@ -177,19 +177,6 @@ impl QueryClass {
     pub fn guarantees_read_once(&self) -> bool {
         self.single_disjunct && self.self_join_free && self.hierarchical
     }
-}
-
-/// How one solve interacted with the cross-query result cache.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum CacheOutcome {
-    /// Answered from the cache — no engine ran.
-    Hit,
-    /// Looked up, not found; solved (and stored when exact).
-    Miss,
-    /// Skipped the cache (inexact plan or uncacheable task).
-    Bypass,
-    /// No cache configured on this planner.
-    Disabled,
 }
 
 /// Routes lineages to engines (see the module docs for the cost model).
@@ -413,19 +400,20 @@ impl Planner {
     /// are served from / stored into the cache, translated exactly through
     /// the renaming.
     pub fn solve(&self, task: &LineageTask) -> Result<EngineResult, EngineError> {
-        super::stages::solve_one(self, task, &super::stages::SolveCounters::new())
+        super::stages::solve_one(self, task)
     }
 
     /// Solves the canonical structure behind `fp` under already-made
     /// `plans`, one per requested measure (callers plan once — re-planning
-    /// here would double the route counters). Returns one `(result, cache
-    /// outcome)` per plan, in order, in **canonical space**: callers
-    /// translate through their own fingerprint. Every surface funnels its
-    /// solves through here — batch groups, sweeps, top-k candidates,
-    /// sequential and service solves.
+    /// here would double the route counters). Returns one result per plan,
+    /// in order, in **canonical space**: callers translate through their
+    /// own fingerprint. Every surface funnels its solves through here —
+    /// batch groups, sweeps, top-k candidates, sequential and service
+    /// solves.
     ///
     /// Each plan probes its own measure-keyed cache entry; a hit runs no
-    /// engine. The missed plans share what the structure has in common:
+    /// engine, and the structure counts one `engine.runs` unless every
+    /// plan hit. The missed plans share what the structure has in common:
     /// the canonical DNF is rebuilt once, the fingerprint's read-once tree
     /// is reused as is, and every KC-routed measure evaluates one shared
     /// compile. Exact results are inserted into the cache; nothing else
@@ -441,24 +429,25 @@ impl Planner {
         exact: &ExactConfig,
         seed_salt: u64,
         sample_scale: usize,
-    ) -> Vec<(Result<EngineResult, EngineError>, CacheOutcome)> {
+    ) -> Vec<Result<EngineResult, EngineError>> {
         // The canonical DNF and the compile are built past the cache
         // probes: on the service/batch hot path most calls are hits, which
         // need only the (shared) key.
         let mut canonical: Option<Dnf> = None;
         let mut compiled: CompileSlot = None;
-        plans
+        let mut ran = false;
+        let results = plans
             .iter()
             .map(|&plan| {
-                let (outcome, store) = match self.cache.as_deref() {
-                    None => (CacheOutcome::Disabled, None),
+                let store = match self.cache.as_deref() {
+                    None => None,
                     Some(cache) if !plan.engine.is_exact() || cache.is_disabled() => {
                         // Inexact plans are never cached; a zero-capacity
                         // cache can store nothing — either way this solve
                         // skips the cache, and must be reported as a
                         // bypass, not a miss.
                         cache.record_bypass();
-                        (CacheOutcome::Bypass, None)
+                        None
                     }
                     Some(cache) => {
                         let key = CacheKey {
@@ -475,11 +464,12 @@ impl Planner {
                             hit.prep_time = Duration::ZERO;
                             hit.solve_time = Duration::ZERO;
                             hit.compile_stats = Default::default();
-                            return (Ok(hit), CacheOutcome::Hit);
+                            return Ok(hit);
                         }
-                        (CacheOutcome::Miss, Some((cache, key)))
+                        Some((cache, key))
                     }
                 };
+                ran = true;
                 let ctask = LineageTask {
                     lineage: canonical.get_or_insert_with(|| fp.canonical_dnf()),
                     n_endo,
@@ -500,9 +490,13 @@ impl Planner {
                         cache.insert(key, r.clone());
                     }
                 }
-                (solved, outcome)
+                solved
             })
-            .collect()
+            .collect();
+        if ran {
+            ENGINE_RUNS.incr();
+        }
+        results
     }
 
     /// The classification + solve path without cache involvement.
@@ -640,6 +634,7 @@ mod tests {
     use crate::engine::{EngineValues, ShapleyEngine};
     use proptest::prelude::*;
     use shapdb_circuit::VarId;
+    use shapdb_metrics::Profile;
     use shapdb_num::Rational;
     use shapdb_query::parse_ucq;
 
@@ -672,9 +667,8 @@ mod tests {
     fn tiny_non_read_once_lineages_route_to_naive() {
         // Satellite (naive route): below the naive cutoff, enumeration
         // beats factorization + compilation — no CNF is ever built. The
-        // route counter is checked in this crate's
-        // `tests/planner_route_counters.rs`, away from the tests that plan
-        // concurrently in this binary.
+        // route counter is checked in
+        // `each_plan_counts_its_route_exactly_once`.
         let planner = Planner::new(PlannerConfig::default());
         let majority = dnf(&[&[0, 1], &[1, 2], &[0, 2]]);
         let plan = planner.plan(&majority);
@@ -1206,10 +1200,10 @@ mod tests {
         );
         assert_eq!(results.len(), 4);
         let mut compiles = 0;
-        for ((r, outcome), m) in results.iter().zip(Measure::ALL) {
+        assert_eq!(cache.stats().misses, 4);
+        for (r, m) in results.iter().zip(Measure::ALL) {
             let r = r.as_ref().unwrap();
             assert_eq!(r.measure, m);
-            assert_eq!(*outcome, CacheOutcome::Miss);
             assert!(r.values.is_exact());
             compiles += usize::from(r.compile_stats.decisions > 0);
         }
@@ -1229,8 +1223,7 @@ mod tests {
             0,
             1,
         );
-        for (r, outcome) in &again {
-            assert_eq!(*outcome, CacheOutcome::Hit);
+        for r in &again {
             assert!(r.as_ref().unwrap().values.is_exact());
         }
         assert_eq!(cache.stats().hits, 4);
@@ -1278,9 +1271,10 @@ mod tests {
 
     #[test]
     fn disagreement_counter_stays_put_on_consistent_inputs() {
-        let before = PLANNER_HIERARCHICAL_DISAGREEMENTS.get();
         let q = parse_ucq("q(b) :- R(a), S(a, b)").unwrap();
         let planner = Planner::for_query(PlannerConfig::default(), &q);
+        let profile = Arc::new(Profile::new());
+        let _scope = profile.enter();
         for lineage in [
             dnf(&[&[0, 10], &[1, 11]]),
             dnf(&[&[0, 10], &[0, 11], &[1, 12]]),
@@ -1288,7 +1282,23 @@ mod tests {
         ] {
             planner.plan(&lineage);
         }
-        assert_eq!(PLANNER_HIERARCHICAL_DISAGREEMENTS.get(), before);
+        assert_eq!(profile.get(&PLANNER_HIERARCHICAL_DISAGREEMENTS), 0);
+        assert_eq!(profile.get(&PLANNER_READ_ONCE_ROUTES), 3);
+    }
+
+    #[test]
+    fn each_plan_counts_its_route_exactly_once() {
+        let planner = Planner::new(PlannerConfig::default());
+        let profile = Arc::new(Profile::new());
+        let _scope = profile.enter();
+        let plan = planner.plan(&majority_blocks(1));
+        assert_eq!(plan.engine, EngineKind::Naive);
+        assert_eq!(profile.get(&PLANNER_NAIVE_ROUTES), 1);
+        let plan = planner.plan(&majority_blocks(17)); // 51 vars > topdown_min_vars (48)
+        assert_eq!(plan.reason, PlanReason::KcWideTopDown);
+        assert_eq!(profile.get(&PLANNER_KC_TOPDOWN_ROUTES), 1);
+        assert_eq!(profile.get(&PLANNER_KC_ROUTES), 1);
+        assert_eq!(profile.get(&PLANNER_NAIVE_ROUTES), 1);
     }
 
     /// `k` disjoint 3-variable majority blocks — wide, non-read-once, and
@@ -1309,9 +1319,8 @@ mod tests {
         // Tentpole admission: past `topdown_min_vars` the KC route selects
         // the top-down compiler; below it, the classic bottom-up reason
         // stands. The raised `max_kc_vars` default admits the 51-var
-        // lineage at all. The route counter is checked in this crate's
-        // `tests/planner_route_counters.rs`, away from the tests that plan
-        // concurrently in this binary.
+        // lineage at all. The route counter is checked in
+        // `each_plan_counts_its_route_exactly_once`.
         let planner = Planner::new(PlannerConfig::default());
         let wide = majority_blocks(17); // 51 vars > topdown_min_vars (48)
         let plan = planner.plan(&wide);

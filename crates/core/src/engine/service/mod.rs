@@ -39,16 +39,17 @@ mod submission;
 pub use submission::Submission;
 pub(crate) use submission::TicketInner;
 
-use super::stages::{self, SolveCounters, WORKER_STACK};
+use super::stages::{self, WORKER_STACK};
 use super::{EngineError, EngineResult, LineageTask, Measure, Planner, PlannerConfig};
 use crate::exact::ExactConfig;
 use queue::{FairQueue, Job};
 use shapdb_circuit::Dnf;
 use shapdb_kc::{Budget, ComponentCache};
 use shapdb_metrics::counters::{
-    CacheRunStats, CounterSnapshot, SERVICE_COMPLETED, SERVICE_IN_FLIGHT, SERVICE_QUEUE_DEPTH,
-    SERVICE_REJECTED, SERVICE_SUBMITTED, SERVICE_WAIT_NS,
+    CacheRunStats, SERVICE_COMPLETED, SERVICE_IN_FLIGHT, SERVICE_QUEUE_DEPTH, SERVICE_REJECTED,
+    SERVICE_SUBMITTED, SERVICE_WAIT_NS,
 };
+use shapdb_metrics::Profile;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -228,7 +229,8 @@ impl LineageRequest {
     }
 }
 
-/// Point-in-time operational report of one service.
+/// Point-in-time operational report of one service. The traffic and
+/// solve figures are read from the service's [`Profile`].
 #[derive(Clone, Debug)]
 pub struct ServiceStats {
     /// Persistent worker threads.
@@ -254,10 +256,9 @@ pub struct ServiceStats {
     pub engine_runs: usize,
     /// How the service's solves used the shared result cache.
     pub cache: CacheRunStats,
-    /// Process-global counter increments since this service started
-    /// ([`CounterSnapshot::delta_since`] — see its caveats: concurrent
-    /// actors in the same process bleed into the window).
-    pub counters_since_start: Vec<(&'static str, u64)>,
+    /// Every counter the service's submissions and workers bumped since it
+    /// started, and nothing any other run in the process did.
+    pub profile: Profile,
 }
 
 impl ServiceStats {
@@ -266,7 +267,7 @@ impl ServiceStats {
         if self.completed == 0 {
             return Duration::ZERO;
         }
-        self.total_wait / self.completed as u32
+        Duration::from_nanos((self.total_wait.as_nanos() / u128::from(self.completed)) as u64)
     }
 }
 
@@ -278,17 +279,14 @@ struct Shared {
     work: Condvar,
     /// Signaled when a job is popped (blocking submitters wait here).
     space: Condvar,
-    counters: SolveCounters,
+    /// What the service did: its client threads record submissions into
+    /// it directly, its workers run inside it.
+    profile: Arc<Profile>,
     in_flight: AtomicUsize,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    wait_ns: AtomicU64,
     next_client: AtomicU64,
     workers: usize,
     default_budget: Budget,
     default_exact: ExactConfig,
-    started: CounterSnapshot,
 }
 
 /// A per-client handle: submissions through one handle share a fair-queue
@@ -373,18 +371,13 @@ impl ShapleyService {
             queue: Mutex::new(FairQueue::new(cfg.queue_capacity)),
             work: Condvar::new(),
             space: Condvar::new(),
-            counters: SolveCounters::new(),
+            profile: Arc::new(Profile::new()),
             in_flight: AtomicUsize::new(0),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            wait_ns: AtomicU64::new(0),
             // Lane 0 is the service handle's own; clients start at 1.
             next_client: AtomicU64::new(1),
             workers,
             default_budget: cfg.default_budget,
             default_exact: cfg.default_exact,
-            started: CounterSnapshot::take(),
         });
         let handles = (0..workers)
             .map(|w| {
@@ -392,7 +385,10 @@ impl ShapleyService {
                 std::thread::Builder::new()
                     .name(format!("shapdb-svc-{w}"))
                     .stack_size(WORKER_STACK)
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || {
+                        let _service = shared.profile.enter();
+                        worker_loop(&shared)
+                    })
                     .expect("spawn service worker")
             })
             .collect();
@@ -448,19 +444,20 @@ impl ShapleyService {
             let q = lock_recover(&self.shared.queue);
             (q.len(), q.capacity(), q.clients())
         };
+        let profile = (*self.shared.profile).clone();
         ServiceStats {
             workers: self.shared.workers,
             queue_depth,
             queue_capacity,
             in_flight: self.shared.in_flight.load(Ordering::Relaxed),
             clients,
-            submitted: self.shared.submitted.load(Ordering::Relaxed),
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            total_wait: Duration::from_nanos(self.shared.wait_ns.load(Ordering::Relaxed)),
-            engine_runs: self.shared.counters.engine_runs(),
-            cache: self.shared.counters.cache_stats(),
-            counters_since_start: CounterSnapshot::take().delta_since(&self.shared.started),
+            submitted: profile.get(&SERVICE_SUBMITTED),
+            completed: profile.get(&SERVICE_COMPLETED),
+            rejected: profile.get(&SERVICE_REJECTED),
+            total_wait: Duration::from_nanos(profile.get(&SERVICE_WAIT_NS)),
+            engine_runs: profile.engine_runs(),
+            cache: CacheRunStats::of(&profile),
+            profile,
         }
     }
 
@@ -533,11 +530,10 @@ fn submit_inner(
             return Err(SubmitError::ShuttingDown);
         }
         job.enqueued = Instant::now();
-        job.sequence = shared.submitted.load(Ordering::Relaxed);
+        job.sequence = shared.profile.get(&SERVICE_SUBMITTED);
         match q.push(client, job) {
             None => {
-                shared.submitted.fetch_add(1, Ordering::Relaxed);
-                SERVICE_SUBMITTED.incr();
+                shared.profile.add(&SERVICE_SUBMITTED, 1);
                 SERVICE_QUEUE_DEPTH.incr();
                 // Wake a worker only when one is actually parked: a busy
                 // pool pays no futex traffic per submission.
@@ -550,8 +546,7 @@ fn submit_inner(
             }
             Some(back) => {
                 if !blocking {
-                    shared.rejected.fetch_add(1, Ordering::Relaxed);
-                    SERVICE_REJECTED.incr();
+                    shared.profile.add(&SERVICE_REJECTED, 1);
                     return Err(SubmitError::Saturated);
                 }
                 job = back;
@@ -600,9 +595,7 @@ fn worker_loop(shared: &Shared) {
             shared.space.notify_one();
         }
 
-        let waited = job.enqueued.elapsed().as_nanos() as u64;
-        shared.wait_ns.fetch_add(waited, Ordering::Relaxed);
-        SERVICE_WAIT_NS.add(waited);
+        SERVICE_WAIT_NS.add(job.enqueued.elapsed().as_nanos() as u64);
         shared.in_flight.fetch_add(1, Ordering::Relaxed);
         SERVICE_IN_FLIGHT.incr();
 
@@ -631,7 +624,7 @@ fn worker_loop(shared: &Shared) {
             if job.request.inject_panic {
                 panic!("injected test panic");
             }
-            stages::solve_one(&planner, &task, &shared.counters)
+            stages::solve_one(&planner, &task)
         })) {
             Ok(result) => result,
             Err(payload) => Err(EngineError::Panicked(panic_message(payload))),
@@ -640,7 +633,6 @@ fn worker_loop(shared: &Shared) {
 
         shared.in_flight.fetch_sub(1, Ordering::Relaxed);
         SERVICE_IN_FLIGHT.decr();
-        shared.completed.fetch_add(1, Ordering::Relaxed);
         SERVICE_COMPLETED.incr();
     }
 }
@@ -902,5 +894,24 @@ mod tests {
                 .unwrap_err(),
             SubmitError::ShuttingDown
         );
+    }
+
+    #[test]
+    fn mean_wait_survives_completion_counts_past_u32() {
+        let stats = ServiceStats {
+            workers: 1,
+            queue_depth: 0,
+            queue_capacity: 1,
+            in_flight: 0,
+            clients: 0,
+            submitted: 1 << 32,
+            completed: 1 << 32,
+            rejected: 0,
+            total_wait: Duration::from_nanos(3 << 32),
+            engine_runs: 0,
+            cache: CacheRunStats::default(),
+            profile: Profile::new(),
+        };
+        assert_eq!(stats.mean_wait(), Duration::from_nanos(3));
     }
 }

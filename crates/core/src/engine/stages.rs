@@ -15,16 +15,19 @@
 //!
 //! Nothing here owns a thread pool. [`parallel_map`] is the one scoped
 //! fan-out helper the one-shot surfaces use; the service brings its own
-//! long-lived workers and calls [`solve_one`] per queued request.
+//! long-lived workers and calls [`solve_one`] per queued request. Nothing
+//! here keeps accounts either: every stage bumps the registry counters,
+//! which land in the [`shapdb_metrics::Profile`] of the run or service
+//! the calling thread works for.
 
-use super::planner::CacheOutcome;
 use super::{EngineError, EngineResult, LineageTask, Measure, Plan, Planner};
 use crate::exact::ExactConfig;
 use shapdb_circuit::{fingerprint, Dnf, Fingerprint, FingerprintKey};
 use shapdb_kc::Budget;
 use shapdb_metrics::counters::{
-    CacheRunStats, MEASURE_BANZHAF, MEASURE_RESPONSIBILITY, MEASURE_SHAPLEY, MEASURE_SHAP_SCORE,
+    ENGINE_RUNS, MEASURE_BANZHAF, MEASURE_RESPONSIBILITY, MEASURE_SHAPLEY, MEASURE_SHAP_SCORE,
 };
+use shapdb_metrics::Profile;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -48,6 +51,8 @@ pub(crate) const WORKER_STACK: usize = 64 * 1024 * 1024;
 /// stacks), returning results in index order. With one thread (or one
 /// item) it degenerates to an in-order sequential loop on the caller
 /// thread, so single-threaded runs stay deterministic in execution order.
+/// Workers enter the caller's active [`Profile`], so their work counts
+/// toward the caller's run.
 pub(crate) fn parallel_map<T: Send>(
     threads: usize,
     n: usize,
@@ -57,6 +62,8 @@ pub(crate) fn parallel_map<T: Send>(
     if threads <= 1 {
         return (0..n).map(f).collect();
     }
+    let profile = Profile::current();
+    let profile_ref = &profile;
     let cursor = AtomicUsize::new(0);
     let cursor_ref = &cursor;
     let f_ref = &f;
@@ -67,6 +74,7 @@ pub(crate) fn parallel_map<T: Send>(
                 std::thread::Builder::new()
                     .stack_size(WORKER_STACK)
                     .spawn_scoped(s, move || {
+                        let _run = profile_ref.as_ref().map(|p| p.enter());
                         let mut local = Vec::new();
                         loop {
                             let i = cursor_ref.fetch_add(1, Ordering::Relaxed);
@@ -139,82 +147,8 @@ pub(crate) fn group_by_structure(fingerprints: &[Fingerprint]) -> Grouping {
     }
 }
 
-/// Thread-safe per-run accounting shared by every surface: how many engine
-/// invocations actually happened and how the cross-query cache was used.
-/// Unlike the process-global counters these are race-free per run (or per
-/// service window), which is what reports and tests assert on.
-#[derive(Debug, Default)]
-pub(crate) struct SolveCounters {
-    engine_runs: AtomicUsize,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    bypasses: AtomicUsize,
-}
-
-impl SolveCounters {
-    pub fn new() -> SolveCounters {
-        SolveCounters::default()
-    }
-
-    /// Records one structure's solve: every measure's cache outcome counts
-    /// individually, but the engine run counts **once** if any measure
-    /// actually solved — the measures share one compiled/factorized
-    /// structure, and `engine_runs` counts distinct structures solved, not
-    /// evaluator passes over one.
-    pub fn note(&self, outcomes: impl IntoIterator<Item = CacheOutcome>) {
-        let mut ran = false;
-        for outcome in outcomes {
-            match outcome {
-                CacheOutcome::Hit => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                }
-                CacheOutcome::Miss => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    ran = true;
-                }
-                CacheOutcome::Bypass => {
-                    self.bypasses.fetch_add(1, Ordering::Relaxed);
-                    ran = true;
-                }
-                CacheOutcome::Disabled => {
-                    ran = true;
-                }
-            }
-        }
-        if ran {
-            self.engine_runs.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a single-task solve that skipped fingerprinting (see
-    /// [`solve_one`]): a bypass when a cache is attached, plus the engine
-    /// run.
-    pub fn note_uncached_run(&self, planner: &Planner) {
-        if let Some(cache) = planner.cache() {
-            cache.record_bypass();
-            self.bypasses.fetch_add(1, Ordering::Relaxed);
-        }
-        self.engine_runs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Engine invocations recorded so far.
-    pub fn engine_runs(&self) -> usize {
-        self.engine_runs.load(Ordering::Relaxed)
-    }
-
-    /// Cache involvement recorded so far.
-    pub fn cache_stats(&self) -> CacheRunStats {
-        CacheRunStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            bypasses: self.bypasses.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Stage 3 — plan and solve one distinct structure for every measure in
-/// `measures`, in canonical space and in `measures` order, recording the
-/// cache outcomes and the engine run in `counters`. `salt` is the
+/// `measures`, in canonical space and in `measures` order. `salt` is the
 /// representative task's seed salt and `group_size` the group's member
 /// count, so a sampling solve spends the group's total budget; the
 /// results translate back through each member's fingerprint.
@@ -228,12 +162,9 @@ pub(crate) fn solve_group(
     salt: u64,
     group_size: usize,
     measures: &[Measure],
-    counters: &SolveCounters,
 ) -> Vec<Result<EngineResult, EngineError>> {
     let plans: Vec<Plan> = measures.iter().map(|&m| planner.plan_fp(fp, m)).collect();
-    let solved = planner.solve_structure(fp, &plans, n_endo, budget, exact, salt, group_size);
-    counters.note(solved.iter().map(|(_, outcome)| *outcome));
-    solved.into_iter().map(|(result, _)| result).collect()
+    planner.solve_structure(fp, &plans, n_endo, budget, exact, salt, group_size)
 }
 
 /// The single-task path — the same stages as a batch of one, minus the
@@ -246,14 +177,17 @@ pub(crate) fn solve_group(
 /// Without a cache the fingerprint buys nothing for a single task, so the
 /// lineage solves directly; forced inexact engines also skip
 /// canonicalization (their estimates stay on the caller's own variables).
+/// Such a solve counts as a cache bypass when a cache is attached.
 pub(crate) fn solve_one(
     planner: &Planner,
     task: &LineageTask,
-    counters: &SolveCounters,
 ) -> Result<EngineResult, EngineError> {
     record_measure_requests(task.measure, 1);
     if planner.cache().is_none() || planner.cfg.force.is_some_and(|k| !k.is_exact()) {
-        counters.note_uncached_run(planner);
+        if let Some(cache) = planner.cache() {
+            cache.record_bypass();
+        }
+        ENGINE_RUNS.incr();
         return planner.solve_direct(task);
     }
     let fp = fingerprint(task.lineage);
@@ -266,7 +200,6 @@ pub(crate) fn solve_one(
         task.seed_salt,
         task.sample_scale,
         &[task.measure],
-        counters,
     )
     .pop()
     .expect("one measure, one result");

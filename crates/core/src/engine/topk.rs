@@ -31,7 +31,7 @@
 //! plan, so its cache entry, its values and its [`PlanReason`] are exactly
 //! the batch's.
 
-use super::stages::{self, SolveCounters};
+use super::stages;
 use super::{
     translate_result, EngineError, EngineResult, EngineValues, Measure, PlanReason, Planner,
 };
@@ -41,9 +41,11 @@ use shapdb_kc::Budget;
 use shapdb_metrics::counters::{
     CacheRunStats, DedupStats, TOPK_BOUND_PASSES, TOPK_PRUNED, TOPK_SOLVED,
 };
+use shapdb_metrics::Profile;
 use shapdb_num::{BigInt, BigUint, Coeff, Rational, Vli};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The set-algebra oracle the integer kernel is tested against.
@@ -359,11 +361,15 @@ pub struct TopKReport {
     pub reasons: Vec<PlanReason>,
     /// Structural dedup over the submitted answers.
     pub dedup: DedupStats,
-    /// Cross-query result-cache involvement of the solves.
+    /// Cross-query result-cache involvement of the solves, read from the
+    /// profile.
     pub cache: CacheRunStats,
-    /// Actual engine invocations (cache hits and pruned structures run
-    /// none).
+    /// Actual engine invocations (the profile's `engine.runs`; cache hits
+    /// and pruned structures run none).
     pub engine_runs: usize,
+    /// Every counter this ranking bumped (bounds, admissions, routes,
+    /// cache traffic), and nothing any concurrent run did.
+    pub profile: Profile,
     /// Wall time of the whole ranking.
     pub total_time: Duration,
 }
@@ -403,6 +409,8 @@ impl TopKExecutor {
         exact: &ExactConfig,
     ) -> Result<TopKReport, EngineError> {
         let start = Instant::now();
+        let profile = Arc::new(Profile::new());
+        let _run = profile.enter();
         let fps: Vec<Fingerprint> = fingerprints.into_iter().collect();
         let answers = fps.len();
         stages::record_measure_requests(Measure::Shapley, answers as u64);
@@ -422,7 +430,6 @@ impl TopKExecutor {
 
         // Admission loop: solve in decreasing bound order until the k-th
         // solved score dominates every remaining bound.
-        let counters = SolveCounters::new();
         let mut reasons: Vec<PlanReason> = vec![PlanReason::TopKPruned; answers];
         let mut kth: BinaryHeap<Reverse<Rational>> = BinaryHeap::with_capacity(k.min(answers) + 1);
         let mut solved: Vec<(usize, Rational, EngineResult)> = Vec::new();
@@ -440,13 +447,11 @@ impl TopKExecutor {
             }
             let fp = &fps[cand.first];
             let plan = self.planner.plan_fp(fp, Measure::Shapley);
-            let (result, outcome) = self
+            let result = self
                 .planner
                 .solve_structure(fp, &[plan], n_endo, budget, exact, cand.first as u64, 1)
                 .pop()
-                .expect("one plan, one result");
-            counters.note([outcome]);
-            let result = result?;
+                .expect("one plan, one result")?;
             let score =
                 match &result.values {
                     // Engine values are sorted by decreasing value: the first
@@ -505,10 +510,10 @@ impl TopKExecutor {
             dedup: DedupStats {
                 tasks: answers,
                 distinct,
-                reused: answers - distinct,
             },
-            cache: counters.cache_stats(),
-            engine_runs: counters.engine_runs(),
+            cache: CacheRunStats::of(&profile),
+            engine_runs: profile.engine_runs(),
+            profile: (*profile).clone(),
             total_time: start.elapsed(),
         })
     }

@@ -1154,6 +1154,8 @@ mod tests {
     use shapdb_circuit::{Circuit, Dnf, Lit, VarId};
     use shapdb_kc::ddnnf::{DdnnfBuilder, NodeIdx};
     use shapdb_kc::{compile_circuit, compile_circuit_topdown, Budget};
+    use shapdb_metrics::Profile;
+    use std::sync::Arc;
 
     const PER_FACT: [PerFactPasses; 2] =
         [PerFactPasses::ReuseUnaffected, PerFactPasses::FullRecompute];
@@ -1613,14 +1615,20 @@ mod tests {
     #[test]
     fn symmetric_game_values_are_exact_at_vli_tiers() {
         // 64 variables: cap C(64,32) is 61 bits → the u64 tier end-to-end.
-        let before = NUM_VLI_HITS.get();
         let dd = symmetric_tree(32);
+        let profile = Arc::new(Profile::new());
+        let _scope = profile.enter();
         let values = shapley_all_facts(&dd, 64, &ExactConfig::default()).unwrap();
         assert_eq!(values.len(), 64);
         for v in &values {
             assert_eq!(v, &Rational::from_ratio(1, 64));
         }
-        assert!(NUM_VLI_HITS.get() >= before + 2, "u64 tier must have run");
+        assert_eq!(
+            profile.get(&NUM_VLI_HITS),
+            2,
+            "base + adjoint pass on the u64 tier"
+        );
+        assert_eq!(profile.get(&NUM_BIGNUM_FALLBACKS), 0);
     }
 
     #[test]

@@ -11,17 +11,19 @@
 //! * [`kendall_tau`] — rank correlation (an extra not in the paper, useful
 //!   for the ablation reports);
 //! * [`Summary`] — mean/percentile aggregation used by Table 1's columns;
-//! * [`counters`] — process-wide engine counters (batch dedup hit rate,
-//!   planner routing, hierarchical-vs-factorizer disagreements, service
-//!   queue gauges), the scoped [`counters::CounterSnapshot`] delta reader,
-//!   and the per-run [`counters::DedupStats`] snapshot batch reports carry;
+//! * [`counters`] — the engine counter registry (batch dedup, planner
+//!   routing, hierarchical-vs-factorizer disagreements, caches, service
+//!   traffic, arithmetic routing) and the service queue gauges. Each
+//!   counter has a process-global cell and adds to the [`Profile`] active
+//!   on the calling thread: a copy of the registry scoped to one run or one
+//!   service, which executor reports and service stats carry;
 //! * [`timing`] — per-route compile/solve timing histograms (log₂-µs
 //!   buckets), the ground truth a learned planner cost model trains on.
 
 pub mod counters;
 pub mod timing;
 
-pub use counters::{Counter, CounterSnapshot, DedupStats, Gauge, KcCacheRunStats, NumRunStats};
+pub use counters::{Counter, CounterSnapshot, DedupStats, Gauge, Profile, ProfileScope};
 pub use timing::{TimingHisto, TimingSnapshot};
 
 use std::cmp::Ordering;

@@ -52,7 +52,7 @@
 use crate::biguint::BigUint;
 use crate::vli::Coeff;
 use shapdb_metrics::counters::{NUM_NTT_CONVOLUTIONS, NUM_NTT_CROSSOVER_LEN};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::cell::Cell;
 use std::sync::{Mutex, OnceLock};
 
 /// Transforms support lengths up to 2^18 (primes are ≡ 1 mod 2^18).
@@ -616,20 +616,20 @@ pub enum NttPolicy {
     Force,
 }
 
-static POLICY: AtomicU8 = AtomicU8::new(0);
+thread_local! {
+    static POLICY: Cell<NttPolicy> = const { Cell::new(NttPolicy::Auto) };
+}
 
-/// Overrides the routing decision process-wide (tests/benches only; every
-/// policy produces bit-identical results, only the route changes).
+/// Overrides the routing decision on the calling thread (tests/benches
+/// only; every policy produces bit-identical results, only the route
+/// changes).
 #[doc(hidden)]
 pub fn set_ntt_policy(p: NttPolicy) {
-    POLICY.store(p as u8, Ordering::SeqCst);
+    POLICY.with(|policy| policy.set(p));
 }
 
 fn policy() -> NttPolicy {
-    match POLICY.load(Ordering::SeqCst) {
-        1 => NttPolicy::Force,
-        _ => NttPolicy::Auto,
-    }
+    POLICY.with(Cell::get)
 }
 
 /// Convolves `a` and `b` via NTT/CRT iff the calibrated cost model says it
@@ -735,6 +735,8 @@ mod tests {
     use super::*;
     use crate::vli::Vli;
     use proptest::prelude::*;
+    use shapdb_metrics::Profile;
+    use std::sync::Arc;
 
     fn schoolbook(a: &[BigUint], b: &[BigUint]) -> Vec<BigUint> {
         let mut out = vec![BigUint::zero(); a.len() + b.len() - 1];
@@ -874,9 +876,10 @@ mod tests {
         // clamp ceiling, so the decision is environment-independent.
         let v = (BigUint::one() << 511) - BigUint::from_u64(7);
         let a: Vec<BigUint> = (0..1024).map(|_| v.clone()).collect();
-        let before = NUM_NTT_CONVOLUTIONS.get();
+        let profile = Arc::new(Profile::new());
+        let _scope = profile.enter();
         let got = convolve_if_faster::<BigUint>(&a, &a).expect("model must choose NTT here");
-        assert!(NUM_NTT_CONVOLUTIONS.get() > before);
+        assert_eq!(profile.get(&NUM_NTT_CONVOLUTIONS), 1);
         assert!(
             NUM_NTT_CROSSOVER_LEN.get() > 0,
             "calibration records the crossover"
@@ -930,10 +933,8 @@ mod tests {
 
     #[test]
     fn many_counts_one_convolution_per_fold_step() {
-        // The forced route and its `num.ntt_convolutions` delta (one per
-        // operand beyond the first) are checked in `tests/ntt_counters.rs`:
-        // the policy and the counter are process-wide, so they get a binary
-        // of their own. Here, the shared transform the route runs.
+        // The shared transform the forced route runs (its count is checked
+        // in `forced_many_counts_one_convolution_per_fold_step`).
         let v = (BigUint::one() << 300) - BigUint::from_u64(3);
         let op: Vec<BigUint> = (0..64).map(|_| v.clone()).collect();
         let ops: Vec<&[BigUint]> = vec![&op, &op, &op, &op];
@@ -943,6 +944,22 @@ mod tests {
         want = convolve_ntt::<BigUint>(&want, &op);
         want = convolve_ntt::<BigUint>(&want, &op);
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn forced_many_counts_one_convolution_per_fold_step() {
+        // The policy override and the profile are both this thread's own,
+        // so concurrent tests neither see `Force` nor add to the count.
+        let v = (BigUint::one() << 300) - BigUint::from_u64(3);
+        let op: Vec<BigUint> = (0..64).map(|_| v.clone()).collect();
+        let ops: Vec<&[BigUint]> = vec![&op, &op, &op, &op];
+        let profile = Arc::new(Profile::new());
+        set_ntt_policy(NttPolicy::Force);
+        let _scope = profile.enter();
+        let got = convolve_many_if_faster::<BigUint>(&ops).expect("forced");
+        set_ntt_policy(NttPolicy::Auto);
+        assert_eq!(profile.get(&NUM_NTT_CONVOLUTIONS), 3, "one per fold step");
+        assert_eq!(got, convolve_many_ntt::<BigUint>(&ops));
     }
 
     proptest! {

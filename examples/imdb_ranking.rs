@@ -47,7 +47,7 @@ fn main() {
         println!(
             "dedup: {} of {} answers reused an isomorphic structure; \
              {} engine run(s), cache {} hit(s) / {} miss(es)",
-            report.dedup.reused,
+            report.dedup.hits(),
             report.dedup.tasks,
             report.engine_runs,
             report.cache.hits,

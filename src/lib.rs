@@ -53,7 +53,8 @@ use shapdb_core::engine::{
 use shapdb_core::exact::ExactConfig;
 use shapdb_data::{Database, FactId, Value};
 use shapdb_kc::Budget;
-use shapdb_metrics::counters::{CacheRunStats, DedupStats, NumRunStats};
+use shapdb_metrics::counters::{CacheRunStats, DedupStats};
+use shapdb_metrics::Profile;
 use shapdb_num::Rational;
 use shapdb_query::{
     evaluate, evaluate_negated, with_streamed_lineages, NegatedQuery, QueryResult, StreamStats, Ucq,
@@ -175,9 +176,10 @@ pub struct BatchExplanation {
     pub cache: CacheRunStats,
     /// Worker threads used.
     pub threads: usize,
-    /// Arithmetic-substrate routing: DP passes on fixed-limb integers vs
-    /// heap bignums, and ∧-convolutions taken by the NTT/CRT path.
-    pub num: NumRunStats,
+    /// The batch run's own counters: routes, compiles, arithmetic tiers
+    /// (`num.vli_hits`, `num.bignum_fallbacks`, `num.ntt_convolutions`),
+    /// cache traffic.
+    pub profile: Profile,
     /// Wall time of the attribution batch (excluding query evaluation).
     pub total_time: Duration,
 }
@@ -313,11 +315,6 @@ impl<'a> ShapleyAnalyzer<'a> {
         measure: Measure,
     ) -> Result<BatchExplanation, AnalysisError> {
         let (res, report) = self.run_batch(q, PlannerConfig::default(), &self.exact, measure);
-        let dedup = report.dedup;
-        let cache = report.cache;
-        let num = report.num;
-        let (engine_runs, threads, total_time) =
-            (report.engine_runs, report.threads, report.total_time);
         let mut explanations = Vec::with_capacity(res.len());
         for (tuple, item) in res.outputs.into_iter().zip(report.items) {
             let result = item.result.map_err(exact_mode_error)?;
@@ -331,12 +328,12 @@ impl<'a> ShapleyAnalyzer<'a> {
         }
         Ok(BatchExplanation {
             explanations,
-            dedup,
-            engine_runs,
-            cache,
-            threads,
-            num,
-            total_time,
+            dedup: report.dedup,
+            engine_runs: report.engine_runs,
+            cache: report.cache,
+            threads: report.threads,
+            profile: report.profile,
+            total_time: report.total_time,
         })
     }
 
@@ -389,13 +386,6 @@ impl<'a> ShapleyAnalyzer<'a> {
             ..Default::default()
         };
         let (res, report) = self.run_batch(q, planner_cfg, &self.exact, Measure::Shapley);
-        let (dedup, cache, engine_runs, threads, total_time) = (
-            report.dedup,
-            report.cache,
-            report.engine_runs,
-            report.threads,
-            report.total_time,
-        );
         let rankings = res
             .outputs
             .into_iter()
@@ -410,11 +400,11 @@ impl<'a> ShapleyAnalyzer<'a> {
             .collect();
         RankReport {
             rankings,
-            dedup,
-            engine_runs,
-            cache,
-            threads,
-            total_time,
+            dedup: report.dedup,
+            engine_runs: report.engine_runs,
+            cache: report.cache,
+            threads: report.threads,
+            total_time: report.total_time,
         }
     }
 

@@ -10,19 +10,31 @@
 //! * the planner's hierarchical classification must agree with the
 //!   read-once factorizer on the seed workloads: every answer of a
 //!   hierarchical self-join-free query factors (Livshits et al.), so the
-//!   disagreement counter stays at zero.
+//!   disagreement counter stays at zero;
+//! * each run's profile counts its own work exactly: one minimize and one
+//!   factor pass per task, and the same counts whether or not another run
+//!   shares the process.
 
 use rand::prelude::*;
 use shapdb::circuit::Dnf;
+use shapdb::circuit::VarId;
 use shapdb::core::engine::{
-    BatchExecutor, EngineValues, LineageTask, Planner, PlannerConfig, QueryClass,
+    BatchExecutor, EngineValues, LineageTask, Measure, PlanReason, Planner, PlannerConfig,
+    QueryClass, ShapleyCache,
 };
 use shapdb::core::exact::ExactConfig;
 use shapdb::data::{Database, Value};
 use shapdb::kc::Budget;
+use shapdb::metrics::counters::{
+    BATCH_TASKS, CACHE_HITS, CIRCUIT_FACTOR_PASSES, CIRCUIT_MINIMIZE_PASSES, MEASURE_BANZHAF,
+    MEASURE_RESPONSIBILITY, MEASURE_SHAPLEY, MEASURE_SHAP_SCORE, NUM_VLI_HITS,
+    PLANNER_HIERARCHICAL_DISAGREEMENTS, PLANNER_KC_TOPDOWN_ROUTES, PLANNER_READ_ONCE_ROUTES,
+};
+use shapdb::metrics::Profile;
 use shapdb::num::Rational;
 use shapdb::query::{evaluate, parse_ucq};
 use shapdb::ShapleyAnalyzer;
+use std::sync::{Arc, Barrier};
 
 /// The sequential per-tuple path: one exact-mode planner solve per lineage,
 /// as `(fact, value)` pairs in the planner's order.
@@ -297,7 +309,9 @@ fn hierarchical_detection_agrees_with_factorizer_on_seed_workloads() {
         flights_workload, imdb_database, imdb_queries, tpch_database, tpch_queries, ImdbConfig,
         TpchConfig,
     };
-    let disagreements_before = shapdb::metrics::counters::PLANNER_HIERARCHICAL_DISAGREEMENTS.get();
+    // Everything this test plans counts in its own profile, exactly.
+    let profile = Arc::new(Profile::new());
+    let _scope = profile.enter();
 
     let tpch = tpch_database(&TpchConfig {
         scale: 0.3,
@@ -314,6 +328,7 @@ fn hierarchical_detection_agrees_with_factorizer_on_seed_workloads() {
 
     let mut hierarchical_queries = 0usize;
     let mut checked_lineages = 0usize;
+    let mut read_once_plans = 0u64;
     let mut runs: Vec<(&Database, Vec<shapdb::workloads::WorkloadQuery>)> =
         vec![(&tpch, tpch_queries()), (&imdb, imdb_queries())];
     runs.push((&flights_db, vec![flights_q]));
@@ -329,6 +344,10 @@ fn hierarchical_detection_agrees_with_factorizer_on_seed_workloads() {
             for out in res.outputs.iter().take(40) {
                 let elin = out.endo_lineage(db);
                 let plan = planner.plan(&elin);
+                read_once_plans += u64::from(matches!(
+                    plan.reason,
+                    PlanReason::ReadOnce | PlanReason::HierarchicalReadOnce
+                ));
                 if class.guarantees_read_once() {
                     // Theory: hierarchical + self-join-free ⇒ read-once.
                     assert!(
@@ -356,8 +375,144 @@ fn hierarchical_detection_agrees_with_factorizer_on_seed_workloads() {
         "only {checked_lineages} lineages checked"
     );
     assert_eq!(
-        shapdb::metrics::counters::PLANNER_HIERARCHICAL_DISAGREEMENTS.get(),
-        disagreements_before,
+        profile.get(&PLANNER_HIERARCHICAL_DISAGREEMENTS),
+        0,
         "hierarchical detection disagreed with the factorizer"
     );
+    assert_eq!(profile.get(&PLANNER_READ_ONCE_ROUTES), read_once_plans);
+}
+
+fn dnf(conjs: &[&[u32]]) -> Dnf {
+    let mut d = Dnf::new();
+    for c in conjs {
+        d.add_conjunct(c.iter().map(|&v| VarId(v)).collect());
+    }
+    d
+}
+
+/// A batch executor with its own fresh result cache.
+fn fresh_executor(threads: usize) -> BatchExecutor {
+    let planner = Planner::new(PlannerConfig::default()).with_cache(Arc::new(ShapleyCache::new()));
+    BatchExecutor::new(planner).with_threads(threads)
+}
+
+#[test]
+fn batch_path_minimizes_and_factors_once_per_task() {
+    // Five tasks, four distinct structures, mixing every route: two
+    // isomorphic read-once matchings, the non-read-once majority (naive),
+    // the running example (read-once), and a singleton. One matching is
+    // unminimized (an absorbed conjunct) to prove the single minimize pass
+    // happens where claimed: inside `fingerprint`, which carries the
+    // canonical DNF and the tree to everything downstream.
+    let lineages = vec![
+        dnf(&[&[0, 10], &[1, 11]]),
+        dnf(&[&[2, 20], &[3, 21], &[2, 20, 3]]),
+        dnf(&[&[4, 5], &[5, 6], &[4, 6]]),
+        dnf(&[&[7], &[8, 12], &[8, 13], &[9, 12], &[9, 13], &[14, 15]]),
+        dnf(&[&[16]]),
+    ];
+    let executor = fresh_executor(1);
+    let (budget, exact) = (Budget::unlimited(), ExactConfig::default());
+    let passes = |p: &Profile| {
+        (
+            p.get(&CIRCUIT_MINIMIZE_PASSES),
+            p.get(&CIRCUIT_FACTOR_PASSES),
+        )
+    };
+
+    let cold = executor.run(&lineages, 24, &budget, &exact);
+    assert!(cold.items.iter().all(|i| i.result.is_ok()));
+    assert_eq!((cold.dedup.tasks, cold.dedup.distinct), (5, 4));
+    assert_eq!(cold.engine_runs, 4);
+    assert_eq!(passes(&cold.profile), (5, 5), "one of each per task");
+
+    // Warm replay: fingerprinting runs again (it *is* the key computation),
+    // but every structure comes from the cache — still no extra passes and
+    // no engine runs.
+    let warm = executor.run(&lineages, 24, &budget, &exact);
+    assert_eq!(warm.engine_runs, 0);
+    assert_eq!(warm.cache.hits, 4);
+    assert_eq!(warm.profile.get(&CACHE_HITS), 4);
+    assert_eq!(passes(&warm.profile), (5, 5));
+
+    // A four-measure sweep counts once per lineage like every other
+    // surface — five requests of each measure, five batch tasks — and
+    // still minimizes and factors each lineage once.
+    let sweep = executor.run_measures(&lineages, 24, &budget, &exact, &Measure::ALL);
+    assert!(sweep.items.iter().all(|i| i.result.is_ok()));
+    for counter in [
+        &MEASURE_SHAPLEY,
+        &MEASURE_BANZHAF,
+        &MEASURE_RESPONSIBILITY,
+        &MEASURE_SHAP_SCORE,
+        &BATCH_TASKS,
+    ] {
+        assert_eq!(sweep.profile.get(counter), 5, "{}", counter.name());
+    }
+    assert_eq!(passes(&sweep.profile), (5, 5));
+
+    // And the values survived all that accounting: the unminimized matching
+    // matches its minimized twin after translation.
+    let values = |i: usize| -> Vec<Rational> {
+        let EngineValues::Exact(v) = &warm.items[i].result.as_ref().unwrap().values else {
+            panic!("exact expected");
+        };
+        let mut v = v.clone();
+        v.sort();
+        v.into_iter().map(|(_, r)| r).collect()
+    };
+    assert_eq!(values(0), values(1));
+}
+
+#[test]
+fn concurrent_runs_each_count_exactly_their_own_work() {
+    // A wide KC batch (top-down compiles, component cache, Algorithm 1 on
+    // fixed-limb tiers) and a four-measure read-once batch on two workers:
+    // each run's profile, taken while the other run shares the process,
+    // equals the profile of the same run done alone, counter for counter.
+    let (budget, exact) = (Budget::unlimited(), ExactConfig::default());
+    let kc_lineages: Vec<Dnf> = (17..20u32)
+        .map(|blocks| {
+            let pairs: Vec<[u32; 2]> = (0..3 * blocks)
+                .step_by(3)
+                .flat_map(|x| [[x, x + 1], [x, x + 2], [x + 1, x + 2]])
+                .collect();
+            dnf(&pairs.iter().map(|p| &p[..]).collect::<Vec<_>>())
+        })
+        .collect();
+    let read_once_lineages: Vec<Dnf> = (0..40u32)
+        .map(|i| {
+            let pairs: Vec<[u32; 2]> = (0..=i % 7)
+                .map(|j| [100 * i + j, 100 * i + 50 + j])
+                .collect();
+            dnf(&pairs.iter().map(|p| &p[..]).collect::<Vec<_>>())
+        })
+        .collect();
+    let kc_run = || fresh_executor(1).run(&kc_lineages, 60, &budget, &exact);
+    let read_once_run = || {
+        fresh_executor(2).run_measures(&read_once_lineages, 4000, &budget, &exact, &Measure::ALL)
+    };
+    let (kc_alone, read_once_alone) = (kc_run(), read_once_run());
+    assert!(kc_alone.items.iter().all(|i| i.result.is_ok()));
+    assert!(read_once_alone.items.iter().all(|i| i.result.is_ok()));
+    assert_eq!(kc_alone.profile.get(&PLANNER_KC_TOPDOWN_ROUTES), 3);
+    assert!(kc_alone.profile.get(&NUM_VLI_HITS) > 0);
+    assert_eq!(read_once_alone.profile.get(&BATCH_TASKS), 40);
+    // Fingerprinting ran on the two workers, which entered the run's profile.
+    assert_eq!(read_once_alone.profile.get(&CIRCUIT_FACTOR_PASSES), 40);
+    for _ in 0..3 {
+        // Both runs start together, so they overlap for as long as the
+        // shorter one lasts.
+        let start = Barrier::new(2);
+        let (kc, read_once) = std::thread::scope(|s| {
+            let kc = s.spawn(|| {
+                start.wait();
+                kc_run()
+            });
+            start.wait();
+            (kc.join().unwrap(), read_once_run())
+        });
+        assert_eq!(kc.profile, kc_alone.profile);
+        assert_eq!(read_once.profile, read_once_alone.profile);
+    }
 }
