@@ -1,8 +1,8 @@
 # Convenience targets mirroring .github/workflows/ci.yml for offline use.
 
-.PHONY: check fmt build test test-repeat clippy doc quickstart examples bench-build bench-smoke bench-batch bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench-e2e bench
+.PHONY: check fmt build test test-repeat test-release-wide clippy doc quickstart examples bench-build bench-smoke bench-batch bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench-e2e bench
 
-check: fmt build test test-repeat clippy doc examples bench-build
+check: fmt build test test-repeat test-release-wide clippy doc examples bench-build bench-e2e
 
 fmt:
 	cargo fmt --check
@@ -20,6 +20,11 @@ test-repeat:
 	@for i in 1 2 3; do \
 		cargo test -q -p shapdb_metrics -p shapdb_core -p shapdb_num -p shapdb || exit 1; \
 	done
+
+# The KC engine's negation route against the paper's Tseytin path, with
+# the 260- and 516-fact cases that are too slow for an unoptimized build.
+test-release-wide:
+	cargo test --release -q --test negation_route -- --include-ignored
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings

@@ -21,18 +21,28 @@
 //!   (first lineage of a batch);
 //! * `topdown_warm` — top-down against a cache already populated by a
 //!   prior pass over the whole suite (every later isomorphic lineage of a
-//!   batch, and every pass of a resident service).
+//!   batch, and every pass of a resident service);
+//! * `negated` — the engines' production entry point,
+//!   [`compile_negation`]: the lineage's negation CNF over the facts (no
+//!   Tseytin auxiliaries, no projection), compiled bottom-up and top-down
+//!   (a fresh cache each pass). Without the root clause the blocks are
+//!   separate components from the start.
 //!
 //! The routes are asserted bit-identical on projected model counts before
 //! anything is timed (bottom-up joins the assertion at every size it
-//! still runs at). Results land in `results/bench_kc.json`
+//! still runs at), and both negated compiles must count the complement:
+//! `#F + #¬F = 2ⁿ`. Results land in `results/bench_kc.json`
 //! (`make bench-kc`, uploaded as a CI artifact); the summary warns if the
 //! warm pass is not at least 2x faster than the cold pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use shapdb_bench::{median_ns, write_result};
 use shapdb_circuit::{Circuit, Dnf, VarId};
-use shapdb_kc::{compile_circuit, compile_circuit_topdown, Budget, ComponentCache, Ddnnf};
+use shapdb_kc::{
+    compile_circuit, compile_circuit_topdown, compile_negation, Budget, ComponentCache, Ddnnf,
+    Route,
+};
+use shapdb_num::BigUint;
 use std::time::Duration;
 
 /// Samples for the top-down series in the JSON summary.
@@ -96,6 +106,19 @@ fn compile_top_down(d: &Dnf, cache: &ComponentCache) -> Ddnnf {
         .ddnnf
 }
 
+/// The production route: `¬F` compiled over the facts on `route`.
+fn compile_negated(d: &Dnf, route: Route<'_>) -> Ddnnf {
+    compile_negation(d, &Budget::unlimited(), route)
+        .expect("suite structures compile negated")
+        .ddnnf
+}
+
+/// The negated routes, bottom-up then top-down (cold).
+const NEGATED_ROUTES: [(&str, Route<'static>); 2] = [
+    ("bottom_up", Route::BottomUp),
+    ("topdown", Route::TopDown(None)),
+];
+
 fn bench_kc_wide(c: &mut Criterion) {
     let suite: Vec<(usize, usize, Dnf)> = SIZES
         .iter()
@@ -120,6 +143,15 @@ fn bench_kc_wide(c: &mut Criterion) {
         let cold = compile_top_down(d, &cache).count_models();
         let warm = compile_top_down(d, &cache).count_models();
         assert_eq!(cold, warm, "warm top-down diverges at {vars} vars");
+        let all = BigUint::one() << *vars;
+        for (name, route) in NEGATED_ROUTES {
+            let negated = compile_negated(d, route).count_models();
+            assert_eq!(
+                cold.clone() + negated,
+                all,
+                "negated {name}: #F + #¬F != 2^n at {vars} vars"
+            );
+        }
         if !bottom_up_alive {
             bottom_up_skipped.push(*vars);
             bottom_up_ms.push(None);
@@ -161,6 +193,12 @@ fn bench_kc_wide(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("topdown_warm", vars), d, |b, d| {
             b.iter(|| std::hint::black_box(compile_top_down(d, &warm_cache).len()))
         });
+        for (name, route) in NEGATED_ROUTES {
+            let id = BenchmarkId::new(format!("negated_{name}"), vars);
+            group.bench_with_input(id, d, |b, d| {
+                b.iter(|| std::hint::black_box(compile_negated(d, route).len()))
+            });
+        }
     }
     group.finish();
 
@@ -187,6 +225,12 @@ fn bench_kc_wide(c: &mut Criterion) {
         let suite_warm_ns = median_ns(SAMPLES, || {
             std::hint::black_box(compile_top_down(d, &suite_cache).len());
         });
+        let negated_ms = NEGATED_ROUTES.map(|(_, route)| {
+            median_ns(SAMPLES, || {
+                std::hint::black_box(compile_negated(d, route).len());
+            }) as f64
+                / 1e6
+        });
         let speedup = cold_ns as f64 / warm_ns.max(1) as f64;
         if speedup < 2.0 {
             all_warm_at_least_2x = false;
@@ -206,7 +250,8 @@ fn bench_kc_wide(c: &mut Criterion) {
                 "    {{\"vars\": {}, \"blocks\": {}, ",
                 "\"bottom_up_ms\": {}, \"topdown_cold_ms\": {:.3}, ",
                 "\"topdown_warm_ms\": {:.3}, \"suite_warm_ms\": {:.3}, ",
-                "\"warm_speedup\": {:.2}}}"
+                "\"warm_speedup\": {:.2}, ",
+                "\"negated\": {{\"bottom_up_ms\": {:.3}, \"topdown_ms\": {:.3}}}}}"
             ),
             vars,
             k,
@@ -215,6 +260,8 @@ fn bench_kc_wide(c: &mut Criterion) {
             warm_ns as f64 / 1e6,
             suite_warm_ns as f64 / 1e6,
             speedup,
+            negated_ms[0],
+            negated_ms[1],
         ));
     }
     let skipped_json = bottom_up_skipped

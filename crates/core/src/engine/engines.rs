@@ -4,9 +4,11 @@
 //! kernels themselves live where they always did ([`crate::exact`],
 //! [`crate::readonce`], [`crate::proxy`], [`crate::montecarlo`],
 //! [`crate::kernelshap`], [`crate::naive`]); this module owns the routing
-//! glue. [`KcEngine::analyze_circuit`] is the one circuit-level entry
-//! (Figure 3's middle row), public because signed (negation) lineages enter
-//! as circuits rather than monotone DNFs.
+//! glue. The KC engine compiles a monotone DNF lineage as its negation
+//! CNF over the facts (no Tseytin auxiliaries, no projection) and negates
+//! the values; [`KcEngine::analyze_circuit`] is the one circuit-level entry
+//! (Figure 3's middle row: Tseytin → compile → project), public because
+//! signed (negation) lineages enter as circuits rather than monotone DNFs.
 
 use super::{
     sort_approx, sort_exact, AnalysisError, EngineError, EngineKind, EngineResult, EngineValues,
@@ -23,7 +25,7 @@ use crate::responsibility::{responsibility_all_minimized, responsibility_read_on
 use crate::shap_score::{shap_naive, shap_scores};
 use shapdb_circuit::{factor, tseytin, Circuit, Dnf, NodeId, VarId};
 use shapdb_kc::{
-    compile, compile_circuit_topdown, project, Budget, CompileStats, ComponentCache, Ddnnf,
+    compile_circuit, compile_negation, Budget, CompileStats, ComponentCache, Ddnnf, Route,
 };
 use shapdb_metrics::counters::ENGINE_SOLVES;
 use shapdb_num::{Bitset, Rational};
@@ -179,23 +181,32 @@ impl ReadOnceEngine {
     }
 }
 
-/// The full exact pipeline: Tseytin → CNF→d-DNNF compilation → projection
-/// (Lemma 4.6) → Algorithm 1. Handles every lineage; may exceed its budget.
+/// The exact knowledge-compilation pipeline. A monotone DNF lineage `F`
+/// compiles as its negation `¬F = ⋀ₜ ⋁_{x∈t} ¬x`, a CNF over the facts
+/// alone ([`compile_negation`]: no Tseytin auxiliaries, no projection), and
+/// Algorithm 1's values on `¬F` are negated — every measure compiled here
+/// is linear in the game and zero on constant games, so
+/// `φ_f(F) = −φ_f(¬F)`. Circuits enter through
+/// [`KcEngine::analyze_circuit`], the paper's Tseytin → compile → project
+/// path (Lemma 4.6). Handles every lineage; may exceed its budget.
 pub struct KcEngine;
 
-/// The artifacts of one Tseytin → compile → project pass. Measure-agnostic:
-/// a structure solved for several measures compiles once and evaluates
-/// every missed measure on the same projected d-DNNF.
+/// The artifacts of one compile. Measure-agnostic: a structure solved for
+/// several measures compiles once and evaluates every missed measure on
+/// the same d-DNNF.
 pub(crate) struct CompiledLineage {
-    /// The projected d-DNNF over the lineage's input variables.
+    /// The d-DNNF over the lineage's facts: of `¬F` when `negated`, else of
+    /// the circuit itself (projected onto its inputs).
     pub ddnnf: Ddnnf,
-    /// Original fact id of each projected variable.
+    /// Whether `ddnnf` is the lineage's negation, so values flip sign.
+    pub negated: bool,
+    /// Original fact id of each d-DNNF variable.
     pub input_vars: Vec<VarId>,
-    /// Tseytin CNF clause count.
+    /// Clause count of the compiled CNF (negation or Tseytin).
     pub cnf_clauses: usize,
     /// Compiler counters.
     pub compile_stats: CompileStats,
-    /// Tseytin + compile + project wall time.
+    /// CNF construction + compile (+ projection) wall time.
     pub prep_time: Duration,
 }
 
@@ -205,9 +216,10 @@ pub(crate) type CompileSlot = Option<Result<CompiledLineage, EngineError>>;
 
 impl KcEngine {
     /// Figure 3's middle row on an endogenous-lineage *circuit*: exact
-    /// Shapley values of the circuit's input variables (bottom-up
-    /// compilation, no minimization). The entry signed negation lineages
-    /// use, since they are circuits rather than monotone DNFs.
+    /// Shapley values of the circuit's input variables through Tseytin →
+    /// bottom-up compile → project (no minimization). The entry signed
+    /// negation lineages use, since they are circuits rather than monotone
+    /// DNFs.
     pub fn analyze_circuit(
         circuit: &Circuit,
         root: NodeId,
@@ -215,64 +227,27 @@ impl KcEngine {
         budget: &Budget,
         cfg: &crate::exact::ExactConfig,
     ) -> Result<EngineResult, AnalysisError> {
-        let compiled = KcEngine::compile_circuit_root(circuit, root, budget)?;
+        let kc_start = Instant::now();
+        let c = compile_circuit(circuit, root, budget).map_err(AnalysisError::Compile)?;
+        let compiled = CompiledLineage {
+            ddnnf: c.ddnnf,
+            negated: false,
+            input_vars: c.fact_vars,
+            cnf_clauses: c.tseytin.cnf.len(),
+            compile_stats: c.stats,
+            prep_time: kc_start.elapsed(),
+        };
         KcEngine::evaluate_compiled(&compiled, n_endo, cfg, Measure::Shapley).map_err(|e| match e {
             EngineError::Analysis(a) => a,
             _ => unreachable!("Shapley evaluation fails only with analysis errors"),
         })
     }
 
-    /// Tseytin → compile → project of a circuit root, timed — bottom-up.
-    pub(crate) fn compile_circuit_root(
-        circuit: &Circuit,
-        root: NodeId,
-        budget: &Budget,
-    ) -> Result<CompiledLineage, AnalysisError> {
-        KcEngine::compile_circuit_root_routed(circuit, root, budget, false, None)
-    }
-
-    /// Tseytin → compile → project of a circuit root, timed, with the
-    /// plan's compiler choice applied: `topdown` selects the
-    /// sharpSAT-style top-down compiler, and `shared` lets that compile
-    /// probe and populate a cross-lineage component cache under the given
-    /// context digest. Both routes produce the same projected d-DNNF
-    /// semantics; only the search strategy (and hence the node layout and
-    /// compile counters) differs.
-    pub(crate) fn compile_circuit_root_routed(
-        circuit: &Circuit,
-        root: NodeId,
-        budget: &Budget,
-        topdown: bool,
-        shared: Option<(&ComponentCache, u64)>,
-    ) -> Result<CompiledLineage, AnalysisError> {
-        let kc_start = Instant::now();
-        if topdown {
-            let c = compile_circuit_topdown(circuit, root, budget, shared)
-                .map_err(AnalysisError::Compile)?;
-            return Ok(CompiledLineage {
-                ddnnf: c.ddnnf,
-                input_vars: c.fact_vars,
-                cnf_clauses: c.tseytin.cnf.len(),
-                compile_stats: c.stats,
-                prep_time: kc_start.elapsed(),
-            });
-        }
-        let t = tseytin(circuit, root);
-        let (full, compile_stats) = compile(&t.cnf, budget).map_err(AnalysisError::Compile)?;
-        let ddnnf = project(&full, t.num_inputs());
-        Ok(CompiledLineage {
-            ddnnf,
-            input_vars: t.input_vars,
-            cnf_clauses: t.cnf.len(),
-            compile_stats,
-            prep_time: kc_start.elapsed(),
-        })
-    }
-
     /// The full KC solve with the plan's compiler choice applied — the
-    /// planner's KC arm calls this so wide lineages compile top-down and
-    /// share component-cache fragments across lineages; the plain
-    /// [`ShapleyEngine::solve`] is the `(false, None)` special case.
+    /// planner's KC arm calls this so wide lineages compile `¬F` top-down
+    /// and share component-cache fragments across lineages (`shared`, under
+    /// its context digest); the plain [`ShapleyEngine::solve`] is the
+    /// `(false, None)` special case.
     ///
     /// `compiled` is the structure's one compile: the first call fills it,
     /// later calls for other measures of the same lineage and budget
@@ -304,10 +279,23 @@ impl KcEngine {
         }
         let compiled = compiled.get_or_insert_with(|| {
             ENGINE_SOLVES.incr();
-            let mut circuit = Circuit::new();
-            let root = minimized(task).to_circuit(&mut circuit);
-            KcEngine::compile_circuit_root_routed(&circuit, root, &task.budget, topdown, shared)
-                .map_err(EngineError::Analysis)
+            let lineage = minimized(task);
+            let route = if topdown {
+                Route::TopDown(shared)
+            } else {
+                Route::BottomUp
+            };
+            let kc_start = Instant::now();
+            let c = compile_negation(&lineage, &task.budget, route)
+                .map_err(|e| EngineError::Analysis(AnalysisError::Compile(e)))?;
+            Ok(CompiledLineage {
+                ddnnf: c.ddnnf,
+                negated: true,
+                input_vars: c.fact_vars,
+                cnf_clauses: c.cnf_clauses,
+                compile_stats: c.stats,
+                prep_time: kc_start.elapsed(),
+            })
         });
         match compiled {
             Ok(c) => KcEngine::evaluate_compiled(c, task.n_endo, &task.exact, task.measure),
@@ -317,8 +305,9 @@ impl KcEngine {
 
     /// One measure's values from an already-compiled structure: the power
     /// indices run Algorithm 1 with the measure's weights, the SHAP-score
-    /// runs the probability-weighted β-DP on the same circuit.
-    /// Responsibility is DNF-level and never reaches this function.
+    /// runs the probability-weighted β-DP on the same circuit; values of a
+    /// negated compile flip sign. Responsibility is DNF-level and never
+    /// reaches this function.
     pub(crate) fn evaluate_compiled(
         compiled: &CompiledLineage,
         n_endo: usize,
@@ -326,27 +315,23 @@ impl KcEngine {
         measure: Measure,
     ) -> Result<EngineResult, EngineError> {
         let solve_start = Instant::now();
-        let pairs: Vec<(VarId, Rational)> = match measure {
+        let values = match measure {
             Measure::Shapley | Measure::Banzhaf => {
-                let values = power_index_all_facts(&compiled.ddnnf, n_endo, cfg, measure)
-                    .map_err(|e| EngineError::Analysis(AnalysisError::Shapley(e)))?;
-                values
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, x)| (compiled.input_vars[i], x))
-                    .collect()
+                power_index_all_facts(&compiled.ddnnf, n_endo, cfg, measure)
+                    .map_err(|e| EngineError::Analysis(AnalysisError::Shapley(e)))?
             }
             Measure::ShapScore => {
                 let probs = vec![shap_background(); compiled.ddnnf.num_vars()];
-                let values = shap_scores(&compiled.ddnnf, &probs);
-                values
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, x)| (compiled.input_vars[i], x))
-                    .collect()
+                shap_scores(&compiled.ddnnf, &probs)
             }
             Measure::Responsibility => unreachable!("responsibility needs no compilation"),
         };
+        let pairs: Vec<(VarId, Rational)> = compiled
+            .input_vars
+            .iter()
+            .zip(values)
+            .map(|(&f, x)| (f, if compiled.negated { -x } else { x }))
+            .collect();
         Ok(exact_result(
             EngineKind::Kc,
             measure,

@@ -8,8 +8,8 @@
 //! * [`ShapleyEngine`] — the uniform `solve(&LineageTask) → EngineResult`
 //!   contract, implemented by all six algorithms of the repository:
 //!   [`NaiveEngine`] (Equations (1)/(2) ground truth), [`ReadOnceEngine`]
-//!   (factorization fast path), [`KcEngine`] (Tseytin → d-DNNF →
-//!   Algorithm 1), [`ProxyEngine`] (Algorithm 2), [`MonteCarloEngine`]
+//!   (factorization fast path), [`KcEngine`] (the lineage's negation CNF →
+//!   d-DNNF → Algorithm 1, values negated), [`ProxyEngine`] (Algorithm 2), [`MonteCarloEngine`]
 //!   (permutation sampling) and [`KernelShapEngine`];
 //! * [`Planner`] — classifies each lineage (constant? read-once
 //!   factorizable? guaranteed read-once because the query is hierarchical
@@ -72,7 +72,8 @@ pub enum EngineKind {
     Naive,
     /// Shapley values straight from the read-once factorization.
     ReadOnce,
-    /// Tseytin → CNF→d-DNNF compilation → Algorithm 1.
+    /// Knowledge compilation → Algorithm 1: a DNF lineage's negation CNF
+    /// over the facts (values negated), a circuit's Tseytin CNF.
     Kc,
     /// CNF Proxy scores (Algorithm 2): a ranking, not Shapley values.
     Proxy,
@@ -298,16 +299,20 @@ pub struct EngineResult {
     pub measure: Measure,
     /// The values (exact or approximate), sorted.
     pub values: EngineValues,
-    /// Preparation time: factorization, or Tseytin + compile + project.
+    /// Preparation time: factorization, or CNF construction + compile
+    /// (+ projection on the Tseytin circuit entry).
     pub prep_time: Duration,
     /// Value-computation time (Algorithm 1, sampling, regression, …).
     pub solve_time: Duration,
     /// Distinct facts in the lineage.
     pub num_facts: usize,
-    /// Tseytin CNF clauses (0 when no CNF was built).
+    /// Clauses of the compiled CNF: one per conjunct on the KC route (the
+    /// lineage's negation), the Tseytin CNF's on the circuit entry and
+    /// for CNF Proxy (0 when no CNF was built).
     pub cnf_clauses: usize,
-    /// Projected d-DNNF size (tree size for the read-once path, 0 when no
-    /// circuit representation was built).
+    /// d-DNNF size — of `¬F` on the KC route, projected on the circuit
+    /// entry (tree size for the read-once path, 0 when no circuit
+    /// representation was built).
     pub ddnnf_size: usize,
     /// Compiler counters (all zero off the KC path).
     pub compile_stats: CompileStats,

@@ -15,7 +15,8 @@
 //! 3. **naive enumeration** costs `O(2ⁿ · |DNF|)` — for tiny non-read-once
 //!    lineages (≤ [`PlannerConfig::max_naive_vars`] minimized variables,
 //!    default 10) the `2ⁿ ≤ 1024` evaluations undercut building and
-//!    compiling a Tseytin CNF by an order of magnitude;
+//!    compiling a CNF (the cutoff was measured against the Tseytin
+//!    encoding, not the negation CNF the KC route compiles now);
 //! 4. **knowledge compilation** is `FP^{#P}`-hard in the worst case; it is
 //!    admitted while the lineage's variable/conjunct counts stay within the
 //!    configured budget, and runs under the planner's per-lineage timeout;
@@ -67,7 +68,7 @@ pub struct PlannerConfig {
     pub topdown_min_vars: usize,
     /// Naive-enumeration admission: non-read-once lineages with at most
     /// this many (minimized) variables route to `O(2ⁿ)` enumeration, which
-    /// beats Tseytin + compilation + Algorithm 1 below ~10 variables.
+    /// beats compilation + Algorithm 1 below ~10 variables.
     /// `0` disables the route (every non-read-once lineage goes to KC).
     /// Values beyond the naive engine's own enumeration cap (25) make the
     /// route fail rather than enumerate forever.
@@ -334,7 +335,7 @@ impl Planner {
                 }
                 if vars <= self.cfg.max_naive_vars && conjuncts <= MAX_NAIVE_CONJUNCTS {
                     // Tiny non-factorizable lineage: 2ⁿ evaluations are
-                    // cheaper than building + compiling a Tseytin CNF.
+                    // cheaper than building + compiling a negation CNF.
                     PLANNER_NAIVE_ROUTES.incr();
                     return Plan {
                         engine: EngineKind::Naive,
@@ -1212,7 +1213,7 @@ mod tests {
             "power indices + SHAP-score share one compile's stats; responsibility never compiles"
         );
         // The three circuit measures report the *same* compile (identical
-        // CNF size from one Tseytin pass), and all four are now cached.
+        // CNF size from one negation CNF), and all four are now cached.
         assert_eq!(cache.stats().len, 4);
         let again = planner.solve_structure(
             &fp,

@@ -32,7 +32,9 @@ use std::time::Instant;
 pub struct Budget {
     /// Hard wall-clock deadline (checked cooperatively).
     pub deadline: Option<Instant>,
-    /// Maximum number of d-DNNF nodes to allocate.
+    /// Maximum number of d-DNNF nodes to allocate: of the compiled CNF's
+    /// circuit before any projection — on the engines' KC route, the
+    /// circuit of the lineage's negation `¬F` over the facts.
     pub max_nodes: usize,
 }
 
@@ -645,25 +647,20 @@ mod tests {
 
     #[test]
     fn deadline_in_past_times_out() {
-        let mut cnf = Cnf::new(30);
-        // Pairwise chains to make propagation non-trivial.
-        for i in 0..29 {
+        // The root's propagation seed scan alone spends one budget tick per
+        // clause, so 512 clauses cross the every-256-ticks deadline check
+        // before compilation can finish: an expired deadline must fire.
+        let mut cnf = Cnf::new(513);
+        for i in 0..512 {
             cnf.push_lits(vec![Lit::pos(i), Lit::pos(i + 1)]);
         }
         let budget = Budget {
             deadline: Some(Instant::now() - std::time::Duration::from_secs(1)),
             max_nodes: usize::MAX,
         };
-        // The check fires every 256 budget ticks, so a big enough formula
-        // must hit it; retry with a pigeonhole formula if not.
-        match compile(&cnf, &budget) {
-            Err(CompileError::Timeout) => {}
-            Ok(_) => {
-                // Compilation may legitimately finish before the first tick
-                // window; that is acceptable behaviour for tiny inputs.
-            }
-            Err(e) => panic!("unexpected error {e:?}"),
-        }
+        assert_eq!(compile(&cnf, &budget).unwrap_err(), CompileError::Timeout);
+        // The same formula compiles without the deadline.
+        assert!(compile(&cnf, &Budget::unlimited()).is_ok());
     }
 
     #[test]

@@ -577,8 +577,9 @@ impl<'a> TopDownCompiler<'a> {
     /// given compilation is deterministic.
     ///
     /// Tseytin gate variables (`>= aux_from`) are branched in strict
-    /// preference to inputs. A lineage CNF is the Tseytin encoding of an
-    /// OR-of-conjuncts, so the root clause spans every conjunct's gate
+    /// preference to inputs ([`compile_circuit_topdown`] only; a negation
+    /// CNF has no gates and no root clause). A Tseytin lineage CNF encodes
+    /// an OR-of-conjuncts, so the root clause spans every conjunct's gate
     /// variable and keeps the whole formula one component until it is
     /// satisfied. Deciding a gate true satisfies that clause at once and
     /// the residual falls apart into per-conjunct components (which the
@@ -964,6 +965,26 @@ mod tests {
         }
         let err = compile_topdown(&cnf, &Budget::with_max_nodes(3)).unwrap_err();
         assert_eq!(err, CompileError::NodeLimit);
+    }
+
+    #[test]
+    fn deadline_in_past_times_out() {
+        // As the bottom-up compiler's test: the root's propagation seed
+        // scan spends one budget tick per clause, so 512 clauses cross the
+        // every-256-ticks deadline check before compilation can finish.
+        let mut cnf = Cnf::new(513);
+        for i in 0..512 {
+            cnf.push_lits(vec![Lit::pos(i), Lit::pos(i + 1)]);
+        }
+        let budget = Budget {
+            deadline: Some(Instant::now() - std::time::Duration::from_secs(1)),
+            max_nodes: usize::MAX,
+        };
+        assert_eq!(
+            compile_topdown(&cnf, &budget).unwrap_err(),
+            CompileError::Timeout
+        );
+        assert!(compile_topdown(&cnf, &Budget::unlimited()).is_ok());
     }
 
     /// OR of `k` disjoint 3-variable majority blocks (non-read-once inside
