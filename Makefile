@@ -1,6 +1,6 @@
 # Convenience targets mirroring .github/workflows/ci.yml for offline use.
 
-.PHONY: check fmt build test test-repeat test-release-wide clippy doc quickstart examples bench-build bench-smoke bench-batch bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench-e2e bench
+.PHONY: check fmt build test test-repeat test-release-wide clippy doc quickstart examples bench-build bench-smoke bench-batch bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench-stream bench-e2e bench
 
 check: fmt build test test-repeat test-release-wide clippy doc examples bench-build bench-e2e
 
@@ -115,6 +115,12 @@ bench-measures:
 # warns below the 3x wall-clock bar. Writes results/bench_rank.json.
 bench-rank:
 	cargo bench --bench rank_topk -p shapdb_bench
+
+# Streamed lineage extraction (answer pass + per-answer passes) over the
+# JOB generator at 4k, 8k and 12k movies; warns when time grows more than
+# 1.3x faster than linear. Writes results/bench_stream.json.
+bench-stream:
+	cargo bench --bench scalability -p shapdb_bench -- stream_scale
 
 # End-to-end benchmark selftest: builds benchmark/ and the `shapdb` binary,
 # then runs every BENCHMARK.json workload at smoke scale with and without

@@ -1,17 +1,30 @@
 //! Scalability benchmarks (Figure 5): the exact pipeline on real workload
 //! outputs as the TPC-H `lineitem` table grows, plus an IMDB pipeline
 //! sample (Table 1's per-output cost at workload scale).
+//!
+//! The `stream_scale` group times streamed lineage extraction
+//! ([`LineageStream`], answer pass plus every per-answer pass) over the JOB
+//! generator at 4k, 8k and 12k movies, seven interleaved rounds, writes
+//! `results/bench_stream.json`, and warns when the fastest round's time
+//! grows more than 1.3× faster than the movie count.
+//!
+//! `cargo bench --bench scalability -p shapdb_bench -- <name>` runs only
+//! the groups whose name contains `<name>` (`make bench-stream` runs
+//! `stream_scale`).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, BenchmarkId, Criterion};
 use shapdb_bench::runner::dense_lineage;
+use shapdb_bench::write_result;
 use shapdb_circuit::Circuit;
 use shapdb_core::engine::KcEngine;
 use shapdb_core::exact::ExactConfig;
 use shapdb_kc::Budget;
-use shapdb_query::evaluate;
+use shapdb_query::{evaluate, LineageStream};
 use shapdb_workloads::{
-    imdb_database, imdb_queries, tpch_database, tpch_queries, ImdbConfig, TpchConfig,
+    imdb_database, imdb_queries, job_database, job_ranking_query, tpch_database, tpch_queries,
+    ImdbConfig, JobConfig, TpchConfig,
 };
+use std::time::{Duration, Instant};
 
 fn bench_fig5_scale_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig5_tpch_scale");
@@ -86,5 +99,87 @@ fn bench_table1_imdb_sample(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fig5_scale_sweep, bench_table1_imdb_sample);
-criterion_main!(benches);
+/// Largest tolerated growth of stream time over linear in the movie count.
+const STREAM_GROWTH_BAR: f64 = 1.3;
+
+fn bench_stream_scale(_: &mut Criterion) {
+    const MOVIES: [usize; 3] = [4_000, 8_000, 12_000];
+    const ROUNDS: usize = 7;
+    let q = job_ranking_query();
+    let dbs: Vec<_> = MOVIES
+        .iter()
+        .map(|&movies| {
+            job_database(&JobConfig {
+                movies,
+                ..JobConfig::default()
+            })
+        })
+        .collect();
+    // Sizes take turns, round by round, and the growth uses each size's
+    // fastest round: cores that change speed mid-run then slow every size
+    // alike instead of skewing the ratio.
+    let mut samples: Vec<Vec<Duration>> = vec![Vec::new(); MOVIES.len()];
+    let mut answers = vec![0; MOVIES.len()];
+    for _ in 0..ROUNDS {
+        for (i, db) in dbs.iter().enumerate() {
+            let start = Instant::now();
+            answers[i] = black_box(LineageStream::new(&q, db).count());
+            samples[i].push(start.elapsed());
+        }
+    }
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    let mut rows = Vec::new();
+    let mut worst: f64 = 0.0;
+    let mut base_ms = 0.0;
+    for (i, (&movies, s)) in MOVIES.iter().zip(&mut samples).enumerate() {
+        s.sort_unstable();
+        let (min_ms, median_ms) = (ms(s[0]), ms(s[s.len() / 2]));
+        if i == 0 {
+            base_ms = min_ms;
+        }
+        // 1.0 is exactly linear in the movie count.
+        let growth = (min_ms / base_ms) / (movies as f64 / MOVIES[0] as f64);
+        worst = worst.max(growth);
+        println!(
+            "stream_scale/{movies:<48} min {min_ms:>9.2} ms | median {median_ms:>9.2} ms | n={ROUNDS}"
+        );
+        rows.push(format!(
+            "    {{\"movies\": {movies}, \"answers\": {}, \"min_ms\": {min_ms:.3}, \
+             \"median_ms\": {median_ms:.3}, \"growth_over_linear\": {growth:.3}}}",
+            answers[i]
+        ));
+    }
+    if worst > STREAM_GROWTH_BAR {
+        eprintln!(
+            "WARNING: stream time grows {worst:.2}x faster than linear \
+             (bar {STREAM_GROWTH_BAR}x)"
+        );
+    }
+    let json = format!(
+        "{{\n  \"bench\": \"stream_scale\",\n  \"rounds\": {ROUNDS},\n  \
+         \"growth_bar\": {STREAM_GROWTH_BAR},\n  \"worst_growth_over_linear\": {worst:.3},\n  \
+         \"sizes\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
+    );
+    write_result("bench_stream.json", "stream_scale summary", &json);
+}
+
+fn main() {
+    // Like criterion: non-flag arguments select groups by substring.
+    let filters: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|a| !a.starts_with("--"))
+        .collect();
+    type Group = fn(&mut Criterion);
+    let groups: [(&str, Group); 3] = [
+        ("fig5_tpch_scale", bench_fig5_scale_sweep),
+        ("table1_imdb_pipeline", bench_table1_imdb_sample),
+        ("stream_scale", bench_stream_scale),
+    ];
+    let mut c = Criterion::default();
+    for (name, run) in groups {
+        if filters.is_empty() || filters.iter().any(|f| name.contains(f.as_str())) {
+            run(&mut c);
+        }
+    }
+}

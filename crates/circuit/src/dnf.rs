@@ -31,6 +31,18 @@ impl Dnf {
         }
     }
 
+    /// The DNF of `conjuncts` in any order and with any repeats: the same
+    /// conjunct set as calling [`Dnf::add_conjunct`] on each, sorted.
+    pub fn from_conjuncts(mut conjuncts: Vec<Vec<VarId>>) -> Dnf {
+        for c in &mut conjuncts {
+            c.sort_unstable();
+            c.dedup();
+        }
+        conjuncts.sort_unstable();
+        conjuncts.dedup();
+        Dnf { conjuncts }
+    }
+
     /// The conjuncts.
     pub fn conjuncts(&self) -> &[Vec<VarId>] {
         &self.conjuncts

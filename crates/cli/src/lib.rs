@@ -535,10 +535,32 @@ fn run_topk(db: &Database, q: &Ucq, k: usize, cfg: &Config) -> Result<String, Cl
     Ok(out)
 }
 
+/// Rejects an atom whose term count differs from its relation's column
+/// count, which the evaluator would treat as a bug and panic on.
+fn check_arities(q: &Ucq, db: &Database) -> Result<(), CliError> {
+    for atom in q.disjuncts().iter().flat_map(|cq| &cq.atoms) {
+        let Some(rel) = db.relation(&atom.relation) else {
+            continue;
+        };
+        let columns = rel.schema().arity();
+        if atom.terms.len() != columns {
+            return Err(err(format!(
+                "query: atom `{}` has {} term(s) but relation `{}` has {} column(s)",
+                atom.relation,
+                atom.terms.len(),
+                atom.relation,
+                columns
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Runs the tool and returns the rendered report.
 pub fn run(cfg: &Config) -> Result<String, CliError> {
     let db = load_database(&cfg.db_dir, cfg.endo.as_deref())?;
     let q: Ucq = parse_ucq(&cfg.query).map_err(|e| err(format!("query: {e}")))?;
+    check_arities(&q, &db)?;
     if let Some(k) = cfg.top_k {
         return run_topk(&db, &q, k, cfg);
     }
@@ -1034,6 +1056,41 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(e.0.contains("cannot read"), "{e}");
+    }
+
+    /// A temp dir holding one two-column relation `R`.
+    fn two_column_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("shapdb-cli-test-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("R.csv"), "a,b\n1,2\n").unwrap();
+        dir
+    }
+
+    #[test]
+    fn atom_arity_mismatch_is_a_clean_error() {
+        let dir = two_column_dir("arity");
+        for extra in [&[][..], &["--top-k", "1"][..]] {
+            let mut list = vec!["--db", dir.to_str().unwrap(), "--query", "q(x) :- R(x)"];
+            list.extend_from_slice(extra);
+            let e = run_cli(&args(&list)).unwrap_err();
+            assert!(
+                e.0.contains("atom `R` has 1 term(s) but relation `R` has 2 column(s)"),
+                "{e}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn atom_wider_than_64_terms_is_a_clean_error() {
+        let dir = two_column_dir("wide");
+        let terms: Vec<String> = (0..65).map(|i| format!("x{i}")).collect();
+        let query = format!("q() :- R({})", terms.join(", "));
+        let e = run_cli(&args(&["--db", dir.to_str().unwrap(), "--query", &query])).unwrap_err();
+        assert!(e.0.contains("atom `R` has 65 terms; at most 64"), "{e}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

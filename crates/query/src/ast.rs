@@ -58,6 +58,10 @@ pub struct Atom {
     pub terms: Vec<Term>,
 }
 
+/// Most terms an atom may have: the evaluator keys its indexes by a `u64`
+/// bitmask of positions.
+pub const MAX_ATOM_TERMS: usize = 64;
+
 /// Comparison operators for selection predicates.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CmpOp {

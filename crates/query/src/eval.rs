@@ -1,15 +1,31 @@
 //! Provenance-capturing query evaluation.
 //!
-//! Enumerates all derivations of a UCQ over a database via backtracking
-//! joins. Each derivation is the set of facts it uses; grouping derivations
-//! by output tuple yields the monotone DNF lineage `Lin(q[x̄/t̄], D)` of
-//! Figure 1d. Hash indexes on the accessed column combinations are built
-//! lazily and keyed by the atom's bound positions, so join order adapts to
-//! each query without a separate planning phase.
+//! Enumerates all derivations of a UCQ over a database. Each derivation is
+//! the set of facts it uses; grouping derivations by output tuple yields
+//! the monotone DNF lineage `Lin(q[x̄/t̄], D)` of Figure 1d.
+//!
+//! One evaluator serves one call. It plans each disjunct once per set of
+//! initially bound variables (module `plan`: a cost-ordered join that
+//! avoids cross products), builds the hash indexes those plans probe
+//! (module `index`), and runs the same allocation-free backtracking search
+//! for every plan: all derivations for [`evaluate`] and the negation
+//! evaluator, one answer's derivations per seeded call for the stream.
+//! Plans and indexes are dropped with the call.
+//!
+//! Answers come out in ascending head-tuple order (the total order on
+//! [`Value`]). The contract does not depend on the join order, which
+//! changes with the data.
 
-use crate::ast::{Atom, ConjunctiveQuery, Predicate, Term, Ucq, Variable};
+mod index;
+mod plan;
+
+use crate::ast::{Atom, ConjunctiveQuery, Predicate, Term, Ucq, MAX_ATOM_TERMS};
+use index::Indexes;
+pub(crate) use plan::Plan;
+use plan::{positions, Src, Step};
 use shapdb_circuit::{Circuit, Dnf, NodeId, VarId};
-use shapdb_data::{Database, FactId, Value};
+use shapdb_data::{Database, FactId, Relation, StoredFact, Value};
+use std::cell::Cell;
 use std::collections::HashMap;
 
 /// One output tuple with its lineage.
@@ -56,7 +72,8 @@ impl OutputTuple {
     }
 }
 
-/// The result of evaluating a query: output tuples in deterministic order.
+/// The result of evaluating a query: output tuples in ascending head-tuple
+/// order.
 #[derive(Clone, Debug, Default)]
 pub struct QueryResult {
     pub outputs: Vec<OutputTuple>,
@@ -84,32 +101,9 @@ impl QueryResult {
     }
 }
 
-/// Index key: (relation index in db, bound-position bitmask).
-type IndexKey = (usize, u64);
-
 /// Evaluates a UCQ, returning every output tuple with its DNF lineage.
 pub fn evaluate(q: &Ucq, db: &Database) -> QueryResult {
-    let mut acc: HashMap<Vec<Value>, Dnf> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut indexes = Indexes::default();
-    for cq in q.disjuncts() {
-        for (tuple, derivation) in derivations(cq, db, &mut indexes) {
-            let entry = acc.entry(tuple.clone()).or_insert_with(|| {
-                order.push(tuple);
-                Dnf::new()
-            });
-            entry.add_conjunct(derivation.into_iter().map(|f| VarId(f.0)).collect());
-        }
-    }
-    let outputs = order
-        .into_iter()
-        .map(|tuple| {
-            let mut lineage = acc.remove(&tuple).unwrap();
-            lineage.minimize();
-            OutputTuple { tuple, lineage }
-        })
-        .collect();
-    QueryResult { outputs }
+    Evaluator::new(db).evaluate(q)
 }
 
 /// Evaluates a single conjunctive query.
@@ -117,80 +111,137 @@ pub fn evaluate_cq(cq: &ConjunctiveQuery, db: &Database) -> QueryResult {
     evaluate(&Ucq::new(vec![cq.clone()]), db)
 }
 
-/// Lazily-built hash indexes shared across disjuncts.
-#[derive(Default)]
-pub(crate) struct Indexes {
-    maps: HashMap<IndexKey, HashMap<Vec<Value>, Vec<u32>>>,
+/// The state of one evaluation call: the indexes its plans probe.
+pub(crate) struct Evaluator<'a> {
+    db: &'a Database,
+    indexes: Indexes,
+    /// Rows the searches of this call have visited, matching or not.
+    rows_visited: Cell<u64>,
 }
 
-impl Indexes {
-    /// Rows of `rel_idx` whose values at `mask` positions equal `key`.
-    fn probe(&mut self, db: &Database, rel_idx: usize, mask: u64, key: &[Value]) -> &[u32] {
-        let index = self.maps.entry((rel_idx, mask)).or_insert_with(|| {
-            let rel = &db.relations()[rel_idx];
-            let mut m: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-            for (row, fact) in rel.facts().iter().enumerate() {
-                let k: Vec<Value> = (0..rel.schema().arity())
-                    .filter(|&i| mask >> i & 1 == 1)
-                    .map(|i| fact.values[i].clone())
-                    .collect();
-                m.entry(k).or_default().push(row as u32);
-            }
-            m
-        });
-        index.get(key).map_or(&[], |v| v.as_slice())
+impl<'a> Evaluator<'a> {
+    pub(crate) fn new(db: &'a Database) -> Evaluator<'a> {
+        Evaluator {
+            db,
+            indexes: Indexes::default(),
+            rows_visited: Cell::new(0),
+        }
+    }
+
+    /// Plans `cq` with no variable bound up front.
+    pub(crate) fn plan(&mut self, cq: &ConjunctiveQuery) -> Plan {
+        Plan::new(cq, &vec![false; cq.num_vars()], self.db, &mut self.indexes)
+    }
+
+    /// Plans `cq` for calls seeded by [`seed_binding`]: head variables bound.
+    pub(crate) fn plan_seeded(&mut self, cq: &ConjunctiveQuery) -> Plan {
+        let mut seeded = vec![false; cq.num_vars()];
+        for v in cq.head_vars() {
+            seeded[v.index()] = true;
+        }
+        Plan::new(cq, &seeded, self.db, &mut self.indexes)
+    }
+
+    /// Enumerates every derivation of `plan` consistent with `seed` (one
+    /// entry per variable), calling `on_match` with the full binding and
+    /// the facts joined, in plan order and possibly repeated.
+    pub(crate) fn run<'b, F>(&self, plan: &Plan, seed: Vec<Option<&'b Value>>, mut on_match: F)
+    where
+        'a: 'b,
+        F: FnMut(&[Option<&'b Value>], &[FactId]),
+    {
+        let Some(steps) = &plan.steps else {
+            return;
+        };
+        if !plan.pre.iter().all(|p| holds(p, &seed)) {
+            return;
+        }
+        let mut search = Search {
+            steps,
+            relations: self.db.relations(),
+            indexes: &self.indexes,
+            binding: seed,
+            used: vec![FactId(0); steps.len()],
+            visited: 0,
+            on_match: &mut on_match,
+        };
+        search.descend(0);
+        self.rows_visited
+            .set(self.rows_visited.get() + search.visited);
+    }
+
+    /// Rows visited so far by this evaluator's searches.
+    #[cfg(test)]
+    pub(crate) fn rows_visited(&self) -> u64 {
+        self.rows_visited.get()
+    }
+
+    /// The index keyed by every position of the relation `atom` names, for
+    /// ground lookups by [`Evaluator::matching`]; `None` when no fact can
+    /// match (missing relation or different arity).
+    pub(crate) fn exact_index(&mut self, atom: &Atom) -> Option<(usize, usize)> {
+        let rel = self
+            .db
+            .relations()
+            .iter()
+            .position(|r| r.schema().name() == atom.relation)?;
+        let arity = self.db.relations()[rel].schema().arity();
+        if arity != atom.terms.len() || arity > MAX_ATOM_TERMS {
+            return None;
+        }
+        Some((rel, self.indexes.probed(self.db, rel, positions(0..arity))))
+    }
+
+    /// Facts whose values equal `ground`, from a lookup made by
+    /// [`Evaluator::exact_index`].
+    pub(crate) fn matching<'s>(
+        &'s self,
+        (rel, index): (usize, usize),
+        ground: &'s [&Value],
+    ) -> impl Iterator<Item = FactId> + 's {
+        let facts = self.db.relations()[rel].facts();
+        self.indexes
+            .get(index)
+            .probe(self.indexes.hash(ground.iter().copied()))
+            .iter()
+            .map(move |&row| &facts[row as usize])
+            .filter(move |f| f.values.iter().eq(ground.iter().copied()))
+            .map(|f| f.id)
+    }
+
+    /// [`evaluate`] on this evaluator's indexes.
+    pub(crate) fn evaluate(&mut self, q: &Ucq) -> QueryResult {
+        let mut answers = Answers::default();
+        for cq in q.disjuncts() {
+            let plan = self.plan(cq);
+            self.run(&plan, vec![None; cq.num_vars()], |binding, used| {
+                answers.add(&cq.head, binding, used.iter().map(|f| VarId(f.0)).collect());
+            });
+        }
+        let outputs = answers
+            .sorted()
+            .into_iter()
+            .map(|(tuple, conjuncts)| {
+                let mut lineage = Dnf::from_conjuncts(conjuncts);
+                lineage.minimize();
+                OutputTuple { tuple, lineage }
+            })
+            .collect();
+        QueryResult { outputs }
     }
 }
 
-/// Enumerates `(head tuple, derivation facts)` pairs for one CQ.
-fn derivations(
-    cq: &ConjunctiveQuery,
-    db: &Database,
-    indexes: &mut Indexes,
-) -> Vec<(Vec<Value>, Vec<FactId>)> {
-    let mut results = Vec::new();
-    for_each_derivation(cq, db, indexes, &mut |binding, used| {
-        let tuple: Vec<Value> = cq
-            .head
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => c.clone(),
-                Term::Var(v) => binding[v.index()].clone().expect("safe-range head"),
-            })
-            .collect();
-        let mut derivation = used.to_vec();
-        derivation.sort_unstable();
-        derivation.dedup();
-        results.push((tuple, derivation));
-    });
-    results
-}
-
-/// Callback invoked per derivation: the full variable binding and the
-/// (unsorted, possibly duplicated) facts the derivation joins.
-pub(crate) type OnDerivation<'a> = dyn FnMut(&[Option<Value>], &[FactId]) + 'a;
-
-/// Enumerates every derivation of `cq`, invoking `on_match` with the full
-/// variable binding and the (unsorted, possibly duplicated) facts it joins.
-/// This is the backtracking core shared by plain evaluation and the
-/// negation-aware evaluation in [`crate::negation`].
-pub(crate) fn for_each_derivation(
-    cq: &ConjunctiveQuery,
-    db: &Database,
-    indexes: &mut Indexes,
-    on_match: &mut OnDerivation<'_>,
-) {
-    for_each_derivation_from(cq, db, indexes, vec![None; cq.num_vars()], on_match)
-}
-
 /// Builds an initial binding that pins `cq`'s head terms to `tuple`, so a
-/// subsequent [`for_each_derivation_from`] enumerates exactly the
+/// run of [`Evaluator::plan_seeded`]'s plan enumerates exactly the
 /// derivations of that one answer. Returns `None` when the tuple cannot be
 /// an answer of this disjunct at all: a head constant differs, or a
 /// repeated head variable would need two different values.
-pub(crate) fn seed_binding(cq: &ConjunctiveQuery, tuple: &[Value]) -> Option<Vec<Option<Value>>> {
+pub(crate) fn seed_binding<'v>(
+    cq: &ConjunctiveQuery,
+    tuple: &'v [Value],
+) -> Option<Vec<Option<&'v Value>>> {
     debug_assert_eq!(cq.head.len(), tuple.len(), "head/tuple arity");
-    let mut binding: Vec<Option<Value>> = vec![None; cq.num_vars()];
+    let mut binding: Vec<Option<&Value>> = vec![None; cq.num_vars()];
     for (term, value) in cq.head.iter().zip(tuple) {
         match term {
             Term::Const(c) => {
@@ -198,218 +249,151 @@ pub(crate) fn seed_binding(cq: &ConjunctiveQuery, tuple: &[Value]) -> Option<Vec
                     return None;
                 }
             }
-            Term::Var(v) => match &binding[v.index()] {
+            Term::Var(v) => match binding[v.index()] {
                 Some(existing) => {
                     if existing != value {
                         return None;
                     }
                 }
-                None => binding[v.index()] = Some(value.clone()),
+                None => binding[v.index()] = Some(value),
             },
         }
     }
     Some(binding)
 }
 
-/// [`for_each_derivation`] generalized to start from a partial `binding`
-/// (typically a [`seed_binding`]): only derivations consistent with the
-/// pre-bound variables are enumerated. The per-answer streaming extractor
-/// in [`crate::stream`] is built on this.
-pub(crate) fn for_each_derivation_from(
-    cq: &ConjunctiveQuery,
-    db: &Database,
-    indexes: &mut Indexes,
-    mut binding: Vec<Option<Value>>,
-    on_match: &mut OnDerivation<'_>,
-) {
-    debug_assert_eq!(binding.len(), cq.num_vars(), "binding arity");
-    // Resolve relations up front; a missing relation yields no derivations.
-    let mut rel_indices = Vec::with_capacity(cq.atoms.len());
-    for atom in &cq.atoms {
-        match db
-            .relations()
-            .iter()
-            .position(|r| r.schema().name() == atom.relation)
-        {
-            Some(i) => {
-                assert_eq!(
-                    db.relations()[i].schema().arity(),
-                    atom.terms.len(),
-                    "arity mismatch for `{}`",
-                    atom.relation
-                );
-                rel_indices.push(i);
+/// Per-derivation items grouped by answer (head tuple).
+pub(crate) struct Answers<'v, T> {
+    ids: HashMap<Vec<&'v Value>, usize>,
+    groups: Vec<Vec<T>>,
+    scratch: Vec<&'v Value>,
+}
+
+impl<T> Default for Answers<'_, T> {
+    fn default() -> Self {
+        Answers {
+            ids: HashMap::default(),
+            groups: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+}
+
+impl<'v, T> Answers<'v, T> {
+    /// Files `item` under the answer `head` evaluates to under `binding`.
+    pub(crate) fn add(&mut self, head: &'v [Term], binding: &[Option<&'v Value>], item: T) {
+        self.scratch.clear();
+        self.scratch
+            .extend(head.iter().map(|t| term_value(t, binding)));
+        let id = match self.ids.get(self.scratch.as_slice()) {
+            Some(&id) => id,
+            None => {
+                self.ids.insert(self.scratch.clone(), self.groups.len());
+                self.groups.push(Vec::new());
+                self.groups.len() - 1
             }
-            None => return,
-        }
-    }
-
-    let mut used: Vec<FactId> = Vec::with_capacity(cq.atoms.len());
-    let mut remaining: Vec<usize> = (0..cq.atoms.len()).collect();
-    search(
-        cq,
-        db,
-        indexes,
-        &rel_indices,
-        &mut binding,
-        &mut used,
-        &mut remaining,
-        on_match,
-    );
-}
-
-/// Picks the next atom greedily: most bound positions, then smallest relation.
-fn pick_next(
-    cq: &ConjunctiveQuery,
-    db: &Database,
-    rel_indices: &[usize],
-    binding: &[Option<Value>],
-    remaining: &[usize],
-) -> usize {
-    let mut best = 0;
-    let mut best_score = (usize::MAX, usize::MAX);
-    for (pos, &ai) in remaining.iter().enumerate() {
-        let atom = &cq.atoms[ai];
-        let bound = atom
-            .terms
-            .iter()
-            .filter(|t| match t {
-                Term::Const(_) => true,
-                Term::Var(v) => binding[v.index()].is_some(),
-            })
-            .count();
-        let unbound = atom.terms.len() - bound;
-        let size = db.relations()[rel_indices[ai]].len();
-        let score = (unbound, size);
-        if score < best_score {
-            best_score = score;
-            best = pos;
-        }
-    }
-    best
-}
-
-#[allow(clippy::too_many_arguments)]
-fn search(
-    cq: &ConjunctiveQuery,
-    db: &Database,
-    indexes: &mut Indexes,
-    rel_indices: &[usize],
-    binding: &mut Vec<Option<Value>>,
-    used: &mut Vec<FactId>,
-    remaining: &mut Vec<usize>,
-    on_match: &mut OnDerivation<'_>,
-) {
-    if remaining.is_empty() {
-        if predicates_hold(cq, binding) {
-            on_match(binding, used);
-        }
-        return;
-    }
-
-    // Early predicate pruning: fail as soon as a fully-bound predicate fails.
-    if !predicates_hold_partial(cq, binding) {
-        return;
-    }
-
-    let pos = pick_next(cq, db, rel_indices, binding, remaining);
-    let ai = remaining.swap_remove(pos);
-    let atom = &cq.atoms[ai];
-    let rel_idx = rel_indices[ai];
-
-    // Bound positions and the probe key.
-    let mut mask = 0u64;
-    let mut key: Vec<Value> = Vec::new();
-    for (i, t) in atom.terms.iter().enumerate() {
-        let v = match t {
-            Term::Const(c) => Some(c.clone()),
-            Term::Var(v) => binding[v.index()].clone(),
         };
-        if let Some(val) = v {
-            mask |= 1 << i;
-            key.push(val);
-        }
+        self.groups[id].push(item);
     }
 
-    let rows: Vec<u32> = indexes.probe(db, rel_idx, mask, &key).to_vec();
-    for row in rows {
-        let fact = &db.relations()[rel_idx].facts()[row as usize];
-        // Bind unbound variables; detect intra-atom repeated-variable clashes.
-        let mut newly_bound: Vec<usize> = Vec::new();
-        let mut ok = true;
-        for (i, t) in atom.terms.iter().enumerate() {
-            if let Term::Var(v) = t {
-                match &binding[v.index()] {
-                    Some(existing) => {
-                        if *existing != fact.values[i] {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        binding[v.index()] = Some(fact.values[i].clone());
-                        newly_bound.push(v.index());
-                    }
+    /// Every answer's tuple with its items, in ascending tuple order.
+    pub(crate) fn sorted(mut self) -> Vec<(Vec<Value>, Vec<T>)> {
+        let mut ids: Vec<(Vec<&Value>, usize)> = self.ids.into_iter().collect();
+        ids.sort_unstable();
+        ids.into_iter()
+            .map(|(tuple, id)| {
+                let items = std::mem::take(&mut self.groups[id]);
+                (tuple.into_iter().cloned().collect(), items)
+            })
+            .collect()
+    }
+}
+
+/// A term's value under a binding that binds its variable.
+fn term_value<'v>(t: &'v Term, binding: &[Option<&'v Value>]) -> &'v Value {
+    match t {
+        Term::Const(c) => c,
+        Term::Var(v) => binding[v.index()].expect("variable bound by the plan"),
+    }
+}
+
+fn holds(p: &Predicate, binding: &[Option<&Value>]) -> bool {
+    p.op.apply(term_value(&p.lhs, binding), term_value(&p.rhs, binding))
+}
+
+/// The backtracking join over one plan. A plan binds the same variables
+/// at every depth, so nothing is unbound on the way back up.
+struct Search<'p, 'b, F> {
+    steps: &'p [Step],
+    relations: &'b [Relation],
+    indexes: &'p Indexes,
+    binding: Vec<Option<&'b Value>>,
+    /// The fact joined at each depth.
+    used: Vec<FactId>,
+    visited: u64,
+    on_match: &'p mut F,
+}
+
+impl<'p, 'b, F> Search<'p, 'b, F>
+where
+    F: FnMut(&[Option<&'b Value>], &[FactId]),
+{
+    fn descend(&mut self, depth: usize) {
+        let steps = self.steps;
+        let Some(step) = steps.get(depth) else {
+            (self.on_match)(&self.binding, &self.used);
+            return;
+        };
+        let facts = self.relations[step.rel].facts();
+        match step.index {
+            None => {
+                for fact in facts {
+                    self.visit(depth, step, fact);
+                }
+            }
+            Some(ix) => {
+                let indexes = self.indexes;
+                let hash = indexes.hash(step.bound.iter().map(|(_, src)| self.value(src)));
+                for &row in indexes.get(ix).probe(hash) {
+                    self.visit(depth, step, &facts[row as usize]);
                 }
             }
         }
-        if ok {
-            used.push(fact.id);
-            search(
-                cq,
-                db,
-                indexes,
-                rel_indices,
-                binding,
-                used,
-                remaining,
-                on_match,
-            );
-            used.pop();
-        }
-        for v in newly_bound {
-            binding[v] = None;
+    }
+
+    fn value<'s>(&'s self, src: &'s Src) -> &'s Value {
+        match src {
+            Src::Const(c) => c,
+            Src::Var(x) => self.binding[*x].expect("variable bound by the plan"),
         }
     }
 
-    remaining.push(ai);
-    let last = remaining.len() - 1;
-    remaining.swap(pos, last);
-}
-
-fn term_value(t: &Term, binding: &[Option<Value>]) -> Option<Value> {
-    match t {
-        Term::Const(c) => Some(c.clone()),
-        Term::Var(v) => binding[v.index()].clone(),
+    fn visit(&mut self, depth: usize, step: &'p Step, fact: &'b StoredFact) {
+        self.visited += 1;
+        let values: &'b [Value] = &fact.values;
+        if !step
+            .bound
+            .iter()
+            .all(|(i, src)| values[*i] == *self.value(src))
+        {
+            return;
+        }
+        for &(i, x) in &step.binds {
+            self.binding[x] = Some(&values[i]);
+        }
+        if !step
+            .repeats
+            .iter()
+            .all(|&(i, x)| self.binding[x] == Some(&values[i]))
+        {
+            return;
+        }
+        if !step.preds.iter().all(|p| holds(p, &self.binding)) {
+            return;
+        }
+        self.used[depth] = fact.id;
+        self.descend(depth + 1);
     }
-}
-
-fn predicate_status(p: &Predicate, binding: &[Option<Value>]) -> Option<bool> {
-    let l = term_value(&p.lhs, binding)?;
-    let r = term_value(&p.rhs, binding)?;
-    Some(p.op.apply(&l, &r))
-}
-
-fn predicates_hold(cq: &ConjunctiveQuery, binding: &[Option<Value>]) -> bool {
-    cq.predicates
-        .iter()
-        .all(|p| predicate_status(p, binding).unwrap_or(false))
-}
-
-fn predicates_hold_partial(cq: &ConjunctiveQuery, binding: &[Option<Value>]) -> bool {
-    cq.predicates
-        .iter()
-        .all(|p| predicate_status(p, binding).unwrap_or(true))
-}
-
-/// Convenience used by tests and examples: variables that occur in the head.
-pub fn head_variables(cq: &ConjunctiveQuery) -> Vec<Variable> {
-    cq.head_vars()
-}
-
-/// Convenience: resolve an atom's relation (for diagnostics).
-pub fn atom_relation<'a>(db: &'a Database, atom: &Atom) -> Option<&'a shapdb_data::Relation> {
-    db.relation(&atom.relation)
 }
 
 #[cfg(test)]
@@ -557,6 +541,73 @@ mod tests {
         assert_eq!(elin.len(), 1);
         assert!(elin.conjuncts()[0].is_empty());
         assert!(elin.eval_set(&shapdb_num::Bitset::new(1)));
+    }
+
+    /// A skewed triangle: hub company 0 makes `hub` movies and tags `hub`
+    /// keywords; movie `i` carries keyword `i`, so each movie has exactly
+    /// one derivation. Filler rows make `company_keyword` and
+    /// `movie_companies` smaller than `movie_keyword`, so a size-greedy
+    /// order goes keyword → company_keyword → movie_companies and fans out
+    /// over every hub movie for every hub keyword.
+    fn skewed_triangle(hub: i64) -> (Database, Ucq) {
+        let mut db = Database::new();
+        db.create_relation("keyword", &["id", "tag"]);
+        db.create_relation("movie_keyword", &["movie_id", "keyword_id"]);
+        db.create_relation("company_keyword", &["company_id", "keyword_id"]);
+        db.create_relation("movie_companies", &["movie_id", "company_id"]);
+        let ints = |a: i64, b: i64| vec![Value::int(a), Value::int(b)];
+        for i in 0..hub {
+            db.insert_exo("keyword", ints(i, i % 3));
+            db.insert_endo("movie_keyword", ints(i, i));
+            db.insert_endo("company_keyword", ints(0, i));
+            db.insert_endo("movie_companies", ints(i, 0));
+        }
+        db.insert_endo("company_keyword", ints(1, hub));
+        db.insert_endo("movie_companies", ints(hub, 1));
+        for i in hub + 1..3 * hub {
+            db.insert_endo("movie_keyword", ints(i, i));
+        }
+        let mut b = CqBuilder::new();
+        let m = b.var("m");
+        let k = b.var("k");
+        let c = b.var("c");
+        let t = b.var("t");
+        b.atom("keyword", [k.into(), t.into()]);
+        b.atom("movie_keyword", [m.into(), k.into()]);
+        b.atom("company_keyword", [c.into(), k.into()]);
+        b.atom("movie_companies", [m.into(), c.into()]);
+        (db, b.head([m.into()]).build().into())
+    }
+
+    #[test]
+    fn skewed_hub_keeps_rows_visited_linear_in_derivations() {
+        let hub = 200;
+        let (db, q) = skewed_triangle(hub);
+        let mut ev = Evaluator::new(&db);
+        let mut derivations = 0u64;
+        for cq in q.disjuncts() {
+            let plan = ev.plan(cq);
+            ev.run(&plan, vec![None; cq.num_vars()], |_, _| derivations += 1);
+        }
+        assert_eq!(derivations, hub as u64);
+        assert!(
+            ev.rows_visited() <= 8 * derivations,
+            "{} rows visited for {derivations} derivations",
+            ev.rows_visited()
+        );
+        // The per-answer plan stays linear too.
+        let mut stream = crate::LineageStream::new(&q, &db);
+        assert_eq!(stream.by_ref().count(), hub as usize);
+        assert!(stream.rows_visited() <= 16 * derivations);
+    }
+
+    #[test]
+    fn answers_come_out_in_ascending_head_order() {
+        let (db, q) = skewed_triangle(30);
+        let res = evaluate(&q, &db);
+        let tuples: Vec<&Vec<Value>> = res.outputs.iter().map(|o| &o.tuple).collect();
+        assert_eq!(tuples.len(), 30);
+        assert!(tuples.windows(2).all(|w| w[0] < w[1]));
     }
 
     use shapdb_data::Database;

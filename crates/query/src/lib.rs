@@ -9,9 +9,10 @@
 //! * [`ast`] — unions of conjunctive queries (≡ SPJU / relational algebra
 //!   `σπ⋈∪`, as recalled in §2) with comparison predicates, built through
 //!   [`CqBuilder`] or parsed from a Datalog-style text syntax ([`parse_ucq`]);
-//! * [`eval`] — a backtracking join evaluator over lazily-built hash indexes
-//!   that enumerates derivations and returns, per output tuple, the monotone
-//!   DNF lineage over fact ids (self-joins supported);
+//! * [`eval`] — a join evaluator that plans each disjunct once by estimated
+//!   cost, probes call-scoped hash indexes, enumerates derivations and
+//!   returns, per output tuple in ascending tuple order, the monotone DNF
+//!   lineage over fact ids (self-joins supported);
 //! * [`hierarchical`] — the syntactic *hierarchical* test for self-join-free
 //!   CQs, the tractability frontier of both PQE and Shapley computation for
 //!   that class (§3);
@@ -30,7 +31,9 @@ pub mod negation;
 pub mod parser;
 pub mod stream;
 
-pub use ast::{Atom, CmpOp, ConjunctiveQuery, CqBuilder, Predicate, Term, Ucq, Variable};
+pub use ast::{
+    Atom, CmpOp, ConjunctiveQuery, CqBuilder, Predicate, Term, Ucq, Variable, MAX_ATOM_TERMS,
+};
 pub use eval::{evaluate, evaluate_cq, OutputTuple, QueryResult};
 pub use hierarchical::{is_hierarchical, is_self_join_free};
 pub use negation::{evaluate_negated, NegatedQuery, SignedOutputTuple};

@@ -16,10 +16,9 @@
 //! presence suppresses an answer carries negative responsibility for it.
 
 use crate::ast::{Atom, ConjunctiveQuery, Term};
-use crate::eval::{for_each_derivation, Indexes};
+use crate::eval::{Answers, Evaluator};
 use shapdb_circuit::{Lit, LiteralDnf};
 use shapdb_data::{Database, FactId, Value};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A conjunctive query with negated atoms: `q(x̄) :- A₁, …, A_m, ¬B₁, …, ¬B_k`.
@@ -117,57 +116,48 @@ impl SignedOutputTuple {
 }
 
 /// Evaluates a negated query, returning every output tuple with its signed
-/// DNF lineage (deterministic tuple order).
+/// DNF lineage, in ascending head-tuple order. A derivation asserts the
+/// absence of every fact matching a negated atom, copies included.
 pub fn evaluate_negated(q: &NegatedQuery, db: &Database) -> Vec<SignedOutputTuple> {
-    // Value-keyed lookup per negated relation, built once.
-    let mut lookup: HashMap<&str, HashMap<&[Value], FactId>> = HashMap::new();
-    for neg in &q.negated {
-        lookup.entry(neg.relation.as_str()).or_insert_with(|| {
-            db.relation(&neg.relation)
-                .map(|rel| rel.facts().iter().map(|f| (&f.values[..], f.id)).collect())
-                .unwrap_or_default()
-        });
-    }
-
-    let mut acc: HashMap<Vec<Value>, LiteralDnf> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut indexes = Indexes::default();
-    for_each_derivation(&q.positive, db, &mut indexes, &mut |binding, used| {
+    let mut evaluator = Evaluator::new(db);
+    let lookups: Vec<_> = q
+        .negated
+        .iter()
+        .map(|neg| evaluator.exact_index(neg))
+        .collect();
+    let plan = evaluator.plan(&q.positive);
+    let mut answers = Answers::default();
+    let mut ground: Vec<&Value> = Vec::new();
+    evaluator.run(&plan, vec![None; q.positive.num_vars()], |binding, used| {
         let mut lits: Vec<Lit> = used.iter().map(|f| Lit::pos(f.index())).collect();
-        for neg in &q.negated {
-            let ground: Vec<Value> = neg
-                .terms
-                .iter()
-                .map(|t| match t {
-                    Term::Const(c) => c.clone(),
-                    Term::Var(v) => binding[v.index()].clone().expect("safe negation"),
-                })
-                .collect();
-            if let Some(&fact) = lookup[neg.relation.as_str()].get(ground.as_slice()) {
-                lits.push(Lit::neg(fact.index()));
-            }
+        for (neg, lookup) in q.negated.iter().zip(&lookups) {
             // No matching fact: the negated atom holds vacuously.
+            let Some(lookup) = *lookup else { continue };
+            ground.clear();
+            ground.extend(neg.terms.iter().map(|t| match t {
+                Term::Const(c) => c,
+                Term::Var(v) => binding[v.index()].expect("safe negation"),
+            }));
+            lits.extend(
+                evaluator
+                    .matching(lookup, &ground)
+                    .map(|f| Lit::neg(f.index())),
+            );
         }
-        let tuple: Vec<Value> = q
-            .positive
-            .head
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => c.clone(),
-                Term::Var(v) => binding[v.index()].clone().expect("safe-range head"),
-            })
-            .collect();
-        let entry = acc.entry(tuple.clone()).or_insert_with(|| {
-            order.push(tuple);
-            LiteralDnf::new()
-        });
-        entry.add_conjunct(lits);
+        lits.sort_unstable();
+        answers.add(&q.positive.head, binding, lits);
     });
 
-    order
+    answers
+        .sorted()
         .into_iter()
-        .map(|tuple| {
-            let mut lineage = acc.remove(&tuple).unwrap();
+        .map(|(tuple, mut derivations)| {
+            // Enumeration order follows the plan; sorted conjuncts do not.
+            derivations.sort_unstable();
+            let mut lineage = LiteralDnf::new();
+            for lits in derivations {
+                lineage.add_conjunct(lits);
+            }
             lineage.minimize();
             SignedOutputTuple { tuple, lineage }
         })
@@ -288,6 +278,34 @@ mod tests {
         // The r1 ∧ ¬S(1) derivation is impossible; only r2 remains.
         assert_eq!(endo.len(), 1);
         assert_eq!(endo.conjuncts()[0], vec![Lit::pos(r2.index())]);
+    }
+
+    #[test]
+    fn every_copy_of_a_negated_fact_must_be_absent() {
+        // Bag semantics: S(1) twice. R(1) ∧ ¬S(1) needs both copies gone.
+        let mut db = Database::new();
+        db.create_relation("R", &["a"]);
+        db.create_relation("S", &["a"]);
+        let r1 = db.insert_endo("R", vec![Value::int(1)]);
+        let copies = db.insert_copies("S", vec![Value::int(1)], 2, true);
+        let mut b = CqBuilder::new();
+        let x = b.var("x");
+        b.atom("R", [x.into()]);
+        let pos = b.build();
+        let q = NegatedQuery::new(
+            pos,
+            vec![Atom {
+                relation: "S".into(),
+                terms: vec![Term::Var(x)],
+            }],
+        );
+        let out = evaluate_negated(&q, &db);
+        let want = vec![
+            Lit::pos(r1.index()),
+            Lit::neg(copies[0].index()),
+            Lit::neg(copies[1].index()),
+        ];
+        assert_eq!(out[0].lineage.conjuncts(), &[want]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! workload queries declaratively; the builder API remains the primary
 //! programmatic interface.
 
-use crate::ast::{CmpOp, ConjunctiveQuery, CqBuilder, Term, Ucq};
+use crate::ast::{CmpOp, ConjunctiveQuery, CqBuilder, Term, Ucq, MAX_ATOM_TERMS};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -226,6 +226,12 @@ impl Parser {
                                 break;
                             }
                         }
+                    }
+                    if terms.len() > MAX_ATOM_TERMS {
+                        return Err(self.err(format!(
+                            "atom `{name}` has {} terms; at most {MAX_ATOM_TERMS} are supported",
+                            terms.len()
+                        )));
                     }
                     self.expect(&Tok::RParen, "`)` after atom terms")?;
                     b.atom(&name, terms);

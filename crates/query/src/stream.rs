@@ -6,13 +6,14 @@
 //! This module extracts the same lineages *per answer*:
 //!
 //! 1. **Answer pass** — one derivation sweep that records only the distinct
-//!    head tuples in first-seen order (the exact order
-//!    [`evaluate`](crate::evaluate) reports), discarding the derivations
-//!    themselves.
+//!    head tuples, discarding the derivations themselves. Answers are then
+//!    yielded in ascending head-tuple order, the order
+//!    [`evaluate`](crate::evaluate) reports.
 //! 2. **Per-answer pass** — for each answer, each disjunct's head is pinned
-//!    to the tuple via a seeded binding and the backtracking join re-runs
-//!    from that binding, so only this answer's derivations are enumerated.
-//!    The hash indexes are built once and shared by both passes.
+//!    to the tuple via a seeded binding and the join re-runs from that
+//!    binding, so only this answer's derivations are enumerated. Each
+//!    disjunct is planned once for its head variables bound, and every
+//!    answer reuses that plan; both passes share one call's indexes.
 //!
 //! Because [`Dnf::minimize`] produces the *unique* canonical minimal form,
 //! the streamed lineage of every answer is **bit-identical** to the
@@ -22,13 +23,10 @@
 //! is governed by the chunk size rather than the answer count; the returned
 //! [`StreamStats`] expose the observed peak for regression tests.
 
-use crate::ast::{ConjunctiveQuery, Term, Ucq};
-use crate::eval::{
-    for_each_derivation, for_each_derivation_from, seed_binding, Indexes, OutputTuple,
-};
+use crate::ast::Ucq;
+use crate::eval::{seed_binding, Answers, Evaluator, OutputTuple, Plan};
 use shapdb_circuit::{Dnf, VarId};
 use shapdb_data::{Database, Value};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -36,41 +34,41 @@ use std::sync::mpsc;
 /// canonical minimized lineage lazily. See the module docs.
 pub struct LineageStream<'a> {
     q: &'a Ucq,
-    db: &'a Database,
-    indexes: Indexes,
+    evaluator: Evaluator<'a>,
+    /// One plan per disjunct, head variables bound.
+    seeded: Vec<Plan>,
     answers: std::vec::IntoIter<Vec<Value>>,
-}
-
-fn head_tuple(cq: &ConjunctiveQuery, binding: &[Option<Value>]) -> Vec<Value> {
-    cq.head
-        .iter()
-        .map(|t| match t {
-            Term::Const(c) => c.clone(),
-            Term::Var(v) => binding[v.index()].clone().expect("safe-range head"),
-        })
-        .collect()
 }
 
 impl<'a> LineageStream<'a> {
     /// Runs the answer pass and returns the lazy per-answer stream.
     pub fn new(q: &'a Ucq, db: &'a Database) -> LineageStream<'a> {
-        let mut indexes = Indexes::default();
-        let mut seen: HashSet<Vec<Value>> = HashSet::new();
-        let mut order: Vec<Vec<Value>> = Vec::new();
+        let mut evaluator = Evaluator::new(db);
+        let mut answers = Answers::default();
         for cq in q.disjuncts() {
-            for_each_derivation(cq, db, &mut indexes, &mut |binding, _| {
-                let tuple = head_tuple(cq, binding);
-                if seen.insert(tuple.clone()) {
-                    order.push(tuple);
-                }
+            let plan = evaluator.plan(cq);
+            evaluator.run(&plan, vec![None; cq.num_vars()], |binding, _| {
+                answers.add(&cq.head, binding, ());
             });
         }
+        let answers: Vec<Vec<Value>> = answers.sorted().into_iter().map(|(t, _)| t).collect();
+        let seeded = q
+            .disjuncts()
+            .iter()
+            .map(|cq| evaluator.plan_seeded(cq))
+            .collect();
         LineageStream {
             q,
-            db,
-            indexes,
-            answers: order.into_iter(),
+            evaluator,
+            seeded,
+            answers: answers.into_iter(),
         }
+    }
+
+    /// Rows the answer pass and the per-answer passes so far have visited.
+    #[cfg(test)]
+    pub(crate) fn rows_visited(&self) -> u64 {
+        self.evaluator.rows_visited()
     }
 }
 
@@ -79,15 +77,16 @@ impl Iterator for LineageStream<'_> {
 
     fn next(&mut self) -> Option<OutputTuple> {
         let tuple = self.answers.next()?;
-        let mut lineage = Dnf::new();
-        for cq in self.q.disjuncts() {
-            let Some(binding) = seed_binding(cq, &tuple) else {
+        let mut conjuncts: Vec<Vec<VarId>> = Vec::new();
+        for (cq, plan) in self.q.disjuncts().iter().zip(&self.seeded) {
+            let Some(seed) = seed_binding(cq, &tuple) else {
                 continue;
             };
-            for_each_derivation_from(cq, self.db, &mut self.indexes, binding, &mut |_, used| {
-                lineage.add_conjunct(used.iter().map(|f| VarId(f.0)).collect());
+            self.evaluator.run(plan, seed, |_, used| {
+                conjuncts.push(used.iter().map(|f| VarId(f.0)).collect());
             });
         }
+        let mut lineage = Dnf::from_conjuncts(conjuncts);
         lineage.minimize();
         Some(OutputTuple { tuple, lineage })
     }
@@ -117,10 +116,10 @@ pub struct StreamStats {
 }
 
 /// Runs `consume` over the query's streamed answers, produced by a worker
-/// thread through a bounded channel of `chunk` answers: the producer blocks
-/// (backpressure) whenever the consumer falls `chunk` answers behind, so
-/// full provenance never materializes. Returns the consumer's result plus
-/// the observed [`StreamStats`].
+/// thread through a bounded channel: the producer blocks (backpressure)
+/// whenever `chunk + 1` answers are in flight (buffered, waiting to be
+/// sent, or just received), so full provenance never materializes. Returns
+/// the consumer's result plus the observed [`StreamStats`].
 pub fn with_streamed_lineages<R>(
     q: &Ucq,
     db: &Database,
@@ -134,7 +133,10 @@ pub fn with_streamed_lineages<R>(
     let max_single = AtomicUsize::new(0);
     let answers = AtomicUsize::new(0);
     let result = std::thread::scope(|s| {
-        let (tx, rx) = mpsc::sync_channel::<(OutputTuple, usize)>(chunk);
+        // Besides the buffered answers, the producer holds one it waits to
+        // send and the consumer one it has just received: a buffer of
+        // `chunk - 1` keeps at most `chunk + 1` answers in flight.
+        let (tx, rx) = mpsc::sync_channel::<(OutputTuple, usize)>(chunk - 1);
         let (in_flight, peak) = (&in_flight, &peak);
         let (total, max_single, answers) = (&total, &max_single, &answers);
         s.spawn(move || {

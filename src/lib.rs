@@ -115,7 +115,8 @@ pub struct RankReport {
 /// One answer admitted to a [`ShapleyAnalyzer::rank_topk`] list.
 #[derive(Clone, Debug)]
 pub struct RankedAnswer {
-    /// The answer's position in the query's output order.
+    /// The answer's position in the query's output order (ascending head
+    /// tuple).
     pub index: usize,
     /// The output tuple (empty for Boolean queries).
     pub tuple: Vec<Value>,
@@ -130,7 +131,7 @@ pub struct RankedAnswer {
 /// pruning and streaming bookkeeping.
 #[derive(Clone, Debug)]
 pub struct TopKRanking {
-    /// The `k` best answers under (score desc, output order asc) —
+    /// The `k` best answers under (score desc, head tuple asc) —
     /// bit-identical to the full ranking's length-`k` prefix.
     pub top: Vec<RankedAnswer>,
     /// The requested `k`.
@@ -417,7 +418,7 @@ impl<'a> ShapleyAnalyzer<'a> {
     /// every structure whose cheap bound falls strictly below the `k`-th
     /// best exact score already in hand. Pruning is lossless: the returned
     /// list is bit-identical to the full ranking's length-`k` prefix under
-    /// (score desc, output order asc) — tie-breaks included.
+    /// (score desc, head tuple asc) — tie-breaks included.
     ///
     /// Shares the analyzer's cross-query result cache, so ranking after
     /// `explain` (or vice versa) reuses every solved structure.
@@ -931,7 +932,7 @@ mod tests {
         let q = job_ranking_query();
         let analyzer = ShapleyAnalyzer::new(&db).with_threads(1);
         // Solve-everything baseline: every answer scored by its best fact,
-        // ranked under (score desc, output order asc).
+        // ranked under (score desc, head tuple asc).
         let batch = analyzer.explain_batch(&q).unwrap();
         let mut baseline: Vec<(usize, Rational)> = batch
             .explanations
