@@ -3,19 +3,22 @@
 //!
 //! The corpus is the seeded JOB-style generator at bench scale
 //! (`JobConfig::default()`, ≥ 10⁴ answers — one per movie — over ~2·10⁵
-//! base tuples). Lineages are extracted **streamed**: each answer's
-//! provenance flows through the bounded channel, is fingerprinted
-//! immediately, and the raw DNF drops — peak provenance memory stays
-//! chunk-bounded while the canonical fingerprints are all that persist.
+//! base tuples). Lineages are extracted **streamed** once: each answer's
+//! provenance flows through the bounded channel (peak memory stays
+//! chunk-bounded) and its endogenous lineage is kept, so every pass below
+//! hands the executor the same raw lineages in stream order, as the
+//! facade and the CLI do from inside the stream.
 //!
 //! Series (single worker, fresh planner + result cache per pass, so every
 //! number is a cold solve):
 //!
 //! * `full` — the solve-everything baseline: the top-k executor with
-//!   `k = answers`, which never prunes and degenerates to the ordinary
-//!   batch (timed once; it is the slow side of the comparison);
-//! * `topk_k{1,10,100}` — bound-driven early termination at the ISSUE's
-//!   three k values.
+//!   `k = answers`, which drops and prunes nothing (every answer survives
+//!   the stream filter) and degenerates to the ordinary batch (timed once;
+//!   it is the slow side of the comparison);
+//! * `topk_k{1,10,100}` — the stream filter plus bound-driven early
+//!   termination at three k values; each row records its survivors (the
+//!   answers fingerprinted).
 //!
 //! In-bench assertions (the deterministic acceptance bars):
 //!
@@ -32,7 +35,7 @@
 //! as a CI artifact).
 
 use shapdb_bench::{median_ns, write_result};
-use shapdb_circuit::{fingerprint, Fingerprint};
+use shapdb_circuit::Dnf;
 use shapdb_core::engine::{
     EngineValues, Planner, PlannerConfig, ShapleyCache, TopKExecutor, TopKReport,
 };
@@ -49,11 +52,11 @@ const SAMPLES: usize = 3;
 const STREAM_CHUNK: usize = 256;
 
 /// One cold ranking pass: fresh planner, fresh result cache.
-fn rank(fps: &[Fingerprint], k: usize, n_endo: usize) -> TopKReport {
+fn rank(lineages: &[Dnf], k: usize, n_endo: usize) -> TopKReport {
     let planner = Planner::new(PlannerConfig::default()).with_cache(Arc::new(ShapleyCache::new()));
     TopKExecutor::new(planner)
         .run(
-            fps.iter().cloned(),
+            lineages.iter().cloned(),
             k,
             n_endo,
             &Budget::unlimited(),
@@ -77,16 +80,16 @@ fn main() {
     let q = job_ranking_query();
     let n_endo = db.num_endogenous();
 
-    // Streamed extraction: fingerprint per answer inside the bounded
-    // channel's consumer; raw lineages never accumulate.
+    // Streamed extraction: the endogenous lineage of each answer, taken
+    // inside the bounded channel's consumer.
     let t = Instant::now();
-    let (fps, stream) = with_streamed_lineages(&q, &db, STREAM_CHUNK, |answers| {
+    let (lineages, stream) = with_streamed_lineages(&q, &db, STREAM_CHUNK, |answers| {
         answers
-            .map(|out| fingerprint(&out.endo_lineage(&db)))
-            .collect::<Vec<Fingerprint>>()
+            .map(|out| out.endo_lineage(&db))
+            .collect::<Vec<Dnf>>()
     });
     let extract_ms = t.elapsed().as_nanos() as f64 / 1e6;
-    let answers = fps.len();
+    let answers = lineages.len();
     assert!(
         answers >= 10_000,
         "the bench corpus must produce ≥ 10⁴ answers, got {answers}"
@@ -105,9 +108,10 @@ fn main() {
     // Solve-everything baseline: k = answers never prunes. Timed once —
     // this is the minutes-side of the comparison.
     let t = Instant::now();
-    let baseline = rank(&fps, answers, n_endo);
+    let baseline = rank(&lineages, answers, n_endo);
     let full_ns = t.elapsed().as_nanos();
     assert_eq!(baseline.pruned_answers, 0, "k = answers must not prune");
+    assert_eq!(baseline.dedup.tasks, answers, "k = answers must not drop");
     let baseline_prefix = prefix(&baseline);
     println!(
         "full ranking: {} distinct structures, {} engine runs, {:.0} ms",
@@ -119,7 +123,7 @@ fn main() {
     let mut rows = Vec::new();
     for k in KS {
         let mut last: Option<TopKReport> = None;
-        let k_ns = median_ns(SAMPLES, || last = Some(rank(&fps, k, n_endo)));
+        let k_ns = median_ns(SAMPLES, || last = Some(rank(&lineages, k, n_endo)));
         let report = last.expect("sampled at least once");
 
         // Losslessness: the pruned run's list is the baseline's prefix,
@@ -155,13 +159,14 @@ fn main() {
             );
         }
         println!(
-            "k={k}: {:.0} ms ({speedup:.1}x), solved {}/{} answers \
+            "k={k}: {:.0} ms ({speedup:.1}x), {} survivors, solved {}/{} answers \
              ({}/{} structures), pruned {}",
             k_ns as f64 / 1e6,
+            report.dedup.tasks,
             report.solved_answers,
             answers,
             report.solved_structures,
-            report.bound_passes,
+            report.dedup.distinct,
             report.pruned_answers
         );
         rows.push(format!(
@@ -170,6 +175,7 @@ fn main() {
                 "      \"k\": {},\n",
                 "      \"median_ms\": {:.3},\n",
                 "      \"speedup_vs_full\": {:.3},\n",
+                "      \"survivors\": {},\n",
                 "      \"solved_answers\": {},\n",
                 "      \"pruned_answers\": {},\n",
                 "      \"solved_structures\": {},\n",
@@ -181,6 +187,7 @@ fn main() {
             k,
             k_ns as f64 / 1e6,
             speedup,
+            report.dedup.tasks,
             report.solved_answers,
             report.pruned_answers,
             report.solved_structures,

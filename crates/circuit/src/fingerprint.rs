@@ -143,13 +143,20 @@ fn mix(parts: &[u64]) -> u64 {
 pub fn fingerprint(lineage: &Dnf) -> Fingerprint {
     let mut d = lineage.clone();
     d.minimize();
+    fingerprint_minimized(&d)
+}
 
-    if let Some(tree) = factor_minimized(&d) {
+/// [`fingerprint()`] for a lineage the caller has **already**
+/// absorption-minimized (skips the clone + minimize pass), as
+/// [`factor_minimized`] does for factoring. An unminimized input may
+/// fingerprint apart from its minimized form and miss its read-once tree.
+pub fn fingerprint_minimized(d: &Dnf) -> Fingerprint {
+    if let Some(tree) = factor_minimized(d) {
         // Complete canonical labeling from the (unique) read-once tree.
         let ordered = canonical_leaf_order(&tree);
-        return build(&d, ordered, Some(tree));
+        return build(d, ordered, Some(tree));
     }
-    wl_fingerprint(&d)
+    wl_fingerprint(d)
 }
 
 /// The shape of one AHU subtree: the gate marker (`b'A'` / `b'O'`) plus

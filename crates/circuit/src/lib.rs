@@ -36,7 +36,7 @@ pub mod tseytin;
 pub use circuit::{Circuit, Gate, NodeId, VarId};
 pub use cnf::{Clause, Cnf, Lit};
 pub use dnf::Dnf;
-pub use fingerprint::{fingerprint, Fingerprint, FingerprintKey};
+pub use fingerprint::{fingerprint, fingerprint_minimized, Fingerprint, FingerprintKey};
 pub use literal_dnf::LiteralDnf;
 pub use readonce::{factor, factor_minimized, ReadOnce};
 pub use tseytin::{tseytin, TseytinCnf};

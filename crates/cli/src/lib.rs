@@ -41,7 +41,7 @@ pub mod serve;
 pub use listen::{run_listen, SocketServer};
 pub use serve::{parse_serve_args, run_serve, ServeOptions, ServeSummary};
 
-use shapdb_circuit::{fingerprint, Dnf};
+use shapdb_circuit::Dnf;
 use shapdb_core::aggregate::{count_shapley, sum_shapley};
 use shapdb_core::engine::{
     BatchExecutor, EngineKind, EngineValues, Measure, Planner, PlannerConfig, ShapleyCache,
@@ -467,20 +467,11 @@ fn render_exact(out: &mut String, db: &Database, top: usize, values: &[(FactId, 
     }
 }
 
-/// The `--top-k` path: stream lineages (chunk-bounded memory), fingerprint
-/// each answer, and let the bound-driven top-k executor solve only the
-/// structures that can still make the list.
+/// The `--top-k` path: stream lineages (chunk-bounded memory) straight
+/// into the bound-driven top-k executor, which drops the answers that
+/// cannot make the list and solves only the structures that still can.
 fn run_topk(db: &Database, q: &Ucq, k: usize, cfg: &Config) -> Result<String, CliError> {
     let n_endo = db.num_endogenous();
-    let ((tuples, fps), stream) = with_streamed_lineages(q, db, 256, |answers| {
-        let mut tuples = Vec::new();
-        let mut fps = Vec::new();
-        for out in answers {
-            fps.push(fingerprint(&out.endo_lineage(db)));
-            tuples.push(out.tuple);
-        }
-        (tuples, fps)
-    });
     // Exact routes only (the pruning threshold compares exact scores); the
     // per-lineage timeout still applies through the planner.
     let mut planner = Planner::for_query(EngineChoice::Exact.planner_config(cfg.timeout), q);
@@ -489,15 +480,24 @@ fn run_topk(db: &Database, q: &Ucq, k: usize, cfg: &Config) -> Result<String, Cl
             cfg.cache_capacity,
         )));
     }
-    let report = TopKExecutor::new(planner)
-        .run(
-            fps,
+    let executor = TopKExecutor::new(planner);
+    let ((tuples, report), stream) = with_streamed_lineages(q, db, 256, |answers| {
+        let mut tuples = Vec::new();
+        let lineages = answers.map(|out| {
+            let lineage = out.endo_lineage(db);
+            tuples.push(out.tuple);
+            lineage
+        });
+        let report = executor.run(
+            lineages,
             k,
             n_endo,
             &Budget::unlimited(),
             &ExactConfig::default(),
-        )
-        .map_err(|e| err(format!("top-k ranking failed: {e}")))?;
+        );
+        (tuples, report)
+    });
+    let report = report.map_err(|e| err(format!("top-k ranking failed: {e}")))?;
     let mut out = String::new();
     out.push_str(&format!(
         "{} fact(s), {} endogenous; {} answer(s) for {}\n",

@@ -2,41 +2,53 @@
 //! fact's Shapley value while solving as few structures as possible.
 //!
 //! At JOB scale a ranking request wants the `k` best answers, yet the
-//! batch executor solves **every** distinct structure. This module adds
-//! the missing admission control:
+//! batch executor canonicalizes and solves **every** answer. This module
+//! adds the missing admission control, in three steps:
 //!
-//! 1. **Bound pass** — every distinct canonical structure gets a cheap
-//!    *upper bound* on any of its facts' Shapley values
-//!    ([`shapley_bounds`]): per fact, a union bound over its conjuncts,
-//!    each conjunct's term an exact inclusion–exclusion over at most
-//!    three competing conjuncts. No compilation, no sampling: conjuncts
-//!    are bitsets, and every term is an integer numerator over the one
-//!    denominator `lcm(1..=vars)`, added in the narrowest fixed-limb
-//!    [`Coeff`] tier that holds it.
+//! 0. **Stream filter** — each raw answer lineage, as it arrives, is
+//!    minimized and bracketed by [`shapley_bounds`] on a dense renaming
+//!    (the bracket is a max over facts, so no canonical form is needed).
+//!    By efficiency every non-constant answer scores at least its `lower`
+//!    = `1/vars`, so τ, the `k`-th largest `lower` seen so far, is a score
+//!    that `k` answers provably reach. An answer whose `upper` is strictly
+//!    below τ is dropped on the spot, never fingerprinted; the survivors
+//!    keep their minimized lineage and are filtered again against the
+//!    final τ.
+//! 1. **Bound** — the upper bound is, per fact, a union bound over its
+//!    conjuncts, each conjunct's term an exact inclusion–exclusion over at
+//!    most three competing conjuncts. No compilation, no sampling:
+//!    conjuncts are bitsets, and every term is an integer numerator over
+//!    the one denominator `lcm(1..=vars)`, added in the narrowest
+//!    fixed-limb [`Coeff`] tier that holds it. Surviving answers are
+//!    fingerprinted and grouped by canonical structure; a group's bound is
+//!    the tightest of its members' own bounds.
 //! 2. **Admission loop** — structures are solved in decreasing bound
 //!    order. A min-heap of the exact scores solved so far tracks the
 //!    `k`-th best; the moment the best remaining bound falls *strictly*
 //!    below it, everything left is pruned unsolved
 //!    ([`PlanReason::TopKPruned`]).
 //!
-//! Pruning is **lossless**: a pruned answer's true score is ≤ its
-//! structure's bound, which is strictly below the `k`-th best exact score
-//! at prune time — a threshold that never decreases afterwards — so the
-//! returned list is bit-identical to the full ranking's length-`k`
-//! prefix, index tie-breaks included. With `k ≥ answers` the loop never
-//! prunes and degenerates to the ordinary solve-everything batch.
+//! Both cuts are **lossless**. A dropped answer's true score is ≤ its
+//! `upper` < τ ≤ the `k`-th best exact score, so it is out-ranked by `k`
+//! answers and every answer of the true top `k` survives the filter. A
+//! pruned structure's score is ≤ its bound, which is strictly below the
+//! `k`-th best exact score at prune time — a threshold that never
+//! decreases afterwards. The returned list is therefore bit-identical to
+//! the full ranking's length-`k` prefix, index tie-breaks included. With
+//! `k ≥ answers` neither cut fires and the run degenerates to the ordinary
+//! solve-everything batch.
 //!
 //! Each admitted structure is planned and solved through the same
 //! [`Planner::solve_structure`] every other surface uses, with one Shapley
-//! plan, so its cache entry, its values and its [`PlanReason`] are exactly
-//! the batch's.
+//! plan, so its cache entry (keyed by canonical structure), its values and
+//! its [`PlanReason`] are exactly the batch's.
 
 use super::stages;
 use super::{
     translate_result, EngineError, EngineResult, EngineValues, Measure, PlanReason, Planner,
 };
 use crate::exact::ExactConfig;
-use shapdb_circuit::Fingerprint;
+use shapdb_circuit::{fingerprint_minimized, Dnf, Fingerprint};
 use shapdb_kc::Budget;
 use shapdb_metrics::counters::{
     CacheRunStats, DedupStats, TOPK_BOUND_PASSES, TOPK_PRUNED, TOPK_SOLVED,
@@ -52,7 +64,7 @@ use std::time::{Duration, Instant};
 #[cfg(test)]
 mod reference;
 
-/// Cheap a-priori bracket on a canonical structure's best Shapley value.
+/// Cheap a-priori bracket on a lineage's best Shapley value.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ScoreBounds {
     /// `max_f φ(f) ≥ lower`: by efficiency the values of a non-constant
@@ -62,8 +74,12 @@ pub struct ScoreBounds {
     pub upper: Rational,
 }
 
-/// Brackets the maximum Shapley value of any fact of the canonical
-/// minimized structure `key` (a [`Fingerprint::key`]), without solving it.
+/// Brackets the maximum Shapley value of any fact of the minimized
+/// structure `key`, without solving it. `key` lists the conjuncts over
+/// dense variables `0..vars`: a [`Fingerprint::key`], or a minimized
+/// lineage renamed densely in any order. Every such key gives a sound
+/// bracket (`lower` depends on `vars` alone; `upper` may differ between
+/// renamings only through the competitor tie-break below).
 ///
 /// The upper bound: a fact `f` is pivotal in a uniformly random
 /// permutation only if some conjunct `C ∋ f` has `C \ {f}` entirely
@@ -293,10 +309,43 @@ impl BitRows {
     }
 }
 
+/// An answer that passed the stream filter, kept as its minimized lineage
+/// until the final threshold is known.
+struct Survivor {
+    /// Position in the submitted answer sequence.
+    index: usize,
+    /// [`shapley_bounds`]' upper bound on the answer's score.
+    upper: Rational,
+    lineage: Dnf,
+}
+
+/// `lineage`'s conjuncts renamed onto `0..vars` in increasing fact order:
+/// the key shape [`shapley_bounds`] reads, without canonicalizing.
+fn dense_key(lineage: &Dnf) -> Vec<Vec<u32>> {
+    let vars = lineage.vars();
+    lineage
+        .conjuncts()
+        .iter()
+        .map(|c| {
+            c.iter()
+                .map(|v| vars.binary_search(v).expect("var in lineage") as u32)
+                .collect()
+        })
+        .collect()
+}
+
+/// True iff `upper` falls strictly below τ, the smallest of `lowers` once
+/// it holds `k` lower bounds: `k` answers then score at least τ, so an
+/// answer bounded below τ ranks after all of them. Ties at τ stay.
+fn below_threshold(upper: &Rational, lowers: &BinaryHeap<Reverse<Rational>>, k: usize) -> bool {
+    lowers.len() == k && lowers.peek().is_some_and(|tau| *upper < tau.0)
+}
+
 /// A structure awaiting admission, ordered for the max-heap: highest
 /// upper bound first, ties broken toward the earliest first answer.
 struct Candidate {
     ub: Rational,
+    /// Index of the group's first answer.
     first: usize,
     group: usize,
 }
@@ -336,6 +385,10 @@ pub struct TopKItem {
 }
 
 /// What one top-k ranking run produced.
+///
+/// Answer counts cover every submitted answer (`solved_answers +
+/// pruned_answers = answers`); structure counts and `dedup` cover only the
+/// answers that survived the stream filter, the only ones canonicalized.
 #[derive(Clone, Debug)]
 pub struct TopKReport {
     /// The `k` best answers — bit-identical to the full ranking's prefix
@@ -348,18 +401,21 @@ pub struct TopKReport {
     pub answers: usize,
     /// Answers whose structure was actually solved.
     pub solved_answers: usize,
-    /// Answers pruned unsolved by the bound threshold.
+    /// Answers ranked out unsolved: dropped by the stream filter or pruned
+    /// by the admission loop.
     pub pruned_answers: usize,
-    /// Distinct structures solved.
+    /// Distinct surviving structures solved.
     pub solved_structures: usize,
-    /// Distinct structures pruned unsolved.
+    /// Distinct surviving structures pruned unsolved.
     pub pruned_structures: usize,
-    /// Structure-level bound computations (= distinct structures).
+    /// Answers bounded by [`shapley_bounds`] (every answer, or none at
+    /// `k = 0`).
     pub bound_passes: usize,
     /// Per-answer routing, in submission order: the plan's reason for
-    /// solved answers, [`PlanReason::TopKPruned`] for pruned ones.
+    /// solved answers, [`PlanReason::TopKPruned`] for the rest.
     pub reasons: Vec<PlanReason>,
-    /// Structural dedup over the submitted answers.
+    /// Structural dedup over the surviving answers: `tasks` is the number
+    /// of survivors, `distinct` their canonical structures.
     pub dedup: DedupStats,
     /// Cross-query result-cache involvement of the solves, read from the
     /// profile.
@@ -367,16 +423,18 @@ pub struct TopKReport {
     /// Actual engine invocations (the profile's `engine.runs`; cache hits
     /// and pruned structures run none).
     pub engine_runs: usize,
-    /// Every counter this ranking bumped (bounds, admissions, routes,
-    /// cache traffic), and nothing any concurrent run did.
+    /// Every counter this ranking bumped (bounds, fingerprints, admissions,
+    /// routes, cache traffic), and nothing any concurrent run did.
     pub profile: Profile,
-    /// Wall time of the whole ranking.
+    /// Wall time of the whole ranking, including the time spent pulling
+    /// the answers (for a streamed input, the extraction it waits on).
     pub total_time: Duration,
 }
 
-/// Ranks answers by their best fact's exact Shapley value, solving
-/// structures in decreasing upper-bound order and pruning the tail (see
-/// the module docs).
+/// Ranks answers by their best fact's exact Shapley value, dropping the
+/// answers that cannot make the list as they stream in, then solving the
+/// survivors' structures in decreasing upper-bound order and pruning the
+/// tail (see the module docs).
 ///
 /// The planner must stay on exact routes: a forced or fallback sampling
 /// engine would hand back estimates the threshold cannot soundly compare,
@@ -392,17 +450,19 @@ impl TopKExecutor {
         TopKExecutor { planner }
     }
 
-    /// Ranks the fingerprinted answers, returning the top `k`. Answers
-    /// stream in by fingerprint — the caller can drop each raw lineage as
-    /// soon as it is fingerprinted (the streaming extraction path does),
-    /// so peak memory holds canonical structures and renamings, never the
-    /// full materialized provenance.
+    /// Ranks the answers' raw lineages, given in submission order, and
+    /// returns the top `k`. Each lineage is minimized once and bounded on
+    /// a dense renaming; an answer whose upper bound falls strictly below
+    /// the `k`-th best lower bound seen so far is dropped on the spot, so
+    /// a streamed input retains only the survivors' minimized lineages.
+    /// Only the survivors of the final threshold are fingerprinted,
+    /// grouped and admitted.
     ///
     /// Errors from the underlying solves propagate immediately (exact
     /// mode — a partial ranking would not be a ranking).
     pub fn run(
         &self,
-        fingerprints: impl IntoIterator<Item = Fingerprint>,
+        lineages: impl IntoIterator<Item = Dnf>,
         k: usize,
         n_endo: usize,
         budget: &Budget,
@@ -411,41 +471,75 @@ impl TopKExecutor {
         let start = Instant::now();
         let profile = Arc::new(Profile::new());
         let _run = profile.enter();
-        let fps: Vec<Fingerprint> = fingerprints.into_iter().collect();
-        let answers = fps.len();
+
+        // Stream filter: `lowers` keeps the k largest lower bounds so far.
+        // `k` is not capped by an answer count yet: no capacity from it.
+        let mut lowers: BinaryHeap<Reverse<Rational>> = BinaryHeap::new();
+        let mut survivors: Vec<Survivor> = Vec::new();
+        let mut answers = 0usize;
+        for (index, mut lineage) in lineages.into_iter().enumerate() {
+            answers += 1;
+            if k == 0 {
+                continue;
+            }
+            lineage.minimize();
+            TOPK_BOUND_PASSES.incr();
+            let bounds = shapley_bounds(&dense_key(&lineage));
+            lowers.push(Reverse(bounds.lower));
+            if lowers.len() > k {
+                lowers.pop();
+            }
+            if !below_threshold(&bounds.upper, &lowers, k) {
+                survivors.push(Survivor {
+                    index,
+                    upper: bounds.upper,
+                    lineage,
+                });
+            }
+        }
+        survivors.retain(|s| !below_threshold(&s.upper, &lowers, k));
         stages::record_measure_requests(Measure::Shapley, answers as u64);
+
+        // Only survivors are canonicalized. A group's admission bound is
+        // the tightest of its members' own bounds: all members share one
+        // exact score.
+        let (kept, fps): (Vec<(usize, Rational)>, Vec<Fingerprint>) = survivors
+            .into_iter()
+            .map(|s| ((s.index, s.upper), fingerprint_minimized(&s.lineage)))
+            .unzip();
         let grouping = stages::group_by_structure(&fps);
         let distinct = grouping.distinct();
-
-        // Bound pass: one cheap bracket per distinct structure.
-        let mut heap: BinaryHeap<Candidate> = BinaryHeap::with_capacity(distinct);
-        for (group, &first) in grouping.first_of_group.iter().enumerate() {
-            TOPK_BOUND_PASSES.incr();
-            heap.push(Candidate {
-                ub: shapley_bounds(fps[first].key()).upper,
-                first,
+        let mut heap: BinaryHeap<Candidate> = grouping
+            .members_of
+            .iter()
+            .enumerate()
+            .map(|(group, members)| Candidate {
+                ub: members
+                    .iter()
+                    .map(|&m| &kept[m].1)
+                    .min()
+                    .expect("a group has members")
+                    .clone(),
+                first: kept[members[0]].0,
                 group,
-            });
-        }
+            })
+            .collect();
 
         // Admission loop: solve in decreasing bound order until the k-th
         // solved score dominates every remaining bound.
         let mut reasons: Vec<PlanReason> = vec![PlanReason::TopKPruned; answers];
         let mut kth: BinaryHeap<Reverse<Rational>> = BinaryHeap::with_capacity(k.min(answers) + 1);
         let mut solved: Vec<(usize, Rational, EngineResult)> = Vec::new();
-        let mut pruned_answers = 0usize;
+        let mut solved_answers = 0usize;
         let mut pruned_structures = 0usize;
         while let Some(cand) = heap.pop() {
             let dominated = k == 0 || (kth.len() == k && cand.ub < kth.peek().expect("k scores").0);
             if dominated {
                 // Heap order: everything left is bounded by cand.ub too.
-                for c in std::iter::once(cand).chain(heap.drain()) {
-                    pruned_structures += 1;
-                    pruned_answers += grouping.members_of[c.group].len();
-                }
+                pruned_structures += 1 + heap.len();
                 break;
             }
-            let fp = &fps[cand.first];
+            let fp = &fps[grouping.first_of_group[cand.group]];
             let plan = self.planner.plan_fp(fp, Measure::Shapley);
             let result = self
                 .planner
@@ -467,8 +561,9 @@ impl TopKExecutor {
                 };
             let members = &grouping.members_of[cand.group];
             TOPK_SOLVED.add(members.len() as u64);
+            solved_answers += members.len();
             for &m in members {
-                reasons[m] = plan.reason;
+                reasons[kept[m].0] = plan.reason;
                 kth.push(Reverse(score.clone()));
                 if kth.len() > k {
                     kth.pop();
@@ -476,10 +571,13 @@ impl TopKExecutor {
             }
             solved.push((cand.group, score, result));
         }
+        let pruned_answers = answers - solved_answers;
         TOPK_PRUNED.add(pruned_answers as u64);
 
         // Final selection: the solved answers under the full ranking's
-        // order, translated through each answer's own renaming.
+        // order (survivors keep answer order, so their positions break
+        // ties as the answer indices do), translated through each answer's
+        // own renaming.
         let mut ranked: Vec<(usize, Rational, usize)> = Vec::new();
         for (slot, (group, score, _)) in solved.iter().enumerate() {
             for &m in &grouping.members_of[*group] {
@@ -491,7 +589,7 @@ impl TopKExecutor {
         let top = ranked
             .into_iter()
             .map(|(m, score, slot)| TopKItem {
-                index: m,
+                index: kept[m].0,
                 score,
                 result: translate_result(solved[slot].2.clone(), &fps[m]),
             })
@@ -501,14 +599,14 @@ impl TopKExecutor {
             top,
             k,
             answers,
-            solved_answers: answers - pruned_answers,
+            solved_answers,
             pruned_answers,
             solved_structures: solved.len(),
             pruned_structures,
-            bound_passes: distinct,
+            bound_passes: if k == 0 { 0 } else { answers },
             reasons,
             dedup: DedupStats {
-                tasks: answers,
+                tasks: kept.len(),
                 distinct,
             },
             cache: CacheRunStats::of(&profile),
@@ -526,6 +624,7 @@ mod tests {
     use crate::engine::{BatchExecutor, EngineKind, LineageTask, PlannerConfig};
     use proptest::prelude::*;
     use shapdb_circuit::{fingerprint, Dnf, VarId};
+    use shapdb_metrics::counters::CIRCUIT_FACTOR_PASSES;
 
     /// The canonical key of the DNF with these conjuncts.
     fn canonical_key(conjs: &[Vec<u32>]) -> Vec<Vec<u32>> {
@@ -536,8 +635,7 @@ mod tests {
         fingerprint(&d).key().clone()
     }
 
-    /// [`TopKExecutor::run`] over raw lineages, fingerprinting each one
-    /// first, under unlimited budgets.
+    /// [`TopKExecutor::run`] over the lineages under unlimited budgets.
     fn run_lineages(
         exec: &TopKExecutor,
         lineages: &[Dnf],
@@ -545,7 +643,7 @@ mod tests {
         n_endo: usize,
     ) -> Result<TopKReport, EngineError> {
         let (budget, exact) = (Budget::unlimited(), ExactConfig::default());
-        exec.run(lineages.iter().map(fingerprint), k, n_endo, &budget, &exact)
+        exec.run(lineages.iter().cloned(), k, n_endo, &budget, &exact)
     }
 
     fn num_vars(key: &[Vec<u32>]) -> usize {
@@ -802,7 +900,7 @@ mod tests {
         let lineages = corpus();
         let n = lineages.len();
         let baseline = full_ranking(&Planner::new(PlannerConfig::default()), &lineages, 70);
-        for k in [1, 2, 3, 5, n, n + 3] {
+        for k in [1, 2, 3, 5, n, n + 3, usize::MAX] {
             let exec = TopKExecutor::new(Planner::new(PlannerConfig::default()));
             let report = run_lineages(&exec, &lineages, k, 70).unwrap();
             let got: Vec<(usize, Rational)> = report
@@ -835,10 +933,10 @@ mod tests {
 
     #[test]
     fn pruning_engages_below_the_kth_score() {
-        // Five isomorphic strong answers (score 1/2) ahead of six weak
-        // ones (bounds 1/8): at k = 3 the strong structure solves once,
-        // pins the threshold at 1/2, and both weak structures are pruned
-        // without an engine run.
+        // Five isomorphic strong answers (score 1/2, both bounds 1/2) ahead
+        // of six weak ones (upper bounds 1/8): at k = 3 the strong answers
+        // pin τ at 1/2, the weak ones are dropped in the stream without
+        // being fingerprinted, and the strong structure solves once.
         let mut lineages: Vec<Dnf> = (0..5).map(|i| dnf(&[&[2 * i, 2 * i + 1]])).collect();
         for i in 0..3u32 {
             lineages.push(disjoint_pairs(4, 100 + 10 * i));
@@ -849,12 +947,13 @@ mod tests {
         let exec = TopKExecutor::new(Planner::new(PlannerConfig::default()));
         let report = run_lineages(&exec, &lineages, 3, 64).unwrap();
         assert_eq!(report.solved_structures, 1, "only the strong structure");
-        assert_eq!(report.pruned_structures, 2);
+        assert_eq!(report.pruned_structures, 0, "the weak ones never group");
         assert_eq!(report.solved_answers, 5);
         assert_eq!(report.pruned_answers, 6);
         assert_eq!(report.engine_runs, 1);
-        assert_eq!(report.bound_passes, 3);
-        assert_eq!(report.dedup.distinct, 3);
+        assert_eq!(report.bound_passes, 11, "one per answer");
+        assert_eq!(report.dedup.distinct, 1);
+        assert_eq!(report.dedup.tasks, 5, "the survivors");
         for (i, reason) in report.reasons.iter().enumerate() {
             if i < 5 {
                 assert_ne!(*reason, PlanReason::TopKPruned, "answer {i} solved");
@@ -868,6 +967,148 @@ mod tests {
         for item in &report.top {
             assert_eq!(item.score, Rational::from_ratio(1, 2));
         }
+    }
+
+    /// Runs the executor at `k` and asserts its list is the full
+    /// ranking's length-`k` prefix, bit for bit: indices, scores (ties
+    /// broken by index) and the values translated onto each answer's own
+    /// facts.
+    fn assert_lossless(lineages: &[Dnf], k: usize, n_endo: usize) -> TopKReport {
+        let planner = Planner::new(PlannerConfig::default());
+        let batch = BatchExecutor::new(planner.clone()).with_threads(1).run(
+            lineages,
+            n_endo,
+            &Budget::unlimited(),
+            &ExactConfig::default(),
+        );
+        let baseline = full_ranking(&planner, lineages, n_endo);
+        let n = lineages.len();
+        let report = run_lineages(&TopKExecutor::new(planner), lineages, k, n_endo).unwrap();
+        let got: Vec<(usize, Rational)> = report
+            .top
+            .iter()
+            .map(|i| (i.index, i.score.clone()))
+            .collect();
+        assert_eq!(got, baseline[..k.min(n)].to_vec(), "k={k}");
+        for item in &report.top {
+            let want = batch.items[item.index].result.as_ref().unwrap();
+            assert_eq!(item.result.values, want.values, "k={k} #{}", item.index);
+        }
+        assert_eq!(report.answers, n);
+        assert_eq!(report.solved_answers + report.pruned_answers, n);
+        assert_eq!(report.reasons.len(), n);
+        report
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// The stream filter and the admission loop together are lossless
+        /// on random corpora: overlapping facts, repeated and isomorphic
+        /// structures, constants (`⊥`), and many score ties.
+        #[test]
+        fn prop_topk_is_the_full_rankings_prefix(
+            answers in proptest::collection::vec(
+                (0u32..3, proptest::collection::vec(
+                    proptest::collection::vec(0u32..7, 1..4), 0..5)),
+                1..10),
+        ) {
+            let lineages: Vec<Dnf> = answers
+                .iter()
+                .map(|(shift, conjs)| {
+                    let mut d = Dnf::new();
+                    for c in conjs {
+                        d.add_conjunct(c.iter().map(|&v| VarId(v + 7 * shift)).collect());
+                    }
+                    d
+                })
+                .collect();
+            let n = lineages.len();
+            for k in [0, 1, 3, n, n + 3] {
+                let report = assert_lossless(&lineages, k, 21);
+                if k >= n {
+                    prop_assert_eq!(report.dedup.tasks, n, "k ≥ n drops nothing");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_upper_bound_tied_with_tau_survives() {
+        // Both bounds of a single width-2 conjunct are 1/2 (its exact
+        // score), and a singleton's are 1. At k = 2, τ ends at 1/2: answers
+        // 0 and 2 have `upper` = τ exactly. Answer 2 meets τ in the stream
+        // (after answers 0 and 1 set it), answer 0 only at the final
+        // filter, and answer 0 is the list's second entry by its index.
+        let lineages = vec![dnf(&[&[1, 2]]), dnf(&[&[0]]), dnf(&[&[3, 4]])];
+        let report = assert_lossless(&lineages, 2, 5);
+        assert_eq!(report.dedup.tasks, 3, "ties at τ stay");
+        let got: Vec<usize> = report.top.iter().map(|i| i.index).collect();
+        assert_eq!(got, vec![1, 0]);
+        // One more weak answer (upper 1/4 < τ) is dropped in the stream.
+        let mut lineages = lineages;
+        lineages.push(disjoint_pairs(2, 10));
+        let report = assert_lossless(&lineages, 2, 14);
+        assert_eq!(report.dedup.tasks, 3);
+        assert_eq!(report.pruned_answers, 1);
+        assert_eq!(report.reasons[3], PlanReason::TopKPruned);
+    }
+
+    #[test]
+    fn the_final_threshold_drops_answers_that_came_early() {
+        // The weak answer (both bounds 1/4) arrives before any lower bound
+        // is known and passes the stream check; the two pairs after it
+        // raise τ to 1/2, and the final filter drops it unfingerprinted.
+        let lineages = vec![disjoint_pairs(2, 10), dnf(&[&[0, 1]]), dnf(&[&[2, 3]])];
+        let report = assert_lossless(&lineages, 2, 14);
+        assert_eq!(report.dedup.tasks, 2);
+        assert_eq!(report.profile.get(&CIRCUIT_FACTOR_PASSES), 2);
+        assert_eq!(report.reasons[0], PlanReason::TopKPruned);
+        assert_eq!((report.solved_answers, report.pruned_answers), (2, 1));
+    }
+
+    #[test]
+    fn weak_lower_bounds_drop_nothing() {
+        // Every answer has six facts, so every lower bound is 1/6 and τ is
+        // 1/6 — no upper bound falls below it, and every answer reaches
+        // the admission loop.
+        let lineages = vec![
+            disjoint_pairs(3, 0),
+            dnf(&[&[0], &[1, 2, 3, 4, 5]]),
+            dnf(&[&[0, 1, 2], &[3, 4, 5]]),
+            dnf(&[&[0, 1], &[1, 2], &[2, 3], &[3, 4], &[4, 5]]),
+            dnf(&[&[10, 11], &[12, 13], &[14, 15]]),
+            dnf(&[&[0, 1], &[0, 2], &[0, 3], &[0, 4], &[0, 5]]),
+        ];
+        let n = lineages.len();
+        for k in [1, 3, n] {
+            let report = assert_lossless(&lineages, k, 16);
+            assert_eq!(report.dedup.tasks, n, "k={k}: nothing drops");
+            assert_eq!(report.bound_passes, n);
+        }
+    }
+
+    #[test]
+    fn admission_prunes_survivors_below_the_kth_score() {
+        // x0 ∨ (x1 ∧ … ∧ x7) gives x0 the value 7/8 but a lower bound of
+        // only 1/8, so τ stays at 1/8 and the disjoint-pair answers (both
+        // bounds 1/8) survive the stream. The admission loop then solves
+        // the strong structure once and prunes theirs unsolved.
+        let star: &[&[u32]] = &[&[0], &[1, 2, 3, 4, 5, 6, 7]];
+        let mut lineages = vec![dnf(star)];
+        for i in 0..3u32 {
+            lineages.push(disjoint_pairs(4, 10 + 10 * i));
+        }
+        lineages.push(dnf(&[&[40], &[41, 42, 43, 44, 45, 46, 47]]));
+        let report = assert_lossless(&lineages, 2, 48);
+        assert_eq!(report.dedup.tasks, 5, "nothing drops in the stream");
+        assert_eq!(report.dedup.distinct, 2);
+        assert_eq!(report.solved_structures, 1);
+        assert_eq!(report.pruned_structures, 1);
+        assert_eq!((report.solved_answers, report.pruned_answers), (2, 3));
+        assert_eq!(report.engine_runs, 1);
+        let got: Vec<usize> = report.top.iter().map(|i| i.index).collect();
+        assert_eq!(got, vec![0, 4]);
+        assert_eq!(report.top[0].score, Rational::from_ratio(7, 8));
     }
 
     #[test]

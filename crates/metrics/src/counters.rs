@@ -167,11 +167,13 @@ pub static MEASURE_SHAP_SCORE: Counter = Counter::at(28, "measure.shap_score");
 /// Answers the top-k admission loop fully solved (their structure group was
 /// compiled and evaluated).
 pub static TOPK_SOLVED: Counter = Counter::at(29, "topk.solved");
-/// Answers the top-k admission loop pruned: their Shapley upper bound fell
-/// strictly below the k-th solved score, so no compile was spent on them.
+/// Answers the top-k path ranked out unsolved: their Shapley upper bound
+/// fell strictly below the k-th best lower bound (dropped in the stream,
+/// never fingerprinted) or below the k-th solved score (pruned by the
+/// admission loop), so no compile was spent on them.
 pub static TOPK_PRUNED: Counter = Counter::at(30, "topk.pruned");
-/// Structure-level bound computations performed by the top-k path (one per
-/// distinct lineage structure per ranking call).
+/// Bound computations performed by the top-k path (one per streamed answer
+/// per ranking call).
 pub static TOPK_BOUND_PASSES: Counter = Counter::at(31, "topk.bound_passes");
 
 /// Number of registered counters (the width of a [`Profile`]).

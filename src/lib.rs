@@ -43,7 +43,7 @@ pub use shapdb_prob as prob;
 pub use shapdb_query as query;
 pub use shapdb_workloads as workloads;
 
-use shapdb_circuit::{fingerprint, Circuit, Dnf};
+use shapdb_circuit::{Circuit, Dnf};
 use shapdb_core::aggregate::{count_shapley, sum_shapley};
 pub use shapdb_core::engine::Measure;
 use shapdb_core::engine::{
@@ -140,13 +140,17 @@ pub struct TopKRanking {
     pub answers: usize,
     /// Answers whose structure was actually solved.
     pub solved_answers: usize,
-    /// Answers pruned unsolved by the bound threshold.
+    /// Answers ranked out unsolved: dropped by the stream filter or pruned
+    /// by the admission loop (`solved_answers + pruned_answers = answers`).
     pub pruned_answers: usize,
-    /// Distinct lineage structures solved.
+    /// Distinct structures solved, among the answers that survived the
+    /// stream filter.
     pub solved_structures: usize,
-    /// Distinct lineage structures pruned unsolved.
+    /// Distinct surviving structures pruned unsolved.
     pub pruned_structures: usize,
-    /// Structural dedup over the answers.
+    /// Structural dedup over the answers that survived the stream filter
+    /// (`tasks` is the survivor count; dropped answers are never
+    /// canonicalized).
     pub dedup: DedupStats,
     /// Cross-query result-cache traffic of the solves.
     pub cache: CacheRunStats,
@@ -155,7 +159,8 @@ pub struct TopKRanking {
     /// What the streaming lineage extraction observed; peak provenance
     /// memory is bounded by the stream chunk, not the answer count.
     pub stream: StreamStats,
-    /// Wall time of the ranking (excluding query evaluation).
+    /// Wall time of the ranking, including the streamed extraction it
+    /// consumes as the answers arrive.
     pub total_time: Duration,
 }
 
@@ -412,13 +417,16 @@ impl<'a> ShapleyAnalyzer<'a> {
     /// The `k` best answers of `q` by their top fact's exact Shapley value,
     /// without solving everything: lineages are extracted one answer at a
     /// time through the bounded streaming channel (peak provenance memory
-    /// is governed by the chunk, not the answer count), each answer is
-    /// reduced to its canonical fingerprint immediately, and the top-k
-    /// executor solves structures in decreasing upper-bound order, pruning
-    /// every structure whose cheap bound falls strictly below the `k`-th
-    /// best exact score already in hand. Pruning is lossless: the returned
-    /// list is bit-identical to the full ranking's length-`k` prefix under
-    /// (score desc, head tuple asc) — tie-breaks included.
+    /// is governed by the chunk, not the answer count) and handed straight
+    /// to the top-k executor. It bounds each raw lineage as it arrives and
+    /// drops every answer whose upper bound falls strictly below the `k`-th
+    /// best lower bound seen so far, so only the survivors are
+    /// canonicalized. It then solves their structures in decreasing
+    /// upper-bound order, pruning every structure whose bound falls
+    /// strictly below the `k`-th best exact score already in hand. Both
+    /// cuts are lossless: the returned list is bit-identical to the full
+    /// ranking's length-`k` prefix under (score desc, head tuple asc) —
+    /// tie-breaks included.
     ///
     /// Shares the analyzer's cross-query result cache, so ranking after
     /// `explain` (or vice versa) reuses every solved structure.
@@ -426,23 +434,29 @@ impl<'a> ShapleyAnalyzer<'a> {
         // Large enough to keep the producer busy, small enough that peak
         // provenance stays far below full materialization at JOB scale.
         const STREAM_CHUNK: usize = 256;
-        let ((tuples, fps), stream) = with_streamed_lineages(q, self.db, STREAM_CHUNK, |answers| {
-            let mut tuples = Vec::new();
-            let mut fps = Vec::new();
-            for out in answers {
-                // Fingerprint now, drop the raw lineage with `out`.
-                fps.push(fingerprint(&out.endo_lineage(self.db)));
-                tuples.push(out.tuple);
-            }
-            (tuples, fps)
-        });
         let mut planner = Planner::for_query(PlannerConfig::default(), q);
         if let Some(cache) = &self.cache {
             planner = planner.with_cache(cache.clone());
         }
-        let report = TopKExecutor::new(planner)
-            .run(fps, k, self.db.num_endogenous(), &self.budget, &self.exact)
-            .map_err(exact_mode_error)?;
+        let executor = TopKExecutor::new(planner);
+        let ((tuples, report), stream) =
+            with_streamed_lineages(q, self.db, STREAM_CHUNK, |answers| {
+                let mut tuples = Vec::new();
+                let lineages = answers.map(|out| {
+                    let lineage = out.endo_lineage(self.db);
+                    tuples.push(out.tuple);
+                    lineage
+                });
+                let report = executor.run(
+                    lineages,
+                    k,
+                    self.db.num_endogenous(),
+                    &self.budget,
+                    &self.exact,
+                );
+                (tuples, report)
+            });
+        let report = report.map_err(exact_mode_error)?;
         let top = report
             .top
             .into_iter()

@@ -4,13 +4,17 @@
 //! structure, [`shapley_bounds`] must equal the set-algebra definition
 //! (`reference_bounds`) bit for bit and bracket the structure's exact best
 //! Shapley value; bound-driven `rank_topk` must still return the full
-//! ranking's prefix.
+//! ranking's prefix. The top-k executor, fed the raw streamed lineages,
+//! must fingerprint only the answers its stream filter keeps.
 
 use shapdb::ShapleyAnalyzer;
 use shapdb_circuit::{fingerprint, FingerprintKey};
-use shapdb_core::engine::{shapley_bounds, ScoreBounds};
+use shapdb_core::engine::{shapley_bounds, Planner, PlannerConfig, ScoreBounds, TopKExecutor};
+use shapdb_core::exact::ExactConfig;
+use shapdb_kc::Budget;
+use shapdb_metrics::counters::CIRCUIT_FACTOR_PASSES;
 use shapdb_num::Rational;
-use shapdb_query::evaluate;
+use shapdb_query::{evaluate, with_streamed_lineages};
 use shapdb_workloads::{job_database, job_ranking_query, JobConfig};
 use std::collections::HashMap;
 
@@ -68,4 +72,42 @@ fn job_smoke_bounds_match_the_reference_and_keep_the_topk_prefix() {
             .collect();
         assert_eq!(got, baseline[..k].to_vec(), "k={k}");
     }
+}
+
+#[test]
+fn job_smoke_topk_fingerprints_only_the_solo_slice() {
+    // The solo slice comes first in answer order and pins τ at 1/2 (both
+    // of its bounds); every other answer's upper bound is below 1/2, so
+    // only the solo answers are fingerprinted — one factor pass each.
+    let cfg = JobConfig::smoke();
+    let db = job_database(&cfg);
+    let q = job_ranking_query();
+    let executor = TopKExecutor::new(Planner::for_query(PlannerConfig::default(), &q));
+    let (report, stream) = with_streamed_lineages(&q, &db, 256, |answers| {
+        executor.run(
+            answers.map(|out| out.endo_lineage(&db)),
+            3,
+            db.num_endogenous(),
+            &Budget::unlimited(),
+            &ExactConfig::default(),
+        )
+    });
+    let report = report.unwrap();
+    assert!(cfg.solo_movies() >= 3);
+    assert_eq!(report.answers, stream.answers);
+    assert!(report.answers > cfg.solo_movies());
+    assert_eq!(
+        report.profile.get(&CIRCUIT_FACTOR_PASSES),
+        cfg.solo_movies() as u64,
+        "one fingerprint per survivor, not per answer"
+    );
+    assert_eq!(report.dedup.tasks, cfg.solo_movies());
+    assert_eq!(report.bound_passes, report.answers);
+    let half = Rational::from_ratio(1, 2);
+    let got: Vec<(usize, Rational)> = report
+        .top
+        .iter()
+        .map(|i| (i.index, i.score.clone()))
+        .collect();
+    assert_eq!(got, vec![(0, half.clone()), (1, half.clone()), (2, half)]);
 }
