@@ -79,10 +79,11 @@ bench-exact:
 bench-alg1:
 	cargo bench --bench alg1_sweep -p shapdb_bench
 
-# Wide non-read-once compilation: bottom-up vs top-down vs cache-warm
-# top-down on 24–513-variable disjoint-majority-block structures,
-# asserted bit-identical on model counts before timing; writes
-# results/bench_kc.json (warns if the warm pass is under the 2x bar).
+# Wide non-read-once compilation: cold vs cache-warm compiles of the
+# Tseytin circuit and the negation CNF on 24–513-variable
+# disjoint-majority-block structures, asserted bit-identical on model
+# counts before timing; writes results/bench_kc.json (warns if the warm
+# pass is under the 2x bar).
 bench-kc:
 	cargo bench --bench kc_wide -p shapdb_bench
 

@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use shapdb_circuit::{Circuit, Dnf, VarId};
 use shapdb_core::exact::{power_index_per_fact, shapley_all_facts, ExactConfig, PerFactPasses};
 use shapdb_core::Measure;
-use shapdb_kc::{compile_circuit, Budget, Ddnnf};
+use shapdb_kc::{compile_circuit_topdown, Budget, Ddnnf};
 
 fn grid_ddnnf(a: usize, b: usize) -> Ddnnf {
     let mut d = Dnf::new();
@@ -21,7 +21,7 @@ fn grid_ddnnf(a: usize, b: usize) -> Ddnnf {
     }
     let mut c = Circuit::new();
     let root = d.to_circuit(&mut c);
-    compile_circuit(&c, root, &Budget::unlimited())
+    compile_circuit_topdown(&c, root, &Budget::unlimited(), None)
         .unwrap()
         .ddnnf
 }

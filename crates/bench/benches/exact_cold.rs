@@ -28,7 +28,7 @@ use shapdb_core::engine::{BatchExecutor, EngineKind, Planner, PlannerConfig};
 use shapdb_core::exact::{shapley_all_facts, ExactConfig};
 use shapdb_core::readonce::power_read_once;
 use shapdb_core::Measure;
-use shapdb_kc::{compile_circuit, compile_circuit_topdown, Budget, ComponentCache, Ddnnf};
+use shapdb_kc::{compile_circuit_topdown, Budget, ComponentCache, Ddnnf};
 use std::time::Duration;
 
 /// Every answer lineage of every workload query (capped per query) — the
@@ -76,10 +76,8 @@ fn solve_read_once(trees: &[ReadOnce], n_endo: usize) -> usize {
         .sum()
 }
 
-/// Variable cap for the *compiler* phase series. The bottom-up compiler
-/// priced the widest structures at seconds per pass, which capped this at
-/// 48; the top-down compiler with component caching prices them at
-/// microseconds, so the cap now admits the whole (48, 256] band. Skipped
+/// Variable cap for the *compiler* phase series: the compiler with
+/// component caching prices the (48, 256] band at microseconds. Skipped
 /// structures' variable counts are reported in the JSON, never silent.
 const PHASE_MAX_VARS: usize = 256;
 
@@ -89,30 +87,13 @@ const PHASE_MAX_VARS: usize = 256;
 /// series keeps the original cap.
 const ALG1_PHASE_MAX_VARS: usize = 48;
 
-/// Width past which the phase series compiles top-down — the same knob
-/// `PlannerConfig::default().topdown_min_vars` applies in production.
-const TOPDOWN_MIN_VARS: usize = 48;
-
-/// Compiles one canonical DNF to a projected d-DNNF (bottom-up).
-fn compile_one(d: &Dnf) -> Ddnnf {
+/// Compiles one canonical DNF to a projected d-DNNF, sharing `cache`
+/// across the pass's lineages when given (one batch-lived cache per pass,
+/// as the batch executor attaches).
+fn compile_one(d: &Dnf, cache: Option<&ComponentCache>) -> Ddnnf {
     let mut c = Circuit::new();
     let root = d.to_circuit(&mut c);
-    compile_circuit(&c, root, &Budget::unlimited())
-        .expect("workload structures compile")
-        .ddnnf
-}
-
-/// Compiles one canonical DNF with the planner's routing: wide structures
-/// go through the top-down compiler, sharing `cache` across the pass's
-/// lineages (one batch-lived cache per pass, as the batch executor
-/// attaches).
-fn compile_one_routed(d: &Dnf, cache: &ComponentCache) -> Ddnnf {
-    if d.vars().len() <= TOPDOWN_MIN_VARS {
-        return compile_one(d);
-    }
-    let mut c = Circuit::new();
-    let root = d.to_circuit(&mut c);
-    compile_circuit_topdown(&c, root, &Budget::unlimited(), Some((cache, 1)))
+    compile_circuit_topdown(&c, root, &Budget::unlimited(), cache.map(|c| (c, 1)))
         .expect("workload structures compile")
         .ddnnf
 }
@@ -146,7 +127,7 @@ fn alg1_by_vars(all_structures: &[Dnf], n_endo: usize) -> (String, usize) {
         let median_ms = if in_bucket.is_empty() {
             0.0
         } else {
-            let ddnnfs: Vec<Ddnnf> = in_bucket.iter().map(|d| compile_one(d)).collect();
+            let ddnnfs: Vec<Ddnnf> = in_bucket.iter().map(|d| compile_one(d, None)).collect();
             let ns = median_ns(samples, || {
                 for d in &ddnnfs {
                     std::hint::black_box(
@@ -202,7 +183,10 @@ fn bench_exact_cold(c: &mut Criterion) {
         .iter()
         .filter(|d| d.vars().len() <= ALG1_PHASE_MAX_VARS)
         .collect();
-    let ddnnfs: Vec<Ddnnf> = alg1_structures.iter().map(|d| compile_one(d)).collect();
+    let ddnnfs: Vec<Ddnnf> = alg1_structures
+        .iter()
+        .map(|d| compile_one(d, None))
+        .collect();
     let circuit_vars: usize = ddnnfs.iter().map(Ddnnf::num_vars).sum();
 
     let mut group = c.benchmark_group("exact_cold");
@@ -237,7 +221,7 @@ fn bench_exact_cold(c: &mut Criterion) {
             let cache = ComponentCache::new();
             structures
                 .iter()
-                .map(|d| compile_one_routed(d, &cache).len())
+                .map(|d| compile_one(d, Some(&cache)).len())
                 .sum::<usize>()
         })
     });
@@ -279,7 +263,7 @@ fn bench_exact_cold(c: &mut Criterion) {
     let compile_ns = median_ns(SAMPLES, || {
         let cache = ComponentCache::new();
         for d in &structures {
-            std::hint::black_box(compile_one_routed(d, &cache).len());
+            std::hint::black_box(compile_one(d, Some(&cache)).len());
         }
     });
     let alg1_ns = median_ns(SAMPLES, || {

@@ -3,13 +3,13 @@
 //! exact SHAP-scores on d-DNNFs, and aggregate (COUNT) attribution.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use shapdb_circuit::{factor, tseytin, Circuit, Dnf, VarId};
+use shapdb_circuit::{factor, Circuit, Dnf, VarId};
 use shapdb_core::aggregate::count_shapley;
 use shapdb_core::engine::{KcEngine, LineageTask, Planner, PlannerConfig};
 use shapdb_core::exact::ExactConfig;
 use shapdb_core::readonce::shapley_read_once;
 use shapdb_core::shap_score::shap_scores;
-use shapdb_kc::{compile_circuit, compile_with, BranchHeuristic, Budget};
+use shapdb_kc::{compile_circuit_topdown, Budget};
 use shapdb_num::Rational;
 
 /// `⋁_{i<a, j<b} (xᵢ ∧ yⱼ)` — read-once as `(⋁xᵢ) ∧ (⋁yⱼ)`, but hard for
@@ -88,7 +88,7 @@ fn bench_shap_scores(c: &mut Criterion) {
     let dnf = running_example();
     let mut circuit = Circuit::new();
     let root = dnf.to_circuit(&mut circuit);
-    let comp = compile_circuit(&circuit, root, &Budget::unlimited()).unwrap();
+    let comp = compile_circuit_topdown(&circuit, root, &Budget::unlimited(), None).unwrap();
     let n = comp.fact_vars.len();
     let mut group = c.benchmark_group("shap_score_exact");
     group.sample_size(10);
@@ -129,34 +129,11 @@ fn bench_aggregate_count(c: &mut Criterion) {
     group.finish();
 }
 
-/// Branching-heuristic ablation on the grid Tseytin CNF (the compiler's
-/// hard case) and the running example.
-fn bench_branch_heuristics(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_branch_heuristic");
-    group.sample_size(10);
-    for (name, dnf) in [("flights", running_example()), ("grid6x6", grid(6, 6))] {
-        let mut circuit = Circuit::new();
-        let root = dnf.to_circuit(&mut circuit);
-        let t = tseytin(&circuit, root);
-        for (hname, h) in [
-            ("max_occurrence", BranchHeuristic::MaxOccurrence),
-            ("jeroslow_wang", BranchHeuristic::JeroslowWang),
-            ("min_index", BranchHeuristic::MinIndex),
-        ] {
-            group.bench_with_input(BenchmarkId::new(hname, name), &t.cnf, |b, cnf| {
-                b.iter(|| compile_with(cnf, &Budget::unlimited(), h).unwrap().0.len())
-            });
-        }
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_readonce_vs_kc,
     bench_readonce_scaling,
     bench_shap_scores,
-    bench_aggregate_count,
-    bench_branch_heuristics
+    bench_aggregate_count
 );
 criterion_main!(benches);

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use shapdb_circuit::{tseytin, Circuit, Dnf, VarId};
-use shapdb_kc::{compile, compile_circuit, project, Budget};
+use shapdb_kc::{compile, compile_circuit_topdown, project, Budget};
 
 fn grid_lineage(a: usize, b: usize) -> (Circuit, shapdb_circuit::NodeId) {
     let mut d = Dnf::new();
@@ -31,7 +31,7 @@ fn bench_compile_grid(c: &mut Criterion) {
             &(&circuit, root),
             |bench, (circuit, root)| {
                 bench.iter(|| {
-                    compile_circuit(circuit, *root, &Budget::unlimited())
+                    compile_circuit_topdown(circuit, *root, &Budget::unlimited(), None)
                         .unwrap()
                         .ddnnf
                         .len()

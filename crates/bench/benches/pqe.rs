@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use shapdb_circuit::Circuit;
 use shapdb_data::flights_example;
-use shapdb_kc::{compile_circuit, Budget};
+use shapdb_kc::{compile_circuit_topdown, Budget};
 use shapdb_num::Rational;
 use shapdb_prob::{
     lifted_probability, pqe_bruteforce, pqe_ddnnf, pqe_ddnnf_rational, pqe_via_compilation,
@@ -21,7 +21,7 @@ fn bench_wmc(c: &mut Criterion) {
     let res = evaluate(&q, &db);
     let mut circuit = Circuit::new();
     let root = res.outputs[0].lineage.to_circuit(&mut circuit);
-    let comp = compile_circuit(&circuit, root, &Budget::unlimited()).unwrap();
+    let comp = compile_circuit_topdown(&circuit, root, &Budget::unlimited(), None).unwrap();
     let tid = Tid::uniform(&db, Rational::from_ratio(1, 2));
     let mut group = c.benchmark_group("pqe_wmc");
     group.bench_function("f64", |b| {

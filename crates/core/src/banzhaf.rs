@@ -95,13 +95,13 @@ mod tests {
     use crate::measure::Measure;
     use proptest::prelude::*;
     use shapdb_circuit::{Circuit, Dnf, VarId};
-    use shapdb_kc::{compile_circuit, Budget, DNode};
+    use shapdb_kc::{compile_circuit_topdown, Budget, DNode};
 
     fn compile_dense(d: &Dnf, n: usize) -> Ddnnf {
         use shapdb_circuit::Lit;
         let mut c = Circuit::new();
         let root = d.to_circuit(&mut c);
-        let comp = compile_circuit(&c, root, &Budget::unlimited()).unwrap();
+        let comp = compile_circuit_topdown(&c, root, &Budget::unlimited(), None).unwrap();
         let mapping: Vec<usize> = comp.fact_vars.iter().map(|v| v.index()).collect();
         let nodes = comp
             .ddnnf

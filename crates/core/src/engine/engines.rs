@@ -25,7 +25,7 @@ use crate::responsibility::{responsibility_all_minimized, responsibility_read_on
 use crate::shap_score::{shap_naive, shap_scores};
 use shapdb_circuit::{factor, tseytin, Circuit, Dnf, NodeId, VarId};
 use shapdb_kc::{
-    compile_circuit, compile_negation, Budget, CompileStats, ComponentCache, Ddnnf, Route,
+    compile_circuit_topdown, compile_negation, Budget, CompileStats, ComponentCache, Ddnnf,
 };
 use shapdb_metrics::counters::ENGINE_SOLVES;
 use shapdb_num::{Bitset, Rational};
@@ -217,9 +217,9 @@ pub(crate) type CompileSlot = Option<Result<CompiledLineage, EngineError>>;
 impl KcEngine {
     /// Figure 3's middle row on an endogenous-lineage *circuit*: exact
     /// Shapley values of the circuit's input variables through Tseytin →
-    /// bottom-up compile → project (no minimization). The entry signed
-    /// negation lineages use, since they are circuits rather than monotone
-    /// DNFs.
+    /// compile (with a cache owned by the call) → project, no
+    /// minimization. The entry signed negation lineages use, since they are
+    /// circuits rather than monotone DNFs.
     pub fn analyze_circuit(
         circuit: &Circuit,
         root: NodeId,
@@ -228,7 +228,8 @@ impl KcEngine {
         cfg: &crate::exact::ExactConfig,
     ) -> Result<EngineResult, AnalysisError> {
         let kc_start = Instant::now();
-        let c = compile_circuit(circuit, root, budget).map_err(AnalysisError::Compile)?;
+        let c =
+            compile_circuit_topdown(circuit, root, budget, None).map_err(AnalysisError::Compile)?;
         let compiled = CompiledLineage {
             ddnnf: c.ddnnf,
             negated: false,
@@ -243,11 +244,11 @@ impl KcEngine {
         })
     }
 
-    /// The full KC solve with the plan's compiler choice applied — the
-    /// planner's KC arm calls this so wide lineages compile `¬F` top-down
-    /// and share component-cache fragments across lineages (`shared`, under
-    /// its context digest); the plain [`ShapleyEngine::solve`] is the
-    /// `(false, None)` special case.
+    /// The full KC solve — the planner's KC arm calls this so lineages
+    /// compile `¬F` against the planner's component cache and share its
+    /// fragments across lineages (`shared`, under its context digest); the
+    /// plain [`ShapleyEngine::solve`] is the `None` special case, a cache
+    /// owned by the compile.
     ///
     /// `compiled` is the structure's one compile: the first call fills it,
     /// later calls for other measures of the same lineage and budget
@@ -255,7 +256,6 @@ impl KcEngine {
     /// compile, not the evaluations.
     pub(crate) fn solve_routed(
         task: &LineageTask,
-        topdown: bool,
         shared: Option<(&ComponentCache, u64)>,
         compiled: &mut CompileSlot,
     ) -> Result<EngineResult, EngineError> {
@@ -280,13 +280,8 @@ impl KcEngine {
         let compiled = compiled.get_or_insert_with(|| {
             ENGINE_SOLVES.incr();
             let lineage = minimized(task);
-            let route = if topdown {
-                Route::TopDown(shared)
-            } else {
-                Route::BottomUp
-            };
             let kc_start = Instant::now();
-            let c = compile_negation(&lineage, &task.budget, route)
+            let c = compile_negation(&lineage, &task.budget, shared)
                 .map_err(|e| EngineError::Analysis(AnalysisError::Compile(e)))?;
             Ok(CompiledLineage {
                 ddnnf: c.ddnnf,
@@ -351,7 +346,7 @@ impl ShapleyEngine for KcEngine {
     }
 
     fn solve(&self, task: &LineageTask) -> Result<EngineResult, EngineError> {
-        KcEngine::solve_routed(task, false, None, &mut None)
+        KcEngine::solve_routed(task, None, &mut None)
     }
 }
 

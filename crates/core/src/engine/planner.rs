@@ -41,9 +41,17 @@ use std::time::{Duration, Instant};
 /// Naive-enumeration admission: max (minimized) conjuncts — each of the
 /// `2ⁿ` evaluations scans the whole DNF, so wide lineages pay more per mask
 /// than the compiled circuit would. `Planner::cache_digest` hashes it
-/// between `max_naive_vars` and `topdown_min_vars`: dropping or moving it
-/// would change every cache key and orphan every persisted record.
+/// between `max_naive_vars` and [`RETIRED_TOPDOWN_MIN_VARS`]: dropping or
+/// moving it would change every cache key and orphan every persisted
+/// record.
 const MAX_NAIVE_CONJUNCTS: usize = 64;
+
+/// The default of a retired planner knob — the width past which KC
+/// lineages once compiled with a second compiler. Every KC lineage now
+/// compiles with the one compiler, but `Planner::cache_digest` still
+/// hashes this value at the knob's position, so cache keys and persisted
+/// records from before the knob was retired stay valid.
+const RETIRED_TOPDOWN_MIN_VARS: usize = 48;
 
 /// Planner policy knobs.
 #[derive(Clone, Copy, Debug)]
@@ -59,13 +67,6 @@ pub struct PlannerConfig {
     /// Knowledge-compilation admission: max lineage conjuncts (same
     /// semantics as [`PlannerConfig::max_kc_vars`]).
     pub max_kc_conjuncts: usize,
-    /// Non-read-once lineages with more (minimized) variables than this
-    /// compile with the **top-down** compiler (component caching by
-    /// canonical encoding, conflict-activity VSADS) instead of the
-    /// bottom-up trace compiler — the regime where dynamic decomposition
-    /// and cross-lineage fragment reuse pay for their overhead. Below it
-    /// the bottom-up compiler's lower constant factor wins.
-    pub topdown_min_vars: usize,
     /// Naive-enumeration admission: non-read-once lineages with at most
     /// this many (minimized) variables route to `O(2ⁿ)` enumeration, which
     /// beats compilation + Algorithm 1 below ~10 variables.
@@ -90,7 +91,6 @@ impl Default for PlannerConfig {
             max_kc_vars: 1024,
             max_kc_conjuncts: 4096,
             max_naive_vars: 10,
-            topdown_min_vars: 48,
             timeout: None,
             fallback: None,
         }
@@ -124,11 +124,9 @@ pub enum PlanReason {
     /// Non-read-once but tiny: `O(2ⁿ)` enumeration beats factorization +
     /// compilation below [`PlannerConfig::max_naive_vars`] variables.
     TinyNaive,
-    /// Within the KC variable/conjunct admission budget.
-    KcWithinBudget,
-    /// Within the KC budget but wide (over
-    /// [`PlannerConfig::topdown_min_vars`] variables): compiled by the
-    /// top-down compiler with the canonical component cache.
+    /// The KC route: within the KC variable/conjunct admission budget, so
+    /// the lineage's negation compiles against the planner's component
+    /// cache and Algorithm 1 runs on the d-DNNF.
     KcWideTopDown,
     /// Beyond the admission budget: routed to the fallback engine (or to KC
     /// regardless, in exact mode).
@@ -344,16 +342,13 @@ impl Planner {
                     };
                 }
                 if vars <= self.cfg.max_kc_vars && conjuncts <= self.cfg.max_kc_conjuncts {
+                    // Both counters move on every KC route: readers of the
+                    // older top-down/bottom-up split subtract them.
                     PLANNER_KC_ROUTES.incr();
-                    let reason = if vars > self.cfg.topdown_min_vars {
-                        PLANNER_KC_TOPDOWN_ROUTES.incr();
-                        PlanReason::KcWideTopDown
-                    } else {
-                        PlanReason::KcWithinBudget
-                    };
+                    PLANNER_KC_TOPDOWN_ROUTES.incr();
                     Plan {
                         engine: EngineKind::Kc,
-                        reason,
+                        reason: PlanReason::KcWideTopDown,
                         measure,
                     }
                 } else {
@@ -533,22 +528,16 @@ impl Planner {
                 ReadOnceEngine.solve_tree(tree, prep_time, &effective)
             }
             (EngineKind::Kc, _) => {
-                // The KC route carries the plan's compiler choice: wide
-                // lineages compile top-down, and when this planner holds a
-                // shared component cache the compile probes/stores
-                // fragments under the solve's context digest.
+                // When this planner holds a shared component cache the
+                // compile probes/stores fragments under the solve's context
+                // digest.
                 let shared = self.component_cache.as_deref().map(|c| {
                     (
                         c,
                         self.component_context(effective.n_endo, &effective.budget),
                     )
                 });
-                KcEngineImpl::solve_routed(
-                    &effective,
-                    plan.reason == PlanReason::KcWideTopDown,
-                    shared,
-                    compiled,
-                )
+                KcEngineImpl::solve_routed(&effective, shared, compiled)
             }
             (engine, _) => engine.engine().solve(&effective),
         };
@@ -585,7 +574,7 @@ impl Planner {
         self.cfg.max_kc_conjuncts.hash(&mut h);
         self.cfg.max_naive_vars.hash(&mut h);
         MAX_NAIVE_CONJUNCTS.hash(&mut h);
-        self.cfg.topdown_min_vars.hash(&mut h);
+        RETIRED_TOPDOWN_MIN_VARS.hash(&mut h);
         self.cfg.timeout.hash(&mut h);
         self.cfg.fallback.map(EngineKind::name).hash(&mut h);
         budget.max_nodes.hash(&mut h);
@@ -693,7 +682,7 @@ mod tests {
         }
         let plan = planner.plan(&wide);
         assert_eq!(plan.engine, EngineKind::Kc);
-        assert_eq!(plan.reason, PlanReason::KcWithinBudget);
+        assert_eq!(plan.reason, PlanReason::KcWideTopDown);
         let r = planner.solve(&LineageTask::new(&wide, 12)).unwrap();
         assert_eq!(r.engine, EngineKind::Kc);
         assert!(r.cnf_clauses > 0);
@@ -1295,10 +1284,17 @@ mod tests {
         let plan = planner.plan(&majority_blocks(1));
         assert_eq!(plan.engine, EngineKind::Naive);
         assert_eq!(profile.get(&PLANNER_NAIVE_ROUTES), 1);
-        let plan = planner.plan(&majority_blocks(17)); // 51 vars > topdown_min_vars (48)
+        let plan = planner.plan(&majority_blocks(17)); // 51 vars
         assert_eq!(plan.reason, PlanReason::KcWideTopDown);
         assert_eq!(profile.get(&PLANNER_KC_TOPDOWN_ROUTES), 1);
         assert_eq!(profile.get(&PLANNER_KC_ROUTES), 1);
+        assert_eq!(profile.get(&PLANNER_NAIVE_ROUTES), 1);
+        // A narrow KC lineage (12 vars, at most 48) moves both KC counters
+        // by exactly one: readers subtract them as unsigned integers.
+        let plan = planner.plan(&majority_blocks(4));
+        assert_eq!(plan.reason, PlanReason::KcWideTopDown);
+        assert_eq!(profile.get(&PLANNER_KC_TOPDOWN_ROUTES), 2);
+        assert_eq!(profile.get(&PLANNER_KC_ROUTES), 2);
         assert_eq!(profile.get(&PLANNER_NAIVE_ROUTES), 1);
     }
 
@@ -1317,45 +1313,84 @@ mod tests {
 
     #[test]
     fn wide_lineages_take_the_topdown_route() {
-        // Tentpole admission: past `topdown_min_vars` the KC route selects
-        // the top-down compiler; below it, the classic bottom-up reason
-        // stands. The raised `max_kc_vars` default admits the 51-var
-        // lineage at all. The route counter is checked in
+        // Every KC lineage, wide or narrow, takes the one KC route. The
+        // raised `max_kc_vars` default admits the 51-var lineage at all.
+        // The route counters are checked in
         // `each_plan_counts_its_route_exactly_once`.
         let planner = Planner::new(PlannerConfig::default());
-        let wide = majority_blocks(17); // 51 vars > topdown_min_vars (48)
+        let wide = majority_blocks(17); // 51 vars
         let plan = planner.plan(&wide);
         assert_eq!(plan.engine, EngineKind::Kc);
         assert_eq!(plan.reason, PlanReason::KcWideTopDown);
-        assert_eq!(
-            planner.plan(&majority_blocks(4)).reason,
-            PlanReason::KcWithinBudget
-        );
+        let narrow = planner.plan(&majority_blocks(4)); // 12 vars
+        assert_eq!(narrow.engine, EngineKind::Kc);
+        assert_eq!(narrow.reason, PlanReason::KcWideTopDown);
+    }
+
+    /// A planner that sends every non-read-once lineage to KC, and the
+    /// definition: every lineage enumerated by the naive engine.
+    fn kc_and_naive_planners() -> (Planner, Planner) {
+        let kc = Planner::new(PlannerConfig {
+            max_naive_vars: 0,
+            ..Default::default()
+        });
+        let naive = Planner::new(PlannerConfig {
+            force: Some(EngineKind::Naive),
+            ..Default::default()
+        });
+        (kc, naive)
     }
 
     #[test]
     fn topdown_and_bottom_up_solve_identically_on_every_measure() {
-        // The same wide structure through both compiler routes must yield
-        // bit-identical exact rationals on all four measures.
-        let topdown = Planner::new(PlannerConfig {
-            max_naive_vars: 0,
-            topdown_min_vars: 0,
-            ..Default::default()
-        });
-        let bottom_up = Planner::new(PlannerConfig {
-            max_naive_vars: 0,
-            topdown_min_vars: usize::MAX,
-            ..Default::default()
-        });
-        let wide = majority_blocks(4);
-        assert_eq!(topdown.plan(&wide).reason, PlanReason::KcWideTopDown);
-        assert_eq!(bottom_up.plan(&wide).reason, PlanReason::KcWithinBudget);
+        // The KC route's exact rationals equal the definition's on all four
+        // measures (9 facts: within every naive enumeration cap).
+        let (kc, naive) = kc_and_naive_planners();
+        let structure = majority_blocks(3);
+        assert_eq!(kc.plan(&structure).reason, PlanReason::KcWideTopDown);
         for measure in Measure::ALL {
-            let task = LineageTask::new(&wide, 12).with_measure(measure);
-            let td = topdown.solve(&task).unwrap();
-            let bu = bottom_up.solve(&task).unwrap();
-            assert!(td.values.is_exact(), "{measure}");
-            assert_eq!(td.values, bu.values, "{measure}");
+            let task = LineageTask::new(&structure, 12).with_measure(measure);
+            let got = kc.solve(&task).unwrap();
+            let want = naive.solve(&task).unwrap();
+            assert_eq!(got.engine, EngineKind::Kc, "{measure}");
+            assert_eq!(want.engine, EngineKind::Naive, "{measure}");
+            assert!(got.values.is_exact(), "{measure}");
+            assert_eq!(got.values, want.values, "{measure}");
+        }
+    }
+
+    #[test]
+    fn cache_digest_format_is_pinned() {
+        // Persisted records are keyed by `cache_digest`, so its hash
+        // sequence is a storage format: rebuild it field by field, with the
+        // literal constants at their positions, and it must match.
+        use std::hash::{Hash, Hasher};
+        let budget = Budget::unlimited();
+        for cfg in [
+            PlannerConfig::default(),
+            PlannerConfig::hybrid(Duration::from_millis(250)),
+        ] {
+            let planner = Planner::new(cfg);
+            for measure in [Measure::Shapley, Measure::Banzhaf] {
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                cfg.force.map(EngineKind::name).hash(&mut h);
+                cfg.max_kc_vars.hash(&mut h);
+                cfg.max_kc_conjuncts.hash(&mut h);
+                cfg.max_naive_vars.hash(&mut h);
+                64usize.hash(&mut h); // MAX_NAIVE_CONJUNCTS
+                48usize.hash(&mut h); // the retired `topdown_min_vars` default
+                cfg.timeout.hash(&mut h);
+                cfg.fallback.map(EngineKind::name).hash(&mut h);
+                budget.max_nodes.hash(&mut h);
+                if measure != Measure::Shapley {
+                    measure.name().hash(&mut h);
+                }
+                assert_eq!(
+                    planner.cache_digest(&budget, measure),
+                    h.finish(),
+                    "{cfg:?} {measure}"
+                );
+            }
         }
     }
 
@@ -1366,7 +1401,6 @@ mod tests {
         let cache = Arc::new(ComponentCache::new());
         let cfg = PlannerConfig {
             max_naive_vars: 0,
-            topdown_min_vars: 0,
             ..Default::default()
         };
         let planner = Planner::new(cfg).with_component_cache(cache.clone());
@@ -1413,8 +1447,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(16))]
         /// Random DNFs built as two halves plus a few bridge conjuncts —
         /// straddling the component-decomposition boundary — solve to the
-        /// same exact rationals through the top-down and bottom-up
-        /// compiler routes, on every measure.
+        /// same exact rationals through the KC route as through the
+        /// definition (naive enumeration over ≤10 facts), on every measure.
         #[test]
         fn prop_topdown_matches_bottom_up_across_measures(
             left in proptest::collection::vec(
@@ -1428,21 +1462,13 @@ mod tests {
             for c in left.iter().chain(&right).chain(&bridges) {
                 d.add_conjunct(c.iter().map(|&v| VarId(v)).collect());
             }
-            let topdown = Planner::new(PlannerConfig {
-                max_naive_vars: 0,
-                topdown_min_vars: 0,
-                ..Default::default()
-            });
-            let bottom_up = Planner::new(PlannerConfig {
-                max_naive_vars: 0,
-                topdown_min_vars: usize::MAX,
-                ..Default::default()
-            });
+            let (kc, naive) = kc_and_naive_planners();
             for measure in Measure::ALL {
                 let task = LineageTask::new(&d, 10).with_measure(measure);
-                let td = topdown.solve(&task).unwrap();
-                let bu = bottom_up.solve(&task).unwrap();
-                prop_assert_eq!(&td.values, &bu.values, "{}", measure);
+                let got = kc.solve(&task).unwrap();
+                let want = naive.solve(&task).unwrap();
+                prop_assert_eq!(want.engine, EngineKind::Naive);
+                prop_assert_eq!(&got.values, &want.values, "{}", measure);
             }
         }
     }

@@ -1153,32 +1153,32 @@ mod tests {
     use proptest::prelude::*;
     use shapdb_circuit::{Circuit, Dnf, Lit, VarId};
     use shapdb_kc::ddnnf::{DdnnfBuilder, NodeIdx};
-    use shapdb_kc::{compile_circuit, compile_circuit_topdown, Budget};
+    use shapdb_kc::{compile_circuit_topdown, compile_negation, Budget};
     use shapdb_metrics::Profile;
     use std::sync::Arc;
 
     const PER_FACT: [PerFactPasses; 2] =
         [PerFactPasses::ReuseUnaffected, PerFactPasses::FullRecompute];
 
-    /// Compiles a DNF over dense vars 0..n into a projected d-DNNF, with the
-    /// bottom-up compiler or the top-down one.
-    fn compile_dnf_with(d: &Dnf, n: usize, topdown: bool) -> Ddnnf {
+    /// Compiles a DNF over dense vars 0..n into a projected d-DNNF
+    /// (Tseytin → compile → project).
+    fn compile_dnf(d: &Dnf, n: usize) -> Ddnnf {
         let mut c = Circuit::new();
         let root = d.to_circuit(&mut c);
-        let comp = if topdown {
-            compile_circuit_topdown(&c, root, &Budget::unlimited(), None)
-        } else {
-            compile_circuit(&c, root, &Budget::unlimited())
-        }
-        .unwrap();
-        // Re-embed into the dense 0..n space: the compilers return vars in
+        let comp = compile_circuit_topdown(&c, root, &Budget::unlimited(), None).unwrap();
+        // Re-embed into the dense 0..n space: the compiler returns vars in
         // sorted order of appearance; map them back.
         let mapping: Vec<usize> = comp.fact_vars.iter().map(|v| v.index()).collect();
         remap(&comp.ddnnf, &mapping, n)
     }
 
-    fn compile_dnf(d: &Dnf, n: usize) -> Ddnnf {
-        compile_dnf_with(d, n, false)
+    /// Compiles the negation `¬F` of a DNF over dense vars 0..n from its
+    /// negation CNF: a circuit of a different shape (no projection) for
+    /// the oracle comparisons that hold on any d-DNNF.
+    fn compile_negated_dnf(d: &Dnf, n: usize) -> Ddnnf {
+        let comp = compile_negation(d, &Budget::unlimited(), None).unwrap();
+        let mapping: Vec<usize> = comp.fact_vars.iter().map(|v| v.index()).collect();
+        remap(&comp.ddnnf, &mapping, n)
     }
 
     /// Remaps d-DNNF variables through `mapping` into a space of `n` vars.
@@ -1747,14 +1747,18 @@ mod tests {
             conjuncts in proptest::collection::vec(
                 proptest::collection::vec(0u32..10, 1..5), 1..9),
             extra in 1usize..4,
-            topdown in any::<bool>(),
+            negated in any::<bool>(),
         ) {
             let mut dnf = Dnf::new();
             for c in &conjuncts {
                 dnf.add_conjunct(c.iter().map(|&v| VarId(v)).collect());
             }
             let n_vars = 10;
-            let dd = compile_dnf_with(&dnf, n_vars, topdown);
+            let dd = if negated {
+                compile_negated_dnf(&dnf, n_vars)
+            } else {
+                compile_dnf(&dnf, n_vars)
+            };
             // n_endo > m: null players outside the circuit.
             let n_endo = n_vars + extra;
             let cfg = ExactConfig::default();

@@ -431,11 +431,11 @@ mod tests {
         // `banzhaf_all_facts`): the compiled running example must match the
         // naive Banzhaf oracle, and a1 the hand computation below.
         use shapdb_circuit::Circuit;
-        use shapdb_kc::{compile_circuit, Budget};
+        use shapdb_kc::{compile_circuit_topdown, Budget};
         let d = running_example();
         let mut c = Circuit::new();
         let root = d.to_circuit(&mut c);
-        let comp = compile_circuit(&c, root, &Budget::unlimited()).unwrap();
+        let comp = compile_circuit_topdown(&c, root, &Budget::unlimited(), None).unwrap();
         let mut values = vec![Rational::zero(); 7];
         for (v, value) in comp
             .fact_vars

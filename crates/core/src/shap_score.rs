@@ -297,7 +297,7 @@ mod tests {
     use crate::measure::Measure;
     use proptest::prelude::*;
     use shapdb_circuit::{Circuit, Dnf, VarId};
-    use shapdb_kc::{compile_circuit, Budget};
+    use shapdb_kc::{compile_circuit_topdown, Budget};
 
     /// Compiles a DNF over dense vars `0..n` into a d-DNNF in that space.
     fn compile_dnf(d: &Dnf, n: usize) -> Ddnnf {
@@ -305,7 +305,7 @@ mod tests {
         use shapdb_kc::DNode;
         let mut c = Circuit::new();
         let root = d.to_circuit(&mut c);
-        let comp = compile_circuit(&c, root, &Budget::unlimited()).unwrap();
+        let comp = compile_circuit_topdown(&c, root, &Budget::unlimited(), None).unwrap();
         let mapping: Vec<usize> = comp.fact_vars.iter().map(|v| v.index()).collect();
         let nodes = comp
             .ddnnf

@@ -1,30 +1,22 @@
-//! The CNF → d-DNNF compiler.
+//! The CNF → d-DNNF compiler's entry point and vocabulary.
 //!
-//! An exhaustive DPLL search that *records* its trace as a d-DNNF (the
-//! classic c2d/Dsharp recipe the paper's pipeline invokes externally):
-//!
-//! * **unit propagation** forces literals, which become children of a
-//!   decomposable ∧;
-//! * **connected components** of the residual clause set share no variables
-//!   and are compiled independently — their conjunction is decomposable;
-//! * **branching** on a variable yields a *decision* ∨ node
-//!   `(v ∧ C|v) ∨ (¬v ∧ C|¬v)`, deterministic by construction;
-//! * **component caching** keyed by the residual clause ids plus the
-//!   component's variables (a canonical encoding — a residual clause is its
-//!   original literals restricted to the component's unassigned variables),
-//!   pre-hashed so lookups never re-hash the whole key, makes equal
-//!   sub-formulas compile once.
+//! [`compile`] runs the top-down compiler
+//! ([`crate::compile_topdown`]): an exhaustive DPLL search that records
+//! its trace as a d-DNNF — unit propagation, dynamic component
+//! decomposition, decision nodes, and a component cache keyed by the
+//! canonical residual-component encoding — with a cache owned by the call.
+//! This module also holds what every compile shares: the [`Budget`], the
+//! [`CompileError`] it fails with, the [`CompileStats`] it reports and the
+//! [`CircuitCompilation`] of the paper's circuit path.
 //!
 //! There is no theoretical guarantee of efficiency — compiling CNF to d-DNNF
 //! is `FP^{#P}`-hard in general, as the paper notes — so compilation takes a
 //! [`Budget`] (deadline and node cap) and fails gracefully; the hybrid engine
 //! (§6.3) turns that failure into a CNF-Proxy fallback.
 
-use crate::ddnnf::{Ddnnf, DdnnfBuilder, NodeIdx};
-use crate::project::project;
-use crate::scratch::EpochScratch;
-use shapdb_circuit::{tseytin, Circuit, Cnf, Lit, NodeId, TseytinCnf, VarId};
-use std::collections::HashMap;
+use crate::compile_topdown::{compile_topdown_shared, ComponentCache};
+use crate::ddnnf::Ddnnf;
+use shapdb_circuit::{Cnf, TseytinCnf, VarId};
 use std::time::Instant;
 
 /// Resource limits for compilation.
@@ -95,424 +87,26 @@ impl std::error::Error for CompileError {}
 pub struct CompileStats {
     /// d-DNNF nodes in the result arena.
     pub nodes: usize,
-    /// Component-cache hits (compilation-local, clause-id-keyed).
+    /// Compilation-local component-cache hits: a residual component this
+    /// compilation has already compiled.
     pub cache_hits: u64,
     /// Branching decisions taken.
     pub decisions: u64,
     /// Literals forced by unit propagation.
     pub propagations: u64,
-    /// Canonical component-cache hits (top-down compiler only): components
-    /// answered from a stored fragment — possibly one compiled under a
-    /// *different* lineage when the cache is shared across a batch.
+    /// Canonical component-cache hits: components answered from a stored
+    /// fragment — possibly one compiled under a *different* lineage when
+    /// the cache is shared across a batch.
     pub shared_hits: u64,
 }
 
-/// Variable-selection strategy for decision branching.
-///
-/// The default (`MaxOccurrence`) picks the variable with the most
-/// occurrences in the residual component — cheap and effective on Tseytin
-/// CNFs, whose auxiliary variables dominate occurrence counts and propagate
-/// eagerly. `Vsads` additionally weighs clause sizes — the VSADS recipe of
-/// the model-counting literature (sharpSAT, D4), minus the conflict-clause
-/// activity term our trace compiler has no source for; it wins on dense
-/// grid-style formulas (the `kc` bench's Figure 4 grids compile ~1.6×
-/// faster than under the pre-occurrence-index compiler, and a few percent
-/// faster than `MaxOccurrence`) but loses a little on the TPC-H/IMDB
-/// replay, so it stays opt-in. `JeroslowWang` weights occurrences by
-/// `2^{-|clause|}`; `MinIndex` (lowest variable id) is the naive baseline
-/// the ablation bench measures the others against.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum BranchHeuristic {
-    /// Occurrence count plus a short-clause bonus: the score is
-    /// `Σ_clauses (1 + 8·2^{-|clause|})`, a VSADS-style blend of the
-    /// dynamic occurrence count and the Jeroslow–Wang size weight.
-    Vsads,
-    /// Most occurrences in the component (the default).
-    #[default]
-    MaxOccurrence,
-    /// Jeroslow–Wang: `Σ 2^{-|clause|}` over the variable's occurrences.
-    JeroslowWang,
-    /// Smallest variable index (ablation baseline).
-    MinIndex,
-}
-
-const UNASSIGNED: i8 = -1;
-
-/// What one clause looks like under the current assignment.
-enum ClauseState {
-    Satisfied,
-    Conflict,
-    Unit(Lit),
-    Open,
-}
-
-/// One component-cache bucket: every (canonical key, node) pair whose key
-/// hashes to the bucket's precomputed hash.
-type CacheBucket = Vec<(Box<[u32]>, NodeIdx)>;
-
-struct Compiler<'a> {
-    clauses: Vec<Vec<Lit>>,
-    assign: Vec<i8>,
-    builder: DdnnfBuilder,
-    /// Component cache, keyed by a cheap precomputed hash of the canonical
-    /// component encoding; hits verify the full key against the bucket
-    /// (hash collisions must never conflate two functions).
-    cache: HashMap<u64, CacheBucket>,
-    stats: CompileStats,
-    budget: &'a Budget,
-    heuristic: BranchHeuristic,
-    ticks: u32,
-    /// Variable → ids of the clauses containing it (over the whole CNF);
-    /// unit propagation re-examines only these instead of rescanning the
-    /// entire scoped clause set per fixpoint pass.
-    occurs: Vec<Vec<u32>>,
-    /// Epoch-stamped per-variable/per-clause phase state (shared idiom with
-    /// the top-down compiler — see [`EpochScratch`]).
-    scratch: EpochScratch,
-}
-
-impl<'a> Compiler<'a> {
-    fn new(cnf: &Cnf, budget: &'a Budget, heuristic: BranchHeuristic) -> Compiler<'a> {
-        let clauses: Vec<Vec<Lit>> = cnf.clauses().iter().map(|c| c.lits().to_vec()).collect();
-        let n_vars = cnf.num_vars();
-        let mut occurs: Vec<Vec<u32>> = vec![Vec::new(); n_vars];
-        for (cid, lits) in clauses.iter().enumerate() {
-            for l in lits {
-                occurs[l.var()].push(cid as u32);
-            }
-        }
-        Compiler {
-            assign: vec![UNASSIGNED; n_vars],
-            builder: DdnnfBuilder::new(),
-            cache: HashMap::new(),
-            stats: CompileStats::default(),
-            budget,
-            heuristic,
-            ticks: 0,
-            occurs,
-            scratch: EpochScratch::new(clauses.len(), n_vars),
-            clauses,
-        }
-    }
-
-    fn check_budget(&mut self) -> Result<(), CompileError> {
-        if self.builder.len() > self.budget.max_nodes {
-            return Err(CompileError::NodeLimit);
-        }
-        self.ticks = self.ticks.wrapping_add(1);
-        if self.ticks.is_multiple_of(256) {
-            if let Some(d) = self.budget.deadline {
-                if Instant::now() > d {
-                    return Err(CompileError::Timeout);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn lit_value(&self, l: Lit) -> i8 {
-        match self.assign[l.var()] {
-            UNASSIGNED => UNASSIGNED,
-            v => i8::from(l.satisfied_by(v == 1)),
-        }
-    }
-
-    fn examine(&self, cid: u32) -> ClauseState {
-        let mut unassigned: Option<Lit> = None;
-        let mut n_unassigned = 0;
-        for &l in &self.clauses[cid as usize] {
-            match self.lit_value(l) {
-                1 => return ClauseState::Satisfied,
-                0 => {}
-                _ => {
-                    n_unassigned += 1;
-                    unassigned = Some(l);
-                }
-            }
-        }
-        match n_unassigned {
-            0 => ClauseState::Conflict,
-            1 => ClauseState::Unit(unassigned.unwrap()),
-            _ => ClauseState::Open,
-        }
-    }
-
-    /// Unit propagation over the scoped clause set, driven by the
-    /// variable→clause occurrence index: after one seeding scan, only
-    /// clauses containing a freshly assigned variable are re-examined
-    /// (instead of re-scanning the whole scope until fixpoint). Assignments
-    /// are pushed onto `trail` (which doubles as the propagation queue);
-    /// returns `true` on conflict, leaving the trail for the caller to
-    /// unwind.
-    fn propagate(
-        &mut self,
-        clause_ids: &[u32],
-        trail: &mut Vec<usize>,
-    ) -> Result<bool, CompileError> {
-        let epoch = self.scratch.begin_phase();
-        for &cid in clause_ids {
-            self.scratch.clause_stamp[cid as usize] = epoch;
-        }
-        let assign_unit = |me: &mut Self, l: Lit, trail: &mut Vec<usize>| {
-            me.assign[l.var()] = i8::from(l.is_positive());
-            trail.push(l.var());
-            me.stats.propagations += 1;
-        };
-        // Seed: one scan of the scope for already-unit clauses.
-        for &cid in clause_ids {
-            self.check_budget()?;
-            match self.examine(cid) {
-                ClauseState::Conflict => return Ok(true),
-                ClauseState::Unit(l) => assign_unit(self, l, trail),
-                _ => {}
-            }
-        }
-        // Drain: each new assignment re-examines only its own clauses.
-        let mut queue = 0;
-        while queue < trail.len() {
-            let v = trail[queue];
-            queue += 1;
-            self.check_budget()?;
-            for idx in 0..self.occurs[v].len() {
-                let cid = self.occurs[v][idx];
-                if self.scratch.clause_stamp[cid as usize] != epoch {
-                    continue; // not in the current scope
-                }
-                match self.examine(cid) {
-                    ClauseState::Conflict => return Ok(true),
-                    ClauseState::Unit(l) => assign_unit(self, l, trail),
-                    _ => {}
-                }
-            }
-        }
-        Ok(false)
-    }
-
-    /// Compiles the conjunction of `clause_ids` under the current assignment.
-    fn compile_clauses(&mut self, clause_ids: &[u32]) -> Result<NodeIdx, CompileError> {
-        self.check_budget()?;
-
-        // --- Unit propagation (with a local trail for undo). ---
-        let mut trail: Vec<usize> = Vec::new();
-        let conflict = match self.propagate(clause_ids, &mut trail) {
-            Ok(c) => c,
-            Err(e) => {
-                for v in trail {
-                    self.assign[v] = UNASSIGNED;
-                }
-                return Err(e);
-            }
-        };
-        if conflict {
-            for v in trail {
-                self.assign[v] = UNASSIGNED;
-            }
-            return Ok(self.builder.false_node());
-        }
-
-        // --- Residual (active) clauses with their unassigned literals. ---
-        let mut active: Vec<(u32, Vec<Lit>)> = Vec::new();
-        'outer: for &cid in clause_ids {
-            let mut rest = Vec::new();
-            for &l in &self.clauses[cid as usize] {
-                match self.lit_value(l) {
-                    1 => continue 'outer,
-                    0 => {}
-                    _ => rest.push(l),
-                }
-            }
-            debug_assert!(rest.len() >= 2, "units handled by propagation");
-            active.push((cid, rest));
-        }
-
-        // The forced literals are part of the result function.
-        let unit_nodes: Vec<NodeIdx> = trail
-            .iter()
-            .map(|&v| {
-                let lit = if self.assign[v] == 1 {
-                    Lit::pos(v)
-                } else {
-                    Lit::neg(v)
-                };
-                self.builder.lit(lit)
-            })
-            .collect();
-
-        let result = if active.is_empty() {
-            self.builder.and(unit_nodes)
-        } else {
-            // --- Connected components over shared variables. ---
-            let comps = self.split_components(&active);
-            let mut parts = unit_nodes;
-            let mut failed = None;
-            for comp in comps {
-                match self.compile_component(&comp) {
-                    Ok(n) => parts.push(n),
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-            }
-            if let Some(e) = failed {
-                for v in trail {
-                    self.assign[v] = UNASSIGNED;
-                }
-                return Err(e);
-            }
-            self.builder.and(parts)
-        };
-
-        for v in trail {
-            self.assign[v] = UNASSIGNED;
-        }
-        Ok(result)
-    }
-
-    /// Selects the decision variable of a component per the configured
-    /// heuristic, scoring into epoch-stamped per-variable arrays (no
-    /// per-call maps). Ties break toward the smaller variable id so
-    /// compilations are deterministic.
-    fn pick_branch_var(&mut self, comp: &[(u32, Vec<Lit>)]) -> usize {
-        if self.heuristic == BranchHeuristic::MinIndex {
-            return comp
-                .iter()
-                .flat_map(|(_, lits)| lits.iter().map(|l| l.var()))
-                .min()
-                .expect("non-empty component");
-        }
-        let epoch = self.scratch.begin_phase();
-        self.scratch.vars_scratch.clear();
-        for (_, lits) in comp {
-            let w = match self.heuristic {
-                BranchHeuristic::MaxOccurrence => 1.0,
-                BranchHeuristic::JeroslowWang => (-(lits.len() as f64)).exp2(),
-                // VSADS blend: every occurrence counts 1, short clauses add
-                // a bonus of up to 8·2^{-|clause|} (so a binary-clause
-                // occurrence outweighs two long-clause ones).
-                BranchHeuristic::Vsads => 1.0 + 8.0 * (-(lits.len() as f64)).exp2(),
-                BranchHeuristic::MinIndex => unreachable!(),
-            };
-            for l in lits {
-                let v = l.var();
-                if self.scratch.var_stamp[v] != epoch {
-                    self.scratch.var_stamp[v] = epoch;
-                    self.scratch.var_score[v] = 0.0;
-                    self.scratch.vars_scratch.push(v as u32);
-                }
-                self.scratch.var_score[v] += w;
-            }
-        }
-        let mut best = self.scratch.vars_scratch[0] as usize;
-        for &v in &self.scratch.vars_scratch[1..] {
-            let v = v as usize;
-            match self.scratch.var_score[v].total_cmp(&self.scratch.var_score[best]) {
-                std::cmp::Ordering::Greater => best = v,
-                std::cmp::Ordering::Equal if v < best => best = v,
-                _ => {}
-            }
-        }
-        best
-    }
-
-    /// Canonical component-cache key: the (ascending) residual clause ids,
-    /// a separator, then the component's sorted variables. Sound because a
-    /// residual clause is exactly its original literals restricted to the
-    /// component's (unassigned) variables — two states agreeing on both
-    /// lists denote the same Boolean function. Much cheaper to build than
-    /// the old literal-level encoding (no per-clause literal sort), and
-    /// hashed once with FNV-1a so probes never re-hash the whole key.
-    fn component_key(&mut self, comp: &[(u32, Vec<Lit>)]) -> (u64, Box<[u32]>) {
-        let mut key: Vec<u32> = Vec::with_capacity(comp.len() * 3);
-        for (cid, _) in comp {
-            key.push(*cid);
-        }
-        key.push(u32::MAX); // separator (no clause id is MAX)
-        let epoch = self.scratch.begin_phase();
-        let vstart = key.len();
-        for (_, lits) in comp {
-            for l in lits {
-                let v = l.var();
-                if self.scratch.var_stamp[v] != epoch {
-                    self.scratch.var_stamp[v] = epoch;
-                    key.push(v as u32);
-                }
-            }
-        }
-        key[vstart..].sort_unstable();
-        let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
-        for &x in &key {
-            h = (h ^ x as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h, key.into_boxed_slice())
-    }
-
-    /// Compiles one connected component (given as residual clauses), with
-    /// caching and branching.
-    fn compile_component(&mut self, comp: &[(u32, Vec<Lit>)]) -> Result<NodeIdx, CompileError> {
-        let (hash, key) = self.component_key(comp);
-        if let Some(bucket) = self.cache.get(&hash) {
-            // Collision verification: a matching hash only counts when the
-            // full canonical key matches.
-            if let Some(&(_, hit)) = bucket.iter().find(|(k, _)| **k == *key) {
-                self.stats.cache_hits += 1;
-                return Ok(hit);
-            }
-        }
-
-        let branch_var = self.pick_branch_var(comp);
-        self.stats.decisions += 1;
-
-        let clause_ids: Vec<u32> = comp.iter().map(|(cid, _)| *cid).collect();
-
-        self.assign[branch_var] = 1;
-        let hi_sub = self.compile_clauses(&clause_ids);
-        self.assign[branch_var] = UNASSIGNED;
-        let hi_sub = hi_sub?;
-
-        self.assign[branch_var] = 0;
-        let lo_sub = self.compile_clauses(&clause_ids);
-        self.assign[branch_var] = UNASSIGNED;
-        let lo_sub = lo_sub?;
-
-        let pos = self.builder.lit(Lit::pos(branch_var));
-        let neg = self.builder.lit(Lit::neg(branch_var));
-        let hi = self.builder.and([pos, hi_sub]);
-        let lo = self.builder.and([neg, lo_sub]);
-        let node = self.builder.decision(branch_var, hi, lo);
-        self.cache.entry(hash).or_default().push((key, node));
-        Ok(node)
-    }
-
-    /// Splits residual clauses into variable-connected components (see
-    /// [`EpochScratch::split_components`]).
-    fn split_components(&mut self, active: &[(u32, Vec<Lit>)]) -> Vec<Vec<(u32, Vec<Lit>)>> {
-        self.scratch.split_components(active)
-    }
-}
-
-/// Compiles a CNF into a d-DNNF over the same variable space.
+/// Compiles a CNF into a d-DNNF over the same variable space with the
+/// top-down compiler and a compilation-owned [`ComponentCache`] (isomorphic
+/// components still share one compile within the call). Batches that
+/// should share fragments across lineages call
+/// [`compile_topdown_shared`] instead.
 pub fn compile(cnf: &Cnf, budget: &Budget) -> Result<(Ddnnf, CompileStats), CompileError> {
-    compile_with(cnf, budget, BranchHeuristic::default())
-}
-
-/// [`compile`] with an explicit branching heuristic (ablation entry point).
-pub fn compile_with(
-    cnf: &Cnf,
-    budget: &Budget,
-    heuristic: BranchHeuristic,
-) -> Result<(Ddnnf, CompileStats), CompileError> {
-    let mut c = Compiler::new(cnf, budget, heuristic);
-    // An empty clause makes the whole formula unsatisfiable.
-    let root = if cnf.clauses().iter().any(|cl| cl.is_empty()) {
-        c.builder.false_node()
-    } else {
-        let ids: Vec<u32> = (0..cnf.len() as u32).collect();
-        c.compile_clauses(&ids)?
-    };
-    let mut stats = c.stats;
-    stats.nodes = c.builder.len();
-    Ok((c.builder.finish(root, cnf.num_vars()), stats))
+    compile_topdown_shared(cnf, budget, &ComponentCache::new(), 0)
 }
 
 /// Result of compiling a lineage circuit end-to-end (Figure 3 middle path).
@@ -530,29 +124,12 @@ pub struct CircuitCompilation {
     pub stats: CompileStats,
 }
 
-/// Circuit → Tseytin CNF → d-DNNF → project (Lemma 4.6).
-pub fn compile_circuit(
-    circuit: &Circuit,
-    root: NodeId,
-    budget: &Budget,
-) -> Result<CircuitCompilation, CompileError> {
-    let t = tseytin(circuit, root);
-    let (full, stats) = compile(&t.cnf, budget)?;
-    let unprojected_size = full.len();
-    let ddnnf = project(&full, t.num_inputs());
-    Ok(CircuitCompilation {
-        ddnnf,
-        fact_vars: t.input_vars.clone(),
-        tseytin: t,
-        unprojected_size,
-        stats,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile_topdown::compile_topdown_shared;
     use proptest::prelude::*;
+    use shapdb_circuit::Lit;
 
     fn check_compiled(cnf: &Cnf) {
         let (d, _) = compile(cnf, &Budget::unlimited()).unwrap();
@@ -702,26 +279,38 @@ mod tests {
             clauses in proptest::collection::vec(
                 proptest::collection::vec((0usize..8, any::<bool>()), 1..4),
                 0..10,
-            )
+            ),
+            warm_clauses in proptest::collection::vec(
+                proptest::collection::vec((0usize..8, any::<bool>()), 1..4),
+                0..10,
+            ),
         ) {
-            // Different branch orders yield different circuits but must
-            // represent the same function.
-            let mut cnf = Cnf::new(8);
-            for c in &clauses {
-                cnf.push_lits(
-                    c.iter().map(|&(v, pos)| if pos { Lit::pos(v) } else { Lit::neg(v) }).collect(),
-                );
-            }
+            // The compiled function does not depend on cache state: an
+            // owned cache, a shared cache warmed by another CNF, and a
+            // context that cache has never seen all count the brute-force
+            // models.
+            let mk = |cs: &[Vec<(usize, bool)>]| {
+                let mut cnf = Cnf::new(8);
+                for c in cs {
+                    cnf.push_lits(
+                        c.iter().map(|&(v, pos)| if pos { Lit::pos(v) } else { Lit::neg(v) }).collect(),
+                    );
+                }
+                cnf
+            };
+            let (cnf, warm) = (mk(&clauses), mk(&warm_clauses));
             let expect = cnf.count_models_bruteforce();
-            for h in [
-                BranchHeuristic::Vsads,
-                BranchHeuristic::MaxOccurrence,
-                BranchHeuristic::JeroslowWang,
-                BranchHeuristic::MinIndex,
-            ] {
-                let (d, _) = compile_with(&cnf, &Budget::unlimited(), h).unwrap();
-                prop_assert_eq!(d.count_models().to_u64().unwrap(), expect, "{:?}", h);
+            let shared = ComponentCache::new();
+            compile_topdown_shared(&warm, &Budget::unlimited(), &shared, 1).unwrap();
+            let compiles = [
+                ("owned", compile(&cnf, &Budget::unlimited()).unwrap().0),
+                ("warmed", compile_topdown_shared(&cnf, &Budget::unlimited(), &shared, 1).unwrap().0),
+                ("other context", compile_topdown_shared(&cnf, &Budget::unlimited(), &shared, 2).unwrap().0),
+            ];
+            for (name, d) in compiles {
+                prop_assert_eq!(d.count_models().to_u64().unwrap(), expect, "{}", name);
                 prop_assert!(d.verify_decomposable().is_ok());
+                prop_assert!(d.verify_decisions().is_ok());
             }
         }
     }

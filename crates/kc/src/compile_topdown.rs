@@ -1,13 +1,12 @@
-//! Top-down decision-DNNF compilation with a cross-lineage component cache.
-//!
-//! The bottom-up trace compiler (`crate::compile`) keys its component
-//! cache by *residual clause ids*, which is cheap and sound but strictly
-//! compilation-local: clause ids mean nothing outside one CNF. This module
-//! is the sharpSAT/GANAK-style successor built for wide lineages:
+//! Top-down decision-DNNF compilation with a cross-lineage component cache:
+//! the crate's one CNF → d-DNNF compiler. Every entry point —
+//! [`compile`](crate::compile()) with a cache it owns,
+//! [`compile_topdown_shared`] against a caller's cache, and
+//! [`compile_circuit_topdown`] on a circuit's Tseytin CNF — runs the
+//! sharpSAT/GANAK-style search below:
 //!
 //! * **dynamic component decomposition** after every propagation fixpoint,
-//!   over the same epoch-stamped union-find scratch
-//!   (`crate::scratch::EpochScratch`) the bottom-up compiler uses;
+//!   over epoch-stamped union-find scratch (`crate::scratch::EpochScratch`);
 //! * **VSADS branching with conflict-driven activity**: the static
 //!   occurrence/clause-size blend of the model-counting literature, plus a
 //!   dynamic activity term bumped on every propagation conflict and decayed
@@ -26,6 +25,9 @@
 //!   (the classic unsoundness Sang et al. had to patch in sharpSAT).
 //!   Exactness is the contract here — Algorithm 1 consumes these circuits
 //!   as ground truth — so only order-affecting learning is admitted;
+//! * a **compilation-local cache** keyed by residual clause ids plus the
+//!   component's variables — cheap, sound, and meaningless outside one CNF
+//!   — probed first;
 //! * the headline: a **[`ComponentCache`] keyed by the canonical residual
 //!   component encoding**, independent of clause ids and variable names,
 //!   holding portable d-DNNF fragments. Isomorphic subcomponents recur
@@ -319,8 +321,8 @@ impl ComponentCache {
     }
 }
 
-/// One component-cache bucket of the compilation-local (clause-id-keyed)
-/// cache, as in the bottom-up compiler.
+/// One bucket of the compilation-local component cache: every
+/// (clause-id key, node) pair whose key hashes to the bucket's hash.
 type LocalBucket = Vec<(Box<[u32]>, NodeIdx)>;
 
 const UNASSIGNED: i8 = -1;
@@ -335,14 +337,14 @@ struct TopDownCompiler<'a> {
     /// Compilation-local component cache (cheap clause-id keys), probed
     /// before the shared canonical cache.
     local: HashMap<u64, LocalBucket>,
-    /// The cross-lineage cache and the caller's context digest, if shared.
-    shared: Option<(&'a ComponentCache, u64)>,
+    /// The canonical component cache and the caller's context digest.
+    shared: (&'a ComponentCache, u64),
     stats: CompileStats,
     budget: &'a Budget,
     ticks: u32,
     /// Variable → ids of the clauses containing it.
     occurs: Vec<Vec<u32>>,
-    /// Epoch-stamped phase state shared with the bottom-up compiler.
+    /// Epoch-stamped per-phase state (see [`EpochScratch`]).
     scratch: EpochScratch,
     /// Conflict-driven branching activity per variable (VSADS dynamic
     /// term): bumped for every variable of a conflicting clause, halved
@@ -359,7 +361,7 @@ impl<'a> TopDownCompiler<'a> {
     fn new(
         cnf: &Cnf,
         budget: &'a Budget,
-        shared: Option<(&'a ComponentCache, u64)>,
+        shared: (&'a ComponentCache, u64),
         aux_from: usize,
     ) -> TopDownCompiler<'a> {
         let clauses: Vec<Vec<Lit>> = cnf.clauses().iter().map(|c| c.lits().to_vec()).collect();
@@ -431,8 +433,9 @@ impl<'a> TopDownCompiler<'a> {
     }
 
     /// Unit propagation over the scoped clause set (occurrence-index
-    /// driven, trail doubles as the queue — same scheme as the bottom-up
-    /// compiler). Returns the id of a conflicting clause, if any, leaving
+    /// driven: after one seeding scan only clauses of a freshly assigned
+    /// variable are re-examined, and the trail doubles as the queue).
+    /// Returns the id of a conflicting clause, if any, leaving
     /// the trail for the caller to unwind.
     fn propagate(
         &mut self,
@@ -572,9 +575,9 @@ impl<'a> TopDownCompiler<'a> {
     }
 
     /// VSADS with conflict activity: per occurrence `1 + 8·2^{-|clause|}`
-    /// (the static blend the bottom-up compiler's `Vsads` uses), plus the
-    /// variable's conflict activity. Ties break toward the smaller id, so a
-    /// given compilation is deterministic.
+    /// (occurrence count blended with the Jeroslow–Wang clause-size
+    /// weight), plus the variable's conflict activity. Ties break toward
+    /// the smaller id, so a given compilation is deterministic.
     ///
     /// Tseytin gate variables (`>= aux_from`) are branched in strict
     /// preference to inputs ([`compile_circuit_topdown`] only; a negation
@@ -626,9 +629,11 @@ impl<'a> TopDownCompiler<'a> {
     }
 
     /// Compilation-local cache key: ascending residual clause ids, a
-    /// separator, the component's sorted variables (same scheme as the
-    /// bottom-up compiler — sound because a residual clause is its original
-    /// literals restricted to the unassigned variables).
+    /// separator, the component's sorted variables — sound because a
+    /// residual clause is its original literals restricted to the
+    /// unassigned variables, so two states agreeing on both lists denote
+    /// the same function. Hashed once with FNV-1a so probes never re-hash
+    /// the whole key.
     fn local_key(&mut self, comp: &[(u32, Vec<Lit>)]) -> (u64, Box<[u32]>) {
         let mut key: Vec<u32> = Vec::with_capacity(comp.len() * 3);
         for (cid, _) in comp {
@@ -776,19 +781,14 @@ impl<'a> TopDownCompiler<'a> {
             }
         }
 
-        let canon = if self.shared.is_some() {
-            Some(self.canonical_encoding(comp))
-        } else {
-            None
-        };
-        if let (Some((cache, context)), Some((enc, vars))) = (self.shared, &canon) {
-            if let Some(frag) = cache.lookup(context, enc) {
-                let node = self.instantiate_fragment(&frag, vars);
-                self.check_budget()?;
-                self.stats.shared_hits += 1;
-                self.local.entry(hash).or_default().push((key, node));
-                return Ok(node);
-            }
+        let (cache, context) = self.shared;
+        let (enc, vars) = self.canonical_encoding(comp);
+        if let Some(frag) = cache.lookup(context, &enc) {
+            let node = self.instantiate_fragment(&frag, &vars);
+            self.check_budget()?;
+            self.stats.shared_hits += 1;
+            self.local.entry(hash).or_default().push((key, node));
+            return Ok(node);
         }
 
         let branch_var = self.pick_branch_var(comp);
@@ -813,26 +813,16 @@ impl<'a> TopDownCompiler<'a> {
         let node = self.builder.decision(branch_var, hi, lo);
         self.local.entry(hash).or_default().push((key, node));
 
-        if let (Some((cache, context)), Some((enc, vars))) = (self.shared, canon) {
-            if let Some(frag) = self.extract_fragment(node, &vars) {
-                cache.insert(context, enc, Arc::new(frag));
-            }
+        if let Some(frag) = self.extract_fragment(node, &vars) {
+            cache.insert(context, enc, Arc::new(frag));
         }
         Ok(node)
     }
 }
 
-/// Compiles a CNF top-down into a d-DNNF over the same variable space,
-/// without a shared cache (an owned per-compilation [`ComponentCache`]
-/// still provides intra-compilation canonical sharing).
-pub fn compile_topdown(cnf: &Cnf, budget: &Budget) -> Result<(Ddnnf, CompileStats), CompileError> {
-    let owned = ComponentCache::new();
-    compile_topdown_shared(cnf, budget, &owned, 0)
-}
-
-/// [`compile_topdown`] against a shared [`ComponentCache`]: fragments
-/// compiled here become visible to every later compilation probing with
-/// the same `context` digest, and vice versa.
+/// [`compile`](crate::compile()) against a shared [`ComponentCache`]:
+/// fragments compiled here become visible to every later compilation
+/// probing with the same `context` digest, and vice versa.
 pub fn compile_topdown_shared(
     cnf: &Cnf,
     budget: &Budget,
@@ -854,7 +844,7 @@ fn compile_topdown_with_aux(
     context: u64,
     aux_from: usize,
 ) -> Result<(Ddnnf, CompileStats), CompileError> {
-    let mut c = TopDownCompiler::new(cnf, budget, Some((cache, context)), aux_from);
+    let mut c = TopDownCompiler::new(cnf, budget, (cache, context), aux_from);
     // An empty clause makes the whole formula unsatisfiable.
     let root = if cnf.clauses().iter().any(|cl| cl.is_empty()) {
         c.builder.false_node()
@@ -867,8 +857,11 @@ fn compile_topdown_with_aux(
     Ok((c.builder.finish(root, cnf.num_vars()), stats))
 }
 
-/// Circuit → Tseytin CNF → top-down compile → project (Lemma 4.6) — the
-/// wide-lineage counterpart of [`crate::compile_circuit`].
+/// Circuit → Tseytin CNF → compile → project (Lemma 4.6): the paper's
+/// Figure 3 middle path, kept for circuits that are not monotone DNFs
+/// (signed negation lineages), CNF Proxy's clause view and the oracles the
+/// negation route is tested against. `shared` is the cache and context
+/// digest to compile against; `None` compiles with an owned cache.
 pub fn compile_circuit_topdown(
     circuit: &Circuit,
     root: NodeId,
@@ -899,11 +892,11 @@ pub fn compile_circuit_topdown(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{compile, Budget};
+    use crate::compile::compile;
     use proptest::prelude::*;
 
     fn check_compiled(cnf: &Cnf) -> CompileStats {
-        let (d, stats) = compile_topdown(cnf, &Budget::unlimited()).unwrap();
+        let (d, stats) = compile(cnf, &Budget::unlimited()).unwrap();
         d.verify_decomposable().unwrap();
         d.verify_decisions().unwrap();
         d.check_determinism_sampled(50, 11).unwrap();
@@ -948,43 +941,49 @@ mod tests {
 
     #[test]
     fn empty_and_empty_clause_cnfs() {
-        let (d, _) = compile_topdown(&Cnf::new(3), &Budget::unlimited()).unwrap();
+        let (d, _) = compile(&Cnf::new(3), &Budget::unlimited()).unwrap();
         assert_eq!(d.count_models().to_u64(), Some(8));
         let mut cnf = Cnf::new(2);
         cnf.push_lits(vec![]);
-        let (d, _) = compile_topdown(&cnf, &Budget::unlimited()).unwrap();
+        let (d, _) = compile(&cnf, &Budget::unlimited()).unwrap();
         assert_eq!(d.count_models().to_u64(), Some(0));
     }
 
     #[test]
     fn budget_limits_enforced() {
+        // A warm shared cache replays fragments instead of searching, and
+        // the node cap still applies to what the replay builds.
         let mut cnf = Cnf::new(12);
         for i in 0..6 {
             cnf.push_lits(vec![Lit::pos(2 * i), Lit::pos(2 * i + 1)]);
             cnf.push_lits(vec![Lit::neg(2 * i), Lit::pos((2 * i + 3) % 12)]);
         }
-        let err = compile_topdown(&cnf, &Budget::with_max_nodes(3)).unwrap_err();
+        let cache = ComponentCache::new();
+        compile_topdown_shared(&cnf, &Budget::unlimited(), &cache, 0).unwrap();
+        let err = compile_topdown_shared(&cnf, &Budget::with_max_nodes(3), &cache, 0).unwrap_err();
         assert_eq!(err, CompileError::NodeLimit);
     }
 
     #[test]
     fn deadline_in_past_times_out() {
-        // As the bottom-up compiler's test: the root's propagation seed
-        // scan spends one budget tick per clause, so 512 clauses cross the
-        // every-256-ticks deadline check before compilation can finish.
+        // The root's propagation seed scan spends one budget tick per
+        // clause, so 512 clauses cross the every-256-ticks deadline check
+        // before compilation can finish — even when a warm shared cache
+        // holds the whole formula.
         let mut cnf = Cnf::new(513);
         for i in 0..512 {
             cnf.push_lits(vec![Lit::pos(i), Lit::pos(i + 1)]);
         }
+        let cache = ComponentCache::new();
+        assert!(compile_topdown_shared(&cnf, &Budget::unlimited(), &cache, 0).is_ok());
         let budget = Budget {
             deadline: Some(Instant::now() - std::time::Duration::from_secs(1)),
             max_nodes: usize::MAX,
         };
         assert_eq!(
-            compile_topdown(&cnf, &budget).unwrap_err(),
+            compile_topdown_shared(&cnf, &budget, &cache, 0).unwrap_err(),
             CompileError::Timeout
         );
-        assert!(compile_topdown(&cnf, &Budget::unlimited()).is_ok());
     }
 
     /// OR of `k` disjoint 3-variable majority blocks (non-read-once inside
@@ -1121,10 +1120,10 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        /// Top-down ≡ bottom-up model counts on random CNFs. Two 5-variable
-        /// halves plus optional bridging clauses straddle the decomposition
-        /// boundary: empty bridge → components split at the root; bridged →
-        /// splits happen only under branches.
+        /// Brute-force model counts and a well-formed d-DNNF on random
+        /// CNFs. Two 5-variable halves plus optional bridging clauses
+        /// straddle the decomposition boundary: empty bridge → components
+        /// split at the root; bridged → splits happen only under branches.
         #[test]
         fn prop_topdown_matches_bottom_up(
             left in proptest::collection::vec(
@@ -1140,9 +1139,7 @@ mod tests {
                     c.iter().map(|&(v, pos)| if pos { Lit::pos(v) } else { Lit::neg(v) }).collect(),
                 );
             }
-            let (td, _) = compile_topdown(&cnf, &Budget::unlimited()).unwrap();
-            let (bu, _) = compile(&cnf, &Budget::unlimited()).unwrap();
-            prop_assert_eq!(td.count_models(), bu.count_models());
+            let (td, _) = compile(&cnf, &Budget::unlimited()).unwrap();
             prop_assert_eq!(td.count_models().to_u64().unwrap(), cnf.count_models_bruteforce());
             prop_assert!(td.verify_decomposable().is_ok());
             prop_assert!(td.verify_decisions().is_ok());

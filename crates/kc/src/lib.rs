@@ -15,22 +15,22 @@
 //! * [`Ddnnf`] — the compiled representation (NNF arena with decision-∨
 //!   nodes), with model counting, weighted model counting (probability), and
 //!   structural verification;
-//! * [`compile()`](compile()) — an exhaustive-DPLL compiler (unit propagation, connected-
-//!   component decomposition, component caching, branching) with cooperative
+//! * [`compile()`](compile()) — the one CNF → d-DNNF compiler, top-down in
+//!   the sharpSAT/GANAK style (unit propagation, dynamic component
+//!   decomposition, VSADS branching over conflict activity, component
+//!   caching by canonical residual-component encoding), with cooperative
 //!   deadline / node budgets so the hybrid engine (§6.3) can time out;
+//!   [`compile_topdown_shared`] runs it against a [`ComponentCache`] that
+//!   is **shared across lineages**;
 //! * [`project()`](project()) — the auxiliary-variable elimination of Lemma 4.6, turning a
 //!   d-DNNF over `vars(C') ∪ Z` into one over `vars(C')` only;
-//! * [`compile_circuit()`](compile_circuit) — the paper's full middle path of
-//!   Figure 3 (circuit → Tseytin → compile → project), kept for circuits
-//!   that are not monotone DNFs (signed negation lineages), CNF Proxy's
-//!   clause view, and the oracles the negation route is tested against;
-//! * [`compile_topdown()`](compile_topdown()) — the sharpSAT/GANAK-style
-//!   top-down compiler for wide non-read-once lineages, with VSADS
-//!   branching over conflict activity and a [`ComponentCache`] keyed by the
-//!   canonical residual-component encoding that can be **shared across
-//!   lineages** ([`compile_topdown_shared`], [`compile_circuit_topdown`]).
+//! * [`compile_circuit_topdown()`](compile_circuit_topdown) — the paper's
+//!   full middle path of Figure 3 (circuit → Tseytin → compile → project),
+//!   kept for circuits that are not monotone DNFs (signed negation
+//!   lineages), CNF Proxy's clause view, and the oracles the negation route
+//!   is tested against.
 //!
-//! The compilers deliberately do **not** use the pure-literal rule: it
+//! The compiler deliberately does **not** use the pure-literal rule: it
 //! preserves satisfiability but not equivalence, and knowledge compilation
 //! needs equivalence (all of model counting would silently break).
 
@@ -43,14 +43,10 @@ mod scratch;
 #[cfg(test)]
 mod smooth;
 
-pub use compile::{
-    compile, compile_circuit, compile_with, BranchHeuristic, Budget, CircuitCompilation,
-    CompileError, CompileStats,
-};
+pub use compile::{compile, Budget, CircuitCompilation, CompileError, CompileStats};
 pub use compile_topdown::{
-    compile_circuit_topdown, compile_topdown, compile_topdown_shared, ComponentCache,
-    ComponentCacheStats,
+    compile_circuit_topdown, compile_topdown_shared, ComponentCache, ComponentCacheStats,
 };
 pub use ddnnf::{DNode, Ddnnf, DdnnfBuilder, NodeIdx};
-pub use negation::{compile_negation, NegationCompilation, Route};
+pub use negation::{compile_negation, NegationCompilation};
 pub use project::project;

@@ -9,24 +9,14 @@
 //! exactly: callers evaluate the compiled `¬F` and negate the values.
 //!
 //! The paper's path (Tseytin → compile → project,
-//! [`compile_circuit`](crate::compile_circuit)) stays the entry for
-//! circuits that are not monotone DNFs, such as signed negation lineages.
+//! [`compile_circuit_topdown`](crate::compile_circuit_topdown)) stays the
+//! entry for circuits that are not monotone DNFs, such as signed negation
+//! lineages.
 
 use crate::compile::{compile, Budget, CompileError, CompileStats};
-use crate::compile_topdown::{compile_topdown, compile_topdown_shared, ComponentCache};
+use crate::compile_topdown::{compile_topdown_shared, ComponentCache};
 use crate::ddnnf::Ddnnf;
 use shapdb_circuit::{Cnf, Dnf, Lit, VarId};
-
-/// Which compiler turns the negation CNF into a d-DNNF.
-#[derive(Clone, Copy, Debug)]
-pub enum Route<'a> {
-    /// The bottom-up trace compiler, [`compile()`](crate::compile()).
-    BottomUp,
-    /// The top-down compiler: [`compile_topdown_shared`] against the given
-    /// cache under the given context digest, or [`compile_topdown()`]
-    /// (a compilation-local cache) when `None`.
-    TopDown(Option<(&'a ComponentCache, u64)>),
-}
 
 /// A monotone DNF's negation, compiled.
 #[derive(Debug)]
@@ -59,21 +49,20 @@ fn negation_cnf(dnf: &Dnf) -> (Cnf, Vec<VarId>) {
     (cnf, vars)
 }
 
-/// Compiles `¬F` for the monotone DNF `F` on the given compiler route.
-/// The d-DNNF is over the facts only; [`Budget::max_nodes`] caps its
-/// nodes.
+/// Compiles `¬F` for the monotone DNF `F` against `shared` — a component
+/// cache and the caller's context digest ([`compile_topdown_shared`]) — or
+/// with a cache owned by the call ([`compile()`](crate::compile())) when
+/// `None`. The d-DNNF is over the facts only; [`Budget::max_nodes`] caps
+/// its nodes.
 pub fn compile_negation(
     dnf: &Dnf,
     budget: &Budget,
-    route: Route<'_>,
+    shared: Option<(&ComponentCache, u64)>,
 ) -> Result<NegationCompilation, CompileError> {
     let (cnf, fact_vars) = negation_cnf(dnf);
-    let (ddnnf, stats) = match route {
-        Route::BottomUp => compile(&cnf, budget)?,
-        Route::TopDown(None) => compile_topdown(&cnf, budget)?,
-        Route::TopDown(Some((cache, context))) => {
-            compile_topdown_shared(&cnf, budget, cache, context)?
-        }
+    let (ddnnf, stats) = match shared {
+        None => compile(&cnf, budget)?,
+        Some((cache, context)) => compile_topdown_shared(&cnf, budget, cache, context)?,
     };
     Ok(NegationCompilation {
         ddnnf,
@@ -86,7 +75,7 @@ pub fn compile_negation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compile_circuit, compile_circuit_topdown};
+    use crate::compile_circuit_topdown;
     use proptest::prelude::*;
     use shapdb_circuit::Circuit;
     use shapdb_num::{BigUint, Bitset};
@@ -99,52 +88,43 @@ mod tests {
         d
     }
 
-    /// `#F` through the paper's path (Tseytin → compile → project) on
-    /// either compiler, with the projected variable order.
-    fn tseytin_count(d: &Dnf, topdown: bool) -> (BigUint, Vec<VarId>) {
+    /// `#F` through the paper's path (Tseytin → compile → project), with
+    /// the projected variable order.
+    fn tseytin_count(d: &Dnf) -> (BigUint, Vec<VarId>) {
         let mut c = Circuit::new();
         let root = d.to_circuit(&mut c);
-        let budget = Budget::unlimited();
-        let compiled = if topdown {
-            compile_circuit_topdown(&c, root, &budget, None)
-        } else {
-            compile_circuit(&c, root, &budget)
-        }
-        .unwrap();
+        let compiled = compile_circuit_topdown(&c, root, &Budget::unlimited(), None).unwrap();
         (compiled.ddnnf.count_models(), compiled.fact_vars)
     }
 
-    fn routes(cache: &ComponentCache) -> [Route<'_>; 3] {
-        [
-            Route::BottomUp,
-            Route::TopDown(None),
-            Route::TopDown(Some((cache, 3))),
-        ]
+    /// The two ways to compile: an owned cache, and a shared one under a
+    /// context digest.
+    fn caches(cache: &ComponentCache) -> [Option<(&ComponentCache, u64)>; 2] {
+        [None, Some((cache, 3))]
     }
 
-    /// `#F + #¬F = 2ⁿ` over the lineage's `n` facts, for every route
-    /// against both Tseytin compilers, and the negation is well formed.
+    /// `#F + #¬F = 2ⁿ` over the lineage's `n` facts, with an owned and a
+    /// shared cache against the Tseytin path, and the negation is well
+    /// formed.
     fn check_complement(d: &Dnf) {
         let n = d.vars().len();
         let total = BigUint::one() << n;
+        let (count_f, vars) = tseytin_count(d);
         let cache = ComponentCache::new();
-        for route in routes(&cache) {
-            let neg = compile_negation(d, &Budget::unlimited(), route).unwrap();
-            assert_eq!(neg.fact_vars, d.vars(), "{route:?}");
-            assert_eq!(neg.cnf_clauses, d.len(), "{route:?}");
-            assert_eq!(neg.ddnnf.num_vars(), n, "{route:?}");
+        for shared in caches(&cache) {
+            let label = shared.is_some();
+            let neg = compile_negation(d, &Budget::unlimited(), shared).unwrap();
+            assert_eq!(neg.fact_vars, d.vars(), "shared={label}");
+            assert_eq!(neg.cnf_clauses, d.len(), "shared={label}");
+            assert_eq!(neg.ddnnf.num_vars(), n, "shared={label}");
             neg.ddnnf.verify_decomposable().unwrap();
             neg.ddnnf.verify_decisions().unwrap();
-            let count_neg = neg.ddnnf.count_models();
-            for topdown in [false, true] {
-                let (count_f, vars) = tseytin_count(d, topdown);
-                assert_eq!(vars, neg.fact_vars, "{route:?}/topdown={topdown}");
-                assert_eq!(
-                    count_f + count_neg.clone(),
-                    total,
-                    "{route:?}/topdown={topdown} on {d:?}"
-                );
-            }
+            assert_eq!(vars, neg.fact_vars, "shared={label}");
+            assert_eq!(
+                count_f.clone() + neg.ddnnf.count_models(),
+                total,
+                "shared={label} on {d:?}"
+            );
         }
     }
 
@@ -177,27 +157,27 @@ mod tests {
     fn constant_lineages_negate_to_constants() {
         let cache = ComponentCache::new();
         // ⊥ (no conjuncts) negates to ⊤ over no facts.
-        for route in routes(&cache) {
-            let neg = compile_negation(&Dnf::new(), &Budget::unlimited(), route).unwrap();
+        for shared in caches(&cache) {
+            let neg = compile_negation(&Dnf::new(), &Budget::unlimited(), shared).unwrap();
             assert_eq!(neg.ddnnf.num_vars(), 0);
-            assert_eq!(neg.ddnnf.count_models(), BigUint::one(), "{route:?}");
+            assert_eq!(neg.ddnnf.count_models(), BigUint::one());
         }
         // ⊤ (the empty conjunct) negates to ⊥: the empty clause.
         let mut top = Dnf::new();
         top.add_conjunct(vec![]);
-        for route in routes(&cache) {
-            let neg = compile_negation(&top, &Budget::unlimited(), route).unwrap();
+        for shared in caches(&cache) {
+            let neg = compile_negation(&top, &Budget::unlimited(), shared).unwrap();
             assert_eq!(neg.cnf_clauses, 1);
-            assert!(neg.ddnnf.count_models().is_zero(), "{route:?}");
+            assert!(neg.ddnnf.count_models().is_zero());
         }
     }
 
     #[test]
     fn complement_counts_on_fixed_lineages() {
         // A single fact, a single conjunct, the running example, and six
-        // disjoint majority blocks (the Tseytin root clause keeps them one
-        // component for the bottom-up compiler, so wider block counts blow
-        // up on the Tseytin side, not on the negation side).
+        // disjoint majority blocks (one component on the Tseytin side until
+        // a gate decision satisfies the root clause; separate components
+        // from the start on the negation side).
         check_complement(&dnf_of(&[vec![7]]));
         check_complement(&dnf_of(&[vec![1, 4, 9]]));
         check_complement(&dnf_of(&[
@@ -221,9 +201,9 @@ mod tests {
     fn budget_caps_the_negation_circuit() {
         let d = dnf_of(&[vec![0, 1], vec![1, 2], vec![0, 2]]);
         let cache = ComponentCache::new();
-        for route in routes(&cache) {
-            let err = compile_negation(&d, &Budget::with_max_nodes(1), route).unwrap_err();
-            assert_eq!(err, CompileError::NodeLimit, "{route:?}");
+        for shared in caches(&cache) {
+            let err = compile_negation(&d, &Budget::with_max_nodes(1), shared).unwrap_err();
+            assert_eq!(err, CompileError::NodeLimit);
         }
     }
 

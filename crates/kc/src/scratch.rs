@@ -1,8 +1,6 @@
-//! Epoch-stamped per-variable/per-clause scratch shared by the two CNF
-//! compilers.
+//! Epoch-stamped per-variable/per-clause scratch of the CNF compiler.
 //!
-//! Both the bottom-up trace compiler ([`crate::compile`]) and the top-down
-//! compiler ([`crate::compile_topdown`]) run many short phases per
+//! The compiler ([`crate::compile_topdown`]) runs many short phases per
 //! recursive call — propagation scoping, component splitting, cache-key
 //! building, branch scoring — each needing "have I seen this variable /
 //! clause this phase?" state. Allocating per-call maps dominates on small

@@ -101,8 +101,10 @@ pub static ENGINE_SOLVES: Counter = Counter::at(3, "engine.solves");
 pub static ENGINE_RUNS: Counter = Counter::at(32, "engine.runs");
 /// Lineages the planner routed to knowledge compilation.
 pub static PLANNER_KC_ROUTES: Counter = Counter::at(4, "planner.kc_routes");
-/// KC-routed lineages wide enough for the top-down compiler (a subset of
-/// `planner.kc_routes`).
+/// KC-routed lineages compiled top-down. The one compiler is top-down, so
+/// this moves with `planner.kc_routes` on every KC route; it stays a
+/// separate counter because readers derive the older bottom-up share as
+/// the difference.
 pub static PLANNER_KC_TOPDOWN_ROUTES: Counter = Counter::at(5, "planner.kc_topdown_routes");
 /// Lineages the planner routed to the read-once fast path.
 pub static PLANNER_READ_ONCE_ROUTES: Counter = Counter::at(6, "planner.read_once_routes");

@@ -11,7 +11,7 @@
 use crate::tid::Tid;
 use shapdb_circuit::{Circuit, VarId};
 use shapdb_data::{Database, FactId};
-use shapdb_kc::{compile_circuit, Budget, CompileError, Ddnnf};
+use shapdb_kc::{compile_circuit_topdown, Budget, CompileError, Ddnnf};
 use shapdb_num::{Bitset, Rational};
 use shapdb_query::{evaluate, Ucq};
 
@@ -89,7 +89,7 @@ pub fn pqe_via_compilation(
     };
     let mut circuit = Circuit::new();
     let root = out.lineage.to_circuit(&mut circuit);
-    let comp = compile_circuit(&circuit, root, budget)?;
+    let comp = compile_circuit_topdown(&circuit, root, budget, None)?;
     Ok(pqe_ddnnf_rational(&comp.ddnnf, &comp.fact_vars, tid))
 }
 
@@ -123,7 +123,7 @@ mod tests {
         let res = evaluate(&q, &db);
         let mut c = Circuit::new();
         let root = res.outputs[0].lineage.to_circuit(&mut c);
-        let comp = compile_circuit(&c, root, &Budget::unlimited()).unwrap();
+        let comp = compile_circuit_topdown(&c, root, &Budget::unlimited(), None).unwrap();
         let f = pqe_ddnnf(&comp.ddnnf, &comp.fact_vars, &tid);
         assert!((f - brute.to_f64()).abs() < 1e-12);
     }

@@ -18,7 +18,7 @@ use shapdb::core::montecarlo::{monte_carlo_shapley, MonteCarloConfig};
 use shapdb::core::naive::shapley_naive;
 use shapdb::core::readonce::{power_read_once, shapley_read_once};
 use shapdb::data::{Database, Value};
-use shapdb::kc::{compile_circuit, Budget};
+use shapdb::kc::{compile_circuit_topdown, Budget};
 use shapdb::num::{Bitset, Rational};
 use shapdb::query::{evaluate, parse_ucq};
 use shapdb::Measure;
@@ -102,7 +102,7 @@ fn banzhaf_naive_exact_and_readonce_agree_on_random_lineages() {
         // d-DNNF, densified through the compilation's fact map.
         let mut circuit = Circuit::new();
         let root = d.to_circuit(&mut circuit);
-        let comp = compile_circuit(&circuit, root, &Budget::unlimited())
+        let comp = compile_circuit_topdown(&circuit, root, &Budget::unlimited(), None)
             .expect("unlimited budget cannot time out");
         let values =
             power_index_all_facts(&comp.ddnnf, n, &ExactConfig::default(), Measure::Banzhaf)

@@ -1,14 +1,16 @@
 //! The KC engine compiles a monotone DNF lineage `F` as its negation CNF
 //! over the facts and negates Algorithm 1's values on `¬F`. This suite
 //! checks that route bit for bit against the paper's path — Tseytin →
-//! `compile_circuit` / `compile_circuit_topdown` → project (Lemma 4.6) →
-//! Algorithm 1 — for the Shapley value, the Banzhaf value and the
-//! SHAP-score, with the engine on both compilers:
+//! `compile_circuit_topdown` → project (Lemma 4.6) → Algorithm 1 — for the
+//! Shapley value, the Banzhaf value and the SHAP-score, with the engine
+//! compiling against a cache it owns and against a planner's shared cache:
 //!
 //! * random monotone DNFs (proptest);
 //! * disjoint-majority and random sparse lineages at the widths where
 //!   Algorithm 1's coefficient tier changes (67, 131, 260, 516 facts);
-//! * every answer of the JOB smoke corpus through `explain_batch`;
+//! * every answer of the JOB smoke corpus through `explain_batch`, and
+//!   (ignored in the default run) every answer of the 2,000-movie JOB
+//!   database;
 //! * ⊥, ⊤, a single fact and a single conjunct through `KcEngine.solve`.
 
 use proptest::prelude::*;
@@ -19,7 +21,7 @@ use shapdb::core::engine::{
 };
 use shapdb::core::exact::{power_index_all_facts, ExactConfig};
 use shapdb::core::shap_score::shap_scores;
-use shapdb::kc::{compile_circuit, compile_circuit_topdown, Budget, ComponentCache};
+use shapdb::kc::{compile_circuit_topdown, Budget, ComponentCache};
 use shapdb::num::Rational;
 use shapdb::query::evaluate;
 use shapdb::workloads::{job_database, job_ranking_query, JobConfig};
@@ -42,20 +44,15 @@ fn sorted(mut pairs: Values) -> Values {
     pairs
 }
 
-/// The paper's path on the minimized lineage: Tseytin → compile (bottom-up
-/// or top-down) → project → Algorithm 1 (the β-DP for the SHAP-score).
-fn tseytin_values(d: &Dnf, n_endo: usize, measure: Measure, topdown: bool) -> Values {
+/// The paper's path on the minimized lineage: Tseytin → compile → project
+/// → Algorithm 1 (the β-DP for the SHAP-score).
+fn tseytin_values(d: &Dnf, n_endo: usize, measure: Measure) -> Values {
     let mut m = d.clone();
     m.minimize();
     let mut c = Circuit::new();
     let root = m.to_circuit(&mut c);
-    let budget = Budget::unlimited();
-    let compiled = if topdown {
-        compile_circuit_topdown(&c, root, &budget, None)
-    } else {
-        compile_circuit(&c, root, &budget)
-    }
-    .expect("unlimited budget");
+    let compiled =
+        compile_circuit_topdown(&c, root, &Budget::unlimited(), None).expect("unlimited budget");
     let values = match measure {
         Measure::Shapley | Measure::Banzhaf => {
             power_index_all_facts(&compiled.ddnnf, n_endo, &ExactConfig::default(), measure)
@@ -77,27 +74,31 @@ fn exact(values: EngineValues) -> Values {
     }
 }
 
-/// The engine's bottom-up route: `KcEngine::solve` compiles `¬F` with the
-/// bottom-up compiler.
-fn bottom_up_values(d: &Dnf, n_endo: usize, measure: Measure) -> Values {
+/// The engine's plain route: `KcEngine::solve` compiles `¬F` with a cache
+/// owned by the compile.
+fn owned_cache_values(d: &Dnf, n_endo: usize, measure: Measure) -> Values {
     let task = LineageTask::new(d, n_endo).with_measure(measure);
     exact(KcEngine.solve(&task).expect("unlimited budget").values)
 }
 
-/// A planner that sends every non-read-once lineage to the top-down
-/// compiler, sharing one component cache across its solves.
-fn topdown_planner() -> Planner {
+/// A planner that sends every non-read-once lineage to the KC route,
+/// sharing one component cache across its solves.
+fn shared_cache_planner() -> Planner {
     Planner::new(PlannerConfig {
         max_naive_vars: 0,
-        topdown_min_vars: 0,
         ..Default::default()
     })
     .with_component_cache(Arc::new(ComponentCache::new()))
 }
 
-/// The engine's top-down route, or `None` when the lineage is read-once
-/// (the planner then never compiles it).
-fn topdown_values(planner: &Planner, d: &Dnf, n_endo: usize, measure: Measure) -> Option<Values> {
+/// The planner's KC route with its shared cache, or `None` when the
+/// lineage is read-once (the planner then never compiles it).
+fn shared_cache_values(
+    planner: &Planner,
+    d: &Dnf,
+    n_endo: usize,
+    measure: Measure,
+) -> Option<Values> {
     if planner.plan(d).reason != PlanReason::KcWideTopDown {
         return None;
     }
@@ -108,28 +109,22 @@ fn topdown_values(planner: &Planner, d: &Dnf, n_endo: usize, measure: Measure) -
 }
 
 /// Both engine routes against the Tseytin reference, on each measure.
-/// Returns how many measures ran the top-down route.
-fn check_routes(
-    planner: &Planner,
-    d: &Dnf,
-    n_endo: usize,
-    measures: &[Measure],
-    reference_topdown: bool,
-) -> usize {
-    let mut topdown_runs = 0;
+/// Returns how many measures ran the planner's shared-cache route.
+fn check_routes(planner: &Planner, d: &Dnf, n_endo: usize, measures: &[Measure]) -> usize {
+    let mut shared_runs = 0;
     for &measure in measures {
-        let want = tseytin_values(d, n_endo, measure, reference_topdown);
+        let want = tseytin_values(d, n_endo, measure);
         assert_eq!(
-            bottom_up_values(d, n_endo, measure),
+            owned_cache_values(d, n_endo, measure),
             want,
-            "{measure} bottom-up"
+            "{measure} owned cache"
         );
-        if let Some(got) = topdown_values(planner, d, n_endo, measure) {
-            assert_eq!(got, want, "{measure} top-down");
-            topdown_runs += 1;
+        if let Some(got) = shared_cache_values(planner, d, n_endo, measure) {
+            assert_eq!(got, want, "{measure} shared cache");
+            shared_runs += 1;
         }
     }
-    topdown_runs
+    shared_runs
 }
 
 fn dnf_of<I: IntoIterator<Item = Vec<u32>>>(conjuncts: I) -> Dnf {
@@ -179,53 +174,46 @@ proptest! {
         )
     ) {
         let d = dnf_of(conjuncts);
-        let planner = topdown_planner();
-        // Both Tseytin compilers agree, and both engine routes match them.
-        for measure in MEASURES {
-            prop_assert_eq!(
-                tseytin_values(&d, 12, measure, false),
-                tseytin_values(&d, 12, measure, true)
-            );
-        }
-        let topdown_runs = check_routes(&planner, &d, 12, &MEASURES, false);
+        let planner = shared_cache_planner();
+        // Both engine routes match the Tseytin path.
+        let shared_runs = check_routes(&planner, &d, 12, &MEASURES);
         let mut minimized = d.clone();
         minimized.minimize();
         let read_once = factor(&minimized).is_some();
-        prop_assert_eq!(topdown_runs, if read_once { 0 } else { MEASURES.len() });
+        prop_assert_eq!(shared_runs, if read_once { 0 } else { MEASURES.len() });
     }
 }
 
 /// Disjoint-majority and random sparse lineages `width` facts wide against
-/// the top-down Tseytin reference (the bottom-up Tseytin route is
-/// super-polynomial on block structures this wide).
+/// the Tseytin reference.
 fn check_wide(planner: &Planner, rng: &mut StdRng, width: u32) {
     let blocks = disjoint_majority(width, 2);
     assert_eq!(blocks.vars().len(), width as usize);
     assert_eq!(
-        check_routes(planner, &blocks, width as usize + 3, &POWER_INDICES, true),
+        check_routes(planner, &blocks, width as usize + 3, &POWER_INDICES),
         POWER_INDICES.len(),
         "disjoint majority at {width} facts routes top-down"
     );
     let sparse = random_sparse(rng, width, 3);
     assert_eq!(sparse.vars().len(), width as usize);
-    check_routes(planner, &sparse, width as usize, &POWER_INDICES, true);
+    check_routes(planner, &sparse, width as usize, &POWER_INDICES);
 }
 
 #[test]
 fn wide_lineages_at_the_two_and_three_limb_tiers_match_the_tseytin_path() {
     // 67 and 131 facts: the widths at which Algorithm 1's coefficient cap
     // C(m, ⌊m/2⌋) first needs 2 and 3 limbs.
-    let planner = topdown_planner();
+    let planner = shared_cache_planner();
     let mut rng = StdRng::seed_from_u64(0x5eed);
     for width in [67, 131] {
         check_wide(&planner, &mut rng, width);
     }
-    // The kc_wide bench's three-fact blocks, past the planner's top-down
-    // threshold: 22 blocks plus one single-fact conjunct.
+    // The kc_wide bench's three-fact blocks: 22 blocks plus one
+    // single-fact conjunct.
     let mut three = disjoint_majority(66, 22);
     three.add_conjunct(vec![VarId(66)]);
     assert_eq!(
-        check_routes(&planner, &three, 67, &POWER_INDICES, true),
+        check_routes(&planner, &three, 67, &POWER_INDICES),
         POWER_INDICES.len()
     );
 }
@@ -237,7 +225,7 @@ fn wide_lineages_at_the_two_and_three_limb_tiers_match_the_tseytin_path() {
 )]
 fn wide_lineages_at_the_five_and_nine_limb_tiers_match_the_tseytin_path() {
     // 260 and 516 facts: the 5- and 9-limb coefficient tiers.
-    let planner = topdown_planner();
+    let planner = shared_cache_planner();
     let mut rng = StdRng::seed_from_u64(0x5eed ^ 1);
     for width in [260, 516] {
         check_wide(&planner, &mut rng, width);
@@ -267,7 +255,7 @@ fn job_smoke_explanations_match_the_tseytin_path() {
                 .collect();
             assert_eq!(
                 got,
-                tseytin_values(d, n_endo, measure, false),
+                tseytin_values(d, n_endo, measure),
                 "{measure} {:?}",
                 e.tuple
             );
@@ -280,8 +268,49 @@ fn job_smoke_explanations_match_the_tseytin_path() {
 }
 
 #[test]
+#[ignore = "~2,000 Tseytin compiles; run with make test-release-wide"]
+fn job_explain_scale_explanations_match_the_tseytin_path() {
+    // The `job-explain` benchmark's database: ~1,370 KC structures of 8–39
+    // facts, every one compiled as its negation CNF, checked answer by
+    // answer against Tseytin → compile → project → Algorithm 1.
+    let db = job_database(&JobConfig {
+        movies: 2_000,
+        ..JobConfig::default()
+    });
+    let q = job_ranking_query();
+    let n_endo = db.num_endogenous();
+    let lineages: Vec<Dnf> = evaluate(&q, &db)
+        .outputs
+        .iter()
+        .map(|t| t.endo_lineage(&db))
+        .collect();
+    let batch = ShapleyAnalyzer::new(&db)
+        .with_threads(2)
+        .explain_batch(&q)
+        .unwrap();
+    assert_eq!(batch.explanations.len(), lineages.len());
+    for (e, d) in batch.explanations.iter().zip(&lineages) {
+        let got: Values = e
+            .attributions
+            .iter()
+            .map(|(f, x)| (VarId(f.0), x.clone()))
+            .collect();
+        assert_eq!(
+            got,
+            tseytin_values(d, n_endo, Measure::Shapley),
+            "{:?}",
+            e.tuple
+        );
+    }
+    let kc_routes = batch
+        .profile
+        .get(&shapdb::metrics::counters::PLANNER_KC_ROUTES);
+    assert!(kc_routes > 1_000, "{kc_routes} KC routes");
+}
+
+#[test]
 fn constants_single_fact_and_single_conjunct_through_the_engine() {
-    let planner = topdown_planner();
+    let planner = shared_cache_planner();
     let mut top = Dnf::new();
     top.add_conjunct(vec![]);
     for (name, d) in [
@@ -291,31 +320,26 @@ fn constants_single_fact_and_single_conjunct_through_the_engine() {
         ("one conjunct", dnf_of([vec![1, 5, 9]])),
     ] {
         for measure in MEASURES {
-            let want = tseytin_values(&d, 10, measure, false);
-            assert_eq!(bottom_up_values(&d, 10, measure), want, "{name} {measure}");
+            let want = tseytin_values(&d, 10, measure);
             assert_eq!(
-                tseytin_values(&d, 10, measure, true),
+                owned_cache_values(&d, 10, measure),
                 want,
                 "{name} {measure}"
             );
         }
-        // Read-once lineages never reach the planner's top-down route.
-        assert_eq!(
-            check_routes(&planner, &d, 10, &MEASURES, false),
-            0,
-            "{name}"
-        );
+        // Read-once lineages never reach the planner's KC route.
+        assert_eq!(check_routes(&planner, &d, 10, &MEASURES), 0, "{name}");
     }
     // The closed forms: constants have no players; a lone fact is worth the
     // whole game; a k-fact conjunct splits it evenly.
-    assert!(bottom_up_values(&Dnf::new(), 10, Measure::Shapley).is_empty());
+    assert!(owned_cache_values(&Dnf::new(), 10, Measure::Shapley).is_empty());
     assert_eq!(
-        bottom_up_values(&dnf_of([vec![4]]), 10, Measure::Shapley),
+        owned_cache_values(&dnf_of([vec![4]]), 10, Measure::Shapley),
         vec![(VarId(4), Rational::one())]
     );
     let third = Rational::from_ratio(1, 3);
     assert_eq!(
-        bottom_up_values(&dnf_of([vec![1, 5, 9]]), 10, Measure::Shapley),
+        owned_cache_values(&dnf_of([vec![1, 5, 9]]), 10, Measure::Shapley),
         [1, 5, 9].map(|f| (VarId(f), third.clone())).to_vec()
     );
 }
