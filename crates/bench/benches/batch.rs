@@ -15,8 +15,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use shapdb_circuit::Dnf;
-use shapdb_core::engine::{BatchExecutor, EngineKind, LineageTask, Planner, PlannerConfig};
-use shapdb_core::exact::ExactConfig;
+use shapdb_core::engine::{
+    BatchExecutor, EngineKind, LineageTask, Measure, Planner, PlannerConfig,
+};
 use shapdb_kc::Budget;
 use std::time::Duration;
 
@@ -55,12 +56,7 @@ fn bench_batch_dedup(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("dedup_on"), |b| {
         let executor = BatchExecutor::new(planner()).with_threads(1);
         b.iter(|| {
-            let report = executor.run(
-                &lineages,
-                n_endo,
-                &Budget::unlimited(),
-                &ExactConfig::default(),
-            );
+            let report = executor.run(&lineages, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
             assert!(report.items.iter().all(|i| i.result.is_ok()));
             report.dedup.distinct
         })
@@ -71,7 +67,7 @@ fn bench_batch_dedup(c: &mut Criterion) {
         &lineages,
         n_endo,
         &Budget::unlimited(),
-        &ExactConfig::default(),
+        &[Measure::Shapley],
     );
     println!(
         "workload: {} lineages, {} distinct structures, dedup hit rate {:.1}%",
@@ -95,12 +91,8 @@ fn bench_batch_threads(c: &mut Criterion) {
             |b, &threads| {
                 let executor = BatchExecutor::new(planner()).with_threads(threads);
                 b.iter(|| {
-                    let report = executor.run(
-                        &lineages,
-                        n_endo,
-                        &Budget::unlimited(),
-                        &ExactConfig::default(),
-                    );
+                    let report =
+                        executor.run(&lineages, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
                     report.dedup.distinct
                 })
             },

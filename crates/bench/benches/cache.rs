@@ -12,9 +12,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use shapdb_circuit::Dnf;
-use shapdb_core::engine::{BatchExecutor, EngineKind, Planner, PlannerConfig, ShapleyCache};
-use shapdb_core::exact::ExactConfig;
+use shapdb_core::engine::{
+    BatchExecutor, EngineKind, Measure, Planner, PlannerConfig, ShapleyCache,
+};
 use shapdb_kc::Budget;
+use shapdb_metrics::counters::CacheRunStats;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,14 +45,9 @@ fn bench_cache_replay(c: &mut Criterion) {
             // Fresh cache each pass: every distinct structure is solved.
             let executor =
                 BatchExecutor::new(planner_with(Arc::new(ShapleyCache::new()))).with_threads(1);
-            let report = executor.run(
-                &lineages,
-                n_endo,
-                &Budget::unlimited(),
-                &ExactConfig::default(),
-            );
+            let report = executor.run(&lineages, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
             assert!(report.items.iter().all(|i| i.result.is_ok()));
-            report.cache.misses
+            CacheRunStats::of(&report.profile).misses
         })
     });
 
@@ -58,23 +55,17 @@ fn bench_cache_replay(c: &mut Criterion) {
         // One priming pass, then measure replays against the full cache.
         let cache = Arc::new(ShapleyCache::new());
         let executor = BatchExecutor::new(planner_with(cache.clone())).with_threads(1);
-        let primed = executor.run(
-            &lineages,
-            n_endo,
-            &Budget::unlimited(),
-            &ExactConfig::default(),
-        );
-        assert!(primed.cache.misses > 0);
+        let primed = executor.run(&lineages, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
+        assert!(CacheRunStats::of(&primed.profile).misses > 0);
         b.iter(|| {
-            let report = executor.run(
-                &lineages,
-                n_endo,
-                &Budget::unlimited(),
-                &ExactConfig::default(),
+            let report = executor.run(&lineages, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
+            assert_eq!(
+                CacheRunStats::of(&report.profile).misses,
+                0,
+                "warm pass must be all hits"
             );
-            assert_eq!(report.cache.misses, 0, "warm pass must be all hits");
-            assert_eq!(report.engine_runs, 0);
-            report.cache.hits
+            assert_eq!(report.profile.engine_runs(), 0);
+            CacheRunStats::of(&report.profile).hits
         })
     });
     group.finish();
@@ -82,12 +73,7 @@ fn bench_cache_replay(c: &mut Criterion) {
     // One labeled summary line for CHANGES.md.
     let cache = Arc::new(ShapleyCache::new());
     let executor = BatchExecutor::new(planner_with(cache.clone())).with_threads(1);
-    let report = executor.run(
-        &lineages,
-        n_endo,
-        &Budget::unlimited(),
-        &ExactConfig::default(),
-    );
+    let report = executor.run(&lineages, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
     println!(
         "workload: {} lineages, {} distinct structures, {} cache entries after one pass",
         report.dedup.tasks,

@@ -194,12 +194,7 @@ fn bench_exact_cold(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::from_parameter("cold_replay"), &(), |b, _| {
         b.iter(|| {
             let executor = BatchExecutor::new(cold_planner()).with_threads(1);
-            let report = executor.run(
-                &lineages,
-                n_endo,
-                &Budget::unlimited(),
-                &ExactConfig::default(),
-            );
+            let report = executor.run(&lineages, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
             assert!(report.items.iter().all(|i| i.result.is_ok()));
             report.dedup.distinct
         })
@@ -247,12 +242,7 @@ fn bench_exact_cold(c: &mut Criterion) {
     const SAMPLES: usize = 10;
     let cold_ns = median_ns(SAMPLES, || {
         let executor = BatchExecutor::new(cold_planner()).with_threads(1);
-        let report = executor.run(
-            &lineages,
-            n_endo,
-            &Budget::unlimited(),
-            &ExactConfig::default(),
-        );
+        let report = executor.run(&lineages, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
         assert!(report.items.iter().all(|i| i.result.is_ok()));
     });
     let fingerprint_ns = median_ns(SAMPLES, || {

@@ -6,7 +6,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use shapdb_circuit::{factor, Circuit, Dnf, VarId};
 use shapdb_core::aggregate::count_shapley;
 use shapdb_core::engine::{KcEngine, LineageTask, Planner, PlannerConfig};
-use shapdb_core::exact::ExactConfig;
 use shapdb_core::readonce::shapley_read_once;
 use shapdb_core::shap_score::shap_scores;
 use shapdb_kc::{compile_circuit_topdown, Budget};
@@ -50,16 +49,10 @@ fn bench_readonce_vs_kc(c: &mut Criterion) {
             b.iter(|| {
                 let mut circuit = Circuit::new();
                 let root = dnf.to_circuit(&mut circuit);
-                KcEngine::analyze_circuit(
-                    &circuit,
-                    root,
-                    dnf.vars().len(),
-                    &Budget::unlimited(),
-                    &ExactConfig::default(),
-                )
-                .unwrap()
-                .values
-                .len()
+                KcEngine::analyze_circuit(&circuit, root, dnf.vars().len(), &Budget::unlimited())
+                    .unwrap()
+                    .values
+                    .len()
             })
         });
     }
@@ -121,7 +114,7 @@ fn bench_aggregate_count(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("32tuples_48facts", |b| {
         b.iter(|| {
-            count_shapley(&lineages, 48, &Budget::unlimited(), &ExactConfig::default())
+            count_shapley(&lineages, 48, &Budget::unlimited())
                 .unwrap()
                 .len()
         })

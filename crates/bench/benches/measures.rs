@@ -36,9 +36,8 @@ use shapdb_circuit::Dnf;
 use shapdb_core::engine::{
     BatchExecutor, EngineKind, Measure, Planner, PlannerConfig, ShapleyCache,
 };
-use shapdb_core::exact::ExactConfig;
 use shapdb_kc::Budget;
-use shapdb_metrics::counters::CIRCUIT_FACTOR_PASSES;
+use shapdb_metrics::counters::{CacheRunStats, CIRCUIT_FACTOR_PASSES};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -67,16 +66,10 @@ fn bench_measures(c: &mut Criterion) {
     let cold_sweep = || {
         let executor =
             BatchExecutor::new(planner_with(Arc::new(ShapleyCache::new()))).with_threads(1);
-        let report = executor.run_measures(
-            &lineages,
-            n_endo,
-            &Budget::unlimited(),
-            &ExactConfig::default(),
-            &Measure::ALL,
-        );
+        let report = executor.run(&lineages, n_endo, &Budget::unlimited(), &Measure::ALL);
         assert!(report.items.iter().all(|i| i.result.is_ok()));
         (
-            report.engine_runs,
+            report.profile.engine_runs(),
             report.profile.get(&CIRCUIT_FACTOR_PASSES),
         )
     };
@@ -99,27 +92,16 @@ fn bench_measures(c: &mut Criterion) {
     // Prime one cache, then measure warm sweeps against it.
     let cache = Arc::new(ShapleyCache::new());
     let executor = BatchExecutor::new(planner_with(cache)).with_threads(1);
-    executor.run_measures(
-        &lineages,
-        n_endo,
-        &Budget::unlimited(),
-        &ExactConfig::default(),
-        &Measure::ALL,
-    );
+    executor.run(&lineages, n_endo, &Budget::unlimited(), &Measure::ALL);
 
     let warm_sweep = |measures: &[Measure]| {
-        let report = executor.run_measures(
-            &lineages,
-            n_endo,
-            &Budget::unlimited(),
-            &ExactConfig::default(),
-            measures,
-        );
+        let report = executor.run(&lineages, n_endo, &Budget::unlimited(), measures);
         assert_eq!(
-            report.engine_runs, 0,
+            report.profile.engine_runs(),
+            0,
             "warm sweep recomputed instead of hitting the measure-keyed cache"
         );
-        report.cache.hits
+        CacheRunStats::of(&report.profile).hits
     };
 
     group.bench_with_input(BenchmarkId::from_parameter("all_warm"), &(), |b, _| {

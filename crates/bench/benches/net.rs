@@ -104,13 +104,13 @@ fn bench_net(c: &mut Criterion) {
     let _ = std::fs::remove_file(&persist);
     let warm_server = SocketServer::bind(&net_opts(&sock, &persist)).expect("bind warm");
     replay_over_socket(&sock, &session);
-    let primed_engine_runs = warm_server.stats().engine_runs;
+    let primed_engine_runs = warm_server.stats().profile.engine_runs();
     assert!(primed_engine_runs > 0, "priming replay ran no engines");
     group.bench_with_input(BenchmarkId::from_parameter("net_warm"), &(), |b, _| {
         b.iter(|| replay_over_socket(&sock, &session))
     });
     assert_eq!(
-        warm_server.stats().engine_runs,
+        warm_server.stats().profile.engine_runs(),
         primed_engine_runs,
         "warm replays recomputed instead of hitting the cache"
     );
@@ -125,11 +125,14 @@ fn bench_net(c: &mut Criterion) {
     let _ = std::fs::remove_file(&persist);
     let warm_server = SocketServer::bind(&net_opts(&sock, &persist)).expect("bind warm");
     replay_over_socket(&sock, &session);
-    let primed_engine_runs = warm_server.stats().engine_runs;
+    let primed_engine_runs = warm_server.stats().profile.engine_runs();
     let net_warm_ns = median_ns(SAMPLES, || {
         replay_over_socket(&sock, &session);
     });
-    assert_eq!(warm_server.stats().engine_runs, primed_engine_runs);
+    assert_eq!(
+        warm_server.stats().profile.engine_runs(),
+        primed_engine_runs
+    );
     warm_server.shutdown();
 
     // Restart: fresh servers against the log the warm server wrote.
@@ -138,7 +141,7 @@ fn bench_net(c: &mut Criterion) {
         let server = SocketServer::bind(&net_opts(&sock, &persist)).expect("bind restart");
         let responses = replay_over_socket(&sock, &session);
         assert_eq!(responses as usize, lineages.len());
-        restart_engine_runs += server.shutdown().engine_runs;
+        restart_engine_runs += server.shutdown().profile.engine_runs();
     });
     assert_eq!(
         restart_engine_runs, 0,

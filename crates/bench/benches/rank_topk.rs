@@ -39,7 +39,6 @@ use shapdb_circuit::Dnf;
 use shapdb_core::engine::{
     EngineValues, Planner, PlannerConfig, ShapleyCache, TopKExecutor, TopKReport,
 };
-use shapdb_core::exact::ExactConfig;
 use shapdb_kc::Budget;
 use shapdb_num::Rational;
 use shapdb_query::with_streamed_lineages;
@@ -55,13 +54,7 @@ const STREAM_CHUNK: usize = 256;
 fn rank(lineages: &[Dnf], k: usize, n_endo: usize) -> TopKReport {
     let planner = Planner::new(PlannerConfig::default()).with_cache(Arc::new(ShapleyCache::new()));
     TopKExecutor::new(planner)
-        .run(
-            lineages.iter().cloned(),
-            k,
-            n_endo,
-            &Budget::unlimited(),
-            &ExactConfig::default(),
-        )
+        .run(lineages.iter().cloned(), k, n_endo, &Budget::unlimited())
         .expect("the default planner stays exact on the JOB corpus")
 }
 
@@ -116,7 +109,7 @@ fn main() {
     println!(
         "full ranking: {} distinct structures, {} engine runs, {:.0} ms",
         baseline.dedup.distinct,
-        baseline.engine_runs,
+        baseline.profile.engine_runs(),
         full_ns as f64 / 1e6
     );
 
@@ -192,7 +185,7 @@ fn main() {
             report.pruned_answers,
             report.solved_structures,
             report.pruned_structures,
-            report.engine_runs,
+            report.profile.engine_runs(),
         ));
     }
 
@@ -226,7 +219,7 @@ fn main() {
         STREAM_CHUNK,
         extract_ms,
         full_ns as f64 / 1e6,
-        baseline.engine_runs,
+        baseline.profile.engine_runs(),
         rows.join(",\n"),
     );
     write_result("bench_rank.json", "rank_topk summary", &json);

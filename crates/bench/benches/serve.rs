@@ -24,9 +24,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use shapdb_bench::{median_ns, write_result};
 use shapdb_circuit::Dnf;
 use shapdb_cli::{run_serve, ServeOptions};
-use shapdb_core::engine::{BatchExecutor, EngineKind, Planner, PlannerConfig, ShapleyCache};
-use shapdb_core::exact::ExactConfig;
+use shapdb_core::engine::{
+    BatchExecutor, EngineKind, Measure, Planner, PlannerConfig, ShapleyCache,
+};
 use shapdb_kc::Budget;
+use shapdb_metrics::counters::CacheRunStats;
 use std::io::Cursor;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -79,12 +81,7 @@ fn bench_serve(c: &mut Criterion) {
         b.iter(|| {
             let planner = Planner::new(policy()).with_cache(Arc::new(ShapleyCache::new()));
             let executor = BatchExecutor::new(planner).with_threads(1);
-            let report = executor.run(
-                &lineages,
-                n_endo,
-                &Budget::unlimited(),
-                &ExactConfig::default(),
-            );
+            let report = executor.run(&lineages, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
             assert!(report.items.iter().all(|i| i.result.is_ok()));
             report.dedup.distinct
         })
@@ -92,23 +89,14 @@ fn bench_serve(c: &mut Criterion) {
 
     let warm_planner = Planner::new(policy()).with_cache(Arc::new(ShapleyCache::new()));
     let warm_executor = BatchExecutor::new(warm_planner).with_threads(1);
-    let primed = warm_executor.run(
-        &lineages,
-        n_endo,
-        &Budget::unlimited(),
-        &ExactConfig::default(),
-    );
-    assert!(primed.cache.misses > 0);
+    let primed = warm_executor.run(&lineages, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
+    assert!(CacheRunStats::of(&primed.profile).misses > 0);
     group.bench_with_input(BenchmarkId::from_parameter("batch_warm"), &(), |b, _| {
         b.iter(|| {
-            let report = warm_executor.run(
-                &lineages,
-                n_endo,
-                &Budget::unlimited(),
-                &ExactConfig::default(),
-            );
-            assert_eq!(report.cache.misses, 0);
-            report.cache.hits
+            let report =
+                warm_executor.run(&lineages, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
+            assert_eq!(CacheRunStats::of(&report.profile).misses, 0);
+            CacheRunStats::of(&report.profile).hits
         })
     });
 
@@ -127,22 +115,13 @@ fn bench_serve(c: &mut Criterion) {
     let batch_cold_ns = median_ns(SAMPLES, || {
         let planner = Planner::new(policy()).with_cache(Arc::new(ShapleyCache::new()));
         let executor = BatchExecutor::new(planner).with_threads(1);
-        let report = executor.run(
-            &lineages,
-            n_endo,
-            &Budget::unlimited(),
-            &ExactConfig::default(),
-        );
+        let report = executor.run(&lineages, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
         assert!(report.items.iter().all(|i| i.result.is_ok()));
     });
     let batch_warm_ns = median_ns(SAMPLES, || {
-        let report = warm_executor.run(
-            &lineages,
-            n_endo,
-            &Budget::unlimited(),
-            &ExactConfig::default(),
-        );
-        assert_eq!(report.cache.misses, 0);
+        let report =
+            warm_executor.run(&lineages, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
+        assert_eq!(CacheRunStats::of(&report.profile).misses, 0);
     });
     let serve_cold_ns = median_ns(SAMPLES, || {
         serve_once(&session);

@@ -3,10 +3,9 @@
 use shapdb_circuit::Dnf;
 use shapdb_cli::json::Json;
 use shapdb_core::engine::{
-    BatchExecutor, EngineKind, LineageRequest, Planner, PlannerConfig, ServiceConfig, ShapleyCache,
-    ShapleyService,
+    BatchExecutor, EngineKind, LineageRequest, Measure, Planner, PlannerConfig, ServiceConfig,
+    ShapleyCache, ShapleyService,
 };
-use shapdb_core::exact::ExactConfig;
 use shapdb_kc::Budget;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,19 +35,9 @@ fn main() {
     };
     let planner = Planner::new(policy).with_cache(Arc::new(ShapleyCache::new()));
     let executor = BatchExecutor::new(planner.clone()).with_threads(1);
-    executor.run(
-        &lineages,
-        n_endo,
-        &Budget::unlimited(),
-        &ExactConfig::default(),
-    );
+    executor.run(&lineages, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
     let t = Instant::now();
-    let report = executor.run(
-        &lineages,
-        n_endo,
-        &Budget::unlimited(),
-        &ExactConfig::default(),
-    );
+    let report = executor.run(&lineages, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
     println!("warm batch: {:?}", t.elapsed());
 
     // 3. Warm service submit+wait (no JSON at all).
@@ -61,24 +50,14 @@ fn main() {
         },
     );
     let subs = service
-        .submit_all(
-            lineages.iter().cloned(),
-            n_endo,
-            &Budget::unlimited(),
-            &ExactConfig::default(),
-        )
+        .submit_all(lineages.iter().cloned(), n_endo, &Budget::unlimited())
         .unwrap();
     for s in &subs {
         s.wait().unwrap();
     }
     let t = Instant::now();
     let subs = service
-        .submit_all(
-            lineages.iter().cloned(),
-            n_endo,
-            &Budget::unlimited(),
-            &ExactConfig::default(),
-        )
+        .submit_all(lineages.iter().cloned(), n_endo, &Budget::unlimited())
         .unwrap();
     for s in &subs {
         s.wait().unwrap();
@@ -108,20 +87,10 @@ fn main() {
             d
         })
         .collect();
-    let warm_up = executor.run(
-        &trivial,
-        n_endo,
-        &Budget::unlimited(),
-        &ExactConfig::default(),
-    );
+    let warm_up = executor.run(&trivial, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
     assert!(warm_up.items.iter().all(|i| i.result.is_ok()));
     let t = Instant::now();
-    executor.run(
-        &trivial,
-        n_endo,
-        &Budget::unlimited(),
-        &ExactConfig::default(),
-    );
+    executor.run(&trivial, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
     println!("trivial batch: {:?}", t.elapsed());
     let t = Instant::now();
     let subs: Vec<_> = trivial

@@ -2,7 +2,6 @@
 
 use shapdb_circuit::{Circuit, Dnf, VarId};
 use shapdb_core::engine::{AnalysisError, EngineValues, KcEngine};
-use shapdb_core::exact::ExactConfig;
 use shapdb_data::Database;
 use shapdb_kc::{Budget, CompileError};
 use shapdb_query::evaluate;
@@ -87,15 +86,13 @@ pub fn run_output(
     let mut circuit = Circuit::new();
     let root = dense.to_circuit(&mut circuit);
 
-    let deadline = timeout.map(|t| Instant::now() + t);
     let budget = Budget {
-        deadline,
+        deadline: timeout.map(|t| Instant::now() + t),
         max_nodes: 4_000_000,
     };
-    let cfg = ExactConfig { deadline };
 
     let kc_probe = Instant::now();
-    match KcEngine::analyze_circuit(&circuit, root, n_endo, &budget, &cfg) {
+    match KcEngine::analyze_circuit(&circuit, root, n_endo, &budget) {
         Ok(result) => {
             // Re-sort attributions back to dense order for metric alignment.
             let mut values = vec![0.0f64; vars.len()];

@@ -47,10 +47,11 @@ use shapdb_core::engine::{
     BatchExecutor, EngineKind, EngineValues, Measure, Planner, PlannerConfig, ShapleyCache,
     TopKExecutor,
 };
-use shapdb_core::exact::ExactConfig;
 use shapdb_data::{Database, FactId, Value};
 use shapdb_kc::Budget;
-use shapdb_metrics::counters::{NUM_BIGNUM_FALLBACKS, NUM_NTT_CONVOLUTIONS, NUM_VLI_HITS};
+use shapdb_metrics::counters::{
+    CacheRunStats, NUM_BIGNUM_FALLBACKS, NUM_NTT_CONVOLUTIONS, NUM_VLI_HITS,
+};
 use shapdb_num::Rational;
 use shapdb_query::{evaluate, parse_ucq, with_streamed_lineages, Ucq};
 use std::fmt;
@@ -488,13 +489,7 @@ fn run_topk(db: &Database, q: &Ucq, k: usize, cfg: &Config) -> Result<String, Cl
             tuples.push(out.tuple);
             lineage
         });
-        let report = executor.run(
-            lineages,
-            k,
-            n_endo,
-            &Budget::unlimited(),
-            &ExactConfig::default(),
-        );
+        let report = executor.run(lineages, k, n_endo, &Budget::unlimited());
         (tuples, report)
     });
     let report = report.map_err(|e| err(format!("top-k ranking failed: {e}")))?;
@@ -577,7 +572,6 @@ pub fn run(cfg: &Config) -> Result<String, CliError> {
     ));
 
     let budget = Budget::with_timeout(cfg.timeout);
-    let exact_cfg = ExactConfig::default();
 
     match cfg.aggregate {
         Aggregate::Count | Aggregate::Sum(_) => {
@@ -585,7 +579,7 @@ pub fn run(cfg: &Config) -> Result<String, CliError> {
                 Aggregate::Count => {
                     let lineages: Vec<_> =
                         res.outputs.iter().map(|t| t.endo_lineage(&db)).collect();
-                    count_shapley(&lineages, n_endo, &budget, &exact_cfg)
+                    count_shapley(&lineages, n_endo, &budget)
                 }
                 Aggregate::Sum(col) => {
                     let weighted: Result<Vec<_>, CliError> = res
@@ -602,7 +596,7 @@ pub fn run(cfg: &Config) -> Result<String, CliError> {
                             Ok((t.endo_lineage(&db), Rational::from_int(w)))
                         })
                         .collect();
-                    sum_shapley(&weighted?, n_endo, &budget, &exact_cfg)
+                    sum_shapley(&weighted?, n_endo, &budget)
                 }
                 Aggregate::None => unreachable!(),
             }
@@ -623,21 +617,18 @@ pub fn run(cfg: &Config) -> Result<String, CliError> {
     // structurally identical lineages, cross-query result cache, fan-out
     // over worker threads.
     let lineages: Vec<Dnf> = res.outputs.iter().map(|t| t.endo_lineage(&db)).collect();
-    let planner_cfg = cfg.engine.planner_config(cfg.timeout);
-    let mut planner = Planner::for_query(planner_cfg, &q);
+    let mut planner = Planner::for_query(cfg.engine.planner_config(cfg.timeout), &q);
     if cfg.cache_capacity > 0 {
         planner = planner.with_cache(std::sync::Arc::new(ShapleyCache::with_capacity(
             cfg.cache_capacity,
         )));
     }
-    let mut executor = BatchExecutor::new(planner)
-        .with_threads(cfg.threads)
-        .with_measure(cfg.measure);
-    if planner_cfg.fallback.is_none() {
-        // The report stops at the first error anyway — abort the rest.
-        executor = executor.with_fail_fast();
-    }
-    let report = executor.run(&lineages, n_endo, &Budget::unlimited(), &exact_cfg);
+    let report = BatchExecutor::new(planner).with_threads(cfg.threads).run(
+        &lineages,
+        n_endo,
+        &Budget::unlimited(),
+        &[cfg.measure],
+    );
     if cfg.measure != Measure::Shapley {
         out.push_str(&format!("measure: {}\n", cfg.measure));
     }
@@ -648,9 +639,10 @@ pub fn run(cfg: &Config) -> Result<String, CliError> {
         report.threads
     ));
     if cfg.cache_capacity > 0 {
+        let cache = CacheRunStats::of(&report.profile);
         out.push_str(&format!(
             "; cache {} hit(s) / {} miss(es)",
-            report.cache.hits, report.cache.misses
+            cache.hits, cache.misses
         ));
     }
     out.push_str(&format!(

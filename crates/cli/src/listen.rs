@@ -526,6 +526,7 @@ pub fn run_listen(opts: &ServeOptions) -> Result<(), CliError> {
 mod tests {
     use super::*;
     use crate::json::Json;
+    use shapdb_metrics::counters::{CacheRunStats, SERVICE_COMPLETED};
     use std::io::BufRead;
 
     fn request(id: u64, lineage: &str, n_endo: usize) -> String {
@@ -578,7 +579,7 @@ mod tests {
         assert_eq!(s.get("errors").and_then(Json::as_u64), Some(0));
 
         let final_stats = server.shutdown();
-        assert_eq!(final_stats.completed, 2);
+        assert_eq!(final_stats.profile.get(&SERVICE_COMPLETED), 2);
     }
 
     #[cfg(unix)]
@@ -666,7 +667,7 @@ mod tests {
         let stats = server.shutdown();
         // Both valid submissions (the rude client's and the polite one's)
         // completed; the torn trailing request never parsed.
-        assert_eq!(stats.completed, 2);
+        assert_eq!(stats.profile.get(&SERVICE_COMPLETED), 2);
     }
 
     #[test]
@@ -697,17 +698,21 @@ mod tests {
         let cold = SocketServer::bind(&opts).unwrap();
         drive(&cold);
         let cold_stats = cold.shutdown();
-        assert_eq!(cold_stats.engine_runs, 2);
-        assert_eq!(cold_stats.cache.misses, 2);
+        assert_eq!(cold_stats.profile.engine_runs(), 2);
+        assert_eq!(CacheRunStats::of(&cold_stats.profile).misses, 2);
 
         // Restarted server, same log: every answer comes from the
         // replayed cache — zero engine runs.
         let warm = SocketServer::bind(&opts).unwrap();
         drive(&warm);
         let warm_stats = warm.shutdown();
-        assert_eq!(warm_stats.engine_runs, 0, "warm replay recomputed");
-        assert_eq!(warm_stats.cache.hits, 2);
-        assert_eq!(warm_stats.cache.misses, 0);
+        assert_eq!(
+            warm_stats.profile.engine_runs(),
+            0,
+            "warm replay recomputed"
+        );
+        assert_eq!(CacheRunStats::of(&warm_stats.profile).hits, 2);
+        assert_eq!(CacheRunStats::of(&warm_stats.profile).misses, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -754,6 +759,10 @@ mod tests {
         drop(client);
         drop(reader);
         let stats = server.shutdown();
-        assert_eq!(stats.completed, 1, "only the valid request ran");
+        assert_eq!(
+            stats.profile.get(&SERVICE_COMPLETED),
+            1,
+            "only the valid request ran"
+        );
     }
 }

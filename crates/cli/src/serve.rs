@@ -60,9 +60,10 @@ use shapdb_core::engine::{
     ShapleyCache, ShapleyService, Submission,
 };
 use shapdb_metrics::counters::{
-    KC_COMP_CACHE_EVICTIONS, KC_COMP_CACHE_HITS, KC_COMP_CACHE_MISSES, MEASURE_BANZHAF,
-    MEASURE_RESPONSIBILITY, MEASURE_SHAPLEY, MEASURE_SHAP_SCORE, NUM_BIGNUM_FALLBACKS,
-    NUM_NTT_CONVOLUTIONS, NUM_VLI_HITS,
+    CacheRunStats, KC_COMP_CACHE_EVICTIONS, KC_COMP_CACHE_HITS, KC_COMP_CACHE_MISSES,
+    MEASURE_BANZHAF, MEASURE_RESPONSIBILITY, MEASURE_SHAPLEY, MEASURE_SHAP_SCORE,
+    NUM_BIGNUM_FALLBACKS, NUM_NTT_CONVOLUTIONS, NUM_VLI_HITS, SERVICE_COMPLETED, SERVICE_REJECTED,
+    SERVICE_SUBMITTED,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
@@ -278,6 +279,7 @@ pub(crate) fn render_err(id: &str, error: &str) -> String {
 
 pub(crate) fn render_stats(summary: &ServeSummary) -> String {
     let s = &summary.stats;
+    let cache = CacheRunStats::of(&s.profile);
     format!(
         concat!(
             "{{\"stats\":{{\"responses\":{},\"errors\":{},\"submitted\":{},",
@@ -294,16 +296,16 @@ pub(crate) fn render_stats(summary: &ServeSummary) -> String {
         ),
         summary.responses,
         summary.errors,
-        s.submitted,
-        s.completed,
-        s.rejected,
+        s.profile.get(&SERVICE_SUBMITTED),
+        s.profile.get(&SERVICE_COMPLETED),
+        s.profile.get(&SERVICE_REJECTED),
         s.workers,
         s.queue_capacity,
         s.clients,
-        s.engine_runs,
-        s.cache.hits,
-        s.cache.misses,
-        s.cache.bypasses,
+        s.profile.engine_runs(),
+        cache.hits,
+        cache.misses,
+        cache.bypasses,
         s.profile.get(&KC_COMP_CACHE_HITS),
         s.profile.get(&KC_COMP_CACHE_MISSES),
         s.profile.get(&KC_COMP_CACHE_EVICTIONS),
@@ -686,7 +688,7 @@ mod tests {
         assert_eq!(s.get("responses").and_then(Json::as_u64), Some(2));
         assert_eq!(s.get("errors").and_then(Json::as_u64), Some(0));
         assert_eq!(summary.responses, 2);
-        assert_eq!(summary.stats.completed, 2);
+        assert_eq!(summary.stats.profile.get(&SERVICE_COMPLETED), 2);
     }
 
     #[test]
@@ -704,8 +706,12 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(summary.stats.cache.hits, 1, "second request hit");
-        assert_eq!(summary.stats.engine_runs, 1);
+        assert_eq!(
+            CacheRunStats::of(&summary.stats.profile).hits,
+            1,
+            "second request hit"
+        );
+        assert_eq!(summary.stats.profile.engine_runs(), 1);
         for line in &lines[..2] {
             let v = Json::parse(line).unwrap();
             let values = v.get("values").and_then(Json::as_arr).unwrap();
@@ -899,7 +905,11 @@ mod tests {
         let last = Json::parse(&lines[4]).unwrap();
         assert_eq!(last.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(summary.errors, 4);
-        assert_eq!(summary.stats.completed, 1, "only the valid request ran");
+        assert_eq!(
+            summary.stats.profile.get(&SERVICE_COMPLETED),
+            1,
+            "only the valid request ran"
+        );
     }
 
     #[test]

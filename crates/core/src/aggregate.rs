@@ -25,7 +25,6 @@
 use crate::engine::{
     AnalysisError, EngineError, EngineValues, LineageTask, Planner, PlannerConfig,
 };
-use crate::exact::ExactConfig;
 use shapdb_circuit::{Dnf, VarId};
 use shapdb_kc::Budget;
 use shapdb_num::Rational;
@@ -42,13 +41,12 @@ pub fn count_shapley(
     lineages: &[Dnf],
     n_endo: usize,
     budget: &Budget,
-    cfg: &ExactConfig,
 ) -> Result<AggregateAttributions, AnalysisError> {
     let weighted: Vec<(Dnf, Rational)> = lineages
         .iter()
         .map(|l| (l.clone(), Rational::one()))
         .collect();
-    sum_shapley(&weighted, n_endo, budget, cfg)
+    sum_shapley(&weighted, n_endo, budget)
 }
 
 /// Shapley values of the weighted-sum game:
@@ -57,12 +55,13 @@ pub fn count_shapley(
 /// `weighted` pairs each potential output tuple's endogenous lineage with
 /// its weight (for SUM over a numeric column, the column value; negative
 /// weights are fine). By linearity,
-/// `Shapley(v, f) = Σ_t w_t · Shapley(q[x̄/t̄], f)`.
+/// `Shapley(v, f) = Σ_t w_t · Shapley(q[x̄/t̄], f)`. Every per-tuple solve
+/// runs under `budget`, whose deadline bounds compilation and Algorithm 1
+/// alike.
 pub fn sum_shapley(
     weighted: &[(Dnf, Rational)],
     n_endo: usize,
     budget: &Budget,
-    cfg: &ExactConfig,
 ) -> Result<AggregateAttributions, AnalysisError> {
     let planner = Planner::new(PlannerConfig::default());
     let mut acc: HashMap<VarId, Rational> = HashMap::new();
@@ -70,9 +69,7 @@ pub fn sum_shapley(
         if weight.is_zero() {
             continue;
         }
-        let task = LineageTask::new(lineage, n_endo)
-            .with_budget(*budget)
-            .with_exact(*cfg);
+        let task = LineageTask::new(lineage, n_endo).with_budget(*budget);
         let result = planner.solve(&task).map_err(|e| match e {
             EngineError::Analysis(a) => a,
             other => unreachable!("the exact-mode planner fails only on budgets: {other}"),
@@ -118,8 +115,7 @@ mod tests {
         // Two output tuples with singleton lineages x0 and x1: the count
         // game is additive, each fact alone creates one answer.
         let lineages = vec![dnf(&[&[0]]), dnf(&[&[1]])];
-        let attrs =
-            count_shapley(&lineages, 2, &Budget::unlimited(), &ExactConfig::default()).unwrap();
+        let attrs = count_shapley(&lineages, 2, &Budget::unlimited()).unwrap();
         assert_eq!(value_of(&attrs, 0), Rational::one());
         assert_eq!(value_of(&attrs, 1), Rational::one());
     }
@@ -129,8 +125,7 @@ mod tests {
         // Three overlapping tuples over 4 facts.
         let lineages = vec![dnf(&[&[0, 1]]), dnf(&[&[1, 2]]), dnf(&[&[2, 3], &[0]])];
         let n = 4;
-        let attrs =
-            count_shapley(&lineages, n, &Budget::unlimited(), &ExactConfig::default()).unwrap();
+        let attrs = count_shapley(&lineages, n, &Budget::unlimited()).unwrap();
         let game = |s: &Bitset| {
             let mut count = 0i64;
             for l in &lineages {
@@ -153,8 +148,7 @@ mod tests {
             (dnf(&[&[0]]), Rational::from_int(3)),
             (dnf(&[&[1]]), Rational::from_int(5)),
         ];
-        let attrs =
-            sum_shapley(&weighted, 2, &Budget::unlimited(), &ExactConfig::default()).unwrap();
+        let attrs = sum_shapley(&weighted, 2, &Budget::unlimited()).unwrap();
         assert_eq!(value_of(&attrs, 0), Rational::from_int(3));
         assert_eq!(value_of(&attrs, 1), Rational::from_int(5));
         // Sorted by decreasing value.
@@ -164,16 +158,14 @@ mod tests {
     #[test]
     fn negative_weights_supported() {
         let weighted = vec![(dnf(&[&[0]]), Rational::from_int(-2))];
-        let attrs =
-            sum_shapley(&weighted, 1, &Budget::unlimited(), &ExactConfig::default()).unwrap();
+        let attrs = sum_shapley(&weighted, 1, &Budget::unlimited()).unwrap();
         assert_eq!(value_of(&attrs, 0), Rational::from_int(-2));
     }
 
     #[test]
     fn zero_weight_tuples_are_skipped() {
         let weighted = vec![(dnf(&[&[0]]), Rational::zero())];
-        let attrs =
-            sum_shapley(&weighted, 1, &Budget::unlimited(), &ExactConfig::default()).unwrap();
+        let attrs = sum_shapley(&weighted, 1, &Budget::unlimited()).unwrap();
         assert!(attrs.is_empty());
     }
 
@@ -181,8 +173,7 @@ mod tests {
     fn efficiency_of_count_game() {
         // Σ_f Shapley(f) = v(D_n) − v(∅) = #answers on full DB − #certain.
         let lineages = vec![dnf(&[&[0, 1], &[2]]), dnf(&[&[1]]), dnf(&[&[3, 0]])];
-        let attrs =
-            count_shapley(&lineages, 4, &Budget::unlimited(), &ExactConfig::default()).unwrap();
+        let attrs = count_shapley(&lineages, 4, &Budget::unlimited()).unwrap();
         let total = attrs.iter().fold(Rational::zero(), |acc, (_, v)| &acc + v);
         assert_eq!(total, Rational::from_int(3)); // all 3 tuples need facts
     }
@@ -209,7 +200,7 @@ mod tests {
                 })
                 .collect();
             let attrs = sum_shapley(
-                &weighted, n, &Budget::unlimited(), &ExactConfig::default()).unwrap();
+                &weighted, n, &Budget::unlimited()).unwrap();
             let game = |s: &Bitset| {
                 let mut total = Rational::zero();
                 for (l, w) in &weighted {

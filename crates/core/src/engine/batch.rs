@@ -12,11 +12,12 @@
 //! workers (large stacks — the compiler recursion is bounded by the CNF
 //! variable count).
 //!
-//! One entry point, [`BatchExecutor::run_measures`], serves a whole
-//! measure set in one pass: each distinct structure is compiled (or
-//! factorized) at most once and every requested measure is evaluated from
-//! it.
-//! [`BatchExecutor::run`] is the one-measure case. The pipeline itself —
+//! One entry point, [`BatchExecutor::run`], serves a whole measure set in
+//! one pass (a one-measure run is the set of one): each distinct structure
+//! is compiled (or factorized) at most once and every requested measure is
+//! evaluated from it. Its only knob is the thread count; fail-fast follows
+//! from the planner's policy (an exact-mode planner, one without a
+//! fallback, aborts on the first error). The pipeline itself —
 //! fingerprint → group → solve (planning each structure inside its
 //! worker) → translate — lives in [`super::stages`] as pool-agnostic free
 //! functions; this module only owns the one-shot orchestration (scoped
@@ -40,16 +41,12 @@
 //! solves would have spent, so dedup costs nothing in total draws and buys
 //! a `G×`-sample estimate for every member of a size-`G` group. Sampling
 //! results are never cached across runs (each run draws its own
-//! deterministic stream, salted by the representative task's index). A
-//! sweep draws exactly like a single-measure run of the same measure.
+//! deterministic stream, salted by the representative task's index).
 
 use super::{translate_result, EngineError, EngineResult, Measure, Planner};
-use crate::exact::ExactConfig;
 use shapdb_circuit::Dnf;
 use shapdb_kc::{Budget, ComponentCache};
-use shapdb_metrics::counters::{
-    CacheRunStats, DedupStats, BATCH_DEDUP_HITS, BATCH_DISTINCT, BATCH_TASKS,
-};
+use shapdb_metrics::counters::{DedupStats, BATCH_DEDUP_HITS, BATCH_DISTINCT, BATCH_TASKS};
 use shapdb_metrics::Profile;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -81,41 +78,35 @@ pub struct BatchReport {
     /// Dedup statistics over lineages (the lineage-dedup hit rate of this
     /// run).
     pub dedup: DedupStats,
-    /// Distinct structures actually solved (the profile's `engine.runs`).
-    /// At most one per distinct structure, however many measures it
-    /// serves; cache hits and fail-fast-aborted structures invoke none.
-    pub engine_runs: usize,
-    /// How this run used the cross-query result cache, per (structure,
-    /// measure) pair (all zeros when the planner carries none), read from
-    /// the profile.
-    pub cache: CacheRunStats,
     /// Worker threads used.
     pub threads: usize,
     /// Every counter this run bumped, on its own thread and its workers —
     /// routes, compiles, arithmetic tiers, cache traffic — and nothing any
-    /// concurrent run did.
+    /// concurrent run did. `profile.engine_runs()` counts the distinct
+    /// structures actually solved (cache hits and fail-fast-aborted
+    /// structures invoke no engine); `CacheRunStats::of(&profile)` is the
+    /// run's use of the cross-query result cache, per (structure, measure)
+    /// pair.
     pub profile: Profile,
     /// Wall time of the whole batch.
     pub total_time: Duration,
 }
 
 /// Executes batches of lineage tasks through a [`Planner`].
+///
+/// An exact-mode planner (no [`super::PlannerConfig::fallback`]) runs the
+/// batch fail-fast: the first failed structure aborts the rest, which
+/// inherit its error instead of burning their own per-lineage timeouts.
+/// Under a fallback policy every task gets its own verdict.
 #[derive(Clone, Debug, Default)]
 pub struct BatchExecutor {
     planner: Planner,
     /// Worker threads (0 = all available cores).
     threads: usize,
-    /// Abort the batch on the first failed task: remaining structures
-    /// inherit that error instead of burning their own per-lineage
-    /// timeouts.
-    fail_fast: bool,
-    /// The attribution [`BatchExecutor::run`] computes.
-    measure: Measure,
 }
 
 impl BatchExecutor {
-    /// An executor over the given planner: all cores, every task gets its
-    /// own verdict, Shapley values.
+    /// An executor over the given planner, on all cores.
     pub fn new(planner: Planner) -> BatchExecutor {
         BatchExecutor {
             planner,
@@ -129,36 +120,9 @@ impl BatchExecutor {
         self
     }
 
-    /// Aborts the whole batch on the first failed task: the structures not
-    /// yet solved inherit that error. Off by default (every task gets its
-    /// own verdict); callers that propagate the first error anyway (the
-    /// facade's exact `explain`) turn it on.
-    pub fn with_fail_fast(mut self) -> Self {
-        self.fail_fast = true;
-        self
-    }
-
-    /// Sets the attribution measure [`BatchExecutor::run`] computes
-    /// ([`Measure::Shapley`] by default).
-    pub fn with_measure(mut self, measure: Measure) -> Self {
-        self.measure = measure;
-        self
-    }
-
-    /// Runs the batch under the executor's measure: one lineage per output
-    /// tuple, shared `n_endo` and budgets (per-lineage deadlines come from
-    /// the planner's timeout). `items[i]` is lineage `i`'s outcome.
-    pub fn run(
-        &self,
-        lineages: &[Dnf],
-        n_endo: usize,
-        budget: &Budget,
-        exact: &ExactConfig,
-    ) -> BatchReport {
-        self.run_measures(lineages, n_endo, budget, exact, &[self.measure])
-    }
-
-    /// Runs the batch for **several measures in one pass**: each lineage is
+    /// Runs the batch for every measure in `measures` in one pass: one
+    /// lineage per output tuple, shared `n_endo` and budget (the planner's
+    /// timeout clamps each structure's deadline). Each lineage is
     /// fingerprinted once, each distinct structure is compiled (or
     /// factorized) at most once, and every requested measure is evaluated
     /// from that one canonical structure. With a cache attached, each
@@ -166,16 +130,16 @@ impl BatchExecutor {
     /// all of them with zero engine runs.
     ///
     /// `items[i * measures.len() + j]` is lineage `i`'s result for
-    /// `measures[j]`, values translated back onto the lineage's own facts.
-    /// `engine_runs` counts distinct structures actually solved — *not*
+    /// `measures[j]`, values translated back onto the lineage's own facts;
+    /// a one-measure run has one item per lineage. The profile's
+    /// `engine.runs` counts distinct structures actually solved — *not*
     /// evaluator passes — so a cold four-measure sweep over one structure
-    /// reports exactly 1.
-    pub fn run_measures(
+    /// counts exactly 1.
+    pub fn run(
         &self,
         lineages: &[Dnf],
         n_endo: usize,
         budget: &Budget,
-        exact: &ExactConfig,
         measures: &[Measure],
     ) -> BatchReport {
         let start = Instant::now();
@@ -191,6 +155,8 @@ impl BatchExecutor {
             stages::record_measure_requests(m, tasks as u64);
         }
         let planner = self.run_planner();
+        // Exact mode propagates the first error anyway.
+        let fail_fast = planner.cfg.fallback.is_none();
 
         // Stages 1–2: canonicalize (in parallel), group.
         let fingerprints = stages::fingerprint_lineages(pool, lineages);
@@ -214,12 +180,11 @@ impl BatchExecutor {
                     &fingerprints[i],
                     n_endo,
                     budget,
-                    exact,
                     i as u64,
                     grouping.members_of[g].len(),
                     measures,
                 );
-                if self.fail_fast {
+                if fail_fast {
                     if let Some(Err(e)) = results.iter().find(|r| r.is_err()) {
                         abort.lock().expect("abort flag").get_or_insert(e.clone());
                     }
@@ -248,8 +213,6 @@ impl BatchExecutor {
             items,
             measures: measures.to_vec(),
             dedup,
-            engine_runs: profile.engine_runs(),
-            cache: CacheRunStats::of(&profile),
             threads,
             profile: (*profile).clone(),
             total_time: start.elapsed(),
@@ -280,6 +243,7 @@ mod tests {
         EngineKind, EngineValues, LineageTask, MonteCarloEngine, PlannerConfig, ShapleyEngine,
     };
     use shapdb_circuit::VarId;
+    use shapdb_metrics::counters::CacheRunStats;
     use shapdb_num::Rational;
 
     fn dnf(conjs: &[&[u32]]) -> Dnf {
@@ -308,7 +272,7 @@ mod tests {
             dnf(&[&[7]]),
         ];
         let exec = BatchExecutor::new(Planner::new(PlannerConfig::default()));
-        let report = exec.run(&lineages, 40, &Budget::unlimited(), &ExactConfig::default());
+        let report = exec.run(&lineages, 40, &Budget::unlimited(), &[Measure::Shapley]);
         assert_eq!(
             report.dedup,
             DedupStats {
@@ -316,7 +280,7 @@ mod tests {
                 distinct: 2,
             }
         );
-        assert_eq!(report.engine_runs, 2);
+        assert_eq!(report.profile.engine_runs(), 2);
         assert_eq!(report.dedup.hits(), 2);
         let hits: Vec<bool> = report.items.iter().map(|i| i.dedup_hit).collect();
         assert_eq!(hits, vec![false, true, true, false]);
@@ -357,7 +321,7 @@ mod tests {
             .collect();
         for threads in [1, 4] {
             let exec = BatchExecutor::new(planner.clone()).with_threads(threads);
-            let report = exec.run(&lineages, 20, &Budget::unlimited(), &ExactConfig::default());
+            let report = exec.run(&lineages, 20, &Budget::unlimited(), &[Measure::Shapley]);
             for (i, item) in report.items.iter().enumerate() {
                 let got = exact_pairs(item.result.as_ref().unwrap());
                 assert_eq!(got, sequential[i], "threads={threads}, task {i}");
@@ -383,7 +347,7 @@ mod tests {
             .collect();
         assert_eq!(sequential[0].len(), 3, "absorbed var 3 is omitted");
         let exec = BatchExecutor::new(planner.clone());
-        let report = exec.run(&lineages, 8, &Budget::unlimited(), &ExactConfig::default());
+        let report = exec.run(&lineages, 8, &Budget::unlimited(), &[Measure::Shapley]);
         for (i, item) in report.items.iter().enumerate() {
             let got = exact_pairs(item.result.as_ref().unwrap());
             assert_eq!(got, sequential[i], "task {i}");
@@ -393,26 +357,27 @@ mod tests {
     #[test]
     fn errors_are_per_task_and_translated_tasks_share_them() {
         // A KC-routed structure under an impossible node budget fails; both
-        // members of its dedup group see the error, the read-once task does
-        // not.
+        // members of its dedup group see the error, the read-once task
+        // solved before it does not. (The exact planner runs fail-fast, so
+        // one thread keeps the structure order fixed.)
         let lineages = vec![
-            dnf(&[&[0, 1], &[1, 2], &[0, 2]]),
             dnf(&[&[5]]),
+            dnf(&[&[0, 1], &[1, 2], &[0, 2]]),
             dnf(&[&[10, 11], &[11, 12], &[10, 12]]),
         ];
         let kc_only = PlannerConfig {
             max_naive_vars: 0, // keep the tiny majorities on the KC route
             ..Default::default()
         };
-        let exec = BatchExecutor::new(Planner::new(kc_only));
+        let exec = BatchExecutor::new(Planner::new(kc_only)).with_threads(1);
         let report = exec.run(
             &lineages,
             13,
             &Budget::with_max_nodes(1),
-            &ExactConfig::default(),
+            &[Measure::Shapley],
         );
-        assert!(report.items[0].result.is_err());
-        assert!(report.items[1].result.is_ok());
+        assert!(report.items[0].result.is_ok());
+        assert!(report.items[1].result.is_err());
         assert!(report.items[2].result.is_err());
         assert!(report.items[2].dedup_hit);
         // With a hybrid fallback the same batch degrades to rankings
@@ -425,11 +390,11 @@ mod tests {
             &lineages,
             13,
             &Budget::with_max_nodes(1),
-            &ExactConfig::default(),
+            &[Measure::Shapley],
         );
         assert!(report.items.iter().all(|i| i.result.is_ok()));
         assert_eq!(
-            report.items[0].result.as_ref().unwrap().engine,
+            report.items[1].result.as_ref().unwrap().engine,
             EngineKind::Proxy
         );
     }
@@ -437,8 +402,8 @@ mod tests {
     #[test]
     fn fail_fast_aborts_remaining_tasks_with_the_first_error() {
         // Two KC-hard structures under an impossible node budget plus a
-        // read-once singleton after them: with fail_fast the singleton is
-        // not solved, it inherits the first error.
+        // read-once singleton after them: the exact planner runs fail-fast,
+        // so the singleton is not solved, it inherits the first error.
         let lineages = vec![
             dnf(&[&[0, 1], &[1, 2], &[0, 2]]),
             dnf(&[&[10, 11], &[11, 12], &[10, 13], &[12, 13]]),
@@ -448,33 +413,39 @@ mod tests {
             max_naive_vars: 0, // keep the tiny majorities on the KC route
             ..Default::default()
         };
-        let exec = BatchExecutor::new(Planner::new(kc_only))
-            .with_fail_fast()
-            .with_threads(1);
-        let report = exec.run(
-            &lineages,
-            14,
-            &Budget::with_max_nodes(1),
-            &ExactConfig::default(),
-        );
-        let first_err = report.items[0].result.clone().unwrap_err();
-        assert!(report.items.iter().all(|i| i.result.is_err()));
-        assert_eq!(report.items[2].result.clone().unwrap_err(), first_err);
-        // Regression: `engine_runs` counts *actual* engine invocations —
-        // the two aborted structures never invoked one.
-        assert_eq!(report.dedup.distinct, 3);
-        assert_eq!(report.engine_runs, 1, "only the first structure ran");
-        // Default mode: the singleton still succeeds, and every structure
-        // really ran.
         let exec = BatchExecutor::new(Planner::new(kc_only)).with_threads(1);
         let report = exec.run(
             &lineages,
             14,
             &Budget::with_max_nodes(1),
-            &ExactConfig::default(),
+            &[Measure::Shapley],
         );
-        assert!(report.items[2].result.is_ok());
-        assert_eq!(report.engine_runs, 3);
+        let first_err = report.items[0].result.clone().unwrap_err();
+        assert!(report.items.iter().all(|i| i.result.is_err()));
+        assert_eq!(report.items[2].result.clone().unwrap_err(), first_err);
+        // Regression: `engine.runs` counts *actual* engine invocations —
+        // the two aborted structures never invoked one.
+        assert_eq!(report.dedup.distinct, 3);
+        assert_eq!(
+            report.profile.engine_runs(),
+            1,
+            "only the first structure ran"
+        );
+        // A fallback policy never aborts: every structure really ran, the
+        // failed ones on the fallback.
+        let hybrid = BatchExecutor::new(Planner::new(PlannerConfig {
+            fallback: Some(EngineKind::Proxy),
+            ..kc_only
+        }))
+        .with_threads(1);
+        let report = hybrid.run(
+            &lineages,
+            14,
+            &Budget::with_max_nodes(1),
+            &[Measure::Shapley],
+        );
+        assert!(report.items.iter().all(|i| i.result.is_ok()));
+        assert_eq!(report.profile.engine_runs(), 3);
     }
 
     /// Sorted per-member estimate vectors (values only, facts normalized
@@ -511,9 +482,9 @@ mod tests {
             ..Default::default()
         }))
         .with_threads(1);
-        let report = exec.run(&lineages, 24, &Budget::unlimited(), &ExactConfig::default());
+        let report = exec.run(&lineages, 24, &Budget::unlimited(), &[Measure::Shapley]);
         assert_eq!(report.dedup.distinct, 1, "structures intern");
-        assert_eq!(report.engine_runs, 1, "one pooled sampling solve");
+        assert_eq!(report.profile.engine_runs(), 1, "one pooled sampling solve");
         assert!(report.items[1].dedup_hit, "the second member shares it");
         let estimates = approx_rows(&report);
         assert_eq!(
@@ -557,7 +528,7 @@ mod tests {
             assert_eq!(member_value, *value, "scale = group size, exactly");
         }
         // Determinism: the same batch re-run reproduces the same draws.
-        let again = exec.run(&lineages, 24, &Budget::unlimited(), &ExactConfig::default());
+        let again = exec.run(&lineages, 24, &Budget::unlimited(), &[Measure::Shapley]);
         for (a, b) in report.items.iter().zip(&again.items) {
             assert_eq!(
                 a.result.as_ref().unwrap().values,
@@ -586,10 +557,14 @@ mod tests {
             &lineages,
             8,
             &Budget::with_max_nodes(1),
-            &ExactConfig::default(),
+            &[Measure::Shapley],
         );
         assert_eq!(report.dedup.distinct, 1);
-        assert_eq!(report.engine_runs, 1, "one fallback draw for the group");
+        assert_eq!(
+            report.profile.engine_runs(),
+            1,
+            "one fallback draw for the group"
+        );
         assert!(report.items[1].dedup_hit);
         let estimates = approx_rows(&report);
         assert_eq!(estimates[0], estimates[1], "shared translated estimate");
@@ -609,17 +584,17 @@ mod tests {
             BatchExecutor::new(Planner::new(PlannerConfig::default()).with_cache(cache.clone()))
                 .with_threads(1);
         let lineages = vec![dnf(&[&[0]])];
-        let report = exec.run(&lineages, 2, &Budget::unlimited(), &ExactConfig::default());
+        let report = exec.run(&lineages, 2, &Budget::unlimited(), &[Measure::Shapley]);
         assert!(report.items[0].result.is_ok());
         assert_eq!(
-            report.cache,
+            CacheRunStats::of(&report.profile),
             CacheRunStats {
                 hits: 0,
                 misses: 0,
                 bypasses: 1
             }
         );
-        assert_eq!(report.engine_runs, 1);
+        assert_eq!(report.profile.engine_runs(), 1);
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.len), (0, 0));
         assert!(stats.bypasses >= 1);
@@ -638,19 +613,23 @@ mod tests {
             dnf(&[&[2, 20], &[3, 21]]),
             dnf(&[&[4, 5], &[5, 6], &[4, 6]]),
         ];
-        let cold = exec.run(&lineages, 24, &Budget::unlimited(), &ExactConfig::default());
+        let cold = exec.run(&lineages, 24, &Budget::unlimited(), &[Measure::Shapley]);
         assert_eq!(
-            cold.cache,
+            CacheRunStats::of(&cold.profile),
             CacheRunStats {
                 hits: 0,
                 misses: 2,
                 bypasses: 0
             }
         );
-        assert_eq!(cold.engine_runs, 2);
-        let warm = exec.run(&lineages, 24, &Budget::unlimited(), &ExactConfig::default());
-        assert_eq!(warm.cache.hits, 2);
-        assert_eq!(warm.engine_runs, 0, "everything served from the cache");
+        assert_eq!(cold.profile.engine_runs(), 2);
+        let warm = exec.run(&lineages, 24, &Budget::unlimited(), &[Measure::Shapley]);
+        assert_eq!(CacheRunStats::of(&warm.profile).hits, 2);
+        assert_eq!(
+            warm.profile.engine_runs(),
+            0,
+            "everything served from the cache"
+        );
         for (a, b) in cold.items.iter().zip(&warm.items) {
             assert_eq!(
                 exact_pairs(a.result.as_ref().unwrap()),
@@ -661,9 +640,9 @@ mod tests {
         // A *renamed* copy of the majority in a fresh batch still hits: the
         // cache is keyed by canonical structure, not by fact ids.
         let renamed = vec![dnf(&[&[100, 200], &[200, 300], &[100, 300]])];
-        let cross = exec.run(&renamed, 24, &Budget::unlimited(), &ExactConfig::default());
-        assert_eq!(cross.cache.hits, 1);
-        assert_eq!(cross.engine_runs, 0);
+        let cross = exec.run(&renamed, 24, &Budget::unlimited(), &[Measure::Shapley]);
+        assert_eq!(CacheRunStats::of(&cross.profile).hits, 1);
+        assert_eq!(cross.profile.engine_runs(), 0);
         let pairs = exact_pairs(cross.items[0].result.as_ref().unwrap());
         for (f, v) in pairs {
             assert!([100, 200, 300].contains(&f), "translated onto own facts");
@@ -674,13 +653,12 @@ mod tests {
 
     #[test]
     fn single_measure_batches_compute_that_measure() {
-        // The same running example under a Banzhaf-configured batch: every
-        // result is tagged Banzhaf and a1's value is the uniform-weight
-        // 21/64, not the Shapley 43/105.
+        // The same running example under a Banzhaf batch: every result is
+        // tagged Banzhaf and a1's value is the uniform-weight 21/64, not
+        // the Shapley 43/105.
         let lineages = vec![dnf(&[&[0], &[1, 3], &[1, 4], &[2, 3], &[2, 4], &[5, 6]])];
-        let exec = BatchExecutor::new(Planner::new(PlannerConfig::default()))
-            .with_measure(Measure::Banzhaf);
-        let report = exec.run(&lineages, 8, &Budget::unlimited(), &ExactConfig::default());
+        let exec = BatchExecutor::new(Planner::new(PlannerConfig::default()));
+        let report = exec.run(&lineages, 8, &Budget::unlimited(), &[Measure::Banzhaf]);
         let r = report.items[0].result.as_ref().unwrap();
         assert_eq!(r.measure, Measure::Banzhaf);
         let pairs = exact_pairs(r);
@@ -705,19 +683,18 @@ mod tests {
         })
         .with_cache(cache.clone());
         let exec = BatchExecutor::new(planner.clone()).with_threads(1);
-        let cold = exec.run_measures(
-            &lineages,
-            3,
-            &Budget::unlimited(),
-            &ExactConfig::default(),
-            &Measure::ALL,
-        );
+        let cold = exec.run(&lineages, 3, &Budget::unlimited(), &Measure::ALL);
         assert_eq!(cold.dedup.distinct, 1);
         assert_eq!(
-            cold.engine_runs, 1,
+            cold.profile.engine_runs(),
+            1,
             "one compiled structure served all four measures"
         );
-        assert_eq!(cold.cache.misses, 4, "one entry per measure inserted");
+        assert_eq!(
+            CacheRunStats::of(&cold.profile).misses,
+            4,
+            "one entry per measure inserted"
+        );
         assert_eq!(cache.stats().len, 4);
         // Every lineage × measure cell is exact, correctly tagged, and on
         // the lineage's own facts.
@@ -744,15 +721,13 @@ mod tests {
             }
         }
         // Warm sweep: measure-keyed hits, zero engine runs.
-        let warm = exec.run_measures(
-            &lineages,
-            3,
-            &Budget::unlimited(),
-            &ExactConfig::default(),
-            &Measure::ALL,
+        let warm = exec.run(&lineages, 3, &Budget::unlimited(), &Measure::ALL);
+        assert_eq!(
+            warm.profile.engine_runs(),
+            0,
+            "all four measures served from cache"
         );
-        assert_eq!(warm.engine_runs, 0, "all four measures served from cache");
-        assert_eq!(warm.cache.hits, 4);
+        assert_eq!(CacheRunStats::of(&warm.profile).hits, 4);
         for (a, b) in cold.items.iter().zip(&warm.items) {
             assert_eq!(
                 exact_pairs(a.result.as_ref().unwrap()),
@@ -775,11 +750,12 @@ mod tests {
 
     #[test]
     fn run_equals_a_one_measure_sweep() {
-        // `run` is `run_measures(&[m])`: item for item the same engine,
-        // measure and values — under the exact planner for every measure,
-        // and under forced Monte Carlo with duplicated structures, where
-        // the representative's seed salt and the group-pooled sample
-        // budget must apply to the sweep too.
+        // A one-measure run is its measure's column of a sweep: item for
+        // item the same engine, measure and values — under the exact
+        // planner for every measure, and under forced Monte Carlo with
+        // duplicated structures, where every column of a sweep must draw
+        // with the representative's seed salt and the group-pooled sample
+        // budget, like the one-measure run.
         let lineages = vec![
             dnf(&[&[0], &[1, 3], &[1, 4], &[2, 3], &[2, 4], &[5, 6]]),
             dnf(&[&[8, 9], &[9, 10], &[8, 10]]),
@@ -787,10 +763,12 @@ mod tests {
             dnf(&[&[15, 16], &[16, 17], &[15, 17]]),
             dnf(&[&[18, 19], &[20, 21]]),
         ];
-        let same = |a: &BatchReport, b: &BatchReport, label: &str| {
-            assert_eq!(a.items.len(), b.items.len(), "{label}");
-            for (x, y) in a.items.iter().zip(&b.items) {
-                let (x, y) = (x.result.as_ref().unwrap(), y.result.as_ref().unwrap());
+        let column_of = |sweep: &BatchReport, run: &BatchReport, j: usize, label: &str| {
+            let width = sweep.measures.len();
+            assert_eq!(sweep.items.len(), run.items.len() * width, "{label}");
+            for (i, y) in run.items.iter().enumerate() {
+                let x = sweep.items[i * width + j].result.as_ref().unwrap();
+                let y = y.result.as_ref().unwrap();
                 assert_eq!(
                     (x.engine, x.measure, &x.values),
                     (y.engine, y.measure, &y.values),
@@ -798,42 +776,30 @@ mod tests {
                 );
             }
         };
-        let exact_planner = Planner::new(PlannerConfig::default());
-        for m in Measure::ALL {
-            let exec = BatchExecutor::new(exact_planner.clone())
-                .with_threads(1)
-                .with_measure(m);
-            let run = exec.run(&lineages, 22, &Budget::unlimited(), &ExactConfig::default());
-            let sweep = exec.run_measures(
-                &lineages,
-                22,
-                &Budget::unlimited(),
-                &ExactConfig::default(),
-                &[m],
-            );
-            same(&run, &sweep, m.name());
+        let exec = BatchExecutor::new(Planner::new(PlannerConfig::default())).with_threads(1);
+        let sweep = exec.run(&lineages, 22, &Budget::unlimited(), &Measure::ALL);
+        for (j, m) in Measure::ALL.into_iter().enumerate() {
+            let run = exec.run(&lineages, 22, &Budget::unlimited(), &[m]);
+            column_of(&sweep, &run, j, m.name());
         }
         let sampling = BatchExecutor::new(Planner::new(PlannerConfig {
             force: Some(EngineKind::MonteCarlo),
             ..Default::default()
         }))
         .with_threads(1);
-        let run = sampling.run(&lineages, 22, &Budget::unlimited(), &ExactConfig::default());
+        let run = sampling.run(&lineages, 22, &Budget::unlimited(), &[Measure::Shapley]);
         assert_eq!(run.dedup.distinct, 3, "two duplicated structures");
-        let sweep = sampling.run_measures(
-            &lineages,
-            22,
-            &Budget::unlimited(),
-            &ExactConfig::default(),
-            &[Measure::Shapley],
-        );
-        same(&run, &sweep, "monte carlo");
+        let twice = [Measure::Shapley; 2];
+        let sweep = sampling.run(&lineages, 22, &Budget::unlimited(), &twice);
+        for j in 0..2 {
+            column_of(&sweep, &run, j, "monte carlo");
+        }
     }
 
     #[test]
     fn empty_batch() {
         let exec = BatchExecutor::new(Planner::new(PlannerConfig::default()));
-        let report = exec.run(&[], 0, &Budget::unlimited(), &ExactConfig::default());
+        let report = exec.run(&[], 0, &Budget::unlimited(), &[Measure::Shapley]);
         assert!(report.items.is_empty());
         assert_eq!(
             report.dedup,

@@ -15,7 +15,7 @@ use super::{
     LineageTask, Measure, ShapleyEngine,
 };
 use crate::banzhaf::banzhaf_naive;
-use crate::exact::power_index_all_facts;
+use crate::exact::{power_index_all_facts, ExactConfig};
 use crate::kernelshap::{kernel_shap, KernelShapConfig};
 use crate::montecarlo::{monte_carlo_shapley, monte_carlo_shapley_monotone, MonteCarloConfig};
 use crate::naive::shapley_naive_deadline;
@@ -158,11 +158,11 @@ impl ReadOnceEngine {
         let solve_start = Instant::now();
         let pairs = match task.measure {
             Measure::Shapley | Measure::Banzhaf => {
-                power_read_once(tree, task.n_endo, task.exact.deadline, task.measure)
+                power_read_once(tree, task.n_endo, task.budget.deadline, task.measure)
                     .map_err(|e| EngineError::Analysis(AnalysisError::Shapley(e)))?
             }
             Measure::ShapScore => {
-                shap_read_once(tree, task.n_endo, task.exact.deadline, &shap_background())
+                shap_read_once(tree, task.n_endo, task.budget.deadline, &shap_background())
                     .map_err(|e| EngineError::Analysis(AnalysisError::Shapley(e)))?
             }
             Measure::Responsibility => responsibility_read_once(tree),
@@ -219,13 +219,13 @@ impl KcEngine {
     /// Shapley values of the circuit's input variables through Tseytin →
     /// compile (with a cache owned by the call) → project, no
     /// minimization. The entry signed negation lineages use, since they are
-    /// circuits rather than monotone DNFs.
+    /// circuits rather than monotone DNFs. `budget`'s deadline bounds the
+    /// compile and Algorithm 1 together.
     pub fn analyze_circuit(
         circuit: &Circuit,
         root: NodeId,
         n_endo: usize,
         budget: &Budget,
-        cfg: &crate::exact::ExactConfig,
     ) -> Result<EngineResult, AnalysisError> {
         let kc_start = Instant::now();
         let c =
@@ -238,10 +238,12 @@ impl KcEngine {
             compile_stats: c.stats,
             prep_time: kc_start.elapsed(),
         };
-        KcEngine::evaluate_compiled(&compiled, n_endo, cfg, Measure::Shapley).map_err(|e| match e {
-            EngineError::Analysis(a) => a,
-            _ => unreachable!("Shapley evaluation fails only with analysis errors"),
-        })
+        KcEngine::evaluate_compiled(&compiled, n_endo, budget, Measure::Shapley).map_err(
+            |e| match e {
+                EngineError::Analysis(a) => a,
+                _ => unreachable!("Shapley evaluation fails only with analysis errors"),
+            },
+        )
     }
 
     /// The full KC solve — the planner's KC arm calls this so lineages
@@ -293,7 +295,7 @@ impl KcEngine {
             })
         });
         match compiled {
-            Ok(c) => KcEngine::evaluate_compiled(c, task.n_endo, &task.exact, task.measure),
+            Ok(c) => KcEngine::evaluate_compiled(c, task.n_endo, &task.budget, task.measure),
             Err(e) => Err(e.clone()),
         }
     }
@@ -301,18 +303,22 @@ impl KcEngine {
     /// One measure's values from an already-compiled structure: the power
     /// indices run Algorithm 1 with the measure's weights, the SHAP-score
     /// runs the probability-weighted β-DP on the same circuit; values of a
-    /// negated compile flip sign. Responsibility is DNF-level and never
-    /// reaches this function.
+    /// negated compile flip sign. Algorithm 1 runs under `budget`'s
+    /// deadline. Responsibility is DNF-level and never reaches this
+    /// function.
     pub(crate) fn evaluate_compiled(
         compiled: &CompiledLineage,
         n_endo: usize,
-        cfg: &crate::exact::ExactConfig,
+        budget: &Budget,
         measure: Measure,
     ) -> Result<EngineResult, EngineError> {
         let solve_start = Instant::now();
         let values = match measure {
             Measure::Shapley | Measure::Banzhaf => {
-                power_index_all_facts(&compiled.ddnnf, n_endo, cfg, measure)
+                let cfg = ExactConfig {
+                    deadline: budget.deadline,
+                };
+                power_index_all_facts(&compiled.ddnnf, n_endo, &cfg, measure)
                     .map_err(|e| EngineError::Analysis(AnalysisError::Shapley(e)))?
             }
             Measure::ShapScore => {
@@ -411,7 +417,7 @@ impl ShapleyEngine for NaiveEngine {
         let solve_start = Instant::now();
         let f = |s: &Bitset| dense.eval_set(s);
         let values = match task.measure {
-            Measure::Shapley => shapley_naive_deadline(&f, vars.len(), task.exact.deadline)
+            Measure::Shapley => shapley_naive_deadline(&f, vars.len(), task.budget.deadline)
                 .map_err(|e| EngineError::Analysis(AnalysisError::Shapley(e)))?,
             Measure::Banzhaf => banzhaf_naive(&f, vars.len()),
             Measure::ShapScore => shap_naive(&f, &vec![shap_background(); vars.len()]),
@@ -574,7 +580,6 @@ impl ShapleyEngine for KernelShapEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::ExactConfig;
     use std::time::Duration;
 
     fn running_example() -> Dnf {
@@ -612,8 +617,7 @@ mod tests {
         let d = running_example();
         let mut c = Circuit::new();
         let root = d.to_circuit(&mut c);
-        let r = KcEngine::analyze_circuit(&c, root, 8, &Budget::unlimited(), &Default::default())
-            .unwrap();
+        let r = KcEngine::analyze_circuit(&c, root, 8, &Budget::unlimited()).unwrap();
         assert_eq!(r.engine, EngineKind::Kc);
         assert_eq!(r.num_facts, 7);
         let EngineValues::Exact(pairs) = &r.values else {
@@ -639,7 +643,7 @@ mod tests {
         let mut c = Circuit::new();
         let root = d.to_circuit(&mut c);
         let budget = Budget::with_max_nodes(1);
-        let err = KcEngine::analyze_circuit(&c, root, 8, &budget, &Default::default()).unwrap_err();
+        let err = KcEngine::analyze_circuit(&c, root, 8, &budget).unwrap_err();
         assert_eq!(
             err,
             AnalysisError::Compile(shapdb_kc::CompileError::NodeLimit)
@@ -907,14 +911,31 @@ mod tests {
 
     #[test]
     fn deadline_timeout_surfaces_as_analysis_error() {
+        // One expired budget deadline bounds every exact engine: read-once
+        // and naive stop in their evaluation, KC in its compile or in
+        // Algorithm 1. Each fails with a typed error, never with values.
         let d = running_example();
         let past = Instant::now() - Duration::from_millis(1);
-        let task = LineageTask::new(&d, 8).with_exact(ExactConfig {
+        let task = LineageTask::new(&d, 8).with_budget(Budget {
             deadline: Some(past),
+            ..Budget::unlimited()
         });
+        for engine in [
+            &ReadOnceEngine as &dyn ShapleyEngine,
+            &NaiveEngine::default(),
+        ] {
+            assert!(
+                matches!(
+                    engine.solve(&task),
+                    Err(EngineError::Analysis(AnalysisError::Shapley(_)))
+                ),
+                "{}",
+                engine.name()
+            );
+        }
         assert!(matches!(
-            ReadOnceEngine.solve(&task),
-            Err(EngineError::Analysis(AnalysisError::Shapley(_)))
+            KcEngine.solve(&task),
+            Err(EngineError::Analysis(_))
         ));
     }
 }

@@ -33,6 +33,11 @@
 //! so batch ≡ sequential ≡ service holds bit-identically on the exact
 //! paths by construction.
 //!
+//! An exact solve has one deadline, the task's [`Budget`] deadline: it
+//! bounds compilation and Algorithm 1 together (the read-once and naive
+//! evaluations too), as the paper's §6.3 per-answer timeout does, and
+//! [`PlannerConfig::timeout`] only clamps it.
+//!
 //! The paper's §6.3 hybrid is [`PlannerConfig::hybrid`]; the `shapdb`
 //! facade and the CLI are thin policies over this layer.
 
@@ -59,7 +64,7 @@ pub use topk::{shapley_bounds, ScoreBounds, TopKExecutor, TopKItem, TopKReport};
 
 pub use crate::measure::Measure;
 
-use crate::exact::{ExactConfig, ShapleyTimeout};
+use crate::exact::ShapleyTimeout;
 use shapdb_circuit::{Dnf, Fingerprint, VarId};
 use shapdb_kc::{Budget, CompileError, CompileStats};
 use shapdb_num::Rational;
@@ -162,10 +167,10 @@ pub struct LineageTask<'a> {
     pub lineage: &'a Dnf,
     /// `|D_n|`, the number of endogenous facts of the database.
     pub n_endo: usize,
-    /// Knowledge-compilation budget (deadline and node cap).
+    /// The solve's budget: its deadline bounds the whole exact pipeline
+    /// (compilation, Algorithm 1, the read-once and naive evaluations),
+    /// its node cap bounds compilation.
     pub budget: Budget,
-    /// Algorithm 1 options (including its deadline).
-    pub exact: ExactConfig,
     /// The caller asserts `lineage` is already absorption-minimized, so
     /// engines skip their own minimization pass. Set on the batch/cache hot
     /// path, where the fingerprint's canonical DNF is minimized by
@@ -197,7 +202,6 @@ impl<'a> LineageTask<'a> {
             lineage,
             n_endo,
             budget: Budget::unlimited(),
-            exact: ExactConfig::default(),
             minimized: false,
             seed_salt: 0,
             sample_scale: 1,
@@ -205,15 +209,9 @@ impl<'a> LineageTask<'a> {
         }
     }
 
-    /// Sets the knowledge-compilation budget.
+    /// Sets the budget (see [`LineageTask::budget`]).
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Sets the Algorithm 1 options.
-    pub fn with_exact(mut self, exact: ExactConfig) -> Self {
-        self.exact = exact;
         self
     }
 

@@ -27,7 +27,6 @@
 use super::cache::{CacheKey, ShapleyCache};
 use super::engines::{CompileSlot, KcEngine as KcEngineImpl};
 use super::{EngineError, EngineKind, EngineResult, LineageTask, Measure, ReadOnceEngine};
-use crate::exact::ExactConfig;
 use shapdb_circuit::{factor_minimized, Dnf, Fingerprint, ReadOnce};
 use shapdb_kc::{Budget, ComponentCache};
 use shapdb_metrics::counters::{
@@ -415,14 +414,12 @@ impl Planner {
     /// compile. Exact results are inserted into the cache; nothing else
     /// is. `seed_salt` and `sample_scale` (the dedup group's size) let a
     /// sampling solve spend the group's total budget.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve_structure(
         &self,
         fp: &Fingerprint,
         plans: &[Plan],
         n_endo: usize,
         budget: &Budget,
-        exact: &ExactConfig,
         seed_salt: u64,
         sample_scale: usize,
     ) -> Vec<Result<EngineResult, EngineError>> {
@@ -470,7 +467,6 @@ impl Planner {
                     lineage: canonical.get_or_insert_with(|| fp.canonical_dnf()),
                     n_endo,
                     budget: *budget,
-                    exact: *exact,
                     minimized: true,
                     seed_salt,
                     sample_scale: sample_scale.max(1),
@@ -601,7 +597,7 @@ impl Planner {
         h.finish()
     }
 
-    /// Installs the planner deadline into a task's budgets (keeping any
+    /// Clamps the task's one deadline to the planner timeout (keeping any
     /// tighter caller-provided deadline).
     fn apply_timeout<'a>(&self, task: &LineageTask<'a>) -> LineageTask<'a> {
         let Some(timeout) = self.cfg.timeout else {
@@ -609,11 +605,7 @@ impl Planner {
         };
         let deadline = Instant::now() + timeout;
         let mut t = task.clone();
-        t.budget = Budget {
-            deadline: Some(t.budget.deadline.map_or(deadline, |d| d.min(deadline))),
-            max_nodes: t.budget.max_nodes,
-        };
-        t.exact.deadline = Some(t.exact.deadline.map_or(deadline, |d| d.min(deadline)));
+        t.budget.deadline = Some(t.budget.deadline.map_or(deadline, |d| d.min(deadline)));
         t
     }
 }
@@ -1179,15 +1171,7 @@ mod tests {
         .with_cache(cache.clone());
         let fp = fingerprint(&wide);
         let plans: Vec<Plan> = Measure::ALL.map(|m| planner.plan_fp(&fp, m)).to_vec();
-        let results = planner.solve_structure(
-            &fp,
-            &plans,
-            12,
-            &Budget::unlimited(),
-            &ExactConfig::default(),
-            0,
-            1,
-        );
+        let results = planner.solve_structure(&fp, &plans, 12, &Budget::unlimited(), 0, 1);
         assert_eq!(results.len(), 4);
         let mut compiles = 0;
         assert_eq!(cache.stats().misses, 4);
@@ -1204,15 +1188,7 @@ mod tests {
         // The three circuit measures report the *same* compile (identical
         // CNF size from one negation CNF), and all four are now cached.
         assert_eq!(cache.stats().len, 4);
-        let again = planner.solve_structure(
-            &fp,
-            &plans,
-            12,
-            &Budget::unlimited(),
-            &ExactConfig::default(),
-            0,
-            1,
-        );
+        let again = planner.solve_structure(&fp, &plans, 12, &Budget::unlimited(), 0, 1);
         for r in &again {
             assert!(r.as_ref().unwrap().values.is_exact());
         }

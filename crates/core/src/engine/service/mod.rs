@@ -18,9 +18,10 @@
 //! * **ticketed futures-by-hand** — [`submit`](ShapleyService::submit)
 //!   returns a [`Submission`] with `wait()`/`try_wait()`;
 //! * **per-request policy** — a [`LineageRequest`] may carry its own
-//!   [`PlannerConfig`]; the worker solves under that policy while sharing
-//!   the service's [`super::ShapleyCache`] (policy digests keep entries
-//!   from crossing policies);
+//!   [`PlannerConfig`] and its own [`Budget`] (one deadline for the whole
+//!   exact solve, compilation and Algorithm 1 alike); the worker solves
+//!   under them while sharing the service's [`super::ShapleyCache`]
+//!   (policy digests keep entries from crossing policies);
 //! * **graceful drain** — [`shutdown`](ShapleyService::shutdown) (also run
 //!   on drop) stops intake, lets the workers drain every queued job, and
 //!   joins them; every accepted ticket is fulfilled.
@@ -41,13 +42,12 @@ pub(crate) use submission::TicketInner;
 
 use super::stages::{self, WORKER_STACK};
 use super::{EngineError, EngineResult, LineageTask, Measure, Planner, PlannerConfig};
-use crate::exact::ExactConfig;
 use queue::{FairQueue, Job};
 use shapdb_circuit::Dnf;
 use shapdb_kc::{Budget, ComponentCache};
 use shapdb_metrics::counters::{
-    CacheRunStats, SERVICE_COMPLETED, SERVICE_IN_FLIGHT, SERVICE_QUEUE_DEPTH, SERVICE_REJECTED,
-    SERVICE_SUBMITTED, SERVICE_WAIT_NS,
+    SERVICE_COMPLETED, SERVICE_IN_FLIGHT, SERVICE_QUEUE_DEPTH, SERVICE_REJECTED, SERVICE_SUBMITTED,
+    SERVICE_WAIT_NS,
 };
 use shapdb_metrics::Profile;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -73,12 +73,9 @@ pub struct ServiceConfig {
     /// past it, [`ShapleyService::submit`] returns
     /// [`SubmitError::Saturated`]. Clamped to at least 1.
     pub queue_capacity: usize,
-    /// Knowledge-compilation budget applied to requests that do not carry
-    /// their own ([`LineageRequest::with_budget`]).
+    /// Budget applied to requests that do not carry their own
+    /// ([`LineageRequest::with_budget`]).
     pub default_budget: Budget,
-    /// Algorithm 1 options applied to requests that do not carry their own
-    /// ([`LineageRequest::with_exact`]).
-    pub default_exact: ExactConfig,
 }
 
 impl Default for ServiceConfig {
@@ -87,7 +84,6 @@ impl Default for ServiceConfig {
             workers: 0,
             queue_capacity: ServiceConfig::DEFAULT_QUEUE_CAPACITY,
             default_budget: Budget::unlimited(),
-            default_exact: ExactConfig::default(),
         }
     }
 }
@@ -145,12 +141,11 @@ pub struct LineageRequest {
     pub lineage: Dnf,
     /// `|D_n|`, the number of endogenous facts of the database.
     pub n_endo: usize,
-    /// Knowledge-compilation budget (deadline and node cap). `None` uses
-    /// the service's [`ServiceConfig::default_budget`].
+    /// The solve's budget: its deadline bounds compilation and Algorithm 1
+    /// together (see [`LineageTask::budget`]), its node cap bounds
+    /// compilation. `None` uses the service's
+    /// [`ServiceConfig::default_budget`].
     pub budget: Option<Budget>,
-    /// Algorithm 1 options. `None` uses the service's
-    /// [`ServiceConfig::default_exact`].
-    pub exact: Option<ExactConfig>,
     /// Per-request planner policy. `None` solves under the service's own
     /// policy; `Some` overrides it for this request only — the shared
     /// result cache stays correct either way (the policy is part of the
@@ -174,7 +169,6 @@ impl LineageRequest {
             lineage,
             n_endo,
             budget: None,
-            exact: None,
             policy: None,
             measure: Measure::Shapley,
             #[cfg(test)]
@@ -182,16 +176,9 @@ impl LineageRequest {
         }
     }
 
-    /// Overrides the service's knowledge-compilation budget for this
-    /// request.
+    /// Overrides the service's budget for this request.
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Overrides the service's Algorithm 1 options for this request.
-    pub fn with_exact(mut self, exact: ExactConfig) -> Self {
-        self.exact = Some(exact);
         self
     }
 
@@ -243,31 +230,23 @@ pub struct ServiceStats {
     pub in_flight: usize,
     /// Distinct client lanes ever opened.
     pub clients: usize,
-    /// Submissions accepted into the queue.
-    pub submitted: u64,
-    /// Submissions completed (tickets fulfilled).
-    pub completed: u64,
-    /// Submissions rejected with [`SubmitError::Saturated`].
-    pub rejected: u64,
-    /// Total time completed submissions spent queued before a worker
-    /// picked them up.
-    pub total_wait: Duration,
-    /// Engine invocations this service actually ran (cache hits run none).
-    pub engine_runs: usize,
-    /// How the service's solves used the shared result cache.
-    pub cache: CacheRunStats,
     /// Every counter the service's submissions and workers bumped since it
-    /// started, and nothing any other run in the process did.
+    /// started, and nothing any other run in the process did: the
+    /// `service.submitted`/`completed`/`rejected` traffic, the queue wait
+    /// (`service.wait_ns`), `engine.runs` (cache hits run none) and the
+    /// shared result cache's use (`CacheRunStats::of`).
     pub profile: Profile,
 }
 
 impl ServiceStats {
     /// Mean queue wait per completed submission.
     pub fn mean_wait(&self) -> Duration {
-        if self.completed == 0 {
+        let completed = self.profile.get(&SERVICE_COMPLETED);
+        if completed == 0 {
             return Duration::ZERO;
         }
-        Duration::from_nanos((self.total_wait.as_nanos() / u128::from(self.completed)) as u64)
+        let total_ns = u128::from(self.profile.get(&SERVICE_WAIT_NS));
+        Duration::from_nanos((total_ns / u128::from(completed)) as u64)
     }
 }
 
@@ -286,7 +265,6 @@ struct Shared {
     next_client: AtomicU64,
     workers: usize,
     default_budget: Budget,
-    default_exact: ExactConfig,
 }
 
 /// A per-client handle: submissions through one handle share a fair-queue
@@ -323,16 +301,11 @@ impl ServiceClient {
         lineages: impl IntoIterator<Item = Dnf>,
         n_endo: usize,
         budget: &Budget,
-        exact: &ExactConfig,
     ) -> Result<Vec<Submission>, SubmitError> {
         lineages
             .into_iter()
             .map(|lineage| {
-                self.submit_blocking(
-                    LineageRequest::new(lineage, n_endo)
-                        .with_budget(*budget)
-                        .with_exact(*exact),
-                )
+                self.submit_blocking(LineageRequest::new(lineage, n_endo).with_budget(*budget))
             })
             .collect()
     }
@@ -377,7 +350,6 @@ impl ShapleyService {
             next_client: AtomicU64::new(1),
             workers,
             default_budget: cfg.default_budget,
-            default_exact: cfg.default_exact,
         });
         let handles = (0..workers)
             .map(|w| {
@@ -424,13 +396,12 @@ impl ShapleyService {
         lineages: impl IntoIterator<Item = Dnf>,
         n_endo: usize,
         budget: &Budget,
-        exact: &ExactConfig,
     ) -> Result<Vec<Submission>, SubmitError> {
         ServiceClient {
             shared: Arc::clone(&self.shared),
             client: 0,
         }
-        .submit_all(lineages, n_endo, budget, exact)
+        .submit_all(lineages, n_endo, budget)
     }
 
     /// The shared planner (its cache is the one every worker consults).
@@ -451,12 +422,6 @@ impl ShapleyService {
             queue_capacity,
             in_flight: self.shared.in_flight.load(Ordering::Relaxed),
             clients,
-            submitted: profile.get(&SERVICE_SUBMITTED),
-            completed: profile.get(&SERVICE_COMPLETED),
-            rejected: profile.get(&SERVICE_REJECTED),
-            total_wait: Duration::from_nanos(profile.get(&SERVICE_WAIT_NS)),
-            engine_runs: profile.engine_runs(),
-            cache: CacheRunStats::of(&profile),
             profile,
         }
     }
@@ -611,7 +576,6 @@ fn worker_loop(shared: &Shared) {
         };
         let task = LineageTask::new(&job.request.lineage, job.request.n_endo)
             .with_budget(job.request.budget.unwrap_or(shared.default_budget))
-            .with_exact(job.request.exact.unwrap_or(shared.default_exact))
             .with_measure(job.request.measure)
             .with_seed_salt(job.sequence);
         // Panic isolation: an engine bug unwinding out of the solve must
@@ -642,6 +606,7 @@ mod tests {
     use super::*;
     use crate::engine::{EngineValues, ShapleyCache};
     use shapdb_circuit::VarId;
+    use shapdb_metrics::counters::CacheRunStats;
     use shapdb_num::Rational;
 
     fn dnf(conjs: &[&[u32]]) -> Dnf {
@@ -698,9 +663,13 @@ mod tests {
             .1;
         assert_eq!(v70, Rational::from_ratio(43, 105));
         let stats = svc.shutdown();
-        assert_eq!(stats.completed, 2);
-        assert_eq!(stats.cache.hits, 1, "second structure came from cache");
-        assert_eq!(stats.engine_runs, 1);
+        assert_eq!(stats.profile.get(&SERVICE_COMPLETED), 2);
+        assert_eq!(
+            CacheRunStats::of(&stats.profile).hits,
+            1,
+            "second structure came from cache"
+        );
+        assert_eq!(stats.profile.engine_runs(), 1);
     }
 
     #[test]
@@ -768,7 +737,7 @@ mod tests {
         }
         // Re-asking any measure (from a new client, renamed facts) is a
         // measure-keyed cache hit.
-        let hits_before = svc.stats().cache.hits;
+        let hits_before = CacheRunStats::of(&svc.stats().profile).hits;
         let renamed = dnf(&[&[70], &[40, 20], &[40, 60], &[10, 20], &[10, 60], &[30, 50]]);
         let r = svc
             .client()
@@ -784,7 +753,7 @@ mod tests {
             .1;
         assert_eq!(v70, Rational::from_ratio(21, 64));
         let stats = svc.shutdown();
-        assert_eq!(stats.cache.hits, hits_before + 1);
+        assert_eq!(CacheRunStats::of(&stats.profile).hits, hits_before + 1);
     }
 
     #[test]
@@ -797,7 +766,11 @@ mod tests {
             })
             .collect();
         let stats = svc.shutdown();
-        assert_eq!(stats.completed, 8, "every accepted job drained");
+        assert_eq!(
+            stats.profile.get(&SERVICE_COMPLETED),
+            8,
+            "every accepted job drained"
+        );
         for sub in &subs {
             assert!(sub.is_done());
             assert!(sub.wait().is_ok());
@@ -823,7 +796,7 @@ mod tests {
             .unwrap();
         assert!(r.values.is_exact());
         let stats = svc.shutdown();
-        assert_eq!(stats.completed, 1);
+        assert_eq!(stats.profile.get(&SERVICE_COMPLETED), 1);
     }
 
     #[test]
@@ -856,7 +829,11 @@ mod tests {
             .unwrap();
         assert!(r.values.is_exact());
         let stats = svc.shutdown();
-        assert_eq!(stats.completed, 2, "both tickets fulfilled");
+        assert_eq!(
+            stats.profile.get(&SERVICE_COMPLETED),
+            2,
+            "both tickets fulfilled"
+        );
     }
 
     #[test]
@@ -904,14 +881,10 @@ mod tests {
             queue_capacity: 1,
             in_flight: 0,
             clients: 0,
-            submitted: 1 << 32,
-            completed: 1 << 32,
-            rejected: 0,
-            total_wait: Duration::from_nanos(3 << 32),
-            engine_runs: 0,
-            cache: CacheRunStats::default(),
             profile: Profile::new(),
         };
+        stats.profile.add(&SERVICE_COMPLETED, 1 << 32);
+        stats.profile.add(&SERVICE_WAIT_NS, 3 << 32);
         assert_eq!(stats.mean_wait(), Duration::from_nanos(3));
     }
 }

@@ -11,7 +11,9 @@
 //! free functions over a [`super::Planner`], so the surfaces differ only in
 //! *where the threads come from*, never in what they compute: batch ≡
 //! sequential ≡ service, bit-identical rational for rational on the exact
-//! paths. Every group solve ends in [`super::Planner::solve_structure`].
+//! paths. Every group solve ends in [`super::Planner::solve_structure`],
+//! under the caller's one [`Budget`]: its deadline bounds compilation and
+//! Algorithm 1 together.
 //!
 //! Nothing here owns a thread pool. [`parallel_map`] is the one scoped
 //! fan-out helper the one-shot surfaces use; the service brings its own
@@ -21,7 +23,6 @@
 //! the calling thread works for.
 
 use super::{EngineError, EngineResult, LineageTask, Measure, Plan, Planner};
-use crate::exact::ExactConfig;
 use shapdb_circuit::{fingerprint, Dnf, Fingerprint, FingerprintKey};
 use shapdb_kc::Budget;
 use shapdb_metrics::counters::{
@@ -152,19 +153,17 @@ pub(crate) fn group_by_structure(fingerprints: &[Fingerprint]) -> Grouping {
 /// representative task's seed salt and `group_size` the group's member
 /// count, so a sampling solve spends the group's total budget; the
 /// results translate back through each member's fingerprint.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_group(
     planner: &Planner,
     fp: &Fingerprint,
     n_endo: usize,
     budget: &Budget,
-    exact: &ExactConfig,
     salt: u64,
     group_size: usize,
     measures: &[Measure],
 ) -> Vec<Result<EngineResult, EngineError>> {
     let plans: Vec<Plan> = measures.iter().map(|&m| planner.plan_fp(fp, m)).collect();
-    planner.solve_structure(fp, &plans, n_endo, budget, exact, salt, group_size)
+    planner.solve_structure(fp, &plans, n_endo, budget, salt, group_size)
 }
 
 /// The single-task path — the same stages as a batch of one, minus the
@@ -196,7 +195,6 @@ pub(crate) fn solve_one(
         &fp,
         task.n_endo,
         &task.budget,
-        &task.exact,
         task.seed_salt,
         task.sample_scale,
         &[task.measure],

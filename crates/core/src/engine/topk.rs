@@ -47,12 +47,9 @@ use super::stages;
 use super::{
     translate_result, EngineError, EngineResult, EngineValues, Measure, PlanReason, Planner,
 };
-use crate::exact::ExactConfig;
 use shapdb_circuit::{fingerprint_minimized, Dnf, Fingerprint};
 use shapdb_kc::Budget;
-use shapdb_metrics::counters::{
-    CacheRunStats, DedupStats, TOPK_BOUND_PASSES, TOPK_PRUNED, TOPK_SOLVED,
-};
+use shapdb_metrics::counters::{DedupStats, TOPK_BOUND_PASSES, TOPK_PRUNED, TOPK_SOLVED};
 use shapdb_metrics::Profile;
 use shapdb_num::{BigInt, BigUint, Coeff, Rational, Vli};
 use std::cmp::{Ordering, Reverse};
@@ -408,23 +405,17 @@ pub struct TopKReport {
     pub solved_structures: usize,
     /// Distinct surviving structures pruned unsolved.
     pub pruned_structures: usize,
-    /// Answers bounded by [`shapley_bounds`] (every answer, or none at
-    /// `k = 0`).
-    pub bound_passes: usize,
     /// Per-answer routing, in submission order: the plan's reason for
     /// solved answers, [`PlanReason::TopKPruned`] for the rest.
     pub reasons: Vec<PlanReason>,
     /// Structural dedup over the surviving answers: `tasks` is the number
     /// of survivors, `distinct` their canonical structures.
     pub dedup: DedupStats,
-    /// Cross-query result-cache involvement of the solves, read from the
-    /// profile.
-    pub cache: CacheRunStats,
-    /// Actual engine invocations (the profile's `engine.runs`; cache hits
-    /// and pruned structures run none).
-    pub engine_runs: usize,
-    /// Every counter this ranking bumped (bounds, fingerprints, admissions,
-    /// routes, cache traffic), and nothing any concurrent run did.
+    /// Every counter this ranking bumped, and nothing any concurrent run
+    /// did: `topk.bound_passes` (every answer, or none at `k = 0`),
+    /// fingerprints, admissions, routes, `engine.runs` (cache hits and
+    /// pruned structures run none) and the result-cache traffic
+    /// (`CacheRunStats::of`).
     pub profile: Profile,
     /// Wall time of the whole ranking, including the time spent pulling
     /// the answers (for a streamed input, the extraction it waits on).
@@ -466,7 +457,6 @@ impl TopKExecutor {
         k: usize,
         n_endo: usize,
         budget: &Budget,
-        exact: &ExactConfig,
     ) -> Result<TopKReport, EngineError> {
         let start = Instant::now();
         let profile = Arc::new(Profile::new());
@@ -543,7 +533,7 @@ impl TopKExecutor {
             let plan = self.planner.plan_fp(fp, Measure::Shapley);
             let result = self
                 .planner
-                .solve_structure(fp, &[plan], n_endo, budget, exact, cand.first as u64, 1)
+                .solve_structure(fp, &[plan], n_endo, budget, cand.first as u64, 1)
                 .pop()
                 .expect("one plan, one result")?;
             let score =
@@ -603,14 +593,11 @@ impl TopKExecutor {
             pruned_answers,
             solved_structures: solved.len(),
             pruned_structures,
-            bound_passes: if k == 0 { 0 } else { answers },
             reasons,
             dedup: DedupStats {
                 tasks: kept.len(),
                 distinct,
             },
-            cache: CacheRunStats::of(&profile),
-            engine_runs: profile.engine_runs(),
             profile: (*profile).clone(),
             total_time: start.elapsed(),
         })
@@ -624,7 +611,7 @@ mod tests {
     use crate::engine::{BatchExecutor, EngineKind, LineageTask, PlannerConfig};
     use proptest::prelude::*;
     use shapdb_circuit::{fingerprint, Dnf, VarId};
-    use shapdb_metrics::counters::CIRCUIT_FACTOR_PASSES;
+    use shapdb_metrics::counters::{CacheRunStats, CIRCUIT_FACTOR_PASSES};
 
     /// The canonical key of the DNF with these conjuncts.
     fn canonical_key(conjs: &[Vec<u32>]) -> Vec<Vec<u32>> {
@@ -642,8 +629,7 @@ mod tests {
         k: usize,
         n_endo: usize,
     ) -> Result<TopKReport, EngineError> {
-        let (budget, exact) = (Budget::unlimited(), ExactConfig::default());
-        exec.run(lineages.iter().cloned(), k, n_endo, &budget, &exact)
+        exec.run(lineages.iter().cloned(), k, n_endo, &Budget::unlimited())
     }
 
     fn num_vars(key: &[Vec<u32>]) -> usize {
@@ -874,7 +860,7 @@ mod tests {
             lineages,
             n_endo,
             &Budget::unlimited(),
-            &ExactConfig::default(),
+            &[Measure::Shapley],
         );
         let mut scored: Vec<(usize, Rational)> = report
             .items
@@ -950,8 +936,8 @@ mod tests {
         assert_eq!(report.pruned_structures, 0, "the weak ones never group");
         assert_eq!(report.solved_answers, 5);
         assert_eq!(report.pruned_answers, 6);
-        assert_eq!(report.engine_runs, 1);
-        assert_eq!(report.bound_passes, 11, "one per answer");
+        assert_eq!(report.profile.engine_runs(), 1);
+        assert_eq!(report.profile.get(&TOPK_BOUND_PASSES), 11, "one per answer");
         assert_eq!(report.dedup.distinct, 1);
         assert_eq!(report.dedup.tasks, 5, "the survivors");
         for (i, reason) in report.reasons.iter().enumerate() {
@@ -979,7 +965,7 @@ mod tests {
             lineages,
             n_endo,
             &Budget::unlimited(),
-            &ExactConfig::default(),
+            &[Measure::Shapley],
         );
         let baseline = full_ranking(&planner, lineages, n_endo);
         let n = lineages.len();
@@ -1083,7 +1069,7 @@ mod tests {
         for k in [1, 3, n] {
             let report = assert_lossless(&lineages, k, 16);
             assert_eq!(report.dedup.tasks, n, "k={k}: nothing drops");
-            assert_eq!(report.bound_passes, n);
+            assert_eq!(report.profile.get(&TOPK_BOUND_PASSES) as usize, n);
         }
     }
 
@@ -1105,7 +1091,7 @@ mod tests {
         assert_eq!(report.solved_structures, 1);
         assert_eq!(report.pruned_structures, 1);
         assert_eq!((report.solved_answers, report.pruned_answers), (2, 3));
-        assert_eq!(report.engine_runs, 1);
+        assert_eq!(report.profile.engine_runs(), 1);
         let got: Vec<usize> = report.top.iter().map(|i| i.index).collect();
         assert_eq!(got, vec![0, 4]);
         assert_eq!(report.top[0].score, Rational::from_ratio(7, 8));
@@ -1119,7 +1105,7 @@ mod tests {
         let report = run_lineages(&exec, &lineages, 0, 70).unwrap();
         assert!(report.top.is_empty());
         assert_eq!(report.pruned_answers, n);
-        assert_eq!(report.engine_runs, 0);
+        assert_eq!(report.profile.engine_runs(), 0);
         assert!(report.reasons.iter().all(|r| *r == PlanReason::TopKPruned));
     }
 
@@ -1128,7 +1114,8 @@ mod tests {
         let exec = TopKExecutor::new(Planner::new(PlannerConfig::default()));
         let report = run_lineages(&exec, &[], 5, 0).unwrap();
         assert!(report.top.is_empty());
-        assert_eq!((report.answers, report.bound_passes), (0, 0));
+        assert_eq!(report.answers, 0);
+        assert_eq!(report.profile.get(&TOPK_BOUND_PASSES), 0);
     }
 
     #[test]
@@ -1154,10 +1141,17 @@ mod tests {
         let exec = TopKExecutor::new(planner);
         let lineages = corpus();
         let cold = run_lineages(&exec, &lineages, 3, 70).unwrap();
-        assert!(cold.cache.misses > 0);
+        assert!(CacheRunStats::of(&cold.profile).misses > 0);
         let warm = run_lineages(&exec, &lineages, 3, 70).unwrap();
-        assert_eq!(warm.engine_runs, 0, "all solved structures cached");
-        assert_eq!(warm.cache.hits, cold.cache.misses);
+        assert_eq!(
+            warm.profile.engine_runs(),
+            0,
+            "all solved structures cached"
+        );
+        assert_eq!(
+            CacheRunStats::of(&warm.profile).hits,
+            CacheRunStats::of(&cold.profile).misses
+        );
         for (a, b) in cold.top.iter().zip(&warm.top) {
             assert_eq!((a.index, &a.score), (b.index, &b.score));
             assert_eq!(a.result.values, b.result.values);

@@ -116,7 +116,9 @@ use shapdb_num::{
 // backs the closed-form weights.
 use std::time::Instant;
 
-/// Configuration for the exact computation.
+/// Configuration for the exact computation. Only Algorithm 1's own
+/// functions take it: the engines build it from their task's budget
+/// deadline, so compilation and Algorithm 1 share one deadline.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExactConfig {
     /// Cooperative deadline (checked per gate child and between passes).

@@ -50,7 +50,6 @@ use shapdb_core::engine::{
     AnalysisError, BatchExecutor, CacheStats, EngineError, EngineKind, EngineValues, KcEngine,
     Planner, PlannerConfig, ServiceConfig, ShapleyCache, ShapleyService, TopKExecutor,
 };
-use shapdb_core::exact::ExactConfig;
 use shapdb_data::{Database, FactId, Value};
 use shapdb_kc::Budget;
 use shapdb_metrics::counters::{CacheRunStats, DedupStats};
@@ -203,7 +202,6 @@ pub struct BatchExplanation {
 pub struct ShapleyAnalyzer<'a> {
     db: &'a Database,
     budget: Budget,
-    exact: ExactConfig,
     threads: usize,
     cache: Option<Arc<ShapleyCache>>,
 }
@@ -215,21 +213,16 @@ impl<'a> ShapleyAnalyzer<'a> {
         ShapleyAnalyzer {
             db,
             budget: Budget::unlimited(),
-            exact: ExactConfig::default(),
             threads: 0,
             cache: Some(Arc::new(ShapleyCache::new())),
         }
     }
 
-    /// Sets the knowledge-compilation budget.
+    /// Sets the budget of every exact solve: its deadline bounds
+    /// compilation and Algorithm 1 together (the read-once and naive
+    /// routes too), its node cap bounds compilation.
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Sets Algorithm 1 options.
-    pub fn with_exact_config(mut self, exact: ExactConfig) -> Self {
-        self.exact = exact;
         self
     }
 
@@ -258,7 +251,6 @@ impl<'a> ShapleyAnalyzer<'a> {
         &self,
         q: &Ucq,
         cfg: PlannerConfig,
-        exact: &ExactConfig,
         measure: Measure,
     ) -> (QueryResult, shapdb_core::engine::BatchReport) {
         let res = evaluate(q, self.db);
@@ -267,19 +259,16 @@ impl<'a> ShapleyAnalyzer<'a> {
             .iter()
             .map(|t| t.endo_lineage(self.db))
             .collect();
-        let fail_fast = cfg.fallback.is_none();
         let mut planner = Planner::for_query(cfg, q);
         if let Some(cache) = &self.cache {
             planner = planner.with_cache(cache.clone());
         }
-        let mut executor = BatchExecutor::new(planner)
-            .with_threads(self.threads)
-            .with_measure(measure);
-        if fail_fast {
-            // Exact mode propagates the first error anyway — abort the rest.
-            executor = executor.with_fail_fast();
-        }
-        let report = executor.run(&lineages, self.db.num_endogenous(), &self.budget, exact);
+        let report = BatchExecutor::new(planner).with_threads(self.threads).run(
+            &lineages,
+            self.db.num_endogenous(),
+            &self.budget,
+            &[measure],
+        );
         (res, report)
     }
 
@@ -288,8 +277,8 @@ impl<'a> ShapleyAnalyzer<'a> {
     /// pipeline. Structurally identical lineages are computed once and
     /// distinct ones fan out across worker threads
     /// ([`ShapleyAnalyzer::with_threads`]). Fails on the first tuple whose
-    /// compilation exceeds the budget — use [`ShapleyAnalyzer::rank`] for
-    /// the timeout-tolerant variant.
+    /// solve exceeds the budget — use [`ShapleyAnalyzer::rank`] for the
+    /// timeout-tolerant variant.
     pub fn explain(&self, q: &Ucq) -> Result<Vec<TupleExplanation>, AnalysisError> {
         Ok(self.explain_batch(q)?.explanations)
     }
@@ -320,7 +309,7 @@ impl<'a> ShapleyAnalyzer<'a> {
         q: &Ucq,
         measure: Measure,
     ) -> Result<BatchExplanation, AnalysisError> {
-        let (res, report) = self.run_batch(q, PlannerConfig::default(), &self.exact, measure);
+        let (res, report) = self.run_batch(q, PlannerConfig::default(), measure);
         let mut explanations = Vec::with_capacity(res.len());
         for (tuple, item) in res.outputs.into_iter().zip(report.items) {
             let result = item.result.map_err(exact_mode_error)?;
@@ -335,8 +324,8 @@ impl<'a> ShapleyAnalyzer<'a> {
         Ok(BatchExplanation {
             explanations,
             dedup: report.dedup,
-            engine_runs: report.engine_runs,
-            cache: report.cache,
+            engine_runs: report.profile.engine_runs(),
+            cache: CacheRunStats::of(&report.profile),
             threads: report.threads,
             profile: report.profile,
             total_time: report.total_time,
@@ -358,8 +347,7 @@ impl<'a> ShapleyAnalyzer<'a> {
             let elin = tuple.endo_lineage(self.db);
             let mut circuit = Circuit::new();
             let root = elin.to_circuit(&mut circuit);
-            let result =
-                KcEngine::analyze_circuit(&circuit, root, n_endo, &self.budget, &self.exact)?;
+            let result = KcEngine::analyze_circuit(&circuit, root, n_endo, &self.budget)?;
             let EngineValues::Exact(pairs) = result.values else {
                 unreachable!("the KC engine yields exact values");
             };
@@ -373,8 +361,9 @@ impl<'a> ShapleyAnalyzer<'a> {
 
     /// Hybrid explanation (§6.3): knowledge compilation + Algorithm 1 under
     /// a per-answer `timeout` (the paper's sweet spot is 2.5 s), CNF-Proxy
-    /// ranking otherwise. Never fails. Exact options come from
-    /// [`ShapleyAnalyzer::with_exact_config`]. The planner-routed variant,
+    /// ranking otherwise. Never fails. The timeout clamps the deadline of
+    /// [`ShapleyAnalyzer::with_budget`], if any: the tighter one bounds
+    /// compilation and Algorithm 1 together. The planner-routed variant,
     /// which tries the read-once fast path first, is
     /// [`PlannerConfig::hybrid`].
     ///
@@ -391,7 +380,7 @@ impl<'a> ShapleyAnalyzer<'a> {
             max_kc_conjuncts: usize::MAX,
             ..Default::default()
         };
-        let (res, report) = self.run_batch(q, planner_cfg, &self.exact, Measure::Shapley);
+        let (res, report) = self.run_batch(q, planner_cfg, Measure::Shapley);
         let rankings = res
             .outputs
             .into_iter()
@@ -407,8 +396,8 @@ impl<'a> ShapleyAnalyzer<'a> {
         RankReport {
             rankings,
             dedup: report.dedup,
-            engine_runs: report.engine_runs,
-            cache: report.cache,
+            engine_runs: report.profile.engine_runs(),
+            cache: CacheRunStats::of(&report.profile),
             threads: report.threads,
             total_time: report.total_time,
         }
@@ -447,13 +436,7 @@ impl<'a> ShapleyAnalyzer<'a> {
                     tuples.push(out.tuple);
                     lineage
                 });
-                let report = executor.run(
-                    lineages,
-                    k,
-                    self.db.num_endogenous(),
-                    &self.budget,
-                    &self.exact,
-                );
+                let report = executor.run(lineages, k, self.db.num_endogenous(), &self.budget);
                 (tuples, report)
             });
         let report = report.map_err(exact_mode_error)?;
@@ -481,8 +464,8 @@ impl<'a> ShapleyAnalyzer<'a> {
             solved_structures: report.solved_structures,
             pruned_structures: report.pruned_structures,
             dedup: report.dedup,
-            cache: report.cache,
-            engine_runs: report.engine_runs,
+            cache: CacheRunStats::of(&report.profile),
+            engine_runs: report.profile.engine_runs(),
             stream,
             total_time: report.total_time,
         })
@@ -500,7 +483,7 @@ impl<'a> ShapleyAnalyzer<'a> {
             .iter()
             .map(|t| t.endo_lineage(self.db))
             .collect();
-        let attrs = count_shapley(&lineages, n_endo, &self.budget, &self.exact)?;
+        let attrs = count_shapley(&lineages, n_endo, &self.budget)?;
         Ok(attrs.into_iter().map(|(v, r)| (FactId(v.0), r)).collect())
     }
 
@@ -524,7 +507,7 @@ impl<'a> ShapleyAnalyzer<'a> {
                 (t.endo_lineage(self.db), Rational::from_int(w))
             })
             .collect();
-        let attrs = sum_shapley(&weighted, n_endo, &self.budget, &self.exact)?;
+        let attrs = sum_shapley(&weighted, n_endo, &self.budget)?;
         Ok(attrs.into_iter().map(|(v, r)| (FactId(v.0), r)).collect())
     }
 
@@ -538,12 +521,7 @@ impl<'a> ShapleyAnalyzer<'a> {
     /// structurally identical answers are computed once and the results
     /// land in (and are served from) the measure-keyed cross-query cache.
     pub fn explain_responsibility(&self, q: &Ucq) -> Vec<TupleResponsibilities> {
-        let (res, report) = self.run_batch(
-            q,
-            PlannerConfig::default(),
-            &self.exact,
-            Measure::Responsibility,
-        );
+        let (res, report) = self.run_batch(q, PlannerConfig::default(), Measure::Responsibility);
         res.outputs
             .into_iter()
             .zip(report.items)
@@ -578,9 +556,9 @@ impl<'a> ShapleyAnalyzer<'a> {
     /// long-lived worker pool (sized by
     /// [`ShapleyAnalyzer::with_threads`], overridable via `cfg.workers`)
     /// serving [`shapdb_core::engine::LineageRequest`]s from many clients.
-    /// The service inherits this analyzer's budgets
-    /// ([`ShapleyAnalyzer::with_budget`] / `with_exact_config`) as the
-    /// defaults for requests that carry none, and — crucially — its
+    /// The service inherits this analyzer's budget
+    /// ([`ShapleyAnalyzer::with_budget`]) as the default for requests that
+    /// carry none, and — crucially — its
     /// cross-query result cache: anything the one-shot calls already
     /// explained is served to service clients without running an engine,
     /// and vice versa. When caching was disabled a fresh default cache is
@@ -598,7 +576,6 @@ impl<'a> ShapleyAnalyzer<'a> {
                 cfg.workers
             },
             default_budget: self.budget,
-            default_exact: self.exact,
             ..cfg
         };
         let cache = self.cache.unwrap_or_else(|| Arc::new(ShapleyCache::new()));
@@ -650,6 +627,23 @@ mod tests {
         }
         let lines = analyzer.render(e);
         assert!(lines[0].starts_with("Flights(JFK, CDG): 43/105"));
+    }
+
+    #[test]
+    fn an_expired_budget_deadline_fails_explain() {
+        // The budget's deadline bounds the whole exact solve, so it stops
+        // the read-once route the running example takes, not only
+        // compilation.
+        let (db, _) = flights_example();
+        let past = std::time::Instant::now() - Duration::from_millis(1);
+        let analyzer = ShapleyAnalyzer::new(&db).with_budget(Budget {
+            deadline: Some(past),
+            ..Budget::unlimited()
+        });
+        assert!(matches!(
+            analyzer.explain(&flights_query()),
+            Err(AnalysisError::Shapley(_))
+        ));
     }
 
     #[test]
@@ -859,8 +853,12 @@ mod tests {
             pairs.into_iter().map(|(v, r)| (FactId(v.0), r)).collect();
         assert_eq!(got, expected);
         let stats = service.shutdown();
-        assert_eq!(stats.engine_runs, 0, "served from the shared cache");
-        assert_eq!(stats.cache.hits, 1);
+        assert_eq!(
+            stats.profile.engine_runs(),
+            0,
+            "served from the shared cache"
+        );
+        assert_eq!(CacheRunStats::of(&stats.profile).hits, 1);
     }
 
     #[test]

@@ -42,14 +42,8 @@ fn random_dnf(rng: &mut StdRng, n: usize) -> Dnf {
 fn exact_dense(lineage: &Dnf, n: usize) -> Vec<Rational> {
     let mut circuit = Circuit::new();
     let root = lineage.to_circuit(&mut circuit);
-    let result = KcEngine::analyze_circuit(
-        &circuit,
-        root,
-        n,
-        &Budget::unlimited(),
-        &ExactConfig::default(),
-    )
-    .expect("unlimited budget cannot time out");
+    let result = KcEngine::analyze_circuit(&circuit, root, n, &Budget::unlimited())
+        .expect("unlimited budget cannot time out");
     let EngineValues::Exact(pairs) = result.values else {
         panic!("the KC engine yields exact values");
     };

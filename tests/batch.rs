@@ -22,12 +22,11 @@ use shapdb::core::engine::{
     BatchExecutor, EngineValues, LineageTask, Measure, PlanReason, Planner, PlannerConfig,
     QueryClass, ShapleyCache,
 };
-use shapdb::core::exact::ExactConfig;
 use shapdb::data::{Database, Value};
 use shapdb::kc::Budget;
 use shapdb::metrics::counters::{
-    BATCH_TASKS, CACHE_HITS, CIRCUIT_FACTOR_PASSES, CIRCUIT_MINIMIZE_PASSES, MEASURE_BANZHAF,
-    MEASURE_RESPONSIBILITY, MEASURE_SHAPLEY, MEASURE_SHAP_SCORE, NUM_VLI_HITS,
+    CacheRunStats, BATCH_TASKS, CACHE_HITS, CIRCUIT_FACTOR_PASSES, CIRCUIT_MINIMIZE_PASSES,
+    MEASURE_BANZHAF, MEASURE_RESPONSIBILITY, MEASURE_SHAPLEY, MEASURE_SHAP_SCORE, NUM_VLI_HITS,
     PLANNER_HIERARCHICAL_DISAGREEMENTS, PLANNER_KC_TOPDOWN_ROUTES, PLANNER_READ_ONCE_ROUTES,
 };
 use shapdb::metrics::Profile;
@@ -99,12 +98,8 @@ fn batch_executor_matches_sequential_path_at_1_and_n_threads() {
             for threads in [1usize, 4] {
                 let executor = BatchExecutor::new(Planner::for_query(PlannerConfig::default(), q))
                     .with_threads(threads);
-                let report = executor.run(
-                    &lineages,
-                    n_endo,
-                    &Budget::unlimited(),
-                    &ExactConfig::default(),
-                );
+                let report =
+                    executor.run(&lineages, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
                 assert_eq!(report.threads, threads.min(report.dedup.distinct).max(1));
                 for (i, item) in report.items.iter().enumerate() {
                     let result = item.result.as_ref().unwrap();
@@ -226,14 +221,13 @@ fn sampling_dedup_scales_counts_to_the_sequential_budget() {
         ..Default::default()
     };
     let executor = BatchExecutor::new(Planner::new(forced)).with_threads(1);
-    let report = executor.run(
-        &lineages,
-        n_endo,
-        &Budget::unlimited(),
-        &ExactConfig::default(),
-    );
+    let report = executor.run(&lineages, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
     assert_eq!(report.dedup.distinct, 1);
-    assert_eq!(report.engine_runs, 1, "one pooled solve for all 6 answers");
+    assert_eq!(
+        report.profile.engine_runs(),
+        1,
+        "one pooled solve for all 6 answers"
+    );
 
     // Tolerance: the pooled 6× estimate tracks the exact truth per fact
     // (computed by the exact planner on the same lineage).
@@ -289,12 +283,7 @@ fn sampling_dedup_scales_counts_to_the_sequential_budget() {
     }
 
     // Determinism: the same batch re-run reproduces the same estimates.
-    let again = executor.run(
-        &lineages,
-        n_endo,
-        &Budget::unlimited(),
-        &ExactConfig::default(),
-    );
+    let again = executor.run(&lineages, n_endo, &Budget::unlimited(), &[Measure::Shapley]);
     for (a, b) in report.items.iter().zip(&again.items) {
         assert_eq!(
             a.result.as_ref().unwrap().values,
@@ -412,7 +401,7 @@ fn batch_path_minimizes_and_factors_once_per_task() {
         dnf(&[&[16]]),
     ];
     let executor = fresh_executor(1);
-    let (budget, exact) = (Budget::unlimited(), ExactConfig::default());
+    let budget = Budget::unlimited();
     let passes = |p: &Profile| {
         (
             p.get(&CIRCUIT_MINIMIZE_PASSES),
@@ -420,25 +409,25 @@ fn batch_path_minimizes_and_factors_once_per_task() {
         )
     };
 
-    let cold = executor.run(&lineages, 24, &budget, &exact);
+    let cold = executor.run(&lineages, 24, &budget, &[Measure::Shapley]);
     assert!(cold.items.iter().all(|i| i.result.is_ok()));
     assert_eq!((cold.dedup.tasks, cold.dedup.distinct), (5, 4));
-    assert_eq!(cold.engine_runs, 4);
+    assert_eq!(cold.profile.engine_runs(), 4);
     assert_eq!(passes(&cold.profile), (5, 5), "one of each per task");
 
     // Warm replay: fingerprinting runs again (it *is* the key computation),
     // but every structure comes from the cache — still no extra passes and
     // no engine runs.
-    let warm = executor.run(&lineages, 24, &budget, &exact);
-    assert_eq!(warm.engine_runs, 0);
-    assert_eq!(warm.cache.hits, 4);
+    let warm = executor.run(&lineages, 24, &budget, &[Measure::Shapley]);
+    assert_eq!(warm.profile.engine_runs(), 0);
+    assert_eq!(CacheRunStats::of(&warm.profile).hits, 4);
     assert_eq!(warm.profile.get(&CACHE_HITS), 4);
     assert_eq!(passes(&warm.profile), (5, 5));
 
     // A four-measure sweep counts once per lineage like every other
     // surface — five requests of each measure, five batch tasks — and
     // still minimizes and factors each lineage once.
-    let sweep = executor.run_measures(&lineages, 24, &budget, &exact, &Measure::ALL);
+    let sweep = executor.run(&lineages, 24, &budget, &Measure::ALL);
     assert!(sweep.items.iter().all(|i| i.result.is_ok()));
     for counter in [
         &MEASURE_SHAPLEY,
@@ -470,7 +459,7 @@ fn concurrent_runs_each_count_exactly_their_own_work() {
     // fixed-limb tiers) and a four-measure read-once batch on two workers:
     // each run's profile, taken while the other run shares the process,
     // equals the profile of the same run done alone, counter for counter.
-    let (budget, exact) = (Budget::unlimited(), ExactConfig::default());
+    let budget = Budget::unlimited();
     let kc_lineages: Vec<Dnf> = (17..20u32)
         .map(|blocks| {
             let pairs: Vec<[u32; 2]> = (0..3 * blocks)
@@ -488,10 +477,8 @@ fn concurrent_runs_each_count_exactly_their_own_work() {
             dnf(&pairs.iter().map(|p| &p[..]).collect::<Vec<_>>())
         })
         .collect();
-    let kc_run = || fresh_executor(1).run(&kc_lineages, 60, &budget, &exact);
-    let read_once_run = || {
-        fresh_executor(2).run_measures(&read_once_lineages, 4000, &budget, &exact, &Measure::ALL)
-    };
+    let kc_run = || fresh_executor(1).run(&kc_lineages, 60, &budget, &[Measure::Shapley]);
+    let read_once_run = || fresh_executor(2).run(&read_once_lineages, 4000, &budget, &Measure::ALL);
     let (kc_alone, read_once_alone) = (kc_run(), read_once_run());
     assert!(kc_alone.items.iter().all(|i| i.result.is_ok()));
     assert!(read_once_alone.items.iter().all(|i| i.result.is_ok()));

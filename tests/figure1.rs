@@ -6,7 +6,6 @@
 
 use shapdb::circuit::Circuit;
 use shapdb::core::engine::{EngineValues, KcEngine};
-use shapdb::core::exact::ExactConfig;
 use shapdb::core::naive::shapley_naive;
 use shapdb::data::flights_example;
 use shapdb::kc::Budget;
@@ -70,14 +69,9 @@ fn knowledge_compilation_path_agrees_with_fast_path() {
 
     let mut circuit = Circuit::new();
     let root = elin.to_circuit(&mut circuit);
-    let result = KcEngine::analyze_circuit(
-        &circuit,
-        root,
-        db.num_endogenous(),
-        &Budget::unlimited(),
-        &ExactConfig::default(),
-    )
-    .unwrap();
+    let result =
+        KcEngine::analyze_circuit(&circuit, root, db.num_endogenous(), &Budget::unlimited())
+            .unwrap();
 
     let auto = ShapleyAnalyzer::new(&db).explain(&q).unwrap();
     let fast: Vec<_> = auto[0]

@@ -10,9 +10,8 @@
 use shapdb::ShapleyAnalyzer;
 use shapdb_circuit::{fingerprint, FingerprintKey};
 use shapdb_core::engine::{shapley_bounds, Planner, PlannerConfig, ScoreBounds, TopKExecutor};
-use shapdb_core::exact::ExactConfig;
 use shapdb_kc::Budget;
-use shapdb_metrics::counters::CIRCUIT_FACTOR_PASSES;
+use shapdb_metrics::counters::{CIRCUIT_FACTOR_PASSES, TOPK_BOUND_PASSES};
 use shapdb_num::Rational;
 use shapdb_query::{evaluate, with_streamed_lineages};
 use shapdb_workloads::{job_database, job_ranking_query, JobConfig};
@@ -89,7 +88,6 @@ fn job_smoke_topk_fingerprints_only_the_solo_slice() {
             3,
             db.num_endogenous(),
             &Budget::unlimited(),
-            &ExactConfig::default(),
         )
     });
     let report = report.unwrap();
@@ -102,7 +100,10 @@ fn job_smoke_topk_fingerprints_only_the_solo_slice() {
         "one fingerprint per survivor, not per answer"
     );
     assert_eq!(report.dedup.tasks, cfg.solo_movies());
-    assert_eq!(report.bound_passes, report.answers);
+    assert_eq!(
+        report.profile.get(&TOPK_BOUND_PASSES),
+        report.answers as u64
+    );
     let half = Rational::from_ratio(1, 2);
     let got: Vec<(usize, Rational)> = report
         .top

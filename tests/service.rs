@@ -15,12 +15,12 @@
 use rand::prelude::*;
 use shapdb::circuit::Dnf;
 use shapdb::core::engine::{
-    BatchExecutor, EngineValues, LineageRequest, Planner, PlannerConfig, ServiceConfig,
+    BatchExecutor, EngineValues, LineageRequest, Measure, Planner, PlannerConfig, ServiceConfig,
     ShapleyCache, ShapleyService, SubmitError,
 };
-use shapdb::core::exact::ExactConfig;
 use shapdb::data::{Database, Value};
 use shapdb::kc::Budget;
+use shapdb::metrics::counters::{CacheRunStats, SERVICE_COMPLETED, SERVICE_REJECTED};
 use shapdb::num::Rational;
 use shapdb::query::{evaluate, parse_ucq};
 use std::sync::Arc;
@@ -98,7 +98,7 @@ fn service_matches_batch_and_sequential_at_1_and_4_workers() {
                         &lineages,
                         n_endo,
                         &Budget::unlimited(),
-                        &ExactConfig::default(),
+                        &[Measure::Shapley],
                     );
 
                     // Resident path: submit all + wait all.
@@ -115,12 +115,7 @@ fn service_matches_batch_and_sequential_at_1_and_4_workers() {
                         },
                     );
                     let subs = service
-                        .submit_all(
-                            lineages.iter().cloned(),
-                            n_endo,
-                            &Budget::unlimited(),
-                            &ExactConfig::default(),
-                        )
+                        .submit_all(lineages.iter().cloned(), n_endo, &Budget::unlimited())
                         .unwrap();
 
                     for (i, (item, sub)) in report.items.iter().zip(&subs).enumerate() {
@@ -139,8 +134,8 @@ fn service_matches_batch_and_sequential_at_1_and_4_workers() {
                         compared += 1;
                     }
                     let stats = service.shutdown();
-                    assert_eq!(stats.completed, lineages.len() as u64);
-                    assert_eq!(stats.rejected, 0);
+                    assert_eq!(stats.profile.get(&SERVICE_COMPLETED), lineages.len() as u64);
+                    assert_eq!(stats.profile.get(&SERVICE_REJECTED), 0);
                 }
             }
         }
@@ -219,10 +214,10 @@ fn four_concurrent_clients_get_bit_identical_results() {
     });
 
     let stats = service.shutdown();
-    assert_eq!(stats.completed, total as u64);
+    assert_eq!(stats.profile.get(&SERVICE_COMPLETED), total as u64);
     assert!(stats.clients >= 4, "four client lanes opened");
     assert!(
-        stats.cache.hits + stats.cache.misses >= total,
+        CacheRunStats::of(&stats.profile).hits + CacheRunStats::of(&stats.profile).misses >= total,
         "every exact solve consulted the shared cache"
     );
 }
@@ -283,8 +278,11 @@ fn saturation_rejects_cleanly_and_loses_nothing() {
         assert!(pairs.iter().all(|(_, v)| v == &first), "symmetric facts");
     }
     let stats = service.shutdown();
-    assert_eq!(stats.completed, accepted.len() as u64 + 1);
-    assert_eq!(stats.rejected, rejected as u64);
+    assert_eq!(
+        stats.profile.get(&SERVICE_COMPLETED),
+        accepted.len() as u64 + 1
+    );
+    assert_eq!(stats.profile.get(&SERVICE_REJECTED), rejected as u64);
     assert!(stats.queue_capacity == 2);
 }
 
@@ -321,7 +319,11 @@ fn shutdown_drains_in_flight_and_queued_work() {
         .collect();
     // Shut down immediately: most of the 32 are still queued or in flight.
     let stats = service.shutdown();
-    assert_eq!(stats.completed, 32, "drain fulfilled everything");
+    assert_eq!(
+        stats.profile.get(&SERVICE_COMPLETED),
+        32,
+        "drain fulfilled everything"
+    );
     assert_eq!(stats.queue_depth, 0);
     assert_eq!(stats.in_flight, 0);
     for sub in &subs {
