@@ -1,8 +1,8 @@
 # Convenience targets mirroring .github/workflows/ci.yml for offline use.
 
-.PHONY: check fmt build test test-repeat test-release-wide clippy doc quickstart examples bench-build bench-smoke bench-batch bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench-stream bench-e2e bench
+.PHONY: check fmt build test test-repeat test-release-wide clippy doc quickstart examples repro-quick bench-build bench-smoke bench-batch bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench-stream bench-e2e bench
 
-check: fmt build test test-repeat test-release-wide clippy doc examples bench-build bench-e2e
+check: fmt build test test-repeat test-release-wide clippy doc examples repro-quick bench-build bench-e2e
 
 fmt:
 	cargo fmt --check
@@ -43,6 +43,11 @@ examples:
 		echo "== example $$name"; \
 		cargo run --release --quiet --example $$name || exit 1; \
 	done
+
+# The README's quick-start: every §6 table and figure at the --quick sizes
+# (well under a second once the release binary is built).
+repro-quick:
+	cargo run --release -p shapdb_bench --bin repro -- --quick all
 
 # Builds the end-to-end benchmark (`benchmark/`, a workspace of its own)
 # the way benchmark/run.py does, so a public item it needs cannot be

@@ -18,10 +18,9 @@
 //! as a CI artifact).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use shapdb_bench::corpus::replay_over_socket;
 use shapdb_bench::{median_ns, write_result};
 use shapdb_cli::{ServeOptions, SocketServer};
-use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 
 fn socket_path() -> PathBuf {
@@ -39,45 +38,6 @@ fn net_opts(sock: &Path, persist: &Path) -> ServeOptions {
         workers: 1,
         ..Default::default()
     }
-}
-
-/// One full client session: connect, stream every request line, half-close,
-/// read every response plus the final stats line. Returns the response
-/// count (excluding the stats line).
-fn replay_over_socket(sock: &Path, session: &str) -> u64 {
-    let stream = UnixStream::connect(sock).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let writer = std::thread::spawn({
-        let mut stream = stream;
-        let session = session.to_string();
-        move || {
-            stream.write_all(session.as_bytes()).expect("send session");
-            stream
-                .shutdown(std::net::Shutdown::Write)
-                .expect("half-close");
-        }
-    });
-    let mut responses = 0u64;
-    let mut saw_stats = false;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line).expect("read response") == 0 {
-            break;
-        }
-        if line.starts_with("{\"stats\":") {
-            saw_stats = true;
-        } else {
-            assert!(
-                !line.contains("\"ok\":false"),
-                "workload request failed: {line}"
-            );
-            responses += 1;
-        }
-    }
-    writer.join().expect("writer thread");
-    assert!(saw_stats, "session ended without a stats line");
-    responses
 }
 
 fn bench_net(c: &mut Criterion) {

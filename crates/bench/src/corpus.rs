@@ -2,7 +2,7 @@
 //! IMDB-lite workload query (capped per query) — 521 lineages, ~83
 //! distinct structures at the reference seeds.
 //!
-//! The `batch`, `cache`, `exact_cold`, and `serve` benches (and the
+//! The `batch`, `cache`, `exact_cold`, `serve` and `net` benches (and the
 //! `profile_serve` example) all replay **this** corpus, so their numbers
 //! compare directly; change it here and every series moves together.
 
@@ -65,4 +65,46 @@ pub fn jsonl_session(lineages: &[Dnf], n_endo: usize) -> String {
         out.push_str(&format!("],\"n_endo\":{n_endo}}}\n"));
     }
     out
+}
+
+/// One full `serve --listen` client session on the Unix socket `sock`:
+/// connect, stream every request line of `session`, half-close, read
+/// every response plus the final stats line. Panics on an error response;
+/// returns the response count (excluding the stats line).
+#[cfg(unix)]
+pub fn replay_over_socket(sock: &std::path::Path, session: &str) -> u64 {
+    use std::io::{BufRead, BufReader, Write};
+    let stream = std::os::unix::net::UnixStream::connect(sock).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let writer = std::thread::spawn({
+        let mut stream = stream;
+        let session = session.to_string();
+        move || {
+            stream.write_all(session.as_bytes()).expect("send session");
+            stream
+                .shutdown(std::net::Shutdown::Write)
+                .expect("half-close");
+        }
+    });
+    let mut responses = 0u64;
+    let mut saw_stats = false;
+    let mut line = String::new();
+    loop {
+        line.clear();
+        if reader.read_line(&mut line).expect("read response") == 0 {
+            break;
+        }
+        if line.starts_with("{\"stats\":") {
+            saw_stats = true;
+        } else {
+            assert!(
+                !line.contains("\"ok\":false"),
+                "workload request failed: {line}"
+            );
+            responses += 1;
+        }
+    }
+    writer.join().expect("writer thread");
+    assert!(saw_stats, "session ended without a stats line");
+    responses
 }

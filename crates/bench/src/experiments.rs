@@ -284,13 +284,14 @@ pub fn fig4(runs: &[QueryRun]) -> String {
 /// subset, and report the per-output Alg. 1 time of the first outputs —
 /// easy queries stay in milliseconds while wide-projection queries grow
 /// steeply and eventually fail, which is the panel (a)/(b) contrast of the
-/// paper's figure.
+/// paper's figure. A query with no answer at some scale (Q11 at the small
+/// ones) prints an explicit `no answer` row instead of vanishing.
 pub fn fig5(scales: &[f64], timeout: Duration, outputs_per_query: usize) -> String {
     use shapdb_workloads::tpch::{tpch_database, tpch_queries, TpchConfig};
     let queries = tpch_queries();
     let subset: Vec<&shapdb_workloads::WorkloadQuery> = queries
         .iter()
-        .filter(|q| ["Q3", "Q11", "Q16", "Q18"].contains(&q.name.as_str()))
+        .filter(|q| ["Q3", "Q5", "Q11", "Q16", "Q18"].contains(&q.name.as_str()))
         .collect();
     let mut out = String::new();
     writeln!(out, "Figure 5 — Alg. 1 time vs lineitem size").unwrap();
@@ -308,6 +309,14 @@ pub fn fig5(scales: &[f64], timeout: Duration, outputs_per_query: usize) -> Stri
         let lineitems = db.relation("lineitem").map_or(0, |r| r.len());
         for q in &subset {
             let run = crate::runner::run_query(&db, q, Some(timeout), outputs_per_query);
+            if run.outputs.is_empty() {
+                writeln!(
+                    out,
+                    "{:>8.2} {:>10} {:<6} {:<14} {:>8} {:>12} {:>10}",
+                    scale, lineitems, q.name, "-", "-", "-", "no answer"
+                )
+                .unwrap();
+            }
             for o in &run.outputs {
                 writeln!(
                     out,

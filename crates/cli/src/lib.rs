@@ -692,9 +692,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             run_listen(&opts)?;
             return Ok(String::new());
         }
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        run_serve(stdin.lock(), stdout.lock(), &opts)?;
+        run_serve(std::io::stdin().lock(), std::io::stdout(), &opts)?;
         return Ok(String::new());
     }
     let cfg = parse_args(args)?;

@@ -14,10 +14,11 @@
 //!
 //! * an **accept thread** loops on the listener and spawns per-connection
 //!   threads;
-//! * each connection runs a **reader thread** (parse → validate → submit
-//!   on the connection's own fair-queue lane) and a **writer thread**
-//!   (finish each ticket in request order, write, flush per response so
-//!   interactive clients see answers immediately);
+//! * each connection runs the one JSONL session of [`crate::serve`] —
+//!   the same one `--jsonl` runs over stdin/stdout: a **reader** (parse →
+//!   validate → submit on the connection's own fair-queue lane) and a
+//!   **writer** thread that writes and flushes each response as soon as
+//!   it and every earlier one are done;
 //! * reader and writer meet at a bounded slot queue: a client that floods
 //!   requests without reading responses stalls its own reader (classic
 //!   pipe discipline), never the service or other connections.
@@ -31,27 +32,19 @@
 //! thread, and drains the service.
 
 use crate::serve::{
-    build_service, parse_request, read_request_line, render_err, render_stats, ReadLine,
-    ServeOptions, ServeSummary, Slot,
+    build_service, lock_recover, render_stats, run_session, ServeOptions, ServeSummary,
 };
 use crate::{err, CliError};
-use shapdb_core::engine::{ServiceClient, ServiceStats, ShapleyService};
-use std::collections::{HashMap, VecDeque};
+use shapdb_core::engine::{ServiceStats, ShapleyService};
+use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-
-/// A poisoned lock here means a peer thread panicked; the protected data
-/// (slot queues, connection tables) stays structurally valid, so recover
-/// the guard instead of cascading the panic through the whole server.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// `unix:/path` (explicit) or anything containing a `/` names a Unix
 /// socket; everything else is a TCP `host:port`.
@@ -159,174 +152,29 @@ struct ServerShared {
     conns: Mutex<ConnTable>,
 }
 
-/// Where the reader and writer threads of one connection meet: response
-/// slots in request order, bounded so an unread backlog stalls the reader
-/// rather than growing without bound.
-struct SessionQueue {
-    state: Mutex<SessionState>,
-    /// Signaled when a slot is pushed (and when input ends).
-    added: Condvar,
-    /// Signaled when a slot is popped (blocked readers wait here).
-    taken: Condvar,
-}
-
-#[derive(Default)]
-struct SessionState {
-    slots: VecDeque<Slot>,
-    /// Reader hit EOF (or a read error): the writer drains and exits.
-    input_done: bool,
-    /// Writer hit a write error (client gone): the reader stops early.
-    dead: bool,
-}
-
-impl SessionQueue {
-    fn new() -> SessionQueue {
-        SessionQueue {
-            state: Mutex::new(SessionState::default()),
-            added: Condvar::new(),
-            taken: Condvar::new(),
-        }
-    }
-
-    /// Blocking bounded push; `false` once the writer declared the
-    /// connection dead.
-    fn push(&self, slot: Slot, max_pending: usize) -> bool {
-        let mut st = lock_recover(&self.state);
-        while st.slots.len() >= max_pending && !st.dead {
-            st = self.taken.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-        if st.dead {
-            return false;
-        }
-        st.slots.push_back(slot);
-        drop(st);
-        self.added.notify_one();
-        true
-    }
-
-    fn finish_input(&self) {
-        lock_recover(&self.state).input_done = true;
-        self.added.notify_one();
-    }
-
-    /// Blocking pop for the writer; `None` when input is done and every
-    /// slot has been taken.
-    fn pop(&self) -> Option<Slot> {
-        let mut st = lock_recover(&self.state);
-        loop {
-            if let Some(slot) = st.slots.pop_front() {
-                drop(st);
-                self.taken.notify_one();
-                return Some(slot);
-            }
-            if st.input_done {
-                return None;
-            }
-            st = self.added.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// The client is gone: drop any unwritten slots (their submissions
-    /// complete into the shared cache regardless) and release a reader
-    /// blocked on a full queue.
-    fn mark_dead(&self) {
-        let mut st = lock_recover(&self.state);
-        st.dead = true;
-        st.slots.clear();
-        drop(st);
-        self.taken.notify_all();
-    }
-}
-
-/// The reading half of one connection session: mirrors the stdin loop in
-/// [`crate::serve::run_serve`], but pushes response slots to the writer
-/// thread instead of flushing them inline.
-fn session_reader(
-    mut input: BufReader<Conn>,
-    queue: &SessionQueue,
-    service: &ShapleyService,
-    opts: &ServeOptions,
-) {
-    // The connection's default lane: fair against other connections. The
-    // optional per-request "client" field sub-divides further, namespaced
-    // to this connection.
-    let lane = service.client();
-    let mut sublanes: HashMap<u64, ServiceClient> = HashMap::new();
-    let max_pending = opts.queue_capacity.saturating_mul(2).max(64);
-    loop {
-        let line = match read_request_line(&mut input, opts.max_line_bytes) {
-            Err(_) | Ok(ReadLine::Eof) => break,
-            Ok(ReadLine::TooLong) => {
-                let msg = format!("request line exceeds {} bytes", opts.max_line_bytes);
-                if !queue.push(Slot::Ready(render_err("null", &msg)), max_pending) {
-                    break;
-                }
-                continue;
-            }
-            Ok(ReadLine::Line(line)) => line,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let slot = match parse_request(&line, opts) {
-            Err((id, why)) => Slot::Ready(render_err(&id, &why)),
-            Ok(req) => {
-                let (id, sublane, request) = req.into_lineage_request();
-                let submitted = match sublane {
-                    Some(sub) => sublanes
-                        .entry(sub)
-                        .or_insert_with(|| service.client())
-                        .submit_blocking(request),
-                    None => lane.submit_blocking(request),
-                };
-                match submitted {
-                    Ok(sub) => Slot::Waiting(id, sub),
-                    Err(e) => Slot::Ready(render_err(&id, &e.to_string())),
-                }
-            }
-        };
-        if !queue.push(slot, max_pending) {
-            break;
-        }
-    }
-    queue.finish_input();
-}
-
-/// The writing half: finishes tickets in request order, one flushed line
-/// per response, then the session stats line at EOF. A failed write means
-/// the client disconnected — mark the session dead and bail.
-fn session_writer(mut output: Conn, queue: &SessionQueue, service: &ShapleyService) {
-    let mut responses = 0u64;
-    let mut errors = 0u64;
-    while let Some(slot) = queue.pop() {
-        let mut line = slot.finish(&mut errors);
-        responses += 1;
-        line.push('\n');
-        if output.write_all(line.as_bytes()).is_err() {
-            queue.mark_dead();
-            return;
-        }
-    }
-    let summary = ServeSummary {
-        responses,
-        errors,
-        stats: service.stats(),
-    };
-    let mut line = render_stats(&summary);
-    line.push('\n');
-    let _ = output.write_all(line.as_bytes());
-}
-
-/// Runs one accepted connection to completion (thread body).
+/// Runs one accepted connection to completion (thread body): the JSONL
+/// session of [`crate::serve`], then the session stats line unless the
+/// client has already gone.
 fn run_connection(conn: Conn, shared: &ServerShared, id: u64) {
     // Reader and writer need independent handles on the same socket; if
     // the clone fails (fd exhaustion) the connection is simply dropped.
-    if let Ok(write_half) = conn.try_clone() {
-        let queue = SessionQueue::new();
-        std::thread::scope(|scope| {
-            scope.spawn(|| session_writer(write_half, &queue, &shared.service));
-            session_reader(BufReader::new(conn), &queue, &shared.service, &shared.opts);
-        });
+    if let Ok(mut output) = conn.try_clone() {
+        let session = run_session(
+            BufReader::new(conn),
+            &mut output,
+            &shared.service,
+            &shared.opts,
+        );
+        if let Ok(tally) = session {
+            let summary = ServeSummary {
+                responses: tally.responses,
+                errors: tally.errors,
+                stats: shared.service.stats(),
+            };
+            let mut line = render_stats(&summary);
+            line.push('\n');
+            let _ = output.write_all(line.as_bytes());
+        }
     }
     lock_recover(&shared.conns).live.remove(&id);
 }
@@ -580,6 +428,39 @@ mod tests {
 
         let final_stats = server.shutdown();
         assert_eq!(final_stats.profile.get(&SERVICE_COMPLETED), 2);
+    }
+
+    #[test]
+    fn session_stats_count_every_answered_request_as_completed() {
+        // One request per session on a quiescent server: once its
+        // response is read, the session's stats line must count it as
+        // completed, every time.
+        let server = SocketServer::bind(&ServeOptions {
+            listen: Some("127.0.0.1:0".to_string()),
+            workers: 1,
+            ..Default::default()
+        })
+        .unwrap();
+        for session in 1..=100u64 {
+            let mut client = connect(&server);
+            let mut reader = std::io::BufReader::new(client.try_clone().unwrap());
+            let lineage = format!("[[0,{}]]", session % 7 + 1);
+            client
+                .write_all(request(session, &lineage, 8).as_bytes())
+                .unwrap();
+            let v = read_json_line(&mut reader);
+            assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "session {session}");
+            client.shutdown(Shutdown::Write).unwrap();
+            let stats = read_json_line(&mut reader);
+            let s = stats.get("stats").unwrap();
+            assert_eq!(s.get("submitted").and_then(Json::as_u64), Some(session));
+            assert_eq!(
+                s.get("completed").and_then(Json::as_u64),
+                Some(session),
+                "session {session} read its response before its completion was counted"
+            );
+        }
+        server.shutdown();
     }
 
     #[cfg(unix)]

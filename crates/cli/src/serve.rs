@@ -2,10 +2,13 @@
 //! scriptable stdin/stdout protocol.
 //!
 //! One JSON object per input line is one attribution request; one JSON
-//! object per output line is its response, **in request order**. No
-//! network dependency: any load driver that can write lines to a pipe can
-//! drive the resident process, which is exactly what `make bench-serve`
-//! does.
+//! object per output line is its response, **in request order**. Every
+//! front-end runs the same session: stdin/stdout here, each accepted
+//! connection under `--listen` ([`crate::listen`]). The session's reader
+//! parses and submits while its writer thread writes and flushes each
+//! response as soon as it and every earlier one are done — so a client
+//! may pipe thousands of lines at once (what `make bench-serve` does) or
+//! wait for each answer before sending the next request.
 //!
 //! Request:
 //!
@@ -48,9 +51,10 @@
 //! the server drains in-flight work and emits one final
 //! `{"stats":{...}}` line (queue totals, cache usage, wait times).
 //!
-//! Backpressure: submissions block the reading loop when the bounded
-//! queue (`--queue-capacity`) is full — the classic pipe discipline — so
-//! a flooding driver stalls instead of ballooning memory.
+//! Backpressure: submissions block the session's reader when the bounded
+//! queue (`--queue-capacity`) is full, and so does a backlog of unwritten
+//! responses — the classic pipe discipline — so a flooding client stalls
+//! instead of ballooning memory.
 
 use crate::json::{escape, Json};
 use crate::{err, CliError, EngineChoice};
@@ -67,7 +71,7 @@ use shapdb_metrics::counters::{
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// `serve` options (see [`crate::USAGE`]).
@@ -131,20 +135,19 @@ pub struct ServeSummary {
 }
 
 /// One parsed request line.
-pub(crate) struct Request {
-    pub(crate) id: String,
-    pub(crate) lineage: Dnf,
-    pub(crate) n_endo: usize,
-    pub(crate) client: Option<u64>,
-    pub(crate) policy: Option<shapdb_core::engine::PlannerConfig>,
-    pub(crate) measure: Measure,
+struct Request {
+    id: String,
+    lineage: Dnf,
+    n_endo: usize,
+    client: Option<u64>,
+    policy: Option<shapdb_core::engine::PlannerConfig>,
+    measure: Measure,
 }
 
 impl Request {
-    /// The owned service request this line stands for — shared by the
-    /// stdin and socket front-ends so the measure/policy threading cannot
-    /// drift between them.
-    pub(crate) fn into_lineage_request(self) -> (String, Option<u64>, LineageRequest) {
+    /// The owned service request this line stands for, with the echoed id
+    /// and the `client` sublane it is submitted on.
+    fn into_lineage_request(self) -> (String, Option<u64>, LineageRequest) {
         let mut r = LineageRequest::new(self.lineage, self.n_endo).with_measure(self.measure);
         if let Some(policy) = self.policy {
             r = r.with_policy(policy);
@@ -157,7 +160,7 @@ impl Request {
 /// is recovered whenever the line was at least valid JSON, so error
 /// responses stay correlatable (`"null"` only when the JSON itself is
 /// broken).
-pub(crate) fn parse_request(line: &str, opts: &ServeOptions) -> Result<Request, (String, String)> {
+fn parse_request(line: &str, opts: &ServeOptions) -> Result<Request, (String, String)> {
     let v = Json::parse(line).map_err(|why| ("null".to_string(), why))?;
     let id = v.get("id").map_or_else(|| "null".to_string(), Json::render);
     validate_request(&v, opts, id.clone()).map_err(|why| (id, why))
@@ -238,7 +241,7 @@ fn validate_request(v: &Json, opts: &ServeOptions, id: String) -> Result<Request
     })
 }
 
-pub(crate) fn render_ok(id: &str, result: &shapdb_core::engine::EngineResult) -> String {
+fn render_ok(id: &str, result: &shapdb_core::engine::EngineResult) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(64 + 24 * result.values.len());
     // `id` is re-rendered JSON, engine names are static idents, and exact
@@ -273,7 +276,7 @@ pub(crate) fn render_ok(id: &str, result: &shapdb_core::engine::EngineResult) ->
     out
 }
 
-pub(crate) fn render_err(id: &str, error: &str) -> String {
+fn render_err(id: &str, error: &str) -> String {
     format!("{{\"id\":{},\"ok\":false,\"error\":{}}}", id, escape(error))
 }
 
@@ -351,23 +354,25 @@ fn render_route_timings() -> String {
     out
 }
 
+/// A poisoned lock here means a peer thread panicked; the protected data
+/// (slot queues, connection tables) stays structurally valid, so recover
+/// the guard instead of cascading the panic through the whole server.
+pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A response slot, kept in request order.
-pub(crate) enum Slot {
-    /// Answered immediately (parse error).
+enum Slot {
+    /// Answered without the service (an error response).
     Ready(String),
     /// Waiting on the service.
     Waiting(String, Submission),
 }
 
 impl Slot {
-    pub(crate) fn is_done(&self) -> bool {
-        match self {
-            Slot::Ready(_) => true,
-            Slot::Waiting(_, sub) => sub.is_done(),
-        }
-    }
-
-    pub(crate) fn finish(self, errors: &mut u64) -> String {
+    /// The response line, waiting for the ticket if it is still running;
+    /// counts an error response into `errors`.
+    fn finish(self, errors: &mut u64) -> String {
         match self {
             Slot::Ready(line) => {
                 *errors += 1;
@@ -408,7 +413,7 @@ pub(crate) fn build_service(opts: &ServeOptions) -> Result<ShapleyService, CliEr
 }
 
 /// One capped line read.
-pub(crate) enum ReadLine {
+enum ReadLine {
     /// A complete line (terminator stripped), within the byte cap.
     Line(String),
     /// The line exceeded the cap; the remainder was discarded without
@@ -422,10 +427,7 @@ pub(crate) enum ReadLine {
 /// `max_line_bytes + 1` bytes: a longer line is consumed to its newline
 /// chunk-by-chunk and reported as [`ReadLine::TooLong`] — the unbounded
 /// `read_line` was a one-line memory exhaustion from a hostile client.
-pub(crate) fn read_request_line(
-    input: &mut impl BufRead,
-    max_line_bytes: usize,
-) -> std::io::Result<ReadLine> {
+fn read_request_line(input: &mut impl BufRead, max_line_bytes: usize) -> std::io::Result<ReadLine> {
     let mut buf = Vec::new();
     let mut overflowed = false;
     loop {
@@ -470,99 +472,215 @@ pub(crate) fn read_request_line(
     Ok(ReadLine::Line(String::from_utf8_lossy(&buf).into_owned()))
 }
 
-/// Runs a serve session over arbitrary reader/writer pairs (the binary
-/// passes stdin/stdout; tests and the bench pass buffers). Returns after
-/// EOF, once every response and the final stats line are written.
-pub fn run_serve(
+/// Where the two halves of one session meet: response slots in request
+/// order, bounded so a client that floods requests without reading
+/// responses stalls its own reader rather than growing memory.
+struct SessionQueue {
+    state: Mutex<SessionState>,
+    /// Slots held at most; past it the reader blocks.
+    max_pending: usize,
+    /// Signaled when a slot is pushed (and when input ends).
+    added: Condvar,
+    /// Signaled when a slot is popped (blocked readers wait here).
+    taken: Condvar,
+}
+
+#[derive(Default)]
+struct SessionState {
+    slots: VecDeque<Slot>,
+    /// Reader hit EOF (or a read error): the writer drains and exits.
+    input_done: bool,
+    /// Writer hit a write error (client gone): the reader stops early.
+    dead: bool,
+}
+
+impl SessionQueue {
+    fn new(max_pending: usize) -> SessionQueue {
+        SessionQueue {
+            state: Mutex::new(SessionState::default()),
+            max_pending,
+            added: Condvar::new(),
+            taken: Condvar::new(),
+        }
+    }
+
+    /// Blocking bounded push; `false` once the writer declared the
+    /// session dead.
+    fn push(&self, slot: Slot) -> bool {
+        let mut st = lock_recover(&self.state);
+        while st.slots.len() >= self.max_pending && !st.dead {
+            st = self.taken.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        if st.dead {
+            return false;
+        }
+        st.slots.push_back(slot);
+        drop(st);
+        self.added.notify_one();
+        true
+    }
+
+    fn finish_input(&self) {
+        lock_recover(&self.state).input_done = true;
+        self.added.notify_one();
+    }
+
+    /// Blocking pop for the writer; `None` when input is done and every
+    /// slot has been taken.
+    fn pop(&self) -> Option<Slot> {
+        let mut st = lock_recover(&self.state);
+        loop {
+            if let Some(slot) = st.slots.pop_front() {
+                drop(st);
+                self.taken.notify_one();
+                return Some(slot);
+            }
+            if st.input_done {
+                return None;
+            }
+            st = self.added.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// The client is gone: drop any unwritten slots (their submissions
+    /// complete into the shared cache regardless) and release a reader
+    /// blocked on a full queue.
+    fn mark_dead(&self) {
+        let mut st = lock_recover(&self.state);
+        st.dead = true;
+        st.slots.clear();
+        drop(st);
+        self.taken.notify_all();
+    }
+}
+
+/// What one session answered.
+pub(crate) struct SessionTally {
+    /// Responses written (ok or error).
+    pub(crate) responses: u64,
+    /// Responses with `"ok":false`.
+    pub(crate) errors: u64,
+    /// The read failure that ended input early (`None` at EOF). Every
+    /// request read before it was still answered.
+    pub(crate) read_error: Option<std::io::Error>,
+}
+
+/// Runs one JSONL session against `service`: the calling thread reads,
+/// validates and submits requests while a scoped writer thread finishes
+/// the tickets in request order and writes (and flushes) each response
+/// as soon as it and every earlier one are done. Returns once input has
+/// ended and every response is written, or with `Err` as soon as a write
+/// fails (the client is gone; the submitted work still completes into the
+/// shared cache). The caller writes the stats line.
+pub(crate) fn run_session<W: Write + Send>(
+    input: impl BufRead,
+    output: &mut W,
+    service: &ShapleyService,
+    opts: &ServeOptions,
+) -> std::io::Result<SessionTally> {
+    let queue = SessionQueue::new(opts.queue_capacity.saturating_mul(2).max(64));
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(|| write_responses(output, &queue));
+        let read_error = read_requests(input, &queue, service, opts).err();
+        let (responses, errors) = writer
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+        Ok(SessionTally {
+            responses,
+            errors,
+            read_error,
+        })
+    })
+}
+
+/// The reading half: one slot per non-blank line, submitted on the
+/// session's own fair-queue lane. The optional per-request `client` field
+/// sub-divides it into sublanes namespaced to this session. Blocking
+/// submits and the bounded slot queue stall the reader when the service
+/// or the client falls behind, instead of dropping requests.
+fn read_requests(
     mut input: impl BufRead,
-    mut output: impl Write,
+    queue: &SessionQueue,
+    service: &ShapleyService,
+    opts: &ServeOptions,
+) -> std::io::Result<()> {
+    let lane = service.client();
+    let mut sublanes: HashMap<u64, ServiceClient> = HashMap::new();
+    let ended = loop {
+        let slot = match read_request_line(&mut input, opts.max_line_bytes) {
+            Err(e) => break Err(e),
+            Ok(ReadLine::Eof) => break Ok(()),
+            Ok(ReadLine::TooLong) => Slot::Ready(render_err(
+                "null",
+                &format!("request line exceeds {} bytes", opts.max_line_bytes),
+            )),
+            Ok(ReadLine::Line(line)) if line.trim().is_empty() => continue,
+            Ok(ReadLine::Line(line)) => match parse_request(&line, opts) {
+                Err((id, why)) => Slot::Ready(render_err(&id, &why)),
+                Ok(req) => {
+                    let (id, sublane, request) = req.into_lineage_request();
+                    let submitted = match sublane {
+                        Some(sub) => sublanes
+                            .entry(sub)
+                            .or_insert_with(|| service.client())
+                            .submit_blocking(request),
+                        None => lane.submit_blocking(request),
+                    };
+                    match submitted {
+                        Ok(sub) => Slot::Waiting(id, sub),
+                        Err(e) => Slot::Ready(render_err(&id, &e.to_string())),
+                    }
+                }
+            },
+        };
+        if !queue.push(slot) {
+            break Ok(());
+        }
+    };
+    queue.finish_input();
+    ended
+}
+
+/// The writing half: finishes tickets in request order, one flushed line
+/// per response. Returns `(responses, errors)`; a failed write marks the
+/// session dead so the reader stops.
+fn write_responses(output: &mut impl Write, queue: &SessionQueue) -> std::io::Result<(u64, u64)> {
+    let mut responses = 0u64;
+    let mut errors = 0u64;
+    while let Some(slot) = queue.pop() {
+        let mut line = slot.finish(&mut errors);
+        responses += 1;
+        line.push('\n');
+        if let Err(e) = output
+            .write_all(line.as_bytes())
+            .and_then(|()| output.flush())
+        {
+            queue.mark_dead();
+            return Err(e);
+        }
+    }
+    Ok((responses, errors))
+}
+
+/// Runs a serve session over arbitrary reader/writer pairs (the binary
+/// passes stdin/stdout; tests and the bench pass buffers): the same
+/// session every socket connection runs, then a drain of the service and
+/// the final stats line. Returns `Err` on a read or write failure.
+pub fn run_serve(
+    input: impl BufRead,
+    mut output: impl Write + Send,
     opts: &ServeOptions,
 ) -> Result<ServeSummary, CliError> {
     let service = build_service(opts)?;
-    let mut clients: HashMap<u64, ServiceClient> = HashMap::new();
-    let mut pending: VecDeque<Slot> = VecDeque::new();
-    let mut responses = 0u64;
-    let mut errors = 0u64;
-    // Keep at most this many responses buffered: past it the reading loop
-    // waits for the oldest request — bounded memory end to end.
-    let max_pending = opts.queue_capacity.saturating_mul(2).max(64);
-
-    let flush_ready = |pending: &mut VecDeque<Slot>,
-                       output: &mut dyn Write,
-                       block_first: bool,
-                       responses: &mut u64,
-                       errors: &mut u64|
-     -> Result<(), CliError> {
-        let mut force = block_first;
-        while let Some(front) = pending.front() {
-            if !force && !front.is_done() {
-                break;
-            }
-            force = false;
-            let line = pending.pop_front().expect("front exists").finish(errors);
-            *responses += 1;
-            writeln!(output, "{line}").map_err(|e| err(format!("write response: {e}")))?;
-        }
-        Ok(())
-    };
-
-    loop {
-        let line = match read_request_line(&mut input, opts.max_line_bytes)
-            .map_err(|e| err(format!("read request: {e}")))?
-        {
-            ReadLine::Eof => break,
-            ReadLine::TooLong => {
-                pending.push_back(Slot::Ready(render_err(
-                    "null",
-                    &format!("request line exceeds {} bytes", opts.max_line_bytes),
-                )));
-                let over = pending.len() > max_pending;
-                flush_ready(&mut pending, &mut output, over, &mut responses, &mut errors)?;
-                continue;
-            }
-            ReadLine::Line(line) => line,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_request(&line, opts) {
-            Err((id, why)) => pending.push_back(Slot::Ready(render_err(&id, &why))),
-            Ok(req) => {
-                let (id, lane, request) = req.into_lineage_request();
-                // Blocking submit: queue saturation stalls the reader (pipe
-                // discipline) instead of dropping requests.
-                let submitted = match lane {
-                    Some(lane) => clients
-                        .entry(lane)
-                        .or_insert_with(|| service.client())
-                        .submit_blocking(request),
-                    None => service.submit_blocking(request),
-                };
-                match submitted {
-                    Ok(sub) => pending.push_back(Slot::Waiting(id, sub)),
-                    Err(e) => pending.push_back(Slot::Ready(render_err(&id, &e.to_string()))),
-                }
-            }
-        }
-        let over = pending.len() > max_pending;
-        flush_ready(&mut pending, &mut output, over, &mut responses, &mut errors)?;
+    let tally = run_session(input, &mut output, &service, opts)
+        .map_err(|e| err(format!("write response: {e}")))?;
+    if let Some(e) = tally.read_error {
+        return Err(err(format!("read request: {e}")));
     }
-
-    // EOF: park once on the *newest* ticket — with the fair FIFO lanes,
-    // by the time it completes (almost) every earlier one has too, so the
-    // in-order drain below runs without a reader/worker wakeup ping-pong
-    // per response.
-    if let Some(Slot::Waiting(_, sub)) = pending.back() {
-        let _ = sub.wait();
-    }
-    while !pending.is_empty() {
-        flush_ready(&mut pending, &mut output, true, &mut responses, &mut errors)?;
-    }
-    let stats = service.shutdown();
     let summary = ServeSummary {
-        responses,
-        errors,
-        stats,
+        responses: tally.responses,
+        errors: tally.errors,
+        stats: service.shutdown(),
     };
     writeln!(output, "{}", render_stats(&summary)).map_err(|e| err(format!("write stats: {e}")))?;
     output
@@ -689,6 +807,56 @@ mod tests {
         assert_eq!(s.get("errors").and_then(Json::as_u64), Some(0));
         assert_eq!(summary.responses, 2);
         assert_eq!(summary.stats.profile.get(&SERVICE_COMPLETED), 2);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn interactive_client_reads_each_response_before_sending_the_next() {
+        // A request/response client: request i+1 is written only after
+        // response i was read, so no later line or EOF can push a held
+        // response out. The read timeout turns a held response into a
+        // failure instead of a hang.
+        use std::io::BufReader;
+        use std::os::unix::net::UnixStream;
+        let (mut to_server, server_in) = UnixStream::pair().unwrap();
+        let (server_out, from_server) = UnixStream::pair().unwrap();
+        from_server
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let session = std::thread::spawn(move || {
+            let opts = ServeOptions {
+                workers: 1,
+                ..Default::default()
+            };
+            run_serve(BufReader::new(server_in), server_out, &opts)
+        });
+        let mut responses = BufReader::new(from_server);
+        let lineages = [
+            "[[0],[1,3],[1,4],[2,3],[2,4],[5,6]]",
+            "[[9]]",
+            "[[0,1],[2,3]]",
+        ];
+        for (i, lineage) in (0u64..).zip(lineages) {
+            writeln!(
+                to_server,
+                r#"{{"id": {i}, "lineage": {lineage}, "n_endo": 10}}"#
+            )
+            .unwrap();
+            let mut line = String::new();
+            responses
+                .read_line(&mut line)
+                .unwrap_or_else(|e| panic!("no response to request {i} while input is open: {e}"));
+            let v = Json::parse(line.trim_end()).unwrap();
+            assert_eq!(v.get("id").and_then(Json::as_u64), Some(i));
+            assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "request {i}");
+        }
+        drop(to_server);
+        let mut stats = String::new();
+        responses.read_line(&mut stats).unwrap();
+        assert!(stats.starts_with(r#"{"stats":"#), "{stats}");
+        let summary = session.join().unwrap().unwrap();
+        assert_eq!(summary.responses, 3);
+        assert_eq!(summary.errors, 0);
     }
 
     #[test]

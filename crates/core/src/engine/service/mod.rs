@@ -593,11 +593,13 @@ fn worker_loop(shared: &Shared) {
             Ok(result) => result,
             Err(payload) => Err(EngineError::Panicked(panic_message(payload))),
         };
-        job.ticket.fulfill(result);
-
+        // Count the completion before fulfilling: the ticket's mutex then
+        // orders it before anything the waiter does next, so a client that
+        // has read its response also sees it counted in the stats.
         shared.in_flight.fetch_sub(1, Ordering::Relaxed);
         SERVICE_IN_FLIGHT.decr();
         SERVICE_COMPLETED.incr();
+        job.ticket.fulfill(result);
     }
 }
 
