@@ -22,9 +22,11 @@ test-repeat:
 	done
 
 # The KC engine's negation route against the paper's Tseytin path, with
-# the 260- and 516-fact cases that are too slow for an unoptimized build.
+# the 260- and 516-fact cases that are too slow for an unoptimized build,
+# and the Equation (3) fold against its BigUint oracle past 516 facts.
 test-release-wide:
 	cargo test --release -q --test negation_route -- --include-ignored
+	cargo test --release -q -p shapdb_core --lib -- --ignored
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings

@@ -10,10 +10,22 @@ use shapdb_num::Bitset;
 use std::fmt;
 
 /// A monotone DNF: a set of conjuncts, each a sorted set of variables.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Dnf {
     conjuncts: Vec<Vec<VarId>>,
+    /// Set by [`Dnf::minimize`] and cleared by every mutator, so a second
+    /// `minimize` of an unchanged DNF costs nothing. Not part of the value:
+    /// equality ignores it.
+    minimized: bool,
 }
+
+impl PartialEq for Dnf {
+    fn eq(&self, other: &Dnf) -> bool {
+        self.conjuncts == other.conjuncts
+    }
+}
+
+impl Eq for Dnf {}
 
 impl Dnf {
     /// An empty DNF (the constant false).
@@ -28,6 +40,7 @@ impl Dnf {
         vars.dedup();
         if !self.conjuncts.contains(&vars) {
             self.conjuncts.push(vars);
+            self.minimized = false;
         }
     }
 
@@ -40,7 +53,10 @@ impl Dnf {
         }
         conjuncts.sort_unstable();
         conjuncts.dedup();
-        Dnf { conjuncts }
+        Dnf {
+            conjuncts,
+            minimized: false,
+        }
     }
 
     /// The conjuncts.
@@ -56,6 +72,11 @@ impl Dnf {
     /// True iff the DNF is the constant false.
     pub fn is_empty(&self) -> bool {
         self.conjuncts.is_empty()
+    }
+
+    /// True iff [`Dnf::minimize`] ran and no conjunct was added since.
+    pub(crate) fn is_minimized(&self) -> bool {
+        self.minimized
     }
 
     /// Distinct variables, sorted.
@@ -89,8 +110,14 @@ impl Dnf {
     /// per pair, `O(conjuncts² · words)` — instead of per-pair merges over
     /// the sorted variable lists, which is what makes minimization of wide
     /// lineages (hundreds of variables per conjunct) cheap.
+    ///
+    /// A DNF that is already minimized is left as it is, without a pass.
     pub fn minimize(&mut self) {
+        if self.minimized {
+            return;
+        }
         shapdb_metrics::counters::CIRCUIT_MINIMIZE_PASSES.incr();
+        self.minimized = true;
         let n = self.conjuncts.len();
         if n <= 1 {
             return;
@@ -257,6 +284,41 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert!(d.conjuncts().contains(&v(&[0])));
         assert!(d.conjuncts().contains(&v(&[2, 3])));
+    }
+
+    #[test]
+    fn minimized_flag_skips_repeat_passes_and_is_not_part_of_the_value() {
+        use shapdb_metrics::counters::CIRCUIT_MINIMIZE_PASSES;
+        use shapdb_metrics::Profile;
+        let profile = std::sync::Arc::new(Profile::new());
+        let _scope = profile.enter();
+        let mut d = Dnf::new();
+        d.add_conjunct(v(&[0, 1]));
+        d.add_conjunct(v(&[0]));
+        let plain = d.clone();
+        d.minimize();
+        assert!(d.is_minimized() && !plain.is_minimized());
+        d.minimize();
+        assert_eq!(
+            profile.get(&CIRCUIT_MINIMIZE_PASSES),
+            1,
+            "the second call is free"
+        );
+        // A duplicate conjunct changes nothing; a new one clears the flag.
+        d.add_conjunct(v(&[0]));
+        assert!(d.is_minimized());
+        d.add_conjunct(v(&[2]));
+        assert!(!d.is_minimized());
+        d.minimize();
+        assert_eq!(profile.get(&CIRCUIT_MINIMIZE_PASSES), 2);
+        // Equality compares conjuncts only.
+        let mut same = Dnf::from_conjuncts(vec![v(&[0]), v(&[2])]);
+        assert_eq!(d, same);
+        same.minimize();
+        assert_eq!(d, same);
+        let mut absorbed = plain;
+        absorbed.minimize();
+        assert_eq!(absorbed, Dnf::from_conjuncts(vec![v(&[0])]));
     }
 
     #[test]

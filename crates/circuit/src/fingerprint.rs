@@ -137,10 +137,13 @@ fn mix(parts: &[u64]) -> u64 {
 
 /// Canonicalizes a monotone DNF lineage (see the module docs).
 ///
-/// The lineage is minimized first, so absorption-equivalent inputs share a
-/// fingerprint; constants fingerprint as the empty (`⊥`) or the
+/// The lineage is minimized first (no clone and no pass when it already
+/// is), so absorption-equivalent inputs share a fingerprint; constants fingerprint as the empty (`⊥`) or the
 /// single-empty-conjunct (`⊤`) key with no variables.
 pub fn fingerprint(lineage: &Dnf) -> Fingerprint {
+    if lineage.is_minimized() {
+        return fingerprint_minimized(lineage);
+    }
     let mut d = lineage.clone();
     d.minimize();
     fingerprint_minimized(&d)

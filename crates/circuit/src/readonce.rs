@@ -156,6 +156,9 @@ impl fmt::Display for ReadOnce {
 /// The input is minimized first (absorption), which for monotone DNFs yields
 /// exactly the prime-implicant set the decomposition theory requires.
 pub fn factor(dnf: &Dnf) -> Option<ReadOnce> {
+    if dnf.is_minimized() {
+        return factor_minimized(dnf);
+    }
     let mut d = dnf.clone();
     d.minimize();
     factor_minimized(&d)

@@ -53,7 +53,7 @@ use shapdb_metrics::counters::{DedupStats, TOPK_BOUND_PASSES, TOPK_PRUNED, TOPK_
 use shapdb_metrics::Profile;
 use shapdb_num::{BigInt, BigUint, Coeff, Rational, Vli};
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -107,35 +107,102 @@ pub struct ScoreBounds {
 /// Constant structures (empty key, or an empty conjunct — `⊥`/`⊤`) have
 /// no players: both bounds are 0.
 pub fn shapley_bounds(key: &[Vec<u32>]) -> ScoreBounds {
-    if key.is_empty() || key.iter().any(|c| c.is_empty()) {
-        return ScoreBounds {
-            lower: Rational::zero(),
-            upper: Rational::zero(),
+    BoundTables::default().bounds(key)
+}
+
+/// The set-up [`shapley_bounds`] needs for each variable count — `lcm`,
+/// the `L/u` numerators in their tier and the lower bound — built on first
+/// use, so a ranking run pays it once per distinct count instead of once
+/// per answer.
+#[derive(Default)]
+struct BoundTables(HashMap<usize, BoundTable>);
+
+impl BoundTables {
+    /// [`shapley_bounds`] of `key`, on this cache's tables.
+    fn bounds(&mut self, key: &[Vec<u32>]) -> ScoreBounds {
+        if key.is_empty() || key.iter().any(|c| c.is_empty()) {
+            return ScoreBounds {
+                lower: Rational::zero(),
+                upper: Rational::zero(),
+            };
+        }
+        let num_vars = key
+            .iter()
+            .flatten()
+            .copied()
+            .max()
+            .map_or(0, |m| m as usize + 1);
+        let table = self
+            .0
+            .entry(num_vars)
+            .or_insert_with(|| BoundTable::new(num_vars));
+        let upper = match &table.inv {
+            Numerators::Vli1(inv) => bound_numerator(key, num_vars, inv),
+            Numerators::Vli2(inv) => bound_numerator(key, num_vars, inv),
+            Numerators::Vli4(inv) => bound_numerator(key, num_vars, inv),
+            Numerators::Vli8(inv) => bound_numerator(key, num_vars, inv),
+            Numerators::Big(inv) => bound_numerator(key, num_vars, inv),
         };
+        ScoreBounds {
+            lower: table.lower.clone(),
+            upper: Rational::new(BigInt::from_biguint(upper), table.lcm.clone()),
+        }
     }
-    let num_vars = key
-        .iter()
-        .flatten()
-        .copied()
-        .max()
-        .map_or(0, |m| m as usize + 1);
-    let lcm = lcm_upto(num_vars);
-    let bits = lcm.bits() + 3;
-    let upper = if bits <= 64 {
-        bound_numerator::<Vli<1>>(key, num_vars, &lcm)
-    } else if bits <= 128 {
-        bound_numerator::<Vli<2>>(key, num_vars, &lcm)
-    } else if bits <= 256 {
-        bound_numerator::<Vli<4>>(key, num_vars, &lcm)
-    } else if bits <= 512 {
-        bound_numerator::<Vli<8>>(key, num_vars, &lcm)
-    } else {
-        bound_numerator::<BigUint>(key, num_vars, &lcm)
-    };
-    ScoreBounds {
-        lower: Rational::from_ratio(1, num_vars as u64),
-        upper: Rational::new(BigInt::from_biguint(upper), lcm),
+}
+
+/// [`shapley_bounds`]' set-up for one variable count.
+struct BoundTable {
+    lcm: BigUint,
+    inv: Numerators,
+    /// `1/vars`.
+    lower: Rational,
+}
+
+/// `inv[u] = L/u`, the numerator of `1/u` over `L = lcm(1..=vars)`, in the
+/// narrowest tier holding `bits(L) + 3` bits.
+enum Numerators {
+    Vli1(Vec<Vli<1>>),
+    Vli2(Vec<Vli<2>>),
+    Vli4(Vec<Vli<4>>),
+    Vli8(Vec<Vli<8>>),
+    Big(Vec<BigUint>),
+}
+
+impl BoundTable {
+    fn new(num_vars: usize) -> BoundTable {
+        let lcm = lcm_upto(num_vars);
+        let bits = lcm.bits() + 3;
+        let inv = if bits <= 64 {
+            Numerators::Vli1(numerators(&lcm, num_vars))
+        } else if bits <= 128 {
+            Numerators::Vli2(numerators(&lcm, num_vars))
+        } else if bits <= 256 {
+            Numerators::Vli4(numerators(&lcm, num_vars))
+        } else if bits <= 512 {
+            Numerators::Vli8(numerators(&lcm, num_vars))
+        } else {
+            Numerators::Big(numerators(&lcm, num_vars))
+        };
+        BoundTable {
+            lcm,
+            inv,
+            lower: Rational::from_ratio(1, num_vars as u64),
+        }
     }
+}
+
+/// `[0, L/1, L/2, …, L/num_vars]` in the tier `T`.
+fn numerators<T: Coeff>(lcm: &BigUint, num_vars: usize) -> Vec<T> {
+    (0..=num_vars)
+        .map(|u| {
+            if u == 0 {
+                return T::zero();
+            }
+            let mut q = lcm.clone();
+            q.div_small(u as u64);
+            T::from_biguint(&q)
+        })
+        .collect()
 }
 
 /// `lcm(1..=n)`: the product, over primes `p ≤ n`, of the largest power
@@ -160,20 +227,9 @@ fn lcm_upto(n: usize) -> BigUint {
 }
 
 /// The numerator over `lcm` of `upper` (see [`shapley_bounds`]), in the
-/// coefficient tier `T`.
-fn bound_numerator<T: Coeff>(key: &[Vec<u32>], num_vars: usize, lcm: &BigUint) -> BigUint {
-    let one = T::from_biguint(lcm);
-    // inv[u] = L/u, the numerator of 1/u.
-    let inv: Vec<T> = (0..=num_vars)
-        .map(|u| {
-            if u == 0 {
-                return T::zero();
-            }
-            let mut q = lcm.clone();
-            q.div_small(u as u64);
-            T::from_biguint(&q)
-        })
-        .collect();
+/// coefficient tier `T` of `inv` (`inv[u] = L/u`).
+fn bound_numerator<T: Coeff>(key: &[Vec<u32>], num_vars: usize, inv: &[T]) -> BigUint {
+    let one = inv[1].clone();
     let sets = BitRows::new(key, num_vars);
     let sizes: Vec<usize> = (0..key.len())
         .map(|ci| sets.union_len(ci, std::iter::empty()))
@@ -442,8 +498,10 @@ impl TopKExecutor {
     }
 
     /// Ranks the answers' raw lineages, given in submission order, and
-    /// returns the top `k`. Each lineage is minimized once and bounded on
-    /// a dense renaming; an answer whose upper bound falls strictly below
+    /// returns the top `k`. Each lineage is minimized (a no-op for one
+    /// that already is, such as an `endo_lineage`) and bounded on a dense
+    /// renaming, with [`shapley_bounds`]' set-up built once per variable
+    /// count; an answer whose upper bound falls strictly below
     /// the `k`-th best lower bound seen so far is dropped on the spot, so
     /// a streamed input retains only the survivors' minimized lineages.
     /// Only the survivors of the final threshold are fingerprinted,
@@ -465,6 +523,7 @@ impl TopKExecutor {
         // Stream filter: `lowers` keeps the k largest lower bounds so far.
         // `k` is not capped by an answer count yet: no capacity from it.
         let mut lowers: BinaryHeap<Reverse<Rational>> = BinaryHeap::new();
+        let mut tables = BoundTables::default();
         let mut survivors: Vec<Survivor> = Vec::new();
         let mut answers = 0usize;
         for (index, mut lineage) in lineages.into_iter().enumerate() {
@@ -474,7 +533,7 @@ impl TopKExecutor {
             }
             lineage.minimize();
             TOPK_BOUND_PASSES.incr();
-            let bounds = shapley_bounds(&dense_key(&lineage));
+            let bounds = tables.bounds(&dense_key(&lineage));
             lowers.push(Reverse(bounds.lower));
             if lowers.len() > k {
                 lowers.pop();
@@ -672,6 +731,26 @@ mod tests {
             let key = canonical_key(&conjs);
             assert_eq!(shapley_bounds(&key), reference_bounds(&key), "n={n}");
         }
+    }
+
+    #[test]
+    fn cached_bounds_equal_one_shot_bounds_on_the_job_smoke_keys() {
+        // One table set across every answer, as a ranking run keeps it,
+        // on both the stream's dense keys and the canonical keys.
+        use shapdb_workloads::{job_database, job_ranking_query, JobConfig};
+        let db = job_database(&JobConfig::smoke());
+        let answers = shapdb_query::evaluate(&job_ranking_query(), &db);
+        let mut tables = BoundTables::default();
+        let mut counts = std::collections::HashSet::new();
+        for out in &answers.outputs {
+            let lineage = out.endo_lineage(&db);
+            for key in [dense_key(&lineage), fingerprint(&lineage).key().clone()] {
+                counts.insert(num_vars(&key));
+                assert_eq!(tables.bounds(&key), shapley_bounds(&key), "{key:?}");
+            }
+        }
+        assert!(counts.len() > 1, "the corpus has several variable counts");
+        assert_eq!(tables.0.len(), counts.len(), "one table per count");
     }
 
     #[test]

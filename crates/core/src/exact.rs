@@ -105,15 +105,13 @@
 //! choice is bit-exact: results are identical rationals at any setting.
 
 use crate::measure::Measure;
-use crate::weights::{power_weights, weighted_difference};
+use crate::weights::PowerFold;
 use shapdb_kc::{DNode, Ddnnf, NodeIdx};
 use shapdb_metrics::counters::{Counter, NUM_BIGNUM_FALLBACKS, NUM_VLI_HITS};
 use shapdb_num::{
-    combinatorics::{alpha_cap_bits, BinomialTable, FactorialTable},
+    combinatorics::{alpha_cap_bits, BinomialTable},
     ntt, BigUint, Bitset, Coeff, Rational, Vli,
 };
-// `BinomialTable` backs the per-gate ∨ expansion in `Dp`; `FactorialTable`
-// backs the closed-form weights.
 use std::time::Instant;
 
 /// Configuration for the exact computation. Only Algorithm 1's own
@@ -872,13 +870,12 @@ pub(crate) fn derive_gamma<C: Coeff>(base_root: &[C], delta: &[C], gamma: &mut V
 }
 
 /// One solve's invariants: the circuit, its variable sets, the facts to
-/// solve (root variables) and the measure's `(weights, denominator)` fold.
+/// solve (root variables) and the measure whose [`PowerFold`] weighs them.
 struct Problem<'a> {
     d: &'a Ddnnf,
     sets: Vec<Bitset>,
     facts: Vec<usize>,
-    weights: Vec<BigUint>,
-    denom: BigUint,
+    measure: Measure,
     deadline: Option<Instant>,
 }
 
@@ -901,13 +898,11 @@ impl<'a> Problem<'a> {
         if facts.is_empty() {
             return None;
         }
-        let (weights, denom) = power_weights(measure, root.len(), &mut FactorialTable::new());
         Some(Problem {
             d,
             sets,
             facts,
-            weights,
-            denom,
+            measure,
             deadline: cfg.deadline,
         })
     }
@@ -923,6 +918,7 @@ fn solve<C: Coeff>(
     let root = p.d.root().index();
     let m = p.sets[root].len();
     let mut dp: Dp<C> = Dp::new(p.d, &p.sets, p.deadline);
+    let mut fold = PowerFold::new(p.measure, m);
     let mut gamma = Vec::new();
     let mut out = Vec::with_capacity(p.facts.len());
     match solver {
@@ -934,7 +930,7 @@ fn solve<C: Coeff>(
             dp.adjoint_deltas(&mut alphas, |f, delta| {
                 debug_assert_eq!(delta.len(), m);
                 derive_gamma(&base_root, delta, &mut gamma);
-                out.push((f, weighted_difference(&gamma, delta, &p.weights, &p.denom)));
+                out.push((f, fold.value(&gamma, delta)));
             })?;
             out.sort_unstable_by_key(|&(f, _)| f);
             debug_assert!(out.iter().map(|&(f, _)| f).eq(p.facts.iter().copied()));
@@ -965,7 +961,7 @@ fn solve<C: Coeff>(
                 }
                 debug_assert_eq!(gamma.len(), m);
                 debug_assert_eq!(delta.len(), m);
-                out.push((f, weighted_difference(&gamma, &delta, &p.weights, &p.denom)));
+                out.push((f, fold.value(&gamma, &delta)));
             }
         }
     }
@@ -1061,9 +1057,9 @@ pub fn shapley_all_facts(
 
 /// Exact power index (Shapley or Banzhaf) of every d-DNNF variable: one
 /// forward pass and one backward pass of adjoints give every fact's
-/// `f → 0` array (module doc), folded with the measure's `(weights,
-/// denominator)` pair from `weights::power_weights`. Only the final `O(m)`
-/// weighting differs between the two measures.
+/// `f → 0` array (module doc), folded by the measure's
+/// `weights::PowerFold`. Only the final `O(m)` weighting differs between
+/// the two measures.
 ///
 /// # Panics
 ///
@@ -1152,6 +1148,7 @@ pub fn sat_k_all(d: &Ddnnf) -> Vec<BigUint> {
 mod tests {
     use super::*;
     use crate::naive::{sat_k_bruteforce, shapley_naive};
+    use crate::weights::oracle;
     use proptest::prelude::*;
     use shapdb_circuit::{Circuit, Dnf, Lit, VarId};
     use shapdb_kc::ddnnf::{DdnnfBuilder, NodeIdx};
@@ -1459,6 +1456,79 @@ mod tests {
                     assert_eq!(values[f], x, "{name} n={n} fact {f}");
                 }
             }
+        }
+    }
+
+    /// `⋁` of disjoint conjunctions of 1, 2 and 3 facts over `n` facts,
+    /// compiled from its negation CNF: a circuit with distinct Shapley
+    /// values at any width.
+    fn disjoint_blocks(n: usize) -> Ddnnf {
+        let mut d = Dnf::new();
+        let (mut next, mut size) = (0, 1);
+        while next < n {
+            let end = (next + size).min(n);
+            d.add_conjunct((next..end).map(|v| VarId(v as u32)).collect());
+            next = end;
+            size = size % 3 + 1;
+        }
+        compile_negated_dnf(&d, n)
+    }
+
+    /// Every fact's kernel value from the adjoint pass on tier `C` against
+    /// the `BigUint` oracle fold of the same `Γ/Δ`, for both power indices.
+    fn assert_fold_matches_oracle<C: Coeff>(d: &Ddnnf) {
+        let sets = d.var_sets();
+        let root = d.root().index();
+        let m = sets[root].len();
+        for measure in [Measure::Shapley, Measure::Banzhaf] {
+            let (weights, denom) = oracle::power_weights(measure, m);
+            let mut fold = PowerFold::new(measure, m);
+            let mut dp: Dp<C> = Dp::new(d, &sets, None);
+            let mut alphas = dp.base_pass().unwrap();
+            let base_root = alphas[root].clone();
+            let (mut gamma, mut facts) = (Vec::new(), 0);
+            dp.adjoint_deltas(&mut alphas, |f, delta| {
+                derive_gamma(&base_root, delta, &mut gamma);
+                let expect = oracle::weighted_difference(&gamma, delta, &weights, &denom);
+                assert_eq!(
+                    fold.value(&gamma, delta),
+                    expect,
+                    "{measure} m={m} fact {f}"
+                );
+                facts += 1;
+            })
+            .unwrap();
+            assert_eq!(facts, m);
+        }
+    }
+
+    /// [`assert_fold_matches_oracle`] on the tier a solve of `d` takes.
+    fn assert_fold_matches_oracle_on_its_tier(d: &Ddnnf) {
+        match Tier::for_sets(&d.var_sets()) {
+            Tier::Vli1 => assert_fold_matches_oracle::<Vli<1>>(d),
+            Tier::Vli2 => assert_fold_matches_oracle::<Vli<2>>(d),
+            Tier::Vli4 => assert_fold_matches_oracle::<Vli<4>>(d),
+            Tier::Vli8 => assert_fold_matches_oracle::<Vli<8>>(d),
+            Tier::Big => assert_fold_matches_oracle::<BigUint>(d),
+        }
+    }
+
+    #[test]
+    fn fold_matches_the_oracle_at_the_fold_and_tier_boundaries() {
+        // u128 fold → limbs at 28/29 (Shapley) and 127/128 (Banzhaf);
+        // coefficient tiers at 67/68, 131/132 and 260/261.
+        for n in [7, 28, 29, 67, 68, 127, 128, 131, 132, 260, 261] {
+            assert_fold_matches_oracle_on_its_tier(&disjoint_blocks(n));
+            assert_fold_matches_oracle_on_its_tier(&symmetric_over(n));
+        }
+    }
+
+    #[test]
+    #[ignore = "BigUint-tier circuits; run by `make test-release-wide`"]
+    fn fold_matches_the_oracle_at_the_widest_tier_boundary() {
+        for n in [516, 517] {
+            assert_fold_matches_oracle_on_its_tier(&disjoint_blocks(n));
+            assert_fold_matches_oracle_on_its_tier(&symmetric_over(n));
         }
     }
 

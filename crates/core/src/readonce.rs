@@ -44,7 +44,7 @@
 
 use crate::exact::{derive_gamma, BinomRows, ShapleyTimeout};
 use crate::measure::Measure;
-use crate::weights::{completion_weights, power_weights, weighted_difference};
+use crate::weights::{completion_weights, PowerFold};
 use shapdb_circuit::{ReadOnce, VarId};
 use shapdb_num::{
     combinatorics::{alpha_cap_bits, BinomialTable, FactorialTable},
@@ -322,8 +322,8 @@ pub fn shapley_read_once(
 }
 
 /// Exact power index (Shapley or Banzhaf) of every variable of a read-once
-/// lineage: one conditioned path pass per fact, folded with the measure's
-/// `(weights, denominator)` pair from `weights::power_weights`.
+/// lineage: one conditioned path pass per fact, folded by the measure's
+/// `weights::PowerFold`.
 ///
 /// # Panics
 ///
@@ -350,7 +350,7 @@ pub fn power_read_once(
         // Constant lineage: every variable is a null player.
         return Ok(vars.into_iter().map(|v| (v, Rational::zero())).collect());
     }
-    let (weights, denom) = power_weights(measure, m, &mut FactorialTable::new());
+    let mut fold = PowerFold::new(measure, m);
     let bits = alpha_cap_bits(m);
     let run = if bits <= 64 {
         power_facts::<Vli<1>>
@@ -363,7 +363,7 @@ pub fn power_read_once(
     } else {
         power_facts::<BigUint>
     };
-    run(&a, vars, deadline, &weights, &denom)
+    run(&a, vars, deadline, &mut fold)
 }
 
 /// The per-fact loop of [`power_read_once`] on one coefficient tier.
@@ -371,8 +371,7 @@ fn power_facts<C: Coeff>(
     a: &Arena,
     vars: Vec<VarId>,
     deadline: Option<Instant>,
-    weights: &[BigUint],
-    denom: &BigUint,
+    fold: &mut PowerFold,
 ) -> Result<Vec<(VarId, Rational)>, ShapleyTimeout> {
     let mut dp = CountDp::<C>::new(a);
     let base_root = dp.sat[a.root].clone();
@@ -390,7 +389,7 @@ fn power_facts<C: Coeff>(
         };
         dp.delta_root(a, leaf, &mut delta);
         derive_gamma(&base_root, &delta, &mut gamma);
-        out.push((v, weighted_difference(&gamma, &delta, weights, denom)));
+        out.push((v, fold.value(&gamma, &delta)));
     }
     Ok(out)
 }
@@ -846,6 +845,27 @@ mod tests {
             let leaves = || (0..m as u32).map(|v| ReadOnce::Var(VarId(v))).collect();
             assert_matches_reference(&ReadOnce::Or(leaves()), 2);
             assert_matches_reference(&ReadOnce::And(leaves()), 2);
+        }
+    }
+
+    #[test]
+    fn fold_boundaries_match_reference() {
+        // The u128 fold covers Shapley up to 28 facts and Banzhaf up to
+        // 127; the limb fold takes over past them.
+        for m in [28, 29, 127, 128] {
+            for (seed, or_root) in [(1, false), (2, true)] {
+                assert_matches_reference(&random_wide_tree(m, seed, or_root), 16);
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "48 facts of 516/517-fact trees on the BigUint oracle; run by `make test-release-wide`"]
+    fn widest_tier_boundary_matches_reference_on_many_facts() {
+        for m in [516, 517] {
+            for (seed, or_root) in [(3, false), (4, true)] {
+                assert_matches_reference(&random_wide_tree(m, seed, or_root), 48);
+            }
         }
     }
 

@@ -5,12 +5,9 @@
 
 use super::{Arena, RNode};
 use crate::measure::Measure;
-use crate::weights::{power_weights, weighted_difference};
+use crate::weights::oracle::{power_weights, weighted_difference};
 use shapdb_circuit::{ReadOnce, VarId};
-use shapdb_num::{
-    combinatorics::{BinomialTable, FactorialTable},
-    BigUint, Rational,
-};
+use shapdb_num::{combinatorics::BinomialTable, BigUint, Rational};
 
 /// `#SAT_ℓ` arrays (`ℓ = 0..=nvars`) for every node, bottom-up.
 fn base_counts(a: &Arena, binomials: &mut BinomialTable) -> Vec<Vec<BigUint>> {
@@ -127,7 +124,7 @@ pub fn reference_power(tree: &ReadOnce, facts: &[VarId], measure: Measure) -> Ve
     let m = a.nvars[a.root];
     let mut binomials = BinomialTable::new();
     let base = base_counts(&a, &mut binomials);
-    let (weights, denom) = power_weights(measure, m, &mut FactorialTable::new());
+    let (weights, denom) = power_weights(measure, m);
     facts
         .iter()
         .map(|v| match a.leaf_of.get(v) {

@@ -4,7 +4,7 @@
 //! coprime with the numerator's magnitude; zero is `0/1`. Shapley values such
 //! as the running example's `43/105` are represented and compared exactly.
 
-use crate::bigint::BigInt;
+use crate::bigint::{BigInt, Sign};
 use crate::biguint::BigUint;
 use std::cmp::Ordering;
 use std::fmt;
@@ -40,6 +40,19 @@ impl Rational {
         let mut r = Rational { num, den };
         r.reduce();
         r
+    }
+
+    /// Builds `num/den` that is already in canonical form: `den > 0` and
+    /// coprime with `num`'s magnitude (zero as `0/1`). Skips the gcd that
+    /// [`Rational::new`] runs, for callers that reduced against a known
+    /// factorization; debug builds check the form.
+    pub fn from_reduced(num: BigInt, den: BigUint) -> Self {
+        debug_assert!(!den.is_zero(), "rational with zero denominator");
+        debug_assert!(
+            num.magnitude().gcd(&den).is_one(),
+            "{num}/{den} is not reduced"
+        );
+        Rational { num, den }
     }
 
     /// Builds `num/den` from machine integers. Panics if `den == 0`.
@@ -167,10 +180,40 @@ impl Default for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
-        // a/b ? c/d  <=>  a*d ? c*b (denominators positive).
-        let lhs = &self.num * &BigInt::from_biguint(other.den.clone());
-        let rhs = &other.num * &BigInt::from_biguint(self.den.clone());
-        lhs.cmp(&rhs)
+        // a/b ? c/d  <=>  a*d ? c*b (denominators positive): the signs
+        // decide unless they agree, and then the magnitudes' cross
+        // products do, reversed for negative values.
+        let by_sign = sign_rank(&self.num).cmp(&sign_rank(&other.num));
+        if by_sign != Ordering::Equal || self.num.is_zero() {
+            return by_sign;
+        }
+        let (a, c) = (self.num.magnitude(), other.num.magnitude());
+        let by_magnitude = if self.den == other.den {
+            a.cmp(c)
+        } else if let (Some(a), Some(b), Some(c), Some(d)) = (
+            a.to_u64(),
+            self.den.to_u64(),
+            c.to_u64(),
+            other.den.to_u64(),
+        ) {
+            (u128::from(a) * u128::from(d)).cmp(&(u128::from(c) * u128::from(b)))
+        } else {
+            (a * &other.den).cmp(&(c * &self.den))
+        };
+        if self.num.is_negative() {
+            by_magnitude.reverse()
+        } else {
+            by_magnitude
+        }
+    }
+}
+
+/// −1, 0 or 1 by the sign of `n`, for ordering.
+fn sign_rank(n: &BigInt) -> i8 {
+    match n.sign() {
+        Sign::Negative => -1,
+        Sign::Zero => 0,
+        Sign::Positive => 1,
     }
 }
 
@@ -318,6 +361,34 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_cmp_matches_cross_multiplication(
+            a_limbs in proptest::collection::vec(any::<u64>(), 0..4),
+            b_limbs in proptest::collection::vec(any::<u64>(), 0..4),
+            c_limbs in proptest::collection::vec(any::<u64>(), 0..4),
+            d_limbs in proptest::collection::vec(any::<u64>(), 0..4),
+            a_neg in any::<bool>(),
+            c_neg in any::<bool>(),
+            same_den in any::<bool>(),
+        ) {
+            // Multi-limb, single-limb, zero and negative numerators; equal
+            // and unequal denominators.
+            let signed = |limbs: Vec<u64>, neg: bool| {
+                let sign = if neg { Sign::Negative } else { Sign::Positive };
+                BigInt::from_sign_mag(sign, BigUint::from_limbs(limbs))
+            };
+            let den = |limbs: Vec<u64>| BigUint::from_limbs(limbs) + BigUint::one();
+            let b = den(b_limbs);
+            let d = if same_den { b.clone() } else { den(d_limbs) };
+            let x = Rational::new(signed(a_limbs, a_neg), b);
+            let y = Rational::new(signed(c_limbs, c_neg), d);
+            let cross = |p: &Rational, q: &Rational| {
+                p.numerator() * &BigInt::from_biguint(q.denominator().clone())
+            };
+            prop_assert_eq!(x.cmp(&y), cross(&x, &y).cmp(&cross(&y, &x)));
+            prop_assert_eq!(x.cmp(&x), Ordering::Equal);
+        }
+
         #[test]
         fn prop_add_commutes(a in -1000i64..1000, b in 1u64..1000, c in -1000i64..1000, d in 1u64..1000) {
             let x = Rational::from_ratio(a, b);

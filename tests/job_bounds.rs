@@ -11,11 +11,13 @@ use shapdb::ShapleyAnalyzer;
 use shapdb_circuit::{fingerprint, FingerprintKey};
 use shapdb_core::engine::{shapley_bounds, Planner, PlannerConfig, ScoreBounds, TopKExecutor};
 use shapdb_kc::Budget;
-use shapdb_metrics::counters::{CIRCUIT_FACTOR_PASSES, TOPK_BOUND_PASSES};
+use shapdb_metrics::counters::{CIRCUIT_FACTOR_PASSES, CIRCUIT_MINIMIZE_PASSES, TOPK_BOUND_PASSES};
+use shapdb_metrics::Profile;
 use shapdb_num::Rational;
 use shapdb_query::{evaluate, with_streamed_lineages};
 use shapdb_workloads::{job_database, job_ranking_query, JobConfig};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 #[path = "../crates/core/src/engine/topk/reference.rs"]
 mod reference;
@@ -111,4 +113,45 @@ fn job_smoke_topk_fingerprints_only_the_solo_slice() {
         .map(|i| (i.index, i.score.clone()))
         .collect();
     assert_eq!(got, vec![(0, half.clone()), (1, half.clone()), (2, half)]);
+}
+
+#[test]
+fn each_answer_lineage_is_minimized_once_on_explain_batch_and_rank_topk() {
+    // `endo_lineage` hands out minimized lineages; neither executor
+    // minimizes them again (nor does `fingerprint` inside the batch).
+    let db = job_database(&JobConfig::smoke());
+    let q = job_ranking_query();
+
+    // Around `explain_batch` (one thread, so the executor runs here): the
+    // evaluation minimizes each answer's full lineage once and
+    // `endo_lineage` its projection once; the batch's own profile, which
+    // replaces the outer one while it runs, counts no pass.
+    let outer = Arc::new(Profile::new());
+    let batch = {
+        let _scope = outer.enter();
+        ShapleyAnalyzer::new(&db)
+            .with_threads(1)
+            .explain_batch(&q)
+            .unwrap()
+    };
+    let answers = batch.explanations.len() as u64;
+    assert!(answers > 10);
+    assert_eq!(outer.get(&CIRCUIT_MINIMIZE_PASSES), 2 * answers);
+    assert_eq!(batch.profile.get(&CIRCUIT_MINIMIZE_PASSES), 0);
+
+    // `rank_topk`'s pipeline: the stream minimizes full lineages on its
+    // producer thread; the ranking's profile sees `endo_lineage`'s one
+    // pass per answer and nothing from the executor.
+    let executor = TopKExecutor::new(Planner::for_query(PlannerConfig::default(), &q));
+    let (report, _) = with_streamed_lineages(&q, &db, 256, |lineages| {
+        executor.run(
+            lineages.map(|out| out.endo_lineage(&db)),
+            3,
+            db.num_endogenous(),
+            &Budget::unlimited(),
+        )
+    });
+    let report = report.unwrap();
+    assert_eq!(report.answers as u64, answers);
+    assert_eq!(report.profile.get(&CIRCUIT_MINIMIZE_PASSES), answers);
 }
