@@ -177,39 +177,56 @@ pub fn factor_minimized(d: &Dnf) -> Option<ReadOnce> {
         // a certain tuple.
         return Some(ReadOnce::True);
     }
-    let conjuncts: Vec<Vec<VarId>> = d.conjuncts().to_vec();
-    factor_rec(&conjuncts)
+    // Dense-rank the variables once: the recursion works on ranks (which
+    // keep the variables' order) and maps leaves back through `vars`.
+    let mut vars: Vec<VarId> = d.conjuncts().iter().flatten().copied().collect();
+    vars.sort_unstable();
+    vars.dedup();
+    let conjuncts: Vec<Vec<u32>> = d
+        .conjuncts()
+        .iter()
+        .map(|c| {
+            c.iter()
+                .map(|v| vars.binary_search(v).expect("ranked var") as u32)
+                .collect()
+        })
+        .collect();
+    factor_rec(&conjuncts, &vars, &mut vec![usize::MAX; vars.len()])
 }
 
-/// Recursive Or-split / And-split on a prime-implicant antichain.
-fn factor_rec(conjuncts: &[Vec<VarId>]) -> Option<ReadOnce> {
+/// Recursive Or-split / And-split on a prime-implicant antichain over the
+/// ranks of `vars`. `by_rank` is scratch indexed by rank, `usize::MAX`
+/// everywhere between uses, so no call pays for the ranks it does not
+/// mention.
+fn factor_rec(conjuncts: &[Vec<u32>], vars: &[VarId], by_rank: &mut [usize]) -> Option<ReadOnce> {
     debug_assert!(!conjuncts.is_empty());
+    let var = |r: u32| ReadOnce::Var(vars[r as usize]);
     // Single conjunct: a plain conjunction of distinct variables.
     if conjuncts.len() == 1 {
         let c = &conjuncts[0];
         return Some(if c.len() == 1 {
-            ReadOnce::Var(c[0])
+            var(c[0])
         } else {
-            ReadOnce::And(c.iter().map(|&v| ReadOnce::Var(v)).collect())
+            ReadOnce::And(c.iter().map(|&r| var(r)).collect())
         });
     }
 
     // ∨-split: connected components of the conjunct graph (two conjuncts
     // adjacent iff they share a variable). Union-find over conjuncts, keyed
     // by per-variable occurrence.
-    let groups = or_components(conjuncts);
+    let groups = or_components(conjuncts, by_rank);
     if groups.len() > 1 {
         let mut kids = Vec::with_capacity(groups.len());
         for g in &groups {
-            let sub: Vec<Vec<VarId>> = g.iter().map(|&i| conjuncts[i].clone()).collect();
-            kids.push(factor_rec(&sub)?);
+            let sub: Vec<Vec<u32>> = g.iter().map(|&i| conjuncts[i].clone()).collect();
+            kids.push(factor_rec(&sub, vars, by_rank)?);
         }
         return Some(ReadOnce::Or(kids));
     }
 
     // ∧-split: co-components of the variable co-occurrence graph, validated
     // by the Cartesian-product (normality) check.
-    let blocks = and_blocks(conjuncts)?;
+    let blocks = and_blocks(conjuncts, by_rank);
     if blocks.len() <= 1 {
         return None; // Connected co-occurrence graph *and* connected complement.
     }
@@ -217,12 +234,12 @@ fn factor_rec(conjuncts: &[Vec<VarId>]) -> Option<ReadOnce> {
     let mut expected = 1usize;
     for block in &blocks {
         // Project the implicants onto the block and deduplicate.
-        let mut proj: Vec<Vec<VarId>> = Vec::new();
+        let mut proj: Vec<Vec<u32>> = Vec::new();
         for c in conjuncts {
-            let p: Vec<VarId> = c
+            let p: Vec<u32> = c
                 .iter()
                 .copied()
-                .filter(|v| block.contains(v.index()))
+                .filter(|&r| block.contains(r as usize))
                 .collect();
             if p.is_empty() {
                 return None; // An implicant missing a block: not a clean ∧.
@@ -232,7 +249,7 @@ fn factor_rec(conjuncts: &[Vec<VarId>]) -> Option<ReadOnce> {
             }
         }
         expected = expected.checked_mul(proj.len())?;
-        kids.push(factor_rec(&proj)?);
+        kids.push(factor_rec(&proj, vars, by_rank)?);
     }
     // Normality: the implicant set must be exactly the product of the block
     // projections (rejects e.g. majority: xy ∨ yz ∨ xz).
@@ -242,10 +259,11 @@ fn factor_rec(conjuncts: &[Vec<VarId>]) -> Option<ReadOnce> {
     Some(ReadOnce::And(kids))
 }
 
-/// Connected components of the conjunct-sharing graph, as index groups.
-fn or_components(conjuncts: &[Vec<VarId>]) -> Vec<Vec<usize>> {
-    let n = conjuncts.len();
-    let mut parent: Vec<usize> = (0..n).collect();
+/// Connected components of the conjunct-sharing graph, as index groups
+/// ordered by their smallest conjunct index. `first` is all `usize::MAX`
+/// and is left so.
+fn or_components(conjuncts: &[Vec<u32>], first: &mut [usize]) -> Vec<Vec<usize>> {
+    let mut parent: Vec<usize> = (0..conjuncts.len()).collect();
     fn find(parent: &mut [usize], x: usize) -> usize {
         let mut r = x;
         while parent[r] != r {
@@ -259,68 +277,81 @@ fn or_components(conjuncts: &[Vec<VarId>]) -> Vec<Vec<usize>> {
         }
         r
     }
-    // Group conjuncts by variable: all conjuncts containing v are merged.
-    let mut by_var: std::collections::HashMap<VarId, usize> = std::collections::HashMap::new();
+    // Group conjuncts by variable: all conjuncts containing rank r are
+    // merged with the first one seen.
     for (i, c) in conjuncts.iter().enumerate() {
-        for &v in c {
-            match by_var.entry(v) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let a = find(&mut parent, *e.get());
+        for &r in c {
+            match first[r as usize] {
+                usize::MAX => first[r as usize] = i,
+                j => {
+                    let a = find(&mut parent, j);
                     let b = find(&mut parent, i);
                     parent[a] = b;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(i);
                 }
             }
         }
     }
-    let mut groups: std::collections::HashMap<usize, Vec<usize>> = std::collections::HashMap::new();
-    for i in 0..n {
-        let r = find(&mut parent, i);
-        groups.entry(r).or_default().push(i);
+    for &r in conjuncts.iter().flatten() {
+        first[r as usize] = usize::MAX;
     }
-    let mut out: Vec<Vec<usize>> = groups.into_values().collect();
-    // Deterministic order: by smallest conjunct index.
-    out.sort_by_key(|g| g[0]);
+    // Components in order of their smallest conjunct index.
+    let mut slot = vec![usize::MAX; conjuncts.len()];
+    let mut out: Vec<Vec<usize>> = Vec::new();
+    for i in 0..conjuncts.len() {
+        let r = find(&mut parent, i);
+        if slot[r] == usize::MAX {
+            slot[r] = out.len();
+            out.push(Vec::new());
+        }
+        out[slot[r]].push(i);
+    }
     out
 }
 
 /// Co-components (connected components of the complement) of the variable
-/// co-occurrence graph. Returns `None` on pathological overflow-sized input.
-fn and_blocks(conjuncts: &[Vec<VarId>]) -> Option<Vec<Bitset>> {
-    // Dense-rank the variables.
-    let mut vars: Vec<VarId> = conjuncts.iter().flatten().copied().collect();
-    vars.sort_unstable();
-    vars.dedup();
-    let n = vars.len();
-    let rank = |v: VarId| vars.binary_search(&v).expect("ranked var");
+/// co-occurrence graph, as sets of ranks ordered by their smallest member.
+/// `local` is all `usize::MAX` and is left so.
+fn and_blocks(conjuncts: &[Vec<u32>], local: &mut [usize]) -> Vec<Bitset> {
+    let n = local.len();
+    // The ranks these conjuncts mention, ascending, and each one's row.
+    let mut members: Vec<u32> = conjuncts.iter().flatten().copied().collect();
+    members.sort_unstable();
+    members.dedup();
+    for (i, &r) in members.iter().enumerate() {
+        local[r as usize] = i;
+    }
 
     // Adjacency of the co-occurrence graph as bitset rows.
-    let mut adj: Vec<Bitset> = (0..n).map(|_| Bitset::new(n)).collect();
+    let mut adj: Vec<Bitset> = (0..members.len())
+        .map(|_| Bitset::new(members.len()))
+        .collect();
     for c in conjuncts {
         for (i, &a) in c.iter().enumerate() {
             for &b in &c[i + 1..] {
-                let (ra, rb) = (rank(a), rank(b));
-                adj[ra].insert(rb);
-                adj[rb].insert(ra);
+                let (la, lb) = (local[a as usize], local[b as usize]);
+                adj[la].insert(lb);
+                adj[lb].insert(la);
             }
         }
     }
 
+    for &r in &members {
+        local[r as usize] = usize::MAX;
+    }
+
     // BFS on the complement graph: neighbors of u in Ḡ are the unvisited
     // vertices *not* adjacent to u.
-    let mut unvisited: Vec<usize> = (0..n).collect();
+    let mut unvisited: Vec<usize> = (0..members.len()).collect();
     let mut blocks: Vec<Bitset> = Vec::new();
     while let Some(start) = unvisited.pop() {
         let mut block = Bitset::new(n);
-        block.insert(start);
+        block.insert(members[start] as usize);
         let mut queue = vec![start];
         while let Some(u) = queue.pop() {
             let mut still = Vec::with_capacity(unvisited.len());
             for &w in &unvisited {
                 if !adj[u].contains(w) {
-                    block.insert(w);
+                    block.insert(members[w] as usize);
                     queue.push(w);
                 } else {
                     still.push(w);
@@ -330,20 +361,9 @@ fn and_blocks(conjuncts: &[Vec<VarId>]) -> Option<Vec<Bitset>> {
         }
         blocks.push(block);
     }
-
-    // Map dense ranks back to the VarId space: callers test `contains(v.index())`.
-    let cap = vars.last().map_or(1, |v| v.index() + 1);
-    let mut out = Vec::with_capacity(blocks.len());
-    for b in blocks {
-        let mut s = Bitset::new(cap);
-        for r in b.iter() {
-            s.insert(vars[r].index());
-        }
-        out.push(s);
-    }
     // Deterministic order: by smallest member.
-    out.sort_by_key(|b| b.iter().next().unwrap_or(usize::MAX));
-    Some(out)
+    blocks.sort_by_key(|b| b.iter().next().unwrap_or(usize::MAX));
+    blocks
 }
 
 #[cfg(test)]
@@ -430,6 +450,23 @@ mod tests {
         // r1 s11 t1 ∨ r1 s12 t2 ∨ r2 s22 t2 — vars r={0,1}, s={2,3,4}, t={5,6}.
         let d = dnf(&[&[0, 2, 5], &[0, 3, 6], &[1, 4, 6]]);
         assert_eq!(factor(&d), None);
+    }
+
+    #[test]
+    fn connected_complement_is_not_read_once() {
+        // The path x₁x₂ ∨ x₂x₃ ∨ x₃x₄ (sparse ids): its conjuncts share
+        // variables (one ∨ component) and its co-occurrence graph, the path
+        // P4, has a connected complement (one ∧ block), so the attempt
+        // ends at the connected-complement check.
+        let ids = [40u32, 3, 17, 900];
+        let d = dnf(&[&[ids[0], ids[1]], &[ids[1], ids[2]], &[ids[2], ids[3]]]);
+        let ranked: Vec<Vec<u32>> = vec![vec![0, 2], vec![0, 1], vec![1, 3]];
+        let mut by_rank = vec![usize::MAX; 4];
+        assert_eq!(or_components(&ranked, &mut by_rank), vec![vec![0, 1, 2]]);
+        assert_eq!(and_blocks(&ranked, &mut by_rank).len(), 1);
+        assert!(by_rank.iter().all(|&i| i == usize::MAX));
+        assert_eq!(factor(&d), None);
+        assert!(crate::fingerprint(&d).tree().is_none());
     }
 
     #[test]

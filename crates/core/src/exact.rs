@@ -84,6 +84,35 @@
 //! unsatisfiable gate are not disjoint, and a chain of unsatisfiable ∨
 //! gates can double an adjoint per level.
 //!
+//! # One arena per solve
+//!
+//! A solve keeps its per-gate state in a few flat arrays instead of one
+//! heap array per gate:
+//!
+//! * **Variable sets.** `Vars(g)` of every gate is `⌈n/64⌉` words of one
+//!   word arena (one word per gate up to 64 circuit variables; `VarSets`).
+//! * **Forward arrays.** Every `α_g` lives in one coefficient arena, gate
+//!   `g` at a fixed offset with `|Vars(g)| + 1` coefficients; the offsets
+//!   follow from the set sizes alone, before any arithmetic, and give the
+//!   sizes back. A gate reads its children below its own offset, since
+//!   children precede parents.
+//! * **Conditioned passes** (the per-fact oracle and
+//!   [`shapley_single_fact`]) reuse the same offsets. Conditioning on `f`
+//!   drops at most one variable from a gate, `f` itself, so the gate's
+//!   array has `|Vars(g)|` coefficients and fits its slot; gates without
+//!   `f` are read from the base pass, or recomputed at full length when no
+//!   base pass exists. One conditioned arena serves every fact in turn.
+//! * **Backward pass.** Adjoints and `δ` arrays come from a pool the solve
+//!   owns: one arena of `m + 1`-coefficient slots and a free list. A slot
+//!   is taken at an array's first term and returned once the array is
+//!   consumed — an adjoint when its gate is visited (all its parents,
+//!   which have higher indices, are done), a `δ_f` when its fact is
+//!   folded. What is live during the backward pass is the forward arena
+//!   plus the slots in flight, so the pool grows with the widest frontier
+//!   of pending adjoints, not with the gate count, and a flat
+//!   `Σ_g (m − |Vars(g)| + 1)` adjoint array (which would not fit at
+//!   thousands of variables) is never built.
+//!
 //! [`power_index_per_fact`] keeps the paper's per-fact conditioned passes,
 //! both the full recomputation and the variant that reuses a shared base
 //! pass for the gates not containing the fact. They are the test oracle
@@ -101,8 +130,9 @@
 //! both passes run on stack [`Vli`] integers instead of heap bignums;
 //! `num.vli_hits` and `num.bignum_fallbacks` count passes on each. Wide
 //! convolutions in either pass route through the exact NTT/CRT path
-//! ([`shapdb_num::ntt`]) past an autotuned crossover. Every substrate
-//! choice is bit-exact: results are identical rationals at any setting.
+//! ([`shapdb_num::ntt`]) past its fixed cost-model crossover. Every
+//! substrate choice is bit-exact: results are identical rationals at any
+//! setting.
 
 use crate::measure::Measure;
 use crate::weights::PowerFold;
@@ -110,8 +140,9 @@ use shapdb_kc::{DNode, Ddnnf, NodeIdx};
 use shapdb_metrics::counters::{Counter, NUM_BIGNUM_FALLBACKS, NUM_VLI_HITS};
 use shapdb_num::{
     combinatorics::{alpha_cap_bits, BinomialTable},
-    ntt, BigUint, Bitset, Coeff, Rational, Vli,
+    ntt, BigUint, Coeff, Rational, Vli,
 };
+use std::ops::Range;
 use std::time::Instant;
 
 /// Configuration for the exact computation. Only Algorithm 1's own
@@ -157,8 +188,104 @@ enum Solver {
     PerFact(PerFactPasses),
 }
 
-/// Per-gate `α` arrays for one pass. `alphas[g][ℓ] = #SAT_ℓ(φ_g)`.
-type Alphas<C> = Vec<Vec<C>>;
+/// `Vars(g)` of every gate in one flat arena of bit words, with the
+/// α-arena layout their sizes fix (module doc).
+struct VarSets {
+    /// `stride` words per gate, gate `g`'s at `g·stride`.
+    words: Vec<u64>,
+    stride: usize,
+    /// Gate `g`'s forward array occupies `offsets[g]..offsets[g + 1]` of an
+    /// α arena: `|Vars(g)| + 1` coefficients.
+    offsets: Vec<usize>,
+}
+
+impl VarSets {
+    fn new(d: &Ddnnf) -> VarSets {
+        let stride = d.num_vars().div_ceil(64);
+        let mut words = vec![0u64; d.len() * stride];
+        let mut offsets = Vec::with_capacity(d.len() + 1);
+        offsets.push(0);
+        for (g, node) in d.nodes().iter().enumerate() {
+            // Children precede parents: their sets are all in `below`.
+            let (below, rest) = words.split_at_mut(g * stride);
+            let set = &mut rest[..stride];
+            match node {
+                DNode::True | DNode::False => {}
+                DNode::Lit(l) => set[l.var() / 64] |= 1 << (l.var() % 64),
+                DNode::And(cs) | DNode::Or(cs, _) => {
+                    for c in cs.iter() {
+                        let c = &below[c.index() * stride..][..stride];
+                        for (w, x) in set.iter_mut().zip(c) {
+                            *w |= x;
+                        }
+                    }
+                }
+            }
+            let size: u32 = set.iter().map(|w| w.count_ones()).sum();
+            offsets.push(offsets[g] + size as usize + 1);
+        }
+        VarSets {
+            words,
+            stride,
+            offsets,
+        }
+    }
+
+    /// `|Vars(g)|`.
+    fn len(&self, g: usize) -> usize {
+        self.offsets[g + 1] - self.offsets[g] - 1
+    }
+
+    fn words(&self, g: usize) -> &[u64] {
+        &self.words[g * self.stride..][..self.stride]
+    }
+
+    fn contains(&self, g: usize, v: usize) -> bool {
+        self.words(g)[v / 64] >> (v % 64) & 1 == 1
+    }
+
+    /// `Vars(g)`, ascending.
+    fn iter(&self, g: usize) -> impl Iterator<Item = usize> + '_ {
+        set_bits(self.words(g).iter().copied())
+    }
+
+    /// `Vars(g) \ Vars(c)`, ascending: the variables an ∨ edge's gap covers.
+    fn gap(&self, g: usize, c: usize) -> impl Iterator<Item = usize> + '_ {
+        set_bits(self.words(g).iter().zip(self.words(c)).map(|(a, b)| a & !b))
+    }
+
+    /// The widest gate's variable count.
+    fn widest(&self) -> usize {
+        self.offsets
+            .windows(2)
+            .map(|w| w[1] - w[0] - 1)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Gate `g`'s slot in an α arena.
+    fn slot(&self, g: usize) -> Range<usize> {
+        self.offsets[g]..self.offsets[g + 1]
+    }
+
+    /// The coefficients of a whole α arena.
+    fn arena_len(&self) -> usize {
+        self.offsets[self.offsets.len() - 1]
+    }
+}
+
+/// The positions of the set bits of consecutive 64-bit words, ascending.
+fn set_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(i, mut w)| {
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let b = w.trailing_zeros() as usize;
+                w &= w - 1;
+                i * 64 + b
+            })
+        })
+    })
+}
 
 /// Cooperative deadline checker shared by every DP pass.
 struct Ticker {
@@ -213,40 +340,74 @@ impl<C: Coeff> BinomRows<C> {
     }
 }
 
-/// `out = a ⊛ b`. Wide products route through the exact NTT/CRT path when
-/// its calibrated cost model says it wins; otherwise a schoolbook loop
-/// multiplies the operands' nonzero spans, the shorter one outside.
+/// `out = a ⊛ b` into a reused buffer.
 fn convolve<C: Coeff>(a: &[C], b: &[C], out: &mut Vec<C>) {
-    // Product length is `a.len() + b.len() - 1`.
-    if a.len() + b.len() > ntt::MIN_NTT_LEN {
-        if let Some(v) = ntt::convolve_if_faster(a, b) {
-            *out = v;
-            return;
-        }
+    if let Some(v) = ntt_product(a, b) {
+        *out = v;
+        return;
     }
     out.clear();
     out.resize(a.len() + b.len() - 1, C::zero());
-    // Leading and trailing zeros (a gate over positive literals has no
-    // small counts, an adjoint below them no large ones) cost nothing.
-    let ((a0, a), (b0, b)) = (nonzero_span(a), nonzero_span(b));
-    if a.is_empty() || b.is_empty() {
-        return;
-    }
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let out = &mut out[a0 + b0..];
-    if short.len() == 1 && short[0] == C::one() {
-        // A monomial `z^e` (a literal's α, a product of positive literals)
-        // only shifts.
-        out[..long.len()].clone_from_slice(long);
-        return;
-    }
-    for (i, si) in short.iter().enumerate() {
-        if si.is_zero() {
-            continue;
+    schoolbook_add(a, b, out);
+}
+
+/// `out = a ⊛ b` into a slot of exactly `a.len() + b.len() − 1`
+/// coefficients.
+fn convolve_into<C: Coeff>(a: &[C], b: &[C], out: &mut [C]) {
+    match ntt_product(a, b) {
+        Some(v) => move_into(out, v),
+        None => {
+            out.fill(C::zero());
+            schoolbook_add(a, b, out);
         }
-        // Row-level fused multiply-accumulate — this is the DP's hottest
-        // loop.
-        C::fold_add_mul(&mut out[i..i + long.len()], long, si);
+    }
+}
+
+/// `out += a ⊛ b`, where `out` has exactly `a.len() + b.len() − 1`
+/// coefficients.
+fn convolve_add<C: Coeff>(a: &[C], b: &[C], out: &mut [C]) {
+    match ntt_product(a, b) {
+        Some(v) => C::fold_add(out, &v),
+        None => schoolbook_add(a, b, out),
+    }
+}
+
+/// `a ⊛ b` by the exact NTT/CRT path when the product is wide and its cost
+/// model says it beats [`schoolbook_add`].
+fn ntt_product<C: Coeff>(a: &[C], b: &[C]) -> Option<Vec<C>> {
+    if a.len() + b.len() > ntt::MIN_NTT_LEN {
+        ntt::convolve_if_faster(a, b)
+    } else {
+        None
+    }
+}
+
+/// Moves `v`'s coefficients into the equally long `out`.
+fn move_into<C>(out: &mut [C], v: Vec<C>) {
+    debug_assert_eq!(out.len(), v.len());
+    for (o, x) in out.iter_mut().zip(v) {
+        *o = x;
+    }
+}
+
+/// `out += a ⊛ b` by a schoolbook loop: one row per coefficient of the
+/// shorter operand's nonzero span (its leading and trailing zeros — a
+/// gate over positive literals has no small counts, an adjoint below them
+/// no large ones — cost nothing), each a row-level (fused multiply-)
+/// accumulate of the longer operand.
+fn schoolbook_add<C: Coeff>(a: &[C], b: &[C], out: &mut [C]) {
+    debug_assert_eq!(out.len(), a.len() + b.len() - 1);
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let (at, short) = nonzero_span(short);
+    let one = C::one();
+    for (i, si) in short.iter().enumerate() {
+        // This is the DP's hottest loop.
+        let row = &mut out[at + i..at + i + long.len()];
+        if *si == one {
+            C::fold_add(row, long);
+        } else if !si.is_zero() {
+            C::fold_add_mul(row, long, si);
+        }
     }
 }
 
@@ -258,101 +419,82 @@ fn nonzero_span<C: Coeff>(a: &[C]) -> (usize, &[C]) {
     (lo, &a[lo..hi])
 }
 
-/// `acc += x` coefficient-wise.
-fn add_into<C: Coeff>(acc: &mut [C], x: &[C]) {
-    debug_assert_eq!(acc.len(), x.len());
-    for (a, b) in acc.iter_mut().zip(x) {
-        if !b.is_zero() {
-            a.add_assign_ref(b);
-        }
-    }
-}
-
 /// True iff every coefficient is zero (an unsatisfiable gate).
 fn is_zero_poly<C: Coeff>(a: &[C]) -> bool {
     a.iter().all(C::is_zero)
 }
 
-/// Where a gate's children find their `α` arrays — a borrowing view instead
-/// of the per-child `Vec` clones the old closure-based lookup made.
-enum Lookup<'x, C> {
-    /// Base pass: children resolved from the already-computed prefix.
-    Prefix(&'x [Vec<C>]),
-    /// Conditioned pass: per-gate overrides (empty = not recomputed),
-    /// falling back to the unconditioned base arrays.
-    Cond {
-        cond: &'x [Vec<C>],
-        base: Option<&'x [Vec<C>]>,
-    },
+/// What one gate of a forward pass reads: its children's `α` arrays, in
+/// the pass's own arena or, for the gates a conditioning leaves alone, in
+/// the base pass's arena. Both arenas share one layout.
+struct Pass<'x, C> {
+    sets: &'x VarSets,
+    /// The pass's arena below the gate being computed.
+    done: &'x [C],
+    /// The conditioning `f → b` of a conditioned pass.
+    cond: Option<(usize, bool)>,
+    /// The unconditioned arena, read for the children that do not contain
+    /// `f` (reuse mode); without it, a conditioned pass recomputes every
+    /// gate.
+    base: Option<&'x [C]>,
 }
 
-impl<'x, C> Lookup<'x, C> {
-    fn get(&self, c: usize) -> &'x [C] {
-        match self {
-            Lookup::Prefix(p) => &p[c],
-            Lookup::Cond { cond, base } => {
-                // Every real α array has length ≥ 1, so empty means "use
-                // the base pass" (only reachable in reuse mode).
-                if !cond[c].is_empty() {
-                    &cond[c]
-                } else {
-                    &base.expect("child computed")[c]
-                }
+impl<'x, C> Pass<'x, C> {
+    /// `|Vars(g)|` after the conditioning drops `f`.
+    fn size(&self, g: usize) -> usize {
+        match self.cond {
+            Some((f, _)) if self.sets.contains(g, f) => self.sets.len(g) - 1,
+            _ => self.sets.len(g),
+        }
+    }
+
+    /// Child `c`'s `α` array: `size(c) + 1` coefficients at the start of
+    /// its slot.
+    fn alpha(&self, c: usize) -> &'x [C] {
+        if let (Some((f, _)), Some(base)) = (self.cond, self.base) {
+            if !self.sets.contains(c, f) {
+                return &base[self.sets.slot(c)];
             }
         }
+        let start = self.sets.offsets[c];
+        &self.done[start..=start + self.size(c)]
     }
 }
 
-/// Gate's variable-count after removing `cond_var` (if present).
-fn gate_size(sets: &[Bitset], g: usize, cond_var: Option<usize>) -> usize {
-    let mut s = sets[g].len();
-    if let Some(v) = cond_var {
-        if sets[g].contains(v) {
-            s -= 1;
-        }
-    }
-    s
-}
-
-/// Computes `α` for one gate into `out` (cleared first). `conv` is the
-/// ∧-gate convolution scratch, reused across every gate of every pass.
-#[allow(clippy::too_many_arguments)] // disjoint &mut borrows of one DP state
+/// Computes gate `g`'s `α` into `out`, its `size(g) + 1` coefficients.
+/// `scratch` holds an ∧ gate's running products, reused across gates.
 fn gate_alpha<C: Coeff>(
-    nodes: &[DNode],
-    sets: &[Bitset],
+    node: &DNode,
+    g: usize,
+    pass: &Pass<'_, C>,
     binomials: &mut BinomRows<C>,
     ticker: &mut Ticker,
-    conv: &mut Vec<C>,
-    g: usize,
-    cond: Option<(usize, bool)>,
-    lookup: Lookup<'_, C>,
-    out: &mut Vec<C>,
+    scratch: &mut [Vec<C>; 2],
+    out: &mut [C],
 ) -> Result<(), ShapleyTimeout> {
-    let cond_var = cond.map(|(v, _)| v);
-    out.clear();
-    match &nodes[g] {
-        DNode::True => out.push(C::one()),
-        DNode::False => out.push(C::zero()),
-        DNode::Lit(l) => {
-            if let Some((v, b)) = cond {
-                if l.var() == v {
-                    // φ over ∅ vars: ⊤ (α⁰=1) if the literal is satisfied.
-                    out.push(if l.satisfied_by(b) {
-                        C::one()
-                    } else {
-                        C::zero()
-                    });
-                    return Ok(());
+    debug_assert_eq!(out.len(), pass.size(g) + 1);
+    match node {
+        DNode::True => out[0] = C::one(),
+        DNode::False => out[0] = C::zero(),
+        // φ over ∅ vars: ⊤ (α⁰ = 1) if the conditioning satisfies the
+        // literal.
+        DNode::Lit(l) => match pass.cond {
+            Some((v, b)) if l.var() == v => {
+                out[0] = if l.satisfied_by(b) {
+                    C::one()
+                } else {
+                    C::zero()
                 }
             }
-            if l.is_positive() {
-                out.push(C::zero());
-                out.push(C::one());
-            } else {
-                out.push(C::one());
-                out.push(C::zero());
+            _ if l.is_positive() => {
+                out[0] = C::zero();
+                out[1] = C::one();
             }
-        }
+            _ => {
+                out[0] = C::one();
+                out[1] = C::zero();
+            }
+        },
         DNode::And(cs) => {
             // Decomposability: sizes add, counts convolve. A wide gate first
             // offers all children to the shared-transform NTT path, which
@@ -361,40 +503,48 @@ fn gate_alpha<C: Coeff>(
             // step; the cost model declines → the fold below runs instead.
             if cs.len() >= 3 {
                 ticker.tick()?;
-                let ops: Vec<&[C]> = cs.iter().map(|c| lookup.get(c.index())).collect();
-                if ops.iter().map(|o| o.len()).sum::<usize>() > ntt::MIN_NTT_LEN {
+                if out.len() + cs.len() - 1 > ntt::MIN_NTT_LEN {
+                    let ops: Vec<&[C]> = cs.iter().map(|c| pass.alpha(c.index())).collect();
                     if let Some(v) = ntt::convolve_many_if_faster(&ops) {
-                        *out = v;
+                        move_into(out, v);
                         return Ok(());
                     }
                 }
             }
-            // `out` holds the running product, `conv` the next one; they
-            // swap per child.
-            out.push(C::one());
-            for c in cs.iter() {
-                ticker.tick()?;
-                convolve(out, lookup.get(c.index()), conv);
-                std::mem::swap(out, conv);
+            let Some((last, init)) = cs.split_last() else {
+                out[0] = C::one();
+                return Ok(());
+            };
+            let last = pass.alpha(last.index());
+            match init {
+                [] => out.clone_from_slice(last),
+                [c] => convolve_into(pass.alpha(c.index()), last, out),
+                [c0, c1, mid @ ..] => {
+                    // `run` holds the running product, `next` the next
+                    // one; they swap per child, and the last product lands
+                    // in `out`.
+                    let [run, next] = scratch;
+                    convolve(pass.alpha(c0.index()), pass.alpha(c1.index()), run);
+                    for c in mid {
+                        ticker.tick()?;
+                        convolve(run, pass.alpha(c.index()), next);
+                        std::mem::swap(run, next);
+                    }
+                    convolve_into(run, last, out);
+                }
             }
+            ticker.tick()?;
         }
         DNode::Or(cs, _) => {
             // Determinism: counts add after expanding each child by the
             // binomial over its variable gap.
-            let sz = gate_size(sets, g, cond_var);
-            out.resize(sz + 1, C::zero());
+            out.fill(C::zero());
             for c in cs.iter() {
                 ticker.tick()?;
-                let csz = gate_size(sets, c.index(), cond_var);
-                let gap = sz - csz;
-                let ca = lookup.get(c.index());
-                debug_assert_eq!(ca.len(), csz + 1);
-                let row = binomials.row(gap);
-                for (i, ci) in ca.iter().enumerate() {
-                    if ci.is_zero() {
-                        continue;
-                    }
-                    C::fold_add_mul(&mut out[i..i + row.len()], row, ci);
+                let ca = pass.alpha(c.index());
+                match out.len() - ca.len() {
+                    0 => C::fold_add(out, ca),
+                    gap => schoolbook_add(ca, binomials.row(gap), out),
                 }
             }
         }
@@ -405,7 +555,7 @@ fn gate_alpha<C: Coeff>(
 /// `consumes[g]` for every gate up to the root: whether an adjoint at `g`
 /// is ever read, i.e. `g` is a `¬f` leaf or has a `¬f` leaf or a gapped ∨
 /// edge at or below it.
-fn adjoint_consumers(nodes: &[DNode], sets: &[Bitset], root: usize) -> Vec<bool> {
+fn adjoint_consumers(nodes: &[DNode], sets: &VarSets, root: usize) -> Vec<bool> {
     let mut consumes = vec![false; root + 1];
     for g in 0..=root {
         consumes[g] = match &nodes[g] {
@@ -414,7 +564,7 @@ fn adjoint_consumers(nodes: &[DNode], sets: &[Bitset], root: usize) -> Vec<bool>
             DNode::And(cs) => cs.iter().any(|c| consumes[c.index()]),
             DNode::Or(cs, _) => cs.iter().any(|c| {
                 let c = c.index();
-                consumes[c] || sets[c].len() < sets[g].len()
+                consumes[c] || sets.len(c) < sets.len(g)
             }),
         };
     }
@@ -424,7 +574,7 @@ fn adjoint_consumers(nodes: &[DNode], sets: &[Bitset], root: usize) -> Vec<bool>
 /// For each variable `f`, the lowest gate up to the root that adds a term
 /// to `δ_f` in the backward pass, if any: a gate with a `¬f` leaf child,
 /// an ∨ gate whose gap covers `f`, or a `¬f` root.
-fn last_delta_terms(d: &Ddnnf, sets: &[Bitset]) -> Vec<Option<usize>> {
+fn last_delta_terms(d: &Ddnnf, sets: &VarSets) -> Vec<Option<usize>> {
     let (nodes, root) = (d.nodes(), d.root().index());
     let mut last = vec![None; d.num_vars()];
     // Gates go up from 0, so the first gate noted for `f` is the lowest.
@@ -447,7 +597,7 @@ fn last_delta_terms(d: &Ddnnf, sets: &[Bitset]) -> Vec<Option<usize>> {
                 }
             }
             if let DNode::Or(..) = node {
-                for f in sets[g].iter().filter(|&f| !sets[c].contains(f)) {
+                for f in sets.gap(g, c) {
                     note(f, g);
                 }
             }
@@ -456,17 +606,54 @@ fn last_delta_terms(d: &Ddnnf, sets: &[Bitset]) -> Vec<Option<usize>> {
     last
 }
 
-/// Where the backward pass accumulates: per-gate adjoints and per-fact `δ`.
+/// No slot.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The backward pass's adjoint and `δ` buffers: one flat arena of
+/// `m + 1`-coefficient slots (an adjoint at `g` has `m − |Vars(g)| + 1`
+/// coefficients, a `δ` has `m`). A slot is taken at an array's first term
+/// and returned once the array is consumed, so the arena grows to the peak
+/// number of arrays in flight, not to the gate count.
+struct Pool<C> {
+    data: Vec<C>,
+    width: usize,
+    free: Vec<u32>,
+}
+
+impl<C: Coeff> Pool<C> {
+    fn take(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            let slot = self.data.len() / self.width;
+            self.data.resize(self.data.len() + self.width, C::zero());
+            slot as u32
+        })
+    }
+
+    fn get(&self, slot: u32, len: usize) -> &[C] {
+        &self.data[slot as usize * self.width..][..len]
+    }
+
+    fn get_mut(&mut self, slot: u32, len: usize) -> &mut [C] {
+        &mut self.data[slot as usize * self.width..][..len]
+    }
+
+    fn release(&mut self, slot: u32) {
+        self.free.push(slot);
+    }
+}
+
+/// Where the backward pass accumulates: per-gate adjoints and per-fact `δ`,
+/// each a [`Pool`] slot once its first term arrives.
 struct Adjoints<'n, C> {
     nodes: &'n [DNode],
-    /// `adj[g]`, empty until a parent deposits.
-    adj: Vec<Vec<C>>,
-    /// `δ_f` by variable, empty until its first term.
-    delta: Vec<Vec<C>>,
-    /// Buffers of consumed adjoints and finished `δ` arrays, for reuse.
-    spare: Vec<Vec<C>>,
-    /// Product scratch for deposits into a non-empty adjoint.
-    prod: Vec<C>,
+    sets: &'n VarSets,
+    /// The root's variable count.
+    m: usize,
+    /// `adj[g]`'s slot.
+    adj: Vec<u32>,
+    /// `δ_f`'s slot, by variable.
+    delta: Vec<u32>,
+    pool: Pool<C>,
 }
 
 impl<C: Coeff> Adjoints<'_, C> {
@@ -474,133 +661,150 @@ impl<C: Coeff> Adjoints<'_, C> {
     /// straight into `δ_f` when `c` is a `¬f` leaf (positive leaves never
     /// consume one), whose adjoint is read nowhere else.
     fn deposit(&mut self, c: usize, x: &[C], y: Option<&[C]>) {
-        let acc = match &self.nodes[c] {
-            DNode::Lit(l) => &mut self.delta[l.var()],
-            _ => &mut self.adj[c],
+        let (slot, len) = match &self.nodes[c] {
+            DNode::Lit(l) => (&mut self.delta[l.var()], self.m),
+            _ => (&mut self.adj[c], self.m + 1 - self.sets.len(c)),
         };
-        accumulate(acc, &mut self.spare, &mut self.prod, x, y);
+        accumulate(&mut self.pool, slot, len, 0, x, y);
     }
 
-    /// Adds `x` to `δ_f`.
-    fn add_to_delta(&mut self, f: usize, x: &[C]) {
-        accumulate(&mut self.delta[f], &mut self.spare, &mut self.prod, x, None);
+    /// Adds `z^at · x` to `δ_f`.
+    fn add_to_delta(&mut self, f: usize, at: usize, x: &[C]) {
+        accumulate(&mut self.pool, &mut self.delta[f], self.m, at, x, None);
     }
 }
 
-/// `acc += x ⊛ y` (`x` when `y` is `None`); an empty `acc` takes a
-/// recycled buffer from `spare`. `prod` is scratch.
+/// `acc += z^at · (x ⊛ y)` (`x` when `y` is `None`) for the
+/// `len`-coefficient array in `slot`; a first term takes a zeroed slot.
 fn accumulate<C: Coeff>(
-    acc: &mut Vec<C>,
-    spare: &mut Vec<Vec<C>>,
-    prod: &mut Vec<C>,
+    pool: &mut Pool<C>,
+    slot: &mut u32,
+    len: usize,
+    at: usize,
     x: &[C],
     y: Option<&[C]>,
 ) {
-    if acc.is_empty() {
-        *acc = spare.pop().unwrap_or_default();
-        match y {
-            Some(y) => convolve(x, y, acc),
-            None => {
-                acc.clear();
-                acc.extend_from_slice(x);
-            }
-        }
-        return;
+    if *slot == NO_SLOT {
+        *slot = pool.take();
+        pool.get_mut(*slot, len).fill(C::zero());
     }
+    let acc = &mut pool.get_mut(*slot, len)[at..];
     match y {
-        Some(y) => {
-            convolve(x, y, prod);
-            add_into(acc, prod);
-        }
-        None => add_into(acc, x),
+        Some(y) => convolve_add(x, y, &mut acc[..x.len() + y.len() - 1]),
+        None => C::fold_add(&mut acc[..x.len()], x),
     }
 }
 
 /// The backward pass over one forward pass (see the module doc).
 struct Backward<'n, C> {
-    sets: &'n [Bitset],
+    sets: &'n VarSets,
+    /// The forward pass's arena.
+    alphas: &'n [C],
     /// `consumes[g]` from [`adjoint_consumers`].
     consumes: Vec<bool>,
     acc: Adjoints<'n, C>,
-    /// Scratch: a running product, a product, an ∧ gate's consuming
-    /// children and their suffix products.
+    /// Scratch: a running product, a product, an ∧ gate's product of
+    /// non-consuming children, its consuming children and their suffix
+    /// products.
     run: Vec<C>,
     tmp: Vec<C>,
+    prod: Vec<C>,
     cons: Vec<usize>,
     suffix: Vec<Vec<C>>,
 }
 
-impl<C: Coeff> Backward<'_, C> {
-    /// Hands `δ_f` (zero if it never took a term) to `finish` and recycles
-    /// its buffer.
+impl<'n, C: Coeff> Backward<'n, C> {
+    fn alpha(&self, g: usize) -> &'n [C] {
+        &self.alphas[self.sets.slot(g)]
+    }
+
+    /// Hands `δ_f` (zero if it never took a term) to `finish` and returns
+    /// its slot.
     fn finish_delta(&mut self, f: usize, zeros: &[C], finish: &mut impl FnMut(usize, &[C])) {
-        let delta = std::mem::take(&mut self.acc.delta[f]);
-        finish(f, if delta.is_empty() { zeros } else { &delta });
-        self.acc.spare.push(delta);
+        let slot = std::mem::replace(&mut self.acc.delta[f], NO_SLOT);
+        if slot == NO_SLOT {
+            finish(f, zeros);
+        } else {
+            finish(f, self.acc.pool.get(slot, self.acc.m));
+            self.acc.pool.release(slot);
+        }
     }
 
     /// Sends the adjoint `a` of a satisfiable ∧ gate to its children. The
-    /// children that take no adjoint fold into it first:
-    /// `run = a ⊛ ∏ α_c` over them. Consumer `i` of `r` then gets
-    /// `run ⊛ (consumers before i) ⊛ suf_i`, where `suf_i` is the product
-    /// of the consumers after it.
+    /// children that take no adjoint fold into one product `p` first.
+    /// Consumer `i` of `r` gets `run_i ⊛ suf_i`, where
+    /// `run_i = a ⊛ p ⊛ (consumers before i)` and `suf_i` is the product of
+    /// the consumers after it; the last gets `run_{r−2} ⊛ α_{c_{r−2}}`.
     fn and_gate(
         &mut self,
         a: &[C],
         cs: &[NodeIdx],
-        alphas: &[Vec<C>],
         ticker: &mut Ticker,
     ) -> Result<(), ShapleyTimeout> {
+        let (alphas, sets, consumes) = (self.alphas, self.sets, &self.consumes);
+        let alpha = |g: usize| &alphas[sets.slot(g)];
         self.cons.clear();
-        self.run.clear();
-        self.run.push(C::one());
-        for c in cs.iter() {
-            ticker.tick()?;
-            let c = c.index();
-            if self.consumes[c] {
-                self.cons.push(c);
-            } else {
-                convolve(&self.run, &alphas[c], &mut self.tmp);
-                std::mem::swap(&mut self.run, &mut self.tmp);
+        self.cons
+            .extend(cs.iter().map(|c| c.index()).filter(|&c| consumes[c]));
+        let mut others = cs.iter().map(|c| c.index()).filter(|&c| !consumes[c]);
+        let p: &[C] = match (others.next(), others.next()) {
+            (None, _) => &[],
+            (Some(c), None) => alpha(c),
+            (Some(c0), Some(c1)) => {
+                convolve(alpha(c0), alpha(c1), &mut self.prod);
+                for c in others {
+                    ticker.tick()?;
+                    convolve(&self.prod, alpha(c), &mut self.tmp);
+                    std::mem::swap(&mut self.prod, &mut self.tmp);
+                }
+                &self.prod
             }
-        }
-        // A one-coefficient product is 1: every child is satisfiable.
-        if self.run.len() == 1 {
-            self.run.clear();
-            self.run.extend_from_slice(a);
-        } else {
-            convolve(a, &self.run, &mut self.tmp);
-            std::mem::swap(&mut self.run, &mut self.tmp);
-        }
-        // `suffix[i] = suf_i` for `i < r − 2`; `suf_{r−2}` is the last
-        // consumer's α and `suf_{r−1}` is 1.
+        };
+        // A one-coefficient product is 1: every child of a satisfiable ∧
+        // gate is satisfiable.
+        let p = (p.len() > 1).then_some(p);
         let (cons, r) = (&self.cons, self.cons.len());
+        if r == 1 {
+            self.acc.deposit(cons[0], a, p);
+            return Ok(());
+        }
+        let mut run: &[C] = match p {
+            Some(p) => {
+                convolve(a, p, &mut self.run);
+                &self.run
+            }
+            None => a,
+        };
+        // `suffix[i] = suf_i` for `i < r − 2`; `suf_{r−2}` is the last
+        // consumer's α.
         if self.suffix.len() + 2 < r {
             self.suffix.resize_with(r - 2, Vec::new);
         }
-        for i in (0..r.saturating_sub(2)).rev() {
+        for i in (0..r - 2).rev() {
             ticker.tick()?;
             let (here, after) = self.suffix.split_at_mut(i + 1);
             let after: &[C] = if i + 3 == r {
-                &alphas[cons[r - 1]]
+                alpha(cons[r - 1])
             } else {
                 &after[0]
             };
-            convolve(&alphas[cons[i + 1]], after, &mut here[i]);
+            convolve(alpha(cons[i + 1]), after, &mut here[i]);
         }
-        for (i, &c) in cons.iter().enumerate() {
+        for i in 0..r - 1 {
             ticker.tick()?;
-            let suf: Option<&[C]> = match r - i {
-                1 => None,
-                2 => Some(&alphas[cons[r - 1]]),
-                _ => Some(&self.suffix[i]),
+            let suf = if i + 2 == r {
+                alpha(cons[r - 1])
+            } else {
+                &self.suffix[i]
             };
-            self.acc.deposit(c, &self.run, suf);
-            if i + 1 < r {
-                convolve(&self.run, &alphas[c], &mut self.tmp);
+            self.acc.deposit(cons[i], run, Some(suf));
+            if i + 2 < r {
+                convolve(run, alpha(cons[i]), &mut self.tmp);
                 std::mem::swap(&mut self.run, &mut self.tmp);
+                run = &self.run;
             }
         }
+        self.acc.deposit(cons[r - 1], run, Some(alpha(cons[r - 2])));
         Ok(())
     }
 
@@ -613,7 +817,6 @@ impl<C: Coeff> Backward<'_, C> {
         a: &[C],
         g: usize,
         cs: &[NodeIdx],
-        alphas: &[Vec<C>],
         binomials: &mut BinomRows<C>,
         ticker: &mut Ticker,
     ) -> Result<(), ShapleyTimeout> {
@@ -622,10 +825,11 @@ impl<C: Coeff> Backward<'_, C> {
         for c in cs.iter() {
             ticker.tick()?;
             let c = c.index();
-            if is_zero_poly(&alphas[c]) {
+            let alpha = self.alpha(c);
+            if is_zero_poly(alpha) {
                 continue;
             }
-            let gap = sets[g].len() - sets[c].len();
+            let gap = sets.len(g) - sets.len(c);
             if gap == 0 {
                 if self.consumes[c] {
                     self.acc.deposit(c, a, None);
@@ -638,9 +842,20 @@ impl<C: Coeff> Backward<'_, C> {
                 convolve(a, binomials.row(gap - 1), &mut self.run);
                 &self.run
             };
-            convolve(t, &alphas[c], &mut self.tmp);
-            for f in sets[g].iter().filter(|&f| !sets[c].contains(f)) {
-                self.acc.add_to_delta(f, &self.tmp);
+            match nonzero_span(alpha) {
+                // `α_c = z^e` (a literal, a product of literals): `t ⊛ α_c`
+                // is `t` shifted.
+                (e, [one]) if *one == C::one() => {
+                    for f in sets.gap(g, c) {
+                        self.acc.add_to_delta(f, e, t);
+                    }
+                }
+                _ => {
+                    convolve(t, alpha, &mut self.tmp);
+                    for f in sets.gap(g, c) {
+                        self.acc.add_to_delta(f, 0, &self.tmp);
+                    }
+                }
             }
             if self.consumes[c] {
                 self.acc.deposit(c, t, Some(&one_plus_z));
@@ -652,201 +867,186 @@ impl<C: Coeff> Backward<'_, C> {
 
 struct Dp<'a, C> {
     d: &'a Ddnnf,
-    sets: &'a [Bitset],
+    sets: &'a VarSets,
     binomials: BinomRows<C>,
     ticker: Ticker,
-    /// Conditioned-pass arrays, reused across facts: `cond[g]` empty means
-    /// "not recomputed this pass".
-    cond: Vec<Vec<C>>,
-    /// Gates filled in `cond` by the current pass (cleared between passes).
-    touched: Vec<usize>,
-    /// Spare buffers recycled between `cond` slots and gate outputs.
-    spare: Vec<Vec<C>>,
-    /// ∧-gate convolution scratch.
-    conv: Vec<C>,
+    /// The conditioned passes' arena, reused across facts: same layout as
+    /// the base pass, a gate containing the conditioned fact using one
+    /// coefficient less of its slot.
+    cond: Vec<C>,
+    /// ∧-gate running products.
+    scratch: [Vec<C>; 2],
 }
 
 impl<'a, C: Coeff> Dp<'a, C> {
-    fn new(d: &'a Ddnnf, sets: &'a [Bitset], deadline: Option<Instant>) -> Dp<'a, C> {
+    fn new(d: &'a Ddnnf, sets: &'a VarSets, deadline: Option<Instant>) -> Dp<'a, C> {
         Dp {
             d,
             sets,
             binomials: BinomRows::new(),
             ticker: Ticker { deadline, ticks: 0 },
             cond: Vec::new(),
-            touched: Vec::new(),
-            spare: Vec::new(),
-            conv: Vec::new(),
+            scratch: [Vec::new(), Vec::new()],
         }
     }
 
-    /// Full unconditioned pass (`α` for every gate).
-    fn base_pass(&mut self) -> Result<Alphas<C>, ShapleyTimeout> {
-        let mut alphas: Alphas<C> = Vec::with_capacity(self.d.len());
+    /// Computes gate `g` of a pass into `arena`: unconditioned when `cond`
+    /// is `None`, else with `base` read for the gates `cond` leaves alone.
+    fn gate(
+        &mut self,
+        arena: &mut [C],
+        g: usize,
+        cond: Option<(usize, bool)>,
+        base: Option<&[C]>,
+    ) -> Result<(), ShapleyTimeout> {
+        let (done, rest) = arena.split_at_mut(self.sets.offsets[g]);
+        let pass = Pass {
+            sets: self.sets,
+            done,
+            cond,
+            base,
+        };
+        let len = pass.size(g) + 1;
+        gate_alpha(
+            &self.d.nodes()[g],
+            g,
+            &pass,
+            &mut self.binomials,
+            &mut self.ticker,
+            &mut self.scratch,
+            &mut rest[..len],
+        )
+    }
+
+    /// Full unconditioned pass: the arena of every gate's `α`.
+    fn base_pass(&mut self) -> Result<Vec<C>, ShapleyTimeout> {
+        let mut arena = vec![C::zero(); self.sets.arena_len()];
         for g in 0..self.d.len() {
-            let mut out = self.spare.pop().unwrap_or_default();
-            gate_alpha(
-                self.d.nodes(),
-                self.sets,
-                &mut self.binomials,
-                &mut self.ticker,
-                &mut self.conv,
-                g,
-                None,
-                Lookup::Prefix(&alphas),
-                &mut out,
-            )?;
-            alphas.push(out);
+            self.gate(&mut arena, g, None, None)?;
         }
-        Ok(alphas)
+        Ok(arena)
     }
 
     /// Every root variable's `δ_f = #SAT_·(C[f→0])` from one
     /// reverse-topological pass of adjoints over the base pass `alphas`
     /// (see the module doc), handed to `finish(f, δ_f)` once no gate left
-    /// to visit can add to it. Each gate's array is released once its
-    /// parents are done and each `δ_f` once finished, so what is live
+    /// to visit can add to it. Each adjoint's slot is returned once its
+    /// parents are done and each `δ_f`'s once finished, so what is live
     /// beyond the base pass is the adjoints and `δ` arrays in flight, not
-    /// all `m` arrays of `m` coefficients.
+    /// all `m` arrays of `m` coefficients. Returns the number of pool slots
+    /// the pass used: the peak of arrays in flight.
     fn adjoint_deltas(
         &mut self,
-        alphas: &mut Alphas<C>,
+        alphas: &[C],
         mut finish: impl FnMut(usize, &[C]),
-    ) -> Result<(), ShapleyTimeout> {
+    ) -> Result<usize, ShapleyTimeout> {
         self.ticker.check()?;
         let d = self.d;
         let (nodes, sets) = (d.nodes(), self.sets);
         let root = d.root().index();
-        let m = sets[root].len();
+        let m = sets.len(root);
         let zeros = vec![C::zero(); m];
         // `(last, f)`: `δ_f` takes its last term at gate `last`, the lowest
         // gate with a `¬f` leaf child or an ∨ gap covering `f` (0 when none:
         // `δ_f` stays zero). Sorted so the next variable to finish is last.
         let last = last_delta_terms(d, sets);
-        let mut due: Vec<(usize, usize)> = sets[root]
-            .iter()
-            .map(|f| (last[f].unwrap_or(0), f))
-            .collect();
+        let mut due: Vec<(usize, usize)> =
+            sets.iter(root).map(|f| (last[f].unwrap_or(0), f)).collect();
         due.sort_unstable();
         let mut bw = Backward {
             sets,
+            alphas,
             consumes: adjoint_consumers(nodes, sets, root),
             acc: Adjoints {
                 nodes,
-                adj: vec![Vec::new(); root + 1],
-                delta: vec![Vec::new(); d.num_vars()],
-                spare: Vec::new(),
-                prod: Vec::new(),
+                sets,
+                m,
+                adj: vec![NO_SLOT; root + 1],
+                delta: vec![NO_SLOT; d.num_vars()],
+                pool: Pool {
+                    data: Vec::new(),
+                    width: m + 1,
+                    free: Vec::new(),
+                },
             },
             run: Vec::new(),
             tmp: Vec::new(),
+            prod: Vec::new(),
             cons: Vec::new(),
             suffix: Vec::new(),
         };
-        if bw.consumes[root] && !is_zero_poly(&alphas[root]) {
-            bw.acc.adj[root].push(C::one());
+        if bw.consumes[root] && !is_zero_poly(bw.alpha(root)) {
+            bw.acc.deposit(root, &[C::one()], None);
         }
+        // The adjoint being sent, copied out of its slot so the slot can
+        // take a child's deposit.
+        let mut a = Vec::new();
         for g in (0..=root).rev() {
             // Every gate above `g` is done: so is every `δ_f` due there.
             while let Some(&(_, f)) = due.last().filter(|&&(last, _)| last > g) {
                 bw.finish_delta(f, &zeros, &mut finish);
                 due.pop();
             }
-            if g < root {
-                // Every parent of `g` has a higher index and is done.
-                alphas[g] = Vec::new();
-            }
-            let a = std::mem::take(&mut bw.acc.adj[g]);
-            if a.is_empty() {
+            let slot = std::mem::replace(&mut bw.acc.adj[g], NO_SLOT);
+            if slot == NO_SLOT {
                 continue;
             }
+            a.clear();
+            a.extend_from_slice(bw.acc.pool.get(slot, m + 1 - sets.len(g)));
+            bw.acc.pool.release(slot);
             match &nodes[g] {
                 // Only a `¬f` root gets here: child leaves deposit into δ.
                 DNode::Lit(_) => bw.acc.deposit(g, &a, None),
                 DNode::True | DNode::False => {}
-                DNode::And(cs) => bw.and_gate(&a, cs, alphas, &mut self.ticker)?,
-                DNode::Or(cs, _) => {
-                    bw.or_gate(&a, g, cs, alphas, &mut self.binomials, &mut self.ticker)?
-                }
+                DNode::And(cs) => bw.and_gate(&a, cs, &mut self.ticker)?,
+                DNode::Or(cs, _) => bw.or_gate(&a, g, cs, &mut self.binomials, &mut self.ticker)?,
             }
-            bw.acc.spare.push(a);
         }
         for &(_, f) in due.iter().rev() {
             bw.finish_delta(f, &zeros, &mut finish);
         }
-        Ok(())
+        let pool = &bw.acc.pool;
+        let slots = pool.data.len() / pool.width;
+        debug_assert_eq!(pool.free.len(), slots, "every slot is returned");
+        Ok(slots)
     }
 
-    /// The gates a conditioning on `f` invalidates, in (topological) index
-    /// order — computed once per fact and shared by both conditioned
-    /// passes. `buf` is recycled across facts.
-    fn affected_gates(&self, f: usize, buf: &mut Vec<usize>) {
+    /// The gates a conditioning on `f` recomputes, in (topological) index
+    /// order: those containing `f` when a base pass covers the rest, else
+    /// all. Computed once per fact and shared by both conditioned passes;
+    /// `buf` is recycled across facts.
+    fn affected_gates(&self, f: usize, reuse: bool, buf: &mut Vec<usize>) {
         buf.clear();
-        buf.extend((0..self.d.len()).filter(|&g| self.sets[g].contains(f)));
+        buf.extend((0..self.d.len()).filter(|&g| !reuse || self.sets.contains(g, f)));
     }
 
-    /// Conditioned pass for `(f → b)`. With `base`, only the `affected`
-    /// gates (from [`Dp::affected_gates`]) are recomputed; the root's array
-    /// is swapped into `out`. All per-gate buffers are recycled across
-    /// calls — the steady state allocates nothing.
+    /// Conditioned pass for `(f → b)` over the `affected` gates (from
+    /// [`Dp::affected_gates`]), reading `base` for the rest; the root's
+    /// array is copied into `out`. The arena is reused across calls: the
+    /// steady state allocates nothing.
     fn conditioned_root(
         &mut self,
         f: usize,
         b: bool,
-        base: Option<&Alphas<C>>,
+        base: Option<&[C]>,
         affected: &[usize],
         out: &mut Vec<C>,
     ) -> Result<(), ShapleyTimeout> {
-        let n_nodes = self.d.len();
-        if self.cond.len() < n_nodes {
-            self.cond.resize_with(n_nodes, Vec::new);
+        if self.cond.is_empty() {
+            self.cond = vec![C::zero(); self.sets.arena_len()];
         }
-        // Reset the previous pass (keeping each slot's capacity).
-        while let Some(g) = self.touched.pop() {
-            self.cond[g].clear();
-        }
-        let root = self.d.root().index();
-        // Without a base pass to fall back on, every gate recomputes.
-        let full: Vec<usize>;
-        let recompute: &[usize] = if base.is_some() {
-            affected
-        } else {
-            full = (0..n_nodes).collect();
-            &full
-        };
-        for &g in recompute {
-            let mut buf = self.spare.pop().unwrap_or_default();
-            let result = gate_alpha(
-                self.d.nodes(),
-                self.sets,
-                &mut self.binomials,
-                &mut self.ticker,
-                &mut self.conv,
-                g,
-                Some((f, b)),
-                Lookup::Cond {
-                    cond: &self.cond,
-                    base: base.map(|a| a.as_slice()),
-                },
-                &mut buf,
-            );
-            if let Err(e) = result {
-                self.spare.push(buf);
-                return Err(e);
-            }
-            std::mem::swap(&mut self.cond[g], &mut buf);
-            self.spare.push(buf);
-            self.touched.push(g);
-        }
-        if self.cond[root].is_empty() {
-            // Root unaffected: only possible in reuse mode.
-            out.clone_from(&base.expect("root unaffected implies reuse mode")[root]);
-        } else {
-            std::mem::swap(out, &mut self.cond[root]);
-            // `out`'s previous contents now sit in `cond[root]`; the slot is
-            // still marked touched, so the next pass clears it.
-        }
-        Ok(())
+        let mut cond = std::mem::take(&mut self.cond);
+        let result = affected
+            .iter()
+            .try_for_each(|&g| self.gate(&mut cond, g, Some((f, b)), base));
+        // Every fact is a root variable: the root is always recomputed,
+        // its array one coefficient shorter than its slot.
+        let root = self.sets.slot(self.d.root().index());
+        debug_assert!(self.sets.contains(self.d.root().index(), f));
+        out.clear();
+        out.extend_from_slice(&cond[root.start..root.end - 1]);
+        self.cond = cond;
+        result
     }
 }
 
@@ -873,7 +1073,7 @@ pub(crate) fn derive_gamma<C: Coeff>(base_root: &[C], delta: &[C], gamma: &mut V
 /// solve (root variables) and the measure whose [`PowerFold`] weighs them.
 struct Problem<'a> {
     d: &'a Ddnnf,
-    sets: Vec<Bitset>,
+    sets: VarSets,
     facts: Vec<usize>,
     measure: Measure,
     deadline: Option<Instant>,
@@ -888,12 +1088,12 @@ impl<'a> Problem<'a> {
         var: Option<usize>,
         cfg: &ExactConfig,
     ) -> Option<Problem<'a>> {
-        let sets = d.var_sets();
-        let root = &sets[d.root().index()];
+        let sets = VarSets::new(d);
+        let root = d.root().index();
         let facts: Vec<usize> = match var {
-            Some(v) if root.contains(v) => vec![v],
+            Some(v) if sets.contains(root, v) => vec![v],
             Some(_) => return None,
-            None => root.iter().collect(),
+            None => sets.iter(root).collect(),
         };
         if facts.is_empty() {
             return None;
@@ -915,8 +1115,8 @@ fn solve<C: Coeff>(
     solver: Solver,
     passes: &'static Counter,
 ) -> Result<Vec<(usize, Rational)>, ShapleyTimeout> {
-    let root = p.d.root().index();
-    let m = p.sets[root].len();
+    let root = p.sets.slot(p.d.root().index());
+    let m = p.sets.len(p.d.root().index());
     let mut dp: Dp<C> = Dp::new(p.d, &p.sets, p.deadline);
     let mut fold = PowerFold::new(p.measure, m);
     let mut gamma = Vec::new();
@@ -925,34 +1125,34 @@ fn solve<C: Coeff>(
         Solver::Adjoint => {
             passes.add(2);
             debug_assert_eq!(p.facts.len(), m, "the adjoint pass solves every fact");
-            let mut alphas = dp.base_pass()?;
-            let base_root = alphas[root].clone();
-            dp.adjoint_deltas(&mut alphas, |f, delta| {
+            let alphas = dp.base_pass()?;
+            let base_root = &alphas[root];
+            dp.adjoint_deltas(&alphas, |f, delta| {
                 debug_assert_eq!(delta.len(), m);
-                derive_gamma(&base_root, delta, &mut gamma);
+                derive_gamma(base_root, delta, &mut gamma);
                 out.push((f, fold.value(&gamma, delta)));
             })?;
             out.sort_unstable_by_key(|&(f, _)| f);
             debug_assert!(out.iter().map(|&(f, _)| f).eq(p.facts.iter().copied()));
         }
         Solver::PerFact(passes_kind) => {
-            let base = match passes_kind {
-                PerFactPasses::ReuseUnaffected => {
-                    passes.incr();
-                    Some(dp.base_pass()?)
-                }
-                PerFactPasses::FullRecompute => None,
+            let reuse = passes_kind == PerFactPasses::ReuseUnaffected;
+            let base = if reuse {
+                passes.incr();
+                Some(dp.base_pass()?)
+            } else {
+                None
             };
             let mut delta = Vec::new();
             let mut affected = Vec::new();
             for &f in &p.facts {
                 dp.ticker.check()?;
-                dp.affected_gates(f, &mut affected);
-                dp.conditioned_root(f, false, base.as_ref(), &affected, &mut delta)?;
+                dp.affected_gates(f, reuse, &mut affected);
+                dp.conditioned_root(f, false, base.as_deref(), &affected, &mut delta)?;
                 match &base {
                     Some(b) => {
                         passes.incr();
-                        derive_gamma(&b[root], &delta, &mut gamma);
+                        derive_gamma(&b[root.clone()], &delta, &mut gamma);
                     }
                     None => {
                         passes.add(2);
@@ -988,9 +1188,8 @@ impl Tier {
     /// doc), so one cap covers every pass of the solve. An overflow in a
     /// fixed tier is therefore a cap bug and panics loudly (see
     /// `shapdb_num::vli`) instead of corrupting an exact result.
-    fn for_sets(sets: &[Bitset]) -> Tier {
-        let widest = sets.iter().map(|s| s.len()).max().unwrap_or(0);
-        match alpha_cap_bits(widest) {
+    fn for_sets(sets: &VarSets) -> Tier {
+        match alpha_cap_bits(sets.widest()) {
             0..=64 => Tier::Vli1,
             65..=128 => Tier::Vli2,
             129..=256 => Tier::Vli4,
@@ -1123,16 +1322,16 @@ pub fn shapley_single_fact(
 /// `num_vars` variables (gap-completed). Exposed for tests and the
 /// Proposition 3.1 cross-check.
 pub fn sat_k_all(d: &Ddnnf) -> Vec<BigUint> {
-    let sets = d.var_sets();
+    let sets = VarSets::new(d);
     let mut dp: Dp<BigUint> = Dp::new(d, &sets, None);
     let base = dp.base_pass().expect("no deadline set");
     let root = d.root().index();
-    let m = sets[root].len();
+    let m = sets.len(root);
     let gap = d.num_vars() - m;
     let mut binomials = BinomialTable::new();
     let row = binomials.row(gap);
     let mut out = vec![BigUint::zero(); d.num_vars() + 1];
-    for (j, a) in base[root].iter().enumerate() {
+    for (j, a) in base[sets.slot(root)].iter().enumerate() {
         if a.is_zero() {
             continue;
         }
@@ -1150,10 +1349,12 @@ mod tests {
     use crate::naive::{sat_k_bruteforce, shapley_naive};
     use crate::weights::oracle;
     use proptest::prelude::*;
-    use shapdb_circuit::{Circuit, Dnf, Lit, VarId};
+    use shapdb_circuit::{fingerprint, Circuit, Dnf, Lit, VarId};
     use shapdb_kc::ddnnf::{DdnnfBuilder, NodeIdx};
     use shapdb_kc::{compile_circuit_topdown, compile_negation, Budget};
     use shapdb_metrics::Profile;
+    use shapdb_num::Bitset;
+    use shapdb_workloads::{job_database, job_ranking_query, JobConfig};
     use std::sync::Arc;
 
     const PER_FACT: [PerFactPasses; 2] =
@@ -1392,7 +1593,7 @@ mod tests {
         assert_eq!(alpha_cap_bits(67), 64);
         assert_eq!(alpha_cap_bits(68), 65);
         let dd = tautology_over(68);
-        assert_eq!(Tier::for_sets(&dd.var_sets()), Tier::Vli2);
+        assert_eq!(Tier::for_sets(&VarSets::new(&dd)), Tier::Vli2);
         // The public path must route to Vli<2> and solve exactly: every
         // fact of a tautology is a null player.
         let values = shapley_all_facts(&dd, 68, &ExactConfig::default()).unwrap();
@@ -1431,7 +1632,7 @@ mod tests {
                 ("tautology", tautology_over(n)),
                 ("symmetric", symmetric_over(n)),
             ] {
-                let sets = dd.var_sets();
+                let sets = VarSets::new(&dd);
                 assert_eq!(Tier::for_sets(&sets), tier, "{name} n={n}");
                 let values = shapley_all_facts(&dd, n, &ExactConfig::default()).unwrap();
                 let pairs = 2 * (n / 2);
@@ -1477,18 +1678,18 @@ mod tests {
     /// Every fact's kernel value from the adjoint pass on tier `C` against
     /// the `BigUint` oracle fold of the same `Γ/Δ`, for both power indices.
     fn assert_fold_matches_oracle<C: Coeff>(d: &Ddnnf) {
-        let sets = d.var_sets();
+        let sets = VarSets::new(d);
         let root = d.root().index();
-        let m = sets[root].len();
+        let m = sets.len(root);
         for measure in [Measure::Shapley, Measure::Banzhaf] {
             let (weights, denom) = oracle::power_weights(measure, m);
             let mut fold = PowerFold::new(measure, m);
             let mut dp: Dp<C> = Dp::new(d, &sets, None);
-            let mut alphas = dp.base_pass().unwrap();
-            let base_root = alphas[root].clone();
+            let alphas = dp.base_pass().unwrap();
+            let base_root = &alphas[sets.slot(root)];
             let (mut gamma, mut facts) = (Vec::new(), 0);
-            dp.adjoint_deltas(&mut alphas, |f, delta| {
-                derive_gamma(&base_root, delta, &mut gamma);
+            dp.adjoint_deltas(&alphas, |f, delta| {
+                derive_gamma(base_root, delta, &mut gamma);
                 let expect = oracle::weighted_difference(&gamma, delta, &weights, &denom);
                 assert_eq!(
                     fold.value(&gamma, delta),
@@ -1504,7 +1705,7 @@ mod tests {
 
     /// [`assert_fold_matches_oracle`] on the tier a solve of `d` takes.
     fn assert_fold_matches_oracle_on_its_tier(d: &Ddnnf) {
-        match Tier::for_sets(&d.var_sets()) {
+        match Tier::for_sets(&VarSets::new(d)) {
             Tier::Vli1 => assert_fold_matches_oracle::<Vli<1>>(d),
             Tier::Vli2 => assert_fold_matches_oracle::<Vli<2>>(d),
             Tier::Vli4 => assert_fold_matches_oracle::<Vli<4>>(d),
@@ -1539,26 +1740,29 @@ mod tests {
         // here on the top of the 2-limb tier.
         let n = 131;
         let dd = tautology_over(n);
-        let sets = dd.var_sets();
+        let sets = VarSets::new(&dd);
         assert_eq!(Tier::for_sets(&sets), Tier::Vli2);
         let mut dp: Dp<Vli<2>> = Dp::new(&dd, &sets, None);
-        let mut alphas = dp.base_pass().unwrap();
+        let alphas = dp.base_pass().unwrap();
         let row: Vec<Vli<2>> = BinomialTable::new()
             .row(n - 1)
             .iter()
             .map(Vli::from_biguint)
             .collect();
         let mut finished = Vec::new();
-        dp.adjoint_deltas(&mut alphas, |f, delta| {
-            assert_eq!(delta, &row[..], "fact {f}");
-            finished.push(f);
-        })
-        .unwrap();
+        let slots = dp
+            .adjoint_deltas(&alphas, |f, delta| {
+                assert_eq!(delta, &row[..], "fact {f}");
+                finished.push(f);
+            })
+            .unwrap();
         finished.sort_unstable();
         assert_eq!(finished, (0..n).collect::<Vec<_>>(), "each fact once");
-        // Only the root's forward array survives the backward pass.
-        let root = dd.root().index();
-        assert!(alphas[..root].iter().all(Vec::is_empty));
+        // An adjoint's slot is reused once its parents are done: the peak
+        // is the root's n children in flight, not one slot per gate (each
+        // child's slot passes to its `δ`).
+        assert_eq!(slots, n);
+        assert_eq!(dd.len(), 3 * n + 1);
     }
 
     /// `d` from raw nodes (children before parents), bypassing the builder's
@@ -1661,6 +1865,105 @@ mod tests {
     }
 
     #[test]
+    fn conditioned_gate_over_only_the_fact_shrinks_to_one_coefficient() {
+        // x1 ∨ (¬x1 ∧ x0 ∧ x2), whose x1 branch carries x0 in the
+        // tautology (x0 ∨ ¬x0): gate 2's variable set is exactly {x0}.
+        let nodes = vec![
+            DNode::Lit(Lit::pos(0)),
+            DNode::Lit(Lit::neg(0)),
+            or(&[0, 1]),
+            DNode::Lit(Lit::pos(1)),
+            and(&[2, 3]),
+            DNode::Lit(Lit::neg(1)),
+            DNode::Lit(Lit::pos(2)),
+            and(&[5, 0, 6]),
+            or(&[4, 7]),
+        ];
+        let dd = raw(nodes, 8, 3);
+        dd.verify_decomposable().unwrap();
+        let sets = VarSets::new(&dd);
+        assert_eq!(sets.len(2), 1);
+        let mut dp: Dp<Vli<1>> = Dp::new(&dd, &sets, None);
+        let base = dp.base_pass().unwrap();
+        let (mut affected, mut root) = (Vec::new(), Vec::new());
+        // φ[x0 → b] over {x1, x2}: x1 (b = 0), x1 ∨ x2 (b = 1).
+        for (b, expect) in [(false, [0, 1, 1]), (true, [0, 2, 1])] {
+            for reuse in [true, false] {
+                dp.affected_gates(0, reuse, &mut affected);
+                let base = reuse.then_some(&base[..]);
+                dp.conditioned_root(0, b, base, &affected, &mut root)
+                    .unwrap();
+                // Gate 2's slot has room for α over {x0}; conditioned, its
+                // array is the first coefficient: ⊤ over no variables.
+                assert_eq!(sets.slot(2).len(), 2);
+                assert_eq!(dp.cond[sets.slot(2).start], Vli::one(), "b={b}");
+                let expect: Vec<Vli<1>> = expect.iter().map(|&x| Vli::from_u64(x)).collect();
+                assert_eq!(root, expect, "b={b} reuse={reuse}");
+            }
+        }
+        for extra in [0, 2] {
+            assert_adjoint_matches_oracles("gate over only the fact", &dd, 3 + extra);
+        }
+    }
+
+    /// Every distinct non-read-once answer structure of a JOB database,
+    /// compiled from its negation CNF as the KC route compiles it, and the
+    /// database's `|D_n|`.
+    fn job_structures(cfg: &JobConfig) -> (Vec<Ddnnf>, usize) {
+        let db = job_database(cfg);
+        let mut seen = std::collections::HashSet::new();
+        let mut structures = Vec::new();
+        for answer in &shapdb_query::evaluate(&job_ranking_query(), &db).outputs {
+            let fp = fingerprint(&answer.endo_lineage(&db));
+            if fp.tree().is_none() && seen.insert(fp.shared_key()) {
+                let c = compile_negation(&fp.canonical_dnf(), &Budget::unlimited(), None).unwrap();
+                structures.push(c.ddnnf);
+            }
+        }
+        (structures, db.num_endogenous())
+    }
+
+    /// The adjoint pass against the paper's per-fact full recomputation on
+    /// every structure, for both power indices.
+    fn assert_adjoint_matches_full_recompute(structures: &[Ddnnf], n_endo: usize) {
+        let cfg = ExactConfig::default();
+        for (i, d) in structures.iter().enumerate() {
+            for measure in [Measure::Shapley, Measure::Banzhaf] {
+                let got = power_index_all_facts(d, n_endo, &cfg, measure).unwrap();
+                let oracle =
+                    power_index_per_fact(d, n_endo, &cfg, measure, PerFactPasses::FullRecompute)
+                        .unwrap();
+                assert_eq!(
+                    got,
+                    oracle,
+                    "structure {i} ({} vars), {measure}",
+                    d.num_vars()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn job_smoke_structures_match_the_full_recompute_oracle() {
+        let (structures, n_endo) = job_structures(&JobConfig::smoke());
+        assert!(structures.len() >= 20, "{} structures", structures.len());
+        assert_adjoint_matches_full_recompute(&structures, n_endo);
+    }
+
+    #[test]
+    #[ignore = "~1,400 structures; run by `make test-release-wide`"]
+    fn job_explain_structures_match_the_full_recompute_oracle() {
+        // The `job-explain` database: every KC structure it routes, 8–35
+        // variables each.
+        let (structures, n_endo) = job_structures(&JobConfig {
+            movies: 2_000,
+            ..JobConfig::default()
+        });
+        assert!(structures.len() > 1_000, "{} structures", structures.len());
+        assert_adjoint_matches_full_recompute(&structures, n_endo);
+    }
+
+    #[test]
     fn unsatisfiable_gates_never_carry_an_adjoint() {
         // ⊥ ∧ ¬x0, then 70 levels of ∨(u, u) over it, all unsatisfiable and
         // (vacuously) deterministic; the root is x0 ∨ u70. Without the
@@ -1676,7 +1979,7 @@ mod tests {
         nodes.push(or(&[u + 1, u]));
         let root = nodes.len() as u32 - 1;
         let dd = raw(nodes, root, 1);
-        assert_eq!(Tier::for_sets(&dd.var_sets()), Tier::Vli1);
+        assert_eq!(Tier::for_sets(&VarSets::new(&dd)), Tier::Vli1);
         assert_eq!(
             solve_on::<Vli<1>>(&dd, Solver::Adjoint),
             vec![(0, Rational::one())]
@@ -1779,11 +2082,11 @@ mod tests {
         // The forward pass finishes before the deadline passes; the
         // backward pass must then surface the timeout itself.
         let dd = symmetric_tree(16);
-        let sets = dd.var_sets();
+        let sets = VarSets::new(&dd);
         let mut dp: Dp<Vli<1>> = Dp::new(&dd, &sets, None);
-        let mut alphas = dp.base_pass().unwrap();
+        let alphas = dp.base_pass().unwrap();
         dp.ticker.deadline = Some(Instant::now() - std::time::Duration::from_millis(1));
-        let r = dp.adjoint_deltas(&mut alphas, |_, _| {});
+        let r = dp.adjoint_deltas(&alphas, |_, _| {});
         assert_eq!(r, Err(ShapleyTimeout));
     }
 

@@ -29,8 +29,11 @@
 //!   prime. The numerator is divided by exact (Hensel) division, and the
 //!   reduced denominator `Π p^(e_p − k_p)` is built by multiplication —
 //!   typically a word or two, since a value's numerator over `m!` shares
-//!   most of `m!`. No long division runs, and the result is the canonical
-//!   [`Rational`] a generic gcd gives.
+//!   most of `m!`. On `u128` sums the same gcd is a shift and, per odd
+//!   prime, a multiply by `p^−1 mod 2^128`, which tests divisibility and
+//!   divides the numerator and the denominator at once. No long division
+//!   runs, and the result is the canonical [`Rational`] a generic gcd
+//!   gives.
 
 use crate::measure::Measure;
 use shapdb_num::{
@@ -66,8 +69,15 @@ pub(crate) fn completion_weights(m: usize, facts: &mut FactorialTable) -> Vec<Bi
 /// The DP underneath is identical: Banzhaf is one extra `O(m)` fold away
 /// from Shapley, not a second dynamic program.
 pub(crate) enum PowerFold {
-    /// Both sums fit a `u128`; Banzhaf's weights are ones.
-    Narrow { weights: Vec<u128>, denom: u128 },
+    /// Both sums fit a `u128`; Banzhaf's weights are ones. The reduction
+    /// divides out `2^min(tz, twos)` by a shift and each odd prime of the
+    /// denominator by multiplying with its inverse.
+    Narrow {
+        weights: Vec<u128>,
+        denom: u128,
+        twos: u32,
+        primes: Vec<NarrowPrime>,
+    },
     /// Limb-slice accumulation.
     Wide(Box<WideFold>),
 }
@@ -106,13 +116,38 @@ impl PowerFold {
         };
         if sum_bits <= 128 {
             let u128_of = |w: &BigUint| w.to_u128().expect("within the sum bound");
-            let (weights, denom) = if shapley {
-                let weights = (0..m).map(|j| u128_of(&half[j.min(m - 1 - j)]));
-                (weights.collect(), u128_of(&fact))
-            } else {
-                (vec![1; m], 1 << (m - 1))
+            if !shapley {
+                return PowerFold::Narrow {
+                    weights: vec![1; m],
+                    denom: 1 << (m - 1),
+                    twos: m as u32 - 1,
+                    primes: Vec::new(),
+                };
+            }
+            let mut twos = 0;
+            let mut primes = Vec::new();
+            for (p, exp) in factorial_primes(m) {
+                if p == 2 {
+                    twos = exp;
+                    continue;
+                }
+                let p = p as u128;
+                let mut inv = p;
+                for _ in 0..6 {
+                    inv = inv.wrapping_mul(2u128.wrapping_sub(p.wrapping_mul(inv)));
+                }
+                primes.push(NarrowPrime {
+                    exp,
+                    inv,
+                    lim: u128::MAX / p,
+                });
+            }
+            return PowerFold::Narrow {
+                weights: (0..m).map(|j| u128_of(&half[j.min(m - 1 - j)])).collect(),
+                denom: u128_of(&fact),
+                twos,
+                primes,
             };
-            return PowerFold::Narrow { weights, denom };
         }
         let diff_len = limbs_for(cap_bits);
         let (mut weights, mut offsets) = (Vec::new(), Vec::new());
@@ -147,7 +182,12 @@ impl PowerFold {
     /// read.
     pub(crate) fn value<C: Coeff>(&mut self, gamma: &[C], delta: &[C]) -> Rational {
         match self {
-            PowerFold::Narrow { weights, denom } => narrow_value(gamma, delta, weights, *denom),
+            PowerFold::Narrow {
+                weights,
+                denom,
+                twos,
+                primes,
+            } => narrow_value(gamma, delta, weights, *denom, *twos, primes),
             PowerFold::Wide(w) => w.value(gamma, delta),
         }
     }
@@ -186,30 +226,60 @@ fn low_u128(limbs: &[u64]) -> u128 {
     }
 }
 
-fn narrow_value<C: Coeff>(gamma: &[C], delta: &[C], weights: &[u128], denom: u128) -> Rational {
+/// An odd prime `p` of a narrow fold's denominator: `x` is a multiple of
+/// `p` iff `x·inv mod 2^128 ≤ lim`, and then that product is `x / p`.
+pub(crate) struct NarrowPrime {
+    /// `p`'s exponent in the denominator.
+    exp: u32,
+    /// `p^−1 mod 2^128`.
+    inv: u128,
+    /// `⌊(2^128 − 1) / p⌋`.
+    lim: u128,
+}
+
+fn narrow_value<C: Coeff>(
+    gamma: &[C],
+    delta: &[C],
+    weights: &[u128],
+    denom: u128,
+    twos: u32,
+    primes: &[NarrowPrime],
+) -> Rational {
     debug_assert_eq!(gamma.len(), weights.len());
     debug_assert_eq!(delta.len(), weights.len());
-    let (mut pos, mut neg) = (0u128, 0u128);
+    // `|Γ[j] − Δ[j]| ≤ C(m−1, j) < 2^(m−1)`, and the signed sum's partial
+    // sums stay under `Σ_j C(m−1, j)·w_j`, the bound the narrow fold was
+    // chosen by: no term or partial sum leaves an `i128`.
+    let mut sum = 0i128;
     for ((g, d), &w) in gamma.iter().zip(delta).zip(weights) {
-        let (g, d) = (low_u128(g.limbs()), low_u128(d.limbs()));
-        let (sum, diff) = if g >= d {
-            (&mut pos, g - d)
-        } else {
-            (&mut neg, d - g)
-        };
-        *sum = diff
-            .checked_mul(w)
-            .and_then(|t| sum.checked_add(t))
-            .expect("Equation (3) sum within its u128 bound");
+        let diff = low_u128(g.limbs()) as i128 - low_u128(d.limbs()) as i128;
+        sum += diff * w as i128;
     }
-    let (sign, mag) = if pos >= neg {
-        (Sign::Positive, pos - neg)
+    let sign = if sum < 0 {
+        Sign::Negative
     } else {
-        (Sign::Negative, neg - pos)
+        Sign::Positive
     };
-    Rational::new(
-        BigInt::from_sign_mag(sign, BigUint::from_u128(mag)),
-        BigUint::from_u128(denom),
+    let mag = sum.unsigned_abs();
+    if mag == 0 {
+        return Rational::zero();
+    }
+    // The gcd with the denominator, one prime factor at a time.
+    let tz = mag.trailing_zeros().min(twos);
+    let (mut num, mut den) = (mag >> tz, denom >> tz);
+    for p in primes {
+        for _ in 0..p.exp {
+            let q = num.wrapping_mul(p.inv);
+            if q > p.lim {
+                break;
+            }
+            num = q;
+            den = den.wrapping_mul(p.inv);
+        }
+    }
+    Rational::from_reduced(
+        BigInt::from_sign_mag(sign, BigUint::from_u128(num)),
+        BigUint::from_u128(den),
     )
 }
 
@@ -350,25 +420,9 @@ struct FactorialDenom {
 impl FactorialDenom {
     /// The tables of `m!` for numerators of at most `num_len` limbs.
     fn new(m: usize, num_len: usize) -> FactorialDenom {
-        let mut composite = vec![false; m + 1];
         let mut twos = 0;
         let mut primes = Vec::new();
-        for p in 2..=m {
-            if composite[p] {
-                continue;
-            }
-            for multiple in (p * p..=m).step_by(p) {
-                composite[multiple] = true;
-            }
-            // Legendre: e_p = Σ_i ⌊m / p^i⌋.
-            let (mut exp, mut power) = (0u32, p);
-            loop {
-                exp += (m / power) as u32;
-                match power.checked_mul(p) {
-                    Some(next) if next <= m => power = next,
-                    _ => break,
-                }
-            }
+        for (p, exp) in factorial_primes(m) {
             if p == 2 {
                 twos = u64::from(exp);
                 continue;
@@ -462,6 +516,31 @@ impl FactorialDenom {
             BigUint::from_limbs(self.den[..den_len].to_vec()) << (self.twos - tz) as usize,
         )
     }
+}
+
+/// The primes `p ≤ m` with their exponents in `m!`, ascending.
+fn factorial_primes(m: usize) -> Vec<(usize, u32)> {
+    let mut composite = vec![false; m + 1];
+    let mut primes = Vec::new();
+    for p in 2..=m {
+        if composite[p] {
+            continue;
+        }
+        for multiple in (p * p..=m).step_by(p) {
+            composite[multiple] = true;
+        }
+        // Legendre: e_p = Σ_i ⌊m / p^i⌋.
+        let (mut exp, mut power) = (0u32, p);
+        loop {
+            exp += (m / power) as u32;
+            match power.checked_mul(p) {
+                Some(next) if next <= m => power = next,
+                _ => break,
+            }
+        }
+        primes.push((p, exp));
+    }
+    primes
 }
 
 /// `limbs` without its trailing zero limbs.

@@ -433,21 +433,13 @@ impl Gauge {
 pub static SERVICE_QUEUE_DEPTH: Gauge = Gauge::new("service.queue_depth");
 /// Tasks currently being solved by `ShapleyService` workers, process-wide.
 pub static SERVICE_IN_FLIGHT: Gauge = Gauge::new("service.in_flight");
-/// The autotuned NTT crossover: the smallest convolution output length (at
-/// the 8-limb reference coefficient width) the calibrated cost model routes
-/// to the NTT/CRT path. Set once per process at first wide convolution.
-pub static NUM_NTT_CROSSOVER_LEN: Gauge = Gauge::new("num.ntt_crossover_len");
 
 /// Snapshot of every registered gauge.
 pub fn gauges() -> Vec<(&'static str, i64)> {
-    [
-        &SERVICE_QUEUE_DEPTH,
-        &SERVICE_IN_FLIGHT,
-        &NUM_NTT_CROSSOVER_LEN,
-    ]
-    .iter()
-    .map(|g| (g.name(), g.get()))
-    .collect()
+    [&SERVICE_QUEUE_DEPTH, &SERVICE_IN_FLIGHT]
+        .iter()
+        .map(|g| (g.name(), g.get()))
+        .collect()
 }
 
 /// Dedup statistics of one batch run.

