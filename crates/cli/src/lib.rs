@@ -41,21 +41,21 @@ pub mod serve;
 pub use listen::{run_listen, SocketServer};
 pub use serve::{parse_serve_args, run_serve, ServeOptions, ServeSummary};
 
-use shapdb_circuit::Dnf;
-use shapdb_core::aggregate::{count_shapley, sum_shapley};
+use shapdb_circuit::VarId;
+use shapdb_core::aggregate::{AggregateError, AggregateGame};
 use shapdb_core::engine::{
-    BatchExecutor, EngineKind, EngineValues, Measure, Planner, PlannerConfig, ShapleyCache,
-    TopKExecutor,
+    EngineKind, EngineValues, Measure, PlannerConfig, QueryAggregate, QueryBatch, QueryDriver,
+    QueryTopK, ShapleyCache,
 };
 use shapdb_data::{Database, FactId, Value};
-use shapdb_kc::Budget;
 use shapdb_metrics::counters::{
     CacheRunStats, NUM_BIGNUM_FALLBACKS, NUM_NTT_CONVOLUTIONS, NUM_VLI_HITS,
 };
 use shapdb_num::Rational;
-use shapdb_query::{evaluate, parse_ucq, with_streamed_lineages, Ucq};
+use shapdb_query::{parse_ucq, Ucq};
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Which engine policy to run (`--engine`).
@@ -115,6 +115,17 @@ pub enum Aggregate {
     Count,
     /// Attribute the SUM(head column) game over all answers.
     Sum(usize),
+}
+
+impl Aggregate {
+    /// The game this mode attributes (`None` for per-answer attribution).
+    fn game(self) -> Option<AggregateGame> {
+        match self {
+            Aggregate::None => None,
+            Aggregate::Count => Some(AggregateGame::Count),
+            Aggregate::Sum(column) => Some(AggregateGame::Sum(column)),
+        }
+    }
 }
 
 /// Parsed command line.
@@ -456,78 +467,16 @@ fn render_tuple(tuple: &[Value]) -> String {
     }
 }
 
-fn render_exact(out: &mut String, db: &Database, top: usize, values: &[(FactId, Rational)]) {
+fn render_exact(out: &mut String, db: &Database, top: usize, values: &[(VarId, Rational)]) {
     for (i, (fact, v)) in values.iter().take(top).enumerate() {
         out.push_str(&format!(
             "  {}. {}  {}  (≈{:.4})\n",
             i + 1,
-            db.display_fact(*fact),
+            db.display_fact(FactId(fact.0)),
             v,
             v.to_f64()
         ));
     }
-}
-
-/// The `--top-k` path: stream lineages (chunk-bounded memory) straight
-/// into the bound-driven top-k executor, which drops the answers that
-/// cannot make the list and solves only the structures that still can.
-fn run_topk(db: &Database, q: &Ucq, k: usize, cfg: &Config) -> Result<String, CliError> {
-    let n_endo = db.num_endogenous();
-    // Exact routes only (the pruning threshold compares exact scores); the
-    // per-lineage timeout still applies through the planner.
-    let mut planner = Planner::for_query(EngineChoice::Exact.planner_config(cfg.timeout), q);
-    if cfg.cache_capacity > 0 {
-        planner = planner.with_cache(std::sync::Arc::new(ShapleyCache::with_capacity(
-            cfg.cache_capacity,
-        )));
-    }
-    let executor = TopKExecutor::new(planner);
-    let ((tuples, report), stream) = with_streamed_lineages(q, db, 256, |answers| {
-        let mut tuples = Vec::new();
-        let lineages = answers.map(|out| {
-            let lineage = out.endo_lineage(db);
-            tuples.push(out.tuple);
-            lineage
-        });
-        let report = executor.run(lineages, k, n_endo, &Budget::unlimited());
-        (tuples, report)
-    });
-    let report = report.map_err(|e| err(format!("top-k ranking failed: {e}")))?;
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{} fact(s), {} endogenous; {} answer(s) for {}\n",
-        db.num_facts(),
-        n_endo,
-        report.answers,
-        q
-    ));
-    out.push_str(&format!(
-        "top-{k}: solved {} answer(s) ({} structure(s)), pruned {} answer(s) \
-         ({} structure(s)) unsolved; peak {} streamed literal(s)\n",
-        report.solved_answers,
-        report.solved_structures,
-        report.pruned_answers,
-        report.pruned_structures,
-        stream.peak_in_flight_literals
-    ));
-    for (rank, item) in report.top.iter().enumerate() {
-        out.push_str(&format!(
-            "#{} {}  best fact value {}  (≈{:.4})\n",
-            rank + 1,
-            render_tuple(&tuples[item.index]),
-            item.score,
-            item.score.to_f64()
-        ));
-        let EngineValues::Exact(values) = &item.result.values else {
-            unreachable!("top-k results are exact");
-        };
-        let values: Vec<(FactId, Rational)> = values
-            .iter()
-            .map(|(v, r)| (FactId(v.0), r.clone()))
-            .collect();
-        render_exact(&mut out, db, cfg.top, &values);
-    }
-    Ok(out)
 }
 
 /// Rejects an atom whose term count differs from its relation's column
@@ -551,84 +500,110 @@ fn check_arities(q: &Ucq, db: &Database) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The report's first line: database size, answer count, the query.
+fn header(db: &Database, answers: usize, q: &Ucq) -> String {
+    format!(
+        "{} fact(s), {} endogenous; {} answer(s) for {}\n",
+        db.num_facts(),
+        db.num_endogenous(),
+        answers,
+        q
+    )
+}
+
 /// Runs the tool and returns the rendered report.
 pub fn run(cfg: &Config) -> Result<String, CliError> {
     let db = load_database(&cfg.db_dir, cfg.endo.as_deref())?;
     let q: Ucq = parse_ucq(&cfg.query).map_err(|e| err(format!("query: {e}")))?;
     check_arities(&q, &db)?;
+    let driver = QueryDriver {
+        cache: (cfg.cache_capacity > 0)
+            .then(|| Arc::new(ShapleyCache::with_capacity(cfg.cache_capacity))),
+        threads: cfg.threads,
+        ..QueryDriver::default()
+    };
+    // Top-k and the aggregate games need exact scores; the per-lineage
+    // timeout still applies through the planner.
+    let exact = EngineChoice::Exact.planner_config(cfg.timeout);
     if let Some(k) = cfg.top_k {
-        return run_topk(&db, &q, k, cfg);
+        return render_topk(&db, &q, driver.topk(&db, &q, exact, k), k, cfg.top);
     }
-    let n_endo = db.num_endogenous();
-    let res = evaluate(&q, &db);
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{} fact(s), {} endogenous; {} answer(s) for {}\n",
-        db.num_facts(),
-        n_endo,
-        res.len(),
-        q
-    ));
-
-    let budget = Budget::with_timeout(cfg.timeout);
-
-    match cfg.aggregate {
-        Aggregate::Count | Aggregate::Sum(_) => {
-            let attrs = match cfg.aggregate {
-                Aggregate::Count => {
-                    let lineages: Vec<_> =
-                        res.outputs.iter().map(|t| t.endo_lineage(&db)).collect();
-                    count_shapley(&lineages, n_endo, &budget)
-                }
-                Aggregate::Sum(col) => {
-                    let weighted: Result<Vec<_>, CliError> = res
-                        .outputs
-                        .iter()
-                        .map(|t| {
-                            let v = t
-                                .tuple
-                                .get(col)
-                                .ok_or_else(|| err(format!("sum column {col} out of range")))?;
-                            let w = v.as_int().ok_or_else(|| {
-                                err(format!("sum column {col} is not an integer"))
-                            })?;
-                            Ok((t.endo_lineage(&db), Rational::from_int(w)))
-                        })
-                        .collect();
-                    sum_shapley(&weighted?, n_endo, &budget)
-                }
-                Aggregate::None => unreachable!(),
-            }
-            .map_err(|e| err(format!("aggregate attribution failed: {e}")))?;
-            out.push_str(match cfg.aggregate {
-                Aggregate::Count => "COUNT(*) attribution:\n",
-                _ => "SUM attribution:\n",
-            });
-            let attrs: Vec<(FactId, Rational)> =
-                attrs.into_iter().map(|(v, r)| (FactId(v.0), r)).collect();
-            render_exact(&mut out, &db, cfg.top, &attrs);
-            return Ok(out);
+    match cfg.aggregate.game() {
+        Some(game) => {
+            let run = driver.aggregate(&db, &q, exact, game);
+            render_aggregate(&db, &q, game, run, cfg.top)
         }
-        Aggregate::None => {}
+        None => {
+            let policy = cfg.engine.planner_config(cfg.timeout);
+            render_batch(&db, &q, driver.batch(&db, &q, policy, &[cfg.measure]), cfg)
+        }
     }
+}
 
-    // Per-answer attribution through the engine layer: one batch, dedup of
-    // structurally identical lineages, cross-query result cache, fan-out
-    // over worker threads.
-    let lineages: Vec<Dnf> = res.outputs.iter().map(|t| t.endo_lineage(&db)).collect();
-    let mut planner = Planner::for_query(cfg.engine.planner_config(cfg.timeout), &q);
-    if cfg.cache_capacity > 0 {
-        planner = planner.with_cache(std::sync::Arc::new(ShapleyCache::with_capacity(
-            cfg.cache_capacity,
-        )));
+/// The `--top-k` report: the `k` best answers by their best fact's value,
+/// with what the stream filter and the admission loop left unsolved.
+fn render_topk(
+    db: &Database,
+    q: &Ucq,
+    run: QueryTopK,
+    k: usize,
+    top: usize,
+) -> Result<String, CliError> {
+    let report = run
+        .report
+        .map_err(|e| err(format!("top-k ranking failed: {e}")))?;
+    let mut out = header(db, report.answers, q);
+    out.push_str(&format!(
+        "top-{k}: solved {} answer(s) ({} structure(s)), pruned {} answer(s) \
+         ({} structure(s)) unsolved; peak {} streamed literal(s)\n",
+        report.solved_answers,
+        report.solved_structures,
+        report.pruned_answers,
+        report.pruned_structures,
+        run.stream.peak_in_flight_literals
+    ));
+    for (rank, item) in report.top.iter().enumerate() {
+        out.push_str(&format!(
+            "#{} {}  best fact value {}  (≈{:.4})\n",
+            rank + 1,
+            render_tuple(&run.tuples[item.index]),
+            item.score,
+            item.score.to_f64()
+        ));
+        let EngineValues::Exact(values) = &item.result.values else {
+            unreachable!("top-k results are exact");
+        };
+        render_exact(&mut out, db, top, values);
     }
-    let report = BatchExecutor::new(planner).with_threads(cfg.threads).run(
-        &lineages,
-        n_endo,
-        &Budget::unlimited(),
-        &[cfg.measure],
-    );
+    Ok(out)
+}
+
+/// The `--agg` report: the COUNT/SUM game's attribution over all answers.
+fn render_aggregate(
+    db: &Database,
+    q: &Ucq,
+    game: AggregateGame,
+    run: Result<QueryAggregate, AggregateError>,
+    top: usize,
+) -> Result<String, CliError> {
+    let run = run.map_err(|e| match e {
+        AggregateError::Analysis(e) => err(format!("aggregate attribution failed: {e}")),
+        column => err(column.to_string()),
+    })?;
+    let mut out = header(db, run.answers, q);
+    out.push_str(match game {
+        AggregateGame::Count => "COUNT(*) attribution:\n",
+        AggregateGame::Sum(_) => "SUM attribution:\n",
+    });
+    render_exact(&mut out, db, top, &run.attributions);
+    Ok(out)
+}
+
+/// The per-answer report: one batch, dedup of structurally identical
+/// lineages, cross-query result cache, fan-out over worker threads.
+fn render_batch(db: &Database, q: &Ucq, run: QueryBatch, cfg: &Config) -> Result<String, CliError> {
+    let report = run.report;
+    let mut out = header(db, run.tuples.len(), q);
     if cfg.measure != Measure::Shapley {
         out.push_str(&format!("measure: {}\n", cfg.measure));
     }
@@ -653,17 +628,13 @@ pub fn run(cfg: &Config) -> Result<String, CliError> {
     ));
     out.push('\n');
 
-    for (tuple, item) in res.outputs.iter().zip(report.items) {
-        out.push_str(&format!("{}\n", render_tuple(&tuple.tuple)));
+    for (tuple, item) in run.tuples.iter().zip(report.items) {
+        out.push_str(&format!("{}\n", render_tuple(tuple)));
         let result = item
             .result
             .map_err(|e| err(format!("attribution failed: {e}")))?;
         match result.values {
-            EngineValues::Exact(values) => {
-                let values: Vec<(FactId, Rational)> =
-                    values.into_iter().map(|(v, r)| (FactId(v.0), r)).collect();
-                render_exact(&mut out, &db, cfg.top, &values);
-            }
+            EngineValues::Exact(values) => render_exact(&mut out, db, cfg.top, &values),
             EngineValues::Approx(scores) => {
                 if cfg.engine == EngineChoice::Auto {
                     out.push_str("  (exact pipeline exceeded its budget: CNF-Proxy ranking, not Shapley values)\n");
@@ -880,6 +851,25 @@ mod tests {
         ]))
         .unwrap();
         assert!(report.contains("COUNT(*) attribution:"), "{report}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn bad_sum_column_is_a_clean_error() {
+        let dir = flights_dir("sumcol");
+        let sum = |spec: &str| {
+            run_cli(&args(&[
+                "--db",
+                dir.to_str().unwrap(),
+                "--query",
+                "q(x, y) :- Flights(x, y)",
+                "--agg",
+                spec,
+            ]))
+            .unwrap_err()
+        };
+        assert_eq!(sum("sum:2").0, "sum column 2 out of range");
+        assert_eq!(sum("sum:1").0, "sum column 1 is not an integer");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

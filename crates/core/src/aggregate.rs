@@ -23,15 +23,72 @@
 //! here, as in the paper.
 
 use crate::engine::{
-    AnalysisError, EngineError, EngineValues, LineageTask, Planner, PlannerConfig,
+    exact_mode_error, AnalysisError, EngineError, EngineResult, EngineValues, Planner,
+    PlannerConfig, QueryDriver,
 };
 use shapdb_circuit::{Dnf, VarId};
+use shapdb_data::Value;
 use shapdb_kc::Budget;
 use shapdb_num::Rational;
 use std::collections::HashMap;
 
 /// Per-fact attribution for an aggregate game, sorted by decreasing value.
 pub type AggregateAttributions = Vec<(VarId, Rational)>;
+
+/// A linear aggregate over a query's answers.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum AggregateGame {
+    /// `COUNT(*)`: every answer weighs 1.
+    Count,
+    /// `SUM` of the head column at this index: every answer weighs its
+    /// (integer) value there.
+    Sum(usize),
+}
+
+impl AggregateGame {
+    /// The weight of the answer with head tuple `tuple`.
+    pub fn weight(self, tuple: &[Value]) -> Result<Rational, AggregateError> {
+        match self {
+            AggregateGame::Count => Ok(Rational::one()),
+            AggregateGame::Sum(column) => {
+                let value = tuple
+                    .get(column)
+                    .ok_or(AggregateError::ColumnOutOfRange(column))?;
+                let int = value.as_int().ok_or(AggregateError::NotAnInteger(column))?;
+                Ok(Rational::from_int(int))
+            }
+        }
+    }
+}
+
+/// Why an aggregate attribution failed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum AggregateError {
+    /// The SUM column is past the end of an answer's head tuple.
+    ColumnOutOfRange(usize),
+    /// An answer holds a non-integer value in the SUM column.
+    NotAnInteger(usize),
+    /// A per-answer solve exceeded its budget.
+    Analysis(AnalysisError),
+}
+
+impl From<AnalysisError> for AggregateError {
+    fn from(e: AnalysisError) -> AggregateError {
+        AggregateError::Analysis(e)
+    }
+}
+
+impl std::fmt::Display for AggregateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AggregateError::ColumnOutOfRange(c) => write!(f, "sum column {c} out of range"),
+            AggregateError::NotAnInteger(c) => write!(f, "sum column {c} is not an integer"),
+            AggregateError::Analysis(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for AggregateError {}
 
 /// Shapley values of the COUNT game: `v(E) = |q(D_x ∪ E)|`, given the
 /// endogenous lineage of every potential output tuple.
@@ -42,11 +99,8 @@ pub fn count_shapley(
     n_endo: usize,
     budget: &Budget,
 ) -> Result<AggregateAttributions, AnalysisError> {
-    let weighted: Vec<(Dnf, Rational)> = lineages
-        .iter()
-        .map(|l| (l.clone(), Rational::one()))
-        .collect();
-    sum_shapley(&weighted, n_endo, budget)
+    let weights = vec![Rational::one(); lineages.len()];
+    fold(lineages, &weights, n_endo, budget)
 }
 
 /// Shapley values of the weighted-sum game:
@@ -55,31 +109,53 @@ pub fn count_shapley(
 /// `weighted` pairs each potential output tuple's endogenous lineage with
 /// its weight (for SUM over a numeric column, the column value; negative
 /// weights are fine). By linearity,
-/// `Shapley(v, f) = Σ_t w_t · Shapley(q[x̄/t̄], f)`. Every per-tuple solve
-/// runs under `budget`, whose deadline bounds compilation and Algorithm 1
-/// alike.
+/// `Shapley(v, f) = Σ_t w_t · Shapley(q[x̄/t̄], f)`. Zero-weight tuples are
+/// skipped; the rest run as one batch, so structurally identical lineages
+/// are solved once. Every solve runs under `budget`, whose deadline bounds
+/// compilation and Algorithm 1 alike.
 pub fn sum_shapley(
     weighted: &[(Dnf, Rational)],
     n_endo: usize,
     budget: &Budget,
 ) -> Result<AggregateAttributions, AnalysisError> {
+    let (lineages, weights): (Vec<Dnf>, Vec<Rational>) = weighted
+        .iter()
+        .filter(|(_, w)| !w.is_zero())
+        .cloned()
+        .unzip();
+    fold(&lineages, &weights, n_endo, budget)
+}
+
+/// The lineage-level fold: one exact-mode batch over every core.
+fn fold(
+    lineages: &[Dnf],
+    weights: &[Rational],
+    n_endo: usize,
+    budget: &Budget,
+) -> Result<AggregateAttributions, AnalysisError> {
+    let driver = QueryDriver {
+        budget: *budget,
+        ..QueryDriver::default()
+    };
     let planner = Planner::new(PlannerConfig::default());
+    Ok(driver
+        .fold(planner, lineages, weights, n_endo)?
+        .attributions)
+}
+
+/// `Σ_t w_t · φ_t(f)` per fact `f` over exact per-answer results, sorted
+/// by decreasing value with null players omitted.
+pub(crate) fn weighted_sum<'a>(
+    results: impl Iterator<Item = (&'a Result<EngineResult, EngineError>, &'a Rational)>,
+) -> Result<AggregateAttributions, AnalysisError> {
     let mut acc: HashMap<VarId, Rational> = HashMap::new();
-    for (lineage, weight) in weighted {
-        if weight.is_zero() {
-            continue;
-        }
-        let task = LineageTask::new(lineage, n_endo).with_budget(*budget);
-        let result = planner.solve(&task).map_err(|e| match e {
-            EngineError::Analysis(a) => a,
-            other => unreachable!("the exact-mode planner fails only on budgets: {other}"),
-        })?;
-        let EngineValues::Exact(pairs) = result.values else {
+    for (result, weight) in results {
+        let result = result.as_ref().map_err(|e| exact_mode_error(e.clone()))?;
+        let EngineValues::Exact(pairs) = &result.values else {
             unreachable!("exact-mode planner yields exact values");
         };
         for (fact, shapley) in pairs {
-            let entry = acc.entry(fact).or_insert_with(Rational::zero);
-            *entry += &(&shapley * weight);
+            *acc.entry(*fact).or_insert_with(Rational::zero) += &(shapley * weight);
         }
     }
     let mut out: Vec<(VarId, Rational)> = acc.into_iter().filter(|(_, v)| !v.is_zero()).collect();
@@ -176,6 +252,85 @@ mod tests {
         let attrs = count_shapley(&lineages, 4, &Budget::unlimited()).unwrap();
         let total = attrs.iter().fold(Rational::zero(), |acc, (_, v)| &acc + v);
         assert_eq!(total, Rational::from_int(3)); // all 3 tuples need facts
+    }
+
+    /// `S(a, b)` endogenous over `a ∈ {0, 1}`, `b ∈ {10, 11, 12}`, and the
+    /// exogenous weights `H(10, 3)`, `H(11, 0)`, `H(12, 5)`.
+    fn star_database() -> shapdb_data::Database {
+        use shapdb_data::{Database, Value};
+        let mut db = Database::new();
+        db.create_relation("S", &["a", "b"]);
+        db.create_relation("H", &["b", "w"]);
+        for b in [10, 11, 12] {
+            for a in [0, 1] {
+                db.insert_endo("S", vec![Value::int(a), Value::int(b)]);
+            }
+        }
+        for (b, w) in [(10, 3), (11, 0), (12, 5)] {
+            db.insert("H", vec![Value::int(b), Value::int(w)], false);
+        }
+        db
+    }
+
+    #[test]
+    fn count_runs_one_engine_per_distinct_structure() {
+        // Three answers, each `S(0, b) ∨ S(1, b)`: one structure.
+        let db = star_database();
+        let q = shapdb_query::parse_ucq("q(b) :- S(a, b)").unwrap();
+        let run = QueryDriver::default()
+            .aggregate(&db, &q, PlannerConfig::default(), AggregateGame::Count)
+            .unwrap();
+        assert_eq!(run.answers, 3);
+        assert_eq!(run.report.dedup.tasks, 3);
+        assert_eq!(run.report.dedup.distinct, 1);
+        assert_eq!(run.report.profile.engine_runs(), 1);
+        assert_eq!(run.attributions.len(), 6);
+        assert!(run
+            .attributions
+            .iter()
+            .all(|(_, v)| v == &Rational::from_ratio(1, 2)));
+    }
+
+    #[test]
+    fn sum_never_solves_zero_weight_answers() {
+        let db = star_database();
+        let q = shapdb_query::parse_ucq("q(b, w) :- S(a, b), H(b, w)").unwrap();
+        let run = QueryDriver::default()
+            .aggregate(&db, &q, PlannerConfig::default(), AggregateGame::Sum(1))
+            .unwrap();
+        // b = 11 weighs 0: counted as an answer, never handed to the batch.
+        assert_eq!(run.answers, 3);
+        assert_eq!(run.report.dedup.tasks, 2);
+        assert_eq!(run.report.profile.engine_runs(), 1);
+        let values: Vec<(u32, Rational)> = run
+            .attributions
+            .iter()
+            .map(|(f, v)| (f.0, v.clone()))
+            .collect();
+        let (three, five) = (Rational::from_ratio(3, 2), Rational::from_ratio(5, 2));
+        assert_eq!(
+            values,
+            vec![(4, five.clone()), (5, five), (0, three.clone()), (1, three)]
+        );
+    }
+
+    #[test]
+    fn sum_weights_validate_the_column() {
+        use shapdb_data::Value;
+        let tuple = [Value::str("x"), Value::int(7)];
+        assert_eq!(AggregateGame::Count.weight(&tuple), Ok(Rational::one()));
+        assert_eq!(
+            AggregateGame::Sum(1).weight(&tuple),
+            Ok(Rational::from_int(7))
+        );
+        assert_eq!(
+            AggregateGame::Sum(2).weight(&tuple),
+            Err(AggregateError::ColumnOutOfRange(2))
+        );
+        assert_eq!(
+            AggregateGame::Sum(0).weight(&tuple),
+            Err(AggregateError::NotAnInteger(0))
+        );
     }
 
     proptest! {

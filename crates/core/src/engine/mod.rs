@@ -43,6 +43,7 @@
 
 mod batch;
 mod cache;
+mod driver;
 mod engines;
 mod persist;
 mod planner;
@@ -52,6 +53,9 @@ mod topk;
 
 pub use batch::{BatchExecutor, BatchItem, BatchReport};
 pub use cache::{CacheKey, CacheStats, ShapleyCache};
+pub use driver::{
+    exact_mode_error, QueryAggregate, QueryBatch, QueryDriver, QueryTopK, STREAM_CHUNK,
+};
 pub use engines::{
     KcEngine, KernelShapEngine, MonteCarloEngine, NaiveEngine, ProxyEngine, ReadOnceEngine,
 };

@@ -51,7 +51,9 @@ pub mod responsibility;
 pub mod shap_score;
 mod weights;
 
-pub use aggregate::{count_shapley, sum_shapley, AggregateAttributions};
+pub use aggregate::{
+    count_shapley, sum_shapley, AggregateAttributions, AggregateError, AggregateGame,
+};
 pub use banzhaf::{banzhaf_all_facts, banzhaf_naive};
 pub use engine::{
     shapley_bounds, AnalysisError, BatchExecutor, BatchItem, BatchReport, EngineError, EngineKind,

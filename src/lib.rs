@@ -43,21 +43,19 @@ pub use shapdb_prob as prob;
 pub use shapdb_query as query;
 pub use shapdb_workloads as workloads;
 
-use shapdb_circuit::{Circuit, Dnf};
-use shapdb_core::aggregate::{count_shapley, sum_shapley};
+use shapdb_circuit::{Circuit, VarId};
+use shapdb_core::aggregate::{AggregateError, AggregateGame};
 pub use shapdb_core::engine::Measure;
 use shapdb_core::engine::{
-    AnalysisError, BatchExecutor, CacheStats, EngineError, EngineKind, EngineValues, KcEngine,
-    Planner, PlannerConfig, ServiceConfig, ShapleyCache, ShapleyService, TopKExecutor,
+    exact_mode_error, AnalysisError, CacheStats, EngineKind, EngineValues, KcEngine, Planner,
+    PlannerConfig, QueryDriver, ServiceConfig, ShapleyCache, ShapleyService,
 };
 use shapdb_data::{Database, FactId, Value};
 use shapdb_kc::Budget;
 use shapdb_metrics::counters::{CacheRunStats, DedupStats};
 use shapdb_metrics::Profile;
 use shapdb_num::Rational;
-use shapdb_query::{
-    evaluate, evaluate_negated, with_streamed_lineages, NegatedQuery, QueryResult, StreamStats, Ucq,
-};
+use shapdb_query::{evaluate_negated, NegatedQuery, StreamStats, Ucq};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -201,9 +199,8 @@ pub struct BatchExplanation {
 /// inspect with [`ShapleyAnalyzer::cache_stats`].
 pub struct ShapleyAnalyzer<'a> {
     db: &'a Database,
-    budget: Budget,
-    threads: usize,
-    cache: Option<Arc<ShapleyCache>>,
+    /// The budget, thread count and result cache every call runs with.
+    driver: QueryDriver,
 }
 
 impl<'a> ShapleyAnalyzer<'a> {
@@ -212,9 +209,10 @@ impl<'a> ShapleyAnalyzer<'a> {
     pub fn new(db: &'a Database) -> ShapleyAnalyzer<'a> {
         ShapleyAnalyzer {
             db,
-            budget: Budget::unlimited(),
-            threads: 0,
-            cache: Some(Arc::new(ShapleyCache::new())),
+            driver: QueryDriver {
+                cache: Some(Arc::new(ShapleyCache::new())),
+                ..QueryDriver::default()
+            },
         }
     }
 
@@ -222,54 +220,26 @@ impl<'a> ShapleyAnalyzer<'a> {
     /// compilation and Algorithm 1 together (the read-once and naive
     /// routes too), its node cap bounds compilation.
     pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
+        self.driver.budget = budget;
         self
     }
 
     /// Sets the batch worker-thread count (0 = all available cores).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.driver.threads = threads;
         self
     }
 
     /// Resizes the cross-query result cache (`0` turns caching off). The
     /// previous cache's entries are dropped.
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = (capacity > 0).then(|| Arc::new(ShapleyCache::with_capacity(capacity)));
+        self.driver.cache = (capacity > 0).then(|| Arc::new(ShapleyCache::with_capacity(capacity)));
         self
     }
 
     /// Totals of the analyzer's result cache (`None` when caching is off).
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
-    }
-
-    /// Evaluates `q` and runs its answers' lineages through the engine
-    /// layer's planner + batch executor (structural dedup, result cache,
-    /// thread fan-out).
-    fn run_batch(
-        &self,
-        q: &Ucq,
-        cfg: PlannerConfig,
-        measure: Measure,
-    ) -> (QueryResult, shapdb_core::engine::BatchReport) {
-        let res = evaluate(q, self.db);
-        let lineages: Vec<Dnf> = res
-            .outputs
-            .iter()
-            .map(|t| t.endo_lineage(self.db))
-            .collect();
-        let mut planner = Planner::for_query(cfg, q);
-        if let Some(cache) = &self.cache {
-            planner = planner.with_cache(cache.clone());
-        }
-        let report = BatchExecutor::new(planner).with_threads(self.threads).run(
-            &lineages,
-            self.db.num_endogenous(),
-            &self.budget,
-            &[measure],
-        );
-        (res, report)
+        self.driver.cache.as_ref().map(|c| c.stats())
     }
 
     /// Exact Shapley values for every output tuple of `q`. Lineages that
@@ -309,16 +279,16 @@ impl<'a> ShapleyAnalyzer<'a> {
         q: &Ucq,
         measure: Measure,
     ) -> Result<BatchExplanation, AnalysisError> {
-        let (res, report) = self.run_batch(q, PlannerConfig::default(), measure);
-        let mut explanations = Vec::with_capacity(res.len());
-        for (tuple, item) in res.outputs.into_iter().zip(report.items) {
+        let run = self
+            .driver
+            .batch(self.db, q, PlannerConfig::default(), &[measure]);
+        let report = run.report;
+        let mut explanations = Vec::with_capacity(run.tuples.len());
+        for (tuple, item) in run.tuples.into_iter().zip(report.items) {
             let result = item.result.map_err(exact_mode_error)?;
-            let EngineValues::Exact(pairs) = result.values else {
-                unreachable!("exact-mode planner yields exact values");
-            };
             explanations.push(TupleExplanation {
-                tuple: tuple.tuple,
-                attributions: pairs.into_iter().map(|(v, r)| (FactId(v.0), r)).collect(),
+                tuple,
+                attributions: exact_facts(result.values),
             });
         }
         Ok(BatchExplanation {
@@ -347,13 +317,10 @@ impl<'a> ShapleyAnalyzer<'a> {
             let elin = tuple.endo_lineage(self.db);
             let mut circuit = Circuit::new();
             let root = elin.to_circuit(&mut circuit);
-            let result = KcEngine::analyze_circuit(&circuit, root, n_endo, &self.budget)?;
-            let EngineValues::Exact(pairs) = result.values else {
-                unreachable!("the KC engine yields exact values");
-            };
+            let result = KcEngine::analyze_circuit(&circuit, root, n_endo, &self.driver.budget)?;
             out.push(TupleExplanation {
                 tuple: tuple.tuple,
-                attributions: pairs.into_iter().map(|(v, r)| (FactId(v.0), r)).collect(),
+                attributions: exact_facts(result.values),
             });
         }
         Ok(out)
@@ -370,7 +337,7 @@ impl<'a> ShapleyAnalyzer<'a> {
     /// Returns the rankings wrapped in a [`RankReport`] carrying the batch
     /// bookkeeping (dedup hit rate, cache traffic, engine runs).
     pub fn rank(&self, q: &Ucq, timeout: Duration) -> RankReport {
-        let planner_cfg = PlannerConfig {
+        let cfg = PlannerConfig {
             // Paper mode: straight to knowledge compilation, and always
             // *try* it under the timeout (no admission caps).
             force: Some(EngineKind::Kc),
@@ -380,17 +347,15 @@ impl<'a> ShapleyAnalyzer<'a> {
             max_kc_conjuncts: usize::MAX,
             ..Default::default()
         };
-        let (res, report) = self.run_batch(q, planner_cfg, Measure::Shapley);
-        let rankings = res
-            .outputs
+        let run = self.driver.batch(self.db, q, cfg, &[Measure::Shapley]);
+        let report = run.report;
+        let rankings = run
+            .tuples
             .into_iter()
             .zip(report.items)
-            .map(|(tuple, item)| {
-                let result = item.result.expect("proxy fallback never fails");
-                TupleRanking {
-                    tuple: tuple.tuple,
-                    outcome: result.values,
-                }
+            .map(|(tuple, item)| TupleRanking {
+                tuple,
+                outcome: item.result.expect("proxy fallback never fails").values,
             })
             .collect();
         RankReport {
@@ -420,39 +385,16 @@ impl<'a> ShapleyAnalyzer<'a> {
     /// Shares the analyzer's cross-query result cache, so ranking after
     /// `explain` (or vice versa) reuses every solved structure.
     pub fn rank_topk(&self, q: &Ucq, k: usize) -> Result<TopKRanking, AnalysisError> {
-        // Large enough to keep the producer busy, small enough that peak
-        // provenance stays far below full materialization at JOB scale.
-        const STREAM_CHUNK: usize = 256;
-        let mut planner = Planner::for_query(PlannerConfig::default(), q);
-        if let Some(cache) = &self.cache {
-            planner = planner.with_cache(cache.clone());
-        }
-        let executor = TopKExecutor::new(planner);
-        let ((tuples, report), stream) =
-            with_streamed_lineages(q, self.db, STREAM_CHUNK, |answers| {
-                let mut tuples = Vec::new();
-                let lineages = answers.map(|out| {
-                    let lineage = out.endo_lineage(self.db);
-                    tuples.push(out.tuple);
-                    lineage
-                });
-                let report = executor.run(lineages, k, self.db.num_endogenous(), &self.budget);
-                (tuples, report)
-            });
-        let report = report.map_err(exact_mode_error)?;
+        let run = self.driver.topk(self.db, q, PlannerConfig::default(), k);
+        let report = run.report.map_err(exact_mode_error)?;
         let top = report
             .top
             .into_iter()
-            .map(|item| {
-                let EngineValues::Exact(pairs) = item.result.values else {
-                    unreachable!("exact-mode planner yields exact values");
-                };
-                RankedAnswer {
-                    index: item.index,
-                    tuple: tuples[item.index].clone(),
-                    score: item.score,
-                    attributions: pairs.into_iter().map(|(v, r)| (FactId(v.0), r)).collect(),
-                }
+            .map(|item| RankedAnswer {
+                index: item.index,
+                tuple: run.tuples[item.index].clone(),
+                score: item.score,
+                attributions: exact_facts(item.result.values),
             })
             .collect();
         Ok(TopKRanking {
@@ -466,7 +408,7 @@ impl<'a> ShapleyAnalyzer<'a> {
             dedup: report.dedup,
             cache: CacheRunStats::of(&report.profile),
             engine_runs: report.profile.engine_runs(),
-            stream,
+            stream: run.stream,
             total_time: report.total_time,
         })
     }
@@ -476,39 +418,34 @@ impl<'a> ShapleyAnalyzer<'a> {
     /// attributions; a fact's value says how many answers it is responsible
     /// for, fractionally.
     pub fn explain_count(&self, q: &Ucq) -> Result<Vec<(FactId, Rational)>, AnalysisError> {
-        let n_endo = self.db.num_endogenous();
-        let res = evaluate(q, self.db);
-        let lineages: Vec<shapdb_circuit::Dnf> = res
-            .outputs
-            .iter()
-            .map(|t| t.endo_lineage(self.db))
-            .collect();
-        let attrs = count_shapley(&lineages, n_endo, &self.budget)?;
-        Ok(attrs.into_iter().map(|(v, r)| (FactId(v.0), r)).collect())
+        self.aggregate(q, AggregateGame::Count)
+            .map_err(|e| match e {
+                AggregateError::Analysis(a) => a,
+                other => unreachable!("COUNT weighs every answer 1: {other}"),
+            })
     }
 
     /// Shapley values of the SUM aggregate game over `q`'s answers:
     /// `v(E) = Σ_{t ∈ q(D_x∪E)} t[column]`, with `column` an index into the
-    /// head. Panics if the column is out of range or non-integer.
+    /// head. Fails if an answer's head has no such column or holds a
+    /// non-integer there.
     pub fn explain_sum(
         &self,
         q: &Ucq,
         column: usize,
-    ) -> Result<Vec<(FactId, Rational)>, AnalysisError> {
-        let n_endo = self.db.num_endogenous();
-        let res = evaluate(q, self.db);
-        let weighted: Vec<(shapdb_circuit::Dnf, Rational)> = res
-            .outputs
-            .iter()
-            .map(|t| {
-                let w = t.tuple[column]
-                    .as_int()
-                    .expect("SUM column must hold integer values");
-                (t.endo_lineage(self.db), Rational::from_int(w))
-            })
-            .collect();
-        let attrs = sum_shapley(&weighted, n_endo, &self.budget)?;
-        Ok(attrs.into_iter().map(|(v, r)| (FactId(v.0), r)).collect())
+    ) -> Result<Vec<(FactId, Rational)>, AggregateError> {
+        self.aggregate(q, AggregateGame::Sum(column))
+    }
+
+    fn aggregate(
+        &self,
+        q: &Ucq,
+        game: AggregateGame,
+    ) -> Result<Vec<(FactId, Rational)>, AggregateError> {
+        let run = self
+            .driver
+            .aggregate(self.db, q, PlannerConfig::default(), game)?;
+        Ok(facts(run.attributions))
     }
 
     /// Causal responsibility (Meliou et al. 2010) of every fact, per output
@@ -521,32 +458,26 @@ impl<'a> ShapleyAnalyzer<'a> {
     /// structurally identical answers are computed once and the results
     /// land in (and are served from) the measure-keyed cross-query cache.
     pub fn explain_responsibility(&self, q: &Ucq) -> Vec<TupleResponsibilities> {
-        let (res, report) = self.run_batch(q, PlannerConfig::default(), Measure::Responsibility);
-        res.outputs
+        let run = self.driver.batch(
+            self.db,
+            q,
+            PlannerConfig::default(),
+            &[Measure::Responsibility],
+        );
+        run.tuples
             .into_iter()
-            .zip(report.items)
-            .map(|(tuple, item)| {
+            .zip(&run.lineages)
+            .zip(run.report.items)
+            .map(|((tuple, lineage), item)| {
                 let values = match item.result {
-                    Ok(r) => match r.values {
-                        EngineValues::Exact(pairs) => {
-                            pairs.into_iter().map(|(v, r)| (FactId(v.0), r)).collect()
-                        }
-                        EngineValues::Approx(_) => {
-                            unreachable!("responsibility is exact on every route")
-                        }
-                    },
+                    Ok(r) => exact_facts(r.values),
                     // Responsibility needs no compiled circuit, but a
                     // caller-set budget can still abort a route (timeout,
                     // fail-fast neighbors); degrade to the direct DNF
                     // computation rather than fail an infallible API.
-                    Err(_) => shapdb_core::responsibility::responsibility_all(
-                        &tuple.endo_lineage(self.db),
-                    )
-                    .into_iter()
-                    .map(|(v, r)| (FactId(v.0), r))
-                    .collect(),
+                    Err(_) => facts(shapdb_core::responsibility::responsibility_all(lineage)),
                 };
-                (tuple.tuple, values)
+                (tuple, values)
             })
             .collect()
     }
@@ -571,14 +502,14 @@ impl<'a> ShapleyAnalyzer<'a> {
     pub fn into_service(self, cfg: ServiceConfig) -> ShapleyService {
         let cfg = ServiceConfig {
             workers: if cfg.workers == 0 {
-                self.threads
+                self.driver.threads
             } else {
                 cfg.workers
             },
-            default_budget: self.budget,
+            default_budget: self.driver.budget,
             ..cfg
         };
-        let cache = self.cache.unwrap_or_else(|| Arc::new(ShapleyCache::new()));
+        let cache = (self.driver.cache).unwrap_or_else(|| Arc::new(ShapleyCache::new()));
         let planner = Planner::new(PlannerConfig::default()).with_cache(cache);
         ShapleyService::new(planner, cfg)
     }
@@ -592,19 +523,23 @@ impl<'a> ShapleyAnalyzer<'a> {
     }
 }
 
-/// The error of an exact-mode solve: the default planner routes only to
-/// exact engines, which support every measure, and one-shot solves run
-/// outside the service's `catch_unwind` — so only budget errors remain.
-fn exact_mode_error(e: EngineError) -> AnalysisError {
-    match e {
-        EngineError::Analysis(a) => a,
-        other => unreachable!("exact-mode solves fail only on budgets: {other}"),
-    }
+/// Facts and values of an engine's variables, renamed onto fact ids.
+fn facts(pairs: Vec<(VarId, Rational)>) -> Vec<(FactId, Rational)> {
+    pairs.into_iter().map(|(v, r)| (FactId(v.0), r)).collect()
+}
+
+/// [`facts`] of values only exact engines produce.
+fn exact_facts(values: EngineValues) -> Vec<(FactId, Rational)> {
+    let EngineValues::Exact(pairs) = values else {
+        unreachable!("exact engines yield exact values");
+    };
+    facts(pairs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shapdb_circuit::Dnf;
     use shapdb_data::flights_example;
     use shapdb_query::ast::flights_query;
 
@@ -935,6 +870,25 @@ mod tests {
         let warm = analyzer.explain_responsibility(&q);
         assert_eq!(cold, warm);
         assert!(analyzer.cache_stats().unwrap().hits > after_cold.hits);
+    }
+
+    #[test]
+    fn explain_sum_rejects_a_bad_column() {
+        let (db, _) = flights_example();
+        let q = shapdb_query::parse_ucq("q(x, y) :- Flights(x, y)").unwrap();
+        let analyzer = ShapleyAnalyzer::new(&db);
+        assert_eq!(
+            analyzer.explain_sum(&q, 2),
+            Err(AggregateError::ColumnOutOfRange(2))
+        );
+        assert_eq!(
+            analyzer.explain_sum(&q, 1),
+            Err(AggregateError::NotAnInteger(1))
+        );
+        // COUNT needs no column: every fact is one answer's sole support.
+        let count = analyzer.explain_count(&q).unwrap();
+        assert_eq!(count.len(), 8);
+        assert!(count.iter().all(|(_, v)| v == &Rational::one()));
     }
 
     #[test]
