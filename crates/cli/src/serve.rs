@@ -69,6 +69,7 @@ use shapdb_metrics::counters::{
     NUM_BIGNUM_FALLBACKS, NUM_NTT_CONVOLUTIONS, NUM_VLI_HITS, SERVICE_COMPLETED, SERVICE_REJECTED,
     SERVICE_SUBMITTED,
 };
+use shapdb_metrics::Profile;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -319,21 +320,18 @@ pub(crate) fn render_stats(summary: &ServeSummary) -> String {
         s.profile.get(&NUM_VLI_HITS),
         s.profile.get(&NUM_BIGNUM_FALLBACKS),
         s.profile.get(&NUM_NTT_CONVOLUTIONS),
-        render_route_timings(),
+        render_route_timings(&s.profile),
         s.mean_wait().as_nanos() as f64 / 1e3,
     )
 }
 
-/// The per-route compile/solve timing summaries as one JSON array.
-/// Histograms are process-cumulative (they span every route of the
-/// process, not just this session); routes that never ran are omitted.
-fn render_route_timings() -> String {
+/// The service's per-route compile/solve timing summaries as one JSON
+/// array, like every other stat scoped to this service; routes that never
+/// ran are omitted.
+fn render_route_timings(profile: &Profile) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("[");
-    for (i, t) in shapdb_metrics::timing::active_route_timings()
-        .iter()
-        .enumerate()
-    {
+    for (i, t) in profile.routes().active().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -807,6 +805,56 @@ mod tests {
         assert_eq!(s.get("errors").and_then(Json::as_u64), Some(0));
         assert_eq!(summary.responses, 2);
         assert_eq!(summary.stats.profile.get(&SERVICE_COMPLETED), 2);
+    }
+
+    #[test]
+    fn each_service_reports_only_its_own_route_timings() {
+        // Two sessions in one process at once, each on its own service:
+        // one read-once solve against three, and each stats line counts
+        // only its own.
+        let requests = |lineages: &[&str]| -> String {
+            lineages
+                .iter()
+                .enumerate()
+                .map(|(i, l)| format!("{{\"id\": {i}, \"lineage\": {l}, \"n_endo\": 8}}\n"))
+                .collect()
+        };
+        let one = requests(&["[[0,1],[2,3]]"]);
+        let three = requests(&["[[0,1],[2,3]]", "[[0],[1,2]]", "[[0,1,2]]"]);
+        let opts = ServeOptions {
+            workers: 1,
+            ..Default::default()
+        };
+        let route_counts = |stats_line: &str| -> Vec<(String, u64)> {
+            let stats = Json::parse(stats_line).unwrap();
+            let timings = stats.get("stats").unwrap().get("route_timings").unwrap();
+            timings
+                .as_arr()
+                .unwrap()
+                .iter()
+                .map(|t| {
+                    let name = t.get("name").and_then(Json::as_str).unwrap();
+                    (
+                        name.to_string(),
+                        t.get("count").and_then(Json::as_u64).unwrap(),
+                    )
+                })
+                .collect()
+        };
+        for _ in 0..3 {
+            let ((one_lines, _), (three_lines, _)) = std::thread::scope(|s| {
+                let first = s.spawn(|| serve(&one, &opts));
+                (first.join().unwrap(), serve(&three, &opts))
+            });
+            let expected = |n: u64| {
+                vec![
+                    ("readonce.compile".to_string(), n),
+                    ("readonce.solve".to_string(), n),
+                ]
+            };
+            assert_eq!(route_counts(one_lines.last().unwrap()), expected(1));
+            assert_eq!(route_counts(three_lines.last().unwrap()), expected(3));
+        }
     }
 
     #[cfg(unix)]

@@ -21,6 +21,7 @@
 //! Per-run structural numbers that are not counters travel in each report
 //! as a [`DedupStats`].
 
+use crate::timing::RouteTimings;
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,10 +71,8 @@ impl Counter {
     /// [`Profile`]; returns the new global value.
     pub fn add(&self, n: u64) -> u64 {
         if self.slot != UNREGISTERED {
-            let _ = ACTIVE.try_with(|active| {
-                if let Some(profile) = &*active.borrow() {
-                    profile.cells[self.slot].fetch_add(n, Ordering::Relaxed);
-                }
+            Profile::with_active(|profile| {
+                profile.cells[self.slot].fetch_add(n, Ordering::Relaxed);
             });
         }
         self.value.fetch_add(n, Ordering::Relaxed) + n
@@ -277,6 +276,7 @@ thread_local! {
 /// `Clone` copies the current values; equality compares them.
 pub struct Profile {
     cells: [AtomicU64; REGISTERED],
+    routes: RouteTimings,
 }
 
 impl Profile {
@@ -284,6 +284,7 @@ impl Profile {
     pub fn new() -> Profile {
         Profile {
             cells: std::array::from_fn(|_| AtomicU64::new(0)),
+            routes: RouteTimings::new(),
         }
     }
 
@@ -300,6 +301,20 @@ impl Profile {
     /// The calling thread's active profile, for workers to enter.
     pub fn current() -> Option<Arc<Profile>> {
         ACTIVE.with(|active| active.borrow().clone())
+    }
+
+    /// Runs `f` on the calling thread's active profile, if any.
+    pub(crate) fn with_active(f: impl FnOnce(&Profile)) {
+        let _ = ACTIVE.try_with(|active| {
+            if let Some(profile) = &*active.borrow() {
+                f(profile);
+            }
+        });
+    }
+
+    /// The per-route compile/solve timings recorded in this profile.
+    pub fn routes(&self) -> &RouteTimings {
+        &self.routes
     }
 
     /// Adds `n` to `counter`'s global cell and to this profile, from a
@@ -343,6 +358,7 @@ impl Clone for Profile {
     fn clone(&self) -> Profile {
         Profile {
             cells: std::array::from_fn(|i| AtomicU64::new(self.cells[i].load(Ordering::Relaxed))),
+            routes: self.routes.clone(),
         }
     }
 }

@@ -18,13 +18,14 @@
 //!   on the calling thread: a copy of the registry scoped to one run or one
 //!   service, which executor reports and service stats carry;
 //! * [`timing`] — per-route compile/solve timing histograms (log₂-µs
-//!   buckets), the ground truth a learned planner cost model trains on.
+//!   buckets), the ground truth a learned planner cost model trains on;
+//!   each [`Profile`] carries its own set next to its counters.
 
 pub mod counters;
 pub mod timing;
 
 pub use counters::{Counter, CounterSnapshot, DedupStats, Gauge, Profile, ProfileScope};
-pub use timing::{TimingHisto, TimingSnapshot};
+pub use timing::{RouteTimings, TimingHisto, TimingSnapshot};
 
 use std::cmp::Ordering;
 

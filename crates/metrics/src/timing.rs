@@ -4,24 +4,28 @@
 //! caps); the ROADMAP's learned-cost-model lead needs the ground truth it
 //! would train on: how long each engine route actually spends preparing
 //! (factorization / knowledge compilation) and solving (Algorithm 1 /
-//! sampling). This module records exactly that, process-wide, as log₂-
-//! bucketed microsecond histograms — two per route (`compile`, `solve`),
-//! one route per engine kind. The engine layer records into them at its
-//! single result-construction choke point, so every surface (direct,
-//! batch, service) feeds the same cells; `serve` surfaces the snapshots in
-//! its final `{"stats":…}` line.
+//! sampling). This module records exactly that as log₂-bucketed
+//! microsecond histograms — two per route (`compile`, `solve`), one route
+//! per engine kind. They live in each [`Profile`] ([`Profile::routes`]),
+//! next to its counters: the engine layer records at its single
+//! result-construction choke point into the calling thread's active
+//! profile, so a batch or top-k report times its own solves and a
+//! resident service times its own, whatever else runs in the process;
+//! `serve` surfaces the service's snapshots in its final `{"stats":…}`
+//! line.
 //!
 //! Buckets are powers of two of microseconds: bucket `i` counts durations
 //! `d` with `2^i ≤ d_µs < 2^(i+1)` (bucket 0 also absorbs sub-microsecond
 //! durations). 30 buckets reach ~17 minutes, far past any budgeted solve.
 
+use crate::Profile;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Number of log₂ buckets (bucket `NUM_BUCKETS-1` absorbs the overflow).
 pub const NUM_BUCKETS: usize = 30;
 
-/// A process-wide log₂-µs histogram (atomic, cheap, shareable).
+/// A log₂-µs histogram (atomic, cheap, shareable).
 #[derive(Debug)]
 pub struct TimingHisto {
     name: &'static str,
@@ -125,53 +129,73 @@ impl TimingSnapshot {
     }
 }
 
-macro_rules! route_histos {
-    ($(($route:ident, $compile:ident, $solve:ident, $name:literal)),+ $(,)?) => {
-        $(
-            #[doc = concat!("Prep/compile time of `", $name, "`-routed tasks.")]
-            pub static $compile: TimingHisto = TimingHisto::new(concat!($name, ".compile"));
-            #[doc = concat!("Solve time of `", $name, "`-routed tasks.")]
-            pub static $solve: TimingHisto = TimingHisto::new(concat!($name, ".solve"));
-        )+
-
-        /// Every route histogram, in a fixed order (compile before solve).
-        pub fn route_timings() -> Vec<&'static TimingHisto> {
-            vec![$(&$compile, &$solve),+]
-        }
-
-        /// Records one task's prep/compile and solve durations under its
-        /// route name (as reported by the engine registry); unknown route
-        /// names are ignored so the registry can grow engines freely.
-        pub fn record_route(route: &str, compile: Duration, solve: Duration) {
-            match route {
-                $($name => {
-                    $compile.record(compile);
-                    $solve.record(solve);
-                })+
-                _ => {}
-            }
-        }
-    };
-}
-
-// Route names match the engine registry's `EngineKind::name` values, so
-// the engine layer can record under `engine.name()` verbatim.
-route_histos![
-    (read_once, READ_ONCE_COMPILE, READ_ONCE_SOLVE, "readonce"),
-    (naive, NAIVE_COMPILE, NAIVE_SOLVE, "naive"),
-    (kc, KC_COMPILE, KC_SOLVE, "kc"),
-    (proxy, PROXY_COMPILE, PROXY_SOLVE, "proxy"),
-    (monte_carlo, MC_COMPILE, MC_SOLVE, "montecarlo"),
-    (kernel_shap, KS_COMPILE, KS_SOLVE, "kernelshap"),
+/// The route histograms of a [`Profile`], compile before solve per route.
+/// Route names match the engine registry's `EngineKind::name` values, so
+/// the engine layer records under `engine.name()` verbatim.
+const ROUTE_HISTOS: [&str; 12] = [
+    "readonce.compile",
+    "readonce.solve",
+    "naive.compile",
+    "naive.solve",
+    "kc.compile",
+    "kc.solve",
+    "proxy.compile",
+    "proxy.solve",
+    "montecarlo.compile",
+    "montecarlo.solve",
+    "kernelshap.compile",
+    "kernelshap.solve",
 ];
 
-/// Snapshots of every route histogram with at least one recording.
-pub fn active_route_timings() -> Vec<TimingSnapshot> {
-    route_timings()
-        .into_iter()
-        .filter(|h| h.count() > 0)
-        .map(|h| h.snapshot())
-        .collect()
+/// One profile's per-route compile/solve histograms.
+#[derive(Debug)]
+pub struct RouteTimings([TimingHisto; ROUTE_HISTOS.len()]);
+
+impl RouteTimings {
+    pub(crate) fn new() -> RouteTimings {
+        RouteTimings(std::array::from_fn(|i| TimingHisto::new(ROUTE_HISTOS[i])))
+    }
+
+    /// Records one task's durations under `route`; unknown routes are
+    /// ignored so the registry can grow engines freely.
+    fn record(&self, route: &str, compile: Duration, solve: Duration) {
+        let mut pair = self.0.chunks_exact(2);
+        if let Some([c, s]) = pair.find(|p| p[0].name().strip_suffix(".compile") == Some(route)) {
+            c.record(compile);
+            s.record(solve);
+        }
+    }
+
+    /// Snapshots of every histogram with at least one recording, compile
+    /// before solve per route.
+    pub fn active(&self) -> Vec<TimingSnapshot> {
+        self.0
+            .iter()
+            .filter(|h| h.count() > 0)
+            .map(TimingHisto::snapshot)
+            .collect()
+    }
+}
+
+impl Clone for RouteTimings {
+    fn clone(&self) -> RouteTimings {
+        RouteTimings(std::array::from_fn(|i| {
+            let (from, to) = (&self.0[i], TimingHisto::new(ROUTE_HISTOS[i]));
+            for (a, b) in to.buckets.iter().zip(&from.buckets) {
+                a.store(b.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+            to.count.store(from.count(), Ordering::Relaxed);
+            to.total_us
+                .store(from.total_us.load(Ordering::Relaxed), Ordering::Relaxed);
+            to
+        }))
+    }
+}
+
+/// Records one task's prep/compile and solve durations under its route
+/// name into the calling thread's active [`Profile`] (none: not recorded).
+pub fn record_route(route: &str, compile: Duration, solve: Duration) {
+    Profile::with_active(|profile| profile.routes().record(route, compile, solve));
 }
 
 #[cfg(test)]
@@ -218,14 +242,21 @@ mod tests {
 
     #[test]
     fn route_recording_reaches_the_named_histograms() {
-        let before = KC_COMPILE.count();
-        record_route("kc", Duration::from_micros(100), Duration::from_micros(200));
-        assert_eq!(KC_COMPILE.count(), before + 1);
-        assert!(route_timings().len() >= 12);
-        // Unknown routes are ignored, not panicked on.
-        record_route("no_such_route", Duration::ZERO, Duration::ZERO);
-        assert!(active_route_timings()
-            .iter()
-            .any(|s| s.name == "kc.compile"));
+        let profile = std::sync::Arc::new(Profile::new());
+        {
+            let _scope = profile.enter();
+            record_route("kc", Duration::from_micros(100), Duration::from_micros(200));
+            // Unknown routes are ignored, not panicked on.
+            record_route("no_such_route", Duration::ZERO, Duration::ZERO);
+        }
+        // Outside every scope nothing is recorded.
+        record_route("kc", Duration::ZERO, Duration::ZERO);
+        let active = profile.routes().active();
+        let names: Vec<&str> = active.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["kc.compile", "kc.solve"]);
+        assert_eq!(active[0].count, 1);
+        assert_eq!(active[1].total_us, 200);
+        // A clone carries the histograms.
+        assert_eq!((*profile).clone().routes().active(), active);
     }
 }

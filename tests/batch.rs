@@ -503,3 +503,29 @@ fn concurrent_runs_each_count_exactly_their_own_work() {
         assert_eq!(read_once.profile, read_once_alone.profile);
     }
 }
+
+#[test]
+fn batch_profiles_time_one_kc_compile_per_kc_solve() {
+    // Three disjoint-majority structures past the naive cap (KC), one of
+    // them twice under a renaming: three KC solves, three compile timings.
+    let majorities = |blocks: u32, offset: u32| {
+        let pairs: Vec<[u32; 2]> = (0..3 * blocks)
+            .step_by(3)
+            .map(|x| x + offset)
+            .flat_map(|x| [[x, x + 1], [x, x + 2], [x + 1, x + 2]])
+            .collect();
+        dnf(&pairs.iter().map(|p| &p[..]).collect::<Vec<_>>())
+    };
+    let lineages = vec![
+        majorities(4, 0),
+        majorities(5, 0),
+        majorities(4, 20),
+        majorities(6, 0),
+    ];
+    let report = fresh_executor(2).run(&lineages, 40, &Budget::unlimited(), &[Measure::Shapley]);
+    assert!(report.items.iter().all(|i| i.result.is_ok()));
+    assert_eq!(report.profile.get(&PLANNER_KC_TOPDOWN_ROUTES), 3);
+    let timings = report.profile.routes().active();
+    let counts: Vec<(&str, u64)> = timings.iter().map(|t| (t.name, t.count)).collect();
+    assert_eq!(counts, [("kc.compile", 3), ("kc.solve", 3)]);
+}
