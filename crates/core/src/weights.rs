@@ -376,7 +376,7 @@ impl Denom {
                 let tz = trailing_zeros(mag).min(*e);
                 shr_in_place(mag, tz);
                 (
-                    BigUint::from_limbs(trim(mag).to_vec()),
+                    BigUint::from_slice(trim(mag)),
                     BigUint::one() << (*e - tz) as usize,
                 )
             }
@@ -512,8 +512,8 @@ impl FactorialDenom {
         div_exact(&mut mag[..num_len], num_pending);
         mul_small(&mut self.den, &mut den_len, den_pending);
         (
-            BigUint::from_limbs(trim(mag).to_vec()),
-            BigUint::from_limbs(self.den[..den_len].to_vec()) << (self.twos - tz) as usize,
+            BigUint::from_slice(trim(mag)),
+            BigUint::from_slice(&self.den[..den_len]) << (self.twos - tz) as usize,
         )
     }
 }

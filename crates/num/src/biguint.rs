@@ -97,6 +97,26 @@ impl BigUint {
         Self::from_vec(limbs)
     }
 
+    /// Constructs from borrowed little-endian limbs (normalizing): a value
+    /// of at most two significant limbs is stored inline without touching
+    /// the heap, a wider one costs one allocation.
+    pub fn from_slice(limbs: &[u64]) -> Self {
+        let len = limbs.iter().rposition(|&l| l != 0).map_or(0, |top| top + 1);
+        match limbs[..len] {
+            [] => BigUint::zero(),
+            [lo] => BigUint::from_u64(lo),
+            [lo, hi] => BigUint {
+                repr: Repr::Small {
+                    len: 2,
+                    limbs: [lo, hi],
+                },
+            },
+            ref wide => BigUint {
+                repr: Repr::Heap(wide.to_vec()),
+            },
+        }
+    }
+
     /// The canonicalizing constructor: pops trailing zero limbs and stores
     /// inline when two limbs suffice.
     fn from_vec(mut limbs: Vec<u64>) -> Self {
@@ -996,6 +1016,18 @@ mod tests {
         assert!(is_inline(&BigUint::from_u128(u128::MAX)));
         assert!(is_inline(&BigUint::from_limbs(vec![1, 2, 0, 0])));
         assert!(!is_inline(&BigUint::from_limbs(vec![1, 2, 3])));
+        for limbs in [
+            &[][..],
+            &[0, 0],
+            &[5, 0],
+            &[1, 2, 0, 0],
+            &[1, 2, 3],
+            &[0, 0, 7, 0],
+        ] {
+            let v = BigUint::from_slice(limbs);
+            assert_eq!(v, BigUint::from_limbs(limbs.to_vec()), "{limbs:?}");
+            assert_eq!(is_inline(&v), v.limbs().len() <= 2, "{limbs:?}");
+        }
         let spilled = &BigUint::from_u128(u128::MAX) + &BigUint::one();
         assert!(!is_inline(&spilled));
         let back = spilled.checked_sub(&BigUint::one()).unwrap();

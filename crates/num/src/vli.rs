@@ -107,7 +107,7 @@ impl<const L: usize> Vli<L> {
 
     /// Converts to a heap/inline [`BigUint`].
     pub fn to_biguint(&self) -> BigUint {
-        BigUint::from_limbs(self.limbs.to_vec())
+        BigUint::from_slice(&self.limbs)
     }
 
     /// `self += rhs`. Panics on carry out of the top limb.
@@ -387,7 +387,7 @@ impl Coeff for BigUint {
         BigUint::limbs(self)
     }
     fn from_le_limbs(limbs: &[u64]) -> Self {
-        BigUint::from_limbs(limbs.to_vec())
+        BigUint::from_slice(limbs)
     }
     fn from_biguint(v: &BigUint) -> Self {
         v.clone()
