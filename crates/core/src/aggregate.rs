@@ -15,9 +15,14 @@
 //! Each membership `[t̄ ∈ q(·)]` is a Boolean game — exactly the per-tuple
 //! game `q[x̄/t̄]` the paper studies — and the Shapley value is linear in the
 //! game, so the aggregate attribution of a fact is the (weighted) sum of its
-//! per-tuple Shapley values. Every per-tuple game runs through the usual
-//! machinery (read-once fast path, else knowledge compilation), so the whole
-//! computation stays polynomial whenever the per-tuple computations are.
+//! per-tuple Shapley values. The per-tuple games run as one batch through
+//! the query driver ([`crate::engine::QueryDriver::aggregate`], or
+//! [`count_shapley`]/[`sum_shapley`] on lineages already in hand), so
+//! structurally identical answers are solved once, the result cache and
+//! the worker threads apply, and zero-weight answers are never solved.
+//! Every solve takes the usual routes (read-once fast path, else knowledge
+//! compilation), so the whole computation stays polynomial whenever the
+//! per-tuple computations are.
 //!
 //! AVG, MIN and MAX are *not* linear in the memberships; they remain open
 //! here, as in the paper.

@@ -19,6 +19,10 @@
 //!   [`shapdb_circuit::fingerprint()`], computes each distinct structure
 //!   once, and fans the distinct tasks out across `std::thread::scope`
 //!   workers;
+//! * [`QueryDriver`] — the one-shot query flow: evaluation or the bounded
+//!   lineage stream, endogenous projection, and the hand-off to the batch
+//!   or top-k executor, plus the COUNT/SUM games as a weighted fold over
+//!   one batch run;
 //! * [`ShapleyService`] — the resident, session-oriented surface: a
 //!   long-lived worker pool draining a bounded client-fair queue of owned
 //!   [`LineageRequest`]s, with ticketed [`Submission`] handles,
@@ -39,7 +43,7 @@
 //! [`PlannerConfig::timeout`] only clamps it.
 //!
 //! The paper's §6.3 hybrid is [`PlannerConfig::hybrid`]; the `shapdb`
-//! facade and the CLI are thin policies over this layer.
+//! facade and the CLI are thin policies over the query driver.
 
 mod batch;
 mod cache;

@@ -17,6 +17,9 @@
 //!   service enter their own profile on every thread that works for them,
 //!   so each counts its own work once, however many other runs share the
 //!   process. Reports carry that profile; tests assert exact counts on it.
+//!   A profile also holds the run's per-route compile/solve timing
+//!   histograms ([`Profile::routes`], see [`crate::timing`]), which have
+//!   no process-global cell.
 //!
 //! Per-run structural numbers that are not counters travel in each report
 //! as a [`DedupStats`].

@@ -123,18 +123,11 @@ impl BigUint {
         while limbs.last() == Some(&0) {
             limbs.pop();
         }
-        match limbs.len() {
-            0 => BigUint::zero(),
-            1 => BigUint::from_u64(limbs[0]),
-            2 => BigUint {
-                repr: Repr::Small {
-                    len: 2,
-                    limbs: [limbs[0], limbs[1]],
-                },
-            },
-            _ => BigUint {
-                repr: Repr::Heap(limbs),
-            },
+        if limbs.len() <= 2 {
+            return BigUint::from_slice(&limbs);
+        }
+        BigUint {
+            repr: Repr::Heap(limbs),
         }
     }
 
