@@ -13,12 +13,13 @@ build:
 test:
 	cargo test -q
 
-# The crates whose tests assert exact engine-counter counts, three runs in
-# a row: each test reads its own run's profile, so a test that goes back
-# to racing the process-global counters fails here instead of flaking.
+# The crates whose tests assert exact engine-counter counts and route
+# timings, three runs in a row: each test reads its own run's or service's
+# profile, so a test that goes back to racing process-global state fails
+# here instead of flaking.
 test-repeat:
 	@for i in 1 2 3; do \
-		cargo test -q -p shapdb_metrics -p shapdb_core -p shapdb_num -p shapdb || exit 1; \
+		cargo test -q -p shapdb_metrics -p shapdb_core -p shapdb_num -p shapdb -p shapdb_cli || exit 1; \
 	done
 
 # The KC engine's negation route against the paper's Tseytin path, with

@@ -44,8 +44,8 @@ pub use serve::{parse_serve_args, run_serve, ServeOptions, ServeSummary};
 use shapdb_circuit::VarId;
 use shapdb_core::aggregate::{AggregateError, AggregateGame};
 use shapdb_core::engine::{
-    EngineKind, EngineValues, Measure, PlannerConfig, QueryAggregate, QueryBatch, QueryDriver,
-    QueryTopK, ShapleyCache,
+    EngineKind, EngineValues, Measure, PlannerConfig, QueryBatch, QueryDriver, QueryTopK,
+    ShapleyCache,
 };
 use shapdb_data::{Database, FactId, Value};
 use shapdb_metrics::counters::{
@@ -115,17 +115,6 @@ pub enum Aggregate {
     Count,
     /// Attribute the SUM(head column) game over all answers.
     Sum(usize),
-}
-
-impl Aggregate {
-    /// The game this mode attributes (`None` for per-answer attribution).
-    fn game(self) -> Option<AggregateGame> {
-        match self {
-            Aggregate::None => None,
-            Aggregate::Count => Some(AggregateGame::Count),
-            Aggregate::Sum(column) => Some(AggregateGame::Sum(column)),
-        }
-    }
 }
 
 /// Parsed command line.
@@ -526,36 +515,42 @@ pub fn run(cfg: &Config) -> Result<String, CliError> {
     // timeout still applies through the planner.
     let exact = EngineChoice::Exact.planner_config(cfg.timeout);
     if let Some(k) = cfg.top_k {
-        return render_topk(&db, &q, driver.topk(&db, &q, exact, k), k, cfg.top);
+        return render_topk(&db, &q, driver.topk(&db, &q, exact, k), cfg.top);
     }
-    match cfg.aggregate.game() {
-        Some(game) => {
-            let run = driver.aggregate(&db, &q, exact, game);
-            render_aggregate(&db, &q, game, run, cfg.top)
-        }
-        None => {
+    let game = match cfg.aggregate {
+        Aggregate::None => {
             let policy = cfg.engine.planner_config(cfg.timeout);
-            render_batch(&db, &q, driver.batch(&db, &q, policy, &[cfg.measure]), cfg)
+            return render_batch(&db, &q, driver.batch(&db, &q, policy, &[cfg.measure]), cfg);
         }
-    }
+        Aggregate::Count => AggregateGame::Count,
+        Aggregate::Sum(column) => AggregateGame::Sum(column),
+    };
+    let (answers, attributions) = driver
+        .aggregate(&db, &q, exact, game)
+        .map_err(|e| match e {
+            AggregateError::Analysis(e) => err(format!("aggregate attribution failed: {e}")),
+            column => err(column.to_string()),
+        })?;
+    let mut out = header(&db, answers, &q);
+    out.push_str(match cfg.aggregate {
+        Aggregate::Count => "COUNT(*) attribution:\n",
+        _ => "SUM attribution:\n",
+    });
+    render_exact(&mut out, &db, cfg.top, &attributions);
+    Ok(out)
 }
 
 /// The `--top-k` report: the `k` best answers by their best fact's value,
 /// with what the stream filter and the admission loop left unsolved.
-fn render_topk(
-    db: &Database,
-    q: &Ucq,
-    run: QueryTopK,
-    k: usize,
-    top: usize,
-) -> Result<String, CliError> {
+fn render_topk(db: &Database, q: &Ucq, run: QueryTopK, top: usize) -> Result<String, CliError> {
     let report = run
         .report
         .map_err(|e| err(format!("top-k ranking failed: {e}")))?;
     let mut out = header(db, report.answers, q);
     out.push_str(&format!(
-        "top-{k}: solved {} answer(s) ({} structure(s)), pruned {} answer(s) \
+        "top-{}: solved {} answer(s) ({} structure(s)), pruned {} answer(s) \
          ({} structure(s)) unsolved; peak {} streamed literal(s)\n",
+        report.k,
         report.solved_answers,
         report.solved_structures,
         report.pruned_answers,
@@ -575,27 +570,6 @@ fn render_topk(
         };
         render_exact(&mut out, db, top, values);
     }
-    Ok(out)
-}
-
-/// The `--agg` report: the COUNT/SUM game's attribution over all answers.
-fn render_aggregate(
-    db: &Database,
-    q: &Ucq,
-    game: AggregateGame,
-    run: Result<QueryAggregate, AggregateError>,
-    top: usize,
-) -> Result<String, CliError> {
-    let run = run.map_err(|e| match e {
-        AggregateError::Analysis(e) => err(format!("aggregate attribution failed: {e}")),
-        column => err(column.to_string()),
-    })?;
-    let mut out = header(db, run.answers, q);
-    out.push_str(match game {
-        AggregateGame::Count => "COUNT(*) attribution:\n",
-        AggregateGame::Sum(_) => "SUM attribution:\n",
-    });
-    render_exact(&mut out, db, top, &run.attributions);
     Ok(out)
 }
 

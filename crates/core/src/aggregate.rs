@@ -15,11 +15,11 @@
 //! Each membership `[t̄ ∈ q(·)]` is a Boolean game — exactly the per-tuple
 //! game `q[x̄/t̄]` the paper studies — and the Shapley value is linear in the
 //! game, so the aggregate attribution of a fact is the (weighted) sum of its
-//! per-tuple Shapley values. The per-tuple games run as one batch through
-//! the query driver ([`crate::engine::QueryDriver::aggregate`], or
-//! [`count_shapley`]/[`sum_shapley`] on lineages already in hand), so
-//! structurally identical answers are solved once, the result cache and
-//! the worker threads apply, and zero-weight answers are never solved.
+//! per-tuple Shapley values. The per-tuple games run as one batch of the
+//! query driver ([`QueryDriver::aggregate`], or [`count_shapley`] and
+//! [`sum_shapley`] on lineages already in hand), so structurally identical
+//! answers are solved once, the result cache and the worker threads apply,
+//! and zero-weight answers are never solved.
 //! Every solve takes the usual routes (read-once fast path, else knowledge
 //! compilation), so the whole computation stays polynomial whenever the
 //! per-tuple computations are.
@@ -28,13 +28,13 @@
 //! here, as in the paper.
 
 use crate::engine::{
-    exact_mode_error, AnalysisError, EngineError, EngineResult, EngineValues, Planner,
-    PlannerConfig, QueryDriver,
+    exact_mode_error, AnalysisError, EngineValues, Measure, Planner, PlannerConfig, QueryDriver,
 };
 use shapdb_circuit::{Dnf, VarId};
-use shapdb_data::Value;
+use shapdb_data::{Database, Value};
 use shapdb_kc::Budget;
 use shapdb_num::Rational;
+use shapdb_query::{evaluate, Ucq};
 use std::collections::HashMap;
 
 /// Per-fact attribution for an aggregate game, sorted by decreasing value.
@@ -53,16 +53,14 @@ pub enum AggregateGame {
 impl AggregateGame {
     /// The weight of the answer with head tuple `tuple`.
     pub fn weight(self, tuple: &[Value]) -> Result<Rational, AggregateError> {
-        match self {
-            AggregateGame::Count => Ok(Rational::one()),
-            AggregateGame::Sum(column) => {
-                let value = tuple
-                    .get(column)
-                    .ok_or(AggregateError::ColumnOutOfRange(column))?;
-                let int = value.as_int().ok_or(AggregateError::NotAnInteger(column))?;
-                Ok(Rational::from_int(int))
-            }
-        }
+        let AggregateGame::Sum(column) = self else {
+            return Ok(Rational::one());
+        };
+        let value = tuple
+            .get(column)
+            .ok_or(AggregateError::ColumnOutOfRange(column))?;
+        let int = value.as_int().ok_or(AggregateError::NotAnInteger(column))?;
+        Ok(Rational::from_int(int))
     }
 }
 
@@ -75,12 +73,6 @@ pub enum AggregateError {
     NotAnInteger(usize),
     /// A per-answer solve exceeded its budget.
     Analysis(AnalysisError),
-}
-
-impl From<AnalysisError> for AggregateError {
-    fn from(e: AnalysisError) -> AggregateError {
-        AggregateError::Analysis(e)
-    }
 }
 
 impl std::fmt::Display for AggregateError {
@@ -104,8 +96,11 @@ pub fn count_shapley(
     n_endo: usize,
     budget: &Budget,
 ) -> Result<AggregateAttributions, AnalysisError> {
-    let weights = vec![Rational::one(); lineages.len()];
-    fold(lineages, &weights, n_endo, budget)
+    let weighted: Vec<(Dnf, Rational)> = lineages
+        .iter()
+        .map(|l| (l.clone(), Rational::one()))
+        .collect();
+    sum_shapley(&weighted, n_endo, budget)
 }
 
 /// Shapley values of the weighted-sum game:
@@ -114,27 +109,10 @@ pub fn count_shapley(
 /// `weighted` pairs each potential output tuple's endogenous lineage with
 /// its weight (for SUM over a numeric column, the column value; negative
 /// weights are fine). By linearity,
-/// `Shapley(v, f) = Σ_t w_t · Shapley(q[x̄/t̄], f)`. Zero-weight tuples are
-/// skipped; the rest run as one batch, so structurally identical lineages
-/// are solved once. Every solve runs under `budget`, whose deadline bounds
-/// compilation and Algorithm 1 alike.
+/// `Shapley(v, f) = Σ_t w_t · Shapley(q[x̄/t̄], f)`. Every solve runs under
+/// `budget`, whose deadline bounds compilation and Algorithm 1 alike.
 pub fn sum_shapley(
     weighted: &[(Dnf, Rational)],
-    n_endo: usize,
-    budget: &Budget,
-) -> Result<AggregateAttributions, AnalysisError> {
-    let (lineages, weights): (Vec<Dnf>, Vec<Rational>) = weighted
-        .iter()
-        .filter(|(_, w)| !w.is_zero())
-        .cloned()
-        .unzip();
-    fold(&lineages, &weights, n_endo, budget)
-}
-
-/// The lineage-level fold: one exact-mode batch over every core.
-fn fold(
-    lineages: &[Dnf],
-    weights: &[Rational],
     n_endo: usize,
     budget: &Budget,
 ) -> Result<AggregateAttributions, AnalysisError> {
@@ -143,29 +121,59 @@ fn fold(
         ..QueryDriver::default()
     };
     let planner = Planner::new(PlannerConfig::default());
-    Ok(driver
-        .fold(planner, lineages, weights, n_endo)?
-        .attributions)
+    driver.fold(planner, weighted.to_vec(), n_endo)
 }
 
-/// `Σ_t w_t · φ_t(f)` per fact `f` over exact per-answer results, sorted
-/// by decreasing value with null players omitted.
-pub(crate) fn weighted_sum<'a>(
-    results: impl Iterator<Item = (&'a Result<EngineResult, EngineError>, &'a Rational)>,
-) -> Result<AggregateAttributions, AnalysisError> {
-    let mut acc: HashMap<VarId, Rational> = HashMap::new();
-    for (result, weight) in results {
-        let result = result.as_ref().map_err(|e| exact_mode_error(e.clone()))?;
-        let EngineValues::Exact(pairs) = &result.values else {
-            unreachable!("exact-mode planner yields exact values");
-        };
-        for (fact, shapley) in pairs {
-            *acc.entry(*fact).or_insert_with(Rational::zero) += &(shapley * weight);
+impl QueryDriver {
+    /// The COUNT/SUM game over `q`'s answers, weighted from each head
+    /// tuple; returns the answer count and the attribution. `cfg` must be
+    /// exact-mode (no fallback, no forced inexact engine).
+    pub fn aggregate(
+        &self,
+        db: &Database,
+        q: &Ucq,
+        cfg: PlannerConfig,
+        game: AggregateGame,
+    ) -> Result<(usize, AggregateAttributions), AggregateError> {
+        let outputs = evaluate(q, db).outputs;
+        let answers = outputs.len();
+        let mut weighted = Vec::with_capacity(answers);
+        for out in outputs {
+            let weight = game.weight(&out.tuple)?;
+            if !weight.is_zero() {
+                weighted.push((out.endo_lineage(db), weight));
+            }
         }
+        let planner = Planner::for_query(cfg, q);
+        let attributions = self.fold(planner, weighted, db.num_endogenous());
+        Ok((answers, attributions.map_err(AggregateError::Analysis)?))
     }
-    let mut out: Vec<(VarId, Rational)> = acc.into_iter().filter(|(_, v)| !v.is_zero()).collect();
-    out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    Ok(out)
+
+    /// `Σ_t w_t · Shapley(t, f)` per fact `f` over one batch run of the
+    /// non-zero-weight lineages: one solve per distinct structure.
+    fn fold(
+        &self,
+        planner: Planner,
+        mut weighted: Vec<(Dnf, Rational)>,
+        n_endo: usize,
+    ) -> Result<AggregateAttributions, AnalysisError> {
+        weighted.retain(|(_, w)| !w.is_zero());
+        let (lineages, weights): (Vec<Dnf>, Vec<Rational>) = weighted.into_iter().unzip();
+        let report = self.run(planner, &lineages, n_endo, &[Measure::Shapley]);
+        let mut acc: HashMap<VarId, Rational> = HashMap::new();
+        for (item, weight) in report.items.into_iter().zip(&weights) {
+            let EngineValues::Exact(pairs) = item.result.map_err(exact_mode_error)?.values else {
+                unreachable!("exact-mode planner yields exact values");
+            };
+            for (fact, value) in pairs {
+                *acc.entry(fact).or_insert_with(Rational::zero) += &(&value * weight);
+            }
+        }
+        let mut out: Vec<(VarId, Rational)> =
+            acc.into_iter().filter(|(_, v)| !v.is_zero()).collect();
+        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
@@ -259,15 +267,16 @@ mod tests {
         assert_eq!(total, Rational::from_int(3)); // all 3 tuples need facts
     }
 
-    /// `S(a, b)` endogenous over `a ∈ {0, 1}`, `b ∈ {10, 11, 12}`, and the
-    /// exogenous weights `H(10, 3)`, `H(11, 0)`, `H(12, 5)`.
+    /// `S(a, b)` endogenous: `a ∈ {0, 1}` for `b ∈ {10, 12}` and
+    /// `a ∈ {0, 1, 2}` for `b = 11`; the exogenous weights `H(10, 3)`,
+    /// `H(11, 0)`, `H(12, 5)`.
     fn star_database() -> shapdb_data::Database {
         use shapdb_data::{Database, Value};
         let mut db = Database::new();
         db.create_relation("S", &["a", "b"]);
         db.create_relation("H", &["b", "w"]);
-        for b in [10, 11, 12] {
-            for a in [0, 1] {
+        for (b, width) in [(10, 2), (11, 3), (12, 2)] {
+            for a in 0..width {
                 db.insert_endo("S", vec![Value::int(a), Value::int(b)]);
             }
         }
@@ -277,46 +286,57 @@ mod tests {
         db
     }
 
+    /// A driver with a fresh result cache, whose misses count the
+    /// structures it solved.
+    fn cached_driver() -> QueryDriver {
+        QueryDriver {
+            cache: Some(std::sync::Arc::new(crate::engine::ShapleyCache::new())),
+            ..QueryDriver::default()
+        }
+    }
+
     #[test]
-    fn count_runs_one_engine_per_distinct_structure() {
-        // Three answers, each `S(0, b) ∨ S(1, b)`: one structure.
+    fn count_solves_each_distinct_structure_once() {
+        // Three answers, two structures: `S(0, b) ∨ S(1, b)` for b = 10 and
+        // b = 12, a three-way disjunction for b = 11.
         let db = star_database();
         let q = shapdb_query::parse_ucq("q(b) :- S(a, b)").unwrap();
-        let run = QueryDriver::default()
+        let driver = cached_driver();
+        let (answers, attributions) = driver
             .aggregate(&db, &q, PlannerConfig::default(), AggregateGame::Count)
             .unwrap();
-        assert_eq!(run.answers, 3);
-        assert_eq!(run.report.dedup.tasks, 3);
-        assert_eq!(run.report.dedup.distinct, 1);
-        assert_eq!(run.report.profile.engine_runs(), 1);
-        assert_eq!(run.attributions.len(), 6);
-        assert!(run
-            .attributions
-            .iter()
-            .all(|(_, v)| v == &Rational::from_ratio(1, 2)));
+        assert_eq!(answers, 3);
+        let stats = driver.cache.unwrap().stats();
+        assert_eq!((stats.misses, stats.len), (2, 2));
+        let third = Rational::from_ratio(1, 3);
+        let half = Rational::from_ratio(1, 2);
+        let expected: Vec<(VarId, Rational)> = [(0, &half), (1, &half), (5, &half), (6, &half)]
+            .into_iter()
+            .chain([(2, &third), (3, &third), (4, &third)])
+            .map(|(f, v)| (VarId(f), v.clone()))
+            .collect();
+        assert_eq!(attributions, expected);
     }
 
     #[test]
     fn sum_never_solves_zero_weight_answers() {
+        // b = 11 weighs 0: it counts as an answer, but its structure (the
+        // only three-way one) never reaches an engine or the cache.
         let db = star_database();
         let q = shapdb_query::parse_ucq("q(b, w) :- S(a, b), H(b, w)").unwrap();
-        let run = QueryDriver::default()
+        let driver = cached_driver();
+        let (answers, attributions) = driver
             .aggregate(&db, &q, PlannerConfig::default(), AggregateGame::Sum(1))
             .unwrap();
-        // b = 11 weighs 0: counted as an answer, never handed to the batch.
-        assert_eq!(run.answers, 3);
-        assert_eq!(run.report.dedup.tasks, 2);
-        assert_eq!(run.report.profile.engine_runs(), 1);
-        let values: Vec<(u32, Rational)> = run
-            .attributions
-            .iter()
-            .map(|(f, v)| (f.0, v.clone()))
-            .collect();
+        assert_eq!(answers, 3);
+        let stats = driver.cache.unwrap().stats();
+        assert_eq!((stats.misses, stats.len), (1, 1));
         let (three, five) = (Rational::from_ratio(3, 2), Rational::from_ratio(5, 2));
-        assert_eq!(
-            values,
-            vec![(4, five.clone()), (5, five), (0, three.clone()), (1, three)]
-        );
+        let expected: Vec<(VarId, Rational)> = [(5, &five), (6, &five), (0, &three), (1, &three)]
+            .into_iter()
+            .map(|(f, v)| (VarId(f), v.clone()))
+            .collect();
+        assert_eq!(attributions, expected);
     }
 
     #[test]

@@ -1,33 +1,18 @@
-//! The one-shot query driver: Figure 3's flow from a query to attributed
-//! answers, written once for every one-shot surface.
-//!
-//! The paper's pipeline evaluates the query with provenance, projects each
-//! answer's lineage onto the endogenous facts and hands it to an engine,
-//! with the §6.3 hybrid as a policy on top. [`QueryDriver`] owns those
-//! stages for the facade's `explain*`/`rank*` calls, the CLI and the
-//! COUNT/SUM games:
-//!
-//! * the planner: [`Planner::for_query`] on the caller's
-//!   [`PlannerConfig`], with the caller's result cache attached;
-//! * evaluation ([`QueryDriver::batch`]) or the bounded lineage stream
-//!   ([`QueryDriver::topk`], [`STREAM_CHUNK`] answers in flight);
-//! * endogenous projection, `n_endo` and head-tuple capture;
-//! * the hand-off to [`BatchExecutor::run`] or [`TopKExecutor::run`].
-//!
-//! The aggregate games ([`QueryDriver::aggregate`]) are a weighted fold
-//! over one batch run: by linearity a fact's COUNT/SUM value is the
-//! weighted sum of its per-answer Shapley values, so they get the batch's
-//! structural dedup, result cache and worker threads.
+//! The one-shot query driver: Figure 3's flow — evaluate the query with
+//! provenance, project each answer's lineage onto the endogenous facts,
+//! hand the lineages to an executor — written once for the facade, the
+//! CLI and the aggregate games (`QueryDriver::aggregate` in
+//! [`crate::aggregate`]). The engine policy, §6.3's hybrid included, is
+//! the [`PlannerConfig`] each call passes; the driver builds
+//! [`Planner::for_query`] from it with the caller's result cache.
 
 use super::{
     AnalysisError, BatchExecutor, BatchReport, EngineError, Measure, Planner, PlannerConfig,
     ShapleyCache, TopKExecutor, TopKReport,
 };
-use crate::aggregate::{weighted_sum, AggregateAttributions, AggregateError, AggregateGame};
 use shapdb_circuit::Dnf;
 use shapdb_data::{Database, Value};
 use shapdb_kc::Budget;
-use shapdb_num::Rational;
 use shapdb_query::{evaluate, with_streamed_lineages, StreamStats, Ucq};
 use std::sync::Arc;
 
@@ -72,18 +57,6 @@ pub struct QueryTopK {
     pub report: Result<TopKReport, EngineError>,
     /// What the streamed extraction observed.
     pub stream: StreamStats,
-}
-
-/// A [`QueryDriver::aggregate`] run.
-#[derive(Clone, Debug)]
-pub struct QueryAggregate {
-    /// Answers of the query, zero-weight ones included.
-    pub answers: usize,
-    /// Per-fact values of the game, sorted by decreasing value; null
-    /// players omitted.
-    pub attributions: AggregateAttributions,
-    /// The batch run over the non-zero-weight answers.
-    pub report: BatchReport,
 }
 
 impl QueryDriver {
@@ -138,51 +111,7 @@ impl QueryDriver {
         }
     }
 
-    /// The COUNT/SUM game over `q`'s answers, weighted from each head
-    /// tuple. Zero-weight answers are never projected or solved. `cfg` must
-    /// be exact-mode (no fallback, no forced inexact engine).
-    pub fn aggregate(
-        &self,
-        db: &Database,
-        q: &Ucq,
-        cfg: PlannerConfig,
-        game: AggregateGame,
-    ) -> Result<QueryAggregate, AggregateError> {
-        let outputs = evaluate(q, db).outputs;
-        let answers = outputs.len();
-        let (mut lineages, mut weights) = (Vec::new(), Vec::new());
-        for out in outputs {
-            let weight = game.weight(&out.tuple)?;
-            if !weight.is_zero() {
-                lineages.push(out.endo_lineage(db));
-                weights.push(weight);
-            }
-        }
-        let planner = Planner::for_query(cfg, q);
-        let folded = self.fold(planner, &lineages, &weights, db.num_endogenous())?;
-        Ok(QueryAggregate { answers, ..folded })
-    }
-
-    /// The weighted fold over one batch run: `Σ_t w_t · Shapley(t, f)` per
-    /// fact `f`, one Shapley solve per distinct lineage structure.
-    pub(crate) fn fold(
-        &self,
-        planner: Planner,
-        lineages: &[Dnf],
-        weights: &[Rational],
-        n_endo: usize,
-    ) -> Result<QueryAggregate, AnalysisError> {
-        let report = self.run(planner, lineages, n_endo, &[Measure::Shapley]);
-        let results = report.items.iter().map(|item| &item.result);
-        let attributions = weighted_sum(results.zip(weights))?;
-        Ok(QueryAggregate {
-            answers: lineages.len(),
-            attributions,
-            report,
-        })
-    }
-
-    fn run(
+    pub(crate) fn run(
         &self,
         planner: Planner,
         lineages: &[Dnf],

@@ -57,9 +57,7 @@ mod topk;
 
 pub use batch::{BatchExecutor, BatchItem, BatchReport};
 pub use cache::{CacheKey, CacheStats, ShapleyCache};
-pub use driver::{
-    exact_mode_error, QueryAggregate, QueryBatch, QueryDriver, QueryTopK, STREAM_CHUNK,
-};
+pub use driver::{exact_mode_error, QueryBatch, QueryDriver, QueryTopK, STREAM_CHUNK};
 pub use engines::{
     KcEngine, KernelShapEngine, MonteCarloEngine, NaiveEngine, ProxyEngine, ReadOnceEngine,
 };

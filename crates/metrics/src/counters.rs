@@ -74,8 +74,10 @@ impl Counter {
     /// [`Profile`]; returns the new global value.
     pub fn add(&self, n: u64) -> u64 {
         if self.slot != UNREGISTERED {
-            Profile::with_active(|profile| {
-                profile.cells[self.slot].fetch_add(n, Ordering::Relaxed);
+            let _ = ACTIVE.try_with(|active| {
+                if let Some(profile) = &*active.borrow() {
+                    profile.cells[self.slot].fetch_add(n, Ordering::Relaxed);
+                }
             });
         }
         self.value.fetch_add(n, Ordering::Relaxed) + n
@@ -304,15 +306,6 @@ impl Profile {
     /// The calling thread's active profile, for workers to enter.
     pub fn current() -> Option<Arc<Profile>> {
         ACTIVE.with(|active| active.borrow().clone())
-    }
-
-    /// Runs `f` on the calling thread's active profile, if any.
-    pub(crate) fn with_active(f: impl FnOnce(&Profile)) {
-        let _ = ACTIVE.try_with(|active| {
-            if let Some(profile) = &*active.borrow() {
-                f(profile);
-            }
-        });
     }
 
     /// The per-route compile/solve timings recorded in this profile.

@@ -46,11 +46,6 @@ impl TimingHisto {
         }
     }
 
-    /// The histogram's registry name (`route.phase`, e.g. `kc.compile`).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Records one duration.
     pub fn record(&self, d: Duration) {
         let us = d.as_micros().min(u64::MAX as u128) as u64;
@@ -87,6 +82,18 @@ impl TimingHisto {
         }
         self.count.store(0, Ordering::Relaxed);
         self.total_us.store(0, Ordering::Relaxed);
+    }
+}
+
+impl Clone for TimingHisto {
+    fn clone(&self) -> TimingHisto {
+        let s = self.snapshot();
+        TimingHisto {
+            name: s.name,
+            buckets: s.buckets.map(AtomicU64::new),
+            count: AtomicU64::new(s.count),
+            total_us: AtomicU64::new(s.total_us),
+        }
     }
 }
 
@@ -129,41 +136,24 @@ impl TimingSnapshot {
     }
 }
 
-/// The route histograms of a [`Profile`], compile before solve per route.
-/// Route names match the engine registry's `EngineKind::name` values, so
-/// the engine layer records under `engine.name()` verbatim.
-const ROUTE_HISTOS: [&str; 12] = [
-    "readonce.compile",
-    "readonce.solve",
-    "naive.compile",
-    "naive.solve",
-    "kc.compile",
-    "kc.solve",
-    "proxy.compile",
-    "proxy.solve",
-    "montecarlo.compile",
-    "montecarlo.solve",
-    "kernelshap.compile",
-    "kernelshap.solve",
+/// Each route's name, as the engine registry's `EngineKind::name` gives
+/// it, with the names of its compile and solve histograms.
+const ROUTES: [(&str, [&str; 2]); 6] = [
+    ("readonce", ["readonce.compile", "readonce.solve"]),
+    ("naive", ["naive.compile", "naive.solve"]),
+    ("kc", ["kc.compile", "kc.solve"]),
+    ("proxy", ["proxy.compile", "proxy.solve"]),
+    ("montecarlo", ["montecarlo.compile", "montecarlo.solve"]),
+    ("kernelshap", ["kernelshap.compile", "kernelshap.solve"]),
 ];
 
-/// One profile's per-route compile/solve histograms.
-#[derive(Debug)]
-pub struct RouteTimings([TimingHisto; ROUTE_HISTOS.len()]);
+/// One profile's compile and solve histograms, per route.
+#[derive(Clone, Debug)]
+pub struct RouteTimings([[TimingHisto; 2]; ROUTES.len()]);
 
 impl RouteTimings {
     pub(crate) fn new() -> RouteTimings {
-        RouteTimings(std::array::from_fn(|i| TimingHisto::new(ROUTE_HISTOS[i])))
-    }
-
-    /// Records one task's durations under `route`; unknown routes are
-    /// ignored so the registry can grow engines freely.
-    fn record(&self, route: &str, compile: Duration, solve: Duration) {
-        let mut pair = self.0.chunks_exact(2);
-        if let Some([c, s]) = pair.find(|p| p[0].name().strip_suffix(".compile") == Some(route)) {
-            c.record(compile);
-            s.record(solve);
-        }
+        RouteTimings(ROUTES.map(|(_, names)| names.map(TimingHisto::new)))
     }
 
     /// Snapshots of every histogram with at least one recording, compile
@@ -171,31 +161,24 @@ impl RouteTimings {
     pub fn active(&self) -> Vec<TimingSnapshot> {
         self.0
             .iter()
+            .flatten()
             .filter(|h| h.count() > 0)
             .map(TimingHisto::snapshot)
             .collect()
     }
 }
 
-impl Clone for RouteTimings {
-    fn clone(&self) -> RouteTimings {
-        RouteTimings(std::array::from_fn(|i| {
-            let (from, to) = (&self.0[i], TimingHisto::new(ROUTE_HISTOS[i]));
-            for (a, b) in to.buckets.iter().zip(&from.buckets) {
-                a.store(b.load(Ordering::Relaxed), Ordering::Relaxed);
-            }
-            to.count.store(from.count(), Ordering::Relaxed);
-            to.total_us
-                .store(from.total_us.load(Ordering::Relaxed), Ordering::Relaxed);
-            to
-        }))
-    }
-}
-
 /// Records one task's prep/compile and solve durations under its route
 /// name into the calling thread's active [`Profile`] (none: not recorded).
+/// Unknown route names are ignored, so the registry can grow engines
+/// freely.
 pub fn record_route(route: &str, compile: Duration, solve: Duration) {
-    Profile::with_active(|profile| profile.routes().record(route, compile, solve));
+    let r = ROUTES.iter().position(|(name, _)| *name == route);
+    if let (Some(r), Some(profile)) = (r, Profile::current()) {
+        let [c, s] = &profile.routes().0[r];
+        c.record(compile);
+        s.record(solve);
+    }
 }
 
 #[cfg(test)]

@@ -29,6 +29,13 @@
 //! assert_eq!(top.1.to_string(), "43/105");
 //! ```
 //!
+//! Every call is a policy over one driver,
+//! [`core::engine::QueryDriver`]: the analyzer holds the driver's budget,
+//! thread count and result cache, builds the call's
+//! [`core::engine::PlannerConfig`] and converts the driver's batch, top-k
+//! or aggregate run into its report. Evaluation, the lineage stream,
+//! endogenous projection and the executors live behind the driver only.
+//!
 //! The sub-crates are re-exported under short names: [`num`], [`data`],
 //! [`query`], [`circuit`], [`kc`], [`prob`], [`core`], [`metrics`],
 //! [`workloads`].
@@ -442,10 +449,8 @@ impl<'a> ShapleyAnalyzer<'a> {
         q: &Ucq,
         game: AggregateGame,
     ) -> Result<Vec<(FactId, Rational)>, AggregateError> {
-        let run = self
-            .driver
-            .aggregate(self.db, q, PlannerConfig::default(), game)?;
-        Ok(facts(run.attributions))
+        let cfg = PlannerConfig::default();
+        Ok(facts(self.driver.aggregate(self.db, q, cfg, game)?.1))
     }
 
     /// Causal responsibility (Meliou et al. 2010) of every fact, per output
