@@ -96,11 +96,8 @@ pub fn count_shapley(
     n_endo: usize,
     budget: &Budget,
 ) -> Result<AggregateAttributions, AnalysisError> {
-    let weighted: Vec<(Dnf, Rational)> = lineages
-        .iter()
-        .map(|l| (l.clone(), Rational::one()))
-        .collect();
-    sum_shapley(&weighted, n_endo, budget)
+    let weighted = lineages.iter().map(|l| (l.clone(), Rational::one()));
+    exact_fold(weighted.collect(), n_endo, budget)
 }
 
 /// Shapley values of the weighted-sum game:
@@ -109,10 +106,21 @@ pub fn count_shapley(
 /// `weighted` pairs each potential output tuple's endogenous lineage with
 /// its weight (for SUM over a numeric column, the column value; negative
 /// weights are fine). By linearity,
-/// `Shapley(v, f) = Σ_t w_t · Shapley(q[x̄/t̄], f)`. Every solve runs under
-/// `budget`, whose deadline bounds compilation and Algorithm 1 alike.
+/// `Shapley(v, f) = Σ_t w_t · Shapley(q[x̄/t̄], f)`. Zero-weight tuples are
+/// skipped. Every solve runs under `budget`, whose deadline bounds
+/// compilation and Algorithm 1 alike.
 pub fn sum_shapley(
     weighted: &[(Dnf, Rational)],
+    n_endo: usize,
+    budget: &Budget,
+) -> Result<AggregateAttributions, AnalysisError> {
+    let nonzero = weighted.iter().filter(|(_, w)| !w.is_zero()).cloned();
+    exact_fold(nonzero.collect(), n_endo, budget)
+}
+
+/// [`QueryDriver::fold`] under the default exact-mode policy on all cores.
+fn exact_fold(
+    weighted: Vec<(Dnf, Rational)>,
     n_endo: usize,
     budget: &Budget,
 ) -> Result<AggregateAttributions, AnalysisError> {
@@ -120,8 +128,7 @@ pub fn sum_shapley(
         budget: *budget,
         ..QueryDriver::default()
     };
-    let planner = Planner::new(PlannerConfig::default());
-    driver.fold(planner, weighted.to_vec(), n_endo)
+    driver.fold(Planner::new(PlannerConfig::default()), weighted, n_endo)
 }
 
 impl QueryDriver {
@@ -150,14 +157,13 @@ impl QueryDriver {
     }
 
     /// `Σ_t w_t · Shapley(t, f)` per fact `f` over one batch run of the
-    /// non-zero-weight lineages: one solve per distinct structure.
+    /// weighted lineages: one solve per distinct structure.
     fn fold(
         &self,
         planner: Planner,
-        mut weighted: Vec<(Dnf, Rational)>,
+        weighted: Vec<(Dnf, Rational)>,
         n_endo: usize,
     ) -> Result<AggregateAttributions, AnalysisError> {
-        weighted.retain(|(_, w)| !w.is_zero());
         let (lineages, weights): (Vec<Dnf>, Vec<Rational>) = weighted.into_iter().unzip();
         let report = self.run(planner, &lineages, n_endo, &[Measure::Shapley]);
         let mut acc: HashMap<VarId, Rational> = HashMap::new();
