@@ -45,7 +45,7 @@
 //! (`la·lb·wa·wb` limb multiplications) against NTT work (`k` transforms
 //! plus residue reduction plus CRT), the NTT units weighted by the fixed
 //! cost of a Montgomery multiply relative to a limb multiply-accumulate,
-//! [`NTT_COST_PERMILLE`]. The ratio is a constant, not a timing taken at
+//! `NTT_COST_PERMILLE`. The ratio is a constant, not a timing taken at
 //! run time, so the route of every convolution — and the
 //! `num.ntt_convolutions` count, which each convolution routed here
 //! increments — is the same in every run on every machine.
