@@ -128,8 +128,9 @@ bench-rank:
 	cargo bench --bench rank_topk -p shapdb_bench
 
 # Streamed lineage extraction (answer pass + per-answer passes) over the
-# JOB generator at 4k, 8k and 12k movies; warns when time grows more than
-# 1.3x faster than linear. Writes results/bench_stream.json.
+# JOB generator at 4k, 8k and 12k movies, full and endogenous lineages;
+# warns when either grows more than 1.3x faster than linear. Writes
+# results/bench_stream.json.
 bench-stream:
 	cargo bench --bench scalability -p shapdb_bench -- stream_scale
 

@@ -3,11 +3,12 @@
 //!
 //! The corpus is the seeded JOB-style generator at bench scale
 //! (`JobConfig::default()`, ≥ 10⁴ answers — one per movie — over ~2·10⁵
-//! base tuples). Lineages are extracted **streamed** once: each answer's
-//! provenance flows through the bounded channel (peak memory stays
-//! chunk-bounded) and its endogenous lineage is kept, so every pass below
-//! hands the executor the same raw lineages in stream order, as the
-//! facade and the CLI do from inside the stream.
+//! base tuples). Lineages are extracted **streamed** once, the way the
+//! query driver does on one worker: each answer's endogenous lineage is
+//! built on the caller's thread (exogenous facts dropped as derivations
+//! are produced, one answer in flight) and kept, so every pass below hands
+//! the executor the same raw lineages in stream order, as the facade and
+//! the CLI do from inside the stream.
 //!
 //! Series (single worker, fresh planner + result cache per pass, so every
 //! number is a cold solve):
@@ -41,14 +42,13 @@ use shapdb_core::engine::{
 };
 use shapdb_kc::Budget;
 use shapdb_num::Rational;
-use shapdb_query::with_streamed_lineages;
+use shapdb_query::{with_inline_lineages, LineageKind};
 use shapdb_workloads::{job_database, job_ranking_query, JobConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
 const KS: [usize; 3] = [1, 10, 100];
 const SAMPLES: usize = 3;
-const STREAM_CHUNK: usize = 256;
 
 /// One cold ranking pass: fresh planner, fresh result cache.
 fn rank(lineages: &[Dnf], k: usize, n_endo: usize) -> TopKReport {
@@ -73,13 +73,11 @@ fn main() {
     let q = job_ranking_query();
     let n_endo = db.num_endogenous();
 
-    // Streamed extraction: the endogenous lineage of each answer, taken
-    // inside the bounded channel's consumer.
+    // Streamed extraction: the endogenous lineage of each answer, built on
+    // this thread as the consumer asks for it.
     let t = Instant::now();
-    let (lineages, stream) = with_streamed_lineages(&q, &db, STREAM_CHUNK, |answers| {
-        answers
-            .map(|out| out.endo_lineage(&db))
-            .collect::<Vec<Dnf>>()
+    let (lineages, stream) = with_inline_lineages(&q, &db, LineageKind::Endogenous, |answers| {
+        answers.map(|out| out.lineage).collect::<Vec<Dnf>>()
     });
     let extract_ms = t.elapsed().as_nanos() as f64 / 1e6;
     let answers = lineages.len();
@@ -87,10 +85,9 @@ fn main() {
         answers >= 10_000,
         "the bench corpus must produce ≥ 10⁴ answers, got {answers}"
     );
-    assert!(
-        stream.peak_in_flight_literals <= (STREAM_CHUNK + 1) * stream.max_answer_literals,
-        "streamed peak {} exceeds the chunk bound",
-        stream.peak_in_flight_literals
+    assert_eq!(
+        stream.peak_in_flight_literals, stream.max_answer_literals,
+        "the inline stream holds one answer in flight"
     );
     println!(
         "JOB corpus: {} answers, {} endogenous facts, {} total lineage literals \
@@ -200,8 +197,7 @@ fn main() {
             "    \"n_endo\": {},\n",
             "    \"distinct_structures\": {},\n",
             "    \"total_lineage_literals\": {},\n",
-            "    \"peak_in_flight_literals\": {},\n",
-            "    \"stream_chunk\": {}\n",
+            "    \"peak_in_flight_literals\": {}\n",
             "  }},\n",
             "  \"extract_ms\": {:.3},\n",
             "  \"full_ms\": {:.3},\n",
@@ -216,7 +212,6 @@ fn main() {
         baseline.dedup.distinct,
         stream.total_literals,
         stream.peak_in_flight_literals,
-        STREAM_CHUNK,
         extract_ms,
         full_ns as f64 / 1e6,
         baseline.profile.engine_runs(),

@@ -6,9 +6,11 @@
 //!
 //! The `stream_scale` group times streamed lineage extraction
 //! ([`LineageStream`], answer pass plus every per-answer pass) over the JOB
-//! generator at 4k, 8k and 12k movies, seven interleaved rounds, writes
-//! `results/bench_stream.json`, and warns when the fastest round's time
-//! grows more than 1.3× faster than the movie count.
+//! generator at 4k, 8k and 12k movies, seven interleaved rounds, in two
+//! series: full lineages and endogenous ones (what the query driver
+//! streams). It writes `results/bench_stream.json` and warns when a
+//! series' fastest-round time grows more than 1.3× faster than the movie
+//! count.
 //!
 //! `cargo bench --bench scalability -p shapdb_bench -- <name>` runs only
 //! the groups whose name contains `<name>` (`make bench-stream` runs
@@ -20,7 +22,7 @@ use shapdb_bench::write_result;
 use shapdb_circuit::Circuit;
 use shapdb_core::engine::KcEngine;
 use shapdb_kc::Budget;
-use shapdb_query::{evaluate, LineageStream};
+use shapdb_query::{evaluate, LineageKind, LineageStream};
 use shapdb_workloads::{
     imdb_database, imdb_queries, job_database, job_ranking_query, tpch_database, tpch_queries,
     ImdbConfig, JobConfig, TpchConfig,
@@ -93,6 +95,10 @@ const STREAM_GROWTH_BAR: f64 = 1.3;
 fn bench_stream_scale(_: &mut Criterion) {
     const MOVIES: [usize; 3] = [4_000, 8_000, 12_000];
     const ROUNDS: usize = 7;
+    const KINDS: [(LineageKind, &str); 2] = [
+        (LineageKind::Full, "full"),
+        (LineageKind::Endogenous, "endogenous"),
+    ];
     let q = job_ranking_query();
     let dbs: Vec<_> = MOVIES
         .iter()
@@ -103,51 +109,61 @@ fn bench_stream_scale(_: &mut Criterion) {
             })
         })
         .collect();
-    // Sizes take turns, round by round, and the growth uses each size's
-    // fastest round: cores that change speed mid-run then slow every size
-    // alike instead of skewing the ratio.
-    let mut samples: Vec<Vec<Duration>> = vec![Vec::new(); MOVIES.len()];
+    // Sizes and series take turns, round by round, and the growth uses
+    // each size's fastest round: cores that change speed mid-run then slow
+    // every size alike instead of skewing the ratio.
+    let mut samples: Vec<Vec<Vec<Duration>>> = vec![vec![Vec::new(); MOVIES.len()]; KINDS.len()];
     let mut answers = vec![0; MOVIES.len()];
     for _ in 0..ROUNDS {
         for (i, db) in dbs.iter().enumerate() {
-            let start = Instant::now();
-            answers[i] = black_box(LineageStream::new(&q, db).count());
-            samples[i].push(start.elapsed());
+            for (series, &(kind, _)) in samples.iter_mut().zip(&KINDS) {
+                let start = Instant::now();
+                answers[i] = black_box(LineageStream::with_kind(&q, db, kind).count());
+                series[i].push(start.elapsed());
+            }
         }
     }
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    let mut rows = Vec::new();
-    let mut worst: f64 = 0.0;
-    let mut base_ms = 0.0;
-    for (i, (&movies, s)) in MOVIES.iter().zip(&mut samples).enumerate() {
-        s.sort_unstable();
-        let (min_ms, median_ms) = (ms(s[0]), ms(s[s.len() / 2]));
-        if i == 0 {
-            base_ms = min_ms;
+    let mut series_json = Vec::new();
+    for ((_, name), series) in KINDS.iter().zip(&mut samples) {
+        let mut rows = Vec::new();
+        let mut worst: f64 = 0.0;
+        let mut base_ms = 0.0;
+        for (i, (&movies, s)) in MOVIES.iter().zip(series.iter_mut()).enumerate() {
+            s.sort_unstable();
+            let (min_ms, median_ms) = (ms(s[0]), ms(s[s.len() / 2]));
+            if i == 0 {
+                base_ms = min_ms;
+            }
+            // 1.0 is exactly linear in the movie count.
+            let growth = (min_ms / base_ms) / (movies as f64 / MOVIES[0] as f64);
+            worst = worst.max(growth);
+            let id = format!("{name}/{movies}");
+            println!(
+                "stream_scale/{id:<48} min {min_ms:>9.2} ms | median {median_ms:>9.2} ms | n={ROUNDS}"
+            );
+            rows.push(format!(
+                "      {{\"movies\": {movies}, \"answers\": {}, \"min_ms\": {min_ms:.3}, \
+                 \"median_ms\": {median_ms:.3}, \"growth_over_linear\": {growth:.3}}}",
+                answers[i]
+            ));
         }
-        // 1.0 is exactly linear in the movie count.
-        let growth = (min_ms / base_ms) / (movies as f64 / MOVIES[0] as f64);
-        worst = worst.max(growth);
-        println!(
-            "stream_scale/{movies:<48} min {min_ms:>9.2} ms | median {median_ms:>9.2} ms | n={ROUNDS}"
-        );
-        rows.push(format!(
-            "    {{\"movies\": {movies}, \"answers\": {}, \"min_ms\": {min_ms:.3}, \
-             \"median_ms\": {median_ms:.3}, \"growth_over_linear\": {growth:.3}}}",
-            answers[i]
+        if worst > STREAM_GROWTH_BAR {
+            eprintln!(
+                "WARNING: {name} stream time grows {worst:.2}x faster than linear \
+                 (bar {STREAM_GROWTH_BAR}x)"
+            );
+        }
+        series_json.push(format!(
+            "    {{\"lineage\": \"{name}\", \"worst_growth_over_linear\": {worst:.3}, \
+             \"sizes\": [\n{}\n    ]}}",
+            rows.join(",\n")
         ));
-    }
-    if worst > STREAM_GROWTH_BAR {
-        eprintln!(
-            "WARNING: stream time grows {worst:.2}x faster than linear \
-             (bar {STREAM_GROWTH_BAR}x)"
-        );
     }
     let json = format!(
         "{{\n  \"bench\": \"stream_scale\",\n  \"rounds\": {ROUNDS},\n  \
-         \"growth_bar\": {STREAM_GROWTH_BAR},\n  \"worst_growth_over_linear\": {worst:.3},\n  \
-         \"sizes\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
+         \"growth_bar\": {STREAM_GROWTH_BAR},\n  \"series\": [\n{}\n  ]\n}}\n",
+        series_json.join(",\n")
     );
     write_result("bench_stream.json", "stream_scale summary", &json);
 }

@@ -34,7 +34,7 @@ use shapdb_circuit::{Dnf, VarId};
 use shapdb_data::{Database, Value};
 use shapdb_kc::Budget;
 use shapdb_num::Rational;
-use shapdb_query::{evaluate, Ucq};
+use shapdb_query::{evaluate_with, LineageKind, Ucq};
 use std::collections::HashMap;
 
 /// Per-fact attribution for an aggregate game, sorted by decreasing value.
@@ -142,13 +142,13 @@ impl QueryDriver {
         cfg: PlannerConfig,
         game: AggregateGame,
     ) -> Result<(usize, AggregateAttributions), AggregateError> {
-        let outputs = evaluate(q, db).outputs;
+        let outputs = evaluate_with(q, db, LineageKind::Endogenous).outputs;
         let answers = outputs.len();
         let mut weighted = Vec::with_capacity(answers);
         for out in outputs {
             let weight = game.weight(&out.tuple)?;
             if !weight.is_zero() {
-                weighted.push((out.endo_lineage(db), weight));
+                weighted.push((out.lineage, weight));
             }
         }
         let planner = Planner::for_query(cfg, q);

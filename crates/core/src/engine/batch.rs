@@ -146,11 +146,7 @@ impl BatchExecutor {
         let profile = Arc::new(Profile::new());
         let _run = profile.enter();
         let tasks = lineages.len();
-        let pool = if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        };
+        let pool = stages::worker_count(self.threads);
         for &m in measures {
             stages::record_measure_requests(m, tasks as u64);
         }

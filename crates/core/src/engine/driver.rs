@@ -1,24 +1,34 @@
 //! The one-shot query driver: Figure 3's flow — evaluate the query with
-//! provenance, project each answer's lineage onto the endogenous facts,
-//! hand the lineages to an executor — written once for the facade, the
-//! CLI and the aggregate games (`QueryDriver::aggregate` in
-//! [`crate::aggregate`]). The engine policy, §6.3's hybrid included, is
+//! provenance, partially evaluate each answer's lineage with the exogenous
+//! facts set to true, hand the lineages to an executor — written once for
+//! the facade, the CLI and the aggregate games (`QueryDriver::aggregate`
+//! in [`crate::aggregate`]). The engine policy, §6.3's hybrid included, is
 //! the [`PlannerConfig`] each call passes; the driver builds
 //! [`Planner::for_query`] from it with the caller's result cache.
+//!
+//! Every entry asks the query layer for [`LineageKind::Endogenous`]
+//! lineages, so exogenous facts are dropped as each derivation is produced
+//! and each answer's lineage is minimized once. The batch and aggregate
+//! entries materialize them ([`evaluate_with`]); top-k streams them, on
+//! the caller's thread when the driver has one worker and through a
+//! bounded channel from a producer thread otherwise.
 
 use super::{
-    AnalysisError, BatchExecutor, BatchReport, EngineError, Measure, Planner, PlannerConfig,
-    ShapleyCache, TopKExecutor, TopKReport,
+    stages, AnalysisError, BatchExecutor, BatchReport, EngineError, Measure, Planner,
+    PlannerConfig, ShapleyCache, TopKExecutor, TopKReport,
 };
 use shapdb_circuit::Dnf;
 use shapdb_data::{Database, Value};
 use shapdb_kc::Budget;
-use shapdb_query::{evaluate, with_streamed_lineages, StreamStats, Ucq};
+use shapdb_query::{
+    evaluate_with, with_channeled_lineages, with_inline_lineages, LineageKind, OutputTuple,
+    StreamStats, Ucq,
+};
 use std::sync::Arc;
 
-/// Answers the top-k stream holds in flight: large enough to keep the
-/// producer busy, small enough that peak provenance stays far below full
-/// materialization at JOB scale.
+/// Answers the top-k channel holds in flight when a producer thread
+/// extracts lineages: large enough to keep the producer busy, small enough
+/// that peak provenance stays far below full materialization at JOB scale.
 pub const STREAM_CHUNK: usize = 256;
 
 /// How a one-shot surface runs its solves: the result cache it holds, its
@@ -28,7 +38,9 @@ pub const STREAM_CHUNK: usize = 256;
 pub struct QueryDriver {
     /// The caller's cross-query result cache (`None`: caching off).
     pub cache: Option<Arc<ShapleyCache>>,
-    /// Batch worker threads (0 = all available cores).
+    /// Worker threads (0 = all available cores): the batch's solvers, and
+    /// whether top-k extracts lineages on the caller's thread (one worker)
+    /// or on a producer thread that overlaps with the ranking.
     pub threads: usize,
     /// The budget of every exact solve; the policy's timeout clamps its
     /// deadline per structure.
@@ -60,8 +72,8 @@ pub struct QueryTopK {
 }
 
 impl QueryDriver {
-    /// The batch entry: evaluates `q`, projects every answer's lineage onto
-    /// the endogenous facts and solves them all under each of `measures`.
+    /// The batch entry: evaluates `q` into every answer's endogenous
+    /// lineage and solves them all under each of `measures`.
     pub fn batch(
         &self,
         db: &Database,
@@ -69,13 +81,11 @@ impl QueryDriver {
         cfg: PlannerConfig,
         measures: &[Measure],
     ) -> QueryBatch {
-        let outputs = evaluate(q, db).outputs;
-        let mut tuples = Vec::with_capacity(outputs.len());
-        let mut lineages = Vec::with_capacity(outputs.len());
-        for out in outputs {
-            lineages.push(out.endo_lineage(db));
-            tuples.push(out.tuple);
-        }
+        let outputs = evaluate_with(q, db, LineageKind::Endogenous).outputs;
+        let (tuples, lineages): (Vec<Vec<Value>>, Vec<Dnf>) = outputs
+            .into_iter()
+            .map(|out| (out.tuple, out.lineage))
+            .unzip();
         let report = self.run(
             Planner::for_query(cfg, q),
             &lineages,
@@ -89,21 +99,28 @@ impl QueryDriver {
         }
     }
 
-    /// The top-k entry: streams `q`'s answers through a bounded channel
-    /// straight into the top-k executor, which ranks them by their best
-    /// fact's Shapley value. `cfg` must stay on exact routes.
+    /// The top-k entry: streams `q`'s endogenous lineages straight into the
+    /// top-k executor, which ranks them by their best fact's Shapley value.
+    /// With one worker the stream runs on the caller's thread; with more, a
+    /// producer thread feeds it through a bounded channel of
+    /// [`STREAM_CHUNK`] answers. `cfg` must stay on exact routes.
     pub fn topk(&self, db: &Database, q: &Ucq, cfg: PlannerConfig, k: usize) -> QueryTopK {
         let executor = TopKExecutor::new(self.with_cache(Planner::for_query(cfg, q)));
-        let ((tuples, report), stream) = with_streamed_lineages(q, db, STREAM_CHUNK, |answers| {
+        let rank = |answers: &mut dyn Iterator<Item = OutputTuple>| {
             let mut tuples = Vec::new();
             let lineages = answers.map(|out| {
-                let lineage = out.endo_lineage(db);
                 tuples.push(out.tuple);
-                lineage
+                out.lineage
             });
             let report = executor.run(lineages, k, db.num_endogenous(), &self.budget);
             (tuples, report)
-        });
+        };
+        let kind = LineageKind::Endogenous;
+        let ((tuples, report), stream) = if stages::worker_count(self.threads) == 1 {
+            with_inline_lineages(q, db, kind, rank)
+        } else {
+            with_channeled_lineages(q, db, kind, STREAM_CHUNK, rank)
+        };
         QueryTopK {
             tuples,
             report,

@@ -45,6 +45,16 @@ pub(crate) fn record_measure_requests(measure: Measure, n: u64) {
     };
 }
 
+/// The workers a `threads` setting resolves to: 0 means every available
+/// core.
+pub(crate) fn worker_count(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    }
+}
+
 /// Worker stack size: the DPLL compiler recurses per CNF variable.
 pub(crate) const WORKER_STACK: usize = 64 * 1024 * 1024;
 

@@ -9,8 +9,17 @@
 //! avoids cross products), builds the hash indexes those plans probe
 //! (module `index`), and runs the same allocation-free backtracking search
 //! for every plan: all derivations for [`evaluate`] and the negation
-//! evaluator, one answer's derivations per seeded call for the stream.
-//! Plans and indexes are dropped with the call.
+//! evaluator, one answer's derivations per seeded call for the stream, and
+//! one match per answer for the stream's answer pass (the search backtracks
+//! to the depth where the plan has bound every head variable as soon as a
+//! match completes). Plans and indexes are dropped with the call.
+//!
+//! The search builds either lineage a [`LineageKind`] names. In
+//! [`LineageKind::Endogenous`] mode it leaves each exogenous fact out of a
+//! derivation as the fact is joined, so the evaluation yields Figure 3's
+//! `ELin` with one minimize per answer: absorption commutes with setting
+//! facts to true, so `minimize(project(derivations))` equals
+//! [`OutputTuple::endo_lineage`] of the minimized full lineage bit for bit.
 //!
 //! Answers come out in ascending head-tuple order (the total order on
 //! [`Value`]). The contract does not depend on the join order, which
@@ -28,12 +37,48 @@ use shapdb_data::{Database, FactId, Relation, StoredFact, Value};
 use std::cell::Cell;
 use std::collections::HashMap;
 
+/// Which lineage an evaluation builds for each answer.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum LineageKind {
+    /// `Lin`: every fact of every derivation.
+    #[default]
+    Full,
+    /// `ELin`: the lineage with every exogenous fact set to true, which is
+    /// [`OutputTuple::endo_lineage`] of the full lineage. An answer with an
+    /// all-exogenous derivation gets `⊤` (one empty conjunct).
+    Endogenous,
+}
+
+impl LineageKind {
+    pub(crate) fn emit(self) -> Emit {
+        match self {
+            LineageKind::Full => Emit::Facts,
+            LineageKind::Endogenous => Emit::EndogenousFacts,
+        }
+    }
+}
+
+/// What a search hands its callback per match.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Emit {
+    /// Every match, with every fact it joins.
+    Facts,
+    /// Every match, with its endogenous facts only.
+    EndogenousFacts,
+    /// One match per head binding: after a match the search backtracks to
+    /// the plan's [`Plan::head_depth`].
+    Answers,
+}
+
 /// One output tuple with its lineage.
 #[derive(Clone, Debug)]
 pub struct OutputTuple {
     /// The head values (empty for Boolean queries).
     pub tuple: Vec<Value>,
-    /// Monotone DNF over fact ids: one conjunct per derivation.
+    /// Monotone DNF over fact ids: one conjunct per derivation, minimized.
+    /// Over every fact for [`LineageKind::Full`] (what [`evaluate`] and
+    /// [`LineageStream::new`](crate::LineageStream::new) build), over the
+    /// endogenous facts only for [`LineageKind::Endogenous`].
     pub lineage: Dnf,
 }
 
@@ -103,7 +148,12 @@ impl QueryResult {
 
 /// Evaluates a UCQ, returning every output tuple with its DNF lineage.
 pub fn evaluate(q: &Ucq, db: &Database) -> QueryResult {
-    Evaluator::new(db).evaluate(q)
+    evaluate_with(q, db, LineageKind::Full)
+}
+
+/// [`evaluate`], building the lineage `kind` names for every answer.
+pub fn evaluate_with(q: &Ucq, db: &Database, kind: LineageKind) -> QueryResult {
+    Evaluator::new(db).evaluate(q, kind)
 }
 
 /// Evaluates a single conjunctive query.
@@ -142,11 +192,16 @@ impl<'a> Evaluator<'a> {
         Plan::new(cq, &seeded, self.db, &mut self.indexes)
     }
 
-    /// Enumerates every derivation of `plan` consistent with `seed` (one
+    /// Enumerates the derivations of `plan` consistent with `seed` (one
     /// entry per variable), calling `on_match` with the full binding and
-    /// the facts joined, in plan order and possibly repeated.
-    pub(crate) fn run<'b, F>(&self, plan: &Plan, seed: Vec<Option<&'b Value>>, mut on_match: F)
-    where
+    /// the facts `emit` keeps, in plan order and possibly repeated.
+    pub(crate) fn run<'b, F>(
+        &self,
+        plan: &Plan,
+        seed: Vec<Option<&'b Value>>,
+        emit: Emit,
+        mut on_match: F,
+    ) where
         'a: 'b,
         F: FnMut(&[Option<&'b Value>], &[FactId]),
     {
@@ -161,7 +216,10 @@ impl<'a> Evaluator<'a> {
             relations: self.db.relations(),
             indexes: &self.indexes,
             binding: seed,
-            used: vec![FactId(0); steps.len()],
+            used: Vec::with_capacity(steps.len()),
+            keep_exogenous: emit != Emit::EndogenousFacts,
+            cut: (emit == Emit::Answers).then_some(plan.head_depth),
+            unwinding: false,
             visited: 0,
             on_match: &mut on_match,
         };
@@ -209,12 +267,13 @@ impl<'a> Evaluator<'a> {
             .map(|f| f.id)
     }
 
-    /// [`evaluate`] on this evaluator's indexes.
-    pub(crate) fn evaluate(&mut self, q: &Ucq) -> QueryResult {
+    /// [`evaluate_with`] on this evaluator's indexes.
+    pub(crate) fn evaluate(&mut self, q: &Ucq, kind: LineageKind) -> QueryResult {
         let mut answers = Answers::default();
         for cq in q.disjuncts() {
             let plan = self.plan(cq);
-            self.run(&plan, vec![None; cq.num_vars()], |binding, used| {
+            let seed = vec![None; cq.num_vars()];
+            self.run(&plan, seed, kind.emit(), |binding, used| {
                 answers.add(&cq.head, binding, used.iter().map(|f| VarId(f.0)).collect());
             });
         }
@@ -328,8 +387,14 @@ struct Search<'p, 'b, F> {
     relations: &'b [Relation],
     indexes: &'p Indexes,
     binding: Vec<Option<&'b Value>>,
-    /// The fact joined at each depth.
+    /// The facts joined on the way down, exogenous ones only if
+    /// `keep_exogenous`.
     used: Vec<FactId>,
+    keep_exogenous: bool,
+    /// The depth a match backtracks to ([`Emit::Answers`] only).
+    cut: Option<usize>,
+    /// Set by a match under a cut, cleared on reaching the cut depth.
+    unwinding: bool,
     visited: u64,
     on_match: &'p mut F,
 }
@@ -342,6 +407,7 @@ where
         let steps = self.steps;
         let Some(step) = steps.get(depth) else {
             (self.on_match)(&self.binding, &self.used);
+            self.unwinding = self.cut.is_some();
             return;
         };
         let facts = self.relations[step.rel].facts();
@@ -349,6 +415,9 @@ where
             None => {
                 for fact in facts {
                     self.visit(depth, step, fact);
+                    if self.unwinding {
+                        return;
+                    }
                 }
             }
             Some(ix) => {
@@ -356,6 +425,9 @@ where
                 let hash = indexes.hash(step.bound.iter().map(|(_, src)| self.value(src)));
                 for &row in indexes.get(ix).probe(hash) {
                     self.visit(depth, step, &facts[row as usize]);
+                    if self.unwinding {
+                        return;
+                    }
                 }
             }
         }
@@ -391,8 +463,18 @@ where
         if !step.preds.iter().all(|p| holds(p, &self.binding)) {
             return;
         }
-        self.used[depth] = fact.id;
+        let keep = fact.endogenous || self.keep_exogenous;
+        if keep {
+            self.used.push(fact.id);
+        }
         self.descend(depth + 1);
+        if keep {
+            self.used.pop();
+        }
+        // Every match below this depth repeats the answer just found.
+        if self.cut == Some(depth + 1) {
+            self.unwinding = false;
+        }
     }
 }
 
@@ -587,7 +669,8 @@ mod tests {
         let mut derivations = 0u64;
         for cq in q.disjuncts() {
             let plan = ev.plan(cq);
-            ev.run(&plan, vec![None; cq.num_vars()], |_, _| derivations += 1);
+            let seed = vec![None; cq.num_vars()];
+            ev.run(&plan, seed, Emit::Facts, |_, _| derivations += 1);
         }
         assert_eq!(derivations, hub as u64);
         assert!(
@@ -599,6 +682,75 @@ mod tests {
         let mut stream = crate::LineageStream::new(&q, &db);
         assert_eq!(stream.by_ref().count(), hub as usize);
         assert!(stream.rows_visited() <= 16 * derivations);
+    }
+
+    #[test]
+    fn answer_pass_visits_rows_linear_in_answers_on_a_star() {
+        // q(m) :- T(m), C(m, p), K(m, k): 30 × 30 derivations per answer.
+        let answers = 50;
+        let mut db = Database::new();
+        db.create_relation("T", &["m"]);
+        db.create_relation("C", &["m", "p"]);
+        db.create_relation("K", &["m", "k"]);
+        for m in 0..answers {
+            db.insert_endo("T", vec![Value::int(m)]);
+            for i in 0..30 {
+                db.insert_endo("C", vec![Value::int(m), Value::int(i)]);
+                db.insert_exo("K", vec![Value::int(m), Value::int(i)]);
+            }
+        }
+        let mut b = CqBuilder::new();
+        let (m, p, k) = (b.var("m"), b.var("p"), b.var("k"));
+        b.atom("T", [m.into()]);
+        b.atom("C", [m.into(), p.into()]);
+        b.atom("K", [m.into(), k.into()]);
+        let q: Ucq = b.head([m.into()]).build().into();
+        let stream = crate::LineageStream::new(&q, &db);
+        let answer_pass = stream.rows_visited();
+        assert_eq!(stream.len(), answers as usize);
+        assert!(
+            answer_pass <= 4 * answers as u64,
+            "{answer_pass} rows visited for {answers} answers"
+        );
+    }
+
+    #[test]
+    fn answer_pass_with_the_head_bound_at_the_last_step_finds_every_answer() {
+        // q(h) :- A(k), B(h, k): the small A goes first, so the plan binds
+        // h only at its last step and the cut never skips a row.
+        let mut db = Database::new();
+        db.create_relation("A", &["k"]);
+        db.create_relation("B", &["h", "k"]);
+        for k in 0..3 {
+            db.insert_endo("A", vec![Value::int(k)]);
+        }
+        for h in 0..60 {
+            for k in [h % 5, (h + 1) % 5] {
+                db.insert_endo("B", vec![Value::int(h), Value::int(k)]);
+            }
+        }
+        let mut b = CqBuilder::new();
+        let (h, k) = (b.var("h"), b.var("k"));
+        b.atom("A", [k.into()]);
+        b.atom("B", [h.into(), k.into()]);
+        let q: Ucq = b.head([h.into()]).build().into();
+        let mut ev = Evaluator::new(&db);
+        let plan = ev.plan(&q.disjuncts()[0]);
+        assert_eq!(plan.head_depth, 2, "h is bound by the last step");
+        assert_eq!(
+            db.relations()[plan.steps.as_ref().unwrap()[1].rel].len(),
+            120
+        );
+        let streamed: Vec<Vec<Value>> = crate::LineageStream::new(&q, &db)
+            .map(|o| o.tuple)
+            .collect();
+        let evaluated: Vec<Vec<Value>> = evaluate(&q, &db)
+            .outputs
+            .into_iter()
+            .map(|o| o.tuple)
+            .collect();
+        assert_eq!(streamed, evaluated);
+        assert!(evaluated.len() > 30);
     }
 
     #[test]

@@ -51,6 +51,10 @@ pub(crate) struct Plan {
     pub steps: Option<Vec<Step>>,
     /// Predicates decided by the initially bound variables alone.
     pub pre: Vec<Predicate>,
+    /// Steps after which every head variable is bound (0 for a Boolean or
+    /// all-constant head): matches that agree on these steps are the same
+    /// answer.
+    pub head_depth: usize,
 }
 
 fn term_vars(t: &Term) -> Option<usize> {
@@ -191,6 +195,7 @@ impl Plan {
     const NONE: Plan = Plan {
         steps: None,
         pre: Vec::new(),
+        head_depth: 0,
     };
 
     /// Plans `cq` with the variables flagged in `seeded` bound from the
@@ -243,6 +248,12 @@ impl Plan {
                 bound_after[x].get_or_insert(i + 1);
             }
         }
+        let head_depth = cq
+            .head_vars()
+            .iter()
+            .map(|v| bound_after[v.index()].unwrap_or(order.len()))
+            .max()
+            .unwrap_or(0);
         let mut pre = Vec::new();
         let mut preds_at: Vec<Vec<Predicate>> = (0..order.len()).map(|_| Vec::new()).collect();
         for p in &cq.predicates {
@@ -298,6 +309,7 @@ impl Plan {
         Plan {
             steps: Some(steps),
             pre,
+            head_depth,
         }
     }
 

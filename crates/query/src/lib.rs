@@ -20,9 +20,10 @@
 //!   evaluation producing *signed* lineages over fact literals;
 //! * [`stream`] — per-answer streaming extraction: [`LineageStream`] yields
 //!   one answer's canonical minimized lineage at a time (bit-identical to
-//!   [`evaluate`]'s), and [`with_streamed_lineages`] pushes it through a
-//!   bounded channel so peak provenance memory is governed by the chunk
-//!   size, not the answer count.
+//!   [`evaluate`]'s), full or endogenous ([`LineageKind`]);
+//!   [`with_channeled_lineages`] pushes it through a bounded channel so peak
+//!   provenance memory is governed by the chunk size, not the answer count,
+//!   and [`with_inline_lineages`] pulls it on the caller's thread.
 
 pub mod ast;
 pub mod eval;
@@ -34,8 +35,11 @@ pub mod stream;
 pub use ast::{
     Atom, CmpOp, ConjunctiveQuery, CqBuilder, Predicate, Term, Ucq, Variable, MAX_ATOM_TERMS,
 };
-pub use eval::{evaluate, evaluate_cq, OutputTuple, QueryResult};
+pub use eval::{evaluate, evaluate_cq, evaluate_with, LineageKind, OutputTuple, QueryResult};
 pub use hierarchical::{is_hierarchical, is_self_join_free};
 pub use negation::{evaluate_negated, NegatedQuery, SignedOutputTuple};
 pub use parser::{parse_ucq, ParseError};
-pub use stream::{with_streamed_lineages, LineageStream, StreamStats};
+pub use stream::{
+    with_channeled_lineages, with_inline_lineages, with_streamed_lineages, LineageStream,
+    StreamStats,
+};

@@ -16,7 +16,7 @@
 //! presence suppresses an answer carries negative responsibility for it.
 
 use crate::ast::{Atom, ConjunctiveQuery, Term};
-use crate::eval::{Answers, Evaluator};
+use crate::eval::{Answers, Emit, Evaluator};
 use shapdb_circuit::{Lit, LiteralDnf};
 use shapdb_data::{Database, FactId, Value};
 use std::fmt;
@@ -128,7 +128,8 @@ pub fn evaluate_negated(q: &NegatedQuery, db: &Database) -> Vec<SignedOutputTupl
     let plan = evaluator.plan(&q.positive);
     let mut answers = Answers::default();
     let mut ground: Vec<&Value> = Vec::new();
-    evaluator.run(&plan, vec![None; q.positive.num_vars()], |binding, used| {
+    let seed = vec![None; q.positive.num_vars()];
+    evaluator.run(&plan, seed, Emit::Facts, |binding, used| {
         let mut lits: Vec<Lit> = used.iter().map(|f| Lit::pos(f.index())).collect();
         for (neg, lookup) in q.negated.iter().zip(&lookups) {
             // No matching fact: the negated atom holds vacuously.

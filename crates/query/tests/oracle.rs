@@ -3,13 +3,18 @@
 //!
 //! Answer sets and lineages must be bit-identical to the reference, and
 //! answers must come out in ascending head-tuple order, whatever join
-//! order the planner picks for the data.
+//! order the planner picks for the data. The endogenous lineages of both,
+//! built by dropping exogenous facts during the join, must equal the
+//! reference's derivations projected onto the endogenous facts and
+//! minimized, and `OutputTuple::endo_lineage` of the full lineages.
 
 use proptest::prelude::*;
 use shapdb_circuit::{Dnf, VarId};
+use shapdb_data::FactId;
 use shapdb_data::{Database, Value};
 use shapdb_query::{
-    evaluate, CmpOp, ConjunctiveQuery, CqBuilder, LineageStream, OutputTuple, Term, Ucq,
+    evaluate, evaluate_with, CmpOp, ConjunctiveQuery, CqBuilder, LineageKind, LineageStream,
+    OutputTuple, Term, Ucq,
 };
 use shapdb_workloads::{
     imdb_database, imdb_queries, job_database, job_ranking_query, tpch_database, tpch_queries,
@@ -73,8 +78,10 @@ fn nested_loops(
     }
 }
 
-/// Every answer with its minimized lineage, in ascending tuple order.
-fn reference(q: &Ucq, db: &Database) -> Vec<(Vec<Value>, Dnf)> {
+/// Every answer with its minimized lineage, in ascending tuple order;
+/// with `endogenous_only`, each derivation keeps its endogenous facts
+/// only, before minimizing.
+fn reference(q: &Ucq, db: &Database, endogenous_only: bool) -> Vec<(Vec<Value>, Dnf)> {
     let mut out = Derivations::new();
     for cq in q.disjuncts() {
         let mut binding = vec![None; cq.num_vars()];
@@ -83,7 +90,10 @@ fn reference(q: &Ucq, db: &Database) -> Vec<(Vec<Value>, Dnf)> {
     out.into_iter()
         .map(|(tuple, conjuncts)| {
             let mut lineage = Dnf::new();
-            for c in conjuncts {
+            for mut c in conjuncts {
+                if endogenous_only {
+                    c.retain(|v| db.is_endogenous(FactId(v.0)));
+                }
                 lineage.add_conjunct(c);
             }
             lineage.minimize();
@@ -93,14 +103,35 @@ fn reference(q: &Ucq, db: &Database) -> Vec<(Vec<Value>, Dnf)> {
 }
 
 fn assert_matches_reference(q: &Ucq, db: &Database, tag: &str) {
-    let want = reference(q, db);
+    let want = reference(q, db, false);
     let evaluated = evaluate(q, db).outputs;
     let streamed: Vec<OutputTuple> = LineageStream::new(q, db).collect();
-    for (how, got) in [("evaluate", evaluated), ("stream", streamed)] {
+    for (how, got) in [("evaluate", &evaluated), ("stream", &streamed)] {
         assert_eq!(got.len(), want.len(), "{tag}: {how} answer count");
         for (g, (tuple, lineage)) in got.iter().zip(&want) {
             assert_eq!(&g.tuple, tuple, "{tag}: {how} answer order");
             assert_eq!(&g.lineage, lineage, "{tag}: {how} lineage of {tuple:?}");
+        }
+    }
+
+    let want_endo = reference(q, db, true);
+    let kind = LineageKind::Endogenous;
+    let evaluated_endo = evaluate_with(q, db, kind).outputs;
+    let streamed_endo: Vec<OutputTuple> = LineageStream::with_kind(q, db, kind).collect();
+    for (how, got) in [("evaluate", evaluated_endo), ("stream", streamed_endo)] {
+        assert_eq!(
+            got.len(),
+            want_endo.len(),
+            "{tag}: endogenous {how} answer count"
+        );
+        for ((g, (tuple, lineage)), full) in got.iter().zip(&want_endo).zip(&evaluated) {
+            assert_eq!(&g.tuple, tuple, "{tag}: endogenous {how} answer order");
+            assert_eq!(&g.lineage, lineage, "{tag}: endogenous {how} of {tuple:?}");
+            assert_eq!(
+                g.lineage,
+                full.endo_lineage(db),
+                "{tag}: {how} ≠ endo_lineage"
+            );
         }
     }
 }

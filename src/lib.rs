@@ -161,8 +161,14 @@ pub struct TopKRanking {
     /// Actual engine invocations.
     pub engine_runs: usize,
     /// What the streaming lineage extraction observed; peak provenance
-    /// memory is bounded by the stream chunk, not the answer count.
+    /// memory is bounded by the stream chunk, not the answer count (one
+    /// answer on a one-thread analyzer, whose ranking extracts lineages on
+    /// the caller's thread).
     pub stream: StreamStats,
+    /// The ranking's own counters: bounds, fingerprints, routes, cache
+    /// traffic, and on a one-thread analyzer the extraction's minimize
+    /// passes.
+    pub profile: Profile,
     /// Wall time of the ranking, including the streamed extraction it
     /// consumes as the answers arrive.
     pub total_time: Duration,
@@ -231,7 +237,10 @@ impl<'a> ShapleyAnalyzer<'a> {
         self
     }
 
-    /// Sets the batch worker-thread count (0 = all available cores).
+    /// Sets the worker-thread count (0 = all available cores): the batch
+    /// solvers', and whether [`ShapleyAnalyzer::rank_topk`] extracts
+    /// lineages on the caller's thread (one worker) or on a producer
+    /// thread that overlaps with the ranking.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.driver.threads = threads;
         self
@@ -416,6 +425,7 @@ impl<'a> ShapleyAnalyzer<'a> {
             cache: CacheRunStats::of(&report.profile),
             engine_runs: report.profile.engine_runs(),
             stream: run.stream,
+            profile: report.profile,
             total_time: report.total_time,
         })
     }

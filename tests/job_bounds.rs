@@ -117,41 +117,84 @@ fn job_smoke_topk_fingerprints_only_the_solo_slice() {
 
 #[test]
 fn each_answer_lineage_is_minimized_once_on_explain_batch_and_rank_topk() {
-    // `endo_lineage` hands out minimized lineages; neither executor
-    // minimizes them again (nor does `fingerprint` inside the batch).
+    // The query layer minimizes each answer's endogenous lineage once, as
+    // it builds it; neither executor minimizes again (nor does
+    // `fingerprint` inside the batch).
     let db = job_database(&JobConfig::smoke());
     let q = job_ranking_query();
+    let analyzer = ShapleyAnalyzer::new(&db).with_threads(1);
 
     // Around `explain_batch` (one thread, so the executor runs here): the
-    // evaluation minimizes each answer's full lineage once and
-    // `endo_lineage` its projection once; the batch's own profile, which
-    // replaces the outer one while it runs, counts no pass.
+    // evaluation minimizes each answer's endogenous lineage once; the
+    // batch's own profile, which replaces the outer one while it runs,
+    // counts no pass.
     let outer = Arc::new(Profile::new());
     let batch = {
         let _scope = outer.enter();
-        ShapleyAnalyzer::new(&db)
-            .with_threads(1)
-            .explain_batch(&q)
-            .unwrap()
+        analyzer.explain_batch(&q).unwrap()
     };
     let answers = batch.explanations.len() as u64;
     assert!(answers > 10);
-    assert_eq!(outer.get(&CIRCUIT_MINIMIZE_PASSES), 2 * answers);
+    assert_eq!(outer.get(&CIRCUIT_MINIMIZE_PASSES), answers);
     assert_eq!(batch.profile.get(&CIRCUIT_MINIMIZE_PASSES), 0);
 
-    // `rank_topk`'s pipeline: the stream minimizes full lineages on its
-    // producer thread; the ranking's profile sees `endo_lineage`'s one
-    // pass per answer and nothing from the executor.
-    let executor = TopKExecutor::new(Planner::for_query(PlannerConfig::default(), &q));
-    let (report, _) = with_streamed_lineages(&q, &db, 256, |lineages| {
-        executor.run(
-            lineages.map(|out| out.endo_lineage(&db)),
-            3,
-            db.num_endogenous(),
-            &Budget::unlimited(),
-        )
-    });
-    let report = report.unwrap();
-    assert_eq!(report.answers as u64, answers);
-    assert_eq!(report.profile.get(&CIRCUIT_MINIMIZE_PASSES), answers);
+    // `rank_topk` on one thread pulls the stream inside the ranking, so
+    // the ranking's profile sees the stream's one pass per answer and
+    // nothing from the executor; the outer profile sees none.
+    let outer = Arc::new(Profile::new());
+    let ranking = {
+        let _scope = outer.enter();
+        analyzer.rank_topk(&q, 3).unwrap()
+    };
+    assert_eq!(ranking.answers as u64, answers);
+    assert_eq!(ranking.profile.get(&CIRCUIT_MINIMIZE_PASSES), answers);
+    assert_eq!(outer.get(&CIRCUIT_MINIMIZE_PASSES), 0);
+}
+
+#[test]
+fn rank_topk_is_identical_on_one_and_two_threads() {
+    // One thread extracts on the caller's thread, two through the
+    // channel; rankings, ties and attributions must not tell them apart.
+    let db = job_database(&JobConfig::smoke());
+    let q = job_ranking_query();
+    let rank = |threads: usize, k: usize| {
+        ShapleyAnalyzer::new(&db)
+            .with_threads(threads)
+            .rank_topk(&q, k)
+            .unwrap()
+    };
+    let answers = rank(1, 0).answers;
+    for k in [1, 3, 10, answers] {
+        let (one, two) = (rank(1, k), rank(2, k));
+        let view = |r: &shapdb::TopKRanking| {
+            r.top
+                .iter()
+                .map(|a| {
+                    (
+                        a.index,
+                        a.tuple.clone(),
+                        a.score.clone(),
+                        a.attributions.clone(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(view(&one), view(&two), "k={k}");
+        assert_eq!(one.top.len(), k.min(answers));
+        assert_eq!(
+            (one.answers, one.solved_answers, one.pruned_answers),
+            (two.answers, two.solved_answers, two.pruned_answers),
+            "k={k}"
+        );
+        assert_eq!(one.stream.answers, answers);
+        assert_eq!(
+            (one.stream.total_literals, one.stream.max_answer_literals),
+            (two.stream.total_literals, two.stream.max_answer_literals),
+            "k={k}"
+        );
+        assert_eq!(
+            one.stream.peak_in_flight_literals, one.stream.max_answer_literals,
+            "one thread holds one answer in flight"
+        );
+    }
 }
