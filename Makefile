@@ -117,13 +117,16 @@ bench-net:
 bench-measures:
 	cargo bench --bench measures -p shapdb_bench
 
-# JOB-scale top-k ranking: streamed lineage extraction (chunk-bounded peak
-# memory), then the top-k executor on the raw lineages — the stream filter
-# plus bound-driven early termination at k ∈ {1, 10, 100} vs the
+# JOB-scale top-k ranking: streamed endogenous lineage extraction on the
+# caller's thread, then the top-k executor on the raw lineages — the stream
+# filter plus bound-driven early termination at k ∈ {1, 10, 100} vs the
 # solve-everything baseline (k = answers, nothing dropped) on the
-# 12k-answer JOB corpus. Asserts ≥ 10⁴ answers, ≤ 25% of answers solved at
-# k = 10, and a bit-identical prefix; warns below the 3x wall-clock bar.
-# Writes results/bench_rank.json (with each k's survivor count).
+# 12k-answer JOB corpus — and QueryDriver::topk at k = 10 on one worker
+# (inline) and two (producer thread + channel). Asserts ≥ 10⁴ answers,
+# ≤ 25% of answers solved at k = 10, bit-identical prefixes, one answer
+# built per inline pull and the channel's (STREAM_CHUNK + 1)-answer peak;
+# warns below the 3x wall-clock bar. Writes results/bench_rank.json (with
+# each k's survivor count and both driver timings).
 bench-rank:
 	cargo bench --bench rank_topk -p shapdb_bench
 

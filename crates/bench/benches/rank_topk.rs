@@ -19,14 +19,22 @@
 //!   it is the slow side of the comparison);
 //! * `topk_k{1,10,100}` — the stream filter plus bound-driven early
 //!   termination at three k values; each row records its survivors (the
-//!   answers fingerprinted).
+//!   answers fingerprinted);
+//! * `driver_k10` — `QueryDriver::topk` end to end at k = 10 on both of
+//!   its extraction paths: one worker (the stream pulled on the caller's
+//!   thread) and two (a producer thread feeding a bounded channel of
+//!   `STREAM_CHUNK` answers while the caller ranks).
 //!
 //! In-bench assertions (the deterministic acceptance bars):
 //!
 //! * the corpus yields ≥ 10⁴ answers;
 //! * at k = 10 the admission loop solves ≤ 25 % of the answers;
 //! * every top-k list is **bit-identical** to the baseline ranking's
-//!   length-k prefix — indices, scores, and translated values.
+//!   length-k prefix — indices, scores, and translated values — on both
+//!   driver paths too;
+//! * the inline stream builds one answer per pull (nothing ahead of its
+//!   consumer), and the channeled one holds at most `STREAM_CHUNK + 1`
+//!   answers' literals in flight.
 //!
 //! The ≥ 3× wall-clock bar is recorded in the JSON and warned about (not
 //! asserted — wall-clock on shared CI is noisy; the pruning counters above
@@ -38,7 +46,8 @@
 use shapdb_bench::{median_ns, write_result};
 use shapdb_circuit::Dnf;
 use shapdb_core::engine::{
-    EngineValues, Planner, PlannerConfig, ShapleyCache, TopKExecutor, TopKReport,
+    EngineValues, Planner, PlannerConfig, QueryDriver, ShapleyCache, TopKExecutor, TopKReport,
+    STREAM_CHUNK,
 };
 use shapdb_kc::Budget;
 use shapdb_num::Rational;
@@ -49,6 +58,8 @@ use std::time::Instant;
 
 const KS: [usize; 3] = [1, 10, 100];
 const SAMPLES: usize = 3;
+/// Alternating samples per driver path.
+const DRIVER_SAMPLES: usize = 7;
 
 /// One cold ranking pass: fresh planner, fresh result cache.
 fn rank(lineages: &[Dnf], k: usize, n_endo: usize) -> TopKReport {
@@ -85,9 +96,12 @@ fn main() {
         answers >= 10_000,
         "the bench corpus must produce ≥ 10⁴ answers, got {answers}"
     );
+    let (_, first) = with_inline_lineages(&q, &db, LineageKind::Endogenous, |answers| {
+        answers.next().is_some()
+    });
     assert_eq!(
-        stream.peak_in_flight_literals, stream.max_answer_literals,
-        "the inline stream holds one answer in flight"
+        first.answers, 1,
+        "the inline stream builds one answer per pull, nothing ahead of its consumer"
     );
     println!(
         "JOB corpus: {} answers, {} endogenous facts, {} total lineage literals \
@@ -186,6 +200,48 @@ fn main() {
         ));
     }
 
+    // The driver's two extraction paths, end to end at k = 10, sampled
+    // alternately so drift on a shared host hits both alike.
+    let drivers = [1, 2].map(|threads| QueryDriver {
+        threads,
+        ..QueryDriver::default()
+    });
+    let mut samples = [Vec::new(), Vec::new()];
+    let mut runs = [None, None];
+    for s in 0..DRIVER_SAMPLES {
+        for slot in [s % 2, 1 - s % 2] {
+            let t = Instant::now();
+            runs[slot] = Some(drivers[slot].topk(&db, &q, PlannerConfig::default(), 10));
+            samples[slot].push(t.elapsed().as_nanos());
+        }
+    }
+    let driver_ms = samples.map(|mut ns| {
+        ns.sort_unstable();
+        ns[ns.len() / 2] as f64 / 1e6
+    });
+    let runs = runs.map(|run| run.expect("sampled at least once"));
+    let channeled_peak = runs[1].stream.peak_in_flight_literals;
+    for (driver, run) in drivers.iter().zip(runs) {
+        let threads = driver.threads;
+        let report = run.report.expect("the default planner stays exact");
+        assert_eq!(
+            prefix(&report),
+            baseline_prefix[..10.min(answers)].to_vec(),
+            "threads={threads}: the driver's top-k diverged from the full ranking's prefix"
+        );
+        assert!(
+            run.stream.peak_in_flight_literals
+                <= (STREAM_CHUNK + 1) * run.stream.max_answer_literals,
+            "threads={threads}: peak in flight {} exceeds the channel bound",
+            run.stream.peak_in_flight_literals
+        );
+    }
+    println!(
+        "driver k=10: {:.0} ms inline (1 worker), {:.0} ms channeled (2 workers, \
+         peak in flight {channeled_peak})",
+        driver_ms[0], driver_ms[1]
+    );
+
     let json = format!(
         concat!(
             "{{\n",
@@ -202,6 +258,11 @@ fn main() {
             "  \"extract_ms\": {:.3},\n",
             "  \"full_ms\": {:.3},\n",
             "  \"full_engine_runs\": {},\n",
+            "  \"driver_k10\": {{\n",
+            "    \"inline_ms\": {:.3},\n",
+            "    \"channeled_ms\": {:.3},\n",
+            "    \"channeled_peak_in_flight_literals\": {}\n",
+            "  }},\n",
             "  \"topk\": [\n{}\n  ]\n",
             "}}\n"
         ),
@@ -215,6 +276,9 @@ fn main() {
         extract_ms,
         full_ns as f64 / 1e6,
         baseline.profile.engine_runs(),
+        driver_ms[0],
+        driver_ms[1],
+        channeled_peak,
         rows.join(",\n"),
     );
     write_result("bench_rank.json", "rank_topk summary", &json);

@@ -126,7 +126,9 @@ pub struct Config {
     pub endo: Option<Vec<String>>,
     pub top: usize,
     pub engine: EngineChoice,
-    /// Batch worker threads (0 = all available cores).
+    /// Worker threads (0 = all available cores): the batch's solvers; with
+    /// one, `--top-k` extracts lineages on the caller's thread, with more
+    /// on a producer thread that overlaps with the ranking.
     pub threads: usize,
     pub timeout: Duration,
     pub aggregate: Aggregate,
@@ -207,7 +209,8 @@ OPTIONS:
                         montecarlo | kernelshap   (default auto: the
                         cost-based planner, exact under the timeout with a
                         CNF-Proxy ranking fallback)
-    --threads <N>       batch worker threads (default 0 = all cores)
+    --threads <N>       worker threads (default 0 = all cores); with one,
+                        --top-k extracts lineages inline
     --method <M>        compatibility alias: exact | hybrid | proxy
                         (hybrid = --engine auto)
     --timeout-ms <N>    exact-pipeline deadline in milliseconds (default 2500)

@@ -103,7 +103,9 @@ impl QueryDriver {
     /// top-k executor, which ranks them by their best fact's Shapley value.
     /// With one worker the stream runs on the caller's thread; with more, a
     /// producer thread feeds it through a bounded channel of
-    /// [`STREAM_CHUNK`] answers. `cfg` must stay on exact routes.
+    /// [`STREAM_CHUNK`] answers, extracting while the caller ranks
+    /// (`make bench-rank` times both paths). `cfg` must stay on exact
+    /// routes.
     pub fn topk(&self, db: &Database, q: &Ucq, cfg: PlannerConfig, k: usize) -> QueryTopK {
         let executor = TopKExecutor::new(self.with_cache(Planner::for_query(cfg, q)));
         let rank = |answers: &mut dyn Iterator<Item = OutputTuple>| {
