@@ -24,10 +24,13 @@ test-repeat:
 
 # The KC engine's negation route against the paper's Tseytin path, with
 # the 260- and 516-fact cases that are too slow for an unoptimized build,
-# and the Equation (3) fold against its BigUint oracle past 516 facts.
+# the Equation (3) fold against its BigUint oracle past 516 facts, and the
+# top-k bound kernel and stream filter against their set-algebra
+# definition on every answer of the 4,000-movie JOB database.
 test-release-wide:
 	cargo test --release -q --test negation_route -- --include-ignored
 	cargo test --release -q -p shapdb_core --lib -- --ignored
+	cargo test --release -q --test job_bounds -- --ignored
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings

@@ -16,12 +16,19 @@
 //!    final τ.
 //! 1. **Bound** — the upper bound is, per fact, a union bound over its
 //!    conjuncts, each conjunct's term an exact inclusion–exclusion over at
-//!    most three competing conjuncts. No compilation, no sampling:
-//!    conjuncts are bitsets, and every term is an integer numerator over
-//!    the one denominator `lcm(1..=vars)`, added in the narrowest
-//!    fixed-limb [`Coeff`] tier that holds it. Surviving answers are
-//!    fingerprinted and grouped by canonical structure; a group's bound is
-//!    the tightest of its members' own bounds.
+//!    most three competing conjuncts. No compilation, no sampling: every
+//!    term is an integer numerator over the one denominator
+//!    `lcm(1..=vars)`, added in the narrowest fixed-limb [`Coeff`] tier
+//!    that holds it. One scratch, reused from answer to answer, holds the
+//!    tables a structure is bounded from: the renamed conjuncts as bitset
+//!    rows, the conjuncts holding each variable, the pairwise union sizes
+//!    with each conjunct's competitor order, and a per-conjunct memo of the
+//!    last competitor set and its term. The executor renames each lineage
+//!    straight into it, compares the unreduced numerator with τ by one
+//!    multiplication, and reduces the bound to a `Rational` only for the
+//!    answers that survive. Surviving answers are fingerprinted and
+//!    grouped by canonical structure; a group's bound is the tightest of
+//!    its members' own bounds.
 //! 2. **Admission loop** — structures are solved in decreasing bound
 //!    order. A min-heap of the exact scores solved so far tracks the
 //!    `k`-th best; the moment the best remaining bound falls *strictly*
@@ -47,7 +54,7 @@ use super::stages;
 use super::{
     translate_result, EngineError, EngineResult, EngineValues, Measure, PlanReason, Planner,
 };
-use shapdb_circuit::{fingerprint_minimized, Dnf, Fingerprint};
+use shapdb_circuit::{fingerprint_minimized, Dnf, Fingerprint, VarId};
 use shapdb_kc::Budget;
 use shapdb_metrics::counters::{DedupStats, TOPK_BOUND_PASSES, TOPK_PRUNED, TOPK_SOLVED};
 use shapdb_metrics::Profile;
@@ -98,11 +105,24 @@ pub struct ScoreBounds {
 /// run in the narrowest [`Coeff`] tier holding `bits(L) + 3` bits —
 /// `Vli<1>` up to 42 variables, `Vli<2/4/8>` next, `BigUint` from 353.
 ///
-/// Facts are visited in decreasing order of the cheap cap
-/// `min(Σ_{C∋f} L/|C|, L)`, and the scan stops at the first cap that is
-/// ≤ the best value so far. This skip is sound: every conjunct's term is
-/// at most its empty-mask summand `1/|C|` (it is the probability of a
-/// sub-event), so no skipped fact can raise the maximum.
+/// The set algebra runs on tables built once per structure: the
+/// conjuncts as flat bitset rows, for each variable the list of
+/// conjuncts holding it, and the pairwise union sizes `|Cᵢ ∪ Cⱼ|`, each
+/// filled on the first use of either conjunct's competitor order, which
+/// is sorted on that table once. An inclusion–exclusion union is its mask
+/// without the lowest bit, united with one row. A conjunct remembers the
+/// competitor set of its last term and the term itself, so the facts of
+/// a conjunct that share their competitors (the two of a cast conjunct
+/// `{cast, name}`) pay for one term.
+///
+/// A fact whose cheap cap `Σ_{C∋f} L/|C|` (summed until it reaches `L`)
+/// is ≤ the best value so far is skipped. This skip is sound: every
+/// conjunct's term is at most its empty-mask summand `1/|C|` (it is the
+/// probability of a sub-event), so no skipped fact can raise the maximum.
+/// Facts are visited in variable order: sorting them by cap, so that the
+/// scan could stop at the first low cap, cost more than it saved, since
+/// most answers of a ranking are dropped and every fact of a dropped
+/// answer is evaluated anyway.
 ///
 /// Constant structures (empty key, or an empty conjunct — `⊥`/`⊤`) have
 /// no players: both bounds are 0.
@@ -110,99 +130,154 @@ pub fn shapley_bounds(key: &[Vec<u32>]) -> ScoreBounds {
     BoundTables::default().bounds(key)
 }
 
-/// The set-up [`shapley_bounds`] needs for each variable count — `lcm`,
-/// the `L/u` numerators in their tier and the lower bound — built on first
-/// use, so a ranking run pays it once per distinct count instead of once
-/// per answer.
+/// The bound kernel's state across a ranking run: the set-up
+/// [`shapley_bounds`] needs for each variable count — `lcm` and the `L/u`
+/// numerators in their tier — built on first use, and one [`Scratch`]
+/// every structure is loaded into. Once its buffers have grown to the
+/// run's largest structure, bounding an answer allocates nothing in the
+/// fixed-limb tiers.
 #[derive(Default)]
-struct BoundTables(HashMap<usize, BoundTable>);
+struct BoundTables {
+    by_vars: HashMap<usize, BoundTable>,
+    scratch: Scratch,
+}
 
 impl BoundTables {
-    /// [`shapley_bounds`] of `key`, on this cache's tables.
+    /// [`shapley_bounds`] of `key`, on these tables.
     fn bounds(&mut self, key: &[Vec<u32>]) -> ScoreBounds {
-        if key.is_empty() || key.iter().any(|c| c.is_empty()) {
-            return ScoreBounds {
-                lower: Rational::zero(),
-                upper: Rational::zero(),
+        self.scratch.load_key(key);
+        let upper = self.upper();
+        ScoreBounds {
+            lower: upper.lower(),
+            upper: upper.into_rational(),
+        }
+    }
+
+    /// The upper bound of `lineage`, renamed onto `0..vars` in increasing
+    /// fact order: the dense key [`shapley_bounds`] reads, written straight
+    /// into the scratch.
+    fn lineage_upper(&mut self, lineage: &Dnf) -> Upper {
+        self.scratch.load_lineage(lineage);
+        self.upper()
+    }
+
+    /// The upper bound of the structure loaded into the scratch.
+    fn upper(&mut self) -> Upper {
+        let vars = self.scratch.vars;
+        if vars == 0 {
+            return Upper {
+                vars,
+                num: BigUint::zero(),
+                den: BigUint::one(),
             };
         }
-        let num_vars = key
-            .iter()
-            .flatten()
-            .copied()
-            .max()
-            .map_or(0, |m| m as usize + 1);
+        self.scratch.index();
         let table = self
-            .0
-            .entry(num_vars)
-            .or_insert_with(|| BoundTable::new(num_vars));
-        let upper = match &table.inv {
-            Numerators::Vli1(inv) => bound_numerator(key, num_vars, inv),
-            Numerators::Vli2(inv) => bound_numerator(key, num_vars, inv),
-            Numerators::Vli4(inv) => bound_numerator(key, num_vars, inv),
-            Numerators::Vli8(inv) => bound_numerator(key, num_vars, inv),
-            Numerators::Big(inv) => bound_numerator(key, num_vars, inv),
+            .by_vars
+            .entry(vars)
+            .or_insert_with(|| BoundTable::new(vars));
+        let s = &mut self.scratch;
+        let num = match &mut table.tier {
+            Tier::Vli1(t) => t.upper(s),
+            Tier::Vli2(t) => t.upper(s),
+            Tier::Vli4(t) => t.upper(s),
+            Tier::Vli8(t) => t.upper(s),
+            Tier::Big(t) => t.upper(s),
         };
-        ScoreBounds {
-            lower: table.lower.clone(),
-            upper: Rational::new(BigInt::from_biguint(upper), table.lcm.clone()),
+        Upper {
+            vars,
+            num,
+            den: table.lcm.clone(),
         }
+    }
+}
+
+/// A structure's `upper` as the kernel leaves it: the numerator over
+/// `lcm(1..=vars)`, not yet reduced (`0/1` without players, `vars = 0`).
+struct Upper {
+    vars: usize,
+    num: BigUint,
+    den: BigUint,
+}
+
+impl Upper {
+    /// `1/vars`, the efficiency lower bound (0 without players).
+    fn lower(&self) -> Rational {
+        match self.vars {
+            0 => Rational::zero(),
+            n => Rational::from_ratio(1, n as u64),
+        }
+    }
+
+    /// True iff this bound is strictly below the lower bound `tau`:
+    /// `num/den < 1/t` ⇔ `num · t < den`, with no gcd.
+    fn below(&self, tau: Lower) -> bool {
+        match tau.0 {
+            0 => false,
+            t => {
+                let mut scaled = self.num.clone();
+                scaled.mul_small(t as u64);
+                scaled < self.den
+            }
+        }
+    }
+
+    /// The bound as a reduced `Rational`.
+    fn into_rational(self) -> Rational {
+        Rational::new(BigInt::from_biguint(self.num), self.den)
+    }
+}
+
+/// The lower bound `1/vars` of a structure with `vars` variables (0
+/// without players, `vars = 0`), ordered by that value.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Lower(usize);
+
+impl Ord for Lower {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // 1/a < 1/b iff a > b; the wrap sends 0 past every count.
+        other.0.wrapping_sub(1).cmp(&self.0.wrapping_sub(1))
+    }
+}
+
+impl PartialOrd for Lower {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
 /// [`shapley_bounds`]' set-up for one variable count.
 struct BoundTable {
     lcm: BigUint,
-    inv: Numerators,
-    /// `1/vars`.
-    lower: Rational,
+    tier: Tier,
 }
 
-/// `inv[u] = L/u`, the numerator of `1/u` over `L = lcm(1..=vars)`, in the
-/// narrowest tier holding `bits(L) + 3` bits.
-enum Numerators {
-    Vli1(Vec<Vli<1>>),
-    Vli2(Vec<Vli<2>>),
-    Vli4(Vec<Vli<4>>),
-    Vli8(Vec<Vli<8>>),
-    Big(Vec<BigUint>),
+/// The kernel in the narrowest tier holding `bits(L) + 3` bits.
+enum Tier {
+    Vli1(Kernel<Vli<1>>),
+    Vli2(Kernel<Vli<2>>),
+    Vli4(Kernel<Vli<4>>),
+    Vli8(Kernel<Vli<8>>),
+    Big(Kernel<BigUint>),
 }
 
 impl BoundTable {
     fn new(num_vars: usize) -> BoundTable {
         let lcm = lcm_upto(num_vars);
         let bits = lcm.bits() + 3;
-        let inv = if bits <= 64 {
-            Numerators::Vli1(numerators(&lcm, num_vars))
+        let tier = if bits <= 64 {
+            Tier::Vli1(Kernel::new(&lcm, num_vars))
         } else if bits <= 128 {
-            Numerators::Vli2(numerators(&lcm, num_vars))
+            Tier::Vli2(Kernel::new(&lcm, num_vars))
         } else if bits <= 256 {
-            Numerators::Vli4(numerators(&lcm, num_vars))
+            Tier::Vli4(Kernel::new(&lcm, num_vars))
         } else if bits <= 512 {
-            Numerators::Vli8(numerators(&lcm, num_vars))
+            Tier::Vli8(Kernel::new(&lcm, num_vars))
         } else {
-            Numerators::Big(numerators(&lcm, num_vars))
+            Tier::Big(Kernel::new(&lcm, num_vars))
         };
-        BoundTable {
-            lcm,
-            inv,
-            lower: Rational::from_ratio(1, num_vars as u64),
-        }
+        BoundTable { lcm, tier }
     }
-}
-
-/// `[0, L/1, L/2, …, L/num_vars]` in the tier `T`.
-fn numerators<T: Coeff>(lcm: &BigUint, num_vars: usize) -> Vec<T> {
-    (0..=num_vars)
-        .map(|u| {
-            if u == 0 {
-                return T::zero();
-            }
-            let mut q = lcm.clone();
-            q.div_small(u as u64);
-            T::from_biguint(&q)
-        })
-        .collect()
 }
 
 /// `lcm(1..=n)`: the product, over primes `p ≤ n`, of the largest power
@@ -226,140 +301,317 @@ fn lcm_upto(n: usize) -> BigUint {
     lcm
 }
 
-/// The numerator over `lcm` of `upper` (see [`shapley_bounds`]), in the
-/// coefficient tier `T` of `inv` (`inv[u] = L/u`).
-fn bound_numerator<T: Coeff>(key: &[Vec<u32>], num_vars: usize, inv: &[T]) -> BigUint {
-    let one = inv[1].clone();
-    let sets = BitRows::new(key, num_vars);
-    let sizes: Vec<usize> = (0..key.len())
-        .map(|ci| sets.union_len(ci, std::iter::empty()))
-        .collect();
-
-    // Cheap caps, largest first.
-    let mut caps: Vec<(T, usize)> = (0..num_vars)
-        .map(|v| {
-            let mut cap = T::zero();
-            for ci in sets.containing(v) {
-                cap.add_assign_ref(&inv[sizes[ci]]);
-                if cap >= one {
-                    return (one.clone(), v);
-                }
-            }
-            (cap, v)
-        })
-        .collect();
-    caps.sort_unstable_by(|a, b| b.cmp(a));
-
-    // Each conjunct's competitors in (|C ∪ D|, index) order, built on
-    // first use.
-    let mut competitors: Vec<Option<Vec<usize>>> = vec![None; key.len()];
-    let mut best = T::zero();
-    for (cap, v) in caps {
-        if cap <= best {
-            break;
-        }
-        let mut sum = T::zero();
-        for ci in sets.containing(v) {
-            let order = competitors[ci].get_or_insert_with(|| sets.closest_first(ci));
-            // The first three competitors avoiding v: exactly the
-            // filter → sort → truncate(3) of the set-algebra definition.
-            let mut chosen = [0usize; 3];
-            let mut count = 0;
-            for &j in order.iter() {
-                if !sets.contains(j, v) {
-                    chosen[count] = j;
-                    count += 1;
-                    if count == 3 {
-                        break;
-                    }
-                }
-            }
-            let (mut even, mut odd) = (T::zero(), T::zero());
-            for mask in 0u32..(1 << count) {
-                let picked = (0..count).filter(|b| mask & (1 << b) != 0);
-                let u = sets.union_len(ci, picked.map(|b| chosen[b]));
-                if mask.count_ones() % 2 == 0 {
-                    even.add_assign_ref(&inv[u]);
-                } else {
-                    odd.add_assign_ref(&inv[u]);
-                }
-            }
-            sum.add_assign_ref(&even.sub_ref(&odd));
-            if sum >= one {
-                break;
-            }
-        }
-        let ub = sum.min(one.clone());
-        if ub > best {
-            best = ub;
-            if best == one {
-                break;
-            }
-        }
-    }
-    best.into_biguint()
+/// The numerator kernel for one variable count, in the tier `T`.
+struct Kernel<T> {
+    /// `inv[u] = L/u`, the numerator of `1/u` over `L` (`inv[0] = 0`).
+    inv: Vec<T>,
+    /// Each conjunct's memoized term, valid while [`Scratch::memo`] holds
+    /// its competitors.
+    terms: Vec<T>,
 }
 
-/// A structure's conjuncts as fixed-width bitsets over its variables,
-/// one row of `words` limbs each. Flat rather than one
-/// [`shapdb_num::Bitset`] per conjunct: one allocation per structure, and
-/// a mask's union is popcounted without writing a scratch set (the
-/// per-conjunct `Bitset` form made the `job-topk` bound pass ~1.5–2×
-/// slower).
-struct BitRows {
-    words: usize,
-    rows: usize,
-    bits: Vec<u64>,
-}
-
-impl BitRows {
-    fn new(key: &[Vec<u32>], num_vars: usize) -> BitRows {
-        let words = num_vars.div_ceil(64);
-        let mut bits = vec![0u64; key.len() * words];
-        for (ci, c) in key.iter().enumerate() {
-            for &v in c {
-                bits[ci * words + v as usize / 64] |= 1 << (v % 64);
-            }
-        }
-        BitRows {
-            words,
-            rows: key.len(),
-            bits,
-        }
-    }
-
-    fn contains(&self, row: usize, v: usize) -> bool {
-        self.bits[row * self.words + v / 64] >> (v % 64) & 1 != 0
-    }
-
-    /// The rows containing `v`, in index order.
-    fn containing(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
-        (0..self.rows).filter(move |&ci| self.contains(ci, v))
-    }
-
-    /// `|row ∪ ⋃ others|`.
-    fn union_len(&self, row: usize, others: impl Iterator<Item = usize> + Clone) -> usize {
-        (0..self.words)
-            .map(|w| {
-                let word = others
-                    .clone()
-                    .fold(self.bits[row * self.words + w], |acc, j| {
-                        acc | self.bits[j * self.words + w]
-                    });
-                word.count_ones() as usize
+impl<T: Coeff> Kernel<T> {
+    fn new(lcm: &BigUint, num_vars: usize) -> Kernel<T> {
+        let inv = (0..=num_vars)
+            .map(|u| {
+                if u == 0 {
+                    return T::zero();
+                }
+                let mut q = lcm.clone();
+                q.div_small(u as u64);
+                T::from_biguint(&q)
             })
-            .sum()
+            .collect();
+        Kernel {
+            inv,
+            terms: Vec::new(),
+        }
     }
 
-    /// Every other row, closest first: sorted by `(|row ∪ other|, other)`.
-    fn closest_first(&self, row: usize) -> Vec<usize> {
-        let mut order: Vec<(usize, usize)> = (0..self.rows)
-            .filter(|&j| j != row)
-            .map(|j| (self.union_len(row, std::iter::once(j)), j))
-            .collect();
-        order.sort_unstable();
-        order.into_iter().map(|(_, j)| j).collect()
+    /// The numerator over `L` of `upper` (see [`shapley_bounds`]) for the
+    /// structure indexed in `s`.
+    fn upper(&mut self, s: &mut Scratch) -> BigUint {
+        let Kernel { inv, terms } = self;
+        let one = &inv[1];
+        terms.resize(s.sizes.len(), T::zero());
+        let mut best = T::zero();
+        for v in 0..s.vars {
+            let mut cap = T::zero();
+            for &c in s.holders(v) {
+                cap.add_assign_ref(&inv[s.sizes[c as usize] as usize]);
+                if cap >= *one {
+                    break;
+                }
+            }
+            if cap <= best {
+                continue;
+            }
+            let mut sum = T::zero();
+            for h in s.at[v] as usize..s.at[v + 1] as usize {
+                let c = s.holders[h] as usize;
+                let chosen = s.competitors(c, v);
+                if s.memo[c] != Some(chosen) {
+                    terms[c] = s.term(c, chosen, inv);
+                    s.memo[c] = Some(chosen);
+                }
+                sum.add_assign_ref(&terms[c]);
+                if sum >= *one {
+                    break;
+                }
+            }
+            let ub = sum.min(one.clone());
+            if ub > best {
+                best = ub;
+                if best == *one {
+                    break;
+                }
+            }
+        }
+        best.into_biguint()
     }
+}
+
+/// Up to three competitors of a conjunct, closest first.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Competitors {
+    count: usize,
+    chosen: [u32; 3],
+}
+
+/// One structure's tables, reused from one structure to the next: the
+/// buffers only grow, and every per-structure flag is reset on loading.
+/// A structure has `n` conjuncts over the dense variables `0..vars`.
+#[derive(Default)]
+struct Scratch {
+    /// Variables of the loaded structure; 0 for a constant one.
+    vars: usize,
+    /// Conjunct `c`'s variables are `lits[starts[c]..starts[c + 1]]`.
+    starts: Vec<u32>,
+    lits: Vec<u32>,
+    /// A lineage's distinct facts in increasing order: its dense renaming.
+    facts: Vec<VarId>,
+    /// Limbs per row.
+    words: usize,
+    /// Conjunct `c` as a bitset: `rows[c · words..(c + 1) · words]`.
+    rows: Vec<u64>,
+    /// `|C|` per conjunct.
+    sizes: Vec<u32>,
+    /// The conjuncts holding `v`, in index order:
+    /// `holders[at[v]..at[v + 1]]`.
+    at: Vec<u32>,
+    holders: Vec<u32>,
+    /// Per conjunct: its row of `pair` and `order`, once sorted. Rows are
+    /// added as conjuncts are first sorted, so a scan that stops early
+    /// builds only the rows it reads.
+    row_of: Vec<Option<usize>>,
+    /// `|C ∪ Cⱼ|` at `r · n + j` for the conjunct `C` of row `r`.
+    pair: Vec<u32>,
+    /// Row `r`: the other conjuncts in `(|C ∪ D|, index)` order, at
+    /// `r · n..r · n + n − 1`.
+    order: Vec<u32>,
+    /// One row's sort keys, `|C ∪ D| << 32 | D`.
+    keys: Vec<u64>,
+    /// Per conjunct: the competitors its memoized term was computed for.
+    memo: Vec<Option<Competitors>>,
+    /// One union per inclusion–exclusion mask, `words` limbs each.
+    unions: Vec<u64>,
+}
+
+impl Scratch {
+    /// Loads `key` (see [`shapley_bounds`]).
+    fn load_key(&mut self, key: &[Vec<u32>]) {
+        self.starts.clear();
+        self.lits.clear();
+        self.starts.push(0);
+        self.vars = 0;
+        if key.is_empty() || key.iter().any(|c| c.is_empty()) {
+            return;
+        }
+        for c in key {
+            self.lits.extend_from_slice(c);
+            self.starts.push(self.lits.len() as u32);
+        }
+        self.vars = self.lits.iter().max().map_or(0, |&m| m as usize + 1);
+    }
+
+    /// Loads `lineage` renamed onto `0..vars` in increasing fact order.
+    fn load_lineage(&mut self, lineage: &Dnf) {
+        self.starts.clear();
+        self.lits.clear();
+        self.starts.push(0);
+        self.vars = 0;
+        let conjuncts = lineage.conjuncts();
+        if conjuncts.is_empty() || conjuncts.iter().any(|c| c.is_empty()) {
+            return;
+        }
+        self.facts.clear();
+        self.facts.extend(conjuncts.iter().flatten());
+        self.facts.sort_unstable();
+        self.facts.dedup();
+        for c in conjuncts {
+            for v in c {
+                let dense = self.facts.binary_search(v).expect("fact in lineage");
+                self.lits.push(dense as u32);
+            }
+            self.starts.push(self.lits.len() as u32);
+        }
+        self.vars = self.facts.len();
+    }
+
+    /// Builds the loaded structure's rows, sizes and holder lists, and
+    /// forgets the previous structure's orders and memo.
+    fn index(&mut self) {
+        let n = self.starts.len() - 1;
+        let words = self.vars.div_ceil(64);
+        self.words = words;
+        self.rows.clear();
+        self.rows.resize(n * words, 0);
+        for c in 0..n {
+            let row = &mut self.rows[c * words..(c + 1) * words];
+            for &v in &self.lits[self.starts[c] as usize..self.starts[c + 1] as usize] {
+                row[v as usize / 64] |= 1 << (v % 64);
+            }
+        }
+        self.sizes.clear();
+        self.sizes.extend(
+            self.rows
+                .chunks_exact(words)
+                .map(|row| row.iter().map(|w| w.count_ones()).sum::<u32>()),
+        );
+
+        // Holder lists, counting then placing each row's variables.
+        self.at.clear();
+        self.at.resize(self.vars + 1, 0);
+        for c in 0..n {
+            for v in row_vars(&self.rows[c * words..(c + 1) * words]) {
+                self.at[v + 1] += 1;
+            }
+        }
+        for v in 0..self.vars {
+            self.at[v + 1] += self.at[v];
+        }
+        self.holders.clear();
+        self.holders.resize(self.at[self.vars] as usize, 0);
+        for c in 0..n {
+            for v in row_vars(&self.rows[c * words..(c + 1) * words]) {
+                self.holders[self.at[v] as usize] = c as u32;
+                self.at[v] += 1;
+            }
+        }
+        // Each `at[v]` now ends `v`'s list, where `v + 1`'s starts.
+        self.at.copy_within(0..self.vars, 1);
+        self.at[0] = 0;
+
+        self.row_of.clear();
+        self.row_of.resize(n, None);
+        self.pair.clear();
+        self.order.clear();
+        self.memo.clear();
+        self.memo.resize(n, None);
+        self.unions.resize(8 * words, 0);
+    }
+
+    /// The conjuncts holding `v`, in index order.
+    fn holders(&self, v: usize) -> &[u32] {
+        &self.holders[self.at[v] as usize..self.at[v + 1] as usize]
+    }
+
+    fn row(&self, c: usize) -> &[u64] {
+        &self.rows[c * self.words..(c + 1) * self.words]
+    }
+
+    /// The first three conjuncts in `c`'s competitor order that avoid `v`:
+    /// exactly the filter → sort → truncate(3) of the set-algebra
+    /// definition.
+    fn competitors(&mut self, c: usize, v: usize) -> Competitors {
+        let n = self.row_of.len();
+        let r = match self.row_of[c] {
+            Some(r) => r,
+            None => self.sort(c),
+        };
+        let mut out = Competitors {
+            count: 0,
+            chosen: [0; 3],
+        };
+        for &j in &self.order[r * n..r * n + n - 1] {
+            if self.rows[j as usize * self.words + v / 64] >> (v % 64) & 1 == 0 {
+                out.chosen[out.count] = j;
+                out.count += 1;
+                if out.count == 3 {
+                    break;
+                }
+            }
+        }
+        out
+    }
+
+    /// Adds `c`'s rows of the pairwise table and the competitor order, and
+    /// returns their index; a pair whose other side was sorted first is
+    /// read, not recounted.
+    fn sort(&mut self, c: usize) -> usize {
+        let n = self.row_of.len();
+        let r = self.pair.len() / n;
+        self.keys.clear();
+        for j in 0..n {
+            let union = match self.row_of[j] {
+                Some(rj) => self.pair[rj * n + c],
+                None => self
+                    .row(c)
+                    .iter()
+                    .zip(self.row(j))
+                    .map(|(a, b)| (a | b).count_ones())
+                    .sum(),
+            };
+            self.pair.push(union);
+            if j != c {
+                self.keys.push(u64::from(union) << 32 | j as u64);
+            }
+        }
+        self.keys.sort_unstable();
+        self.order.extend(self.keys.iter().map(|&key| key as u32));
+        self.order.push(0);
+        self.row_of[c] = Some(r);
+        r
+    }
+
+    /// Conjunct `c`'s term against `chosen`:
+    /// `Σ_{S ⊆ chosen} (−1)^{|S|} L/|C ∪ ⋃S|`.
+    fn term<T: Coeff>(&mut self, c: usize, chosen: Competitors, inv: &[T]) -> T {
+        let words = self.words;
+        self.unions[..words].copy_from_slice(&self.rows[c * words..(c + 1) * words]);
+        let mut even = inv[self.sizes[c] as usize].clone();
+        let mut odd = T::zero();
+        for mask in 1usize..1 << chosen.count {
+            let lower = mask & (mask - 1);
+            let row = chosen.chosen[mask.trailing_zeros() as usize] as usize * words;
+            let mut union = 0;
+            for w in 0..words {
+                let word = self.unions[lower * words + w] | self.rows[row + w];
+                self.unions[mask * words + w] = word;
+                union += word.count_ones();
+            }
+            if mask.count_ones() % 2 == 0 {
+                even.add_assign_ref(&inv[union as usize]);
+            } else {
+                odd.add_assign_ref(&inv[union as usize]);
+            }
+        }
+        even.sub_ref(&odd)
+    }
+}
+
+/// The variables set in a bitset row, ascending.
+fn row_vars(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let v = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                v
+            })
+        })
+    })
 }
 
 /// An answer that passed the stream filter, kept as its minimized lineage
@@ -367,31 +619,16 @@ impl BitRows {
 struct Survivor {
     /// Position in the submitted answer sequence.
     index: usize,
-    /// [`shapley_bounds`]' upper bound on the answer's score.
-    upper: Rational,
+    /// [`shapley_bounds`]' upper bound on the answer's score, unreduced.
+    upper: Upper,
     lineage: Dnf,
-}
-
-/// `lineage`'s conjuncts renamed onto `0..vars` in increasing fact order:
-/// the key shape [`shapley_bounds`] reads, without canonicalizing.
-fn dense_key(lineage: &Dnf) -> Vec<Vec<u32>> {
-    let vars = lineage.vars();
-    lineage
-        .conjuncts()
-        .iter()
-        .map(|c| {
-            c.iter()
-                .map(|v| vars.binary_search(v).expect("var in lineage") as u32)
-                .collect()
-        })
-        .collect()
 }
 
 /// True iff `upper` falls strictly below τ, the smallest of `lowers` once
 /// it holds `k` lower bounds: `k` answers then score at least τ, so an
 /// answer bounded below τ ranks after all of them. Ties at τ stay.
-fn below_threshold(upper: &Rational, lowers: &BinaryHeap<Reverse<Rational>>, k: usize) -> bool {
-    lowers.len() == k && lowers.peek().is_some_and(|tau| *upper < tau.0)
+fn below_threshold(upper: &Upper, lowers: &BinaryHeap<Reverse<Lower>>, k: usize) -> bool {
+    lowers.len() == k && lowers.peek().is_some_and(|tau| upper.below(tau.0))
 }
 
 /// A structure awaiting admission, ordered for the max-heap: highest
@@ -467,6 +704,9 @@ pub struct TopKReport {
     /// Structural dedup over the surviving answers: `tasks` is the number
     /// of survivors, `distinct` their canonical structures.
     pub dedup: DedupStats,
+    /// Indices of the answers that passed the stream filter, ascending:
+    /// the only ones fingerprinted.
+    pub survivors: Vec<usize>,
     /// Every counter this ranking bumped, and nothing any concurrent run
     /// did: `topk.bound_passes` (every answer, or none at `k = 0`),
     /// fingerprints, admissions, routes, `engine.runs` (cache hits and
@@ -501,7 +741,8 @@ impl TopKExecutor {
     /// returns the top `k`. Each lineage is minimized (a no-op for one
     /// that already is, such as an `endo_lineage`) and bounded on a dense
     /// renaming, with [`shapley_bounds`]' set-up built once per variable
-    /// count; an answer whose upper bound falls strictly below
+    /// count and one scratch reused by every answer; an answer whose upper
+    /// bound falls strictly below
     /// the `k`-th best lower bound seen so far is dropped on the spot, so
     /// a streamed input retains only the survivors' minimized lineages.
     /// Only the survivors of the final threshold are fingerprinted,
@@ -522,7 +763,7 @@ impl TopKExecutor {
 
         // Stream filter: `lowers` keeps the k largest lower bounds so far.
         // `k` is not capped by an answer count yet: no capacity from it.
-        let mut lowers: BinaryHeap<Reverse<Rational>> = BinaryHeap::new();
+        let mut lowers: BinaryHeap<Reverse<Lower>> = BinaryHeap::new();
         let mut tables = BoundTables::default();
         let mut survivors: Vec<Survivor> = Vec::new();
         let mut answers = 0usize;
@@ -533,15 +774,15 @@ impl TopKExecutor {
             }
             lineage.minimize();
             TOPK_BOUND_PASSES.incr();
-            let bounds = tables.bounds(&dense_key(&lineage));
-            lowers.push(Reverse(bounds.lower));
+            let upper = tables.lineage_upper(&lineage);
+            lowers.push(Reverse(Lower(upper.vars)));
             if lowers.len() > k {
                 lowers.pop();
             }
-            if !below_threshold(&bounds.upper, &lowers, k) {
+            if !below_threshold(&upper, &lowers, k) {
                 survivors.push(Survivor {
                     index,
-                    upper: bounds.upper,
+                    upper,
                     lineage,
                 });
             }
@@ -549,12 +790,15 @@ impl TopKExecutor {
         survivors.retain(|s| !below_threshold(&s.upper, &lowers, k));
         stages::record_measure_requests(Measure::Shapley, answers as u64);
 
-        // Only survivors are canonicalized. A group's admission bound is
-        // the tightest of its members' own bounds: all members share one
-        // exact score.
+        // Only survivors are canonicalized, and only their bounds reduced.
+        // A group's admission bound is the tightest of its members' own
+        // bounds: all members share one exact score.
         let (kept, fps): (Vec<(usize, Rational)>, Vec<Fingerprint>) = survivors
             .into_iter()
-            .map(|s| ((s.index, s.upper), fingerprint_minimized(&s.lineage)))
+            .map(|s| {
+                let fp = fingerprint_minimized(&s.lineage);
+                ((s.index, s.upper.into_rational()), fp)
+            })
             .unzip();
         let grouping = stages::group_by_structure(&fps);
         let distinct = grouping.distinct();
@@ -657,6 +901,7 @@ impl TopKExecutor {
                 tasks: kept.len(),
                 distinct,
             },
+            survivors: kept.iter().map(|&(index, _)| index).collect(),
             profile: (*profile).clone(),
             total_time: start.elapsed(),
         })
@@ -733,10 +978,26 @@ mod tests {
         }
     }
 
+    /// `lineage`'s conjuncts renamed onto `0..vars` in increasing fact
+    /// order: the key the executor loads a lineage as.
+    fn dense_key(lineage: &Dnf) -> Vec<Vec<u32>> {
+        let vars = lineage.vars();
+        lineage
+            .conjuncts()
+            .iter()
+            .map(|c| {
+                c.iter()
+                    .map(|v| vars.binary_search(v).unwrap() as u32)
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn cached_bounds_equal_one_shot_bounds_on_the_job_smoke_keys() {
         // One table set across every answer, as a ranking run keeps it,
-        // on both the stream's dense keys and the canonical keys.
+        // on the lineages as the executor loads them and on both their
+        // dense and canonical keys.
         use shapdb_workloads::{job_database, job_ranking_query, JobConfig};
         let db = job_database(&JobConfig::smoke());
         let answers = shapdb_query::evaluate(&job_ranking_query(), &db);
@@ -744,13 +1005,17 @@ mod tests {
         let mut counts = std::collections::HashSet::new();
         for out in &answers.outputs {
             let lineage = out.endo_lineage(&db);
-            for key in [dense_key(&lineage), fingerprint(&lineage).key().clone()] {
+            let dense = dense_key(&lineage);
+            let upper = tables.lineage_upper(&lineage);
+            assert_eq!(upper.lower(), shapley_bounds(&dense).lower);
+            assert_eq!(upper.into_rational(), shapley_bounds(&dense).upper);
+            for key in [dense, fingerprint(&lineage).key().clone()] {
                 counts.insert(num_vars(&key));
                 assert_eq!(tables.bounds(&key), shapley_bounds(&key), "{key:?}");
             }
         }
         assert!(counts.len() > 1, "the corpus has several variable counts");
-        assert_eq!(tables.0.len(), counts.len(), "one table per count");
+        assert_eq!(tables.by_vars.len(), counts.len(), "one table per count");
     }
 
     #[test]
@@ -914,6 +1179,75 @@ mod tests {
             prop_assume!(n >= 400);
             prop_assert!(kernel_bits(n) > 512);
             prop_assert_eq!(shapley_bounds(&key), reference_bounds(&key));
+        }
+    }
+
+    /// A key drawn by `shape` from `raw` for the state-leak test: narrow
+    /// (≤ 12 variables, so union sizes tie), mid (up to 150 variables:
+    /// multi-word rows, `Vli<2/4/8>`), wide (≥ 360 variables, `BigUint`) or
+    /// constant.
+    fn shaped_key(shape: u32, raw: &[Vec<u32>]) -> Vec<Vec<u32>> {
+        let pick = |conjs: usize, width: usize, modulus: u32| -> Vec<Vec<u32>> {
+            raw.iter()
+                .take(conjs)
+                .map(|c| c.iter().take(width).map(|v| v % modulus).collect())
+                .collect()
+        };
+        match shape {
+            0..=12 => canonical_key(&pick(12, 3, 12)),
+            13..=20 => canonical_key(&pick(30, 5, 150)),
+            21 => {
+                // Width-6 windows overlapping by two variables.
+                let n = 360 + raw[0][0] % 40;
+                let windows: Vec<Vec<u32>> = (0..n - 5)
+                    .step_by(4)
+                    .map(|i| (i..i + 6).collect())
+                    .collect();
+                canonical_key(&windows)
+            }
+            _ if raw.len().is_multiple_of(2) => Vec::new(),
+            _ => vec![Vec::new()],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        /// One table set bounds a random sequence of keys of every tier,
+        /// as a ranking run does: each bound equals the definition, through
+        /// a key and through a lineage loaded into the same scratch, so no
+        /// order, pairwise size or memoized term leaks from one structure
+        /// into the next. The unreduced threshold test agrees with the
+        /// reduced bound.
+        #[test]
+        fn prop_one_table_set_matches_the_reference_across_structures(
+            keys in proptest::collection::vec(
+                (0u32..24, proptest::collection::vec(
+                    proptest::collection::vec(0u32..100_000, 1..7), 1..50)),
+                2..10),
+        ) {
+            let mut tables = BoundTables::default();
+            for (shape, raw) in &keys {
+                let key = shaped_key(*shape, raw);
+                let want = reference_bounds(&key);
+                prop_assert_eq!(tables.bounds(&key), want.clone());
+
+                // The same structure as a lineage over sparse fact ids.
+                let mut lineage = Dnf::new();
+                for c in &key {
+                    lineage.add_conjunct(c.iter().map(|&v| VarId(7 * v + 3)).collect());
+                }
+                let want = reference_bounds(&dense_key(&lineage));
+                let upper = tables.lineage_upper(&lineage);
+                prop_assert_eq!(upper.lower(), want.lower);
+                for t in [0, 1, 2, 3, upper.vars, upper.vars + 1] {
+                    let tau = match t {
+                        0 => Rational::zero(),
+                        t => Rational::from_ratio(1, t as u64),
+                    };
+                    prop_assert_eq!(upper.below(Lower(t)), want.upper < tau, "t={}", t);
+                }
+                prop_assert_eq!(upper.into_rational(), want.upper);
+            }
         }
     }
 

@@ -10,9 +10,11 @@
 //! (module `index`), and runs the same allocation-free backtracking search
 //! for every plan: all derivations for [`evaluate`] and the negation
 //! evaluator, one answer's derivations per seeded call for the stream, and
-//! one match per answer for the stream's answer pass (the search backtracks
-//! to the depth where the plan has bound every head variable as soon as a
-//! match completes). Plans and indexes are dropped with the call.
+//! one match per answer for the stream's answer pass. There the search
+//! backtracks to the depth where the plan has bound every head variable as
+//! soon as a match completes, and skips a row whose head binding is an
+//! answer already found, in this disjunct or an earlier one. Plans and
+//! indexes are dropped with the call.
 //!
 //! The search builds either lineage a [`LineageKind`] names. In
 //! [`LineageKind::Endogenous`] mode it leaves each exogenous fact out of a
@@ -65,9 +67,6 @@ pub(crate) enum Emit {
     Facts,
     /// Every match, with its endogenous facts only.
     EndogenousFacts,
-    /// One match per head binding: after a match the search backtracks to
-    /// the plan's [`Plan::head_depth`].
-    Answers,
 }
 
 /// One output tuple with its lineage.
@@ -167,6 +166,8 @@ pub(crate) struct Evaluator<'a> {
     indexes: Indexes,
     /// Rows the searches of this call have visited, matching or not.
     rows_visited: Cell<u64>,
+    /// Full matches the searches of this call have found.
+    matches: Cell<u64>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -175,6 +176,7 @@ impl<'a> Evaluator<'a> {
             db,
             indexes: Indexes::default(),
             rows_visited: Cell::new(0),
+            matches: Cell::new(0),
         }
     }
 
@@ -205,6 +207,43 @@ impl<'a> Evaluator<'a> {
         'a: 'b,
         F: FnMut(&[Option<&'b Value>], &[FactId]),
     {
+        let keep_exogenous = emit != Emit::EndogenousFacts;
+        self.search(plan, seed, keep_exogenous, None, &mut on_match);
+    }
+
+    /// The distinct head tuples of `q`, in ascending order, from one match
+    /// per answer: each disjunct's search backtracks to the plan's
+    /// [`Plan::head_depth`] after a match, and skips a head binding found
+    /// before, in this disjunct or an earlier one.
+    pub(crate) fn answer_pass<'b>(&mut self, q: &'b Ucq) -> Vec<Vec<Value>>
+    where
+        'a: 'b,
+    {
+        let mut found = Answers::default();
+        for cq in q.disjuncts() {
+            let plan = self.plan(cq);
+            let seed = vec![None; cq.num_vars()];
+            let cut = Cut {
+                depth: plan.head_depth,
+                head: &cq.head,
+                found: &mut found,
+            };
+            self.search(&plan, seed, true, Some(cut), &mut |_, _| {});
+        }
+        found.sorted().into_iter().map(|(t, _)| t).collect()
+    }
+
+    fn search<'b, F>(
+        &self,
+        plan: &Plan,
+        seed: Vec<Option<&'b Value>>,
+        keep_exogenous: bool,
+        cut: Option<Cut<'_, 'b>>,
+        on_match: &mut F,
+    ) where
+        'a: 'b,
+        F: FnMut(&[Option<&'b Value>], &[FactId]),
+    {
         let Some(steps) = &plan.steps else {
             return;
         };
@@ -217,21 +256,29 @@ impl<'a> Evaluator<'a> {
             indexes: &self.indexes,
             binding: seed,
             used: Vec::with_capacity(steps.len()),
-            keep_exogenous: emit != Emit::EndogenousFacts,
-            cut: (emit == Emit::Answers).then_some(plan.head_depth),
+            keep_exogenous,
+            cut,
             unwinding: false,
             visited: 0,
-            on_match: &mut on_match,
+            matches: 0,
+            on_match,
         };
         search.descend(0);
         self.rows_visited
             .set(self.rows_visited.get() + search.visited);
+        self.matches.set(self.matches.get() + search.matches);
     }
 
     /// Rows visited so far by this evaluator's searches.
     #[cfg(test)]
     pub(crate) fn rows_visited(&self) -> u64 {
         self.rows_visited.get()
+    }
+
+    /// Full matches found so far by this evaluator's searches.
+    #[cfg(test)]
+    pub(crate) fn matches(&self) -> u64 {
+        self.matches.get()
     }
 
     /// The index keyed by every position of the relation `atom` names, for
@@ -355,6 +402,15 @@ impl<'v, T> Answers<'v, T> {
         self.groups[id].push(item);
     }
 
+    /// True iff an item was filed under the answer `head` evaluates to
+    /// under `binding`.
+    fn contains(&mut self, head: &'v [Term], binding: &[Option<&'v Value>]) -> bool {
+        self.scratch.clear();
+        self.scratch
+            .extend(head.iter().map(|t| term_value(t, binding)));
+        self.ids.contains_key(self.scratch.as_slice())
+    }
+
     /// Every answer's tuple with its items, in ascending tuple order.
     pub(crate) fn sorted(mut self) -> Vec<(Vec<Value>, Vec<T>)> {
         let mut ids: Vec<(Vec<&Value>, usize)> = self.ids.into_iter().collect();
@@ -380,6 +436,15 @@ fn holds(p: &Predicate, binding: &[Option<&Value>]) -> bool {
     p.op.apply(term_value(&p.lhs, binding), term_value(&p.rhs, binding))
 }
 
+/// The answer pass's cut: after a match the search backtracks to `depth`,
+/// where the plan has bound every head variable, and does not descend
+/// below it for a head binding already in `found`.
+struct Cut<'p, 'b> {
+    depth: usize,
+    head: &'b [Term],
+    found: &'p mut Answers<'b, ()>,
+}
+
 /// The backtracking join over one plan. A plan binds the same variables
 /// at every depth, so nothing is unbound on the way back up.
 struct Search<'p, 'b, F> {
@@ -391,11 +456,12 @@ struct Search<'p, 'b, F> {
     /// `keep_exogenous`.
     used: Vec<FactId>,
     keep_exogenous: bool,
-    /// The depth a match backtracks to ([`Emit::Answers`] only).
-    cut: Option<usize>,
+    /// The answer pass's cut ([`Evaluator::answer_pass`] only).
+    cut: Option<Cut<'p, 'b>>,
     /// Set by a match under a cut, cleared on reaching the cut depth.
     unwinding: bool,
     visited: u64,
+    matches: u64,
     on_match: &'p mut F,
 }
 
@@ -404,10 +470,19 @@ where
     F: FnMut(&[Option<&'b Value>], &[FactId]),
 {
     fn descend(&mut self, depth: usize) {
+        if let Some(cut) = &mut self.cut {
+            if depth == cut.depth && cut.found.contains(cut.head, &self.binding) {
+                return;
+            }
+        }
         let steps = self.steps;
         let Some(step) = steps.get(depth) else {
+            self.matches += 1;
             (self.on_match)(&self.binding, &self.used);
-            self.unwinding = self.cut.is_some();
+            if let Some(cut) = &mut self.cut {
+                cut.found.add(cut.head, &self.binding, ());
+                self.unwinding = true;
+            }
             return;
         };
         let facts = self.relations[step.rel].facts();
@@ -472,7 +547,7 @@ where
             self.used.pop();
         }
         // Every match below this depth repeats the answer just found.
-        if self.cut == Some(depth + 1) {
+        if self.cut.as_ref().is_some_and(|cut| cut.depth == depth + 1) {
             self.unwinding = false;
         }
     }

@@ -35,7 +35,7 @@
 //! observed [`StreamStats`].
 
 use crate::ast::Ucq;
-use crate::eval::{seed_binding, Answers, Emit, Evaluator, LineageKind, OutputTuple, Plan};
+use crate::eval::{seed_binding, Emit, Evaluator, LineageKind, OutputTuple, Plan};
 use shapdb_circuit::{Dnf, VarId};
 use shapdb_data::{Database, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -64,15 +64,7 @@ impl<'a> LineageStream<'a> {
     /// lineages `kind` names.
     pub fn with_kind(q: &'a Ucq, db: &'a Database, kind: LineageKind) -> LineageStream<'a> {
         let mut evaluator = Evaluator::new(db);
-        let mut answers = Answers::default();
-        for cq in q.disjuncts() {
-            let plan = evaluator.plan(cq);
-            let seed = vec![None; cq.num_vars()];
-            evaluator.run(&plan, seed, Emit::Answers, |binding, _| {
-                answers.add(&cq.head, binding, ());
-            });
-        }
-        let answers: Vec<Vec<Value>> = answers.sorted().into_iter().map(|(t, _)| t).collect();
+        let answers = evaluator.answer_pass(q);
         let seeded = q
             .disjuncts()
             .iter()
@@ -288,6 +280,36 @@ mod tests {
             .into_iter()
             .map(|o| o.tuple)
             .collect()
+    }
+
+    #[test]
+    fn answer_pass_matches_each_job_smoke_answer_once() {
+        // Disjunct 2 of the JOB ranking query reaches a movie through
+        // every company–keyword pattern, and disjunct 1 finds most movies
+        // first: a head binding already found is not searched again.
+        use shapdb_workloads::{job_database, job_ranking_query, JobConfig};
+        let db = job_database(&JobConfig::smoke());
+        // The workloads crate links its own build of this crate: rebuild
+        // the query from its disjuncts' text.
+        let text: Vec<String> = job_ranking_query()
+            .disjuncts()
+            .iter()
+            .map(|cq| cq.to_string())
+            .collect();
+        let q = crate::parse_ucq(&text.join(" ; ")).unwrap();
+        assert_eq!(q.disjuncts().len(), 2);
+        let stream = LineageStream::new(&q, &db);
+        let answers = stream.len() as u64;
+        assert!(answers > 10);
+        assert_eq!(
+            stream.answers.as_slice(),
+            evaluated_tuples(&q, &db).as_slice()
+        );
+        assert!(
+            stream.evaluator.matches() <= answers,
+            "{} matches for {answers} answers",
+            stream.evaluator.matches()
+        );
     }
 
     #[test]

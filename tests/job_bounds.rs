@@ -5,18 +5,23 @@
 //! (`reference_bounds`) bit for bit and bracket the structure's exact best
 //! Shapley value; bound-driven `rank_topk` must still return the full
 //! ranking's prefix. The top-k executor, fed the raw streamed lineages,
-//! must fingerprint only the answers its stream filter keeps.
+//! must fingerprint only the answers its stream filter keeps. At release
+//! scale (`#[ignore]`d, run by `make test-release-wide`), every answer of
+//! the 4,000-movie database is checked the same way, and the executor's
+//! stream-filter survivors are those the reference bounds select.
 
 use shapdb::ShapleyAnalyzer;
+use shapdb_circuit::Dnf;
 use shapdb_circuit::{fingerprint, FingerprintKey};
 use shapdb_core::engine::{shapley_bounds, Planner, PlannerConfig, ScoreBounds, TopKExecutor};
 use shapdb_kc::Budget;
 use shapdb_metrics::counters::{CIRCUIT_FACTOR_PASSES, CIRCUIT_MINIMIZE_PASSES, TOPK_BOUND_PASSES};
 use shapdb_metrics::Profile;
 use shapdb_num::Rational;
-use shapdb_query::{evaluate, with_streamed_lineages};
+use shapdb_query::{evaluate, with_inline_lineages, with_streamed_lineages, LineageKind};
 use shapdb_workloads::{job_database, job_ranking_query, JobConfig};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 #[path = "../crates/core/src/engine/topk/reference.rs"]
@@ -196,5 +201,88 @@ fn rank_topk_is_identical_on_one_and_two_threads() {
             one.stream.peak_in_flight_literals, one.stream.max_answer_literals,
             "one thread holds one answer in flight"
         );
+    }
+}
+
+/// `lineage` renamed onto `0..vars` in increasing fact order: the key the
+/// top-k executor bounds an answer by.
+fn dense_key(lineage: &Dnf) -> Vec<Vec<u32>> {
+    let vars = lineage.vars();
+    lineage
+        .conjuncts()
+        .iter()
+        .map(|c| {
+            c.iter()
+                .map(|v| vars.binary_search(v).unwrap() as u32)
+                .collect()
+        })
+        .collect()
+}
+
+/// The stream filter run on the given bounds, in answer order: an answer
+/// is dropped when its upper bound is strictly below the smallest of the
+/// `k` largest lower bounds seen so far, and again against the final one.
+fn reference_survivors(bounds: &[ScoreBounds], k: usize) -> Vec<usize> {
+    let mut lowers: BinaryHeap<Reverse<Rational>> = BinaryHeap::new();
+    let below = |upper: &Rational, lowers: &BinaryHeap<Reverse<Rational>>| {
+        lowers.len() == k && lowers.peek().is_some_and(|tau| *upper < tau.0)
+    };
+    let mut kept = Vec::new();
+    for (i, b) in bounds.iter().enumerate() {
+        lowers.push(Reverse(b.lower.clone()));
+        if lowers.len() > k {
+            lowers.pop();
+        }
+        if !below(&b.upper, &lowers) {
+            kept.push(i);
+        }
+    }
+    kept.retain(|&i| !below(&bounds[i].upper, &lowers));
+    kept
+}
+
+#[test]
+#[ignore = "release scale: run by `make test-release-wide`"]
+fn job_4000_bounds_match_the_reference_and_select_the_reference_survivors() {
+    let default = JobConfig::default();
+    for solo_per_mille in [default.solo_per_mille, 0] {
+        let cfg = JobConfig {
+            movies: 4_000,
+            solo_per_mille,
+            ..default
+        };
+        let db = job_database(&cfg);
+        let q = job_ranking_query();
+        let (lineages, _) = with_inline_lineages(&q, &db, LineageKind::Endogenous, |answers| {
+            answers.map(|out| out.lineage).collect::<Vec<Dnf>>()
+        });
+        assert_eq!(lineages.len(), cfg.movies);
+        let bounds: Vec<ScoreBounds> = lineages
+            .iter()
+            .map(|lineage| {
+                let key = dense_key(lineage);
+                let b = reference::reference_bounds(&key);
+                assert_eq!(shapley_bounds(&key), b, "solo={solo_per_mille} key {key:?}");
+                b
+            })
+            .collect();
+        for k in [1, 10, 100] {
+            let want = reference_survivors(&bounds, k);
+            let executor = TopKExecutor::new(Planner::for_query(PlannerConfig::default(), &q));
+            let report = executor
+                .run(
+                    lineages.iter().cloned(),
+                    k,
+                    db.num_endogenous(),
+                    &Budget::unlimited(),
+                )
+                .unwrap();
+            assert_eq!(report.survivors, want, "solo={solo_per_mille} k={k}");
+            assert_eq!(report.dedup.tasks, want.len());
+            if k <= cfg.solo_movies() {
+                // The solo slice pins τ at 1/2 and is all that survives.
+                assert_eq!(want.len(), cfg.solo_movies(), "k={k}");
+            }
+        }
     }
 }
