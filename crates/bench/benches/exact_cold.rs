@@ -19,7 +19,11 @@
 //!
 //! Besides the criterion console lines, the run writes a machine-readable
 //! summary to `results/bench_exact.json` so the perf trajectory is recorded
-//! per commit (`make bench-exact`).
+//! per commit (`make bench-exact`). It also records `readonce_facts`, the
+//! facts of the read-once structures, and `readonce_passes`, the
+//! conditioned passes one `readonce_only` round ran
+//! (`readonce.conditioned_passes`), and asserts there are fewer passes than
+//! facts: interchangeable facts share one pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use shapdb_bench::{median_ns, write_result};
@@ -29,6 +33,8 @@ use shapdb_core::exact::{shapley_all_facts, ExactConfig};
 use shapdb_core::readonce::power_read_once;
 use shapdb_core::Measure;
 use shapdb_kc::{compile_circuit_topdown, Budget, ComponentCache, Ddnnf};
+use shapdb_metrics::counters::{Profile, READONCE_CONDITIONED_PASSES};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Every answer lineage of every workload query (capped per query) — the
@@ -268,6 +274,21 @@ fn bench_exact_cold(c: &mut Criterion) {
     let readonce_ns = median_ns(SAMPLES, || {
         std::hint::black_box(solve_read_once(&trees, n_endo));
     });
+    let profile = Arc::new(Profile::new());
+    let readonce_facts = {
+        let _scope = profile.enter();
+        solve_read_once(&trees, n_endo)
+    };
+    let readonce_passes = profile.get(&READONCE_CONDITIONED_PASSES) as usize;
+    println!(
+        "readonce_only: {readonce_passes} conditioned passes for {readonce_facts} facts of {} structures",
+        trees.len()
+    );
+    assert!(
+        readonce_passes < readonce_facts,
+        "the read-once DP ran {readonce_passes} passes for {readonce_facts} facts: \
+         interchangeable facts no longer share one"
+    );
     let (bucket_entries, bucket_dropped) = alg1_by_vars(&all_structures, n_endo);
     let skipped_json = skipped_vars
         .iter()
@@ -288,7 +309,9 @@ fn bench_exact_cold(c: &mut Criterion) {
             "    \"alg1_phase_max_vars\": {},\n",
             "    \"alg1_phase_structures\": {},\n",
             "    \"phase_circuit_vars\": {},\n",
-            "    \"readonce_structures\": {}\n",
+            "    \"readonce_structures\": {},\n",
+            "    \"readonce_facts\": {},\n",
+            "    \"readonce_passes\": {}\n",
             "  }},\n",
             "  \"median_ms\": {{\n",
             "    \"cold_replay\": {:.3},\n",
@@ -313,6 +336,8 @@ fn bench_exact_cold(c: &mut Criterion) {
         alg1_structures.len(),
         circuit_vars,
         trees.len(),
+        readonce_facts,
+        readonce_passes,
         cold_ns as f64 / 1e6,
         fingerprint_ns as f64 / 1e6,
         compile_ns as f64 / 1e6,

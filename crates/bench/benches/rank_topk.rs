@@ -8,7 +8,8 @@
 //! built on the caller's thread (exogenous facts dropped as derivations
 //! are produced, one answer in flight) and kept, so every pass below hands
 //! the executor the same raw lineages in stream order, as the facade and
-//! the CLI do from inside the stream.
+//! the CLI do from inside the stream. The recorded `extract_ms` is the
+//! median of `extract_rounds` warm extractions after that first one.
 //!
 //! Series (single worker, fresh planner + result cache per pass, so every
 //! number is a cold solve):
@@ -58,6 +59,9 @@ use std::time::Instant;
 
 const KS: [usize; 3] = [1, 10, 100];
 const SAMPLES: usize = 3;
+/// Timed extraction rounds, after one untimed round that warms the
+/// allocator and the caches.
+const EXTRACT_ROUNDS: usize = 7;
 /// Alternating samples per driver path.
 const DRIVER_SAMPLES: usize = 7;
 
@@ -86,11 +90,16 @@ fn main() {
 
     // Streamed extraction: the endogenous lineage of each answer, built on
     // this thread as the consumer asks for it.
-    let t = Instant::now();
-    let (lineages, stream) = with_inline_lineages(&q, &db, LineageKind::Endogenous, |answers| {
-        answers.map(|out| out.lineage).collect::<Vec<Dnf>>()
-    });
-    let extract_ms = t.elapsed().as_nanos() as f64 / 1e6;
+    let extract = || {
+        with_inline_lineages(&q, &db, LineageKind::Endogenous, |answers| {
+            answers.map(|out| out.lineage).collect::<Vec<Dnf>>()
+        })
+    };
+    let (lineages, stream) = extract();
+    let extract_ms = median_ns(EXTRACT_ROUNDS, || {
+        std::hint::black_box(extract());
+    }) as f64
+        / 1e6;
     let answers = lineages.len();
     assert!(
         answers >= 10_000,
@@ -105,7 +114,7 @@ fn main() {
     );
     println!(
         "JOB corpus: {} answers, {} endogenous facts, {} total lineage literals \
-         (peak in flight {}), extracted in {:.0} ms",
+         (peak in flight {}), extracted in {:.0} ms (median of {EXTRACT_ROUNDS} warm rounds)",
         answers, n_endo, stream.total_literals, stream.peak_in_flight_literals, extract_ms
     );
 
@@ -256,6 +265,7 @@ fn main() {
             "    \"peak_in_flight_literals\": {}\n",
             "  }},\n",
             "  \"extract_ms\": {:.3},\n",
+            "  \"extract_rounds\": {},\n",
             "  \"full_ms\": {:.3},\n",
             "  \"full_engine_runs\": {},\n",
             "  \"driver_k10\": {{\n",
@@ -274,6 +284,7 @@ fn main() {
         stream.total_literals,
         stream.peak_in_flight_literals,
         extract_ms,
+        EXTRACT_ROUNDS,
         full_ns as f64 / 1e6,
         baseline.profile.engine_runs(),
         driver_ms[0],

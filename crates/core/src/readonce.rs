@@ -33,8 +33,21 @@
 //! the non-negative terms making up `total[j]`: an unsigned subtraction.
 //! A path step costs `O(n_p · n_c) ⊆ O(m · n_c)` coefficient operations
 //! (quotient plus one convolution). The `f → 1` array follows from the base
-//! root by subtraction (`exact::derive_gamma`), so each fact takes one
+//! root by subtraction (`exact::derive_gamma`), so a fact takes one
 //! conditioned pass.
+//!
+//! Many facts take none. Swapping two isomorphic sibling subtrees — the
+//! arms of a star, the variables under one `∨` — maps the lineage to
+//! itself, so by the symmetry axiom the facts it exchanges get equal
+//! Shapley and Banzhaf values, and equal SHAP-scores under a uniform
+//! marginal, whose product distribution the swap also preserves. The
+//! arena gives every node an isomorphism class (AHU: a gate is its kind
+//! plus the multiset of its children's classes) and maps each leaf to a
+//! representative of its orbit under these swaps (`Arena::orbit_reps`).
+//! One conditioned pass runs per representative, and the rest of its
+//! orbit gets a clone of its value, so a star of `h` arms with `s` spokes
+//! each costs two passes, not `h · (1 + s)`. The passes run are counted in
+//! `readonce.conditioned_passes`.
 //!
 //! The arithmetic runs on Algorithm 1's [`Coeff`] tiers. Every count,
 //! complement `C(n, ℓ) − #SAT_ℓ`, convolution partial sum and quotient
@@ -46,6 +59,7 @@ use crate::exact::{derive_gamma, BinomRows, ShapleyTimeout};
 use crate::measure::Measure;
 use crate::weights::{completion_weights, PowerFold};
 use shapdb_circuit::{ReadOnce, VarId};
+use shapdb_metrics::counters::READONCE_CONDITIONED_PASSES;
 use shapdb_num::{
     combinatorics::{alpha_cap_bits, BinomialTable, FactorialTable},
     BigUint, Coeff, Rational, Vli,
@@ -163,6 +177,81 @@ impl Arena {
         self.nvars.push(nvars);
         self.nodes.len() - 1
     }
+
+    /// The orbit representative of every leaf (indexed by node; gates map
+    /// to themselves): leaves with the same representative are swapped by
+    /// an automorphism of the tree, so they get equal values.
+    ///
+    /// Every node gets an isomorphism class (AHU): a leaf is class 0, a
+    /// gate is its kind plus the sorted multiset of its children's classes,
+    /// interned per tree. Each gate's children are put in class order,
+    /// which changes no count. Laid out in that order, the leaves of two
+    /// isomorphic subtrees align one to one, and a leaf of every child but
+    /// the first of its class maps to the aligned leaf of the first. The
+    /// representative is therefore a leaf that is first of its class under
+    /// every ancestor.
+    fn orbit_reps(&mut self) -> Vec<usize> {
+        let n = self.nodes.len();
+        let mut class = vec![0u32; n];
+        let mut interned: HashMap<Vec<u32>, u32> = HashMap::new();
+        let mut key = Vec::new();
+        for i in 0..n {
+            let (RNode::And(kids) | RNode::Or(kids)) = &mut self.nodes[i] else {
+                continue;
+            };
+            kids.sort_unstable_by_key(|&k| class[k]);
+            key.clear();
+            key.push(matches!(self.nodes[i], RNode::And(_)) as u32);
+            key.extend(self.kids(i).iter().map(|&k| class[k]));
+            class[i] = match interned.get(&key[..]) {
+                Some(&c) => c,
+                None => {
+                    let c = interned.len() as u32 + 1;
+                    interned.insert(key.clone(), c);
+                    c
+                }
+            };
+        }
+        // `order[start[v]..][..nvars[v]]` lists `v`'s leaves, children in
+        // class order (parents precede children going down the arena).
+        let mut start = vec![0usize; n];
+        let mut order = vec![0usize; self.nvars[self.root]];
+        for i in (0..n).rev() {
+            match &self.nodes[i] {
+                RNode::Var(_) => order[start[i]] = i,
+                RNode::And(kids) | RNode::Or(kids) => {
+                    let mut at = start[i];
+                    for &k in kids {
+                        start[k] = at;
+                        at += self.nvars[k];
+                    }
+                }
+                RNode::True | RNode::False => {}
+            }
+        }
+        // Bottom-up, so a leaf's highest mapping gate writes last, when
+        // the aligned leaf's representative is already final.
+        let mut rep: Vec<usize> = (0..n).collect();
+        for i in 0..n {
+            for run in self.kids(i).chunk_by(|&x, &y| class[x] == class[y]) {
+                let first = start[run[0]];
+                for &other in &run[1..] {
+                    for j in 0..self.nvars[other] {
+                        rep[order[start[other] + j]] = rep[order[first + j]];
+                    }
+                }
+            }
+        }
+        rep
+    }
+
+    /// The children of gate `i` (none for a leaf or a constant).
+    fn kids(&self, i: usize) -> &[usize] {
+        match &self.nodes[i] {
+            RNode::And(kids) | RNode::Or(kids) => kids,
+            _ => &[],
+        }
+    }
 }
 
 /// `out = a ⊛ b`: the level-wise product of two variable-disjoint
@@ -218,7 +307,7 @@ fn quotient<C: Coeff>(total: &[C], div: &[C], from_top: bool, q: &mut Vec<C>) {
 }
 
 /// The counting DP on one coefficient tier: base `#SAT_ℓ`/`#UNSAT_ℓ`
-/// arrays (`ℓ = 0..=nvars`) of every node, and the scratch the per-fact
+/// arrays (`ℓ = 0..=nvars`) of every node, and the scratch the
 /// conditioned passes reuse.
 struct CountDp<C> {
     sat: Vec<Vec<C>>,
@@ -322,7 +411,8 @@ pub fn shapley_read_once(
 }
 
 /// Exact power index (Shapley or Banzhaf) of every variable of a read-once
-/// lineage: one conditioned path pass per fact, folded by the measure's
+/// lineage: one conditioned path pass per orbit of interchangeable facts
+/// (see the module's `# Cost`), folded by the measure's
 /// `weights::PowerFold`.
 ///
 /// # Panics
@@ -344,12 +434,13 @@ pub fn power_read_once(
         "|D_n| = {n_endo} smaller than the {} tree variables",
         vars.len()
     );
-    let a = Arena::build(tree);
+    let mut a = Arena::build(tree);
     let m = a.nvars[a.root];
     if m == 0 {
         // Constant lineage: every variable is a null player.
         return Ok(vars.into_iter().map(|v| (v, Rational::zero())).collect());
     }
+    let reps = a.orbit_reps();
     let mut fold = PowerFold::new(measure, m);
     let bits = alpha_cap_bits(m);
     let run = if bits <= 64 {
@@ -363,12 +454,15 @@ pub fn power_read_once(
     } else {
         power_facts::<BigUint>
     };
-    run(&a, vars, deadline, &mut fold)
+    run(&a, &reps, vars, deadline, &mut fold)
 }
 
-/// The per-fact loop of [`power_read_once`] on one coefficient tier.
+/// The per-orbit loop of [`power_read_once`] on one coefficient tier: one
+/// conditioned pass per orbit representative, its value cloned for the
+/// rest of the orbit.
 fn power_facts<C: Coeff>(
     a: &Arena,
+    reps: &[usize],
     vars: Vec<VarId>,
     deadline: Option<Instant>,
     fold: &mut PowerFold,
@@ -376,22 +470,36 @@ fn power_facts<C: Coeff>(
     let mut dp = CountDp::<C>::new(a);
     let base_root = dp.sat[a.root].clone();
     let (mut gamma, mut delta) = (Vec::new(), Vec::new());
+    let mut solved: Vec<Option<Rational>> = vec![None; a.nodes.len()];
     let mut out = Vec::with_capacity(vars.len());
     for v in vars {
-        if let Some(d) = deadline {
-            if Instant::now() > d {
-                return Err(ShapleyTimeout);
-            }
-        }
         let Some(&leaf) = a.leaf_of.get(&v) else {
             out.push((v, Rational::zero()));
             continue;
         };
-        dp.delta_root(a, leaf, &mut delta);
+        let rep = reps[leaf];
+        if let Some(value) = &solved[rep] {
+            out.push((v, value.clone()));
+            continue;
+        }
+        check_deadline(deadline)?;
+        READONCE_CONDITIONED_PASSES.incr();
+        dp.delta_root(a, rep, &mut delta);
         derive_gamma(&base_root, &delta, &mut gamma);
-        out.push((v, fold.value(&gamma, &delta)));
+        let value = fold.value(&gamma, &delta);
+        solved[rep] = Some(value.clone());
+        out.push((v, value));
     }
     Ok(out)
+}
+
+/// `Err` once `deadline` has passed (checked before every conditioned
+/// pass).
+fn check_deadline(deadline: Option<Instant>) -> Result<(), ShapleyTimeout> {
+    match deadline {
+        Some(d) if Instant::now() > d => Err(ShapleyTimeout),
+        _ => Ok(()),
+    }
 }
 
 /// `#SAT_ℓ` array of a read-once tree over its own variables (test oracle
@@ -558,8 +666,9 @@ pub fn shap_read_once(
     if vars.is_empty() {
         return Ok(Vec::new());
     }
-    let a = Arena::build(tree);
+    let mut a = Arena::build(tree);
     let m = a.nvars[a.root];
+    let reps = a.orbit_reps();
     let mut binomials = BinomialTable::new();
     let base = shap_base_counts(&a, p, &mut binomials);
 
@@ -568,20 +677,25 @@ pub fn shap_read_once(
     let denom = Rational::from_biguint(facts_table.get(m).clone());
     let one_minus_p = &Rational::one() - p;
 
+    // One pair of passes per orbit: a uniform marginal makes the product
+    // distribution invariant under the tree's automorphisms too.
+    let mut solved: Vec<Option<Rational>> = vec![None; a.nodes.len()];
     let mut out = Vec::with_capacity(vars.len());
     for v in vars {
-        if let Some(d) = deadline {
-            if Instant::now() > d {
-                return Err(ShapleyTimeout);
-            }
-        }
         // A variable folded under a constant is a dummy feature.
         let Some(&leaf) = a.leaf_of.get(&v) else {
             out.push((v, Rational::zero()));
             continue;
         };
-        let beta1 = shap_conditioned_root(&a, &base, leaf, true, &mut binomials);
-        let beta0 = shap_conditioned_root(&a, &base, leaf, false, &mut binomials);
+        let rep = reps[leaf];
+        if let Some(value) = &solved[rep] {
+            out.push((v, value.clone()));
+            continue;
+        }
+        check_deadline(deadline)?;
+        READONCE_CONDITIONED_PASSES.add(2);
+        let beta1 = shap_conditioned_root(&a, &base, rep, true, &mut binomials);
+        let beta0 = shap_conditioned_root(&a, &base, rep, false, &mut binomials);
         debug_assert_eq!(beta1.len(), m);
         debug_assert_eq!(beta0.len(), m);
         // Γ − Δ = (1 − p) · (β¹ − β⁰), folded into the weighted sum.
@@ -593,7 +707,9 @@ pub fn shap_read_once(
             }
             numer += &(&diff * &Rational::from_biguint(w.clone()));
         }
-        out.push((v, &(&numer * &one_minus_p) / &denom));
+        let value = &(&numer * &one_minus_p) / &denom;
+        solved[rep] = Some(value.clone());
+        out.push((v, value));
     }
     Ok(out)
 }
@@ -605,7 +721,9 @@ mod tests {
     use crate::naive::{sat_k_bruteforce, shapley_naive};
     use proptest::prelude::*;
     use shapdb_circuit::{factor, Dnf};
+    use shapdb_metrics::counters::Profile;
     use shapdb_num::Bitset;
+    use std::sync::Arc;
 
     fn dnf(conjs: &[&[u32]]) -> Dnf {
         let mut d = Dnf::new();
@@ -1021,6 +1139,300 @@ mod tests {
             v.swap(i, j);
         }
         v
+    }
+
+    /// Next value of a 64-bit LCG (its high 31 bits).
+    fn lcg(state: &mut u64) -> usize {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (*state >> 33) as usize
+    }
+
+    /// Leaves of a tree, counting repeats.
+    fn leaves(t: &ReadOnce) -> usize {
+        match t {
+            ReadOnce::Var(_) => 1,
+            ReadOnce::And(cs) | ReadOnce::Or(cs) => cs.iter().map(leaves).sum(),
+            ReadOnce::True | ReadOnce::False => 0,
+        }
+    }
+
+    /// Renumbers the leaves `next, next + 1, …` left to right, so copies
+    /// of a shape get fresh variables.
+    fn number(t: &ReadOnce, next: &mut u32) -> ReadOnce {
+        match t {
+            ReadOnce::Var(_) => {
+                *next += 1;
+                ReadOnce::Var(VarId(*next - 1))
+            }
+            ReadOnce::And(cs) => ReadOnce::And(cs.iter().map(|c| number(c, next)).collect()),
+            ReadOnce::Or(cs) => ReadOnce::Or(cs.iter().map(|c| number(c, next)).collect()),
+            constant => constant.clone(),
+        }
+    }
+
+    /// A random tree with repeated shapes and at most `budget` leaves:
+    /// each gate holds up to three child shapes, each repeated up to four
+    /// times, of either gate kind (so `∨` under `∨` occurs), and now and
+    /// then (with `constants`) a constant, which drops out or absorbs its
+    /// gate. Leaves are unnumbered (see [`number`]).
+    fn repeated_shapes(budget: usize, constants: bool, state: &mut u64) -> ReadOnce {
+        if lcg(state).is_multiple_of(budget) {
+            return ReadOnce::Var(VarId(0));
+        }
+        let mut kids = Vec::new();
+        let mut left = budget;
+        let shapes = 1 + lcg(state) % 3;
+        for s in 0..shapes {
+            let copies = 1 + lcg(state) % 4;
+            let share = (left / (shapes - s) / copies).max(1);
+            let shape = repeated_shapes(share, constants, state);
+            let copies = copies.min(left / leaves(&shape));
+            left -= copies * leaves(&shape);
+            kids.extend(std::iter::repeat_n(shape, copies));
+            if left == 0 {
+                break;
+            }
+        }
+        match lcg(state) % 8 {
+            0 if constants => kids.push(ReadOnce::True),
+            1 if constants => kids.push(ReadOnce::False),
+            _ => {}
+        }
+        random_gate(kids, state)
+    }
+
+    /// An `∧` or an `∨` of `kids`, at random.
+    fn random_gate(kids: Vec<ReadOnce>, state: &mut u64) -> ReadOnce {
+        if lcg(state).is_multiple_of(2) {
+            ReadOnce::And(kids)
+        } else {
+            ReadOnce::Or(kids)
+        }
+    }
+
+    /// [`repeated_shapes`] with exactly `m` leaves: padded by a flat gate
+    /// of fresh variables under a random root kind.
+    fn repeated_shapes_of(m: usize, constants: bool, seed: u64) -> ReadOnce {
+        let mut state = seed | 1;
+        let mut tree = repeated_shapes(m, constants, &mut state);
+        let pad = m - leaves(&tree);
+        if pad > 0 {
+            let flat = random_gate(vec![ReadOnce::Var(VarId(0)); pad], &mut state);
+            tree = random_gate(vec![tree, flat], &mut state);
+        }
+        shuffled(&number(&tree, &mut 0), &mut state)
+    }
+
+    /// `t` with every gate's children in random order, so isomorphic
+    /// copies list their children differently.
+    fn shuffled(t: &ReadOnce, state: &mut u64) -> ReadOnce {
+        let shuffle = |cs: &[ReadOnce], state: &mut u64| {
+            let mut cs: Vec<ReadOnce> = cs.iter().map(|c| shuffled(c, state)).collect();
+            for i in (1..cs.len()).rev() {
+                cs.swap(i, lcg(state) % (i + 1));
+            }
+            cs
+        };
+        match t {
+            ReadOnce::And(cs) => ReadOnce::And(shuffle(cs, state)),
+            ReadOnce::Or(cs) => ReadOnce::Or(shuffle(cs, state)),
+            leaf => leaf.clone(),
+        }
+    }
+
+    /// `⋁ᵢ (hᵢ ∧ ⋁ⱼ yᵢⱼ)` with `hubs` isomorphic arms of `spokes` spokes,
+    /// numbered from 0.
+    fn star_of_stars(hubs: usize, spokes: usize) -> ReadOnce {
+        let arm = ReadOnce::And(vec![
+            ReadOnce::Var(VarId(0)),
+            ReadOnce::Or(vec![ReadOnce::Var(VarId(0)); spokes]),
+        ]);
+        number(&ReadOnce::Or(vec![arm; hubs]), &mut 0)
+    }
+
+    /// `power_read_once`'s values and the conditioned passes its profile
+    /// recorded.
+    fn solve_counted(tree: &ReadOnce, measure: Measure) -> (Vec<(VarId, Rational)>, u64) {
+        let profile = Arc::new(Profile::new());
+        let values = {
+            let _scope = profile.enter();
+            power_read_once(tree, tree.vars().len(), None, measure).unwrap()
+        };
+        (values, profile.get(&READONCE_CONDITIONED_PASSES))
+    }
+
+    #[test]
+    fn isomorphic_conjuncts_share_their_passes() {
+        let x = |v: u32| ReadOnce::Var(VarId(v));
+        for k in [1u32, 2, 5, 9] {
+            // ⋁ᵢ (xᵢ ∧ yᵢ): every fact is interchangeable with every other.
+            let pairs = ReadOnce::Or(
+                (0..k)
+                    .map(|i| ReadOnce::And(vec![x(2 * i), x(2 * i + 1)]))
+                    .collect(),
+            );
+            // ⋁ᵢ (xᵢ ∧ (yᵢ ∨ zᵢ)): two orbits, the xᵢ and the rest.
+            let arms = ReadOnce::Or(
+                (0..k)
+                    .map(|i| {
+                        ReadOnce::And(vec![
+                            x(3 * i),
+                            ReadOnce::Or(vec![x(3 * i + 1), x(3 * i + 2)]),
+                        ])
+                    })
+                    .collect(),
+            );
+            for (tree, passes) in [(pairs, 1), (arms, 2)] {
+                for measure in [Measure::Shapley, Measure::Banzhaf] {
+                    let (got, ran) = solve_counted(&tree, measure);
+                    assert_eq!(ran, passes, "{measure} at k = {k}");
+                    let vars = tree.vars();
+                    let expect = reference_power(&tree, &vars, measure);
+                    assert_eq!(got, vars.into_iter().zip(expect).collect::<Vec<_>>());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_isomorphic_siblings_share_a_pass() {
+        // x₀ ∨ (x₁ ∧ (x₂ ∨ (x₃ ∧ x₄))): no two siblings are isomorphic but
+        // x₃ and x₄, so five facts take four passes.
+        let x = |v: u32| ReadOnce::Var(VarId(v));
+        let chain = ReadOnce::Or(vec![
+            x(0),
+            ReadOnce::And(vec![
+                x(1),
+                ReadOnce::Or(vec![x(2), ReadOnce::And(vec![x(3), x(4)])]),
+            ]),
+        ]);
+        assert_eq!(solve_counted(&chain, Measure::Shapley).1, 4);
+        assert_eq!(solve_counted(&x(7), Measure::Shapley).1, 1);
+        // Two arms of different sizes are not interchangeable: 1 + 2 + 1 passes.
+        let uneven = ReadOnce::Or(vec![
+            ReadOnce::And(vec![x(0), ReadOnce::Or(vec![x(1), x(2)])]),
+            ReadOnce::And(vec![x(3), ReadOnce::Or(vec![x(4), x(5), x(6)])]),
+        ]);
+        assert_eq!(solve_counted(&uneven, Measure::Banzhaf).1, 4);
+        assert_matches_reference(&uneven, 7);
+        // Isomorphic arms listing their children in opposite orders still
+        // align hub to hub: two passes.
+        let mirrored = ReadOnce::Or(vec![
+            ReadOnce::And(vec![x(0), ReadOnce::Or(vec![x(1), x(2)])]),
+            ReadOnce::And(vec![ReadOnce::Or(vec![x(3), x(4)]), x(5)]),
+        ]);
+        assert_eq!(solve_counted(&mirrored, Measure::Shapley).1, 2);
+        assert_matches_reference(&mirrored, 6);
+    }
+
+    #[test]
+    fn shap_scores_run_two_passes_per_orbit() {
+        let tree = star_of_stars(3, 3);
+        let profile = Arc::new(Profile::new());
+        let half = Rational::from_ratio(1, 2);
+        let got = {
+            let _scope = profile.enter();
+            shap_read_once(&tree, 12, None, &half).unwrap()
+        };
+        // Two orbits (hubs, spokes), two conditioned passes each.
+        assert_eq!(profile.get(&READONCE_CONDITIONED_PASSES), 4);
+        let f = |s: &Bitset| eval(&tree, s);
+        let expect = crate::shap_score::shap_naive(&f, &vec![half; 12]);
+        for (v, r) in got {
+            assert_eq!(r, expect[v.index()], "var {}", v.0);
+        }
+    }
+
+    #[test]
+    fn deadline_is_respected_on_an_orbit_heavy_tree() {
+        let tree = star_of_stars(30, 5);
+        let past = Instant::now() - std::time::Duration::from_millis(1);
+        let profile = Arc::new(Profile::new());
+        {
+            let _scope = profile.enter();
+            for measure in [Measure::Shapley, Measure::Banzhaf] {
+                assert_eq!(
+                    power_read_once(&tree, 180, Some(past), measure),
+                    Err(ShapleyTimeout)
+                );
+            }
+            let half = Rational::from_ratio(1, 2);
+            assert_eq!(
+                shap_read_once(&tree, 180, Some(past), &half),
+                Err(ShapleyTimeout)
+            );
+        }
+        assert_eq!(profile.get(&READONCE_CONDITIONED_PASSES), 0);
+        // A far deadline lets all 180 facts through on two passes.
+        let far = Instant::now() + std::time::Duration::from_secs(3600);
+        let got = power_read_once(&tree, 180, Some(far), Measure::Shapley).unwrap();
+        assert_eq!(got, shapley_read_once(&tree, 180, None).unwrap());
+        assert_eq!(solve_counted(&tree, Measure::Shapley).1, 2);
+    }
+
+    #[test]
+    fn stars_of_stars_match_reference_at_every_tier() {
+        // m = hubs · (1 + spokes) on both sides of each tier boundary.
+        for (hubs, spokes) in [
+            (1, 66),
+            (4, 16),
+            (11, 11),
+            (12, 10),
+            (20, 12),
+            (29, 8),
+            (43, 11),
+            (47, 10),
+        ] {
+            let tree = star_of_stars(hubs, spokes);
+            assert_matches_reference(&tree, 6);
+            assert_eq!(
+                solve_counted(&tree, Measure::Shapley).1,
+                2.min(hubs * (1 + spokes)) as u64
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_repeated_shapes_match_naive(n in 1usize..10, seed in any::<u64>()) {
+            let tree = repeated_shapes_of(n, true, seed);
+            let vars = tree.vars();
+            let f = |s: &Bitset| eval(&tree, s);
+            let half = Rational::from_ratio(1, 2);
+            let expect = [
+                (Measure::Shapley, shapley_naive(&f, n)),
+                (Measure::Banzhaf, crate::banzhaf::banzhaf_naive(&f, n)),
+            ];
+            for (measure, expect) in expect {
+                let (got, passes) = solve_counted(&tree, measure);
+                prop_assert!(passes as usize <= vars.len());
+                prop_assert_eq!(got.iter().map(|(v, _)| *v).collect::<Vec<_>>(), vars.clone());
+                for (v, r) in got {
+                    prop_assert_eq!(&r, &expect[v.index()], "{} var {} of {:?}", measure, v.0, tree);
+                }
+            }
+            let shap = crate::shap_score::shap_naive(&f, &vec![half.clone(); n]);
+            for (v, r) in shap_read_once(&tree, n, None, &half).unwrap() {
+                prop_assert_eq!(&r, &shap[v.index()], "shap var {} of {:?}", v.0, tree);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        #[test]
+        fn prop_repeated_shapes_match_reference_across_tiers(
+            tier in 0usize..6,
+            seed in any::<u64>(),
+        ) {
+            // Every fact below 40, sampled facts on both sides of the
+            // Vli<1>/<2>, <2>/<4> and <4>/<8> boundaries.
+            let (m, sample) = [(24, 24), (39, 39), (67, 12), (68, 12), (132, 8), (261, 4)][tier];
+            assert_matches_reference(&repeated_shapes_of(m, false, seed), sample);
+        }
     }
 
     proptest! {

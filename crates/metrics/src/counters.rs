@@ -181,9 +181,13 @@ pub static TOPK_PRUNED: Counter = Counter::at(30, "topk.pruned");
 /// Bound computations performed by the top-k path (one per streamed answer
 /// per ranking call).
 pub static TOPK_BOUND_PASSES: Counter = Counter::at(31, "topk.bound_passes");
+/// Leaf-to-root conditioned passes the read-once DP ran: one per orbit of
+/// interchangeable facts for a power index, two for a SHAP-score. Facts in
+/// an orbit already solved reuse its value and run none.
+pub static READONCE_CONDITIONED_PASSES: Counter = Counter::at(33, "readonce.conditioned_passes");
 
 /// Number of registered counters (the width of a [`Profile`]).
-const REGISTERED: usize = 33;
+const REGISTERED: usize = 34;
 
 /// The full counter registry, in slot order (the [`snapshot`] /
 /// [`CounterSnapshot`] / [`Profile::values`] row order).
@@ -222,6 +226,7 @@ fn registry() -> [&'static Counter; REGISTERED] {
         &TOPK_PRUNED,
         &TOPK_BOUND_PASSES,
         &ENGINE_RUNS,
+        &READONCE_CONDITIONED_PASSES,
     ]
 }
 
@@ -547,6 +552,7 @@ mod tests {
         assert!(names.contains(&"topk.solved"));
         assert!(names.contains(&"topk.pruned"));
         assert!(names.contains(&"topk.bound_passes"));
+        assert!(names.contains(&"readonce.conditioned_passes"));
     }
 
     #[test]

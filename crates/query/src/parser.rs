@@ -4,7 +4,8 @@
 //! q(c) :- Airports(x, c), Flights(x, y), y != 'LHR' ; q(c) :- Hubs(c)
 //! ```
 //!
-//! * disjuncts are separated by `;` (all must share the head arity);
+//! * disjuncts are separated by `;` or `∪` (all must share the head arity),
+//!   so a UCQ's `Display` output parses back;
 //! * lower-case identifiers in term position are variables;
 //! * `'quoted'` or `"quoted"` tokens are string constants, bare (possibly
 //!   negative) integers are integer constants;
@@ -47,106 +48,57 @@ enum Tok {
 }
 
 fn tokenize(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
-    let bytes = src.as_bytes();
+    let err = |message: String, position: usize| ParseError { message, position };
     let mut toks = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            '(' => {
-                toks.push((Tok::LParen, i));
-                i += 1;
-            }
-            ')' => {
-                toks.push((Tok::RParen, i));
-                i += 1;
-            }
-            ',' => {
-                toks.push((Tok::Comma, i));
-                i += 1;
-            }
-            ';' => {
-                toks.push((Tok::Semi, i));
-                i += 1;
-            }
-            ':' => {
-                if bytes.get(i + 1) == Some(&b'-') {
-                    toks.push((Tok::Turnstile, i));
-                    i += 2;
-                } else {
-                    return Err(ParseError {
-                        message: "expected `:-`".into(),
-                        position: i,
-                    });
-                }
-            }
+    let mut chars = src.char_indices().peekable();
+    while let Some((i, c)) = chars.next() {
+        let mut then = |want: char| chars.next_if(|&(_, d)| d == want).is_some();
+        let tok = match c {
+            ' ' | '\t' | '\n' | '\r' => continue,
+            '(' => Tok::LParen,
+            ')' => Tok::RParen,
+            ',' => Tok::Comma,
+            // `∪` is how `Ucq`'s `Display` joins disjuncts.
+            ';' | '∪' => Tok::Semi,
+            ':' if then('-') => Tok::Turnstile,
+            ':' => return Err(err("expected `:-`".into(), i)),
             '\'' | '"' => {
-                let quote = c;
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] as char != quote {
-                    j += 1;
-                }
-                if j == bytes.len() {
-                    return Err(ParseError {
-                        message: "unterminated string".into(),
-                        position: i,
-                    });
-                }
-                toks.push((Tok::Str(src[start..j].to_string()), i));
-                i = j + 1;
-            }
-            '<' | '>' | '=' | '!' => {
-                let two = bytes.get(i + 1) == Some(&b'=');
-                let op = match (c, two) {
-                    ('<', true) => CmpOp::Le,
-                    ('<', false) => CmpOp::Lt,
-                    ('>', true) => CmpOp::Ge,
-                    ('>', false) => CmpOp::Gt,
-                    ('=', _) => CmpOp::Eq,
-                    ('!', true) => CmpOp::Ne,
-                    _ => {
-                        return Err(ParseError {
-                            message: "bad operator".into(),
-                            position: i,
-                        });
-                    }
+                let Some((end, _)) = chars.find(|&(_, d)| d == c) else {
+                    return Err(err("unterminated string".into(), i));
                 };
-                toks.push((Tok::Op(op), i));
-                // `==` is also accepted for equality, consuming both bytes.
-                i += if two { 2 } else { 1 };
+                Tok::Str(src[i + 1..end].to_string())
             }
+            '<' | '>' | '=' | '!' => Tok::Op(match (c, then('=')) {
+                ('<', true) => CmpOp::Le,
+                ('<', false) => CmpOp::Lt,
+                ('>', true) => CmpOp::Ge,
+                ('>', false) => CmpOp::Gt,
+                // `==` is also accepted for equality.
+                ('=', _) => CmpOp::Eq,
+                ('!', true) => CmpOp::Ne,
+                _ => return Err(err("bad operator".into(), i)),
+            }),
             '-' | '0'..='9' => {
-                let start = i;
-                if c == '-' {
-                    i += 1;
+                let mut end = i + 1;
+                while let Some((j, _)) = chars.next_if(|(_, d)| d.is_ascii_digit()) {
+                    end = j + 1;
                 }
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let text = &src[start..i];
-                let v: i64 = text.parse().map_err(|_| ParseError {
-                    message: format!("bad integer `{text}`"),
-                    position: start,
-                })?;
-                toks.push((Tok::Int(v), start));
+                let text = &src[i..end];
+                Tok::Int(
+                    text.parse()
+                        .map_err(|_| err(format!("bad integer `{text}`"), i))?,
+                )
             }
             _ if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len() && ((bytes[i] as char).is_alphanumeric() || bytes[i] == b'_')
-                {
-                    i += 1;
+                let mut end = i + c.len_utf8();
+                while let Some((j, d)) = chars.next_if(|(_, d)| d.is_alphanumeric() || *d == '_') {
+                    end = j + d.len_utf8();
                 }
-                toks.push((Tok::Ident(src[start..i].to_string()), start));
+                Tok::Ident(src[i..end].to_string())
             }
-            _ => {
-                return Err(ParseError {
-                    message: format!("unexpected character `{c}`"),
-                    position: i,
-                })
-            }
-        }
+            _ => return Err(err(format!("unexpected character `{c}`"), i)),
+        };
+        toks.push((tok, i));
     }
     Ok(toks)
 }
@@ -351,6 +303,33 @@ mod tests {
     fn arity_mismatch_rejected() {
         let e = parse_ucq("q(x) :- R(x) ; q() :- S(y)").unwrap_err();
         assert!(e.message.contains("arity"));
+    }
+
+    #[test]
+    fn non_ascii_input_parses_or_fails_at_its_byte_offset() {
+        let q = parse_ucq("q(stadt) :- Städte(stadt, 'Zürich'), Flüge(stadt, ziel)").unwrap();
+        let cq = &q.disjuncts()[0];
+        assert_eq!(cq.atoms[0].relation, "Städte");
+        assert_eq!(cq.atoms[1].relation, "Flüge");
+        assert_eq!(cq.num_vars(), 2);
+        let src = "q() :- R(x), x € 3";
+        let e = parse_ucq(src).unwrap_err();
+        assert_eq!(e.message, "unexpected character `€`");
+        assert_eq!(e.position, src.find('€').unwrap());
+        let src = "q() :- R(x) ∩ S(x)";
+        assert_eq!(parse_ucq(src).unwrap_err().position, src.find('∩').unwrap());
+        let e = parse_ucq("q() :- R('ünterminated").unwrap_err();
+        assert_eq!((e.message.as_str(), e.position), ("unterminated string", 9));
+    }
+
+    #[test]
+    fn union_sign_separates_disjuncts() {
+        let q = parse_ucq("q(x) :- R(x)  ∪  q(y) :- S(y)").unwrap();
+        assert_eq!(q.disjuncts().len(), 2);
+        assert_eq!(
+            parse_ucq(&q.to_string()).unwrap().to_string(),
+            q.to_string()
+        );
     }
 
     #[test]

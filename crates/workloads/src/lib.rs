@@ -79,3 +79,59 @@ impl WorkloadQuery {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use shapdb_data::Database;
+    use shapdb_query::{evaluate, parse_ucq};
+
+    /// Each answer's tuple and its lineage's conjuncts, sorted.
+    fn answers(q: &Ucq, db: &Database) -> Vec<(Vec<shapdb_data::Value>, Vec<Vec<u32>>)> {
+        evaluate(q, db)
+            .outputs
+            .into_iter()
+            .map(|out| {
+                let mut conjuncts: Vec<Vec<u32>> = out
+                    .lineage
+                    .conjuncts()
+                    .iter()
+                    .map(|c| c.iter().map(|v| v.0).collect())
+                    .collect();
+                conjuncts.sort();
+                (out.tuple, conjuncts)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_workload_query_round_trips_through_display() {
+        let tpch = tpch_database(&TpchConfig {
+            scale: 0.1,
+            seed: 42,
+        });
+        let imdb = imdb_database(&ImdbConfig {
+            movies: 120,
+            companies: 20,
+            people: 80,
+            keywords: 20,
+            seed: 42,
+        });
+        let job = job_database(&JobConfig::smoke());
+        let sets = [
+            (&tpch, tpch_queries()),
+            (&imdb, imdb_queries()),
+            (&job, vec![WorkloadQuery::new("job", job_ranking_query())]),
+        ];
+        assert_eq!(sets[0].1.len() + sets[1].1.len(), 23);
+        for (db, queries) in sets {
+            for q in queries {
+                let shown = q.ucq.to_string();
+                let parsed =
+                    parse_ucq(&shown).unwrap_or_else(|e| panic!("{}: {e}: {shown}", q.name));
+                assert_eq!(parsed.to_string(), shown, "{}", q.name);
+                assert_eq!(answers(&parsed, db), answers(&q.ucq, db), "{}", q.name);
+            }
+        }
+    }
+}
