@@ -14,12 +14,13 @@ test:
 	cargo test -q
 
 # The crates whose tests assert exact engine-counter counts and route
-# timings, three runs in a row: each test reads its own run's or service's
-# profile, so a test that goes back to racing process-global state fails
-# here instead of flaking.
+# timings, or share one database's hash indexes between threads, three
+# runs in a row: each test reads its own run's or service's profile, so a
+# test that goes back to racing process-global state (or races the index
+# cache) fails here instead of flaking.
 test-repeat:
 	@for i in 1 2 3; do \
-		cargo test -q -p shapdb_metrics -p shapdb_core -p shapdb_num -p shapdb -p shapdb_cli || exit 1; \
+		cargo test -q -p shapdb_metrics -p shapdb_core -p shapdb_num -p shapdb_data -p shapdb_query -p shapdb -p shapdb_cli || exit 1; \
 	done
 
 # The KC engine's negation route against the paper's Tseytin path, with
@@ -134,9 +135,10 @@ bench-rank:
 	cargo bench --bench rank_topk -p shapdb_bench
 
 # Streamed lineage extraction (answer pass + per-answer passes) over the
-# JOB generator at 4k, 8k and 12k movies, full and endogenous lineages;
-# warns when either grows more than 1.3x faster than linear. Writes
-# results/bench_stream.json.
+# JOB generator at 4k, 8k and 12k movies, full and endogenous lineages,
+# each on warm indexes and on a fresh clone per sample (cold); warns when
+# a series grows more than 1.3x faster than linear. Writes
+# results/bench_stream.json with the resident index bytes.
 bench-stream:
 	cargo bench --bench scalability -p shapdb_bench -- stream_scale
 

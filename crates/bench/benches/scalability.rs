@@ -6,11 +6,13 @@
 //!
 //! The `stream_scale` group times streamed lineage extraction
 //! ([`LineageStream`], answer pass plus every per-answer pass) over the JOB
-//! generator at 4k, 8k and 12k movies, seven interleaved rounds, in two
-//! series: full lineages and endogenous ones (what the query driver
-//! streams). It writes `results/bench_stream.json` and warns when a
-//! series' fastest-round time grows more than 1.3× faster than the movie
-//! count.
+//! generator at 4k, 8k and 12k movies, seven interleaved rounds, for full
+//! lineages and endogenous ones (what the query driver streams), each
+//! twice: warm, over a database whose hash indexes an earlier call built,
+//! and cold, over a fresh clone per sample (cloned outside the timed
+//! region), which builds them. It writes `results/bench_stream.json` with
+//! each size's resident index bytes, and warns when a series'
+//! fastest-round time grows more than 1.3× faster than the movie count.
 //!
 //! `cargo bench --bench scalability -p shapdb_bench -- <name>` runs only
 //! the groups whose name contains `<name>` (`make bench-stream` runs
@@ -95,9 +97,12 @@ const STREAM_GROWTH_BAR: f64 = 1.3;
 fn bench_stream_scale(_: &mut Criterion) {
     const MOVIES: [usize; 3] = [4_000, 8_000, 12_000];
     const ROUNDS: usize = 7;
-    const KINDS: [(LineageKind, &str); 2] = [
-        (LineageKind::Full, "full"),
-        (LineageKind::Endogenous, "endogenous"),
+    // (lineage, cold indexes, lineage name)
+    const SERIES: [(LineageKind, bool, &str); 4] = [
+        (LineageKind::Full, false, "full"),
+        (LineageKind::Endogenous, false, "endogenous"),
+        (LineageKind::Full, true, "full"),
+        (LineageKind::Endogenous, true, "endogenous"),
     ];
     let q = job_ranking_query();
     let dbs: Vec<_> = MOVIES
@@ -109,23 +114,35 @@ fn bench_stream_scale(_: &mut Criterion) {
             })
         })
         .collect();
+    // The warm series reuse the indexes this pass builds.
+    for db in &dbs {
+        for (kind, _, _) in SERIES {
+            black_box(LineageStream::with_kind(&q, db, kind).count());
+        }
+    }
+    let index_bytes: Vec<usize> = dbs.iter().map(|db| db.index_bytes()).collect();
     // Sizes and series take turns, round by round, and the growth uses
     // each size's fastest round: cores that change speed mid-run then slow
     // every size alike instead of skewing the ratio.
-    let mut samples: Vec<Vec<Vec<Duration>>> = vec![vec![Vec::new(); MOVIES.len()]; KINDS.len()];
+    let mut samples: Vec<Vec<Vec<Duration>>> = vec![vec![Vec::new(); MOVIES.len()]; SERIES.len()];
     let mut answers = vec![0; MOVIES.len()];
     for _ in 0..ROUNDS {
         for (i, db) in dbs.iter().enumerate() {
-            for (series, &(kind, _)) in samples.iter_mut().zip(&KINDS) {
+            for (series, &(kind, cold, _)) in samples.iter_mut().zip(&SERIES) {
+                let fresh = cold.then(|| db.clone());
+                let db = fresh.as_ref().unwrap_or(db);
                 let start = Instant::now();
                 answers[i] = black_box(LineageStream::with_kind(&q, db, kind).count());
                 series[i].push(start.elapsed());
+                drop(fresh);
             }
         }
     }
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let mut series_json = Vec::new();
-    for ((_, name), series) in KINDS.iter().zip(&mut samples) {
+    for (&(_, cold, lineage), series) in SERIES.iter().zip(&mut samples) {
+        let indexes = if cold { "cold" } else { "warm" };
+        let name = format!("{lineage}/{indexes}");
         let mut rows = Vec::new();
         let mut worst: f64 = 0.0;
         let mut base_ms = 0.0;
@@ -155,14 +172,24 @@ fn bench_stream_scale(_: &mut Criterion) {
             );
         }
         series_json.push(format!(
-            "    {{\"lineage\": \"{name}\", \"worst_growth_over_linear\": {worst:.3}, \
-             \"sizes\": [\n{}\n    ]}}",
+            "    {{\"lineage\": \"{lineage}\", \"indexes\": \"{indexes}\", \
+             \"worst_growth_over_linear\": {worst:.3}, \"sizes\": [\n{}\n    ]}}",
             rows.join(",\n")
         ));
     }
+    let resident: Vec<String> = MOVIES
+        .iter()
+        .zip(&index_bytes)
+        .map(|(movies, bytes)| {
+            println!("stream_scale/index_bytes/{movies:<37} {bytes:>12} B resident");
+            format!("    {{\"movies\": {movies}, \"bytes\": {bytes}}}")
+        })
+        .collect();
     let json = format!(
         "{{\n  \"bench\": \"stream_scale\",\n  \"rounds\": {ROUNDS},\n  \
-         \"growth_bar\": {STREAM_GROWTH_BAR},\n  \"series\": [\n{}\n  ]\n}}\n",
+         \"growth_bar\": {STREAM_GROWTH_BAR},\n  \"index_bytes\": [\n{}\n  ],\n  \
+         \"series\": [\n{}\n  ]\n}}\n",
+        resident.join(",\n"),
         series_json.join(",\n")
     );
     write_result("bench_stream.json", "stream_scale summary", &json);

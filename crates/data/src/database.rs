@@ -1,9 +1,11 @@
 //! The database: a set of relations with globally identified facts.
 
+use crate::index::{Index, Indexes};
 use crate::relation::{Relation, Schema, StoredFact};
 use crate::value::Value;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Database-wide dense fact identifier.
 ///
@@ -33,12 +35,31 @@ pub struct FactRef {
 }
 
 /// A relational database `D = D_x ∪ D_n` (§2 of the paper).
-#[derive(Clone, Default)]
+///
+/// The database also keeps the hash indexes queries probe
+/// ([`Database::index`]), built on first use and shared by every
+/// evaluation over it, on any thread. A clone starts with none.
+#[derive(Default)]
 pub struct Database {
     relations: Vec<Relation>,
     by_name: HashMap<String, usize>,
     /// `fact_index[id] = (relation, row)` for O(1) fact lookup.
     fact_index: Vec<FactRef>,
+    /// `|D_n|`, kept by [`Database::insert`].
+    endogenous: usize,
+    indexes: Indexes,
+}
+
+impl Clone for Database {
+    fn clone(&self) -> Database {
+        Database {
+            relations: self.relations.clone(),
+            by_name: self.by_name.clone(),
+            fact_index: self.fact_index.clone(),
+            endogenous: self.endogenous,
+            indexes: Indexes::default(),
+        }
+    }
 }
 
 impl Database {
@@ -63,6 +84,8 @@ impl Database {
     /// Inserts a fact and returns its id.
     ///
     /// `endogenous` marks the fact as a Shapley player (a member of `D_n`).
+    /// Drops every index built on `relation`; the indexes of the other
+    /// relations stay.
     pub fn insert(&mut self, relation: &str, values: Vec<Value>, endogenous: bool) -> FactId {
         let rel_idx = *self
             .by_name
@@ -74,6 +97,8 @@ impl Database {
             rel.schema().arity(),
             "arity mismatch inserting into `{relation}`"
         );
+        self.indexes.drop_relation(rel_idx);
+        self.endogenous += usize::from(endogenous);
         let id = FactId(self.fact_index.len() as u32);
         self.fact_index.push(FactRef {
             relation: rel_idx,
@@ -125,9 +150,36 @@ impl Database {
         self.by_name.get(name).map(|&i| &self.relations[i])
     }
 
+    /// The position in [`Database::relations`] of the relation with the
+    /// given name.
+    pub fn relation_id(&self, name: &str) -> Option<usize> {
+        self.by_name.get(name).copied()
+    }
+
     /// All relations in creation order.
     pub fn relations(&self) -> &[Relation] {
         &self.relations
+    }
+
+    /// The hash index on relation number `relation` (its position in
+    /// [`Database::relations`]) keyed by the columns of `cols`, a bitmask
+    /// of positions: built on first use, then shared until an insert into
+    /// that relation drops it. Each build counts one
+    /// `query.indexes_built`; threads asking for an index under
+    /// construction wait for it, so each is built once.
+    pub fn index(&self, relation: usize, cols: u64) -> Arc<Index> {
+        self.indexes.get(&self.relations[relation], relation, cols)
+    }
+
+    /// The column sets (bitmasks, ascending) of the indexes built on
+    /// relation number `relation`.
+    pub fn indexed_columns(&self, relation: usize) -> Vec<u64> {
+        self.indexes.columns(relation)
+    }
+
+    /// Bytes the built indexes hold resident: their tables and row ids.
+    pub fn index_bytes(&self) -> usize {
+        self.indexes.bytes()
     }
 
     /// Total number of facts.
@@ -137,10 +189,7 @@ impl Database {
 
     /// Number of endogenous facts `|D_n|`.
     pub fn num_endogenous(&self) -> usize {
-        self.fact_index
-            .iter()
-            .filter(|r| self.relations[r.relation].facts()[r.row].endogenous)
-            .count()
+        self.endogenous
     }
 
     /// Ids of all endogenous facts in id order.

@@ -186,8 +186,13 @@ pub static TOPK_BOUND_PASSES: Counter = Counter::at(31, "topk.bound_passes");
 /// an orbit already solved reuse its value and run none.
 pub static READONCE_CONDITIONED_PASSES: Counter = Counter::at(33, "readonce.conditioned_passes");
 
+/// Hash indexes built over a database's relations: once per (relation,
+/// column set) until an insert into the relation drops them
+/// (`shapdb_data::Database::index`).
+pub static QUERY_INDEXES_BUILT: Counter = Counter::at(34, "query.indexes_built");
+
 /// Number of registered counters (the width of a [`Profile`]).
-const REGISTERED: usize = 34;
+const REGISTERED: usize = 35;
 
 /// The full counter registry, in slot order (the [`snapshot`] /
 /// [`CounterSnapshot`] / [`Profile::values`] row order).
@@ -227,6 +232,7 @@ fn registry() -> [&'static Counter; REGISTERED] {
         &TOPK_BOUND_PASSES,
         &ENGINE_RUNS,
         &READONCE_CONDITIONED_PASSES,
+        &QUERY_INDEXES_BUILT,
     ]
 }
 

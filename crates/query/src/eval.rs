@@ -6,15 +6,16 @@
 //!
 //! One evaluator serves one call. It plans each disjunct once per set of
 //! initially bound variables (module `plan`: a cost-ordered join that
-//! avoids cross products), builds the hash indexes those plans probe
-//! (module `index`), and runs the same allocation-free backtracking search
-//! for every plan: all derivations for [`evaluate`] and the negation
-//! evaluator, one answer's derivations per seeded call for the stream, and
-//! one match per answer for the stream's answer pass. There the search
-//! backtracks to the depth where the plan has bound every head variable as
-//! soon as a match completes, and skips a row whose head binding is an
-//! answer already found, in this disjunct or an earlier one. Plans and
-//! indexes are dropped with the call.
+//! avoids cross products), probes the database's hash indexes
+//! ([`Database::index`]: built on first use, then shared by every call
+//! over the database until an insert drops them), and runs the same
+//! allocation-free backtracking search for every plan: all derivations
+//! for [`evaluate`] and the negation evaluator, one answer's derivations
+//! per seeded call for the stream, and one match per answer for the
+//! stream's answer pass. There the search backtracks to the depth where
+//! the plan has bound every head variable as soon as a match completes,
+//! and skips a row whose head binding is an answer already found, in this
+//! disjunct or an earlier one.
 //!
 //! The search builds either lineage a [`LineageKind`] names. In
 //! [`LineageKind::Endogenous`] mode it leaves each exogenous fact out of a
@@ -27,17 +28,16 @@
 //! [`Value`]). The contract does not depend on the join order, which
 //! changes with the data.
 
-mod index;
 mod plan;
 
 use crate::ast::{Atom, ConjunctiveQuery, Predicate, Term, Ucq, MAX_ATOM_TERMS};
-use index::Indexes;
 pub(crate) use plan::Plan;
 use plan::{positions, Src, Step};
 use shapdb_circuit::{Circuit, Dnf, NodeId, VarId};
-use shapdb_data::{Database, FactId, Relation, StoredFact, Value};
+use shapdb_data::{Database, FactId, Index, Relation, StoredFact, Value};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Which lineage an evaluation builds for each answer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -160,10 +160,10 @@ pub fn evaluate_cq(cq: &ConjunctiveQuery, db: &Database) -> QueryResult {
     evaluate(&Ucq::new(vec![cq.clone()]), db)
 }
 
-/// The state of one evaluation call: the indexes its plans probe.
+/// The state of one evaluation call over a database, whose indexes its
+/// plans probe.
 pub(crate) struct Evaluator<'a> {
     db: &'a Database,
-    indexes: Indexes,
     /// Rows the searches of this call have visited, matching or not.
     rows_visited: Cell<u64>,
     /// Full matches the searches of this call have found.
@@ -174,24 +174,23 @@ impl<'a> Evaluator<'a> {
     pub(crate) fn new(db: &'a Database) -> Evaluator<'a> {
         Evaluator {
             db,
-            indexes: Indexes::default(),
             rows_visited: Cell::new(0),
             matches: Cell::new(0),
         }
     }
 
     /// Plans `cq` with no variable bound up front.
-    pub(crate) fn plan(&mut self, cq: &ConjunctiveQuery) -> Plan {
-        Plan::new(cq, &vec![false; cq.num_vars()], self.db, &mut self.indexes)
+    pub(crate) fn plan(&self, cq: &ConjunctiveQuery) -> Plan {
+        Plan::new(cq, &vec![false; cq.num_vars()], self.db)
     }
 
     /// Plans `cq` for calls seeded by [`seed_binding`]: head variables bound.
-    pub(crate) fn plan_seeded(&mut self, cq: &ConjunctiveQuery) -> Plan {
+    pub(crate) fn plan_seeded(&self, cq: &ConjunctiveQuery) -> Plan {
         let mut seeded = vec![false; cq.num_vars()];
         for v in cq.head_vars() {
             seeded[v.index()] = true;
         }
-        Plan::new(cq, &seeded, self.db, &mut self.indexes)
+        Plan::new(cq, &seeded, self.db)
     }
 
     /// Enumerates the derivations of `plan` consistent with `seed` (one
@@ -215,7 +214,7 @@ impl<'a> Evaluator<'a> {
     /// per answer: each disjunct's search backtracks to the plan's
     /// [`Plan::head_depth`] after a match, and skips a head binding found
     /// before, in this disjunct or an earlier one.
-    pub(crate) fn answer_pass<'b>(&mut self, q: &'b Ucq) -> Vec<Vec<Value>>
+    pub(crate) fn answer_pass<'b>(&self, q: &'b Ucq) -> Vec<Vec<Value>>
     where
         'a: 'b,
     {
@@ -253,7 +252,6 @@ impl<'a> Evaluator<'a> {
         let mut search = Search {
             steps,
             relations: self.db.relations(),
-            indexes: &self.indexes,
             binding: seed,
             used: Vec::with_capacity(steps.len()),
             keep_exogenous,
@@ -284,38 +282,33 @@ impl<'a> Evaluator<'a> {
     /// The index keyed by every position of the relation `atom` names, for
     /// ground lookups by [`Evaluator::matching`]; `None` when no fact can
     /// match (missing relation or different arity).
-    pub(crate) fn exact_index(&mut self, atom: &Atom) -> Option<(usize, usize)> {
-        let rel = self
-            .db
-            .relations()
-            .iter()
-            .position(|r| r.schema().name() == atom.relation)?;
+    pub(crate) fn exact_index(&self, atom: &Atom) -> Option<(usize, Arc<Index>)> {
+        let rel = self.db.relation_id(&atom.relation)?;
         let arity = self.db.relations()[rel].schema().arity();
         if arity != atom.terms.len() || arity > MAX_ATOM_TERMS {
             return None;
         }
-        Some((rel, self.indexes.probed(self.db, rel, positions(0..arity))))
+        Some((rel, self.db.index(rel, positions(0..arity))))
     }
 
     /// Facts whose values equal `ground`, from a lookup made by
     /// [`Evaluator::exact_index`].
     pub(crate) fn matching<'s>(
         &'s self,
-        (rel, index): (usize, usize),
+        (rel, index): &'s (usize, Arc<Index>),
         ground: &'s [&Value],
     ) -> impl Iterator<Item = FactId> + 's {
-        let facts = self.db.relations()[rel].facts();
-        self.indexes
-            .get(index)
-            .probe(self.indexes.hash(ground.iter().copied()))
+        let facts = self.db.relations()[*rel].facts();
+        index
+            .probe(ground.iter().copied())
             .iter()
             .map(move |&row| &facts[row as usize])
             .filter(move |f| f.values.iter().eq(ground.iter().copied()))
             .map(|f| f.id)
     }
 
-    /// [`evaluate_with`] on this evaluator's indexes.
-    pub(crate) fn evaluate(&mut self, q: &Ucq, kind: LineageKind) -> QueryResult {
+    /// [`evaluate_with`] on this evaluator's database.
+    pub(crate) fn evaluate(&self, q: &Ucq, kind: LineageKind) -> QueryResult {
         let mut answers = Answers::default();
         for cq in q.disjuncts() {
             let plan = self.plan(cq);
@@ -450,7 +443,6 @@ struct Cut<'p, 'b> {
 struct Search<'p, 'b, F> {
     steps: &'p [Step],
     relations: &'b [Relation],
-    indexes: &'p Indexes,
     binding: Vec<Option<&'b Value>>,
     /// The facts joined on the way down, exogenous ones only if
     /// `keep_exogenous`.
@@ -486,7 +478,7 @@ where
             return;
         };
         let facts = self.relations[step.rel].facts();
-        match step.index {
+        match &step.index {
             None => {
                 for fact in facts {
                     self.visit(depth, step, fact);
@@ -495,10 +487,9 @@ where
                     }
                 }
             }
-            Some(ix) => {
-                let indexes = self.indexes;
-                let hash = indexes.hash(step.bound.iter().map(|(_, src)| self.value(src)));
-                for &row in indexes.get(ix).probe(hash) {
+            Some(index) => {
+                let rows = index.probe(step.bound.iter().map(|(_, src)| self.value(src)));
+                for &row in rows {
                     self.visit(depth, step, &facts[row as usize]);
                     if self.unwinding {
                         return;
@@ -740,7 +731,7 @@ mod tests {
     fn skewed_hub_keeps_rows_visited_linear_in_derivations() {
         let hub = 200;
         let (db, q) = skewed_triangle(hub);
-        let mut ev = Evaluator::new(&db);
+        let ev = Evaluator::new(&db);
         let mut derivations = 0u64;
         for cq in q.disjuncts() {
             let plan = ev.plan(cq);
@@ -809,7 +800,7 @@ mod tests {
         b.atom("A", [k.into()]);
         b.atom("B", [h.into(), k.into()]);
         let q: Ucq = b.head([h.into()]).build().into();
-        let mut ev = Evaluator::new(&db);
+        let ev = Evaluator::new(&db);
         let plan = ev.plan(&q.disjuncts()[0]);
         assert_eq!(plan.head_depth, 2, "h is bound by the last step");
         assert_eq!(

@@ -13,9 +13,9 @@
 //! past that a greedy pass takes the cheapest next atom. Neither appends an
 //! atom sharing no variable with the prefix while one that does remains.
 
-use super::index::Indexes;
 use crate::ast::{CmpOp, ConjunctiveQuery, Predicate, Term, MAX_ATOM_TERMS};
-use shapdb_data::{Database, Value};
+use shapdb_data::{Database, Index, Value};
+use std::sync::Arc;
 
 /// Widest disjunct ordered by the exact subset dynamic program.
 const DP_ATOMS: usize = 12;
@@ -31,7 +31,7 @@ pub(crate) struct Step {
     /// Position of the relation in `db.relations()`.
     pub rel: usize,
     /// The index probed with the values of `bound`; `None` scans.
-    pub index: Option<usize>,
+    pub index: Option<Arc<Index>>,
     /// Positions whose value is known before this step, ascending: the
     /// probe key, re-checked on every probed row.
     pub bound: Vec<(usize, Src)>,
@@ -199,25 +199,16 @@ impl Plan {
     };
 
     /// Plans `cq` with the variables flagged in `seeded` bound from the
-    /// start, building in `indexes` every index the plan probes.
+    /// start, over `db`'s indexes (built on first use).
     ///
     /// # Panics
     /// If an atom's arity differs from its relation's, or an atom has more
     /// than [`MAX_ATOM_TERMS`] terms.
-    pub(crate) fn new(
-        cq: &ConjunctiveQuery,
-        seeded: &[bool],
-        db: &Database,
-        indexes: &mut Indexes,
-    ) -> Plan {
+    pub(crate) fn new(cq: &ConjunctiveQuery, seeded: &[bool], db: &Database) -> Plan {
         debug_assert_eq!(seeded.len(), cq.num_vars(), "seeded arity");
         let mut rels = Vec::with_capacity(cq.atoms.len());
         for atom in &cq.atoms {
-            let Some(rel) = db
-                .relations()
-                .iter()
-                .position(|r| r.schema().name() == atom.relation)
-            else {
+            let Some(rel) = db.relation_id(&atom.relation) else {
                 return Plan::NONE;
             };
             assert!(
@@ -234,7 +225,7 @@ impl Plan {
             rels.push(rel);
         }
 
-        let stats = Self::stats(cq, seeded, db, &rels, indexes);
+        let stats = Self::stats(cq, seeded, db, &rels);
         let order = if cq.atoms.len() <= DP_ATOMS {
             stats.order_dp()
         } else {
@@ -301,7 +292,7 @@ impl Plan {
                 }
                 if !step.bound.is_empty() {
                     let cols = positions(step.bound.iter().map(|&(i, _)| i));
-                    step.index = Some(indexes.probed(db, step.rel, cols));
+                    step.index = Some(db.index(step.rel, cols));
                 }
                 step
             })
@@ -314,13 +305,7 @@ impl Plan {
     }
 
     /// Row counts, distinct counts and predicate shares for the cost model.
-    fn stats(
-        cq: &ConjunctiveQuery,
-        seeded: &[bool],
-        db: &Database,
-        rels: &[usize],
-        indexes: &mut Indexes,
-    ) -> Stats {
+    fn stats(cq: &ConjunctiveQuery, seeded: &[bool], db: &Database, rels: &[usize]) -> Stats {
         let mut occurrences = vec![0usize; cq.num_vars()];
         for atom in &cq.atoms {
             for x in atom.terms.iter().filter_map(term_vars) {
@@ -345,8 +330,7 @@ impl Plan {
             for (i, t) in atom.terms.iter().enumerate() {
                 match t {
                     Term::Const(c) => {
-                        let ix = indexes.counted(db, rel, 1 << i);
-                        let matching = indexes.get(ix).bucket_len(indexes.hash([c]));
+                        let matching = db.index(rel, 1 << i).bucket_len([c]);
                         rows *= matching as f64 / n.max(1) as f64;
                     }
                     Term::Var(v) => {
@@ -357,8 +341,7 @@ impl Plan {
                         // A variable seen once and bound by no seed filters
                         // nothing: its column needs no statistics.
                         let d = if seeded[x] || occurrences[x] > 1 {
-                            let ix = indexes.counted(db, rel, 1 << i);
-                            indexes.get(ix).distinct().max(1) as f64
+                            db.index(rel, 1 << i).distinct().max(1) as f64
                         } else {
                             1.0
                         };

@@ -10,9 +10,10 @@
 //!   `σπ⋈∪`, as recalled in §2) with comparison predicates, built through
 //!   [`CqBuilder`] or parsed from a Datalog-style text syntax ([`parse_ucq`]);
 //! * [`eval`] — a join evaluator that plans each disjunct once by estimated
-//!   cost, probes call-scoped hash indexes, enumerates derivations and
-//!   returns, per output tuple in ascending tuple order, the monotone DNF
-//!   lineage over fact ids (self-joins supported);
+//!   cost, probes the hash indexes the database keeps (built on first use,
+//!   shared by every call over it), enumerates derivations and returns, per
+//!   output tuple in ascending tuple order, the monotone DNF lineage over
+//!   fact ids (self-joins supported);
 //! * [`hierarchical`] — the syntactic *hierarchical* test for self-join-free
 //!   CQs, the tractability frontier of both PQE and Shapley computation for
 //!   that class (§3);

@@ -119,7 +119,7 @@ impl SignedOutputTuple {
 /// DNF lineage, in ascending head-tuple order. A derivation asserts the
 /// absence of every fact matching a negated atom, copies included.
 pub fn evaluate_negated(q: &NegatedQuery, db: &Database) -> Vec<SignedOutputTuple> {
-    let mut evaluator = Evaluator::new(db);
+    let evaluator = Evaluator::new(db);
     let lookups: Vec<_> = q
         .negated
         .iter()
@@ -133,7 +133,7 @@ pub fn evaluate_negated(q: &NegatedQuery, db: &Database) -> Vec<SignedOutputTupl
         let mut lits: Vec<Lit> = used.iter().map(|f| Lit::pos(f.index())).collect();
         for (neg, lookup) in q.negated.iter().zip(&lookups) {
             // No matching fact: the negated atom holds vacuously.
-            let Some(lookup) = *lookup else { continue };
+            let Some(lookup) = lookup else { continue };
             ground.clear();
             ground.extend(neg.terms.iter().map(|t| match t {
                 Term::Const(c) => c,

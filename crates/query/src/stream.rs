@@ -15,8 +15,8 @@
 //!    to the tuple via a seeded binding and the join re-runs from that
 //!    binding, so only this answer's derivations are enumerated, and
 //!    minimized once. Each disjunct is planned once for its head variables
-//!    bound, and every answer reuses that plan; both passes share one
-//!    call's indexes.
+//!    bound, and every answer reuses that plan; both passes probe the
+//!    database's indexes, which outlive the stream.
 //!
 //! The stream builds the lineage its [`LineageKind`] names: the full one
 //! ([`LineageStream::new`]), or the endogenous one, with exogenous facts
@@ -38,6 +38,7 @@ use crate::ast::Ucq;
 use crate::eval::{seed_binding, Emit, Evaluator, LineageKind, OutputTuple, Plan};
 use shapdb_circuit::{Dnf, VarId};
 use shapdb_data::{Database, Value};
+use shapdb_metrics::Profile;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -63,7 +64,7 @@ impl<'a> LineageStream<'a> {
     /// Runs the answer pass and returns the lazy per-answer stream of the
     /// lineages `kind` names.
     pub fn with_kind(q: &'a Ucq, db: &'a Database, kind: LineageKind) -> LineageStream<'a> {
-        let mut evaluator = Evaluator::new(db);
+        let evaluator = Evaluator::new(db);
         let answers = evaluator.answer_pass(q);
         let seeded = q
             .disjuncts()
@@ -159,8 +160,9 @@ pub fn with_streamed_lineages<R>(
 /// worker thread through a bounded channel: the producer blocks
 /// (backpressure) whenever `chunk + 1` answers are in flight (buffered,
 /// waiting to be sent, or just received), so full provenance never
-/// materializes. Returns the consumer's result plus the observed
-/// [`StreamStats`].
+/// materializes. The producer records its counters (index builds,
+/// minimize passes) into the caller's active [`Profile`]. Returns the
+/// consumer's result plus the observed [`StreamStats`].
 pub fn with_channeled_lineages<R>(
     q: &Ucq,
     db: &Database,
@@ -177,7 +179,9 @@ pub fn with_channeled_lineages<R>(
         // `chunk - 1` keeps at most `chunk + 1` answers in flight.
         let (tx, rx) = mpsc::sync_channel::<(OutputTuple, usize)>(chunk - 1);
         let (in_flight, peak) = (&in_flight, &peak);
+        let profile = Profile::current();
         let producer = s.spawn(move || {
+            let _scope = profile.as_ref().map(Profile::enter);
             let mut stats = StreamStats::default();
             for out in LineageStream::with_kind(q, db, kind) {
                 let lits = literals(&out.lineage);

@@ -7,6 +7,11 @@
 //! built by dropping exogenous facts during the join, must equal the
 //! reference's derivations projected onto the endogenous facts and
 //! minimized, and `OutputTuple::endo_lineage` of the full lineages.
+//!
+//! Each query runs three times over the hash indexes its database keeps:
+//! cold (every extraction on a fresh clone, which has none), warm (all on
+//! one database that already built them), and after inserts that add an
+//! answer, which must drop the stale indexes of the relations they touch.
 
 use proptest::prelude::*;
 use shapdb_circuit::{Dnf, VarId};
@@ -31,7 +36,8 @@ fn value(t: &Term, binding: &[Option<Value>]) -> Option<Value> {
     }
 }
 
-/// Joins `cq.atoms[i..]` by scanning each relation in full.
+/// Joins `cq.atoms[i..]` by scanning each relation in full. `witness`
+/// receives the first full binding that satisfies the predicates.
 fn nested_loops(
     cq: &ConjunctiveQuery,
     db: &Database,
@@ -39,6 +45,7 @@ fn nested_loops(
     binding: &mut Vec<Option<Value>>,
     used: &mut Vec<VarId>,
     out: &mut Derivations,
+    witness: &mut Option<Vec<Option<Value>>>,
 ) {
     let Some(atom) = cq.atoms.get(i) else {
         let holds =
@@ -51,6 +58,7 @@ fn nested_loops(
         if holds {
             let tuple = cq.head.iter().map(|t| value(t, binding).unwrap()).collect();
             out.entry(tuple).or_default().push(used.clone());
+            witness.get_or_insert_with(|| binding.clone());
         }
         return;
     };
@@ -71,7 +79,7 @@ fn nested_loops(
         }
         if ok {
             used.push(VarId(fact.id.0));
-            nested_loops(cq, db, i + 1, binding, used, out);
+            nested_loops(cq, db, i + 1, binding, used, out, witness);
             used.pop();
         }
         *binding = saved;
@@ -85,7 +93,15 @@ fn reference(q: &Ucq, db: &Database, endogenous_only: bool) -> Vec<(Vec<Value>, 
     let mut out = Derivations::new();
     for cq in q.disjuncts() {
         let mut binding = vec![None; cq.num_vars()];
-        nested_loops(cq, db, 0, &mut binding, &mut Vec::new(), &mut out);
+        nested_loops(
+            cq,
+            db,
+            0,
+            &mut binding,
+            &mut Vec::new(),
+            &mut out,
+            &mut None,
+        );
     }
     out.into_iter()
         .map(|(tuple, conjuncts)| {
@@ -102,29 +118,61 @@ fn reference(q: &Ucq, db: &Database, endogenous_only: bool) -> Vec<(Vec<Value>, 
         .collect()
 }
 
-fn assert_matches_reference(q: &Ucq, db: &Database, tag: &str) {
-    let want = reference(q, db, false);
-    let evaluated = evaluate(q, db).outputs;
-    let streamed: Vec<OutputTuple> = LineageStream::new(q, db).collect();
-    for (how, got) in [("evaluate", &evaluated), ("stream", &streamed)] {
+/// One of the four extractions: `evaluate` or the stream, of `kind`.
+fn extract(q: &Ucq, db: &Database, kind: LineageKind, streamed: bool) -> Vec<OutputTuple> {
+    match (kind, streamed) {
+        (LineageKind::Full, false) => evaluate(q, db).outputs,
+        (LineageKind::Full, true) => LineageStream::new(q, db).collect(),
+        (_, false) => evaluate_with(q, db, kind).outputs,
+        (_, true) => LineageStream::with_kind(q, db, kind).collect(),
+    }
+}
+
+/// The reference's full and endogenous answers.
+struct Want {
+    full: Vec<(Vec<Value>, Dnf)>,
+    endo: Vec<(Vec<Value>, Dnf)>,
+}
+
+impl Want {
+    fn of(q: &Ucq, db: &Database) -> Want {
+        Want {
+            full: reference(q, db, false),
+            endo: reference(q, db, true),
+        }
+    }
+}
+
+/// Checks all four extractions against `want`; `fresh` gives the database
+/// each one runs on.
+fn assert_extractions_match<'d>(
+    q: &Ucq,
+    want: &Want,
+    mut fresh: impl FnMut() -> &'d Database,
+    tag: &str,
+) {
+    let (want, want_endo) = (&want.full, &want.endo);
+    let db = fresh();
+    let evaluated = extract(q, fresh(), LineageKind::Full, false);
+    for streamed in [false, true] {
+        let how = if streamed { "stream" } else { "evaluate" };
+        let got = match streamed {
+            false => evaluated.clone(),
+            true => extract(q, fresh(), LineageKind::Full, true),
+        };
         assert_eq!(got.len(), want.len(), "{tag}: {how} answer count");
-        for (g, (tuple, lineage)) in got.iter().zip(&want) {
+        for (g, (tuple, lineage)) in got.iter().zip(want) {
             assert_eq!(&g.tuple, tuple, "{tag}: {how} answer order");
             assert_eq!(&g.lineage, lineage, "{tag}: {how} lineage of {tuple:?}");
         }
-    }
 
-    let want_endo = reference(q, db, true);
-    let kind = LineageKind::Endogenous;
-    let evaluated_endo = evaluate_with(q, db, kind).outputs;
-    let streamed_endo: Vec<OutputTuple> = LineageStream::with_kind(q, db, kind).collect();
-    for (how, got) in [("evaluate", evaluated_endo), ("stream", streamed_endo)] {
+        let got = extract(q, fresh(), LineageKind::Endogenous, streamed);
         assert_eq!(
             got.len(),
             want_endo.len(),
             "{tag}: endogenous {how} answer count"
         );
-        for ((g, (tuple, lineage)), full) in got.iter().zip(&want_endo).zip(&evaluated) {
+        for ((g, (tuple, lineage)), full) in got.iter().zip(want_endo).zip(&evaluated) {
             assert_eq!(&g.tuple, tuple, "{tag}: endogenous {how} answer order");
             assert_eq!(&g.lineage, lineage, "{tag}: endogenous {how} of {tuple:?}");
             assert_eq!(
@@ -136,28 +184,122 @@ fn assert_matches_reference(q: &Ucq, db: &Database, tag: &str) {
     }
 }
 
+/// A value no generated database holds, of `like`'s type.
+fn fresh_value(like: &Value, salt: usize) -> Value {
+    match like {
+        Value::Int(_) => Value::int(1_000_000_007 + salt as i64),
+        Value::Str(_) => Value::str(&format!("~fresh{salt}")),
+    }
+}
+
+/// Facts whose insertion adds an answer to `q`: one per atom of the first
+/// disjunct with a derivation, under that derivation's binding with every
+/// variable that no predicate mentions renamed to a fresh value. `None`
+/// when no disjunct derives anything or every head variable is in a
+/// predicate (then the inserts would not make a new answer).
+fn answer_adding_facts(q: &Ucq, db: &Database) -> Option<Vec<(String, Vec<Value>)>> {
+    q.disjuncts().iter().find_map(|cq| {
+        let mut witness = None;
+        let mut binding = vec![None; cq.num_vars()];
+        let mut out = Derivations::new();
+        nested_loops(
+            cq,
+            db,
+            0,
+            &mut binding,
+            &mut Vec::new(),
+            &mut out,
+            &mut witness,
+        );
+        let mut binding = witness?;
+        let in_pred = |x: usize| {
+            cq.predicates.iter().any(|p| {
+                [&p.lhs, &p.rhs]
+                    .iter()
+                    .any(|t| matches!(t, Term::Var(v) if v.index() == x))
+            })
+        };
+        let head_renamed = cq.head_vars().iter().any(|v| !in_pred(v.index()));
+        if !head_renamed {
+            return None;
+        }
+        for (x, v) in binding.iter_mut().enumerate() {
+            if let Some(v) = v.as_mut().filter(|_| !in_pred(x)) {
+                *v = fresh_value(v, x);
+            }
+        }
+        let facts = cq
+            .atoms
+            .iter()
+            .map(|atom| {
+                let values = atom
+                    .terms
+                    .iter()
+                    .map(|t| value(t, &binding).unwrap())
+                    .collect();
+                (atom.relation.clone(), values)
+            })
+            .collect();
+        Some(facts)
+    })
+}
+
+/// [`assert_extractions_match`] cold, warm, and after inserts that add an
+/// answer (when [`answer_adding_facts`] finds them). Returns whether the
+/// inserts ran.
+fn assert_matches_reference(q: &Ucq, db: &Database, tag: &str) -> bool {
+    let want = Want::of(q, db);
+    let clones: Vec<Database> = (0..5).map(|_| db.clone()).collect();
+    assert!(clones.iter().all(|c| c.index_bytes() == 0));
+    let mut cold = clones.iter();
+    let tagged = |phase: &str| format!("{tag} ({phase})");
+    assert_extractions_match(q, &want, || cold.next().unwrap(), &tagged("cold"));
+
+    let mut db = db.clone();
+    assert_extractions_match(q, &want, || &db, &tagged("warming"));
+    let built = db.index_bytes();
+    assert_extractions_match(q, &want, || &db, &tagged("warm"));
+    assert_eq!(db.index_bytes(), built, "{tag}: a warm call builds nothing");
+
+    let Some(facts) = answer_adding_facts(q, &db) else {
+        return false;
+    };
+    for (relation, values) in facts {
+        db.insert(&relation, values, true);
+    }
+    let after = Want::of(q, &db);
+    assert!(
+        after.full.len() > want.full.len(),
+        "{tag}: the inserts add an answer"
+    );
+    assert_extractions_match(q, &after, || &db, &tagged("after insert"));
+    true
+}
+
 #[test]
 fn paper_queries_match_the_reference() {
     let tpch = tpch_database(&TpchConfig {
         scale: 0.25,
         ..Default::default()
     });
+    let mut inserted = 0;
     for q in tpch_queries() {
-        assert_matches_reference(&q.ucq, &tpch, &q.name);
+        inserted += usize::from(assert_matches_reference(&q.ucq, &tpch, &q.name));
     }
     let imdb = imdb_database(&ImdbConfig {
         movies: 250,
         ..Default::default()
     });
     for q in imdb_queries() {
-        assert_matches_reference(&q.ucq, &imdb, &q.name);
+        inserted += usize::from(assert_matches_reference(&q.ucq, &imdb, &q.name));
     }
+    assert!(inserted >= 12, "{inserted} queries gained an answer");
 }
 
 #[test]
 fn job_smoke_corpus_matches_the_reference() {
     let db = job_database(&JobConfig::smoke());
-    assert_matches_reference(&job_ranking_query(), &db, "job");
+    assert!(assert_matches_reference(&job_ranking_query(), &db, "job"));
 }
 
 /// Reads a random query off a stream of choices.
