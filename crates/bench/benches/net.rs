@@ -11,8 +11,9 @@
 //! * `net_warm` — the same server answering the same 521 requests again:
 //!   every answer is a cache hit, zero engine runs (asserted live);
 //! * `net_restart` — a **new** server bound to the already-written persist
-//!   log answering the 521 requests: warm from disk, zero engine runs —
-//!   the restart-durability number the ROADMAP's serving bar watches.
+//!   log answering the 521 requests in reverse order: warm from disk, zero
+//!   engine runs — the restart-durability number the ROADMAP's serving bar
+//!   watches.
 //!
 //! Results land in `results/bench_net.json` (`make bench-net`, uploaded
 //! as a CI artifact).
@@ -95,11 +96,15 @@ fn bench_net(c: &mut Criterion) {
     );
     warm_server.shutdown();
 
-    // Restart: fresh servers against the log the warm server wrote.
+    // Restart: fresh servers against the log the warm server wrote,
+    // replaying the corpus in reverse order — fingerprint keys depend only
+    // on a lineage's structure, so the order must not cost a cache hit.
+    let reversed: Vec<_> = lineages.iter().rev().cloned().collect();
+    let reversed_session = shapdb_bench::corpus::jsonl_session(&reversed, n_endo);
     let mut restart_engine_runs = 0usize;
     let net_restart_ns = median_ns(SAMPLES, || {
         let server = SocketServer::bind(&net_opts(&sock, &persist)).expect("bind restart");
-        let responses = replay_over_socket(&sock, &session);
+        let responses = replay_over_socket(&sock, &reversed_session);
         assert_eq!(responses as usize, lineages.len());
         restart_engine_runs += server.shutdown().profile.engine_runs();
     });

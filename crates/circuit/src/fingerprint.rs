@@ -19,10 +19,12 @@
 //!   read-once ∧/∨ tree of a Boolean function is unique up to reordering of
 //!   children, so AHU-style canonical sorting of the factorization tree
 //!   yields a *complete* canonical labeling — isomorphic read-once lineages
-//!   always share a fingerprint. Subtree isomorphism classes are interned
-//!   into a process-global table of dense ids, so a shape repeated across
-//!   the answers of a replay workload (or across service requests) is
-//!   recognized with one hash lookup instead of rebuilding its encoding;
+//!   always share a fingerprint ([`ReadOnce::canonical_leaves`], whose
+//!   orbits the read-once solver reads too). Its isomorphism classes are
+//!   exact and ranked within the one call, with no table kept between
+//!   calls, so a key is a pure function of the lineage's structure: the
+//!   same on every thread, in every process, whatever was fingerprinted
+//!   before it;
 //! * **everything else**: Weisfeiler–Lehman-style color refinement on the
 //!   variable/conjunct incidence structure, ties broken by original id —
 //!   best-effort completeness (rare WL-indistinguishable asymmetric pairs
@@ -40,7 +42,6 @@ use crate::readonce::{factor_minimized, ReadOnce};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, OnceLock};
 
 /// The dedup key: the canonical conjunct list over dense canonical variables
 /// (each conjunct sorted, conjuncts sorted lexicographically).
@@ -119,14 +120,6 @@ impl Fingerprint {
     pub fn tree(&self) -> Option<&ReadOnce> {
         self.tree.as_ref()
     }
-
-    /// A 64-bit digest of the key (for compact reporting; dedup itself keys
-    /// on the full canonical form, never on this hash).
-    pub fn hash64(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.key.hash(&mut h);
-        h.finish()
-    }
 }
 
 fn mix(parts: &[u64]) -> u64 {
@@ -156,143 +149,17 @@ pub fn fingerprint(lineage: &Dnf) -> Fingerprint {
 pub fn fingerprint_minimized(d: &Dnf) -> Fingerprint {
     if let Some(tree) = factor_minimized(d) {
         // Complete canonical labeling from the (unique) read-once tree.
-        let ordered = canonical_leaf_order(&tree);
+        let ordered = tree.canonical_leaves().order;
         return build(d, ordered, Some(tree));
     }
     wl_fingerprint(d)
-}
-
-/// The shape of one AHU subtree: the gate marker (`b'A'` / `b'O'`) plus
-/// the class ids of its children in canonically sorted order. Two subtrees
-/// have equal shapes iff they are isomorphic (given the children's ids are
-/// already canonical classes) — interning shapes to dense ids makes the
-/// isomorphism class of a subtree a single `u32` comparison.
-type Shape = (u8, Vec<u32>);
-
-/// Class ids of the leaf shapes, pre-seeded below `FIRST_GATE_CLASS`.
-const TRUE_CLASS: u32 = 0;
-const FALSE_CLASS: u32 = 1;
-const VAR_CLASS: u32 = 2;
-const FIRST_GATE_CLASS: u32 = 3;
-
-/// Upper bound on interned gate shapes across all shards. Past its
-/// per-shard slice a shard is cleared (the id counter is **not** reset —
-/// see [`Interner::next`]): fingerprints computed after a clear may order
-/// isomorphism classes differently than ones computed before it — a
-/// one-off round of missed dedup (soundness is per-fingerprint and never
-/// affected) in exchange for bounded memory in resident services.
-const INTERN_CAP: usize = 1 << 20;
-
-/// Lock shards: fingerprinting fans out across batch/service workers, so
-/// the interner must not serialize them on one mutex. Same shape → same
-/// shard → same id; distinct shards never hand out the same id (the
-/// counter is shared and atomic).
-const INTERN_SHARDS: usize = 16;
-
-/// The process-global AHU shape interner. Shared across calls (and worker
-/// threads) on purpose: multi-answer replay workloads repeat the same
-/// subtrees thousands of times, and a shape seen in *any* earlier
-/// fingerprint call is recognized with one hash lookup instead of
-/// rebuilding and comparing an `O(subtree)` encoding.
-struct Interner {
-    shards: Vec<Mutex<HashMap<Shape, u32>>>,
-    /// The next id to hand out. Monotone across shard clears on purpose: a
-    /// thread mid-recursion may still hold pre-clear ids in its
-    /// sorted-children scratch, and never reusing an id guarantees a
-    /// post-clear shape can never collide with one of those (two distinct
-    /// classes comparing equal would scramble that call's sibling order).
-    next: std::sync::atomic::AtomicU32,
-}
-
-fn interner() -> &'static Interner {
-    static INTERN: OnceLock<Interner> = OnceLock::new();
-    INTERN.get_or_init(|| Interner {
-        shards: (0..INTERN_SHARDS)
-            .map(|_| Mutex::new(HashMap::new()))
-            .collect(),
-        next: std::sync::atomic::AtomicU32::new(FIRST_GATE_CLASS),
-    })
-}
-
-/// Interns one gate shape, assigning the next id on first sight.
-fn intern_shape(shape: Shape) -> u32 {
-    let global = interner();
-    let mut h = DefaultHasher::new();
-    shape.hash(&mut h);
-    let shard = &global.shards[h.finish() as usize % INTERN_SHARDS];
-    let mut ids = shard.lock().expect("intern shard lock");
-    if ids.len() > INTERN_CAP / INTERN_SHARDS {
-        // Monotone ids make a clear safe at any point (no id reuse); see
-        // `Interner::next`.
-        ids.clear();
-    }
-    *ids.entry(shape).or_insert_with(|| {
-        global
-            .next
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    })
-}
-
-/// Total interned shapes (tests).
-#[cfg(test)]
-fn interned_shapes() -> usize {
-    interner()
-        .shards
-        .iter()
-        .map(|s| s.lock().expect("intern shard lock").len())
-        .sum()
-}
-
-/// Leaves of the read-once tree in AHU-canonical traversal order: children
-/// are sorted by the interned class id of their shape (variable names
-/// ignored), so isomorphic trees traverse isomorphic leaves in the same
-/// positions. Equal-class siblings keep their original order — they are
-/// isomorphic subtrees, so either order yields the same canonical conjunct
-/// set. Any fixed total order on isomorphism classes works here; interned
-/// ids provide one that is consistent across every call of the process
-/// (all callers share one table), replacing the old per-call `O(subtree²)`
-/// byte-string encodings.
-fn canonical_leaf_order(tree: &ReadOnce) -> Vec<VarId> {
-    fn class(t: &ReadOnce, leaves: &mut Vec<VarId>) -> u32 {
-        match t {
-            ReadOnce::True => TRUE_CLASS,
-            ReadOnce::False => FALSE_CLASS,
-            ReadOnce::Var(v) => {
-                leaves.push(*v);
-                VAR_CLASS
-            }
-            ReadOnce::And(cs) | ReadOnce::Or(cs) => {
-                let marker = if matches!(t, ReadOnce::And(_)) {
-                    b'A'
-                } else {
-                    b'O'
-                };
-                let mut kids: Vec<(u32, Vec<VarId>)> = cs
-                    .iter()
-                    .map(|c| {
-                        let mut sub = Vec::new();
-                        let id = class(c, &mut sub);
-                        (id, sub)
-                    })
-                    .collect();
-                kids.sort_by_key(|k| k.0); // stable: ties keep original order
-                for (_, k_leaves) in &kids {
-                    leaves.extend(k_leaves.iter().copied());
-                }
-                intern_shape((marker, kids.into_iter().map(|k| k.0).collect()))
-            }
-        }
-    }
-    let mut leaves = Vec::new();
-    class(tree, &mut leaves);
-    leaves
 }
 
 /// Builds the fingerprint of a minimized DNF from a canonical variable
 /// order (`ordered[i]` = the original fact renamed to canonical index `i`)
 /// and the read-once tree over the *original* variables, when one exists.
 fn build(d: &Dnf, ordered: Vec<VarId>, tree: Option<ReadOnce>) -> Fingerprint {
-    let canonical_of: std::collections::HashMap<VarId, u32> = ordered
+    let canonical_of: HashMap<VarId, u32> = ordered
         .iter()
         .enumerate()
         .map(|(i, &v)| (v, i as u32))
@@ -316,7 +183,7 @@ fn build(d: &Dnf, ordered: Vec<VarId>, tree: Option<ReadOnce>) -> Fingerprint {
 }
 
 /// Relabels a read-once tree's leaves onto the canonical variables.
-fn relabel(tree: &ReadOnce, canonical_of: &std::collections::HashMap<VarId, u32>) -> ReadOnce {
+fn relabel(tree: &ReadOnce, canonical_of: &HashMap<VarId, u32>) -> ReadOnce {
     match tree {
         ReadOnce::True => ReadOnce::True,
         ReadOnce::False => ReadOnce::False,
@@ -563,25 +430,36 @@ mod tests {
     }
 
     #[test]
-    fn interned_shapes_are_reused_across_calls() {
-        // Two isomorphic copies of a two-level structure: the second call
-        // must re-use the first call's interned gate shapes instead of
-        // growing the table — "repeated subtrees canonicalize once".
-        let a = dnf(&[&[0], &[1, 3], &[1, 4], &[2, 3], &[2, 4], &[5, 6]]);
-        let b = dnf(&[&[70], &[40, 20], &[40, 60], &[10, 20], &[10, 60], &[30, 50]]);
-        let _ = fingerprint(&a); // populate
-        let before = interned_shapes();
-        let fb = fingerprint(&b);
-        let after = interned_shapes();
-        assert_eq!(before, after, "no new shapes for an isomorphic lineage");
-        assert_eq!(fingerprint(&a).key(), fb.key());
+    fn read_once_key_ignores_what_was_fingerprinted_before() {
+        // L0 puts the shape `x ∨ y` first; L1's key must not move.
+        let l1 = dnf(&[&[1, 2], &[3, 4], &[3, 5]]);
+        let l0 = dnf(&[&[10, 11], &[10, 12]]);
+        let expect: FingerprintKey = vec![vec![0, 1], vec![2, 3], vec![2, 4]];
+        assert_eq!(fingerprint(&l1).key(), &expect);
+        let _ = fingerprint(&l0);
+        assert_eq!(fingerprint(&l1).key(), &expect);
     }
 
+    /// Named after the process-global shape table this once checked; keys
+    /// are now computed per call, and what still holds is that isomorphic
+    /// lineages share a key whatever the call order.
+    #[test]
+    fn interned_shapes_are_reused_across_calls() {
+        let a = dnf(&[&[0], &[1, 3], &[1, 4], &[2, 3], &[2, 4], &[5, 6]]);
+        let b = dnf(&[&[70], &[40, 20], &[40, 60], &[10, 20], &[10, 60], &[30, 50]]);
+        let other = dnf(&[&[0, 1], &[0, 2], &[3]]);
+        let fa = fingerprint(&a);
+        let _ = fingerprint(&other);
+        let fb = fingerprint(&b);
+        assert_eq!(fa.key(), fb.key());
+        assert_eq!(fingerprint(&b).key(), fingerprint(&a).key());
+    }
+
+    /// Named after the process-global shape table this once checked; keys
+    /// are now computed per call, and what still holds is that isomorphic
+    /// lineages share a key whatever thread fingerprints them.
     #[test]
     fn interned_ordering_is_consistent_across_threads() {
-        // Isomorphic trees fingerprinted concurrently must agree on the
-        // canonical key no matter which thread interns a shape first: the
-        // shared table makes every racer see the same ids.
         let copies: Vec<Dnf> = (0..8u32)
             .map(|i| {
                 let base = i * 100;

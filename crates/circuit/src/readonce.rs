@@ -29,6 +29,7 @@
 use crate::circuit::{Circuit, NodeId, VarId};
 use crate::dnf::Dnf;
 use shapdb_num::Bitset;
+use std::cell::Cell;
 use std::fmt;
 
 /// A read-once formula tree: every variable occurs in exactly one leaf, so
@@ -57,23 +58,17 @@ impl ReadOnce {
     }
 
     fn collect_vars(&self, out: &mut Vec<VarId>) {
-        match self {
-            ReadOnce::True | ReadOnce::False => {}
-            ReadOnce::Var(v) => out.push(*v),
-            ReadOnce::And(cs) | ReadOnce::Or(cs) => {
-                for c in cs {
-                    c.collect_vars(out);
-                }
-            }
+        if let ReadOnce::Var(v) = self {
+            out.push(*v);
+        }
+        for c in self.children() {
+            c.collect_vars(out);
         }
     }
 
     /// Number of tree nodes.
     pub fn len(&self) -> usize {
-        match self {
-            ReadOnce::True | ReadOnce::False | ReadOnce::Var(_) => 1,
-            ReadOnce::And(cs) | ReadOnce::Or(cs) => 1 + cs.iter().map(ReadOnce::len).sum::<usize>(),
-        }
+        1 + self.children().iter().map(ReadOnce::len).sum::<usize>()
     }
 
     /// True iff the tree is a single leaf.
@@ -118,6 +113,144 @@ impl ReadOnce {
         vars.dedup();
         vars.len() == n
     }
+
+    /// The leaves in AHU-canonical order, with their orbits under the
+    /// tree's automorphisms.
+    ///
+    /// Every node gets an exact isomorphism class. Leaves and constants
+    /// rank by kind; gates rank one height at a time (the longest path
+    /// down to a leaf or a constant), by kind, then by their children's
+    /// ranks in sorted order. The ranks depend only on the set of shapes
+    /// at each height, so isomorphic trees rank their shapes alike, and no
+    /// table is kept between calls. Laying out each gate's children in
+    /// rank order then lists the leaves of isomorphic trees at the same
+    /// positions, whatever the variable names or the child order.
+    ///
+    /// In that layout the leaves of two equal-rank siblings align one to
+    /// one, and swapping the two subtrees is an automorphism. Bottom-up,
+    /// the `j`-th leaf of every later child in a run of equal-rank
+    /// siblings maps to the representative of the `j`-th leaf of the
+    /// first, so leaves with one representative are exchanged by an
+    /// automorphism and get equal values under any symmetric measure.
+    pub fn canonical_leaves(&self) -> CanonicalLeaves {
+        // Breadth-first: every subtree comes after its parent, and the
+        // children of subtree `i` are the consecutive subtrees `kids(i)`.
+        let mut trees = Vec::with_capacity(self.len());
+        trees.push(self);
+        let mut nodes: Vec<Node> = Vec::with_capacity(trees.capacity());
+        while let Some(&t) = trees.get(nodes.len()) {
+            let (first, rank) = (trees.len(), Cell::new(t.kind()));
+            nodes.push(Node {
+                first,
+                rank,
+                ..Node::default()
+            });
+            trees.extend(t.children());
+        }
+        let n = nodes.len();
+        for i in (0..n).rev() {
+            let below = &nodes[nodes[i].first..][..trees[i].children().len()];
+            let height = below.iter().map(|k| k.height + 1).max().unwrap_or(0);
+            let size = below.iter().map(|k| k.size).sum::<u32>();
+            nodes[i].height = height;
+            nodes[i].size = size + matches!(trees[i], ReadOnce::Var(_)) as u32;
+        }
+        let nodes = &nodes[..];
+        let kids = |i: usize| nodes[i].first..nodes[i].first + trees[i].children().len();
+        // Gates (kinds 3 and 4) rank after every leaf and constant.
+        // `sorted[kids(i)]` holds gate `i`'s children in rank order.
+        let mut sorted: Vec<usize> = (0..n).collect();
+        let mut gates: Vec<usize> = (0..n).filter(|&i| trees[i].kind() > 2).collect();
+        gates.sort_by_key(|&i| nodes[i].height);
+        let mut next = 3;
+        for level in gates.chunk_by_mut(|&x, &y| nodes[x].height == nodes[y].height) {
+            for &i in level.iter() {
+                sorted[kids(i)].sort_by_key(|&k| nodes[k].rank.get());
+            }
+            let cmp = |&x: &usize, &y: &usize| {
+                let ranks = |i: usize| sorted[kids(i)].iter().map(|&k| nodes[k].rank.get());
+                let kind = |i: usize| trees[i].kind();
+                kind(x).cmp(&kind(y)).then_with(|| ranks(x).cmp(ranks(y)))
+            };
+            level.sort_by(cmp);
+            for (j, &i) in level.iter().enumerate() {
+                next += (j > 0 && cmp(&level[j - 1], &i).is_ne()) as u32;
+                nodes[i].rank.set(next);
+            }
+            next += 1;
+        }
+        // Top-down, each child's leaves start after its earlier siblings'.
+        let mut order = vec![VarId(0); nodes[0].size as usize];
+        for i in 0..n {
+            let mut at = nodes[i].start.get();
+            if let ReadOnce::Var(v) = trees[i] {
+                order[at as usize] = *v;
+            }
+            for &k in &sorted[kids(i)] {
+                nodes[k].start.set(at);
+                at += nodes[k].size;
+            }
+        }
+        // Bottom-up, so a leaf's highest mapping gate writes last.
+        let mut orbit: Vec<u32> = (0..order.len() as u32).collect();
+        for i in (0..n).rev() {
+            for run in sorted[kids(i)].chunk_by(|&x, &y| nodes[x].rank == nodes[y].rank) {
+                let from = nodes[run[0]].start.get() as usize;
+                for &k in &run[1..] {
+                    let to = nodes[k].start.get() as usize;
+                    orbit.copy_within(from..from + nodes[k].size as usize, to);
+                }
+            }
+        }
+        CanonicalLeaves { order, orbit }
+    }
+
+    /// The children of a gate (none for a leaf or a constant).
+    fn children(&self) -> &[ReadOnce] {
+        match self {
+            ReadOnce::And(cs) | ReadOnce::Or(cs) => cs,
+            _ => &[],
+        }
+    }
+
+    /// `⊤` 0, `⊥` 1, a leaf 2, `∧` 3 and `∨` 4.
+    fn kind(&self) -> u32 {
+        match self {
+            ReadOnce::True => 0,
+            ReadOnce::False => 1,
+            ReadOnce::Var(_) => 2,
+            ReadOnce::And(_) => 3,
+            ReadOnce::Or(_) => 4,
+        }
+    }
+}
+
+/// A subtree in [`ReadOnce::canonical_leaves`]' breadth-first layout.
+#[derive(Default)]
+struct Node {
+    /// The index of the first child.
+    first: usize,
+    /// The longest path down to a leaf or a constant.
+    height: u32,
+    /// Leaves under the node.
+    size: u32,
+    /// The isomorphism class, ranked.
+    rank: Cell<u32>,
+    /// The position of the node's first leaf in the canonical order.
+    start: Cell<u32>,
+}
+
+/// [`ReadOnce::canonical_leaves`]: a read-once tree's leaves in canonical
+/// order and the orbit of each.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct CanonicalLeaves {
+    /// The variables, in canonical order: isomorphic trees list
+    /// corresponding leaves at the same positions.
+    pub order: Vec<VarId>,
+    /// `orbit[i]` is the position of leaf `i`'s orbit representative, at
+    /// most `i`: leaves with one representative are exchanged by an
+    /// automorphism of the tree.
+    pub orbit: Vec<u32>,
 }
 
 impl fmt::Display for ReadOnce {
@@ -516,6 +649,25 @@ mod tests {
             assert_eq!(c.eval_set(root, &s), d.eval_set(&s));
         }
         assert!(!t.to_string().is_empty());
+    }
+
+    #[test]
+    fn canonical_leaves_align_isomorphic_arms() {
+        // (h₀ ∧ (s₀ ∨ s₁)) ∨ ((s₂ ∨ s₃) ∧ h₁): each arm lists its hub
+        // first, and every leaf maps to the aligned leaf of the first arm.
+        let x = |v: u32| ReadOnce::Var(VarId(v));
+        let tree = ReadOnce::Or(vec![
+            ReadOnce::And(vec![x(0), ReadOnce::Or(vec![x(1), x(2)])]),
+            ReadOnce::And(vec![ReadOnce::Or(vec![x(3), x(4)]), x(5)]),
+        ]);
+        let canon = tree.canonical_leaves();
+        let order: Vec<u32> = canon.order.iter().map(|v| v.0).collect();
+        assert_eq!(order, [0, 1, 2, 5, 3, 4]);
+        assert_eq!(canon.orbit, [0, 1, 1, 0, 1, 1]);
+        // No two siblings alike: every leaf is its own orbit.
+        let chain = ReadOnce::Or(vec![x(0), ReadOnce::And(vec![x(1), ReadOnce::Or(vec![])])]);
+        assert_eq!(chain.canonical_leaves().orbit, [0, 1]);
+        assert_eq!(ReadOnce::True.canonical_leaves().order, []);
     }
 
     #[test]

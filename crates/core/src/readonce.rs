@@ -41,9 +41,9 @@
 //! itself, so by the symmetry axiom the facts it exchanges get equal
 //! Shapley and Banzhaf values, and equal SHAP-scores under a uniform
 //! marginal, whose product distribution the swap also preserves. The
-//! arena gives every node an isomorphism class (AHU: a gate is its kind
-//! plus the multiset of its children's classes) and maps each leaf to a
-//! representative of its orbit under these swaps (`Arena::orbit_reps`).
+//! orbits under these swaps come from the tree's canonical form
+//! ([`ReadOnce::canonical_leaves`], the same AHU classes the fingerprint
+//! orders its variables by), mapped onto the arena's leaves.
 //! One conditioned pass runs per representative, and the rest of its
 //! orbit gets a clone of its value, so a star of `h` arms with `s` spokes
 //! each costs two passes, not `h · (1 + s)`. The passes run are counted in
@@ -178,79 +178,47 @@ impl Arena {
         self.nodes.len() - 1
     }
 
-    /// The orbit representative of every leaf (indexed by node; gates map
-    /// to themselves): leaves with the same representative are swapped by
-    /// an automorphism of the tree, so they get equal values.
-    ///
-    /// Every node gets an isomorphism class (AHU): a leaf is class 0, a
-    /// gate is its kind plus the sorted multiset of its children's classes,
-    /// interned per tree. Each gate's children are put in class order,
-    /// which changes no count. Laid out in that order, the leaves of two
-    /// isomorphic subtrees align one to one, and a leaf of every child but
-    /// the first of its class maps to the aligned leaf of the first. The
-    /// representative is therefore a leaf that is first of its class under
-    /// every ancestor.
-    fn orbit_reps(&mut self) -> Vec<usize> {
-        let n = self.nodes.len();
-        let mut class = vec![0u32; n];
-        let mut interned: HashMap<Vec<u32>, u32> = HashMap::new();
-        let mut key = Vec::new();
-        for i in 0..n {
-            let (RNode::And(kids) | RNode::Or(kids)) = &mut self.nodes[i] else {
+    /// The value of every variable in `vars`, in order: `solve(leaf)`
+    /// once per orbit representative (a conditioned pass, counted as
+    /// `passes`), cloned for the rest of its orbit; a variable folded
+    /// under a constant is a null player. The orbits are `tree`'s
+    /// canonical ones, mapped onto the arena's leaves: leaves swapped by
+    /// an automorphism of the tree get equal values, and isomorphic
+    /// subtrees fold alike, so an orbit has an arena leaf for each of its
+    /// members or for none.
+    fn per_orbit(
+        &self,
+        tree: &ReadOnce,
+        vars: Vec<VarId>,
+        deadline: Option<Instant>,
+        passes: u64,
+        mut solve: impl FnMut(usize) -> Rational,
+    ) -> Result<Vec<(VarId, Rational)>, ShapleyTimeout> {
+        let canon = tree.canonical_leaves();
+        let mut rep: Vec<usize> = (0..self.nodes.len()).collect();
+        for (v, &r) in canon.order.iter().zip(&canon.orbit) {
+            if let Some(&leaf) = self.leaf_of.get(v) {
+                rep[leaf] = self.leaf_of[&canon.order[r as usize]];
+            }
+        }
+        let mut solved: Vec<Option<Rational>> = vec![None; self.nodes.len()];
+        let mut out = Vec::with_capacity(vars.len());
+        for v in vars {
+            let Some(&leaf) = self.leaf_of.get(&v) else {
+                out.push((v, Rational::zero()));
                 continue;
             };
-            kids.sort_unstable_by_key(|&k| class[k]);
-            key.clear();
-            key.push(matches!(self.nodes[i], RNode::And(_)) as u32);
-            key.extend(self.kids(i).iter().map(|&k| class[k]));
-            class[i] = match interned.get(&key[..]) {
-                Some(&c) => c,
-                None => {
-                    let c = interned.len() as u32 + 1;
-                    interned.insert(key.clone(), c);
-                    c
+            let rep = rep[leaf];
+            if solved[rep].is_none() {
+                if deadline.is_some_and(|d| Instant::now() > d) {
+                    return Err(ShapleyTimeout);
                 }
-            };
-        }
-        // `order[start[v]..][..nvars[v]]` lists `v`'s leaves, children in
-        // class order (parents precede children going down the arena).
-        let mut start = vec![0usize; n];
-        let mut order = vec![0usize; self.nvars[self.root]];
-        for i in (0..n).rev() {
-            match &self.nodes[i] {
-                RNode::Var(_) => order[start[i]] = i,
-                RNode::And(kids) | RNode::Or(kids) => {
-                    let mut at = start[i];
-                    for &k in kids {
-                        start[k] = at;
-                        at += self.nvars[k];
-                    }
-                }
-                RNode::True | RNode::False => {}
+                READONCE_CONDITIONED_PASSES.add(passes);
+                solved[rep] = Some(solve(rep));
             }
+            out.push((v, solved[rep].clone().expect("solved above")));
         }
-        // Bottom-up, so a leaf's highest mapping gate writes last, when
-        // the aligned leaf's representative is already final.
-        let mut rep: Vec<usize> = (0..n).collect();
-        for i in 0..n {
-            for run in self.kids(i).chunk_by(|&x, &y| class[x] == class[y]) {
-                let first = start[run[0]];
-                for &other in &run[1..] {
-                    for j in 0..self.nvars[other] {
-                        rep[order[start[other] + j]] = rep[order[first + j]];
-                    }
-                }
-            }
-        }
-        rep
-    }
-
-    /// The children of gate `i` (none for a leaf or a constant).
-    fn kids(&self, i: usize) -> &[usize] {
-        match &self.nodes[i] {
-            RNode::And(kids) | RNode::Or(kids) => kids,
-            _ => &[],
-        }
+        Ok(out)
     }
 }
 
@@ -434,13 +402,12 @@ pub fn power_read_once(
         "|D_n| = {n_endo} smaller than the {} tree variables",
         vars.len()
     );
-    let mut a = Arena::build(tree);
+    let a = Arena::build(tree);
     let m = a.nvars[a.root];
     if m == 0 {
         // Constant lineage: every variable is a null player.
         return Ok(vars.into_iter().map(|v| (v, Rational::zero())).collect());
     }
-    let reps = a.orbit_reps();
     let mut fold = PowerFold::new(measure, m);
     let bits = alpha_cap_bits(m);
     let run = if bits <= 64 {
@@ -454,15 +421,14 @@ pub fn power_read_once(
     } else {
         power_facts::<BigUint>
     };
-    run(&a, &reps, vars, deadline, &mut fold)
+    run(&a, tree, vars, deadline, &mut fold)
 }
 
-/// The per-orbit loop of [`power_read_once`] on one coefficient tier: one
-/// conditioned pass per orbit representative, its value cloned for the
-/// rest of the orbit.
+/// [`power_read_once`] on one coefficient tier: one conditioned pass per
+/// orbit representative (`Arena::per_orbit`).
 fn power_facts<C: Coeff>(
     a: &Arena,
-    reps: &[usize],
+    tree: &ReadOnce,
     vars: Vec<VarId>,
     deadline: Option<Instant>,
     fold: &mut PowerFold,
@@ -470,36 +436,11 @@ fn power_facts<C: Coeff>(
     let mut dp = CountDp::<C>::new(a);
     let base_root = dp.sat[a.root].clone();
     let (mut gamma, mut delta) = (Vec::new(), Vec::new());
-    let mut solved: Vec<Option<Rational>> = vec![None; a.nodes.len()];
-    let mut out = Vec::with_capacity(vars.len());
-    for v in vars {
-        let Some(&leaf) = a.leaf_of.get(&v) else {
-            out.push((v, Rational::zero()));
-            continue;
-        };
-        let rep = reps[leaf];
-        if let Some(value) = &solved[rep] {
-            out.push((v, value.clone()));
-            continue;
-        }
-        check_deadline(deadline)?;
-        READONCE_CONDITIONED_PASSES.incr();
+    a.per_orbit(tree, vars, deadline, 1, |rep| {
         dp.delta_root(a, rep, &mut delta);
         derive_gamma(&base_root, &delta, &mut gamma);
-        let value = fold.value(&gamma, &delta);
-        solved[rep] = Some(value.clone());
-        out.push((v, value));
-    }
-    Ok(out)
-}
-
-/// `Err` once `deadline` has passed (checked before every conditioned
-/// pass).
-fn check_deadline(deadline: Option<Instant>) -> Result<(), ShapleyTimeout> {
-    match deadline {
-        Some(d) if Instant::now() > d => Err(ShapleyTimeout),
-        _ => Ok(()),
-    }
+        fold.value(&gamma, &delta)
+    })
 }
 
 /// `#SAT_ℓ` array of a read-once tree over its own variables (test oracle
@@ -666,9 +607,8 @@ pub fn shap_read_once(
     if vars.is_empty() {
         return Ok(Vec::new());
     }
-    let mut a = Arena::build(tree);
+    let a = Arena::build(tree);
     let m = a.nvars[a.root];
-    let reps = a.orbit_reps();
     let mut binomials = BinomialTable::new();
     let base = shap_base_counts(&a, p, &mut binomials);
 
@@ -678,22 +618,9 @@ pub fn shap_read_once(
     let one_minus_p = &Rational::one() - p;
 
     // One pair of passes per orbit: a uniform marginal makes the product
-    // distribution invariant under the tree's automorphisms too.
-    let mut solved: Vec<Option<Rational>> = vec![None; a.nodes.len()];
-    let mut out = Vec::with_capacity(vars.len());
-    for v in vars {
-        // A variable folded under a constant is a dummy feature.
-        let Some(&leaf) = a.leaf_of.get(&v) else {
-            out.push((v, Rational::zero()));
-            continue;
-        };
-        let rep = reps[leaf];
-        if let Some(value) = &solved[rep] {
-            out.push((v, value.clone()));
-            continue;
-        }
-        check_deadline(deadline)?;
-        READONCE_CONDITIONED_PASSES.add(2);
+    // distribution invariant under the tree's automorphisms too. A
+    // variable folded under a constant is a dummy feature.
+    a.per_orbit(tree, vars, deadline, 2, |rep| {
         let beta1 = shap_conditioned_root(&a, &base, rep, true, &mut binomials);
         let beta0 = shap_conditioned_root(&a, &base, rep, false, &mut binomials);
         debug_assert_eq!(beta1.len(), m);
@@ -707,11 +634,8 @@ pub fn shap_read_once(
             }
             numer += &(&diff * &Rational::from_biguint(w.clone()));
         }
-        let value = &(&numer * &one_minus_p) / &denom;
-        solved[rep] = Some(value.clone());
-        out.push((v, value));
-    }
-    Ok(out)
+        &(&numer * &one_minus_p) / &denom
+    })
 }
 
 #[cfg(test)]
@@ -720,7 +644,7 @@ mod tests {
     use super::*;
     use crate::naive::{sat_k_bruteforce, shapley_naive};
     use proptest::prelude::*;
-    use shapdb_circuit::{factor, Dnf};
+    use shapdb_circuit::{factor, fingerprint, Dnf};
     use shapdb_metrics::counters::Profile;
     use shapdb_num::Bitset;
     use std::sync::Arc;
@@ -1419,6 +1343,126 @@ mod tests {
                 prop_assert_eq!(&r, &shap[v.index()], "shap var {} of {:?}", v.0, tree);
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_orbits_are_automorphism_orbits(n in 1usize..8, constants in any::<bool>(), seed in any::<u64>()) {
+            assert_orbits(&repeated_shapes_of(n, constants, seed), seed);
+        }
+    }
+
+    #[test]
+    fn fixed_trees_orbits_are_automorphism_orbits() {
+        for (hubs, spokes) in [(2, 1), (3, 1), (2, 2), (2, 3)] {
+            assert_orbits(&star_of_stars(hubs, spokes), 7);
+        }
+        // Siblings of one kind, arity and height that are not isomorphic,
+        // with different and with equal leaf counts.
+        let x = || ReadOnce::Var(VarId(0));
+        let or = |a, b| ReadOnce::Or(vec![a, b]);
+        let and = |a, b| ReadOnce::And(vec![a, b]);
+        let spokes = ReadOnce::Or(vec![x(), x(), x()]);
+        for tree in [
+            or(and(x(), or(x(), x())), and(or(x(), x()), or(x(), x()))),
+            or(and(or(x(), x()), or(x(), x())), and(x(), spokes)),
+        ] {
+            assert_orbits(&number(&tree, &mut 0), 11);
+        }
+    }
+
+    /// Checks `tree`'s canonical orbits against the automorphism group of
+    /// its minimized DNF, and that a copy shuffled by `seed` and renamed
+    /// has the same canonical form.
+    fn assert_orbits(tree: &ReadOnce, seed: u64) {
+        let mut d = expand(tree);
+        d.minimize();
+        let group = automorphism_orbits(&d);
+        let reps = |t: &ReadOnce| {
+            let c = t.canonical_leaves();
+            let order = c.order.clone();
+            c.orbit
+                .into_iter()
+                .zip(order.clone())
+                .map(move |(r, v)| (v, order[r as usize]))
+        };
+        // Sound on any tree: an automorphism maps each leaf onto its
+        // representative (leaves folded under a constant are absent from
+        // the DNF, and so are their representatives).
+        for (v, r) in reps(tree) {
+            assert_eq!(
+                group.get(&v),
+                group.get(&r),
+                "x{} → x{} in {tree:?}",
+                v.0,
+                r.0
+            );
+        }
+        // Exact on the factored tree: one representative per orbit.
+        let factored = factor(&d).expect("read-once");
+        let mut ours = 0;
+        for (v, r) in reps(&factored) {
+            assert_eq!(group[&v], group[&r], "x{} → x{} in {factored:?}", v.0, r.0);
+            ours += (v == r) as usize;
+        }
+        let mut theirs: Vec<VarId> = group.values().copied().collect();
+        theirs.sort_unstable();
+        theirs.dedup();
+        assert_eq!(ours, theirs.len(), "orbits of {factored:?}");
+        // A shuffled, renamed copy has the same canonical form.
+        let mut state = seed.rotate_left(29) | 1;
+        let copy = number(&shuffled(tree, &mut state), &mut 0);
+        assert_eq!(copy.canonical_leaves().orbit, tree.canonical_leaves().orbit);
+        assert_eq!(fingerprint(&expand(&copy)).key(), fingerprint(&d).key());
+    }
+
+    /// The orbits of `d`'s automorphism group, by trying every permutation
+    /// of its variables (Heap's algorithm): each variable maps to the least
+    /// variable an automorphism sends it to.
+    fn automorphism_orbits(d: &Dnf) -> HashMap<VarId, VarId> {
+        let vars = d.vars();
+        let k = vars.len();
+        let conjuncts = |p: &[usize]| {
+            let mut cs: Vec<Vec<usize>> = d
+                .conjuncts()
+                .iter()
+                .map(|c| {
+                    let mut c: Vec<usize> = c
+                        .iter()
+                        .map(|v| p[vars.binary_search(v).unwrap()])
+                        .collect();
+                    c.sort_unstable();
+                    c
+                })
+                .collect();
+            cs.sort_unstable();
+            cs
+        };
+        let mut p: Vec<usize> = (0..k).collect();
+        let base = conjuncts(&p);
+        let mut least = p.clone();
+        let mut visit = |p: &[usize]| {
+            if conjuncts(p) == base {
+                for (v, &w) in p.iter().enumerate() {
+                    least[v] = least[v].min(w);
+                }
+            }
+        };
+        let mut c = vec![0; k];
+        let mut i = 1;
+        while i < k {
+            if c[i] < i {
+                p.swap(if i % 2 == 0 { 0 } else { c[i] }, i);
+                visit(&p);
+                c[i] += 1;
+                i = 1;
+            } else {
+                c[i] = 0;
+                i += 1;
+            }
+        }
+        (0..k).map(|v| (vars[v], vars[least[v]])).collect()
     }
 
     proptest! {
